@@ -107,13 +107,12 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
         print(fig7_chart(report))
     if args.trace:
-        from .perf.ledger import run_costs
-        from .sched.engine import simulate as _simulate
-        from .sched.timeline import build_run
+        from .perf.hplsim import simulate_timeline
         from .sched.trace import write_chrome_trace
 
-        timeline = _simulate(build_run(run_costs(cfg, crusher_cluster(nodes))))
-        write_chrome_trace(timeline, args.trace)
+        write_chrome_trace(
+            simulate_timeline(cfg, crusher_cluster(nodes)), args.trace
+        )
         print(f"chrome trace written to {args.trace} "
               "(open in chrome://tracing or Perfetto)")
     if args.energy:

@@ -26,7 +26,7 @@ from .spec import ClusterSpec, LinkSpec
 
 
 def _link_seconds_array(link: LinkSpec, nbytes: np.ndarray) -> np.ndarray:
-    """Elementwise :meth:`LinkSpec.seconds`, identical IEEE op order."""
+    """Elementwise :meth:`LinkSpec.seconds`; callers mask empty payloads."""
     return link.latency_s + nbytes / (link.bandwidth_gbs * 1e9)
 
 
@@ -104,10 +104,6 @@ class CommModel:
         self._ring_cache[key] = worst
         return worst
 
-    def _ring_hop(self, members: list[tuple[int, int]], nbytes: float) -> float:
-        """Cost of the worst single ring hop among ``members``."""
-        return self._ring_link(members).seconds(nbytes)
-
     def _worst_link(self, members: list[tuple[int, int]]) -> LinkSpec:
         key = tuple(members)
         cached = self._worst_cache.get(key)
@@ -125,98 +121,6 @@ class CommModel:
         self._worst_cache[key] = worst
         return worst
 
-    # Public cached accessors (the fast ledger prices whole runs through
-    # these, pulling each membership's link structure exactly once).
-    def ring_link(self, members: list[tuple[int, int]]) -> LinkSpec:
-        """Cached worst neighbour-to-neighbour ring link for ``members``."""
-        return self._ring_link(members)
-
-    def worst_link(self, members: list[tuple[int, int]]) -> LinkSpec:
-        """Cached worst pairwise link among ``members``."""
-        return self._worst_link(members)
-
-    def peer_split(
-        self, root: tuple[int, int], members: list[tuple[int, int]]
-    ) -> tuple[int, int]:
-        """Cached (on-node, off-node) peer counts from ``root``."""
-        return self._peer_split(root, members)
-
-    # ------------------------------------------------------------------
-    # Collectives
-    # ------------------------------------------------------------------
-    def bcast_seconds(
-        self, members: list[tuple[int, int]], nbytes: float, algo: BcastVariant
-    ) -> float:
-        """Per-iteration LBCAST cost at a participating rank.
-
-        Ring variants pipeline across iterations: a rank's steady-state
-        cost is one receive plus one forward.  The two-ring variants halve
-        the forwarded volume's path length (two rings run concurrently),
-        modeled as a single hop pair on the worst ring link.  ``blong``
-        pays scatter + ring-allgather on ``nbytes``.  The binomial tree is
-        latency-optimal but keeps every rank busy for ``log2 Q`` hops.
-        """
-        k = len(members)
-        if k <= 1 or nbytes <= 0:
-            return 0.0
-        hop = self._ring_hop(members, nbytes)
-        if algo in (BcastVariant.ONE_RING, BcastVariant.ONE_RING_M):
-            return 2.0 * hop
-        if algo in (BcastVariant.TWO_RING, BcastVariant.TWO_RING_M):
-            return 2.0 * hop  # same per-rank traffic; shorter worst path
-        if algo is BcastVariant.BLONG:
-            chunk = nbytes / k
-            scatter = self._worst_link(members).seconds(chunk)
-            gather = (k - 1) * self._ring_hop(members, chunk)
-            return scatter + gather
-        if algo is BcastVariant.BINOMIAL:
-            return math.ceil(math.log2(k)) * self._worst_link(members).seconds(nbytes)
-        raise ConfigError(f"unknown bcast variant {algo}")
-
-    def allreduce_seconds(
-        self, members: list[tuple[int, int]], nbytes: float,
-        per_hop_overhead: float = 0.0,
-    ) -> float:
-        """Recursive-doubling allreduce: ``ceil(log2 k)`` exchange rounds.
-
-        ``per_hop_overhead`` adds a fixed software cost per round -- the
-        FACT pivot collectives stage through host memory and pay MPI
-        progression latency on top of the wire.
-        """
-        k = len(members)
-        if k <= 1:
-            return 0.0
-        link = self._worst_link(members)
-        return math.ceil(math.log2(k)) * (link.seconds(nbytes) + per_hop_overhead)
-
-    def allgatherv_seconds(
-        self, members: list[tuple[int, int]], total_bytes: float
-    ) -> float:
-        """Ring allgatherv assembling ``total_bytes``: ``k-1`` chunk hops."""
-        k = len(members)
-        if k <= 1 or total_bytes <= 0:
-            return 0.0
-        chunk = total_bytes / k
-        return (k - 1) * self._ring_hop(members, chunk)
-
-    def binexch_allgather_seconds(
-        self, members: list[tuple[int, int]], total_bytes: float
-    ) -> float:
-        """Binary-exchange U assembly: ``ceil(log2 k)`` pairwise rounds.
-
-        Following HPL's own cost model for SWAP=binary-exchange, each
-        round exchanges on the order of the full U payload, so the
-        algorithm is latency-optimal (few rounds) but not
-        bandwidth-reducing -- which is exactly why HPL's MIX policy uses
-        it only below a width threshold.
-        """
-        k = len(members)
-        if k <= 1 or total_bytes <= 0:
-            return 0.0
-        link = self._worst_link(members)
-        rounds = math.ceil(math.log2(k))
-        return rounds * link.seconds(total_bytes)
-
     def _peer_split(
         self, root: tuple[int, int], members: list[tuple[int, int]]
     ) -> tuple[int, int]:
@@ -232,23 +136,6 @@ class CommModel:
         self._peer_cache[key] = (on, off)
         return on, off
 
-    def scatterv_seconds(
-        self,
-        root: tuple[int, int],
-        members: list[tuple[int, int]],
-        total_bytes: float,
-    ) -> float:
-        """Root-serialized scatterv of ``total_bytes`` spread over peers."""
-        k = len(members)
-        if k <= 1 or total_bytes <= 0:
-            return 0.0
-        per_peer = total_bytes / (k - 1)
-        on, off = self._peer_split(root, members)
-        node = self.cluster.node
-        return on * node.gpu_gpu.seconds(per_peer) + off * node.nic.seconds(
-            per_peer
-        )
-
     def p2p_seconds(
         self, a: tuple[int, int], b: tuple[int, int], nbytes: float
     ) -> float:
@@ -256,12 +143,10 @@ class CommModel:
         return self.link(a, b).seconds(nbytes)
 
     # ------------------------------------------------------------------
-    # Batch collectives: one membership, an array of payloads.
-    #
-    # Each mirrors its scalar twin's IEEE operation sequence element for
-    # element (same guards, same association), so the vectorized ledger
-    # prices a whole run bit-for-bit like the per-iteration loop while
-    # resolving the membership's link structure only once.
+    # Collectives: one membership, an array of payloads (a scalar payload
+    # is a length-1 view).  The membership's link structure is resolved
+    # once per call, so the ledger prices a whole run's worth of payloads
+    # for one grid row or column at a time.
     # ------------------------------------------------------------------
     def bcast_seconds_array(
         self,
@@ -269,16 +154,24 @@ class CommModel:
         nbytes: np.ndarray,
         algo: BcastVariant,
     ) -> np.ndarray:
-        """Batch :meth:`bcast_seconds` for one membership."""
+        """Per-iteration LBCAST cost at a participating rank.
+
+        Ring variants pipeline across iterations: a rank's steady-state
+        cost is one receive plus one forward.  The two-ring variants halve
+        the forwarded volume's path length (two rings run concurrently),
+        modeled as a single hop pair on the worst ring link.  ``blong``
+        pays scatter + ring-allgather on ``nbytes``.  The binomial tree is
+        latency-optimal but keeps every rank busy for ``log2 Q`` hops.
+        """
         nbytes = np.asarray(nbytes, dtype=np.float64)
         k = len(members)
         if k <= 1:
             return np.zeros_like(nbytes)
-        active = nbytes > 0
         ring = self._ring_link(members)
         if algo in (
             BcastVariant.ONE_RING,
             BcastVariant.ONE_RING_M,
+            # same per-rank traffic; shorter worst path
             BcastVariant.TWO_RING,
             BcastVariant.TWO_RING_M,
         ):
@@ -294,7 +187,7 @@ class CommModel:
             )
         else:
             raise ConfigError(f"unknown bcast variant {algo}")
-        return np.where(active, out, 0.0)
+        return np.where(nbytes > 0, out, 0.0)
 
     def allreduce_seconds_array(
         self,
@@ -302,7 +195,12 @@ class CommModel:
         nbytes: np.ndarray,
         per_hop_overhead: float = 0.0,
     ) -> np.ndarray:
-        """Batch :meth:`allreduce_seconds` for one membership."""
+        """Recursive-doubling allreduce: ``ceil(log2 k)`` exchange rounds.
+
+        ``per_hop_overhead`` adds a fixed software cost per round -- the
+        FACT pivot collectives stage through host memory and pay MPI
+        progression latency on top of the wire.
+        """
         nbytes = np.asarray(nbytes, dtype=np.float64)
         k = len(members)
         if k <= 1:
@@ -315,7 +213,7 @@ class CommModel:
     def allgatherv_seconds_array(
         self, members: list[tuple[int, int]], total_bytes: np.ndarray
     ) -> np.ndarray:
-        """Batch :meth:`allgatherv_seconds` for one membership."""
+        """Ring allgatherv assembling ``total_bytes``: ``k-1`` chunk hops."""
         total_bytes = np.asarray(total_bytes, dtype=np.float64)
         k = len(members)
         if k <= 1:
@@ -327,7 +225,14 @@ class CommModel:
     def binexch_allgather_seconds_array(
         self, members: list[tuple[int, int]], total_bytes: np.ndarray
     ) -> np.ndarray:
-        """Batch :meth:`binexch_allgather_seconds` for one membership."""
+        """Binary-exchange U assembly: ``ceil(log2 k)`` pairwise rounds.
+
+        Following HPL's own cost model for SWAP=binary-exchange, each
+        round exchanges on the order of the full U payload, so the
+        algorithm is latency-optimal (few rounds) but not
+        bandwidth-reducing -- which is exactly why HPL's MIX policy uses
+        it only below a width threshold.
+        """
         total_bytes = np.asarray(total_bytes, dtype=np.float64)
         k = len(members)
         if k <= 1:
@@ -343,7 +248,7 @@ class CommModel:
         members: list[tuple[int, int]],
         total_bytes: np.ndarray,
     ) -> np.ndarray:
-        """Batch :meth:`scatterv_seconds` for one membership."""
+        """Root-serialized scatterv of ``total_bytes`` spread over peers."""
         total_bytes = np.asarray(total_bytes, dtype=np.float64)
         k = len(members)
         if k <= 1:

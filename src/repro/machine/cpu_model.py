@@ -38,14 +38,23 @@ _PANEL_BLAS_EFF = 0.42
 _TRIANGLE_EFF = 0.30
 
 
-def fact_seconds(cpu: CPUSpec, m: int, nb: int, nthreads: int) -> float:
-    """Wall seconds to factor an ``M x NB`` panel with ``T`` threads."""
-    if m < nb:
-        raise ValueError(f"panel must be at least NB tall: m={m}, nb={nb}")
+def fact_seconds_array(
+    cpu: CPUSpec, m: np.ndarray, nb: np.ndarray, nthreads: int
+) -> np.ndarray:
+    """Wall seconds to factor ``M x NB`` panels with ``T`` threads.
+
+    Elementwise over aligned ``m``/``nb`` arrays (scalars are length-1
+    views).  Every row must describe a valid panel (``m >= nb >= 1``);
+    callers mask out iterations with no factorization before calling.
+    """
     if nthreads < 1:
         raise ValueError(f"nthreads must be >= 1, got {nthreads}")
-    ntiles = math.ceil(m / nb)
-    t_eff = min(nthreads, ntiles)
+    m = np.asarray(m, dtype=np.float64)
+    nb = np.asarray(nb, dtype=np.float64)
+    if np.any(m < nb) or np.any(nb < 1):
+        raise ValueError("every panel must be at least NB tall: m >= nb >= 1")
+    ntiles = np.ceil(m / nb)
+    t_eff = np.minimum(float(nthreads), ntiles)
     core_rate = cpu.core_dgemm_gflops * 1e9
 
     # Cache factor: the panel working set versus L3 (the paper notes the
@@ -55,18 +64,19 @@ def fact_seconds(cpu: CPUSpec, m: int, nb: int, nthreads: int) -> float:
     # capping the achievable rate at ~2x the memory bandwidth.
     working_set = 8.0 * m * nb
     l3 = cpu.l3_mb * 1e6
-    if working_set <= l3:
-        cache = 1.0
-    else:
-        bw_rate = cpu.mem_bw_gbs * 1e9 * 2.0  # flops/s at 2 flops/byte
-        compute_rate = t_eff * core_rate * _PANEL_BLAS_EFF
-        cache = min(1.0, bw_rate / compute_rate)
+    bw_rate = cpu.mem_bw_gbs * 1e9 * 2.0  # flops/s at 2 flops/byte
+    compute_rate = t_eff * core_rate * _PANEL_BLAS_EFF
+    cache = np.where(
+        working_set <= l3, 1.0, np.minimum(1.0, bw_rate / compute_rate)
+    )
 
+    # flops_getrf(x, nb) = x nb^2 - nb^3/3, spelled out over arrays.
+    tri = nb * nb * nb - nb**3 / 3.0
     # Parallel bulk work (trailing updates across tiles).
-    bulk = flops_getrf(m, nb) - flops_getrf(nb, nb)
+    bulk = (m * nb * nb - nb**3 / 3.0) - tri
     t_bulk = bulk / (t_eff * core_rate * _PANEL_BLAS_EFF * cache)
     # Serial triangle on the main thread.
-    t_tri = flops_getrf(nb, nb) / (core_rate * _TRIANGLE_EFF)
+    t_tri = tri / (core_rate * _TRIANGLE_EFF)
     # Per-column synchronization: pivot tree reduce + row exchange.
     hops = math.ceil(math.log2(nthreads)) if nthreads > 1 else 0
     t_sync = nb * (
@@ -77,46 +87,9 @@ def fact_seconds(cpu: CPUSpec, m: int, nb: int, nthreads: int) -> float:
     return t_bulk + t_tri + t_sync
 
 
-def fact_seconds_array(
-    cpu: CPUSpec, m: np.ndarray, nb: np.ndarray, nthreads: int
-) -> np.ndarray:
-    """Batch :func:`fact_seconds` over aligned ``m``/``nb`` arrays.
-
-    Performs the identical IEEE operation sequence per element as the
-    scalar path (the only cubed quantities are integer-valued, where
-    numpy's pow fast path is exact), so the fast ledger prices FACT
-    bit-for-bit like the per-``k`` loop.  Every row must describe a
-    valid panel (``m >= nb >= 1``); callers mask out iterations with no
-    factorization before calling.
-    """
-    if nthreads < 1:
-        raise ValueError(f"nthreads must be >= 1, got {nthreads}")
-    m = np.asarray(m, dtype=np.float64)
-    nb = np.asarray(nb, dtype=np.float64)
-    if np.any(m < nb) or np.any(nb < 1):
-        raise ValueError("every row must satisfy m >= nb >= 1")
-    ntiles = np.ceil(m / nb)
-    t_eff = np.minimum(float(nthreads), ntiles)
-    core_rate = cpu.core_dgemm_gflops * 1e9
-
-    working_set = 8.0 * m * nb
-    l3 = cpu.l3_mb * 1e6
-    bw_rate = cpu.mem_bw_gbs * 1e9 * 2.0
-    compute_rate = t_eff * core_rate * _PANEL_BLAS_EFF
-    cache = np.where(
-        working_set <= l3, 1.0, np.minimum(1.0, bw_rate / compute_rate)
-    )
-
-    bulk = (m * nb * nb - nb**3 / 3.0) - (nb * nb * nb - nb**3 / 3.0)
-    t_bulk = bulk / (t_eff * core_rate * _PANEL_BLAS_EFF * cache)
-    t_tri = (nb * nb * nb - nb**3 / 3.0) / (core_rate * _TRIANGLE_EFF)
-    hops = math.ceil(math.log2(nthreads)) if nthreads > 1 else 0
-    t_sync = nb * (
-        cpu.col_overhead_s
-        + hops * cpu.sync_latency_s
-        + 8.0 * nb / (cpu.pivot_row_bw_gbs * 1e9)
-    )
-    return t_bulk + t_tri + t_sync
+def fact_seconds(cpu: CPUSpec, m: int, nb: int, nthreads: int) -> float:
+    """Scalar :func:`fact_seconds_array`."""
+    return float(fact_seconds_array(cpu, m, nb, nthreads))
 
 
 def fact_gflops(cpu: CPUSpec, m: int, nb: int, nthreads: int) -> float:

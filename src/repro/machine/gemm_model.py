@@ -20,108 +20,81 @@ import numpy as np
 from .spec import GPUSpec
 
 
-def _saturation(x: float, half: float) -> float:
-    if x <= 0:
-        return 0.0
-    return x / (x + half)
+def dgemm_efficiency_array(
+    gpu: GPUSpec, m: np.ndarray, n: np.ndarray, k: np.ndarray
+) -> np.ndarray:
+    """Fraction of matrix-core peak achieved for ``m x n x k`` DGEMMs.
 
-
-def dgemm_efficiency(gpu: GPUSpec, m: int, n: int, k: int) -> float:
-    """Fraction of matrix-core peak achieved for an ``m x n x k`` DGEMM."""
-    if min(m, n, k) <= 0:
-        return 0.0
-    return (
+    Elementwise over aligned extent arrays (scalars are length-1 views);
+    empty products (any extent ``<= 0``) have efficiency 0.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    n = np.asarray(n, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
+    mn = np.minimum(m, n)
+    eff = (
         gpu.gemm_eff_max
-        * _saturation(float(k), gpu.gemm_k_half)
-        * _saturation(float(min(m, n)), gpu.gemm_mn_half)
+        * (k / (k + gpu.gemm_k_half))
+        * (mn / (mn + gpu.gemm_mn_half))
     )
+    return np.where(np.minimum(mn, k) > 0, eff, 0.0)
 
 
 def dgemm_tflops(gpu: GPUSpec, m: int, n: int, k: int) -> float:
     """Achieved TFLOP/s for an ``m x n x k`` DGEMM on one device."""
-    return gpu.peak_fp64_matrix_tflops * dgemm_efficiency(gpu, m, n, k)
-
-
-def dgemm_seconds(gpu: GPUSpec, m: int, n: int, k: int) -> float:
-    """Wall time of an ``m x n x k`` DGEMM, including launch latency."""
-    if min(m, n, k) <= 0:
-        return 0.0
-    rate = dgemm_tflops(gpu, m, n, k) * 1e12
-    return gpu.kernel_latency_s + 2.0 * m * n * k / rate
-
-
-def dtrsm_seconds(gpu: GPUSpec, m: int, n: int) -> float:
-    """Triangular solve ``(m x m) \\ (m x n)``: modeled as a DGEMM of the
-    same flop volume at the spec's ``trsm_eff`` relative efficiency
-    (triangular kernels trail square ones in rocBLAS)."""
-    if m <= 0 or n <= 0:
-        return 0.0
-    rate = gpu.trsm_eff * dgemm_tflops(gpu, m, n, m) * 1e12
-    if rate <= 0:
-        return gpu.kernel_latency_s
-    return gpu.kernel_latency_s + float(m) * m * n / rate
+    return gpu.peak_fp64_matrix_tflops * float(dgemm_efficiency_array(gpu, m, n, k))
 
 
 def dgemm_seconds_array(
     gpu: GPUSpec, m: np.ndarray, n: np.ndarray, k: np.ndarray
 ) -> np.ndarray:
-    """Batch :func:`dgemm_seconds` over aligned extent arrays.
+    """Wall time of ``m x n x k`` DGEMMs, including launch latency.
 
-    Element-for-element this performs the identical IEEE operation
-    sequence as the scalar path, so the fast ledger prices every
-    iteration's DGEMM bit-for-bit like the per-``k`` loop does; the
-    efficiency curve is evaluated once over the whole iteration axis
-    instead of per call.
+    The efficiency curve is evaluated once over the whole batch (the
+    ledger passes every iteration of a run at once).
     """
     m = np.asarray(m, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     mask = np.minimum(np.minimum(m, n), k) > 0
-    eff = (
-        gpu.gemm_eff_max
-        * (k / (k + gpu.gemm_k_half))
-        * (np.minimum(m, n) / (np.minimum(m, n) + gpu.gemm_mn_half))
-    )
-    rate = gpu.peak_fp64_matrix_tflops * eff * 1e12
+    rate = gpu.peak_fp64_matrix_tflops * dgemm_efficiency_array(gpu, m, n, k) * 1e12
     rate = np.where(mask, rate, 1.0)  # dummy divisor on masked lanes
     return np.where(mask, gpu.kernel_latency_s + 2.0 * m * n * k / rate, 0.0)
 
 
+def dgemm_seconds(gpu: GPUSpec, m: int, n: int, k: int) -> float:
+    """Scalar :func:`dgemm_seconds_array`."""
+    return float(dgemm_seconds_array(gpu, m, n, k))
+
+
 def dtrsm_seconds_array(gpu: GPUSpec, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Batch :func:`dtrsm_seconds`; same op order as the scalar path."""
+    """Triangular solves ``(m x m) \\ (m x n)``: modeled as a DGEMM of the
+    same flop volume at the spec's ``trsm_eff`` relative efficiency
+    (triangular kernels trail square ones in rocBLAS)."""
     m = np.asarray(m, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
-    mask = (m > 0) & (n > 0)
-    eff = (
-        gpu.gemm_eff_max
-        * (m / (m + gpu.gemm_k_half))
-        * (np.minimum(m, n) / (np.minimum(m, n) + gpu.gemm_mn_half))
+    rate = (
+        gpu.trsm_eff
+        * (gpu.peak_fp64_matrix_tflops * dgemm_efficiency_array(gpu, m, n, m))
+        * 1e12
     )
-    rate = gpu.trsm_eff * (gpu.peak_fp64_matrix_tflops * eff) * 1e12
-    safe = np.where(mask & (rate > 0), rate, 1.0)
+    safe = np.where(rate > 0, rate, 1.0)
     out = np.where(
         rate > 0, gpu.kernel_latency_s + m * m * n / safe, gpu.kernel_latency_s
     )
-    return np.where(mask, out, 0.0)
+    return np.where((m > 0) & (n > 0), out, 0.0)
 
 
 def rowcopy_seconds_array(gpu: GPUSpec, nbytes: np.ndarray) -> np.ndarray:
-    """Batch :func:`rowcopy_seconds`; same op order as the scalar path."""
+    """Gather/scatter kernels moving ``nbytes`` of rows (read+write).
+
+    Row accesses are strided in the column-major local matrix, so the
+    effective bandwidth is the spec's ``rowswap_bw_gbs``, not streaming
+    HBM bandwidth.
+    """
     nbytes = np.asarray(nbytes, dtype=np.float64)
     return np.where(
         nbytes > 0,
         gpu.kernel_latency_s + 2.0 * nbytes / (gpu.rowswap_bw_gbs * 1e9),
         0.0,
     )
-
-
-def rowcopy_seconds(gpu: GPUSpec, nbytes: float) -> float:
-    """A gather/scatter kernel moving ``nbytes`` of rows (read+write).
-
-    Row accesses are strided in the column-major local matrix, so the
-    effective bandwidth is the spec's ``rowswap_bw_gbs``, not streaming
-    HBM bandwidth.
-    """
-    if nbytes <= 0:
-        return 0.0
-    return gpu.kernel_latency_s + 2.0 * nbytes / (gpu.rowswap_bw_gbs * 1e9)

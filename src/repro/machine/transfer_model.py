@@ -12,21 +12,19 @@ import numpy as np
 from .spec import LinkSpec, NodeSpec
 
 
-def transfer_seconds(link: LinkSpec, nbytes: float) -> float:
-    """Seconds to move ``nbytes`` across one host-device link."""
-    if nbytes <= 0:
-        return 0.0
-    return link.seconds(nbytes)
-
-
 def transfer_seconds_array(link: LinkSpec, nbytes: np.ndarray) -> np.ndarray:
-    """Batch :func:`transfer_seconds`; same IEEE op order as the scalar path."""
+    """Seconds to move each ``nbytes`` payload across one host-device link."""
     nbytes = np.asarray(nbytes, dtype=np.float64)
     return np.where(
         nbytes > 0,
         link.latency_s + nbytes / (link.bandwidth_gbs * 1e9),
         0.0,
     )
+
+
+def transfer_seconds(link: LinkSpec, nbytes: float) -> float:
+    """Scalar :func:`transfer_seconds_array`."""
+    return float(transfer_seconds_array(link, nbytes))
 
 
 def panel_roundtrip_seconds(node: NodeSpec, m_local: int, nb: int) -> float:

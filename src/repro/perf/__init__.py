@@ -1,8 +1,9 @@
 """Benchmark-level performance simulation (the paper's evaluation).
 
 * :mod:`repro.perf.ledger` -- exact per-iteration work/volume formulas from
-  the block-cyclic distribution, priced by :mod:`repro.machine` into
-  :class:`~repro.sched.timeline.IterCosts`.
+  the block-cyclic distribution (``run_sizes``), priced by
+  :mod:`repro.machine` for all iterations at once into
+  :class:`~repro.sched.fastpath.CostArrays` (``run_cost_arrays``).
 * :mod:`repro.perf.hplsim` -- runs the timeline simulation for a whole
   benchmark and produces the per-iteration breakdown of Fig. 7 plus the
   headline score.
@@ -16,9 +17,14 @@
 * :mod:`repro.perf.report` -- rocHPL-style result printers.
 """
 
-from .ledger import PerfConfig, iteration_costs, preamble_costs, run_costs
-from .fastledger import run_cost_arrays
-from .hplsim import IterBreakdown, RunReport, simulate_run
+from .ledger import (
+    PerfConfig,
+    preamble_costs,
+    run_cost_arrays,
+    run_costs,
+    run_sizes,
+)
+from .hplsim import IterBreakdown, RunReport, simulate_run, simulate_timeline
 from .scaling import ScalePoint, choose_grid, weak_scaling
 from .factsim import fact_sweep
 from .generations import GenerationPoint, generational_sweep
@@ -27,13 +33,14 @@ from .measured import MeasuredIteration, measured_breakdown
 
 __all__ = [
     "PerfConfig",
-    "iteration_costs",
     "preamble_costs",
     "run_costs",
     "run_cost_arrays",
+    "run_sizes",
     "IterBreakdown",
     "RunReport",
     "simulate_run",
+    "simulate_timeline",
     "ScalePoint",
     "choose_grid",
     "weak_scaling",

@@ -1,8 +1,9 @@
 """Full-benchmark performance simulation: the paper's Figure 7 and score.
 
-``simulate_run`` prices every iteration with the ledger, chains the
-schedule's task DAGs, executes them on the in-order-resource engine, and
-extracts exactly the series rocHPL's per-iteration timers print:
+``simulate_run`` prices every iteration with the ledger, resolves the
+schedule's chained task DAGs -- in closed form, or task by task on the
+in-order-resource engine -- and extracts exactly the series rocHPL's
+per-iteration timers print:
 
 * total time per iteration and GPU active time per iteration (the black
   and green lines of Fig. 7),
@@ -19,11 +20,10 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigError
 from ..machine.spec import ClusterSpec
-from ..sched.engine import simulate
+from ..sched.engine import TimelineResult, simulate
 from ..sched.fastpath import evaluate
 from ..sched.timeline import build_run
-from .fastledger import run_cost_arrays
-from .ledger import PerfConfig, run_costs
+from .ledger import PerfConfig, run_cost_arrays, run_costs
 
 
 @dataclass
@@ -89,6 +89,14 @@ class RunReport:
         return flops / seconds / 1e12 if seconds > 0 else 0.0
 
 
+def simulate_timeline(cfg: PerfConfig, cluster: ClusterSpec) -> TimelineResult:
+    """Materialize the run as tasks and resolve them on the object engine.
+
+    The only producer of per-task timelines (Chrome traces, Gantt rows).
+    """
+    return simulate(build_run(run_costs(cfg, cluster)))
+
+
 def simulate_run(
     cfg: PerfConfig, cluster: ClusterSpec, fidelity: str | None = None
 ) -> RunReport:
@@ -97,66 +105,51 @@ def simulate_run(
     ``fidelity`` overrides ``cfg.fidelity``: ``"fast"`` evaluates the
     closed-form vectorized timeline (bit-identical report, order of
     magnitude faster), ``"full"`` walks the per-task object engine (use
-    it when traces or per-message simmpi events are needed).
+    it when traces or per-message simmpi events are needed).  Both read
+    the same memoized :func:`~repro.perf.ledger.run_cost_arrays`.
     """
     mode = fidelity if fidelity is not None else cfg.fidelity
-    if mode == "full":
-        return _simulate_run_full(cfg, cluster)
-    if mode != "fast":
+    if mode not in ("fast", "full"):
         raise ConfigError(f"fidelity must be 'fast' or 'full', got {mode!r}")
     arrays = run_cost_arrays(cfg, cluster)
-    timeline = evaluate(arrays)
+    ks = arrays.k.tolist()
+    if mode == "full":
+        tl = simulate_timeline(cfg, cluster)
+        makespan = tl.makespan
+        prev_end = tl.span_of_tag(-1)[1] if arrays.preamble is not None else 0.0
+        rows = (
+            (
+                tl.span_of_tag(k)[1],
+                tl.busy_in_tag(k, "gpu"),
+                tl.phase_in_tag(k, "FACT"),
+                tl.phase_in_tag(k, "MPI"),
+                tl.phase_in_tag(k, "TRANSFER"),
+            )
+            for k in ks
+        )
+    else:
+        fast = evaluate(arrays)
+        makespan = fast.makespan
+        prev_end = fast.preamble_end
+        rows = zip(
+            fast.end.tolist(),
+            fast.gpu_busy.tolist(),
+            fast.fact_busy.tolist(),
+            fast.mpi_busy.tolist(),
+            fast.transfer_busy.tolist(),
+        )
     report = RunReport(
-        cfg=cfg,
-        makespan=timeline.makespan,
-        score_tflops=cfg.total_flops / timeline.makespan / 1e12,
+        cfg=cfg, makespan=makespan, score_tflops=cfg.total_flops / makespan / 1e12
     )
-    prev_end = timeline.preamble_end
-    ends = timeline.end.tolist()
-    gpu = timeline.gpu_busy.tolist()
-    fact = timeline.fact_busy.tolist()
-    mpi = timeline.mpi_busy.tolist()
-    transfer = timeline.transfer_busy.tolist()
-    for i, k in enumerate(arrays.k.tolist()):
-        end = ends[i]
+    for k, (end, gpu, fact, mpi, transfer) in zip(ks, rows):
         report.iterations.append(
             IterBreakdown(
                 k=k,
                 time=end - prev_end,
-                gpu_active=gpu[i],
-                fact=fact[i],
-                mpi=mpi[i],
-                transfer=transfer[i],
-            )
-        )
-        prev_end = end
-    return report
-
-
-def _simulate_run_full(cfg: PerfConfig, cluster: ClusterSpec) -> RunReport:
-    """The seed per-task object engine (``fidelity="full"``)."""
-    costs = run_costs(cfg, cluster)
-    tasks = build_run(costs)
-    timeline = simulate(tasks)
-    report = RunReport(
-        cfg=cfg,
-        makespan=timeline.makespan,
-        score_tflops=cfg.total_flops / timeline.makespan / 1e12,
-    )
-    prev_end = 0.0
-    for c in costs:
-        if c.k < 0:
-            _, prev_end = timeline.span_of_tag(c.k)
-            continue
-        _, end = timeline.span_of_tag(c.k)
-        report.iterations.append(
-            IterBreakdown(
-                k=c.k,
-                time=end - prev_end,
-                gpu_active=timeline.busy_in_tag(c.k, "gpu"),
-                fact=timeline.phase_in_tag(c.k, "FACT"),
-                mpi=timeline.phase_in_tag(c.k, "MPI"),
-                transfer=timeline.phase_in_tag(c.k, "TRANSFER"),
+                gpu_active=gpu,
+                fact=fact,
+                mpi=mpi,
+                transfer=transfer,
             )
         )
         prev_end = end

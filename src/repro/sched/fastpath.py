@@ -21,16 +21,17 @@ tasks) and per-message simmpi events.  Use the full engine
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ScheduleError
-from .timeline import IterCosts
+from .timeline import IterCosts, SectionCosts
 
 #: Iteration-mode codes used by :class:`CostArrays.mode`.
 MODE_CLASSIC, MODE_LOOKAHEAD, MODE_SPLIT = 0, 1, 2
-_MODE_NAMES = {MODE_CLASSIC: "classic", MODE_LOOKAHEAD: "lookahead", MODE_SPLIT: "split"}
+MODE_NAMES = {MODE_CLASSIC: "classic", MODE_LOOKAHEAD: "lookahead", MODE_SPLIT: "split"}
 
 
 @dataclass
@@ -38,10 +39,9 @@ class CostArrays:
     """All per-iteration phase costs of a run as aligned numpy arrays.
 
     One row per iteration ``k`` (the preamble, when the schedule needs
-    one, rides along as a scalar :class:`IterCosts`).  This is the batch
-    twin of ``list[IterCosts]``: same values, produced in one shot by
-    :func:`repro.perf.fastledger.run_cost_arrays`.  Treat instances as
-    immutable -- they may be shared through a memoization cache.
+    one, rides along as a scalar :class:`IterCosts`).  Produced in one
+    shot by :func:`repro.perf.ledger.run_cost_arrays`, whose memoized
+    instances are shared and have read-only columns.
     """
 
     k: np.ndarray  # int64 iteration indices [0, nblocks)
@@ -72,42 +72,42 @@ class CostArrays:
         return len(self.k)
 
     def to_iter_costs(self) -> list[IterCosts]:
-        """Expand back into the scalar ledger's ``list[IterCosts]`` form."""
-        from .timeline import SectionCosts
-
+        """Expand into one fresh :class:`IterCosts` per iteration."""
         out: list[IterCosts] = []
         if self.preamble is not None:
-            out.append(self.preamble)
+            out.append(deepcopy(self.preamble))
+        # Python lists beat numpy scalar indexing for per-row reads.
+        col = {
+            name: column.tolist()
+            for name, column in vars(self).items()
+            if isinstance(column, np.ndarray)
+        }
+
+        def sections(name: str) -> list[SectionCosts]:
+            return [
+                SectionCosts(gather=g, comm=c, scatter=s, dtrsm=t, dgemm=u)
+                for g, c, s, t, u in zip(
+                    col[f"{name}_gather"],
+                    col[f"{name}_comm"],
+                    col[f"{name}_scatter"],
+                    col[f"{name}_dtrsm"],
+                    col[f"{name}_dgemm"],
+                )
+            ]
+
+        la, left, right = sections("la"), sections("left"), sections("right")
         for i in range(self.nblocks):
             out.append(
                 IterCosts(
-                    k=int(self.k[i]),
-                    mode=_MODE_NAMES[int(self.mode[i])],
-                    fact=float(self.fact[i]),
-                    lbcast=float(self.lbcast[i]),
-                    d2h=float(self.d2h[i]),
-                    h2d=float(self.h2d[i]),
-                    la=SectionCosts(
-                        gather=float(self.la_gather[i]),
-                        comm=float(self.la_comm[i]),
-                        scatter=float(self.la_scatter[i]),
-                        dtrsm=float(self.la_dtrsm[i]),
-                        dgemm=float(self.la_dgemm[i]),
-                    ),
-                    left=SectionCosts(
-                        gather=float(self.left_gather[i]),
-                        comm=float(self.left_comm[i]),
-                        scatter=float(self.left_scatter[i]),
-                        dtrsm=float(self.left_dtrsm[i]),
-                        dgemm=float(self.left_dgemm[i]),
-                    ),
-                    right=SectionCosts(
-                        gather=float(self.right_gather[i]),
-                        comm=float(self.right_comm[i]),
-                        scatter=float(self.right_scatter[i]),
-                        dtrsm=float(self.right_dtrsm[i]),
-                        dgemm=float(self.right_dgemm[i]),
-                    ),
+                    k=col["k"][i],
+                    mode=MODE_NAMES[col["mode"][i]],
+                    fact=col["fact"][i],
+                    lbcast=col["lbcast"][i],
+                    d2h=col["d2h"][i],
+                    h2d=col["h2d"][i],
+                    la=la[i],
+                    left=left[i],
+                    right=right[i],
                 )
             )
         return out

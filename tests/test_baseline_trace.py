@@ -107,12 +107,10 @@ class TestChromeTrace:
         assert doc["otherData"]["makespan_s"] == 3.0
 
     def test_full_run_trace(self, tmp_path):
-        from repro.perf.ledger import run_costs
-        from repro.sched.timeline import build_run
+        from repro.perf import simulate_timeline
 
         cfg = PerfConfig(n=8_192, nb=512, p=4, q=2, pl=4, ql=2)
-        result = simulate(build_run(run_costs(cfg, crusher_cluster(1))))
-        doc = to_chrome_trace(result)
+        doc = to_chrome_trace(simulate_timeline(cfg, crusher_cluster(1)))
         assert len(doc["traceEvents"]) > 100
 
 

@@ -94,3 +94,10 @@ class TestConfigErrorHandling:
         captured = capsys.readouterr()
         assert rc == 2
         assert "does not tile" in captured.err
+
+    def test_bad_sim_n_exits_two_with_one_line_error(self, capsys):
+        rc = main(["sim", "-N", "0", "-NB", "512", "-P", "2", "-Q", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "n must be positive" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1

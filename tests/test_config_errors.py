@@ -1,4 +1,4 @@
-"""HPLConfig validation and the error hierarchy."""
+"""HPLConfig / PerfConfig validation and the error hierarchy."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from repro.errors import (
     SpmdError,
     VerificationError,
 )
+from repro.perf import PerfConfig
 
 
 class TestConfig:
@@ -60,6 +61,18 @@ class TestConfig:
         base.update(kwargs)
         with pytest.raises(ConfigError):
             HPLConfig(**base)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(n=0), dict(nb=0), dict(p=0), dict(q=0), dict(pl=0), dict(ql=0),
+         dict(split_fraction=1.5), dict(split_fraction=-0.1),
+         dict(fact_threads=-1), dict(swap_threshold=-1)],
+    )
+    def test_invalid_perf_config_rejected(self, kwargs):
+        base = dict(n=1024, nb=128, p=2, q=2, pl=2, ql=2)
+        base.update(kwargs)
+        with pytest.raises(ConfigError):
+            PerfConfig(**base)
 
     def test_lookahead_needs_depth(self):
         with pytest.raises(ConfigError):

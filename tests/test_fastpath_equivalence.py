@@ -17,8 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import BcastVariant, Schedule, SwapVariant
 from repro.machine.frontier import crusher_cluster
-from repro.perf import PerfConfig, simulate_run
-from repro.perf.fastledger import run_cost_arrays
+from repro.perf import PerfConfig, run_cost_arrays, run_costs, simulate_run
 
 REL = 1e-9
 ABS = 1e-12
@@ -83,8 +82,9 @@ class TestHypothesisEquivalence:
 
 
 # A deterministic matrix where we claim the *stronger* property: the
-# vectorized engine follows the scalar one's IEEE operation order, so
-# every reported float is bit-identical, not merely 1e-9-close.
+# closed-form recurrence performs the engine's max/+ on the same floats in
+# the same order, so every reported float is bit-identical, not merely
+# 1e-9-close.
 EXACT_MATRIX = [
     PerfConfig(n=40960, nb=512, p=4, q=2, pl=4, ql=2),
     PerfConfig(n=40960, nb=512, p=4, q=2, pl=4, ql=2,
@@ -130,23 +130,27 @@ class TestBitExactMatrix:
 
 
 class TestFastPathContracts:
-    def test_cost_arrays_expand_to_run_costs(self):
-        """CostArrays.to_iter_costs() round-trips to the scalar ledger."""
-        from repro.perf.ledger import run_costs
-
-        cfg = PerfConfig(n=13000, nb=512, p=4, q=2, pl=4, ql=2)
-        cluster = crusher_cluster(1)
-        scalar = [c for c in run_costs(cfg, cluster)]
-        arrays = run_cost_arrays(cfg, cluster)
-        expanded = arrays.to_iter_costs()
-        assert len(expanded) == len(scalar)
-        for a, b in zip(expanded, scalar):
-            assert a == b
-
     def test_cost_arrays_are_memoized(self):
         cfg = PerfConfig(n=8192, nb=512, p=2, q=2, pl=2, ql=2)
         cluster = crusher_cluster(1)
         assert run_cost_arrays(cfg, cluster) is run_cost_arrays(cfg, cluster)
+
+    def test_memoized_costs_cannot_be_edited(self):
+        """Every engine and every later caller reads the one memo: writes
+        to its columns raise, and ``run_costs`` hands out private objects."""
+        cfg = PerfConfig(n=8192, nb=512, p=2, q=2, pl=2, ql=2)
+        cluster = crusher_cluster(1)
+        before = simulate_run(cfg, cluster)
+        arrays = run_cost_arrays(cfg, cluster)
+        with pytest.raises(ValueError):
+            arrays.left_dgemm[0] = 1e9
+        with pytest.raises(ValueError):
+            arrays.mode[:] = 0
+        run_costs(cfg, cluster)[0].fact = 1e9  # the preamble, k = -1
+        for fidelity in ("fast", "full"):
+            after = simulate_run(cfg, cluster, fidelity=fidelity)
+            assert after.makespan == before.makespan
+            assert after.iterations == before.iterations
 
     def test_fidelity_knob_on_config(self):
         cfg = PerfConfig(n=4096, nb=512, p=2, q=2, pl=2, ql=2,

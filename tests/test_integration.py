@@ -15,7 +15,8 @@ from repro.config import HPLConfig, Schedule
 from repro.grid import ProcessGrid
 from repro.hpl.driver import factorize
 from repro.hpl.matrix import DistMatrix
-from repro.perf.ledger import PerfConfig, _sizes
+from repro.perf import PerfConfig, run_sizes
+from repro.sched.fastpath import MODE_NAMES
 
 from .conftest import spmd
 
@@ -46,18 +47,19 @@ class TestLedgerAgainstMeasurement:
         pcfg = PerfConfig(n=n, nb=nb, p=p, q=q, pl=p, ql=q, schedule=sched)
         by_coords = _run_numeric(cfg)
 
+        sz = run_sizes(pcfg)
         for k in range(cfg.nblocks):
-            sz = _sizes(pcfg, k)
-            r_f = ((k + 1) % p) if sz.jb_next else (k % p)
-            focal = by_coords[(r_f, sz.c_f)]
+            jb = int(sz.jb[k])
+            r_f = ((k + 1) % p) if sz.jb_next[k] else (k % p)
+            focal = by_coords[(r_f, sz.c_f[k])]
             measured = 0.0
             for ledger in focal.timers.iters:
                 if ledger.k == k and "UPDATE" in ledger.phases:
                     measured = ledger.phases["UPDATE"].flops
             expected = 0.0
-            for w in (sz.w_la, sz.w_left, sz.w_right):
-                expected += sz.jb * sz.jb * w  # DTRSM on U
-                expected += 2.0 * sz.m_update * w * sz.jb  # DGEMM
+            for w in (int(sz.w_la[k]), int(sz.w_left[k]), int(sz.w_right[k])):
+                expected += jb * jb * w  # DTRSM on U
+                expected += 2.0 * int(sz.m_update[k]) * w * jb  # DGEMM
             assert measured == pytest.approx(expected, rel=1e-12), (sched, k)
 
     def test_split_mode_sequence_matches_ledger(self):
@@ -67,11 +69,11 @@ class TestLedgerAgainstMeasurement:
         cfg = HPLConfig(n=n, nb=nb, p=p, q=q)
         pcfg = PerfConfig(n=n, nb=nb, p=p, q=q, pl=p, ql=q)
         by_coords = _run_numeric(cfg)
+        sz = run_sizes(pcfg)
         for k in range(cfg.nblocks):
-            sz = _sizes(pcfg, k)
-            r_f = ((k + 1) % p) if sz.jb_next else (k % p)
-            numeric_mode = by_coords[(r_f, sz.c_f)].modes[k]
-            assert numeric_mode == sz.mode, k
+            r_f = ((k + 1) % p) if sz.jb_next[k] else (k % p)
+            numeric_mode = by_coords[(r_f, sz.c_f[k])].modes[k]
+            assert numeric_mode == MODE_NAMES[sz.mode[k]], k
 
     def test_transfer_bytes_match_ledger_m_fact(self):
         """The driver's synthetic D2H bytes equal the ledger's panel-move

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import partial
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,8 +25,17 @@ from repro.machine import (
     fact_seconds,
 )
 from repro.machine.comm_model import GridTopology
-from repro.machine.gemm_model import dtrsm_seconds, rowcopy_seconds
-from repro.machine.transfer_model import panel_roundtrip_seconds, transfer_seconds
+from repro.machine.cpu_model import fact_seconds_array
+from repro.machine.gemm_model import (
+    dgemm_seconds_array,
+    dtrsm_seconds_array,
+    rowcopy_seconds_array,
+)
+from repro.machine.transfer_model import (
+    panel_roundtrip_seconds,
+    transfer_seconds,
+    transfer_seconds_array,
+)
 
 
 class TestSpecs:
@@ -85,12 +97,12 @@ class TestGemmModel:
     def test_zero_extent_is_free(self):
         gpu = GPUSpec()
         assert dgemm_seconds(gpu, 0, 10, 10) == 0.0
-        assert dtrsm_seconds(gpu, 0, 10) == 0.0
-        assert rowcopy_seconds(gpu, 0) == 0.0
+        assert dtrsm_seconds_array(gpu, 0, 10) == 0.0
+        assert rowcopy_seconds_array(gpu, 0) == 0.0
 
     def test_dtrsm_slower_than_dgemm_per_flop(self):
         gpu = GPUSpec()
-        t_trsm = dtrsm_seconds(gpu, 512, 10_000)
+        t_trsm = dtrsm_seconds_array(gpu, 512, 10_000)
         flops = 512 * 512 * 10_000
         t_gemm_equiv = flops / (dgemm_tflops(gpu, 512, 10_000, 512) * 1e12)
         assert t_trsm > t_gemm_equiv
@@ -158,6 +170,16 @@ class TestTopology:
         assert topo.col_members(1) == [(0, 1), (1, 1), (2, 1)]
         assert topo.row_members(2) == [(2, 0), (2, 1)]
 
+    def test_every_row_and_column_has_the_same_link_structure(self):
+        """The ledger prices collectives on row 0 / column 0 for all."""
+        topo = GridTopology(p=6, q=4, pl=3, ql=2)
+        for a in range(6):
+            for b in range(4):
+                for i in range(6):
+                    assert topo.same_node((a, b), (i, b)) == topo.same_node((a, 0), (i, 0))
+                for j in range(4):
+                    assert topo.same_node((a, b), (a, j)) == topo.same_node((0, b), (0, j))
+
 
 class TestCommModel:
     def _model(self, p=4, q=4, pl=2, ql=2, nnodes=4):
@@ -172,36 +194,36 @@ class TestCommModel:
     def test_single_rank_collectives_free(self):
         cm = self._model(p=1, q=1, pl=1, ql=1, nnodes=1)
         members = [(0, 0)]
-        assert cm.allreduce_seconds(members, 100) == 0.0
-        assert cm.allgatherv_seconds(members, 100) == 0.0
-        assert cm.bcast_seconds(members, 100, BcastVariant.ONE_RING) == 0.0
+        assert cm.allreduce_seconds_array(members, 100) == 0.0
+        assert cm.allgatherv_seconds_array(members, 100) == 0.0
+        assert cm.bcast_seconds_array(members, 100, BcastVariant.ONE_RING) == 0.0
 
     def test_allreduce_log_rounds(self):
         cm = self._model(p=4, q=1, pl=4, ql=1, nnodes=1)
-        t2 = cm.allreduce_seconds([(r, 0) for r in range(2)], 1000)
-        t4 = cm.allreduce_seconds([(r, 0) for r in range(4)], 1000)
+        t2 = cm.allreduce_seconds_array([(r, 0) for r in range(2)], 1000)
+        t4 = cm.allreduce_seconds_array([(r, 0) for r in range(4)], 1000)
         assert t4 == pytest.approx(2 * t2)
 
     def test_bcast_ring_cheaper_than_binomial_for_bulk(self):
         """Steady-state ring LBCAST beats the tree for large panels."""
         cm = self._model(p=1, q=8, pl=1, ql=8, nnodes=1)
         members = [(0, c) for c in range(8)]
-        ring = cm.bcast_seconds(members, 1e8, BcastVariant.ONE_RING_M)
-        tree = cm.bcast_seconds(members, 1e8, BcastVariant.BINOMIAL)
+        ring = cm.bcast_seconds_array(members, 1e8, BcastVariant.ONE_RING_M)
+        tree = cm.bcast_seconds_array(members, 1e8, BcastVariant.BINOMIAL)
         assert ring < tree
 
     def test_blong_beats_plain_ring_for_huge_payloads(self):
         cm = self._model(p=1, q=8, pl=1, ql=8, nnodes=1)
         members = [(0, c) for c in range(8)]
-        blong = cm.bcast_seconds(members, 1e9, BcastVariant.BLONG)
-        ring = cm.bcast_seconds(members, 1e9, BcastVariant.ONE_RING)
+        blong = cm.bcast_seconds_array(members, 1e9, BcastVariant.BLONG)
+        ring = cm.bcast_seconds_array(members, 1e9, BcastVariant.ONE_RING)
         assert blong < ring
 
     def test_multi_node_column_pays_nic(self):
         on_node = self._model(p=4, q=2, pl=4, ql=2, nnodes=1)
         multi = self._model(p=8, q=2, pl=4, ql=2, nnodes=2)
-        col_on = on_node.allgatherv_seconds(on_node.topo.col_members(0), 1e7)
-        col_multi = multi.allgatherv_seconds(multi.topo.col_members(0), 1e7)
+        col_on = on_node.allgatherv_seconds_array(on_node.topo.col_members(0), 1e7)
+        col_multi = multi.allgatherv_seconds_array(multi.topo.col_members(0), 1e7)
         assert col_multi > col_on
 
     def test_grid_larger_than_cluster_rejected(self):
@@ -220,3 +242,41 @@ class TestTransferModel:
     def test_zero_bytes_free(self):
         node = crusher_node()
         assert transfer_seconds(node.d2h, 0) == 0.0
+
+
+def _elementwise(fn, *columns):
+    """``fn`` prices row ``i`` the same alone (scalars, length-1 arrays)
+    as inside the batch, whatever masked lanes sit beside it."""
+    batch = fn(*(np.array(c) for c in columns))
+    for i, row in enumerate(zip(*columns)):
+        alone = float(fn(*row))
+        assert alone == float(fn(*(np.array([v]) for v in row))[0])
+        assert alone == float(batch[i])
+
+
+class TestScalarBatchConsistency:
+    @given(st.lists(st.tuples(st.integers(-1, 5000), st.integers(-1, 5000),
+                              st.integers(1, 600)), min_size=2, max_size=6))
+    def test_every_pricing_entry_point_is_elementwise(self, rows):
+        """The array functions are the only pricing bodies and a scalar is
+        a length-1 view of them, so the two must agree to the bit."""
+        m, n, k = (list(col) for col in zip(*rows))
+        nbytes = [8.0 * a * b for a, b in zip(m, n)]
+        gpu, node = GPUSpec(), crusher_node()
+        _elementwise(partial(dgemm_seconds_array, gpu), m, n, k)
+        _elementwise(partial(dtrsm_seconds_array, gpu), m, n)
+        _elementwise(partial(rowcopy_seconds_array, gpu), nbytes)
+        _elementwise(partial(transfer_seconds_array, node.d2h), nbytes)
+        tall = [kk * max(a, 1) for kk, a in zip(k, m)]
+        for threads in (1, 7, 64):
+            _elementwise(
+                lambda m, nb: fact_seconds_array(node.cpu, m, nb, threads), tall, k
+            )
+        cm = CommModel(crusher_cluster(4), GridTopology(4, 4, 2, 2))
+        col, row = cm.topo.col_members(1), cm.topo.row_members(0)
+        for algo in BcastVariant:
+            _elementwise(lambda b: cm.bcast_seconds_array(row, b, algo), nbytes)
+        _elementwise(partial(cm.allreduce_seconds_array, col), nbytes)
+        _elementwise(partial(cm.allgatherv_seconds_array, col), nbytes)
+        _elementwise(partial(cm.binexch_allgather_seconds_array, col), nbytes)
+        _elementwise(partial(cm.scatterv_seconds_array, (0, 1), col), nbytes)

@@ -12,12 +12,13 @@ from repro.perf import (
     PerfConfig,
     choose_grid,
     fact_sweep,
-    iteration_costs,
     run_costs,
+    run_sizes,
     simulate_run,
     weak_scaling,
 )
-from repro.perf.ledger import time_sharing_threads, _sizes
+from repro.perf.ledger import time_sharing_threads
+from repro.sched.fastpath import MODE_LOOKAHEAD, MODE_SPLIT
 from repro.perf.scaling import node_local_grid, scaled_n, weak_scaling_efficiency
 
 
@@ -43,51 +44,45 @@ class TestLedger:
             time_sharing_threads(4, 4, 2)
 
     def test_section_widths_partition_trailing(self):
-        cfg = _small_cfg()
-        for k in range(cfg.nblocks - 1):
-            sz = _sizes(cfg, k)
-            from repro.grid.block_cyclic import num_local_before, numroc
+        from repro.grid.block_cyclic import num_local_before, numroc
 
+        cfg = _small_cfg()
+        sz = run_sizes(cfg)
+        for k in range(cfg.nblocks - 1):
             c_f = (k + 1) % cfg.q
             nloc = numroc(cfg.n + 1, cfg.nb, c_f, cfg.q)
             trailing = nloc - num_local_before((k + 1) * cfg.nb, cfg.nb, c_f, cfg.q)
-            assert sz.w_la + sz.w_left + sz.w_right == trailing
+            assert sz.w_la[k] + sz.w_left[k] + sz.w_right[k] == trailing
 
     def test_split_mode_transitions_to_lookahead(self):
-        cfg = _small_cfg()
-        modes = [_sizes(cfg, k).mode for k in range(cfg.nblocks)]
-        assert modes[0] == "split"
-        assert modes[-2] == "lookahead"
+        modes = run_sizes(_small_cfg()).mode.tolist()
+        assert modes[0] == MODE_SPLIT
+        assert modes[-2] == MODE_LOOKAHEAD
         # one-way transition
-        first_la = modes.index("lookahead")
-        assert all(m == "lookahead" for m in modes[first_la:])
+        first_la = modes.index(MODE_LOOKAHEAD)
+        assert all(m == MODE_LOOKAHEAD for m in modes[first_la:])
 
     def test_right_section_width_fixed_while_split(self):
         """n2 is constant per process column while the split is active (the
         paper's requirement); the two grid columns differ only by the RHS
         column's ownership."""
-        cfg = _small_cfg()
-        widths_by_col: dict[int, set[int]] = {}
-        for k in range(cfg.nblocks):
-            sz = _sizes(cfg, k)
-            if sz.mode == "split":
-                widths_by_col.setdefault(sz.c_f, set()).add(sz.w_right)
-        assert widths_by_col
-        for widths in widths_by_col.values():
-            assert len(widths) == 1
+        sz = run_sizes(_small_cfg())
+        split = sz.mode == MODE_SPLIT
+        assert split.any()
+        for col in set(sz.c_f[split].tolist()):
+            assert len(set(sz.w_right[split & (sz.c_f == col)].tolist())) == 1
 
     def test_costs_shrink_with_k(self):
         cfg = _small_cfg()
-        c_early = iteration_costs(cfg, CLUSTER, 0)
-        c_late = iteration_costs(cfg, CLUSTER, cfg.nblocks - 4)
+        costs = run_costs(cfg, CLUSTER)[1:]  # drop the preamble
+        c_early, c_late = costs[0], costs[cfg.nblocks - 4]
         early_gpu = c_early.la.dgemm + c_early.left.dgemm + c_early.right.dgemm
         late_gpu = c_late.la.dgemm + c_late.left.dgemm + c_late.right.dgemm
         assert late_gpu < early_gpu / 4
         assert c_late.fact < c_early.fact
 
     def test_last_iteration_has_no_fact(self):
-        cfg = _small_cfg()
-        last = iteration_costs(cfg, CLUSTER, cfg.nblocks - 1)
+        last = run_costs(_small_cfg(), CLUSTER)[-1]
         assert last.fact == 0.0 and last.lbcast == 0.0
 
     def test_preamble_present_for_overlapped_schedules(self):

@@ -104,11 +104,11 @@ class TestPerfModel:
         members = cm.topo.col_members(0)
         narrow = 8.0 * 512 * 4  # 4-column section
         wide = 8.0 * 512 * 50_000
-        assert cm.binexch_allgather_seconds(members, narrow) < (
-            cm.allgatherv_seconds(members, narrow)
+        assert cm.binexch_allgather_seconds_array(members, narrow) < (
+            cm.allgatherv_seconds_array(members, narrow)
         )
-        assert cm.allgatherv_seconds(members, wide) < (
-            cm.binexch_allgather_seconds(members, wide)
+        assert cm.allgatherv_seconds_array(members, wide) < (
+            cm.binexch_allgather_seconds_array(members, wide)
         )
 
     def test_single_member_free(self):
@@ -116,4 +116,4 @@ class TestPerfModel:
         from repro.machine.frontier import crusher_cluster
 
         cm = CommModel(crusher_cluster(1), GridTopology(1, 8, 1, 8))
-        assert cm.binexch_allgather_seconds([(0, 0)], 100) == 0.0
+        assert cm.binexch_allgather_seconds_array([(0, 0)], 100) == 0.0
