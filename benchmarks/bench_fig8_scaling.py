@@ -17,7 +17,6 @@ nothing and proves networked result reuse end-to-end.
 from __future__ import annotations
 
 import asyncio
-import random
 from dataclasses import dataclass
 
 import pytest
@@ -51,8 +50,7 @@ class _Point:
 
 def _run_sweep(url: str) -> list[_Point]:
     async def gather() -> list[dict]:
-        client = AsyncServiceClient(url, poll_initial=0.05, poll_max=1.0,
-                                    rng=random.Random(8))
+        client = AsyncServiceClient(url)
         receipt = await client.submit_sweep(SWEEP)
         views = await client.wait(receipt.job_ids, timeout=1800)
         results = []

@@ -16,10 +16,11 @@ Four scenarios, each against a **real** ``repro serve`` subprocess
   (``--max-queue-depth``): the point is the 429 ``overloaded`` path
   *under* load -- rejections are cheap, nothing 500s, and the queue
   still drains afterwards.
-* ``watch`` -- the same 200-job drain observed by 50 polling clients
-  and then by 50 watching clients (``GET /v1/events``): watching must
-  cut status-class requests by >= 10x and miss zero terminal
-  transitions.
+* ``watch`` -- a 200-job drain observed by 50 watching clients
+  (``GET /v1/events``), compared against the last committed polling
+  drain of the same shape (the poll loop itself is gone from the
+  clients): watching must cut status-class requests by >= 10x and miss
+  zero terminal transitions.
 
 Every scenario records submits/s, per-endpoint p50/p95/p99 latency,
 the status-code histogram, queue drain rate, and coordinator RSS
@@ -135,20 +136,19 @@ class _CountingClient(ServiceClient):
 
 
 def _watch_drain(url: str, *, jobs: int, watchers: int,
-                 job_seconds: float, mode: str) -> dict:
-    """Submit ``jobs`` probes and observe them finish ``mode``-style.
+                 job_seconds: float) -> dict:
+    """Submit ``jobs`` probes and watch them finish on the event feed.
 
-    ``mode="poll"`` runs the historical poll-with-backoff wait loop;
-    ``mode="watch"`` consumes the event feed.  Each of ``watchers``
-    threads observes a disjoint slice of the jobs and must see every
-    job in its slice reach a terminal state; the report carries the
-    request tallies and how many terminal transitions were missed.
+    Each of ``watchers`` threads observes a disjoint slice of the jobs
+    and must see every job in its slice reach a terminal state; the
+    report carries the request tallies and how many terminal
+    transitions were missed.
     """
     submitter = ServiceClient(url)
     receipts = submitter.submit_many([
         {"kind": "probe",
          "payload": {"behavior": "sleep", "seconds": job_seconds,
-                     "tag": f"{mode}-{i}"}}
+                     "tag": f"watch-{i}"}}
         for i in range(jobs)
     ])
     ids = [r.new[0] for r in receipts]
@@ -160,12 +160,9 @@ def _watch_drain(url: str, *, jobs: int, watchers: int,
     def observe(i: int) -> None:
         client, mine = clients[i], slices[i]
         try:
-            if mode == "poll":
-                client._wait_poll(mine, timeout=300.0)
-            else:
-                seen = {v.job_id for v in client.watch(
-                    job_ids=mine, timeout=300.0) if v.terminal}
-                missed[i] = len(set(mine) - seen)
+            seen = {v.job_id for v in client.watch(
+                job_ids=mine, timeout=300.0) if v.terminal}
+            missed[i] = len(set(mine) - seen)
         except Exception:  # noqa: BLE001 -- a missed job IS the metric
             missed[i] = len(mine)
 
@@ -191,21 +188,37 @@ def _watch_drain(url: str, *, jobs: int, watchers: int,
     }
 
 
+def _committed_poll_baseline(jobs: int, watchers: int) -> dict:
+    """The last committed polling drain of this shape.
+
+    The clients' poll-with-backoff wait loop was retired once every
+    server spoke ``/v1/events``; what it cost is on record in the
+    trajectory, and each new entry carries the record forward.
+    """
+    for entry in reversed(json.loads(TRAJECTORY.read_text())):
+        poll = entry.get("scenarios", {}).get("watch", {}).get("poll")
+        if poll and (poll["jobs"], poll["watchers"]) == (jobs, watchers):
+            return poll
+    raise RuntimeError(
+        f"no committed polling baseline for {jobs} jobs x {watchers}"
+        f" watchers in {TRAJECTORY.name}"
+    )
+
+
 def run_watch_scenario(workdir, *, jobs: int = 200, watchers: int = 50,
                        job_seconds: float = 0.05,
                        shards: int = 1) -> dict:
-    """Watch-vs-poll: the same drain observed both ways, tallied.
+    """Watch-vs-poll: a watched drain against the committed poll tally.
 
     The claim under test: 50 clients watching a 200-job drain issue at
     least 10x fewer status-class HTTP requests than the same clients
-    polling, while missing zero terminal transitions.
+    polling did, while missing zero terminal transitions.
     """
+    poll = _committed_poll_baseline(jobs, watchers)
     proc, url = _start_serve(workdir, shards=shards, workers=4)
     try:
-        poll = _watch_drain(url, jobs=jobs, watchers=watchers,
-                            job_seconds=job_seconds, mode="poll")
         watch = _watch_drain(url, jobs=jobs, watchers=watchers,
-                             job_seconds=job_seconds, mode="watch")
+                             job_seconds=job_seconds)
     finally:
         _stop(proc)
     ratio = poll["status_requests"] / max(1, watch["status_requests"])

@@ -43,7 +43,7 @@ CAMPAIGN = {
 
 
 async def run_example(url: str) -> None:
-    client = AsyncServiceClient(url, poll_initial=0.05, poll_max=1.0)
+    client = AsyncServiceClient(url)
 
     view = await client.submit_campaign(CAMPAIGN)
     print(f"campaign {view.id} ({view.name}): {view.njobs} jobs")

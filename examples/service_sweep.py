@@ -4,8 +4,8 @@ A small-scale version of how ``benchmarks/bench_fig8_scaling.py``
 regenerates Figure 8, now through the full networked stack: a
 ``ServiceHTTPServer`` (what ``repro serve`` runs) hosts the queue, the
 cache, and a two-slot multiprocess worker pool; an ``AsyncServiceClient``
-submits the grid over the socket and gathers the points with
-exponential-backoff polling; resubmitting the same sweep is served
+submits the grid over the socket and gathers the points off the
+``/v1/events`` feed; resubmitting the same sweep is served
 entirely from the content-addressed cache without running anything.
 
 Run with:  PYTHONPATH=src python examples/service_sweep.py
@@ -33,7 +33,7 @@ SWEEP = Sweep(
 
 
 async def run_example(url: str) -> None:
-    client = AsyncServiceClient(url, poll_initial=0.05, poll_max=1.0)
+    client = AsyncServiceClient(url)
 
     receipt = await client.submit_sweep(SWEEP)
     print(f"queued {len(receipt.new)} jobs on {url}")

@@ -339,39 +339,36 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_workers(args: argparse.Namespace) -> int:
-    from .service.workers import WorkerOptions
+    from .service.workers import WorkerOptions, WorkerPool
 
     options = WorkerOptions(
         n=args.n, drain=not args.no_drain, max_seconds=args.max_seconds,
-        backoff_base=args.backoff, lease_ttl=args.ttl,
-        inline_max=args.inline_max,
+        lease_ttl=args.ttl,
     )
     if getattr(args, "url", None):
-        from .service.fleet import RemoteWorkerPool
+        from .service.http.client import ServiceClient
 
-        pool = RemoteWorkerPool(args.url, options=options,
-                                worker=args.name or None)
-        s = pool.run()
-        print(f"fleet worker {pool.worker} finished: {s.claimed} claimed, "
-              f"{s.completed} completed, {s.failed} failed, {s.lost} lost")
-        c = s.counts
-        if c:
-            print(f"queue: {c.get('BLOCKED', 0)} blocked, "
-                  f"{c['PENDING']} pending, {c['RUNNING']} running, "
-                  f"{c['DONE']} done, {c['FAILED']} failed, "
-                  f"{c['CANCELLED']} cancelled")
-        return 0
-    from .service import Service
+        # The client carries the inline threshold, so a child's
+        # oversized result is chunk-streamed to the coordinator without
+        # the pool knowing: ``client.complete`` switches paths.
+        pool = WorkerPool(ServiceClient(args.url,
+                                        inline_max=args.inline_max),
+                          options, worker=args.name or None)
+    else:
+        from .service import Service
 
-    service = Service(args.workdir, backoff_base=args.backoff)
-    summary = service.run_workers(options)
-    c = summary.counts
-    print(f"pool finished: {summary.completed} completed, "
-          f"{summary.failed} failed, {summary.retried} retried")
-    print(f"queue: {c.get('BLOCKED', 0)} blocked, "
-          f"{c['PENDING']} pending, {c['RUNNING']} running, "
-          f"{c['DONE']} done, {c['FAILED']} failed, "
-          f"{c['CANCELLED']} cancelled")
+        pool = Service(args.workdir, backoff_base=args.backoff) \
+            .worker_pool(options, worker=args.name or None)
+    s = pool.run()
+    print(f"pool {pool.worker} finished: {s.claimed} claimed, "
+          f"{s.completed} completed, {s.failed} failed, "
+          f"{s.retried} retried, {s.lost} lost")
+    c = s.counts
+    if c:
+        print(f"queue: {c.get('BLOCKED', 0)} blocked, "
+              f"{c['PENDING']} pending, {c['RUNNING']} running, "
+              f"{c['DONE']} done, {c['FAILED']} failed, "
+              f"{c['CANCELLED']} cancelled")
     return 0
 
 
@@ -866,13 +863,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_work.add_argument("--max-seconds", type=float, default=None,
                         help="stop after this many seconds even if not drained")
     p_work.add_argument("--backoff", type=float, default=0.5,
-                        help="retry backoff base (seconds)")
+                        help="retry backoff base in seconds (local "
+                             "workdir mode; with --url the coordinator's "
+                             "own --backoff applies)")
     p_work.add_argument("--no-drain", action="store_true",
                         help="keep serving instead of exiting when drained")
     p_work.add_argument("--ttl", type=float, default=30.0,
-                        help="lease TTL in seconds (remote --url mode)")
+                        help="lease TTL in seconds: how long after this "
+                             "pool dies its jobs are requeued")
     p_work.add_argument("--name", default="",
-                        help="worker name reported to the coordinator "
+                        help="worker name recorded on claimed jobs "
                              "(default: hostname-pid)")
     p_work.add_argument("--inline-max", type=int, default=1024 * 1024,
                         help="results larger than this many encoded bytes "
@@ -892,7 +892,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8400,
                          help="port to bind (0 = ephemeral)")
     p_serve.add_argument("--workers", type=int, default=2,
-                         help="in-process worker slots (0 = serve only; "
+                         help="in-process worker slots in total, "
+                              "whatever --shards is (0 = serve only; "
                               "run `repro workers` separately)")
     p_serve.add_argument("--backoff", type=float, default=0.5,
                          help="retry backoff base (seconds)")

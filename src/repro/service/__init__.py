@@ -3,7 +3,7 @@
 One level above the in-run task DAG (:mod:`repro.sched`), the service
 treats *whole benchmark runs* as schedulable jobs: a persistent queue
 (:mod:`.store`), a content-addressed result cache (:mod:`.cache`), a
-multiprocess worker pool with timeouts and bounded retry
+lease-driven multiprocess worker pool with timeouts and bounded retry
 (:mod:`.workers`), and a sweep expander (:mod:`.sweep`), all fronted by
 the :class:`~repro.service.api.Service` facade and the ``repro submit``
 / ``workers`` / ``status`` / ``results`` / ``cancel`` CLI commands.
@@ -36,7 +36,6 @@ from .events import (
     decode_cursor,
     encode_cursor,
 )
-from .fleet import FleetSummary, RemoteWorkerPool
 from .jobs import Job, JobState, Lease, new_job_id
 from .shard import (
     ShardedStore,
@@ -82,7 +81,6 @@ __all__ = [
     "EventBroker",
     "EventFilter",
     "EventView",
-    "FleetSummary",
     "Job",
     "MAX_CHUNK_BYTES",
     "NOW",
@@ -92,7 +90,6 @@ __all__ = [
     "Lease",
     "PoolSummary",
     "QueuePage",
-    "RemoteWorkerPool",
     "ResultCache",
     "ResultView",
     "Service",

@@ -17,7 +17,6 @@ Submission is where result reuse happens:
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field
 
 from ..errors import (
@@ -36,7 +35,6 @@ from .events import (EventBroker, EventFilter, decode_queue_cursor,
 from .jobs import UNCACHED_KINDS, Job, JobState, Lease, new_job_id
 from .shard import (ShardedStore, detect_shard_workdirs,
                     shard_workdirs as _shard_layout)
-from .store import JobStore
 from .streams import DEFAULT_INLINE_MAX, MAX_CHUNK_BYTES
 from .sweep import Sweep
 from .views import CampaignView, DagView, JobView, QueuePage, ResultView
@@ -89,13 +87,12 @@ class SubmitReceipt:
 class Service:
     """One service instance rooted at a workdir (queue + cache on disk).
 
-    ``shards > 1`` (or an explicit ``shard_workdirs`` list) fans the
-    queue over N workdir shards behind a
-    :class:`~repro.service.shard.ShardedStore`; the result cache stays
-    single and shared (it is content-addressed, so shard routing never
-    affects it).  ``shards=1`` with no explicit list is the historical
-    single-:class:`JobStore` service, bit-for-bit -- and a pre-shard
-    workdir *is* shard 0 of 1, so no migration step exists.
+    The queue is always a :class:`~repro.service.shard.ShardedStore`:
+    ``shards > 1`` (or an explicit ``shard_workdirs`` list) fans it over
+    N workdir shards, and a plain workdir is shard 0 of 1 -- same files
+    on disk as before sharding existed, so no migration step exists.
+    The result cache stays single and shared (it is content-addressed,
+    so shard routing never affects it).
     """
 
     def __init__(self, workdir=DEFAULT_WORKDIR,
@@ -104,20 +101,14 @@ class Service:
                  busy_timeout: float = 30.0,
                  inline_max: int = DEFAULT_INLINE_MAX) -> None:
         self.workdir = os.fspath(workdir)
-        if shard_workdirs is None and shards == 1:
+        if shard_workdirs is None:
             # Respect a shards/ layout already on disk: reopening a
             # sharded workdir without --shards must not strand the
             # shard queues.
-            detected = detect_shard_workdirs(self.workdir)
-            if detected != [self.workdir]:
-                shard_workdirs = detected
-        if shard_workdirs is None and shards > 1:
-            shard_workdirs = _shard_layout(self.workdir, shards)
-        if shard_workdirs is not None:
-            self.store = ShardedStore(shard_workdirs,
-                                      busy_timeout=busy_timeout)
-        else:
-            self.store = JobStore(self.workdir,
+            shard_workdirs = (_shard_layout(self.workdir, shards)
+                              if shards > 1
+                              else detect_shard_workdirs(self.workdir))
+        self.store = ShardedStore(shard_workdirs,
                                   busy_timeout=busy_timeout)
         self.inline_max = inline_max
         self.cache = ResultCache(os.path.join(self.workdir, "cache"),
@@ -141,22 +132,12 @@ class Service:
 
     @property
     def nshards(self) -> int:
-        """How many shards back the queue (1 for a plain store)."""
-        return getattr(self.store, "nshards", 1)
+        """How many shards back the queue (1 for a plain workdir)."""
+        return self.store.nshards
 
     def shard_stats(self) -> list[dict]:
-        """Per-shard depth/lease figures (one entry even when unsharded)."""
-        if isinstance(self.store, ShardedStore):
-            return self.store.shard_stats()
-        counts = self.store.counts()
-        leases = self.store.active_leases()
-        return [{
-            "index": 0, "workdir": self.store.workdir, "ok": True,
-            "counts": counts,
-            "outstanding": sum(counts[s.value] for s in JobState
-                               if not s.terminal),
-            "leases": len(leases),
-        }]
+        """Per-shard depth/lease figures (one entry for a plain workdir)."""
+        return self.store.shard_stats()
 
     # -- submission ------------------------------------------------------
 
@@ -536,15 +517,15 @@ class Service:
             job_ids = [j.id for j in self.store.list()]
         return {jid: self.result_view(jid) for jid in job_ids}
 
-    # -- leases (remote workers) -----------------------------------------
+    # -- leases (worker pools, embedded and remote) ----------------------
 
     def claim_jobs(self, worker: str, n: int = 1,
                    ttl: float = 30.0) -> tuple[Lease | None, list[Job]]:
-        """Lease up to ``n`` ready jobs to a named remote worker.
+        """Lease up to ``n`` ready jobs to a named worker pool.
 
-        Jobs whose result is already cached are completed on the spot
-        (never shipped), exactly like the local pool's claim-time
-        fulfilment, so a remote fleet shares the cache's savings.
+        Jobs whose result is already cached (another submitter's twin
+        completed while the job sat in the queue) are completed on the
+        spot and never shipped, so no child process is burned on them.
         """
         if n < 1:
             raise MalformedRequestError(f"n must be >= 1, got {n}")
@@ -684,56 +665,64 @@ class Service:
         flipped = self.store.cancel(job_id)
         return flipped, self.job_view(job_id)
 
+    def worker_pool(self, options: WorkerOptions | None = None,
+                    worker: str | None = None) -> WorkerPool:
+        """A :class:`WorkerPool` leasing from this service in process."""
+        return WorkerPool(_InProcessCoordinator(self), options, worker)
+
     def run_workers(self, options: WorkerOptions | None = None,
                     **overrides) -> PoolSummary:
-        """Drain the queue with a local worker pool (blocking).
+        """Drain the queue with an in-process worker pool (blocking).
 
         Accepts a :class:`WorkerOptions` bundle; bare keyword overrides
-        (``run_workers(n=4, max_seconds=60)``) are folded into it, so
-        the historical call shape keeps working.
+        (``run_workers(n=4, max_seconds=60)``) are folded into it.  One
+        pool claims across every shard under one logical lease, so ``n``
+        is the total number of children whatever the shard count.
         """
-        if options is None:
-            options = WorkerOptions(backoff_base=self.backoff_base)
-        if overrides:
-            options = options.replace(**overrides)
-        if not isinstance(self.store, ShardedStore):
-            pool = WorkerPool.from_options(self.workdir, options,
-                                           dag=self.dag)
-            return pool.run(drain=options.drain,
-                            max_seconds=options.max_seconds)
-        # One pool per shard, run concurrently, all writing the shared
-        # root cache so a result computed on one shard fulfils cached
-        # twins everywhere.  Each pool keeps the full ``n`` slots: shard
-        # queues are hash-partitioned, so capping slots per shard would
-        # idle workers whenever keys cluster.
-        summaries: list[PoolSummary | None] = [None] * self.store.nshards
+        options = (options or WorkerOptions()).replace(**overrides)
+        return self.worker_pool(options).run()
 
-        def _drain(i: int, workdir: str) -> None:
-            # ``dag`` spans the *logical* sharded store: a parent
-            # finishing in this shard's pool releases children that
-            # hashed to any other shard (the cross-shard notifier).
-            pool = WorkerPool.from_options(
-                workdir, options.replace(name=f"{options.name}-s{i}"),
-                cache_dir=self.cache.root, dag=self.dag,
-            )
-            summaries[i] = pool.run(drain=options.drain,
-                                    max_seconds=options.max_seconds)
 
-        threads = [
-            threading.Thread(target=_drain, args=(i, wd), daemon=True)
-            for i, wd in enumerate(self.store.workdirs)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        merged = PoolSummary()
-        for s in summaries:
-            if s is None:
-                continue
-            merged.completed += s.completed
-            merged.failed += s.failed
-            merged.retried += s.retried
-            merged.fulfilled_from_cache += s.fulfilled_from_cache
-        merged.counts = self.store.counts()
-        return merged
+class _InProcessCoordinator:
+    """The worker pool's transport onto a :class:`Service` in process.
+
+    The same six calls :class:`~repro.service.http.ServiceClient`
+    answers over HTTP, bound to the facade methods the HTTP routes
+    themselves call -- so an embedded pool and a remote fleet exercise
+    one lease path, one cache write and one retry policy, and every
+    transition commits through the service's own store handle (the DAG
+    and event hooks fire for embedded pools too).
+    """
+
+    #: An empty claim is one local query: the idle poll stays flat.
+    poll_backoff = 1.0
+
+    def __init__(self, service: Service) -> None:
+        self.service = service
+
+    def claim(self, worker: str, n: int = 1,
+              ttl: float = 30.0) -> tuple[Lease | None, list[Job]]:
+        return self.service.claim_jobs(worker, n=n, ttl=ttl)
+
+    def heartbeat(self, lease_id: str, ttl: float = 30.0) -> Lease:
+        return self.service.heartbeat(lease_id, ttl=ttl)
+
+    def complete(self, job_id: str, lease_id: str, result: dict) -> JobView:
+        return JobView.from_job(
+            self.service.complete_job(job_id, lease_id, result))
+
+    def fail(self, job_id: str, lease_id: str, error: str) -> JobView:
+        return JobView.from_job(
+            self.service.fail_job(job_id, lease_id, error))
+
+    def result(self, job_id: str) -> ResultView:
+        view = self.service.result_view(job_id)
+        if view.stream is None:
+            return view
+        # Too large for an inline envelope; local reads are not
+        # size-bounded, so load it from the cache.
+        return ResultView(job=view.job, ready=True,
+                          result=self.service.result(job_id))
+
+    def counts(self) -> dict[str, int]:
+        return self.service.store.counts()

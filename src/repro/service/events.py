@@ -146,9 +146,9 @@ class EventFilter:
 
     Matching is against the :class:`EventView` projection: ``kinds``
     are audit event names, ``states`` are implied job states -- so
-    ``states={"done"}`` matches both a local pool's ``done`` event and
-    a lease-completed ``done`` event, regardless of which extras the
-    record carries.
+    ``states={"done"}`` matches a ``done`` event whether or not the
+    record spells its state out, regardless of which extras it
+    carries.
     """
 
     job_ids: frozenset | None = None
@@ -192,7 +192,10 @@ class EventBroker:
     """
 
     def __init__(self, store, poll_interval: float = 0.2) -> None:
-        self.stores = store.event_stores()
+        # Shard order is the feed's shard numbering: cursor tokens
+        # encode one offset per shard, so it must be stable across
+        # restarts (it is -- shard workdirs are sorted on open).
+        self.stores = list(store.shards)
         self.nshards = len(self.stores)
         self.poll_interval = poll_interval
         self._cond = threading.Condition()

@@ -4,8 +4,7 @@ The :class:`~repro.service.api.Service` facade is transport-agnostic;
 this package exposes it over a socket so remote clients share one queue
 and result cache.  :class:`ServiceHTTPServer` is the stdlib-only server
 (``repro serve``), :class:`ServiceClient` the blocking client, and
-:class:`AsyncServiceClient` the asyncio polling client with exponential
-backoff + jitter.  See ``docs/service.md`` for the endpoint reference.
+:class:`AsyncServiceClient` its generated asyncio twin.  See ``docs/service.md`` for the endpoint reference.
 """
 
 from __future__ import annotations

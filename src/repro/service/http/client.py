@@ -26,13 +26,11 @@ transparently up to ``retry_429`` times, sleeping the server's
 ``client_id`` is given) so per-client rate limits have a key.
 
 :class:`AsyncServiceClient` layers asyncio on top for the batch shape
-the paper's experiments have (submit a grid, gather the points): every
-call is awaitable, and :meth:`AsyncServiceClient.wait` polls a set of
-job ids with exponential backoff plus jitter -- the delay doubles while
-nothing changes (so idle polling backs off to ``poll_max``) and resets
-to ``poll_initial`` whenever a job reaches a terminal state, with a
-random jitter factor so a fleet of clients does not synchronize its
-polls against one server.
+the paper's experiments have (submit a grid, gather the points): it is
+*generated* from :class:`ServiceClient` -- every public method gets an
+awaitable twin with the identical signature that runs the blocking call
+on the event loop's executor -- so the two clients cannot drift apart.
+``watch``/``wait`` ride the ``/v1/events`` long-poll feed on both.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import hashlib
+import inspect
 import io
 import json
 import random
@@ -132,7 +131,10 @@ class WaitTimeout(ServiceError, TimeoutError):
 
 
 class _Backoff:
-    """Exponential backoff with jitter; resets on observed progress."""
+    """Exponential backoff with jitter; resets on observed progress.
+
+    Paces a worker pool's idle poll (see ``WorkerPool.run``).
+    """
 
     def __init__(self, initial: float, maximum: float, factor: float,
                  jitter: float, rng: random.Random) -> None:
@@ -183,7 +185,15 @@ class ServiceClient:
     :meth:`result` resolves a ``stream`` descriptor by downloading the
     chunks -- callers see the same :class:`ResultView` either way.
     Smaller results use the historical requests byte-for-byte.
+
+    Also the HTTP transport of
+    :class:`~repro.service.workers.WorkerPool` (``claim`` /
+    ``heartbeat`` / ``complete`` / ``fail`` / ``result`` / ``counts``).
     """
+
+    #: Growth factor of a worker pool's idle poll on this transport:
+    #: every empty claim is a round-trip, so the poll backs off.
+    poll_backoff = 2.0
 
     def __init__(self, url: str, timeout: float = 30.0,
                  inline_max: int = DEFAULT_INLINE_MAX,
@@ -335,6 +345,10 @@ class ServiceClient:
     #: because local callers say ``service.status()`` and operational
     #: scripts say "check the queue".
     queue = status
+
+    def counts(self) -> dict[str, int]:
+        """Whole-queue job count per state (expired leases swept first)."""
+        return dict(self.status(limit=0).counts)
 
     def submit(self, kind: str, payload: dict, timeout: float = 0.0,
                max_retries: int = 2, depends_on=()) -> SubmitReceipt:
@@ -514,7 +528,7 @@ class ServiceClient:
         body = self._request("POST", f"/v1/jobs/{job_id}/cancel")
         return bool(body["cancelled"]), JobView.from_dict(body["job"])
 
-    # -- lease protocol (remote workers) ---------------------------------
+    # -- lease protocol (worker pools) -----------------------------------
 
     def claim(self, worker: str, n: int = 1,
               ttl: float = 30.0) -> tuple[Lease | None, list[Job]]:
@@ -574,25 +588,13 @@ class ServiceClient:
     # -- events & watch --------------------------------------------------
 
     def capabilities(self) -> frozenset:
-        """The server's capability set, from one cached ``GET /v1``.
-
-        A pre-events server has no discovery endpoint; its 404 is
-        remembered as the empty set, so feature probes cost at most one
-        round-trip per client for the connection's lifetime.
-        """
+        """The server's capability set, from one cached ``GET /v1``."""
         if self._capabilities is None:
-            try:
-                doc = self._request("GET", "/v1")
-                caps = doc.get("capabilities", ())
-                self._capabilities = frozenset(
-                    c for c in caps if isinstance(c, str))
-            except (UnknownRouteError, UnknownJobError):
-                self._capabilities = frozenset()
+            doc = self._request("GET", "/v1")
+            self._capabilities = frozenset(
+                c for c in doc.get("capabilities", ())
+                if isinstance(c, str))
         return self._capabilities
-
-    def supports_events(self) -> bool:
-        """Whether the server pushes events (else watch/wait poll)."""
-        return "events" in self.capabilities()
 
     def events(self, cursor: str | None = None, timeout: float = 0.0,
                limit: int | None = None, job_ids=None, kinds=None,
@@ -709,16 +711,9 @@ class ServiceClient:
         job that finished before the watch began is still seen
         finishing).  Raises :class:`WaitTimeout` when a deadline passes
         with watched jobs outstanding.
-
-        Against a pre-events server this transparently degrades to
-        polling job states and synthesizing an :class:`EventView` per
-        observed transition -- same consumer loop either way.
         """
         watched = list(dict.fromkeys(job_ids)) if job_ids is not None \
             else None
-        if not self.supports_events():
-            yield from self._watch_poll(watched, timeout)
-            return
         pending = set(watched) if watched is not None else None
         if pending is not None and not pending:
             return
@@ -767,47 +762,13 @@ class ServiceClient:
                     raise WaitTimeout(sorted(pending), timeout)
                 return
 
-    def _watch_poll(self, watched, timeout: float | None,
-                    poll_initial: float = 0.05, poll_max: float = 2.0):
-        """Old-server ``watch``: poll states, synthesize transitions."""
-        if watched is None:
-            raise ServiceError(
-                "watch() without job_ids needs a server with the"
-                " events capability"
-            )
-        pending = set(watched)
-        last: dict[str, str] = {}
-        backoff = _Backoff(poll_initial, poll_max, 2.0, 0.25,
-                           random.Random())
-        deadline = None if timeout is None \
-            else time.monotonic() + timeout
-        while pending:
-            progressed = False
-            for jid in sorted(pending):
-                job = self.job(jid)
-                if last.get(jid) != job.state:
-                    last[jid] = job.state
-                    progressed = True
-                    yield self._synthesize(job)
-                    if job.state in TERMINAL_STATES:
-                        pending.discard(jid)
-            if not pending:
-                return
-            if deadline is not None and time.monotonic() >= deadline:
-                raise WaitTimeout(sorted(pending), timeout)
-            delay = backoff.next_delay(progressed)
-            if deadline is not None:
-                delay = min(delay, max(0.0, deadline - time.monotonic()))
-            time.sleep(delay)
-
     @staticmethod
     def _synthesize(job: JobView) -> EventView:
         """An :class:`EventView` standing in for an unobserved event.
 
-        Used where the real audit record is unavailable (pre-events
-        server, compacted log): the view carries the job's current
-        state with ``kind`` lowered from it and ``shard=-1`` marking it
-        synthesized.
+        Used where the real audit record is unavailable (a compacted
+        log): the view carries the job's current state with ``kind``
+        lowered from it and ``shard=-1`` marking it synthesized.
         """
         return EventView(
             cursor="", t=job.updated, job_id=job.id,
@@ -815,27 +776,16 @@ class ServiceClient:
             data={"synthesized": True},
         )
 
-    # -- polling ---------------------------------------------------------
-
-    def wait(self, job_ids, timeout: float | None = None,
-             poll_initial: float = 0.05, poll_max: float = 2.0,
-             poll_factor: float = 2.0, jitter: float = 0.25,
-             rng: random.Random | None = None) -> dict[str, ResultView]:
+    def wait(self, job_ids,
+             timeout: float | None = None) -> dict[str, ResultView]:
         """Block until every job is terminal; id -> :class:`ResultView`.
 
-        On a server with the events capability this rides
-        :meth:`watch` -- one long-poll connection instead of
-        O(jobs x polls) status requests.  Against an older server it
-        degrades to the historical poll loop, byte-compatible on the
-        wire with pre-events clients.  The synchronous twin of
-        :meth:`AsyncServiceClient.wait`.
+        Covers DONE, FAILED, and CANCELLED alike -- callers decide what
+        failure means for them.  Rides :meth:`watch`: one long-poll
+        connection instead of O(jobs x polls) status requests.  Raises
+        :class:`WaitTimeout` if ``timeout`` seconds pass first.
         """
         outstanding = list(dict.fromkeys(job_ids))
-        if not outstanding:
-            return {}
-        if not self.supports_events():
-            return self._wait_poll(outstanding, timeout, poll_initial,
-                                   poll_max, poll_factor, jitter, rng)
         views: dict[str, ResultView] = {}
         try:
             for view in self.watch(job_ids=outstanding,
@@ -849,212 +799,62 @@ class ServiceClient:
             ) from None
         return views
 
-    def _wait_poll(self, job_ids, timeout: float | None = None,
-                   poll_initial: float = 0.05, poll_max: float = 2.0,
-                   poll_factor: float = 2.0, jitter: float = 0.25,
-                   rng: random.Random | None = None
-                   ) -> dict[str, ResultView]:
-        """The historical poll-with-backoff ``wait`` (old servers)."""
-        outstanding = list(dict.fromkeys(job_ids))
-        views: dict[str, ResultView] = {}
-        backoff = _Backoff(poll_initial, poll_max, poll_factor, jitter,
-                           rng or random.Random())
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while outstanding:
-            progressed = False
-            for jid in list(outstanding):
-                view = self.result(jid)
-                if view.state in TERMINAL_STATES:
-                    views[jid] = view
-                    outstanding.remove(jid)
-                    progressed = True
-            if not outstanding:
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                raise WaitTimeout(outstanding, timeout)
-            delay = backoff.next_delay(progressed)
-            if deadline is not None:
-                # Never sleep past the caller's deadline: an unclamped
-                # jittered backoff step could overshoot it by up to a
-                # full poll_max, turning a 0.5 s timeout into seconds.
-                delay = min(delay, max(0.0, deadline - time.monotonic()))
-            time.sleep(delay)
-        return views
+
+def _awaitable_twin(method):
+    """The :class:`AsyncServiceClient` twin of one blocking method.
+
+    Plain methods run on the event loop's default executor; generator
+    methods (``watch``, ``events_stream``) become async generators that
+    advance the blocking generator on the executor one step at a time,
+    so long-poll blocking happens off-loop and many can share one loop.
+    """
+    if inspect.isgeneratorfunction(method):
+        @functools.wraps(method)
+        async def twin(self, *args, **kwargs):
+            iterator = method(self._client, *args, **kwargs)
+            loop = asyncio.get_running_loop()
+            sentinel = object()
+            while True:
+                item = await loop.run_in_executor(None, next, iterator,
+                                                  sentinel)
+                if item is sentinel:
+                    return
+                yield item
+    else:
+        @functools.wraps(method)
+        async def twin(self, *args, **kwargs):
+            return await asyncio.get_running_loop().run_in_executor(
+                None, functools.partial(method, self._client, *args,
+                                        **kwargs))
+    return twin
 
 
 class AsyncServiceClient:
-    """Asyncio wrapper: awaitable calls plus a polling ``wait`` gather.
+    """Asyncio twin of :class:`ServiceClient`, generated from it.
 
-    Blocking HTTP calls run on the event loop's default executor, so
-    many clients (or many concurrent ``wait`` gathers) can share one
-    loop.  Returns the same typed objects as :class:`ServiceClient`.
-    Pass an ``rng`` (e.g. ``random.Random(0)``) for deterministic
-    jitter in tests.
+    Takes the same constructor arguments and has the same public
+    methods with the same signatures, each awaitable (generators become
+    async generators), returning the same typed objects.  Blocking HTTP
+    calls run on the event loop's default executor, so many clients (or
+    many concurrent ``wait`` gathers) can share one loop.
     """
 
-    def __init__(self, url: str, timeout: float = 30.0,
-                 poll_initial: float = 0.05, poll_max: float = 2.0,
-                 poll_factor: float = 2.0, jitter: float = 0.25,
-                 rng: random.Random | None = None,
-                 inline_max: int = DEFAULT_INLINE_MAX,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 client_id: str | None = None,
-                 retry_429: int = 8,
-                 retry_429_cap: float = 5.0) -> None:
-        self._client = ServiceClient(url, timeout=timeout,
-                                     inline_max=inline_max,
-                                     chunk_size=chunk_size,
-                                     client_id=client_id,
-                                     retry_429=retry_429,
-                                     retry_429_cap=retry_429_cap)
-        self.poll_initial = poll_initial
-        self.poll_max = poll_max
-        self.poll_factor = poll_factor
-        self.jitter = jitter
-        self.rng = rng or random.Random()
+    def __init__(self, url: str, **client_options) -> None:
+        self._client = ServiceClient(url, **client_options)
 
     @property
     def base_url(self) -> str:
         return self._client.base_url
 
-    async def _call(self, fn, *args, **kwargs):
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, functools.partial(fn, *args, **kwargs)
-        )
-
-    async def healthz(self) -> dict:
-        return await self._call(self._client.healthz)
-
-    async def status(self, state: str | None = None,
-                     kind: str | None = None, limit: int | None = None,
-                     offset: int | None = None) -> QueuePage:
-        return await self._call(self._client.status, state=state,
-                                kind=kind, limit=limit, offset=offset)
-
-    queue = status
-
-    async def submit(self, kind: str, payload: dict, timeout: float = 0.0,
-                     max_retries: int = 2, depends_on=()) -> SubmitReceipt:
-        return await self._call(self._client.submit, kind, payload,
-                                timeout=timeout, max_retries=max_retries,
-                                depends_on=depends_on)
-
-    async def submit_sweep(self, sweep, timeout: float = 0.0,
-                           max_retries: int = 2, depends_on=(),
-                           batch: bool = False) -> SubmitReceipt:
-        return await self._call(self._client.submit_sweep, sweep,
-                                timeout=timeout, max_retries=max_retries,
-                                depends_on=depends_on, batch=batch)
-
-    async def submit_many(self, submissions, timeout: float = 0.0,
-                          max_retries: int = 2) -> list[SubmitReceipt]:
-        return await self._call(self._client.submit_many, submissions,
-                                timeout=timeout, max_retries=max_retries)
-
-    async def submit_campaign(self, spec: dict, timeout: float = 0.0,
-                              max_retries: int = 2) -> CampaignView:
-        return await self._call(self._client.submit_campaign, spec,
-                                timeout=timeout, max_retries=max_retries)
-
-    async def campaign(self, campaign_id: str) -> CampaignView:
-        return await self._call(self._client.campaign, campaign_id)
-
-    async def campaigns(self) -> list[CampaignView]:
-        return await self._call(self._client.campaigns)
-
-    async def campaign_dag(self, campaign_id: str) -> DagView:
-        return await self._call(self._client.campaign_dag, campaign_id)
-
-    async def job(self, job_id: str) -> JobView:
-        return await self._call(self._client.job, job_id)
-
-    async def result(self, job_id: str) -> ResultView:
-        return await self._call(self._client.result, job_id)
-
-    async def download_result(self, job_id: str,
-                              sink: BinaryIO) -> dict | None:
-        return await self._call(self._client.download_result, job_id, sink)
-
-    async def cancel(self, job_id: str) -> bool:
-        return await self._call(self._client.cancel, job_id)
-
-    async def cancel_job(self, job_id: str) -> tuple[bool, JobView]:
-        return await self._call(self._client.cancel_job, job_id)
-
-    async def claim(self, worker: str, n: int = 1,
-                    ttl: float = 30.0) -> tuple[Lease | None, list[Job]]:
-        return await self._call(self._client.claim, worker, n=n, ttl=ttl)
-
-    async def heartbeat(self, lease_id: str, ttl: float = 30.0) -> Lease:
-        return await self._call(self._client.heartbeat, lease_id, ttl=ttl)
-
-    async def complete(self, job_id: str, lease_id: str,
-                       result: dict) -> JobView:
-        return await self._call(self._client.complete, job_id, lease_id,
-                                result)
-
-    async def fail(self, job_id: str, lease_id: str,
-                   error: str) -> JobView:
-        return await self._call(self._client.fail, job_id, lease_id,
-                                error)
-
-    # -- events & watch --------------------------------------------------
-
-    async def capabilities(self) -> frozenset:
-        return await self._call(self._client.capabilities)
-
-    async def supports_events(self) -> bool:
-        return await self._call(self._client.supports_events)
-
-    async def events(self, cursor: str | None = None,
-                     timeout: float = 0.0, limit: int | None = None,
-                     job_ids=None, kinds=None, states=None,
-                     campaign: str | None = None,
-                     ) -> tuple[list[EventView], str, bool]:
-        return await self._call(self._client.events, cursor=cursor,
-                                timeout=timeout, limit=limit,
-                                job_ids=job_ids, kinds=kinds,
-                                states=states, campaign=campaign)
-
-    async def watch(self, job_ids=None, kinds=None, states=None,
-                    campaign: str | None = None,
-                    cursor: str | None = None,
-                    timeout: float | None = None, poll: float = 15.0):
-        """Async generator twin of :meth:`ServiceClient.watch`.
-
-        The blocking generator runs on the executor one step at a time,
-        so many watches can share one event loop; long-poll blocking
-        happens off-loop.
-        """
-        iterator = self._client.watch(job_ids=job_ids, kinds=kinds,
-                                      states=states, campaign=campaign,
-                                      cursor=cursor, timeout=timeout,
-                                      poll=poll)
-        loop = asyncio.get_running_loop()
-        sentinel = object()
-        while True:
-            view = await loop.run_in_executor(None, next, iterator,
-                                              sentinel)
-            if view is sentinel:
-                return
-            yield view
-
     async def wait(self, job_ids,
                    timeout: float | None = None) -> dict[str, ResultView]:
-        """Wait until every job id is terminal; id -> :class:`ResultView`.
+        """Async twin of :meth:`ServiceClient.wait`, same contract.
 
-        Covers DONE, FAILED, and CANCELLED alike -- callers decide what
-        failure means for them.  Raises :class:`WaitTimeout` if
-        ``timeout`` seconds pass first.  Rides :meth:`watch` on servers
-        with the events capability; degrades to the historical
-        backoff-and-jitter poll loop against older servers.
+        Hand-written rather than generated: it awaits the async
+        ``watch``/``result`` twins, so the loop regains control (and
+        cancellation lands) between events.
         """
         outstanding = list(dict.fromkeys(job_ids))
-        if not outstanding:
-            return {}
-        if not await self.supports_events():
-            return await self._wait_poll(outstanding, timeout)
         views: dict[str, ResultView] = {}
         try:
             async for view in self.watch(job_ids=outstanding,
@@ -1068,33 +868,8 @@ class AsyncServiceClient:
             ) from None
         return views
 
-    async def _wait_poll(self, job_ids,
-                         timeout: float | None = None
-                         ) -> dict[str, ResultView]:
-        """The historical poll-with-backoff ``wait`` (old servers)."""
-        outstanding = list(dict.fromkeys(job_ids))
-        views: dict[str, ResultView] = {}
-        backoff = _Backoff(self.poll_initial, self.poll_max,
-                           self.poll_factor, self.jitter, self.rng)
-        loop = asyncio.get_running_loop()
-        deadline = None if timeout is None else loop.time() + timeout
-        while outstanding:
-            progressed = False
-            for jid in list(outstanding):
-                view = await self.result(jid)
-                if view.state in TERMINAL_STATES:
-                    views[jid] = view
-                    outstanding.remove(jid)
-                    progressed = True
-            if not outstanding:
-                break
-            if deadline is not None and loop.time() >= deadline:
-                raise WaitTimeout(outstanding, timeout)
-            delay = backoff.next_delay(progressed)
-            if deadline is not None:
-                # Clamp to the remaining budget -- an unclamped jittered
-                # step overshoots the caller's deadline by up to a full
-                # backoff step (the PR-7 regression).
-                delay = min(delay, max(0.0, deadline - loop.time()))
-            await asyncio.sleep(delay)
-        return views
+
+for _name, _method in vars(ServiceClient).items():
+    if inspect.isfunction(_method) and not _name.startswith("_") \
+            and _name not in vars(AsyncServiceClient):
+        setattr(AsyncServiceClient, _name, _awaitable_twin(_method))

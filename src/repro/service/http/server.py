@@ -6,9 +6,9 @@ clients share a single queue and result cache -- the networked analogue
 of many independent submitters keeping one tiled-factorization worker
 pool saturated.  Optionally it also hosts an in-process
 :class:`~repro.service.workers.WorkerPool` on a background thread
-(``workers > 0``), which is what ``repro serve`` runs; remote
-:class:`~repro.service.fleet.RemoteWorkerPool` processes drain the same
-queue through the lease endpoints.
+(``workers > 0``), which is what ``repro serve`` runs; remote pools
+(``repro workers --url``) drain the same queue through the lease
+endpoints.
 
 v1 endpoints (request/response bodies are JSON unless marked *bytes*):
 
@@ -106,7 +106,7 @@ from ..api import Service, SubmitReceipt
 from ..streams import DEFAULT_INLINE_MAX, MAX_CHUNK_BYTES
 from ..sweep import Sweep
 from ..views import JobView
-from ..workers import WorkerPool
+from ..workers import WorkerOptions
 
 _JOB_RE = re.compile(r"^/v1/jobs/([A-Za-z0-9_-]+)$")
 _RESULT_RE = re.compile(r"^/v1/jobs/([A-Za-z0-9_-]+)/result$")
@@ -450,9 +450,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- the event feed --------------------------------------------------
 
-    def _events_enabled(self) -> bool:
-        return getattr(self.server, "events_enabled", True)
-
     def _parse_event_query(self, query: str) -> dict:
         """Shared long-poll/SSE parameter parsing -> events_page kwargs.
 
@@ -482,8 +479,6 @@ class _Handler(BaseHTTPRequestHandler):
         }
 
     def _events_route(self, query: str) -> tuple:
-        if not self._events_enabled():
-            raise UnknownRouteError("no such endpoint: GET /v1/events")
         kwargs = self._parse_event_query(query)
         accept = self.headers.get("Accept", "")
         if "text/event-stream" in accept:
@@ -545,8 +540,6 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/v1":
             # Discovery: clients feature-detect ("events", "batch", ...)
             # with one probe instead of sniffing 404s per endpoint.
-            if not self._events_enabled():
-                raise UnknownRouteError("no such endpoint: GET /v1")
             return 200, {
                 "version": "1",
                 "service": "repro",
@@ -780,6 +773,13 @@ class _Handler(BaseHTTPRequestHandler):
         raise UnknownRouteError(f"no such endpoint: POST {path}")
 
 
+#: Lease TTL of the embedded pool.  It shares the coordinator's fate
+#: (one process), so the TTL only has to outlast a stalled supervisor
+#: loop, never a network partition -- and it is how long a restarted
+#: coordinator waits to get a SIGKILLed predecessor's jobs back.
+EMBEDDED_LEASE_TTL = 5.0
+
+
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
@@ -788,10 +788,6 @@ class _Server(ThreadingHTTPServer):
     quiet: bool = True
     workers: int = 0
     admission: AdmissionController | None = None
-    #: ``False`` emulates a pre-events server (no ``GET /v1``, no
-    #: ``GET /v1/events``) so tests can prove the clients' poll
-    #: fallback against the modern codebase.
-    events_enabled: bool = True
 
 
 class ServiceHTTPServer:
@@ -814,8 +810,7 @@ class ServiceHTTPServer:
                  busy_timeout: float = 30.0,
                  inline_max: int = DEFAULT_INLINE_MAX,
                  max_queue_depth: int = 0, rate_limit: float = 0.0,
-                 rate_burst: float | None = None,
-                 events: bool = True) -> None:
+                 rate_burst: float | None = None) -> None:
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
         self.service = Service(workdir, backoff_base=backoff_base,
@@ -839,10 +834,9 @@ class ServiceHTTPServer:
         self._httpd.quiet = quiet
         self._httpd.workers = workers
         self._httpd.admission = self.admission
-        self._httpd.events_enabled = events
         self.host, self.port = self._httpd.server_address[:2]
         self._serve_thread: threading.Thread | None = None
-        self._pool_threads: list[threading.Thread] = []
+        self._pool_thread: threading.Thread | None = None
         self._pool_stop = threading.Event()
 
     @property
@@ -852,31 +846,23 @@ class ServiceHTTPServer:
     # -- lifecycle -------------------------------------------------------
 
     def _start_pool(self) -> None:
-        if self.workers < 1 or self._pool_threads:
+        if self.workers < 1 or self._pool_thread is not None:
             return
-        # One resident pool per shard workdir (a plain workdir is its
-        # own single shard); all pools write the shared root cache.
-        workdirs = getattr(self.service.store, "workdirs",
-                           [self.service.workdir])
+        # One resident pool, whatever the shard count: it claims across
+        # shards under one logical lease, so ``workers`` is the total
+        # number of children.
+        pool = self.service.worker_pool(
+            WorkerOptions(n=self.workers, drain=False,
+                          poll_interval=self.poll_interval,
+                          lease_ttl=EMBEDDED_LEASE_TTL),
+            worker="serve",
+        )
         self._pool_stop.clear()
-        for i, workdir in enumerate(workdirs):
-            pool = WorkerPool(
-                workdir, nworkers=self.workers,
-                poll_interval=self.poll_interval,
-                backoff_base=self.service.backoff_base,
-                name=f"serve-s{i}" if len(workdirs) > 1 else "serve",
-                cache_dir=self.service.cache.root,
-                # The service's resolver spans every shard, so a job
-                # finishing on this shard releases children anywhere.
-                dag=self.service.dag,
-            )
-            thread = threading.Thread(
-                target=pool.run,
-                kwargs={"drain": False, "stop": self._pool_stop},
-                name=f"repro-serve-pool-{i}", daemon=True,
-            )
-            thread.start()
-            self._pool_threads.append(thread)
+        self._pool_thread = threading.Thread(
+            target=pool.run, kwargs={"stop": self._pool_stop},
+            name="repro-serve-pool", daemon=True,
+        )
+        self._pool_thread.start()
 
     def start(self) -> "ServiceHTTPServer":
         """Serve on a background thread (returns immediately)."""
@@ -902,11 +888,10 @@ class ServiceHTTPServer:
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=10.0)
             self._serve_thread = None
-        if self._pool_threads:
+        if self._pool_thread is not None:
             self._pool_stop.set()
-            for thread in self._pool_threads:
-                thread.join(timeout=30.0)
-            self._pool_threads = []
+            self._pool_thread.join(timeout=30.0)
+            self._pool_thread = None
 
     def __enter__(self) -> "ServiceHTTPServer":
         return self.start()

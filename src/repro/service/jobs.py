@@ -69,9 +69,9 @@ class Job:
         result_key: Cache key of the stored result (DONE jobs).
         cached: True when the job was satisfied from cache at submit
             time and never ran.
-        worker: Name of the worker slot that last claimed the job.
-        lease_id: Id of the remote lease holding the job while RUNNING
-            (empty for jobs run by a local, same-filesystem pool).
+        worker: Name of the worker pool that last claimed the job.
+        lease_id: Id of the lease holding the job while RUNNING (every
+            claim is a lease, whichever transport the pool uses).
         lease_expires: Unix time the holding lease lapses; after it a
             still-RUNNING job is requeued and late reports are rejected.
         created / updated: Unix timestamps.

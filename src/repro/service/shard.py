@@ -100,10 +100,9 @@ def detect_shard_workdirs(root) -> list[str]:
 class ShardedStore:
     """One logical job queue fanned out over N workdir shards.
 
-    Exposes the same surface as :class:`JobStore`, so
-    :class:`~repro.service.api.Service` (and through it the HTTP server,
-    both clients, and :class:`~repro.service.fleet.RemoteWorkerPool`)
-    works against either interchangeably.  Writes route by
+    The store :class:`~repro.service.api.Service` always holds (a
+    plain workdir is one shard); it mirrors the :class:`JobStore`
+    surface shard by shard.  Writes route by
     :func:`shard_index` of the job's content key; id-addressed
     operations probe the shards (ids are random and carry no shard);
     collection reads merge across shards preserving the single-store
@@ -170,15 +169,6 @@ class ShardedStore:
             merged.extend(shard.events())
         merged.sort(key=lambda e: e.get("t", 0.0))
         return merged
-
-    def event_stores(self) -> list[JobStore]:
-        """The per-shard stores whose audit logs the event feed tails.
-
-        Index order is the feed's shard numbering: cursor tokens encode
-        one offset per entry of this list, so the order must be stable
-        across restarts (it is -- shard workdirs are sorted on open).
-        """
-        return list(self.shards)
 
     def set_event_hook(self, callback) -> None:
         """Install the append callback on every shard's audit log."""
@@ -252,29 +242,6 @@ class ShardedStore:
             raise wedged from None
         return results  # type: ignore[return-value]
 
-    def claim(self, worker: str, now=None) -> Job | None:
-        """Claim one ready job, round-robining the starting shard."""
-        start = self._next_claim_shard
-        self._next_claim_shard = (start + 1) % self.nshards
-        for i in range(self.nshards):
-            shard = self.shards[(start + i) % self.nshards]
-            try:
-                job = shard.claim(worker, now=now)
-            except sqlite3.OperationalError:
-                continue
-            if job is not None:
-                return job
-        return None
-
-    def mark_done(self, job_id: str, result_key: str) -> Job:
-        return self._shard_of(job_id).mark_done(job_id, result_key)
-
-    def mark_failed(self, job_id: str, error: str) -> Job:
-        return self._shard_of(job_id).mark_failed(job_id, error)
-
-    def requeue(self, job_id: str, error: str, not_before: float) -> Job:
-        return self._shard_of(job_id).requeue(job_id, error, not_before)
-
     def cancel(self, job_id: str) -> bool:
         try:
             shard = self._shard_of(job_id)
@@ -321,7 +288,7 @@ class ShardedStore:
             return False
         return shard.cancel_from_parent(job_id, parent_id)
 
-    # -- leases (remote workers) -----------------------------------------
+    # -- leases (worker pools) -------------------------------------------
 
     def claim_batch(self, worker: str, limit: int = 1, ttl: float = 60.0,
                     now=None) -> tuple[Lease | None, list[Job]]:

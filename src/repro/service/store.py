@@ -195,15 +195,6 @@ class JobStore:
     # ever grow, so a cursor held across a coordinator restart -- or a
     # compaction -- still means the same position in the stream.
 
-    def event_stores(self) -> list["JobStore"]:
-        """The stores whose logs an event feed over this store tails.
-
-        A plain store is its own single shard; :class:`ShardedStore`
-        overrides this with its shard list.  Gives the event broker one
-        uniform surface over both.
-        """
-        return [self]
-
     def set_event_hook(self, callback) -> None:
         """Install ``callback()``, fired after every audit-log append.
 
@@ -465,86 +456,6 @@ class JobStore:
                         state=job.state.value, cached=job.cached)
         return results
 
-    def claim(self, worker: str, now: float | None = None) -> Job | None:
-        """Atomically move the oldest ready PENDING job to RUNNING.
-
-        Ready means ``not_before <= now`` (jobs in retry backoff are
-        skipped until their backoff expires).  Returns ``None`` when no
-        job is ready.  Safe to call concurrently from many processes.
-        """
-        now = time.time() if now is None else now
-        conn = self._connection()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            row = conn.execute(
-                f"SELECT {_COLS} FROM jobs WHERE state = ? AND not_before <= ?"
-                " ORDER BY created, id LIMIT 1",
-                (JobState.PENDING.value, now),
-            ).fetchone()
-            if row is None:
-                conn.execute("COMMIT")
-                return None
-            job = Job.from_row(row)
-            job.state = JobState.RUNNING
-            job.attempts += 1
-            job.worker = worker
-            job.updated = now
-            conn.execute(
-                "UPDATE jobs SET state = ?, attempts = ?, worker = ?,"
-                " updated = ? WHERE id = ?",
-                (job.state.value, job.attempts, worker, now, job.id),
-            )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        self._event(job.id, "claimed", worker=worker, attempt=job.attempts)
-        return job
-
-    def _set(self, job_id: str, event: str, **fields) -> Job:
-        conn = self._connection()
-        fields["updated"] = time.time()
-        assignments = ", ".join(f"{k} = ?" for k in fields)
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            cur = conn.execute(
-                f"UPDATE jobs SET {assignments} WHERE id = ?",
-                (*fields.values(), job_id),
-            )
-            if cur.rowcount == 0:
-                raise UnknownJobError(f"no such job: {job_id}")
-            conn.execute("COMMIT")
-        except BaseException:
-            try:
-                conn.execute("ROLLBACK")
-            except sqlite3.OperationalError:
-                pass
-            raise
-        loggable = {k: v for k, v in fields.items()
-                    if k in ("state", "error", "not_before", "worker")}
-        if "error" in loggable:
-            loggable["error"] = loggable["error"].splitlines()[-1][:200] \
-                if loggable["error"] else ""
-        self._event(job_id, event, **loggable)
-        return self.get(job_id)
-
-    def mark_done(self, job_id: str, result_key: str) -> Job:
-        job = self._set(job_id, "done", state=JobState.DONE.value,
-                        result_key=result_key, error="")
-        self._fire_terminal(job)
-        return job
-
-    def mark_failed(self, job_id: str, error: str) -> Job:
-        job = self._set(job_id, "failed", state=JobState.FAILED.value,
-                        error=error)
-        self._fire_terminal(job)
-        return job
-
-    def requeue(self, job_id: str, error: str, not_before: float) -> Job:
-        """Put a failed attempt back in the queue with a backoff."""
-        return self._set(job_id, "requeued", state=JobState.PENDING.value,
-                         error=error, not_before=not_before)
-
     def cancel(self, job_id: str) -> bool:
         """Cancel a BLOCKED/PENDING job.
 
@@ -647,7 +558,7 @@ class JobStore:
                         state=JobState.CANCELLED.value)
         return hit
 
-    # -- leases (remote workers) -----------------------------------------
+    # -- leases (worker pools) -------------------------------------------
 
     def claim_batch(self, worker: str, limit: int = 1, ttl: float = 60.0,
                     now: float | None = None,
@@ -656,8 +567,7 @@ class JobStore:
         """Atomically lease up to ``limit`` ready PENDING jobs to ``worker``.
 
         The batch and its lease are created in one transaction, so two
-        remote pools polling one coordinator can never lease the same
-        job.  Returns ``(None, [])`` when nothing is ready -- no empty
+        pools polling one coordinator can never lease the same job.  Returns ``(None, [])`` when nothing is ready -- no empty
         lease is minted.  Expired leases are swept first, so a dead
         worker's jobs become claimable by the very call that replaces it.
 
@@ -815,9 +725,9 @@ class JobStore:
                     now: float | None = None) -> Job:
         """Record a leased attempt's failure, guarded by lease ownership.
 
-        Applies the same bounded-retry policy as the local pool: within
-        ``max_retries`` the job returns to PENDING with exponential
-        backoff, otherwise it is FAILED.
+        The bounded-retry policy lives here: within ``max_retries`` the
+        job returns to PENDING with ``not_before = now + backoff_base *
+        2**(attempts-1)``, otherwise it is FAILED.
         """
         now = time.time() if now is None else now
         self.expire_leases(now=now)
@@ -859,6 +769,9 @@ class JobStore:
         runs one) serialize and each orphaned job is requeued **exactly
         once** -- the second sweep finds no matching rows.  Jobs whose
         retry budget is already spent are FAILED instead of requeued.
+        A RUNNING row without a lease (claimed by a pre-lease version of
+        the service; its ``lease_expires`` is 0) is an orphan by the
+        same rule.
         """
         now = time.time() if now is None else now
         conn = self._connection()
@@ -869,7 +782,7 @@ class JobStore:
             ).fetchall()
             rows = conn.execute(
                 f"SELECT {_COLS} FROM jobs WHERE state = ?"
-                " AND lease_id != '' AND lease_expires <= ?",
+                " AND lease_expires <= ?",
                 (JobState.RUNNING.value, now),
             ).fetchall()
             recovered = []

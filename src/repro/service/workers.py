@@ -1,17 +1,39 @@
-"""Multiprocess worker pool: drains the queue with crash isolation.
+"""Multiprocess worker pool: the lease protocol over a transport.
 
-The pool is a supervisor loop that claims ready jobs from the
-:class:`~repro.service.store.JobStore` and executes each one in a
-*fresh child process*.  That buys three properties the service needs:
+:class:`WorkerPool` is the one supervisor.  It *leases* ready jobs from
+a coordinator -- ``claim`` a batch under a TTL, ``heartbeat`` while
+children run, ``complete`` / ``fail`` each outcome -- and executes every
+job in a *fresh child process*.  The coordinator is any object with six
+calls (``claim``, ``heartbeat``, ``complete``, ``fail``, ``result``,
+``counts``): a :class:`~repro.service.http.ServiceClient` drains a
+remote ``repro serve`` over HTTP, and :meth:`Service.run_workers
+<repro.service.api.Service.run_workers>` / ``repro serve --workers``
+hand the pool an in-process adapter over the same
+:class:`~repro.service.api.Service` methods the HTTP routes call.  N
+hosts each running ``repro workers --url http://coordinator:8400``
+drain one queue and fill one content-addressed result cache, which is
+how a sweep like the paper's Fig. 8 stops being bounded by a single
+machine.
+
+The child process buys three properties the service needs:
 
 * **per-job timeout** -- the supervisor terminates a child that outlives
   ``job.timeout`` and the attempt counts as a failure;
 * **crash isolation** -- a child that dies (unhandled exception, or even
-  a hard crash) marks only its job FAILED; the supervisor and the other
+  a hard crash) fails only its own attempt; the supervisor and the other
   workers keep draining;
-* **bounded retry with exponential backoff** -- a failed attempt within
-  ``job.max_retries`` goes back to PENDING with
+* **bounded retry with exponential backoff** -- decided by the
+  coordinator when an attempt is failed back (``fail_leased``): within
+  ``job.max_retries`` the job returns to PENDING with
   ``not_before = now + backoff_base * 2**(attempts-1)``.
+
+Failure model: if the supervisor dies (or the network partitions), its
+heartbeats stop, the lease lapses, and the coordinator requeues the jobs
+exactly once -- the same recovery for an embedded pool as for a remote
+one.  A report that loses the race against lease expiry is rejected
+(``lease_expired``) and the attempt is counted ``lost`` here, never
+recorded twice there.  The result always crosses the pipe to the
+supervisor and from there to the coordinator, which owns the cache.
 
 Runners -- the functions that turn a payload dict into a result dict --
 are looked up by job kind in :data:`RUNNERS`.  The built-in kinds map
@@ -25,21 +47,21 @@ suite and as operational smoke tests.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
+import random
+import socket
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Callable
 
-from ..errors import ServiceError, UnknownJobKindError
-from .cache import ResultCache, payload_key
-from .dag import (DagResolver, has_placeholders, needs_parent_results,
-                  resolve_payload)
-from .jobs import UNCACHED_KINDS, Job, JobState
-from .store import JobStore
-from .streams import DEFAULT_INLINE_MAX as _DEFAULT_INLINE_MAX
+from ..errors import (LeaseConflictError, ServiceError, UnknownJobError,
+                      UnknownJobKindError)
+from .dag import has_placeholders, needs_parent_results, resolve_payload
+from .jobs import Job, JobState
 
 Runner = Callable[[dict, Job], dict]
 
@@ -50,24 +72,19 @@ RUNNERS: dict[str, Runner] = {}
 class WorkerOptions:
     """Every worker-pool knob, in one bundle shared by all entry points.
 
-    :meth:`Service.run_workers`, the ``repro workers`` CLI command, and
-    the remote :class:`~repro.service.fleet.RemoteWorkerPool` all accept
-    this dataclass instead of re-plumbing the same six arguments; the
-    defaults match the historical per-argument defaults.  ``lease_ttl``
-    and ``inline_max`` only apply to remote pools (local pools hold no
-    leases and write the cache directly): a result whose canonical
-    encoding exceeds ``inline_max`` bytes is uploaded through the
-    chunk-streaming endpoints instead of one inline ``complete`` body.
+    :meth:`Service.run_workers`, ``repro serve --workers`` and the
+    ``repro workers`` CLI command all hand :class:`WorkerPool` this
+    dataclass.  ``n`` is the number of child slots, ``lease_ttl`` the
+    claim TTL (heartbeats fire at half-TTL while any child of that
+    lease is still running) and ``poll_interval`` the idle poll's
+    starting delay.
     """
 
     n: int = 2
     drain: bool = True
     max_seconds: float | None = None
     poll_interval: float = 0.02
-    backoff_base: float = 0.5
-    name: str = "pool"
     lease_ttl: float = 30.0
-    inline_max: int = _DEFAULT_INLINE_MAX
 
     def replace(self, **changes) -> "WorkerOptions":
         return _dc_replace(self, **changes)
@@ -271,22 +288,24 @@ RUNNERS.update({
 # ---------------------------------------------------------------------------
 
 
-def _child_main(cache_dir: str, job: Job, conn) -> None:
-    """Run one job in a dedicated process; report through ``conn``.
+def _child_main(job: Job, conn) -> None:
+    """Run one leased job in a dedicated process; report through ``conn``.
 
-    On success the result is written to the cache *from the child* (only
-    the key crosses the pipe) and ``("ok", key)`` is sent.  On a Python
+    On success ``("ok", result)`` crosses the pipe (the supervisor hands
+    the result to the coordinator, which owns the cache).  On a Python
     exception ``("error", traceback)`` is sent.  A hard crash sends
     nothing -- the supervisor treats a dead, silent child as a failure.
     """
+    # A forked child inherits every other thread's objects but not the
+    # threads.  Their sqlite connections are garbage here, and closing
+    # one waits forever on any mutex its thread held at the instant of
+    # the fork.  Park everything inherited in the permanent generation
+    # so no collection in this process ever finalizes it; the job's own
+    # garbage is still collected.
+    gc.freeze()
     try:
         result = runner_for(job.kind)(job.payload, job)
-        # The job's stored key, which folds in parent ids for dependent
-        # jobs (and was computed over the placeholder form of the
-        # payload, not the resolved one the runner just saw).
-        key = job.key or payload_key(job.kind, job.payload)
-        ResultCache(cache_dir).put(key, job.kind, job.payload, result)
-        conn.send(("ok", key))
+        conn.send(("ok", result))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -303,265 +322,316 @@ def _child_main(cache_dir: str, job: Job, conn) -> None:
 
 @dataclass
 class _Slot:
-    """One in-flight job: its process, result pipe, and deadline."""
+    """One in-flight leased job: process, pipe, deadline, owning lease."""
 
     job: Job
     process: multiprocessing.Process
     conn: object
     deadline: float  # 0 = no timeout
+    lease_id: str
 
 
 @dataclass
 class PoolSummary:
     """What one :meth:`WorkerPool.run` call did.
 
-    ``fulfilled_from_cache`` counts jobs that were claimed but never
-    launched because their result landed in the cache while they sat in
-    the queue; those jobs are included in ``completed``.
+    ``completed`` / ``retried`` / ``failed`` count attempts by what the
+    coordinator made of the report (DONE, back to PENDING within the
+    retry budget, FAILED).  ``lost`` counts attempts whose report the
+    coordinator rejected with ``lease_expired``/``conflict`` (it had
+    already requeued the job) or that could not be reported at all --
+    never double-recorded work.  Jobs the coordinator fulfilled from
+    the cache at claim time never reach the pool and are not counted.
     """
 
+    claimed: int = 0
     completed: int = 0
     failed: int = 0
     retried: int = 0
-    fulfilled_from_cache: int = 0
+    lost: int = 0
     counts: dict = field(default_factory=dict)
 
 
-class WorkerPool:
-    """Supervisor draining a :class:`JobStore` with ``nworkers`` slots."""
+def default_worker_name() -> str:
+    return f"{socket.gethostname()}-{os.getpid()}"
 
-    def __init__(
-        self,
-        workdir,
-        nworkers: int = 2,
-        poll_interval: float = 0.02,
-        backoff_base: float = 0.5,
-        name: str = "pool",
-        cache_dir=None,
-        dag: DagResolver | None = None,
-    ) -> None:
-        if nworkers < 1:
-            raise ServiceError(f"nworkers must be >= 1, got {nworkers}")
-        self.workdir = os.fspath(workdir)
-        self.store = JobStore(self.workdir)
-        # A sharded service passes one shared cache_dir to every shard's
-        # pool so cache hits cross shard boundaries (the cache is keyed
-        # by content, not by shard).
-        self.cache = ResultCache(
-            os.path.join(self.workdir, "cache")
-            if cache_dir is None else os.fspath(cache_dir)
-        )
-        # A sharded service also passes its resolver (spanning the
-        # logical ShardedStore), so a parent finishing in this pool
-        # releases children that hashed to *other* shards; a standalone
-        # pool resolves over its own store.  Either way the hook hangs
-        # off this pool's own store handle -- every terminal transition
-        # this pool commits drives the DAG.
-        self.dag = dag if dag is not None else DagResolver(self.store)
-        self.store.set_terminal_hook(self.dag.on_terminal)
-        self.nworkers = nworkers
-        self.poll_interval = poll_interval
-        self.backoff_base = backoff_base
-        self.name = name
+
+class WorkerPool:
+    """Lease-driven supervisor with ``options.n`` child slots.
+
+    ``coordinator`` is the transport: ``claim(worker, n=, ttl=)``,
+    ``heartbeat(lease_id, ttl=)``, ``complete(job_id, lease_id,
+    result)``, ``fail(job_id, lease_id, error)``, ``result(job_id)``
+    and ``counts()``, plus a ``poll_backoff`` growth factor for the
+    idle poll (1.0 in process: an empty claim is one local query, so
+    the poll stays flat at ``poll_interval``; 2.0 over HTTP: each one
+    is a round-trip, so the poll backs off).
+    """
+
+    def __init__(self, coordinator, options: WorkerOptions | None = None,
+                 worker: str | None = None) -> None:
+        self.options = options or WorkerOptions()
+        if self.options.n < 1:
+            raise ServiceError(
+                f"nworkers must be >= 1, got {self.options.n}"
+            )
+        self.coordinator = coordinator
+        self.worker = worker or default_worker_name()
         self._slots: list[_Slot] = []
+        self._leases: dict[str, float] = {}  # lease id -> expiry time
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else None
         )
 
-    @classmethod
-    def from_options(cls, workdir, options: WorkerOptions,
-                     cache_dir=None, dag: DagResolver | None = None,
-                     ) -> "WorkerPool":
-        return cls(
-            workdir, nworkers=options.n,
-            poll_interval=options.poll_interval,
-            backoff_base=options.backoff_base, name=options.name,
-            cache_dir=cache_dir, dag=dag,
+    # -- coordinator calls with retry ------------------------------------
+
+    def _with_retries(self, fn, *args, attempts: int = 4, **kwargs):
+        """Call the coordinator, retrying transient failures.
+
+        Lease/job-state rejections (``lease_expired``, ``conflict``,
+        ``unknown_job``) are *not* transient and re-raise immediately;
+        anything else service-shaped (an unreachable server, a wedged
+        shard) is retried with exponential backoff and then re-raised.
+        """
+        delay = 0.1
+        for attempt in range(attempts):
+            try:
+                return fn(*args, **kwargs)
+            except (LeaseConflictError, UnknownJobError):
+                raise
+            except ServiceError:
+                if attempt == attempts - 1:
+                    raise
+                time.sleep(delay)
+                delay *= 2
+
+    # -- slot management -------------------------------------------------
+
+    def _launch(self, job: Job, lease_id: str) -> None:
+        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+        proc = self._ctx.Process(
+            target=_child_main,
+            args=(job, child_conn),
+            name=f"{self.worker}-{job.id}",
+            daemon=True,
         )
+        proc.start()
+        child_conn.close()
+        deadline = time.time() + job.timeout if job.timeout > 0 else 0.0
+        self._slots.append(_Slot(job, proc, parent_conn, deadline,
+                                 lease_id))
 
-    # -- outcome handling ------------------------------------------------
-
-    def _finish(self, slot: _Slot, summary: PoolSummary,
-                error: str | None, result_key: str | None) -> None:
-        self._record_outcome(slot.job, summary, error, result_key)
-
-    def _record_outcome(self, job: Job, summary: PoolSummary,
-                        error: str | None,
-                        result_key: str | None) -> None:
-        if error is None and result_key is not None:
-            self.store.mark_done(job.id, result_key)
-            summary.completed += 1
+    def _report(self, job: Job, lease_id: str, summary: PoolSummary,
+                error: str | None, result: dict | None,
+                attempts: int = 4) -> None:
+        try:
+            if error is None and result is not None:
+                self._with_retries(self.coordinator.complete, job.id,
+                                   lease_id, result, attempts=attempts)
+                summary.completed += 1
+                return
+            view = self._with_retries(
+                self.coordinator.fail, job.id, lease_id,
+                error or "worker child died without reporting",
+                attempts=attempts,
+            )
+        except ServiceError:
+            # The coordinator refused the report (lease lapsed, job
+            # requeued/completed elsewhere) or stayed unreachable: the
+            # lease-expiry sweep owns the job now.  Never retried here,
+            # so the job cannot be recorded twice.
+            summary.lost += 1
             return
-        error = error or "worker child died without reporting"
-        if job.attempts <= job.max_retries:
-            backoff = self.backoff_base * 2 ** (job.attempts - 1)
-            self.store.requeue(job.id, error, time.time() + backoff)
+        if view.state == JobState.PENDING.value:
             summary.retried += 1
         else:
-            self.store.mark_failed(job.id, error)
             summary.failed += 1
+
+    @staticmethod
+    def _stop_child(slot: _Slot) -> None:
+        if slot.process.is_alive():
+            slot.process.terminate()
+            slot.process.join(timeout=5.0)
+            if slot.process.is_alive():  # pragma: no cover
+                slot.process.kill()
+                slot.process.join()
+        slot.conn.close()
 
     def _reap(self, summary: PoolSummary) -> None:
         now = time.time()
         live: list[_Slot] = []
         for slot in self._slots:
-            if slot.process.is_alive():
+            # A ready pipe is drained even while the child is alive: a
+            # result larger than the OS pipe buffer keeps the child
+            # blocked in ``send`` until the supervisor reads it.
+            if not slot.conn.poll() and slot.process.is_alive():
                 if slot.deadline and now >= slot.deadline:
-                    slot.process.terminate()
-                    slot.process.join(timeout=5.0)
-                    if slot.process.is_alive():  # pragma: no cover
-                        slot.process.kill()
-                        slot.process.join()
-                    slot.conn.close()
-                    self._finish(
-                        slot, summary,
+                    self._stop_child(slot)
+                    self._report(
+                        slot.job, slot.lease_id, summary,
                         f"timeout: exceeded {slot.job.timeout:.3g}s", None,
                     )
                 else:
                     live.append(slot)
                 continue
-            # Child exited: collect its report (if it managed to send one).
-            slot.process.join()
-            outcome: tuple | None = None
-            if slot.conn.poll():
-                try:
-                    outcome = slot.conn.recv()
-                except (EOFError, OSError):
-                    outcome = None
-            slot.conn.close()
-            if outcome is not None and outcome[0] == "ok":
-                self._finish(slot, summary, None, outcome[1])
-            elif outcome is not None:
-                self._finish(slot, summary, outcome[1], None)
+            try:
+                status, body = slot.conn.recv()
+            except (EOFError, OSError):
+                status = None  # the pipe closed without a report
+            slot.process.join(timeout=5.0)  # it exits right after sending
+            self._stop_child(slot)
+            if status == "ok":
+                error, result = None, body
+            elif status == "error":
+                error, result = body, None
             else:
-                self._finish(
-                    slot, summary,
-                    "worker child crashed"
-                    f" (exit code {slot.process.exitcode})", None,
-                )
+                error, result = ("worker child crashed"
+                                 f" (exit code {slot.process.exitcode})"), None
+            self._report(slot.job, slot.lease_id, summary, error, result)
         self._slots = live
+        self._leases = {
+            lid: exp for lid, exp in self._leases.items()
+            if any(s.lease_id == lid for s in self._slots)
+        }
+
+    def _heartbeat(self) -> None:
+        """Extend every lease that still has children, at half-TTL."""
+        now = time.time()
+        ttl = self.options.lease_ttl
+        for lid, expires in list(self._leases.items()):
+            if now < expires - ttl / 2.0:
+                continue
+            try:
+                lease = self._with_retries(
+                    self.coordinator.heartbeat, lid, ttl=ttl, attempts=2,
+                )
+                self._leases[lid] = lease.expires
+            except ServiceError:
+                # Lease gone: the coordinator requeued our jobs.  Stop
+                # burning cores on work that now belongs to someone else.
+                self._leases.pop(lid, None)
+                for slot in self._slots:
+                    if slot.lease_id == lid and slot.process.is_alive():
+                        slot.process.terminate()
 
     def _prepare(self, job: Job) -> None:
-        """Inject parent results for reduce / ``$winner`` jobs.
+        """Fetch parent results for reduce / ``$winner`` jobs.
 
-        Reads parents through the resolver's *logical* store (a parent
-        may live on another shard) and their results from the shared
-        cache.  A released job's parents are all DONE, so a missing
-        result here is a genuine fault -- the raised
-        :class:`ServiceError` fails the attempt through the normal
+        A leased job's parents are all DONE (the coordinator only
+        releases it then), so their results are one ``result`` call
+        each; the transport resolves chunk-streamed results
+        transparently.  A missing result raises :class:`ServiceError`
+        and the attempt is failed back to the coordinator through the
         retry policy.
         """
         if not needs_parent_results(job):
             return
         parent_results: dict = {}
         for pid in job.depends_on:
-            parent = self.dag.store.get(pid)
-            record = self.cache.get(parent.result_key) \
-                if parent.result_key else None
-            if parent.state is not JobState.DONE or record is None:
+            view = self._with_retries(self.coordinator.result, pid,
+                                      attempts=2)
+            if not view.ready or view.result is None:
                 raise ServiceError(
                     f"parent {pid} result unavailable"
-                    f" (state {parent.state.value})"
+                    f" (state {view.state})"
                 )
-            parent_results[pid] = {"payload": parent.payload,
-                                   "result": record["result"]}
+            parent_results[pid] = {"payload": view.job.payload,
+                                   "result": view.result}
         job.parent_results = parent_results
         if has_placeholders(job.payload):
             job.payload = resolve_payload(job.payload, parent_results)
 
-    def _launch(self, job: Job) -> None:
-        self.store.log_event(job.id, "launched", worker=job.worker)
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_child_main,
-            args=(self.cache.root, job, child_conn),
-            name=f"{self.name}-{job.id}",
-            daemon=True,
+    def _claim(self, summary: PoolSummary) -> bool:
+        free = self.options.n - len(self._slots)
+        if free < 1:
+            return False
+        lease, jobs = self._with_retries(
+            self.coordinator.claim, self.worker, n=free,
+            ttl=self.options.lease_ttl,
         )
-        proc.start()
-        child_conn.close()
-        deadline = time.time() + job.timeout if job.timeout > 0 else 0.0
-        self._slots.append(_Slot(job, proc, parent_conn, deadline))
+        if lease is None or not jobs:
+            return False
+        self._leases[lease.id] = lease.expires
+        for job in jobs:
+            summary.claimed += 1
+            try:
+                self._prepare(job)
+            except ServiceError as exc:
+                self._report(job, lease.id, summary,
+                             f"dag input error: {exc}", None, attempts=2)
+                continue
+            self._launch(job, lease.id)
+        return True
+
+    def _drained(self) -> bool:
+        try:
+            counts = self.coordinator.counts()
+        except ServiceError:
+            return False
+        return not any(n for state, n in counts.items()
+                       if not JobState(state).terminal)
 
     # -- main loop -------------------------------------------------------
 
-    def run(self, drain: bool = True, max_seconds: float | None = None,
-            recover: bool = True,
-            stop: threading.Event | None = None) -> PoolSummary:
-        """Process jobs until the queue drains (or ``max_seconds`` pass).
+    def run(self, stop: threading.Event | None = None) -> PoolSummary:
+        """Lease and execute jobs until the coordinator's queue drains.
 
-        ``drain=True`` (the default) exits once every job is terminal --
-        including waiting out retry backoffs.  ``drain=False`` runs
-        forever (a resident service) until ``max_seconds`` elapses, the
-        ``stop`` event is set (how an embedding HTTP server shuts its
-        pool down), or the process is interrupted; in-flight children
-        are terminated and their jobs requeued/failed on the way out.
-
-        ``recover=True`` requeues jobs found already RUNNING at startup:
-        with one supervisor per workdir (the intended deployment) those
-        can only be orphans of a supervisor that died mid-job.  Jobs
-        held by a *lease* are not orphans -- a remote worker may still
-        be running them and will heartbeat or report; if it died, the
-        store's lease-expiry sweep requeues them instead.
+        With ``options.drain`` (the default) the pool exits once the
+        coordinator reports zero outstanding jobs -- which waits out
+        retry backoffs and other workers' leases too, so a fleet member
+        survives to pick up a dead sibling's requeued jobs.
+        ``options.drain=False`` polls forever (a resident worker host)
+        until ``options.max_seconds`` elapses, the ``stop`` event is set
+        (how an embedding HTTP server shuts its pool down), or the
+        process is interrupted; children are terminated and their
+        attempts failed back to the coordinator on the way out, so the
+        jobs requeue immediately instead of waiting out the lease.
         """
+        # Imported here: the client module imports ``api``, which
+        # imports this module.
+        from .http.client import _Backoff
+
+        options = self.options
         summary = PoolSummary()
         start = time.time()
-        if recover:
-            for orphan in self.store.list(JobState.RUNNING):
-                if orphan.lease_id:
-                    continue
-                self.store.requeue(
-                    orphan.id, "orphaned by a dead worker pool", 0.0
-                )
+        # The idle sleep must never outlast the heartbeat window: cap it
+        # at a quarter TTL so a lease is always renewed before half-TTL
+        # sleep drift can let it lapse under a healthy worker.
+        idle = _Backoff(max(options.poll_interval, 0.01),
+                        min(2.0, options.lease_ttl / 4.0),
+                        self.coordinator.poll_backoff, 0.1,
+                        random.Random())
         try:
             while True:
                 self._reap(summary)
-                while len(self._slots) < self.nworkers:
-                    job = self.store.claim(
-                        f"{self.name}/{len(self._slots)}"
-                    )
-                    if job is None:
-                        break
-                    if job.kind not in UNCACHED_KINDS \
-                            and job.key in self.cache:
-                        # The result landed while the job sat in the
-                        # queue (another submitter's twin completed, or
-                        # the job predates a cache warm-up): record DONE
-                        # without burning a child process on it.
-                        self.store.mark_done(job.id, job.key)
-                        summary.completed += 1
-                        summary.fulfilled_from_cache += 1
-                        continue
-                    try:
-                        self._prepare(job)
-                    except ServiceError as exc:
-                        self._record_outcome(
-                            job, summary, f"dag input error: {exc}", None
-                        )
-                        continue
-                    self._launch(job)
-                if drain and not self._slots and not self.store.outstanding():
+                self._heartbeat()
+                claimed = False
+                try:
+                    claimed = self._claim(summary)
+                except ServiceError:
+                    pass  # coordinator briefly unreachable; keep polling
+                if options.drain and not self._slots and not claimed \
+                        and self._drained():
                     break
-                if max_seconds is not None \
-                        and time.time() - start > max_seconds:
+                if options.max_seconds is not None \
+                        and time.time() - start > options.max_seconds:
                     break
                 if stop is not None and stop.is_set():
                     break
-                time.sleep(self.poll_interval)
+                time.sleep(idle.next_delay(progressed=claimed))
         finally:
             self._shutdown(summary)
-        summary.counts = self.store.counts()
+        try:
+            summary.counts = self.coordinator.counts()
+        except ServiceError:
+            pass  # summary still useful without final queue counts
         return summary
 
     def _shutdown(self, summary: PoolSummary) -> None:
         for slot in self._slots:
-            if slot.process.is_alive():
-                slot.process.terminate()
-                slot.process.join(timeout=5.0)
-                if slot.process.is_alive():  # pragma: no cover
-                    slot.process.kill()
-                    slot.process.join()
-            slot.conn.close()
-            self._finish(slot, summary, "worker pool shut down", None)
+            self._stop_child(slot)
+            self._report(slot.job, slot.lease_id, summary,
+                         "worker pool shut down", None)
         self._slots = []
+        self._leases = {}

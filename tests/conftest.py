@@ -35,3 +35,14 @@ def reference_solution(n: int, seed: int) -> np.ndarray:
 
     a, b = generate_global(n, seed)
     return np.linalg.solve(a, b)
+
+
+def claim_one(store, worker: str = "w0"):
+    """Lease the oldest ready job the way a one-slot pool would.
+
+    Returns the RUNNING :class:`~repro.service.Job` (its ``lease_id``
+    is what ``complete_leased`` / ``fail_leased`` need), or ``None``
+    when nothing is ready.
+    """
+    _lease, jobs = store.claim_batch(worker, limit=1)
+    return jobs[0] if jobs else None

@@ -13,15 +13,14 @@ Four claims pinned here:
   :meth:`ShardedStore.counts`), so depths are never negative, never
   double-count, and the merged total is monotone under a submit-only
   workload, ending exactly at the number submitted.
-* **``wait()`` deadline clamp** -- the backoff sleep is clamped to the
-  remaining budget, so a short timeout cannot overshoot by a full
-  jittered backoff step (both the sync and asyncio clients).
+* **``wait()`` deadline** -- the long-poll budget is clamped to the
+  time remaining, so a short timeout cannot overshoot by a full
+  long-poll step (both the sync and asyncio clients).
 """
 
 from __future__ import annotations
 
 import asyncio
-import random
 import threading
 import time
 
@@ -330,9 +329,8 @@ class TestHealthzDepthSnapshots:
 
 
 class TestWaitDeadlineClamp:
-    """A wait() timeout is honored even against a huge backoff step."""
+    """A wait() timeout is honored although one long-poll step is 15 s."""
 
-    POLL_INITIAL = 2.0  # >> timeout: the unclamped bug sleeps this long
     TIMEOUT = 0.4
 
     def test_sync_wait_does_not_overshoot_deadline(self, tmp_path):
@@ -341,22 +339,15 @@ class TestWaitDeadlineClamp:
             jid = client.submit("probe", _probe(0)).new[0]  # never runs
             t0 = time.monotonic()
             with pytest.raises(WaitTimeout) as err:
-                client.wait([jid], timeout=self.TIMEOUT,
-                            poll_initial=self.POLL_INITIAL,
-                            poll_max=8.0, jitter=0.25,
-                            rng=random.Random(7))
+                client.wait([jid], timeout=self.TIMEOUT)
             elapsed = time.monotonic() - t0
             assert err.value.outstanding == [jid]
-            # Pre-fix this slept a full jittered 2 s step past the
-            # 0.4 s deadline; clamped it ends within ~one poll of it.
             assert elapsed < 1.5, f"overshot the deadline: {elapsed:.2f}s"
 
     def test_async_wait_does_not_overshoot_deadline(self, tmp_path):
         with ServiceHTTPServer(tmp_path / "svc", workers=0) as srv:
             async def scenario() -> float:
-                client = AsyncServiceClient(
-                    srv.url, poll_initial=self.POLL_INITIAL,
-                    poll_max=8.0, jitter=0.25, rng=random.Random(7))
+                client = AsyncServiceClient(srv.url)
                 receipt = await client.submit("probe", _probe(0))
                 t0 = time.monotonic()
                 with pytest.raises(WaitTimeout):

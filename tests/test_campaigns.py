@@ -24,9 +24,9 @@ from repro.service import (
     DagView,
     JobView,
     WorkerOptions,
+    WorkerPool,
     shard_index,
 )
-from repro.service.fleet import RemoteWorkerPool
 from repro.service.http import (
     AsyncServiceClient,
     ServiceClient,
@@ -169,13 +169,13 @@ class TestRemoteFleetReduce:
                                shards=NSHARDS) as srv:
             client = ServiceClient(srv.url)
             view = client.submit_campaign(TUNE_THEN_SCALE)
-            pool = RemoteWorkerPool(
-                srv.url,
+            pool = WorkerPool(
+                ServiceClient(srv.url),
                 options=WorkerOptions(n=2, poll_interval=0.01,
-                                      lease_ttl=10.0),
+                                      lease_ttl=10.0, max_seconds=120.0),
                 worker="campaign-fleet",
             )
-            summary = pool.run(max_seconds=120.0)
+            summary = pool.run()
             assert summary.failed == 0 and summary.lost == 0
             assert summary.counts["DONE"] == 6
             final = client.campaign(view.id)
@@ -198,7 +198,7 @@ class TestIdempotentCancelHTTP:
     def test_async_client_cancel_job_on_terminal(self, tmp_path):
         with ServiceHTTPServer(tmp_path / "svc", workers=2) as srv:
             async def go():
-                ac = AsyncServiceClient(srv.url, poll_initial=0.02)
+                ac = AsyncServiceClient(srv.url)
                 jid = (await ac.submit("probe", {"behavior": "ok"})).new[0]
                 await ac.wait([jid], timeout=60)
                 flipped, view = await ac.cancel_job(jid)

@@ -27,6 +27,8 @@ import time
 from repro.service import JobState, Service
 from repro.service.http import ServiceClient
 
+from .conftest import claim_one
+
 NSHARDS = 3
 
 
@@ -147,11 +149,11 @@ class TestCoordinatorKilledMidSweep:
         # the sweep was one guarded UPDATE in when the process vanished.
         svc.store.set_terminal_hook(None)
         for _ in range(2):
-            job = svc.store.claim("w0")
+            job = claim_one(svc.store)
             if job.id == done_parent:
-                svc.store.mark_done(job.id, "rk")
+                svc.store.complete_leased(job.id, job.lease_id, "rk")
             else:
-                svc.store.mark_failed(job.id, "boom")
+                svc.store.fail_leased(job.id, job.lease_id, "boom")
         assert svc.store.release(kids[0]) is True
         assert svc.job(kids[1]).state is JobState.BLOCKED
         assert svc.job(doomed).state is JobState.BLOCKED

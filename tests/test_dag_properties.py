@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 
 from repro.service import JobState, Service
 
+from .conftest import claim_one
+
 
 @st.composite
 def dags(draw):
@@ -60,7 +62,7 @@ def _drain(svc, ids, fail_id):
     state_of = lambda jid: svc.job(jid).state  # noqa: E731
     order = []
     while True:
-        job = svc.store.claim("w0")
+        job = claim_one(svc.store)
         if job is None:
             break
         # Invariant: nothing is claimable before its parents are DONE.
@@ -68,9 +70,9 @@ def _drain(svc, ids, fail_id):
             assert state_of(pid) is JobState.DONE
         order.append(job.id)
         if job.id == fail_id:
-            svc.store.mark_failed(job.id, "boom")
+            svc.store.fail_leased(job.id, job.lease_id, "boom")
         else:
-            svc.store.mark_done(job.id, "rk")
+            svc.store.complete_leased(job.id, job.lease_id, "rk")
     return order
 
 
@@ -80,7 +82,8 @@ def _check(parents, fail, shards):
         ids = []
         for i, ps in enumerate(parents):
             receipt = svc.submit("probe", {"behavior": "echo", "tag": i},
-                                 depends_on=[ids[p] for p in ps])
+                                 depends_on=[ids[p] for p in ps],
+                                 max_retries=0)
             ids.append(receipt.new[0])
 
         fail_id = ids[fail] if fail is not None else None

@@ -1,8 +1,8 @@
 """Unit coverage for dependency-aware release (repro.service.dag).
 
 Drives the store and resolver directly -- no worker processes, no HTTP
--- so every ordering is deterministic: parents are completed with
-``mark_done``/``mark_failed`` and the terminal hook (installed by
+-- so every ordering is deterministic: parents are leased and finished
+with ``complete_leased``/``fail_leased`` and the terminal hook (installed by
 :class:`Service`) must do the rest.  The audit log is the oracle for
 exactly-once claims: ``released`` and ``parent_failed`` events are
 written only by the guarded UPDATE's single winner.
@@ -33,16 +33,30 @@ from repro.service.dag import (
 )
 from repro.service.workers import WorkerOptions
 
+from .conftest import claim_one
+
+
+def _done(store, job):
+    return store.complete_leased(job.id, job.lease_id, "rk")
+
+
+def _failed(store, job):
+    """Fail a leased job submitted with ``max_retries=0`` for good."""
+    job = store.fail_leased(job.id, job.lease_id, "boom")
+    assert job.state is JobState.FAILED
+    return job
+
 
 def _events(service, name, job_id=None):
     return [e for e in service.store.events()
             if e["event"] == name and (job_id is None or e["job"] == job_id)]
 
 
-def _submit(service, tag, depends_on=(), **payload):
+def _submit(service, tag, depends_on=(), max_retries=2, **payload):
     receipt = service.submit("probe",
                              {"behavior": "echo", "tag": tag, **payload},
-                             depends_on=list(depends_on))
+                             depends_on=list(depends_on),
+                             max_retries=max_retries)
     return (receipt.new or receipt.cached or receipt.deduped)[0]
 
 
@@ -54,25 +68,23 @@ class TestBlockedSubmission:
         assert svc.job(child).state is JobState.BLOCKED
         assert svc.job(child).depends_on == [parent]
 
-        claimed = svc.store.claim("w0")
+        claimed = claim_one(svc.store)
         assert claimed.id == parent
-        svc.store.mark_done(parent, "rk")
+        _done(svc.store, claimed)
         assert svc.job(child).state is JobState.PENDING
         assert len(_events(svc, "released", child)) == 1
 
     def test_child_of_done_parent_starts_pending(self, tmp_path):
         svc = Service(tmp_path / "svc")
         parent = _submit(svc, 1)
-        svc.store.claim("w0")
-        svc.store.mark_done(parent, "rk")
+        _done(svc.store, claim_one(svc.store))
         child = _submit(svc, 2, depends_on=[parent])
         assert svc.job(child).state is JobState.PENDING
 
     def test_child_of_failed_parent_is_cancelled_at_submit(self, tmp_path):
         svc = Service(tmp_path / "svc")
-        parent = _submit(svc, 1)
-        svc.store.claim("w0")
-        svc.store.mark_failed(parent, "boom")
+        parent = _submit(svc, 1, max_retries=0)
+        _failed(svc.store, claim_one(svc.store))
         child = _submit(svc, 2, depends_on=[parent])
         assert svc.job(child).state is JobState.CANCELLED
         assert len(_events(svc, "parent_failed", child)) == 1
@@ -88,10 +100,10 @@ class TestBlockedSubmission:
         svc = Service(tmp_path / "svc")
         parent = _submit(svc, 1)
         child = _submit(svc, 2, depends_on=[parent])
-        first = svc.store.claim("w0")
+        first = claim_one(svc.store)
         assert first.id == parent
         # The only other job is BLOCKED: nothing to claim.
-        assert svc.store.claim("w0") is None
+        assert claim_one(svc.store) is None
         assert svc.job(child).state is JobState.BLOCKED
 
     def test_sweep_submission_carries_depends_on(self, tmp_path):
@@ -116,17 +128,14 @@ class TestDiamond:
         right = _submit(svc, 2, depends_on=[root])
         join = _submit(svc, 3, depends_on=[left, right])
 
-        svc.store.claim("w0")
-        svc.store.mark_done(root, "rk")
+        _done(svc.store, claim_one(svc.store))
         assert svc.job(left).state is JobState.PENDING
         assert svc.job(right).state is JobState.PENDING
         assert svc.job(join).state is JobState.BLOCKED
 
-        svc.store.claim("w0")
-        svc.store.mark_done(left, "rk")
+        _done(svc.store, claim_one(svc.store))
         assert svc.job(join).state is JobState.BLOCKED  # right not DONE
-        svc.store.claim("w0")
-        svc.store.mark_done(right, "rk")
+        _done(svc.store, claim_one(svc.store))
         assert svc.job(join).state is JobState.PENDING
         # Exactly one release despite two parent edges finishing.
         assert len(_events(svc, "released", join)) == 1
@@ -135,13 +144,12 @@ class TestDiamond:
 class TestFailurePropagation:
     def test_chain_cancelled_exactly_once_with_audit(self, tmp_path):
         svc = Service(tmp_path / "svc")
-        a = _submit(svc, 0)
+        a = _submit(svc, 0, max_retries=0)
         b = _submit(svc, 1, depends_on=[a])
         c = _submit(svc, 2, depends_on=[b])
         other = _submit(svc, 3)  # unrelated branch
 
-        svc.store.claim("w0")
-        svc.store.mark_failed(a, "boom")
+        _failed(svc.store, claim_one(svc.store))
         assert svc.job(b).state is JobState.CANCELLED
         assert svc.job(c).state is JobState.CANCELLED
         assert svc.job(other).state is JobState.PENDING
@@ -161,16 +169,13 @@ class TestFailurePropagation:
     def test_sibling_branch_survives_one_parents_failure(self, tmp_path):
         svc = Service(tmp_path / "svc")
         root = _submit(svc, 0)
-        doomed = _submit(svc, 1, depends_on=[root])
+        doomed = _submit(svc, 1, depends_on=[root], max_retries=0)
         fine = _submit(svc, 2, depends_on=[root])
         leaf = _submit(svc, 3, depends_on=[fine])
 
-        svc.store.claim("w0")
-        svc.store.mark_done(root, "rk")
-        svc.store.claim("w0")  # doomed
-        svc.store.mark_failed(doomed, "boom")
-        svc.store.claim("w0")  # fine
-        svc.store.mark_done(fine, "rk")
+        _done(svc.store, claim_one(svc.store))
+        _failed(svc.store, claim_one(svc.store))  # doomed
+        _done(svc.store, claim_one(svc.store))  # fine
         assert svc.job(leaf).state is JobState.PENDING
 
 
@@ -214,8 +219,7 @@ class TestIdempotentCancel:
     def test_cancel_terminal_job_returns_view_not_error(self, tmp_path):
         svc = Service(tmp_path / "svc")
         jid = _submit(svc, 0)
-        svc.store.claim("w0")
-        svc.store.mark_done(jid, "rk")
+        _done(svc.store, claim_one(svc.store))
         flipped, view = svc.cancel_job(jid)
         assert flipped is False
         assert view.state == "DONE"
@@ -288,9 +292,8 @@ class TestRecoverySweep:
         # Simulate a coordinator dying between the parent's terminal
         # commit and the child's release: complete the parent with the
         # hook disconnected.
-        svc.store.on_terminal = None
-        svc.store.claim("w0")
-        svc.store.mark_done(parent, "rk")
+        svc.store.set_terminal_hook(None)
+        _done(svc.store, claim_one(svc.store))
         assert svc.job(child).state is JobState.BLOCKED
 
         reopened = Service(tmp_path / "svc")  # __init__ runs dag.sweep()
@@ -299,12 +302,11 @@ class TestRecoverySweep:
 
     def test_sweep_cascades_cancellations_to_fixpoint(self, tmp_path):
         svc = Service(tmp_path / "svc")
-        a = _submit(svc, 0)
+        a = _submit(svc, 0, max_retries=0)
         b = _submit(svc, 1, depends_on=[a])
         c = _submit(svc, 2, depends_on=[b])
-        svc.store.on_terminal = None
-        svc.store.claim("w0")
-        svc.store.mark_failed(a, "boom")
+        svc.store.set_terminal_hook(None)
+        _failed(svc.store, claim_one(svc.store))
 
         released, cancelled = svc.dag.sweep()
         assert released == []
@@ -332,9 +334,9 @@ class TestCrossShardRelease:
         assert child is not None
         assert shard_index(svc.job(child).key, nshards) != pshard
 
-        claimed = svc.store.claim("w0")
+        claimed = claim_one(svc.store)
         assert claimed.id == parent
-        svc.store.mark_done(parent, "rk")
+        _done(svc.store, claimed)
         assert svc.job(child).state is JobState.PENDING
         assert len(_events(svc, "released", child)) == 1
 

@@ -125,18 +125,15 @@ class TestStoreLog:
 
 
 def _broker(tmp_path, nshards=1):
+    """``(per-shard stores, broker)`` over a fresh ``nshards`` queue."""
     from repro.service.shard import ShardedStore, shard_workdirs
-    if nshards == 1:
-        store = JobStore(tmp_path)
-    else:
-        store = ShardedStore(shard_workdirs(tmp_path, nshards))
-    return store, EventBroker(store)
+    store = ShardedStore(shard_workdirs(tmp_path, nshards))
+    return store.shards, EventBroker(store)
 
 
 class TestBroker:
     def test_merge_preserves_per_shard_order(self, tmp_path):
-        store, broker = _broker(tmp_path, nshards=3)
-        shards = store.event_stores()
+        shards, broker = _broker(tmp_path, nshards=3)
         # Interleave appends across shards; timestamps may collide.
         for i in range(12):
             shards[i % 3]._event(f"j{i}", "submitted", seq=i)
@@ -148,8 +145,7 @@ class TestBroker:
         assert offsets == broker.end_offsets()
 
     def test_every_cursor_is_an_exact_resume_point(self, tmp_path):
-        store, broker = _broker(tmp_path, nshards=3)
-        shards = store.event_stores()
+        shards, broker = _broker(tmp_path, nshards=3)
         for i in range(10):
             shards[i % 3]._event(f"j{i}", "submitted", seq=i)
         views, _ = broker.read(broker.begin_offsets())
@@ -160,8 +156,7 @@ class TestBroker:
                 [v.data["seq"] for v in views[i + 1:]]
 
     def test_limit_cuts_cleanly(self, tmp_path):
-        store, broker = _broker(tmp_path, nshards=3)
-        shards = store.event_stores()
+        shards, broker = _broker(tmp_path, nshards=3)
         for i in range(9):
             shards[i % 3]._event(f"j{i}", "submitted", seq=i)
         collected, offsets = [], broker.begin_offsets()
@@ -173,7 +168,7 @@ class TestBroker:
         assert sorted(v.data["seq"] for v in collected) == list(range(9))
 
     def test_filters_match_and_still_advance(self, tmp_path):
-        store, broker = _broker(tmp_path)
+        (store,), broker = _broker(tmp_path)
         store._event("a", "submitted", state="PENDING")
         store._event("b", "submitted", state="PENDING")
         store._event("a", "done", state="DONE")
@@ -190,7 +185,7 @@ class TestBroker:
         assert [v.job_id for v in views] == ["a", "b"]
 
     def test_poll_times_out_then_wakes_on_append(self, tmp_path):
-        store, broker = _broker(tmp_path)
+        (store,), broker = _broker(tmp_path)
         views, token, timed_out = broker.poll(NOW, timeout=0.05)
         assert views == [] and timed_out
         # An append from another thread wakes a blocked poll promptly.
@@ -205,7 +200,7 @@ class TestBroker:
         assert not timed_out and [v.job_id for v in views] == ["late"]
 
     def test_sentinels_and_bad_tokens(self, tmp_path):
-        store, broker = _broker(tmp_path)
+        (store,), broker = _broker(tmp_path)
         store._event("j", "submitted")
         assert broker.resolve(BEGIN) == broker.begin_offsets()
         assert broker.resolve(None) == broker.begin_offsets()

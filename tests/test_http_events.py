@@ -4,17 +4,14 @@ Covers the API-redesign surface end to end: the discovery document,
 long-poll batches with resumable cursors, SSE framing with
 ``Last-Event-ID`` resume, server-side filters (job/kind/state/
 campaign), the typed 422 ``bad_cursor`` / 410 ``events_truncated``
-errors, the opaque queue-page cursor, ``watch()``/``wait()`` riding the
-feed on both clients, and the transparent poll fallback against a
-server without the events capability (``events=False`` emulates the
-pre-events deployment).
+errors, the opaque queue-page cursor, and ``watch()``/``wait()`` riding
+the feed on both clients.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-import urllib.error
 import urllib.request
 
 import pytest
@@ -61,12 +58,12 @@ class TestDiscovery:
         assert doc["nshards"] == server.service.nshards
 
     def test_capabilities_probe_is_cached(self, server, client):
-        assert client.supports_events()
+        assert "events" in client.capabilities()
         calls = []
         original = client._request
         client._request = lambda *a, **k: (calls.append(a),
                                            original(*a, **k))[1]
-        assert client.supports_events()  # cached: no second round-trip
+        assert "events" in client.capabilities()  # cached: no round-trip
         assert calls == []
 
 
@@ -301,49 +298,6 @@ class TestWatchAndWait:
             async for view in ac.watch([jid], timeout=30.0):
                 kinds.append(view.kind)
             assert kinds == ["submitted", "claimed", "launched", "done"]
-            views = await ac.wait([jid], timeout=30.0)
-            assert views[jid].state == "DONE"
-        asyncio.run(run())
-
-
-class TestOldServerFallback:
-    """``events=False`` emulates a deployment predating the feed."""
-
-    @pytest.fixture
-    def old_server(self, tmp_path):
-        with ServiceHTTPServer(tmp_path / "old", port=0, workers=2,
-                               backoff_base=0.01,
-                               events=False) as srv:
-            yield srv
-
-    def test_discovery_and_feed_404(self, old_server):
-        client = ServiceClient(old_server.url)
-        assert client.capabilities() == frozenset()
-        assert not client.supports_events()
-        for path in ("/v1", "/v1/events"):
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(old_server.url + path)
-            assert excinfo.value.code == 404
-
-    def test_wait_falls_back_to_polling(self, old_server):
-        client = ServiceClient(old_server.url)
-        ids = [client.submit("probe", {"behavior": "ok", "tag": i}
-                             ).new[0] for i in range(2)]
-        views = client.wait(ids, timeout=30.0)
-        assert all(v.state == "DONE" for v in views.values())
-
-    def test_watch_synthesizes_transitions(self, old_server):
-        client = ServiceClient(old_server.url)
-        jid = client.submit("probe", {"behavior": "ok"}).new[0]
-        views = list(client.watch([jid], timeout=30.0))
-        assert views and views[-1].terminal
-        assert all(v.shard == -1 and v.data.get("synthesized")
-                   for v in views)
-
-    def test_async_wait_falls_back(self, old_server):
-        async def run():
-            ac = AsyncServiceClient(old_server.url)
-            jid = (await ac.submit("probe", {"behavior": "ok"})).new[0]
             views = await ac.wait([jid], timeout=30.0)
             assert views[jid].state == "DONE"
         asyncio.run(run())

@@ -15,6 +15,7 @@ round-trips are asserted here.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import hashlib
 import json
 import os
@@ -452,9 +453,7 @@ class TestAsyncClient:
         # No pool: the job never finishes, so wait() must time out.
         with ServiceHTTPServer(tmp_path / "idle", workers=0) as srv:
             async def go():
-                ac = AsyncServiceClient(srv.url, poll_initial=0.01,
-                                        poll_max=0.05,
-                                        rng=random.Random(7))
+                ac = AsyncServiceClient(srv.url)
                 receipt = await ac.submit("probe", {"behavior": "ok"})
                 await ac.wait(receipt.new, timeout=0.3)
             with pytest.raises(WaitTimeout, match="1 job"):
@@ -476,11 +475,25 @@ class TestAsyncClient:
         assert all(0.5 <= d <= 1.5 for d in delays)
         assert max(delays) > 1.25 and min(delays) < 0.75  # actually jittered
 
+    def test_every_public_method_has_an_async_twin_with_the_same_signature(
+            self):
+        """The async client is generated from the sync one, so the two
+        cannot drift (``status`` once lost its ``cursor`` that way)."""
+        public = [name for name, member in vars(ServiceClient).items()
+                  if inspect.isfunction(member) and not name.startswith("_")]
+        assert {"status", "queue", "wait", "watch", "claim"} <= set(public)
+        for name in public:
+            twin = getattr(AsyncServiceClient, name)
+            assert inspect.signature(twin) == \
+                inspect.signature(getattr(ServiceClient, name)), name
+            assert inspect.iscoroutinefunction(twin) \
+                or inspect.isasyncgenfunction(twin), name
+
     def test_async_envelopes_roundtrip(self, tmp_path):
         """Async client returns the same typed objects as the sync one."""
         with ServiceHTTPServer(tmp_path / "idle", workers=0) as srv:
             async def go():
-                ac = AsyncServiceClient(srv.url, rng=random.Random(5))
+                ac = AsyncServiceClient(srv.url)
                 receipt = await ac.submit("probe", {"behavior": "ok"})
                 assert isinstance(receipt, SubmitReceipt)
                 view = await ac.job(receipt.new[0])
@@ -493,8 +506,7 @@ class TestAsyncClient:
 
     def test_gather_many_jobs_concurrently(self, server):
         async def go():
-            ac = AsyncServiceClient(server.url, poll_initial=0.02,
-                                    rng=random.Random(1))
+            ac = AsyncServiceClient(server.url)
             receipts = await asyncio.gather(*[
                 ac.submit("probe", {"behavior": "ok", "tag": i})
                 for i in range(6)
@@ -527,8 +539,7 @@ class TestEndToEnd:
         proc, url = _start_serve(tmp_path / "svc")
         try:
             async def scenario():
-                ac = AsyncServiceClient(url, poll_initial=0.02,
-                                        rng=random.Random(3))
+                ac = AsyncServiceClient(url)
                 assert (await ac.healthz())["ok"] is True
 
                 # 1. a 4-point sweep, gathered asynchronously

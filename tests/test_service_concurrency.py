@@ -19,7 +19,8 @@ import threading
 
 import pytest
 
-from repro.service import JobState, Service, Sweep, WorkerPool, payload_key
+from repro.service import (JobState, Service, Sweep, WorkerOptions,
+                           payload_key)
 
 N_THREADS = 8
 
@@ -89,11 +90,10 @@ class TestSubmissionStorm:
 
     def test_storm_while_workers_drain(self, service):
         """Submitters race the pool; each key still executes once."""
-        pool = WorkerPool(service.workdir, nworkers=2, backoff_base=0.01)
+        pool = service.worker_pool(WorkerOptions(n=2, drain=False))
         stop = threading.Event()
         worker = threading.Thread(
-            target=pool.run, kwargs={"drain": False, "stop": stop},
-            daemon=True,
+            target=pool.run, kwargs={"stop": stop}, daemon=True,
         )
         worker.start()
         try:

@@ -6,11 +6,12 @@ Three layers are exercised:
   lease-guarded complete/fail, expiry-requeue-exactly-once);
 * the HTTP lease endpoints' typed error contract (409 ``conflict`` /
   ``lease_expired``, 400 ``malformed``);
-* whole fleets: an in-process :class:`RemoteWorkerPool` draining a
-  coordinator, a SIGKILLed ``repro workers --url`` subprocess whose
-  jobs come back via lease expiry and end DONE, and two concurrent
-  worker subprocesses draining one sweep with zero duplicate
-  executions, asserted from the audit log.
+* whole fleets at the CLI level: a SIGKILLed ``repro workers --url``
+  subprocess whose jobs come back via lease expiry and end DONE, and
+  two concurrent worker subprocesses draining one sweep with zero
+  duplicate executions, asserted from the audit log.  (What one pool
+  does over HTTP -- timeouts, crashes, retries -- is covered by the
+  ``...OverHTTP`` classes of ``test_service_workers.py``.)
 """
 
 from __future__ import annotations
@@ -35,9 +36,7 @@ from repro.service import (
     Job,
     JobState,
     JobStore,
-    RemoteWorkerPool,
     Service,
-    WorkerOptions,
     new_job_id,
 )
 from repro.service.http import ServiceClient, ServiceHTTPServer
@@ -209,54 +208,6 @@ class TestLeaseEndpoints:
         assert excinfo.value.code == 409
         assert json.loads(excinfo.value.read())["error"]["code"] == \
             "conflict"
-
-
-class TestRemoteWorkerPool:
-    def test_in_process_fleet_drains_queue(self, tmp_path):
-        with ServiceHTTPServer(tmp_path / "svc", workers=0) as srv:
-            c = ServiceClient(srv.url)
-            ids = [c.submit("probe", {"behavior": "ok", "tag": i}).new[0]
-                   for i in range(4)]
-            pool = RemoteWorkerPool(
-                srv.url,
-                options=WorkerOptions(n=2, poll_interval=0.01,
-                                      lease_ttl=10.0),
-                worker="fleet-test",
-            )
-            summary = pool.run(max_seconds=60.0)
-            assert summary.claimed == 4 and summary.completed == 4
-            assert summary.failed == 0 and summary.lost == 0
-            assert summary.counts["DONE"] == 4
-            for jid in ids:
-                view = c.result(jid)
-                assert view.state == "DONE" and view.result["ok"] is True
-                assert view.job.worker == "fleet-test"
-
-    def test_fleet_enforces_job_timeout_and_retry(self, tmp_path):
-        with ServiceHTTPServer(tmp_path / "svc", workers=0,
-                               backoff_base=0.01) as srv:
-            c = ServiceClient(srv.url)
-            jid = c.submit("probe", {"behavior": "sleep", "seconds": 30.0},
-                           timeout=0.2, max_retries=0).new[0]
-            pool = RemoteWorkerPool(
-                srv.url, options=WorkerOptions(n=1, poll_interval=0.01))
-            summary = pool.run(max_seconds=60.0)
-            assert summary.failed == 1
-            view = c.job(jid)
-            assert view.state == "FAILED" and "timeout" in view.error
-
-    def test_fleet_reports_crashes_as_failures(self, tmp_path):
-        with ServiceHTTPServer(tmp_path / "svc", workers=0,
-                               backoff_base=0.01) as srv:
-            c = ServiceClient(srv.url)
-            jid = c.submit("probe", {"behavior": "crash",
-                                     "message": "fleet kaboom"},
-                           max_retries=0).new[0]
-            pool = RemoteWorkerPool(
-                srv.url, options=WorkerOptions(n=1, poll_interval=0.01))
-            summary = pool.run(max_seconds=60.0)
-            assert summary.failed == 1
-            assert "fleet kaboom" in c.job(jid).error
 
 
 def _start_serve(workdir) -> tuple[subprocess.Popen, str]:

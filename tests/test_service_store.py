@@ -8,6 +8,8 @@ from repro.errors import UnknownJobError
 from repro.service import Job, JobState, JobStore
 from repro.service.cache import payload_key
 
+from .conftest import claim_one
+
 
 def _job(i: int, **kwargs) -> Job:
     payload = {"behavior": "ok", "i": i}
@@ -47,7 +49,7 @@ class TestClaim:
     def test_claim_oldest_first_and_marks_running(self, store):
         store.add(_job(2))
         store.add(_job(1))
-        job = store.claim("w0")
+        job = claim_one(store)
         assert job.id == "job-0001"  # created earlier
         assert job.state is JobState.RUNNING
         assert job.attempts == 1
@@ -56,37 +58,38 @@ class TestClaim:
 
     def test_claim_skips_jobs_in_backoff(self, store):
         store.add(_job(1, not_before=1e12))  # far future
-        assert store.claim("w0") is None
+        assert claim_one(store) is None
 
     def test_claim_empty_queue_returns_none(self, store):
-        assert store.claim("w0") is None
+        assert claim_one(store) is None
 
     def test_running_jobs_are_not_reclaimed(self, store):
         store.add(_job(1))
-        assert store.claim("w0") is not None
-        assert store.claim("w1") is None
+        assert claim_one(store) is not None
+        assert claim_one(store, "w1") is None
 
 
 class TestTransitions:
     def test_done_records_result_key(self, store):
         store.add(_job(1))
-        store.claim("w0")
-        done = store.mark_done("job-0001", "abc123")
+        job = claim_one(store)
+        done = store.complete_leased(job.id, job.lease_id, "abc123")
         assert done.state is JobState.DONE
         assert done.result_key == "abc123"
 
     def test_requeue_returns_job_to_pending_with_backoff(self, store):
         store.add(_job(1))
-        store.claim("w0")
-        back = store.requeue("job-0001", "boom", not_before=1e12)
+        job = claim_one(store)
+        back = store.fail_leased(job.id, job.lease_id, "boom",
+                                 backoff_base=1e9)
         assert back.state is JobState.PENDING
         assert back.error == "boom"
-        assert store.claim("w1") is None  # still backing off
+        assert claim_one(store, "w1") is None  # still backing off
 
     def test_cancel_only_hits_pending(self, store):
         store.add(_job(1))
         store.add(_job(2))
-        store.claim("w0")  # job-0001 now RUNNING
+        claim_one(store)  # job-0001 now RUNNING
         assert store.cancel("job-0001") is False
         assert store.cancel("job-0002") is True
         assert store.get("job-0002").state is JobState.CANCELLED
@@ -97,8 +100,8 @@ class TestPersistence:
         """A fresh JobStore on the same workdir sees identical state."""
         store.add(_job(1))
         store.add(_job(2))
-        store.claim("w0")
-        store.mark_done("job-0001", "k1")
+        job = claim_one(store)
+        store.complete_leased(job.id, job.lease_id, "k1")
         store.close()
 
         reopened = JobStore(tmp_path / "svc")  # the simulated restart
@@ -106,12 +109,12 @@ class TestPersistence:
         assert reopened.get("job-0001").result_key == "k1"
         assert reopened.get("job-0002").state is JobState.PENDING
         # the restarted store can keep going where the old one stopped
-        assert reopened.claim("w0").id == "job-0002"
+        assert claim_one(reopened).id == "job-0002"
 
     def test_event_log_records_the_lifecycle(self, store):
         store.add(_job(1))
-        store.claim("w0")
-        store.mark_done("job-0001", "k1")
+        job = claim_one(store)
+        store.complete_leased(job.id, job.lease_id, "k1")
         events = [e["event"] for e in store.events()
                   if e["job"] == "job-0001"]
         assert events == ["submitted", "claimed", "done"]

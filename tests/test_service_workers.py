@@ -1,11 +1,33 @@
-"""Worker pool: crash isolation, timeouts, and bounded retry."""
+"""Worker pool: crash isolation, timeouts, and bounded retry.
+
+There is one supervisor (:class:`WorkerPool`) and two transports, so
+every worker-behaviour case runs twice: the classes below drain the
+queue through the in-process transport (``Service.run_workers``), and
+each ``...OverHTTP`` subclass re-runs the same cases with the pool
+leasing from a ``ServiceHTTPServer`` on the same workdir through a
+:class:`ServiceClient`.
+"""
 
 from __future__ import annotations
+
+import os
+import sqlite3
+import time
 
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import JobState, Service, WorkerPool
+from repro.service import (
+    JobState,
+    Service,
+    Sweep,
+    WorkerOptions,
+    WorkerPool,
+    payload_key,
+    shard_index,
+)
+from repro.service.http import ServiceClient, ServiceHTTPServer
+from repro.service.workers import default_worker_name
 
 
 @pytest.fixture
@@ -14,100 +36,141 @@ def service(tmp_path):
     return Service(tmp_path / "svc", backoff_base=0.01)
 
 
+@pytest.fixture
+def drain(request, service):
+    """``drain(n=...)``: one pool run over the test class's transport."""
+    if getattr(request.cls, "transport", "inproc") == "inproc":
+        yield lambda **options: service.run_workers(max_seconds=60,
+                                                    **options)
+        return
+    with ServiceHTTPServer(service.workdir, workers=0,
+                           backoff_base=0.01) as srv:
+        # A short TTL caps the idle backoff (ttl / 4) so retry waits
+        # stay short over HTTP too.
+        yield lambda **options: WorkerPool(
+            ServiceClient(srv.url),
+            WorkerOptions(max_seconds=60, lease_ttl=2.0, **options),
+        ).run()
+
+
 class TestHappyPath:
-    def test_ok_probe_completes(self, service):
+    def test_ok_probe_completes(self, service, drain):
         receipt = service.submit("probe", {"behavior": "ok"})
-        summary = service.run_workers(n=1, max_seconds=60)
-        assert summary.completed == 1 and summary.failed == 0
+        summary = drain(n=1)
+        assert summary.claimed == 1 and summary.completed == 1
+        assert summary.failed == 0 and summary.lost == 0
+        assert summary.counts["DONE"] == 1
         job = service.job(receipt.new[0])
         assert job.state is JobState.DONE
+        assert job.worker == default_worker_name()  # this process's pool
         assert service.result(job.id)["ok"] is True
+        kinds = [e["event"] for e in service.store.events()
+                 if e["job"] == job.id]
+        assert kinds == ["submitted", "claimed", "launched", "done"]
 
-    def test_real_job_kinds_produce_results(self, service):
+    def test_real_job_kinds_produce_results(self, service, drain):
         receipt = service.submit(
             "run", {"n": 32, "nb": 8, "p": 2, "q": 2}
         )
-        service.run_workers(n=1, max_seconds=120)
+        drain(n=1)
         result = service.result(receipt.new[0])
         assert result["passed"] is True
         assert result["resid"] < 16.0
 
+    def test_result_larger_than_the_pipe_buffer(self, service, drain):
+        """A 1 MB result must not wedge the child in ``send``: the
+        supervisor drains a ready pipe while the child is still alive."""
+        blob = "x" * (1 << 20)
+        jid = service.submit("probe", {"behavior": "echo", "blob": blob},
+                             max_retries=0).new[0]
+        started = time.monotonic()
+        summary = drain(n=1)
+        assert summary.completed == 1 and summary.failed == 0
+        assert time.monotonic() - started < 30.0
+        assert service.job(jid).state is JobState.DONE
+        assert service.result(jid) == {"blob": blob}
+
 
 class TestCrashIsolation:
-    def test_always_crashing_job_retries_then_fails(self, service):
+    def test_always_crashing_job_retries_then_fails(self, service, drain):
         """Acceptance: a crash ends FAILED with its error recorded."""
         receipt = service.submit(
             "probe", {"behavior": "crash", "message": "kaboom"},
             max_retries=1,
         )
-        summary = service.run_workers(n=1, max_seconds=60)
-        assert summary.failed == 1
+        summary = drain(n=1)
+        assert summary.retried == 1 and summary.failed == 1
         job = service.job(receipt.new[0])
         assert job.state is JobState.FAILED
         assert job.attempts == 2  # first try + one retry
         assert "kaboom" in job.error
         assert "RuntimeError" in job.error  # captured traceback
 
-    def test_crash_does_not_take_down_the_pool(self, service):
+    def test_crash_does_not_take_down_the_pool(self, service, drain):
         """Healthy jobs queued around a crasher still complete."""
         ok1 = service.submit("probe", {"behavior": "ok", "tag": 1},
                              max_retries=0)
         bad = service.submit("probe", {"behavior": "crash"}, max_retries=0)
         ok2 = service.submit("probe", {"behavior": "ok", "tag": 2},
                              max_retries=0)
-        summary = service.run_workers(n=2, max_seconds=60)
+        summary = drain(n=2)
         assert summary.completed == 2 and summary.failed == 1
         assert service.job(ok1.new[0]).state is JobState.DONE
         assert service.job(bad.new[0]).state is JobState.FAILED
         assert service.job(ok2.new[0]).state is JobState.DONE
 
-    def test_flaky_job_succeeds_on_retry(self, service):
+    def test_flaky_job_succeeds_on_retry(self, service, drain):
         receipt = service.submit(
             "probe", {"behavior": "flaky", "fail_times": 1}, max_retries=2
         )
-        summary = service.run_workers(n=1, max_seconds=60)
+        summary = drain(n=1)
         assert summary.completed == 1 and summary.retried == 1
         job = service.job(receipt.new[0])
         assert job.state is JobState.DONE
         assert job.attempts == 2
         assert service.result(job.id)["attempt"] == 2
+        # The coordinator owns the backoff: the requeue carried one.
+        requeued = [e for e in service.store.events()
+                    if e["job"] == job.id and e["event"] == "requeued"]
+        assert len(requeued) == 1
 
 
 class TestTimeouts:
-    def test_job_exceeding_timeout_is_failed(self, service):
+    def test_job_exceeding_timeout_is_failed(self, service, drain):
         """Acceptance: a job over its timeout ends FAILED, pool survives."""
         slow = service.submit(
             "probe", {"behavior": "sleep", "seconds": 30.0},
             timeout=0.3, max_retries=0,
         )
         ok = service.submit("probe", {"behavior": "ok"}, max_retries=0)
-        summary = service.run_workers(n=2, max_seconds=60)
+        summary = drain(n=2)
         assert summary.failed == 1 and summary.completed == 1
         job = service.job(slow.new[0])
         assert job.state is JobState.FAILED
         assert "timeout" in job.error
         assert service.job(ok.new[0]).state is JobState.DONE
 
-    def test_timeout_attempts_respect_the_retry_budget(self, service):
+    def test_timeout_attempts_respect_the_retry_budget(self, service, drain):
         receipt = service.submit(
             "probe", {"behavior": "sleep", "seconds": 30.0},
             timeout=0.2, max_retries=1,
         )
-        service.run_workers(n=1, max_seconds=60)
+        drain(n=1)
         job = service.job(receipt.new[0])
         assert job.state is JobState.FAILED
         assert job.attempts == 2
 
 
 class TestClaimTimeCacheFulfilment:
-    def test_queued_job_whose_result_landed_is_not_launched(self, service):
+    def test_queued_job_whose_result_landed_is_not_launched(self, service,
+                                                            drain):
         """A claimed job with a cached result is marked DONE without
         burning a child process (closes the submit-vs-complete race)."""
-        from repro.service import Job, new_job_id, payload_key
+        from repro.service import Job, new_job_id
 
         payload = {"n": 256, "nb": 32, "p": 2, "q": 2}
         first = service.submit("sim", payload)
-        service.run_workers(n=1, max_seconds=120)
+        drain(n=1)
         assert service.result(first.new[0]) is not None
 
         # Force a PENDING twin past the submit-time cache check (as a
@@ -116,9 +179,8 @@ class TestClaimTimeCacheFulfilment:
         twin = Job(id=new_job_id(), kind="sim", payload=payload, key=key)
         service.store.add(twin)
 
-        summary = service.run_workers(n=1, max_seconds=60)
-        assert summary.completed == 1
-        assert summary.fulfilled_from_cache == 1
+        summary = drain(n=1)
+        assert summary.claimed == 0  # fulfilled coordinator-side
         job = service.job(twin.id)
         assert job.state is JobState.DONE
         assert service.result(twin.id) is not None
@@ -127,11 +189,49 @@ class TestClaimTimeCacheFulfilment:
         assert not launched
 
 
+class TestParentLookup:
+    def test_reduce_and_winner_read_parents_through_the_transport(
+            self, service, drain):
+        grid = service.submit_sweep(
+            Sweep(kind="probe", axes={"tag": [1, 5, 3]},
+                  base={"behavior": "echo"})).new
+        pick = service.submit("reduce", {"metric": "tag", "mode": "max"},
+                              depends_on=grid).new[0]
+        study = service.submit(
+            "probe", {"behavior": "echo", "tag": {"$winner": "tag"}, "x": 7},
+            depends_on=[pick]).new[0]
+        summary = drain(n=2)
+        assert summary.counts["DONE"] == 5 and summary.failed == 0
+        assert service.result(pick)["winner_payload"]["tag"] == 5
+        assert service.result(study) == {"tag": 5, "x": 7}
+
+
+class TestHappyPathOverHTTP(TestHappyPath):
+    transport = "http"
+
+
+class TestCrashIsolationOverHTTP(TestCrashIsolation):
+    transport = "http"
+
+
+class TestTimeoutsOverHTTP(TestTimeouts):
+    transport = "http"
+
+
+class TestClaimTimeCacheFulfilmentOverHTTP(TestClaimTimeCacheFulfilment):
+    transport = "http"
+
+
+class TestParentLookupOverHTTP(TestParentLookup):
+    transport = "http"
+
+
 class TestSupervision:
     def test_orphaned_running_jobs_are_recovered(self, service):
-        """RUNNING rows from a dead supervisor are requeued on start."""
+        """A dead supervisor's RUNNING rows come back by lease expiry."""
         service.submit("probe", {"behavior": "ok"})
-        orphan = service.store.claim("dead-pool/0")  # supervisor "dies" here
+        _lease, (orphan,) = service.store.claim_batch(
+            "dead-pool", limit=1, ttl=0.05)  # supervisor "dies" here
         assert orphan.state is JobState.RUNNING
 
         summary = service.run_workers(n=1, max_seconds=60)
@@ -140,10 +240,113 @@ class TestSupervision:
         assert job.state is JobState.DONE
         assert job.attempts == 2  # the orphaned claim plus the real one
 
+    def test_leaseless_running_row_of_an_old_workdir_is_requeued(
+            self, service):
+        """Pre-lease versions left RUNNING rows with no lease at all;
+        the expiry sweep treats them as orphans too."""
+        jid = service.submit("probe", {"behavior": "ok"}).new[0]
+        conn = sqlite3.connect(service.store.shards[0].db_path)
+        with conn:
+            conn.execute("UPDATE jobs SET state = 'RUNNING', attempts = 1,"
+                         " worker = 'pool/0' WHERE id = ?", (jid,))
+        conn.close()
+        assert [j.id for j in service.store.expire_leases()] == [jid]
+        assert service.job(jid).state is JobState.PENDING
+        assert service.store.expire_leases() == []  # exactly once
+
     def test_unknown_kind_is_rejected_at_submit(self, service):
         with pytest.raises(ServiceError, match="unknown job kind"):
             service.submit("frobnicate", {})
 
-    def test_pool_requires_at_least_one_worker(self, tmp_path):
+    def test_pool_requires_at_least_one_worker(self, service):
         with pytest.raises(ServiceError):
-            WorkerPool(tmp_path / "svc", nworkers=0)
+            service.worker_pool(WorkerOptions(n=0))
+
+
+class TestShardedService:
+    def test_one_pool_drains_three_shards_exactly_once(self, tmp_path):
+        """The embedded pool claims across shards under one lease: no
+        job is launched twice, and a parent finishing on one shard
+        releases a child that lives on another."""
+        svc = Service(tmp_path / "svc", shards=3, backoff_base=0.01)
+        ids = svc.submit_sweep(
+            Sweep(kind="probe", axes={"tag": list(range(12))},
+                  base={"behavior": "echo"})).new
+        parent = ids[0]
+        pshard = shard_index(svc.job(parent).key, 3)
+        child = next(
+            svc.submit("probe", {"behavior": "echo", "tag": tag},
+                       depends_on=[parent]).new[0]
+            for tag in range(100, 150)
+            if shard_index(payload_key(
+                "probe", {"behavior": "echo", "tag": tag},
+                parents=(parent,)), 3) != pshard)
+        assert {shard_index(svc.job(j).key, 3) for j in ids} == {0, 1, 2}
+
+        summary = svc.run_workers(n=2, max_seconds=60)
+        assert summary.claimed == 13 and summary.completed == 13
+        assert summary.counts["DONE"] == 13
+        events = svc.store.events()
+        for jid in ids + [child]:
+            mine = [e["event"] for e in events if e["job"] == jid]
+            assert mine.count("claimed") == 1
+            assert mine.count("launched") == 1
+            assert mine.count("done") == 1
+        assert [e["event"] for e in events
+                if e["job"] == child].count("released") == 1
+
+
+class _Canary:
+    """Cyclic garbage that writes a byte to ``fd`` when finalized."""
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        self.cycle = self
+
+    def __del__(self) -> None:
+        os.write(self.fd, b"x")
+
+
+class TestForkSafety:
+    def test_child_never_finalizes_what_other_threads_owned(self, service):
+        """The pool forks from a process whose other threads (HTTP
+        handlers) each own a thread-local sqlite connection.  In the
+        child those threads are gone and their connections are cyclic
+        garbage; closing one there waits forever on any sqlite-global
+        mutex a busy thread held at the instant of the fork.  So a
+        child must never finalize inherited garbage -- shown here with
+        a canary in a parked thread's thread-local storage and a job
+        that runs a full collection."""
+        import gc
+        import threading
+
+        from repro.service import register_runner
+        from repro.service.workers import RUNNERS
+
+        rfd, wfd = os.pipe()
+        os.set_blocking(rfd, False)
+        local = threading.local()
+        parked, stop = threading.Event(), threading.Event()
+
+        def handler():
+            local.canary = _Canary(wfd)
+            parked.set()
+            stop.wait(60)
+
+        thread = threading.Thread(target=handler, daemon=True)
+        thread.start()
+        assert parked.wait(10)
+        register_runner("collect", lambda payload, job: {"n": gc.collect()})
+        try:
+            service.submit("collect", {}, max_retries=0)
+            summary = service.run_workers(n=1, max_seconds=60)
+            assert summary.completed == 1
+            with pytest.raises(BlockingIOError):  # the canary never sang
+                os.read(rfd, 1)
+        finally:
+            RUNNERS.pop("collect", None)
+            stop.set()
+            thread.join(10)
+            gc.collect()  # the parent may finalize it; the pipe is open
+            os.close(rfd)
+            os.close(wfd)

@@ -119,6 +119,11 @@ class TestGlobalPagination:
                         payload={"i": i}, key=f"key-{i}",
                         state=JobState(job_state),
                         created=float(created),
+                        # A RUNNING row is always held by a lease (a
+                        # lease-less one is an orphan the page's expiry
+                        # sweep would requeue); park it far in the future.
+                        lease_expires=(
+                            1e12 if job_state == "RUNNING" else 0.0),
                     ))
             want = single.status(state=state, kind=kind, limit=limit,
                                  offset=offset)
