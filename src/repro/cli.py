@@ -257,11 +257,6 @@ def _submit_sweep(args: argparse.Namespace):
             "split_fraction": _axis(args.frac, float, sweep, "--frac"),
             "fact_threads": _axis(args.threads, int, sweep, "--threads"),
         }
-        # Validate every grid point eagerly so a bad corner fails at
-        # submit time (exit 2), not inside a worker.
-        for payload in Sweep(kind="run", axes=axes).expand():
-            depth0 = {"depth": 0} if payload["schedule"] == "classic" else {}
-            HPLConfig.from_dict({**payload, **depth0})
         if not sweep:
             if axes["schedule"] == "classic":
                 axes = {**axes, "depth": 0}
@@ -312,20 +307,25 @@ def _remote_client(args: argparse.Namespace):
     return ServiceClient(args.url)
 
 
-def _cmd_submit(args: argparse.Namespace) -> int:
-    sweep = _submit_sweep(args)
+def _backend(args: argparse.Namespace):
+    """The :class:`ServiceClient` for ``--url``, else the in-process
+    :class:`Service` on ``--workdir``.
+
+    ``submit_sweep``, ``status`` and ``cancel_job`` have one signature
+    on both, so a command written against them serves either.
+    """
     client = _remote_client(args)
     if client is not None:
-        receipt = client.submit_sweep(
-            sweep, timeout=args.timeout, max_retries=args.retries,
-            batch=getattr(args, "batch", False),
-        )
-    else:
-        from .service import Service
+        return client
+    from .service import Service
 
-        receipt = Service(args.workdir).submit_sweep(
-            sweep, timeout=args.timeout, max_retries=args.retries
-        )
+    return Service(args.workdir)
+
+
+def _cmd_submit(args: argparse.Namespace) -> int:
+    receipt = _backend(args).submit_sweep(
+        _submit_sweep(args), timeout=args.timeout, max_retries=args.retries
+    )
     print(f"submitted {len(receipt.new)} new job(s), "
           f"{len(receipt.cached)} served from cache, "
           f"{len(receipt.deduped)} deduplicated against the queue")
@@ -553,28 +553,15 @@ def _cmd_cancel(args: argparse.Namespace) -> int:
     error).  Exit 1 only when a target is still live (e.g. RUNNING,
     which cancel does not preempt); an unknown id exits 2 as usual.
     """
-    client = _remote_client(args)
-    if client is not None:
-        ids = args.ids
-        if args.all:
-            ids = [j.id for j in client.status(state="BLOCKED").jobs] \
-                + [j.id for j in client.status(state="PENDING").jobs]
-        if not ids:
-            print("nothing to cancel")
-            return 0
-        outcomes = [client.cancel_job(jid) for jid in ids]
-    else:
-        from .service import JobState, Service
-
-        service = Service(args.workdir)
-        ids = args.ids
-        if args.all:
-            ids = [j.id for j in service.store.list(JobState.BLOCKED)] \
-                + [j.id for j in service.store.list(JobState.PENDING)]
-        if not ids:
-            print("nothing to cancel")
-            return 0
-        outcomes = [service.cancel_job(jid) for jid in ids]
+    backend = _backend(args)
+    ids = args.ids
+    if args.all:
+        ids = [j.id for state in ("BLOCKED", "PENDING")
+               for j in backend.status(state=state).jobs]
+    if not ids:
+        print("nothing to cancel")
+        return 0
+    outcomes = [backend.cancel_job(jid) for jid in ids]
     terminal = ("DONE", "FAILED", "CANCELLED")
     flipped = [v for hit, v in outcomes if hit]
     already = [v for hit, v in outcomes if not hit and v.state in terminal]
@@ -822,10 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="sim", help="what each job executes")
     p_sub.add_argument("--sweep", action="store_true",
                        help="expand comma-separated values into a grid")
-    p_sub.add_argument("--batch", action="store_true",
-                       help="submit via POST /v1/jobs/batch: one "
-                            "round-trip and one store transaction per "
-                            "shard (remote --url mode; implied locally)")
     p_sub.add_argument("-N", default="4096", help="problem size(s); for "
                        "--kind scale this is the single-node N")
     p_sub.add_argument("-NB", default="256", help="blocking factor(s)")

@@ -207,8 +207,9 @@ class HPLConfig:
         """Rebuild a config from :meth:`to_dict` output.
 
         Enum fields accept either the enum member or its value; unknown
-        keys raise :class:`~repro.errors.ConfigError` rather than being
-        silently dropped, so stale payloads fail loudly.
+        keys, missing required fields and wrongly typed values all
+        raise :class:`~repro.errors.ConfigError` (unknown keys are not
+        silently dropped, so stale payloads fail loudly).
         """
         fields = {f.name: f for f in dataclasses.fields(cls)}
         unknown = set(data) - set(fields)
@@ -234,7 +235,13 @@ class HPLConfig:
                         f"invalid {name} value {value!r}"
                     ) from exc
             kwargs[name] = value
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except TypeError as exc:
+            # A required field is missing (the message names it), or a
+            # value of the wrong type (``"n": "64"``) broke a range
+            # check: for the caller either is a bad config.
+            raise ConfigError(f"invalid HPLConfig: {exc}") from None
 
     def config_key(self) -> str:
         """Stable content hash of this configuration (sha256 hex)."""

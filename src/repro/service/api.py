@@ -1,14 +1,18 @@
 """The service facade: submit / status / results / cancel / run_workers.
 
 :class:`Service` ties the store, cache, sweep expander, and worker pool
-together behind the surface the CLI (and future HTTP front-ends) use.
-Submission is where result reuse happens:
+together behind the surface the CLI and the HTTP front-end use.
+Submission has one path -- :meth:`Service.submit_many` validates,
+builds the jobs and inserts them with one transaction per shard; a
+single submit, a sweep and each campaign stage are calls of it -- and
+it is where result reuse happens:
 
 * a payload whose content key already has a cached result is recorded as
   a DONE job immediately (``cached=True``) and never enters the queue;
-* a payload whose key matches a PENDING/RUNNING job is *deduplicated* --
-  the existing job's id is returned instead of queueing a twin;
-* everything else becomes a PENDING job for the workers.
+* a payload whose key matches a BLOCKED/PENDING/RUNNING job is
+  *deduplicated* -- the existing job's id is returned instead of
+  queueing a twin;
+* everything else becomes a PENDING (or BLOCKED) job for the workers.
 
 ``probe`` jobs bypass both paths (see
 :data:`repro.service.jobs.UNCACHED_KINDS`).
@@ -16,10 +20,13 @@ Submission is where result reuse happens:
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
+from ..config import HPLConfig
 from ..errors import (
+    ConfigError,
     MalformedRequestError,
     ServiceError,
     UnknownJobError,
@@ -29,7 +36,7 @@ from ..errors import (
 from .cache import ResultCache, payload_key
 from .campaign import (CampaignStore, build_campaign_view, build_dag_view,
                        make_record, new_campaign_id, parse_campaign_spec)
-from .dag import DagResolver
+from .dag import DagResolver, has_placeholders
 from .events import (EventBroker, EventFilter, decode_queue_cursor,
                      encode_queue_cursor)
 from .jobs import UNCACHED_KINDS, Job, JobState, Lease, new_job_id
@@ -62,10 +69,15 @@ class SubmitReceipt:
     def job_ids(self) -> list[str]:
         return self.new + self.cached + self.deduped
 
-    def merge(self, other: "SubmitReceipt") -> None:
-        self.new += other.new
-        self.cached += other.cached
-        self.deduped += other.deduped
+    @classmethod
+    def merged(cls, receipts) -> "SubmitReceipt":
+        """One receipt holding every id of ``receipts``, order kept."""
+        out = cls()
+        for r in receipts:
+            out.new += r.new
+            out.cached += r.cached
+            out.deduped += r.deduped
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -82,6 +94,92 @@ class SubmitReceipt:
             cached=list(data.get("cached", ())),
             deduped=list(data.get("deduped", ())),
         )
+
+
+#: Safety cap on the jobs one submission call (a batch, a sweep, a
+#: campaign stage) may create: far above the 10k-point sweeps the batch
+#: path exists for, low enough that a single request cannot hold the
+#: coordinator's memory hostage.
+MAX_BATCH_JOBS = 100_000
+
+
+def _validated(submissions, timeout, max_retries, depends_on,
+               where: str = "") -> list[tuple]:
+    """Normalise submissions to ``(kind, payload, timeout, max_retries,
+    parent_ids)`` tuples, or raise before anything is queued.
+
+    ``timeout`` / ``max_retries`` / ``depends_on`` are the call's
+    defaults; an item's own field wins.  Any of it may be raw request
+    data.  Errors are prefixed with ``where`` and, when the call carried
+    more than one item, the item's position (``jobs[3]: ...``).
+    """
+    if not isinstance(submissions, (list, tuple)):
+        raise MalformedRequestError(
+            f"{where}submissions must be a list,"
+            f" got {type(submissions).__name__}"
+        )
+    if len(submissions) > MAX_BATCH_JOBS:
+        raise MalformedRequestError(
+            f"{where}{len(submissions)} jobs in one submission exceeds"
+            f" the cap of {MAX_BATCH_JOBS}"
+        )
+    out = []
+    for i, sub in enumerate(submissions):
+        at = f"{where}jobs[{i}]: " if len(submissions) > 1 else where
+        if not isinstance(sub, dict):
+            raise MalformedRequestError(
+                f"{at}a submission must be an object,"
+                f" got {type(sub).__name__}"
+            )
+        kind, payload = sub.get("kind"), sub.get("payload", {})
+        if not isinstance(kind, str) or not kind:
+            raise MalformedRequestError(
+                f"{at}'kind' must be a non-empty string"
+            )
+        if kind not in RUNNERS:
+            raise UnknownJobKindError(
+                f"{at}unknown job kind {kind!r}"
+                f" (known: {', '.join(sorted(RUNNERS))})"
+            )
+        if not isinstance(payload, dict):
+            raise MalformedRequestError(
+                f"{at}'payload' must be an object,"
+                f" got {type(payload).__name__}"
+            )
+        if kind == "run" and not has_placeholders(payload):
+            # A run payload is an HPLConfig dict: construct it now, so a
+            # bad grid corner fails the submission and not a worker.
+            # ($winner placeholders only get their values at launch.)
+            depth0 = ({"depth": 0}
+                      if payload.get("schedule") == "classic" else {})
+            try:
+                HPLConfig.from_dict({**payload, **depth0})
+            except ConfigError as exc:
+                raise ConfigError(f"{at}{exc}") from None
+        try:
+            item_timeout = float(sub.get("timeout", timeout))
+            item_retries = int(sub.get("max_retries", max_retries))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedRequestError(
+                f"{at}bad timeout/max_retries: {exc}"
+            ) from None
+        if not math.isfinite(item_timeout) or item_timeout < 0:
+            raise MalformedRequestError(
+                f"{at}timeout must be finite and >= 0, got {item_timeout}"
+            )
+        if item_retries < 0:
+            raise MalformedRequestError(
+                f"{at}max_retries must be >= 0, got {item_retries}"
+            )
+        parents = sub.get("depends_on", depends_on)
+        if not isinstance(parents, (list, tuple)) or not all(
+                isinstance(p, str) and p for p in parents):
+            raise MalformedRequestError(
+                f"{at}'depends_on' must be a list of job id strings"
+            )
+        out.append((kind, payload, item_timeout, item_retries,
+                    list(dict.fromkeys(parents))))
+    return out
 
 
 class Service:
@@ -140,23 +238,22 @@ class Service:
         return self.store.shard_stats()
 
     # -- submission ------------------------------------------------------
+    #
+    # One way into the queue: ``submit_many`` turns submissions into
+    # jobs and ``add_batch`` inserts them.  ``submit``, ``submit_sweep``
+    # and ``submit_campaign`` (and through them every HTTP submit route
+    # and the CLI) are callers of it, so what a well-formed submission
+    # is gets decided in ``_validated`` and nowhere else.
 
-    def _check_parents(self, depends_on) -> tuple[list[str], bool]:
-        """Validate ``depends_on``; returns ``(parent_ids, all_done)``.
+    def _parents_done(self, parents: list[str]) -> bool:
+        """Whether every parent is DONE; all of them must exist.
 
-        Parent ids are deduplicated preserving order; every parent must
-        already exist (:class:`UnknownParentError` / 404 otherwise).  A
-        single direct submission cannot create a cycle -- its own id
-        does not exist yet, so a self- or forward-reference fails the
-        existence check; cyclic *stage* graphs are rejected by the
-        campaign expander before anything is enqueued.
+        :class:`UnknownParentError` (404) otherwise.  A submission
+        cannot create a cycle -- its own id does not exist yet, so a
+        self- or forward-reference fails the existence check; cyclic
+        *stage* graphs are rejected by the campaign expander before
+        anything is enqueued.
         """
-        parents = list(dict.fromkeys(depends_on))
-        for pid in parents:
-            if not isinstance(pid, str) or not pid:
-                raise MalformedRequestError(
-                    "depends_on entries must be non-empty job-id strings"
-                )
         all_done = True
         for pid in parents:
             try:
@@ -167,171 +264,93 @@ class Service:
                 ) from None
             if parent.state is not JobState.DONE:
                 all_done = False
-        return parents, all_done
-
-    def submit(self, kind: str, payload: dict, timeout: float = 0.0,
-               max_retries: int = 2, depends_on=()) -> SubmitReceipt:
-        """Submit one job; serve from cache / dedupe when possible.
-
-        ``depends_on`` lists parent job ids: the job starts BLOCKED and
-        only turns PENDING once every parent is DONE (a failed parent
-        cancels it instead).  Parent ids are part of the content key --
-        a reduce over one grid is not a reduce over another -- so cache
-        reuse and dedup stay correct for dependent jobs.
-        """
-        if kind not in RUNNERS:
-            raise UnknownJobKindError(
-                f"unknown job kind {kind!r}"
-                f" (known: {', '.join(sorted(RUNNERS))})"
-            )
-        if max_retries < 0:
-            raise MalformedRequestError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
-        parents, parents_done = self._check_parents(depends_on)
-        key = payload_key(kind, payload, parents=parents)
-        receipt = SubmitReceipt()
-        job = Job(
-            id=new_job_id(), kind=kind, payload=payload, key=key,
-            timeout=timeout, max_retries=max_retries,
-            state=JobState.PENDING if parents_done else JobState.BLOCKED,
-            depends_on=parents,
-        )
-        if kind not in UNCACHED_KINDS:
-            if key in self.cache:
-                # A cached result under a parent-aware key implies the
-                # same child of the same parents already completed, so
-                # the parents were DONE -- serving it needs no release.
-                job.state = JobState.DONE
-                job.result_key = key
-                job.cached = True
-                self.store.add(job)
-                receipt.cached.append(job.id)
-                return receipt
-            # The existence check and the insert are one store
-            # transaction, so concurrent submitters (HTTP handler
-            # threads, parallel processes) can never queue two active
-            # jobs for one content key.
-            added, existing = self.store.add_if_no_active(job)
-            if existing is not None:
-                receipt.deduped.append(existing.id)
-                return receipt
-            receipt.new.append(added.id)
-        else:
-            self.store.add(job)
-            receipt.new.append(job.id)
-        if job.state is JobState.BLOCKED:
-            # Close the submit-vs-completion race: a parent that turned
-            # terminal between the state check above and the insert
-            # fired its hook before this child's edges existed.
-            self.dag.reconcile(job.id)
-        return receipt
-
-    def submit_sweep(self, sweep: Sweep, timeout: float = 0.0,
-                     max_retries: int = 2, depends_on=()) -> SubmitReceipt:
-        """Expand a sweep and submit every unique point."""
-        receipt = SubmitReceipt()
-        for payload in sweep.expand():
-            receipt.merge(
-                self.submit(sweep.kind, payload, timeout=timeout,
-                            max_retries=max_retries,
-                            depends_on=depends_on)
-            )
-        return receipt
+        return all_done
 
     def submit_many(self, submissions, timeout: float = 0.0,
-                    max_retries: int = 2) -> list[SubmitReceipt]:
+                    max_retries: int = 2,
+                    depends_on=()) -> list[SubmitReceipt]:
         """Submit N jobs with one store transaction per shard.
 
         ``submissions`` is a sequence of dicts, each with ``kind`` and
         ``payload`` plus optional per-item ``timeout`` / ``max_retries``
         / ``depends_on`` overriding the call-level defaults.  Returns
-        one :class:`SubmitReceipt` per submission, **in request order**,
-        each identical to what :meth:`submit` would have returned for
-        that item submitted alone in sequence -- same cache hits, same
-        dedup (including duplicates *within* the batch deduplicating
-        against the batch's own earlier items), same content keys.  The
-        only differences are mechanical: one round of validation before
-        anything is enqueued (so a malformed item rejects the whole
-        batch with nothing inserted), and one ``BEGIN IMMEDIATE`` per
-        shard instead of one per job -- which is the entire point, per
-        the tiled-algorithms rule that per-item overhead caps sustained
-        throughput.  ``depends_on`` may only name jobs that already
-        exist; batch items cannot reference each other (their ids are
-        not assigned until the batch commits) -- use a campaign for
-        staged graphs.
+        one :class:`SubmitReceipt` per submission, **in request order**:
+
+        * a payload whose content key already has a cached result is
+          recorded as a DONE job (``cached``) and never enters the
+          queue;
+        * one whose key matches an active job -- in the queue or earlier
+          in this very call -- is deduplicated to that job's id;
+        * everything else becomes a PENDING job, or a BLOCKED one when
+          ``depends_on`` names parents that are not all DONE yet (a
+          failed parent cancels it instead).  Parent ids are part of
+          the content key -- a reduce over one grid is not a reduce over
+          another -- so cache reuse and dedup stay correct for
+          dependent jobs.
+
+        Everything is validated before anything is enqueued, so a
+        malformed item rejects the whole call with nothing inserted,
+        and the insert is one ``BEGIN IMMEDIATE`` per shard instead of
+        one per job -- per the tiled-algorithms rule that per-item
+        overhead caps sustained throughput.  ``depends_on`` may only
+        name jobs that already exist; items cannot reference each other
+        (their ids are not assigned until the call commits) -- use a
+        campaign for staged graphs.
         """
-        staged: list[tuple[Job, bool, str]] = []
-        for i, sub in enumerate(submissions):
-            if not isinstance(sub, dict):
-                raise MalformedRequestError(
-                    f"submission #{i} must be an object, got"
-                    f" {type(sub).__name__}"
-                )
-            kind = sub.get("kind")
-            payload = sub.get("payload")
-            if not isinstance(kind, str) or not kind:
-                raise MalformedRequestError(
-                    f"submission #{i}: 'kind' must be a non-empty string"
-                )
-            if kind not in RUNNERS:
-                raise UnknownJobKindError(
-                    f"submission #{i}: unknown job kind {kind!r}"
-                    f" (known: {', '.join(sorted(RUNNERS))})"
-                )
-            if not isinstance(payload, dict):
-                raise MalformedRequestError(
-                    f"submission #{i}: 'payload' must be an object"
-                )
-            item_retries = int(sub.get("max_retries", max_retries))
-            if item_retries < 0:
-                raise MalformedRequestError(
-                    f"submission #{i}: max_retries must be >= 0,"
-                    f" got {item_retries}"
-                )
-            parents, parents_done = self._check_parents(
-                sub.get("depends_on", ()))
+        staged: list[tuple[Job, bool]] = []
+        for kind, payload, item_timeout, item_retries, parents in \
+                _validated(submissions, timeout, max_retries, depends_on):
             key = payload_key(kind, payload, parents=parents)
             job = Job(
                 id=new_job_id(), kind=kind, payload=payload, key=key,
-                timeout=float(sub.get("timeout", timeout)),
-                max_retries=item_retries,
-                state=(JobState.PENDING if parents_done
+                timeout=item_timeout, max_retries=item_retries,
+                state=(JobState.PENDING if self._parents_done(parents)
                        else JobState.BLOCKED),
                 depends_on=parents,
             )
-            if kind not in UNCACHED_KINDS and key in self.cache:
-                # Same cache-hit shape as single submit: recorded DONE,
-                # never queued.  dedup=False matches the single path's
-                # unconditional ``store.add``.
+            dedup = kind not in UNCACHED_KINDS
+            if dedup and key in self.cache:
+                # A cached result under a parent-aware key implies the
+                # same child of the same parents already completed, so
+                # the parents were DONE -- serving it needs no release.
+                # It is a new DONE row, never a twin of an active job.
                 job.state = JobState.DONE
                 job.result_key = key
                 job.cached = True
-                staged.append((job, False, "cached"))
-            elif kind not in UNCACHED_KINDS:
-                staged.append((job, True, "new"))
-            else:
-                staged.append((job, False, "new"))
-        results = self.store.add_batch(
-            [(job, dedup) for job, dedup, _ in staged])
+                dedup = False
+            staged.append((job, dedup))
         receipts: list[SubmitReceipt] = []
         blocked: list[str] = []
-        for (job, _dedup, disposition), (added, existing) in zip(
-                staged, results):
-            receipt = SubmitReceipt()
+        for (job, _), (_, existing) in zip(
+                staged, self.store.add_batch(staged)):
             if existing is not None:
-                receipt.deduped.append(existing.id)
-            elif disposition == "cached":
-                receipt.cached.append(added.id)
+                receipts.append(SubmitReceipt(deduped=[existing.id]))
+            elif job.cached:
+                receipts.append(SubmitReceipt(cached=[job.id]))
             else:
-                receipt.new.append(added.id)
-                if added.state is JobState.BLOCKED:
-                    blocked.append(added.id)
-            receipts.append(receipt)
+                receipts.append(SubmitReceipt(new=[job.id]))
+                if job.state is JobState.BLOCKED:
+                    blocked.append(job.id)
         for job_id in blocked:
-            # Same submit-vs-completion race closure as single submit.
+            # Close the submit-vs-completion race: a parent that turned
+            # terminal between the state check above and the insert
+            # fired its hook before this child's edges existed.
             self.dag.reconcile(job_id)
         return receipts
+
+    def submit(self, kind: str, payload: dict, timeout: float = 0.0,
+               max_retries: int = 2, depends_on=()) -> SubmitReceipt:
+        """Submit one job: :meth:`submit_many` of a single item."""
+        return self.submit_many(
+            [{"kind": kind, "payload": payload}], timeout=timeout,
+            max_retries=max_retries, depends_on=depends_on)[0]
+
+    def submit_sweep(self, sweep: Sweep, timeout: float = 0.0,
+                     max_retries: int = 2, depends_on=()) -> SubmitReceipt:
+        """Submit every unique point of a sweep; the merged receipt."""
+        return SubmitReceipt.merged(self.submit_many(
+            sweep.submissions(), timeout=timeout,
+            max_retries=max_retries, depends_on=depends_on))
 
     # -- campaigns -------------------------------------------------------
 
@@ -339,38 +358,28 @@ class Service:
                         max_retries: int = 2) -> CampaignView:
         """Expand a staged campaign spec into a job DAG and submit it.
 
-        Stages are validated (shape, known kinds, acyclic ``after``
-        graph -- :class:`~repro.errors.CycleError` before any job is
-        enqueued) and submitted in topological order; every job of a
-        stage depends on every job of each parent stage.  Returns the
-        campaign's initial progress view.
+        Every stage is validated (shape, submissions, acyclic ``after``
+        graph -- :class:`~repro.errors.CycleError`) before the first is
+        enqueued; the stages then go in one :meth:`submit_many` each, in
+        topological order, every job of a stage depending on every job
+        of each parent stage.  Returns the campaign's initial progress
+        view.
         """
         name, stages, order = parse_campaign_spec(spec)
         for stage in stages:
-            if stage.kind not in RUNNERS:
-                raise UnknownJobKindError(
-                    f"stage {stage.name!r}: unknown job kind"
-                    f" {stage.kind!r}"
-                    f" (known: {', '.join(sorted(RUNNERS))})"
-                )
+            _validated(stage.submissions, timeout, max_retries, (),
+                       where=f"stage {stage.name!r}: ")
         by_name = {s.name: s for s in stages}
         stage_jobs: dict[str, list[str]] = {}
         for stage_name in order:
             stage = by_name[stage_name]
-            parents = [jid for pname in stage.after
-                       for jid in stage_jobs[pname]]
-            ids: list[str] = []
-            for payload in stage.payloads:
-                r = self.submit(
-                    stage.kind, payload,
-                    timeout=(timeout if stage.timeout is None
-                             else stage.timeout),
-                    max_retries=(max_retries if stage.max_retries is None
-                                 else stage.max_retries),
-                    depends_on=parents,
-                )
-                ids.extend(r.job_ids)
-            stage_jobs[stage_name] = ids
+            receipts = self.submit_many(
+                stage.submissions, timeout=timeout,
+                max_retries=max_retries,
+                depends_on=[jid for pname in stage.after
+                            for jid in stage_jobs[pname]])
+            stage_jobs[stage_name] = [jid for r in receipts
+                                      for jid in r.job_ids]
         record = make_record(new_campaign_id(), name, [
             {"name": s.name, "kind": s.kind, "after": list(s.after),
              "job_ids": stage_jobs[s.name]}
@@ -647,10 +656,6 @@ class Service:
             fh.close()
 
     # -- control ---------------------------------------------------------
-
-    def cancel(self, job_ids) -> list[str]:
-        """Cancel the given BLOCKED/PENDING jobs; returns the ids cancelled."""
-        return [jid for jid in job_ids if self.store.cancel(jid)]
 
     def cancel_job(self, job_id: str) -> tuple[bool, JobView]:
         """Idempotently cancel one job; ``(flipped, current_view)``.

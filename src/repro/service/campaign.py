@@ -58,39 +58,18 @@ def new_campaign_id() -> str:
 
 @dataclasses.dataclass(frozen=True)
 class CampaignStage:
-    """One validated stage: a name, its parents, and concrete payloads."""
+    """One stage: a name, its parents, and the submissions it expands to.
+
+    ``submissions`` are :meth:`Service.submit_many` items carrying the
+    stage's own ``timeout`` / ``max_retries`` when the spec gave them;
+    everything in them is as the spec had it -- ``submit_many`` is what
+    validates it.
+    """
 
     name: str
     kind: str
-    payloads: tuple
+    submissions: tuple
     after: tuple
-    timeout: float | None = None
-    max_retries: int | None = None
-
-
-def _stage_payloads(entry: dict, name: str) -> tuple[str, tuple]:
-    if "sweep" in entry:
-        sweep = entry["sweep"]
-        if not isinstance(sweep, dict) or "kind" not in sweep:
-            raise MalformedRequestError(
-                f"stage {name!r}: 'sweep' must be an object with 'kind'"
-            )
-        expanded = Sweep(
-            kind=sweep["kind"],
-            axes=sweep.get("axes", {}),
-            base=sweep.get("base", {}),
-        ).expand()
-        return sweep["kind"], tuple(expanded)
-    if "kind" in entry:
-        payload = entry.get("payload", {})
-        if not isinstance(payload, dict):
-            raise MalformedRequestError(
-                f"stage {name!r}: 'payload' must be an object"
-            )
-        return entry["kind"], (payload,)
-    raise MalformedRequestError(
-        f"stage {name!r} needs either 'sweep' or 'kind'"
-    )
 
 
 def parse_campaign_spec(spec) -> tuple[str, list[CampaignStage], list[str]]:
@@ -131,13 +110,23 @@ def parse_campaign_spec(spec) -> tuple[str, list[CampaignStage], list[str]]:
                 f"stage {stage_name!r}: 'after' must be a list of stage"
                 " names"
             )
-        kind, payloads = _stage_payloads(entry, stage_name)
-        timeout = entry.get("timeout")
-        max_retries = entry.get("max_retries")
+        if "sweep" in entry:
+            sweep = Sweep.from_spec(entry["sweep"])
+            kind, submissions = sweep.kind, sweep.submissions()
+        elif "kind" in entry:
+            kind = entry["kind"]
+            submissions = [{"kind": kind,
+                            "payload": entry.get("payload", {})}]
+        else:
+            raise MalformedRequestError(
+                f"stage {stage_name!r} needs either 'sweep' or 'kind'"
+            )
+        overrides = {k: entry[k] for k in ("timeout", "max_retries")
+                     if k in entry}
         stages.append(CampaignStage(
-            name=stage_name, kind=kind, payloads=payloads,
-            after=tuple(dict.fromkeys(after)), timeout=timeout,
-            max_retries=max_retries,
+            name=stage_name, kind=kind,
+            submissions=tuple({**sub, **overrides} for sub in submissions),
+            after=tuple(dict.fromkeys(after)),
         ))
     for stage in stages:
         for parent in stage.after:

@@ -1,10 +1,11 @@
-"""Clients for the HTTP front-end: blocking and asyncio-polling.
+"""Clients for the HTTP front-end: blocking and asyncio.
 
 :class:`ServiceClient` is a thin blocking wrapper over
 ``urllib.request`` that mirrors the :class:`~repro.service.api.Service`
 facade and returns the *same typed objects* local callers get:
-``submit``/``submit_sweep`` a :class:`~repro.service.api.SubmitReceipt`,
-``job`` a :class:`~repro.service.views.JobView`, ``status``/``queue`` a
+``submit``/``submit_sweep`` a :class:`~repro.service.api.SubmitReceipt`
+(``submit_many`` one per item), ``cancel_job`` a ``(flipped, JobView)``
+pair, ``job`` a :class:`~repro.service.views.JobView`, ``status``/``queue`` a
 :class:`~repro.service.views.QueuePage`, ``result`` a
 :class:`~repro.service.views.ResultView`, ``submit_campaign`` /
 ``campaign`` a :class:`~repro.service.views.CampaignView` and
@@ -152,17 +153,6 @@ class _Backoff:
             self.delay = min(self.delay * self.factor, self.maximum)
         # uniform jitter in [1 - j, 1 + j] around the nominal delay
         return self.delay * (1.0 + self.jitter * (2.0 * self.rng.random() - 1.0))
-
-
-def _sweep_spec(sweep) -> dict:
-    if isinstance(sweep, Sweep):
-        return {"kind": sweep.kind, "axes": sweep.axes, "base": sweep.base}
-    if isinstance(sweep, dict) and "kind" in sweep:
-        return {"kind": sweep["kind"], "axes": sweep.get("axes", {}),
-                "base": sweep.get("base", {})}
-    raise ConfigError(
-        "sweep must be a repro.service.Sweep or a dict with kind/axes/base"
-    )
 
 
 def _query(**params) -> str:
@@ -365,42 +355,37 @@ class ServiceClient:
         })["receipt"])
 
     def submit_sweep(self, sweep, timeout: float = 0.0,
-                     max_retries: int = 2, depends_on=(),
-                     batch: bool = False) -> SubmitReceipt:
-        """Submit a :class:`~repro.service.Sweep` (or spec dict).
+                     max_retries: int = 2, depends_on=()) -> SubmitReceipt:
+        """Submit a :class:`~repro.service.Sweep` (or its spec dict).
 
-        ``depends_on`` applies to every job of the sweep.  With
-        ``batch=True`` the sweep goes to ``POST /v1/jobs/batch``
-        instead: still one round-trip and an identical merged receipt,
-        but the server inserts the points with one transaction per
-        shard rather than one per point -- use it for large grids.
+        One round-trip, one merged receipt; the server expands the grid
+        and inserts the points with one transaction per shard.
+        ``depends_on`` applies to every job of the sweep.
         """
-        body = {
-            "sweep": _sweep_spec(sweep),
+        if isinstance(sweep, dict):
+            sweep = Sweep.from_spec(sweep)
+        return SubmitReceipt.from_dict(self._request("POST", "/v1/jobs", {
+            "sweep": sweep.to_spec(),
             "timeout": timeout, "max_retries": max_retries,
             "depends_on": list(depends_on),
-        }
-        path = "/v1/jobs/batch" if batch else "/v1/jobs"
-        return SubmitReceipt.from_dict(
-            self._request("POST", path, body)["receipt"])
+        })["receipt"])
 
     def submit_many(self, submissions, timeout: float = 0.0,
-                    max_retries: int = 2) -> list[SubmitReceipt]:
+                    max_retries: int = 2,
+                    depends_on=()) -> list[SubmitReceipt]:
         """Submit N jobs in ONE round-trip via ``POST /v1/jobs/batch``.
 
         ``submissions`` is a sequence of dicts with ``kind`` and
         ``payload`` plus optional per-item ``timeout`` / ``max_retries``
         / ``depends_on``; the call-level arguments are the defaults.
         Returns one :class:`SubmitReceipt` per submission in request
-        order, with dedup/cache dispositions byte-identical to N single
-        :meth:`submit` calls (see
-        :meth:`repro.service.api.Service.submit_many`).
+        order (see :meth:`repro.service.api.Service.submit_many`).
         """
-        body = {
+        resp = self._request("POST", "/v1/jobs/batch", {
             "jobs": list(submissions),
             "timeout": timeout, "max_retries": max_retries,
-        }
-        resp = self._request("POST", "/v1/jobs/batch", body)
+            "depends_on": list(depends_on),
+        })
         return [SubmitReceipt.from_dict(r) for r in resp["receipts"]]
 
     # -- campaigns -------------------------------------------------------
@@ -510,20 +495,13 @@ class ServiceClient:
         return {"size": len(encoded),
                 "sha256": hashlib.sha256(encoded).hexdigest()}
 
-    def cancel(self, job_id: str) -> bool:
-        """Cancel one job; True when *this call* flipped it.
-
-        Idempotent: an already-terminal job returns False without an
-        error.  Only an unknown id raises :class:`UnknownJobError`.
-        """
-        return self.cancel_job(job_id)[0]
-
     def cancel_job(self, job_id: str) -> tuple[bool, JobView]:
         """Cancel and return ``(flipped, current JobView)``.
 
-        The view reflects the job *after* the call either way, so a
-        caller can distinguish "I cancelled it" from "it was already
-        DONE/FAILED/CANCELLED" without a second request.
+        Idempotent: the view reflects the job *after* the call either
+        way, so a caller can distinguish "I cancelled it" from "it was
+        already DONE/FAILED/CANCELLED" without a second request.  Only
+        an unknown id raises :class:`UnknownJobError`.
         """
         body = self._request("POST", f"/v1/jobs/{job_id}/cancel")
         return bool(body["cancelled"]), JobView.from_dict(body["job"])

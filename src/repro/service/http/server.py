@@ -17,9 +17,11 @@ method   path                                action
 =======  ==================================  ===============================
 GET      ``/v1``                             API discovery: ``{"version",
                                              "endpoints", "capabilities"}``
-POST     ``/v1/jobs``                        submit -> ``{"receipt": ...}``
-POST     ``/v1/jobs/batch``                  N submissions, one round-trip
-                                             -> ``{"receipts": [...]}``
+POST     ``/v1/jobs``                        one job or a sweep
+                                             -> ``{"receipt": ...}``
+POST     ``/v1/jobs/batch``                  N jobs or a sweep ->
+                                             ``{"receipts": [...],
+                                             "receipt": ...}``
 GET      ``/v1/jobs``                        queue page (filter + paginate)
 GET      ``/v1/jobs/{id}``                   one job -> ``{"job": ...}``
 GET      ``/v1/jobs/{id}/result``            ``{"job":..., "ready", "result"}``
@@ -53,10 +55,15 @@ watch"): resumable cursors over the per-shard audit logs, server-side
 ``job_id``/``campaign``/``state``/``kind`` filters, SSE heartbeat
 comments and ``Last-Event-ID`` resume.
 
-Submissions may carry ``depends_on`` (a list of parent job ids): the
-job enters ``BLOCKED`` and is released only when every parent is
-``DONE`` (see :mod:`repro.service.dag`).  Campaign specs are expanded
-into such a DAG server-side, whole-or-nothing.
+The three submit routes read the body, pass admission and hand the
+submissions to :meth:`Service.submit_many` (campaigns: one call per
+stage) -- the one place a submission is validated and turned into a
+job, so a malformed item is the same typed 4xx on every route and the
+jobs of one call commit in one transaction per shard.  Submissions may
+carry ``depends_on`` (a list of parent job ids): the job enters
+``BLOCKED`` and is released only when every parent is ``DONE`` (see
+:mod:`repro.service.dag`).  Campaign specs are expanded into such a DAG
+server-side, validated whole before the first stage is enqueued.
 
 Error contract: every error body is
 ``{"error": {"code": "...", "message": "..."}}`` where ``code`` is the
@@ -94,7 +101,6 @@ import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ...config import HPLConfig
 from ...errors import (
     MalformedRequestError,
     ReproError,
@@ -118,140 +124,6 @@ _RESULT_CHUNKS_RE = re.compile(r"^/v1/jobs/([A-Za-z0-9_-]+)/result/chunks$")
 _RESULT_FINISH_RE = re.compile(r"^/v1/jobs/([A-Za-z0-9_-]+)/result/finish$")
 _CAMPAIGN_RE = re.compile(r"^/v1/campaigns/([A-Za-z0-9_-]+)$")
 _CAMPAIGN_DAG_RE = re.compile(r"^/v1/campaigns/([A-Za-z0-9_-]+)/dag$")
-
-
-def _validate_payloads(kind: str, payloads: list) -> None:
-    """Reject bad submissions before they enter the queue.
-
-    ``run`` payloads are full :class:`HPLConfig` dicts, so every grid
-    point is constructed eagerly -- a bad corner fails the whole
-    submission with a 400, mirroring the CLI's submit-time validation.
-    """
-    for payload in payloads:
-        if not isinstance(payload, dict):
-            raise MalformedRequestError(
-                f"job payload must be a JSON object,"
-                f" got {type(payload).__name__}"
-            )
-        if kind == "run":
-            depth0 = {"depth": 0} if payload.get("schedule") == "classic" \
-                else {}
-            HPLConfig.from_dict({**payload, **depth0})
-
-
-def _parse_depends_on(body: dict) -> list:
-    depends_on = body.get("depends_on", [])
-    if (not isinstance(depends_on, list)
-            or not all(isinstance(p, str) and p for p in depends_on)):
-        raise MalformedRequestError(
-            "'depends_on' must be a list of job id strings"
-        )
-    return depends_on
-
-
-def _parse_submission(body: dict) -> tuple[str, list[dict], Sweep | None,
-                                           float, int, list]:
-    if not isinstance(body, dict):
-        raise MalformedRequestError("submission body must be a JSON object")
-    try:
-        timeout = float(body.get("timeout", 0.0))
-        max_retries = int(body.get("max_retries", 2))
-    except (TypeError, ValueError) as exc:
-        raise MalformedRequestError(
-            f"bad timeout/max_retries: {exc}"
-        ) from None
-    depends_on = _parse_depends_on(body)
-    if "sweep" in body:
-        spec = body["sweep"]
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise MalformedRequestError(
-                "'sweep' must be an object with a 'kind'"
-            )
-        sweep = Sweep(
-            kind=spec["kind"],
-            axes=spec.get("axes", {}),
-            base=spec.get("base", {}),
-        )
-        return (sweep.kind, sweep.expand(), sweep, timeout, max_retries,
-                depends_on)
-    if "kind" in body:
-        payload = body.get("payload", {})
-        return body["kind"], [payload], None, timeout, max_retries, \
-            depends_on
-    raise MalformedRequestError(
-        "submission must carry either 'kind' + 'payload' or a 'sweep'"
-    )
-
-
-#: Safety cap on one batch request, far above the 10k-point sweep the
-#: endpoint exists for but low enough that a single request cannot hold
-#: the coordinator's memory hostage.
-MAX_BATCH_JOBS = 100_000
-
-
-def _parse_batch(body: dict) -> list[dict]:
-    """Normalize a ``/v1/jobs/batch`` body into per-job submissions.
-
-    Accepts either ``{"jobs": [{kind, payload, ...}, ...]}`` with
-    optional top-level ``timeout`` / ``max_retries`` / ``depends_on``
-    defaults, or ``{"sweep": {...}}`` which is expanded server-side into
-    one submission per grid point -- a 10k-point sweep is one request.
-    Returns plain dicts in request order, ready for
-    :meth:`Service.submit_many`.
-    """
-    if not isinstance(body, dict):
-        raise MalformedRequestError("batch body must be a JSON object")
-    try:
-        timeout = float(body.get("timeout", 0.0))
-        max_retries = int(body.get("max_retries", 2))
-    except (TypeError, ValueError) as exc:
-        raise MalformedRequestError(
-            f"bad timeout/max_retries: {exc}"
-        ) from None
-    depends_on = _parse_depends_on(body)
-    if "sweep" in body:
-        spec = body["sweep"]
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise MalformedRequestError(
-                "'sweep' must be an object with a 'kind'"
-            )
-        sweep = Sweep(kind=spec["kind"], axes=spec.get("axes", {}),
-                      base=spec.get("base", {}))
-        jobs = [{"kind": sweep.kind, "payload": p} for p in sweep.expand()]
-    else:
-        jobs = body.get("jobs")
-        if not isinstance(jobs, list) or not jobs:
-            raise MalformedRequestError(
-                "batch must carry a non-empty 'jobs' list or a 'sweep'"
-            )
-    if len(jobs) > MAX_BATCH_JOBS:
-        raise MalformedRequestError(
-            f"batch of {len(jobs)} jobs exceeds the cap of"
-            f" {MAX_BATCH_JOBS}"
-        )
-    out: list[dict] = []
-    for i, item in enumerate(jobs):
-        if not isinstance(item, dict):
-            raise MalformedRequestError(
-                f"jobs[{i}] must be an object, got {type(item).__name__}"
-            )
-        kind = item.get("kind")
-        if not isinstance(kind, str) or not kind:
-            raise MalformedRequestError(
-                f"jobs[{i}]: 'kind' must be a non-empty string"
-            )
-        payload = item.get("payload", {})
-        _validate_payloads(kind, [payload])
-        sub = {
-            "kind": kind,
-            "payload": payload,
-            "timeout": item.get("timeout", timeout),
-            "max_retries": item.get("max_retries", max_retries),
-            "depends_on": (_parse_depends_on(item)
-                           if "depends_on" in item else depends_on),
-        }
-        out.append(sub)
-    return out
 
 
 def _int_param(params: dict, name: str, default=None):
@@ -429,12 +301,40 @@ class _Handler(BaseHTTPRequestHandler):
             f"ip:{self.client_address[0]}"
         admission.check_submit(client_id, self.service.store.outstanding)
 
-    def _note_enqueued(self, receipts) -> None:
+    def _submit(self, *forms: str) -> list[SubmitReceipt]:
+        """Read a submit body, pass admission, hand it to the service.
+
+        ``forms`` are the body shapes the route takes, by the key that
+        marks them: ``"sweep"`` (a grid, expanded here into one
+        submission per point), ``"jobs"`` (a list of submissions) or
+        ``"kind"`` (one submission, ``kind`` + ``payload``).  The
+        top-level ``timeout`` / ``max_retries`` / ``depends_on`` go
+        through as sent: :meth:`Service.submit_many` is the one place a
+        submission is validated.
+        """
+        body = self._read_body()
+        self._admit_submit()
+        form = next((f for f in forms if body.get(f)), None)
+        if form == "sweep":
+            jobs = Sweep.from_spec(body["sweep"]).submissions()
+        elif form == "jobs":
+            jobs = body["jobs"]
+        elif form == "kind":
+            jobs = [{"kind": body["kind"],
+                     "payload": body.get("payload", {})}]
+        else:
+            raise MalformedRequestError(
+                "submission body must carry a non-empty "
+                + " or ".join(repr(f) for f in forms)
+            )
+        receipts = self.service.submit_many(jobs, **{
+            k: body[k] for k in ("timeout", "max_retries", "depends_on")
+            if k in body})
         admission: AdmissionController | None = getattr(
             self.server, "admission", None)
         if admission is not None:
-            admission.note_enqueued(
-                sum(len(r.new) for r in receipts))
+            admission.note_enqueued(sum(len(r.new) for r in receipts))
+        return receipts
 
     def _queue_page(self, query: str) -> dict:
         params = urllib.parse.parse_qs(query)
@@ -669,49 +569,22 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return 200, {"job": JobView.from_job(job).to_dict()}
         if path == "/v1/jobs/batch":
-            body = self._read_body()
-            self._admit_submit()
-            submissions = _parse_batch(body)
-            receipts = self.service.submit_many(submissions)
-            self._note_enqueued(receipts)
-            merged = SubmitReceipt()
-            for r in receipts:
-                merged.merge(r)
+            receipts = self._submit("sweep", "jobs")
             return 200, {
                 "receipts": [r.to_dict() for r in receipts],
-                "receipt": merged.to_dict(),
+                "receipt": SubmitReceipt.merged(receipts).to_dict(),
             }
         if path == "/v1/jobs":
-            body = self._read_body()
-            self._admit_submit()
-            kind, payloads, sweep, timeout, max_retries, depends_on = \
-                _parse_submission(body)
-            _validate_payloads(kind, payloads)
-            if sweep is not None:
-                receipt = self.service.submit_sweep(
-                    sweep, timeout=timeout, max_retries=max_retries,
-                    depends_on=depends_on,
-                )
-            else:
-                receipt = self.service.submit(
-                    kind, payloads[0], timeout=timeout,
-                    max_retries=max_retries, depends_on=depends_on,
-                )
-            self._note_enqueued([receipt])
-            return 200, {"receipt": receipt.to_dict()}
+            receipts = self._submit("sweep", "kind")
+            return 200, {
+                "receipt": SubmitReceipt.merged(receipts).to_dict(),
+            }
         if path == "/v1/campaigns":
             body = self._read_body()
             self._admit_submit()
-            try:
-                timeout = float(body.pop("timeout", 0.0))
-                max_retries = int(body.pop("max_retries", 2))
-            except (TypeError, ValueError) as exc:
-                raise MalformedRequestError(
-                    f"bad timeout/max_retries: {exc}"
-                ) from None
-            view = self.service.submit_campaign(
-                body, timeout=timeout, max_retries=max_retries
-            )
+            options = {k: body.pop(k) for k in ("timeout", "max_retries")
+                       if k in body}
+            view = self.service.submit_campaign(body, **options)
             return 200, {"campaign": view.to_dict()}
         if path == "/v1/leases":
             body = self._read_body()

@@ -11,7 +11,7 @@ by a **stable hash of its content key** (:func:`shard_index`).  Because
 the content key also drives the result cache and active-job dedup,
 routing by it keeps both *shard-local*: two submissions of the same
 benchmark point always meet in the same ``jobs.sqlite``, so the
-``add_if_no_active`` dedup transaction needs no cross-shard lock.
+check-then-insert of ``add_batch`` needs no cross-shard lock.
 
 Consequences of the design, relied on throughout:
 
@@ -181,22 +181,11 @@ class ShardedStore:
 
     # -- writes ----------------------------------------------------------
 
-    def add(self, job: Job) -> Job:
-        shard = self.shard_for_key(job.key)
-        try:
-            return shard.add(job)
-        except sqlite3.OperationalError as exc:
-            raise self._wrap_unavailable(shard, exc) from None
-
-    def add_if_no_active(self, job: Job) -> tuple[Job | None, Job | None]:
-        """Shard-local dedup: the key's shard runs the usual atomic
-        check-then-insert, which is race-free coordinator-wide because
-        every submission of this key routes to the same shard."""
-        shard = self.shard_for_key(job.key)
-        try:
-            return shard.add_if_no_active(job)
-        except sqlite3.OperationalError as exc:
-            raise self._wrap_unavailable(shard, exc) from None
+    def add(self, job: Job, dedup: bool = False) -> Job:
+        """The one-item spelling of :meth:`add_batch` (see
+        :meth:`JobStore.add`)."""
+        added, existing = self.add_batch([(job, dedup)])[0]
+        return added or existing
 
     def add_batch(
         self, items: list[tuple[Job, bool]]
@@ -487,12 +476,6 @@ class ShardedStore:
             except sqlite3.OperationalError:
                 continue
         return out
-
-    def active_by_key(self, key: str) -> Job | None:
-        try:
-            return self.shard_for_key(key).active_by_key(key)
-        except sqlite3.OperationalError:
-            return None
 
     def outstanding(self) -> int:
         c = self.counts()

@@ -354,75 +354,37 @@ class JobStore:
 
     # -- writes ----------------------------------------------------------
 
-    def add(self, job: Job) -> Job:
-        conn = self._connection()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            conn.execute(
-                f"INSERT INTO jobs ({_COLS}) VALUES ({_PLACEHOLDERS})",
-                job.to_row(),
-            )
-            self._insert_deps(conn, job)
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        self._event(job.id, "submitted", kind=job.kind, key=job.key,
-                    state=job.state.value, cached=job.cached)
-        return job
+    def add(self, job: Job, dedup: bool = False) -> Job:
+        """The one-item spelling of :meth:`add_batch`.
 
-    def add_if_no_active(self, job: Job) -> tuple[Job | None, Job | None]:
-        """Insert ``job`` unless an active job already holds its key.
-
-        The existence check and the insert share one ``BEGIN IMMEDIATE``
-        transaction, so two submitters racing on the same content key
-        (threads of an HTTP front-end, or separate processes) can never
-        both queue a job for it.  Returns ``(job, None)`` when the job
-        was inserted and ``(None, existing)`` when an active
-        (BLOCKED/PENDING/RUNNING) twin was found instead.
+        Returns the job that holds the key afterwards: ``job`` itself,
+        or -- with ``dedup`` -- the active twin found in its place.
         """
-        conn = self._connection()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            row = conn.execute(
-                f"SELECT {_COLS} FROM jobs WHERE key = ?"
-                " AND state IN (?, ?, ?) ORDER BY created LIMIT 1",
-                (job.key, JobState.BLOCKED.value, JobState.PENDING.value,
-                 JobState.RUNNING.value),
-            ).fetchone()
-            if row is not None:
-                conn.execute("COMMIT")
-                return None, Job.from_row(row)
-            conn.execute(
-                f"INSERT INTO jobs ({_COLS}) VALUES ({_PLACEHOLDERS})",
-                job.to_row(),
-            )
-            self._insert_deps(conn, job)
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        self._event(job.id, "submitted", kind=job.kind, key=job.key,
-                    state=job.state.value, cached=job.cached)
-        return job, None
+        added, existing = self.add_batch([(job, dedup)])[0]
+        return added or existing
 
     def add_batch(
         self, items: list[tuple[Job, bool]]
     ) -> list[tuple[Job | None, Job | None]]:
         """Insert many jobs in ONE transaction, preserving submit order.
 
-        ``items`` pairs each job with a ``dedup`` flag: with dedup the
-        item behaves exactly like :meth:`add_if_no_active` (returns
-        ``(None, existing)`` on an active twin), without it exactly like
-        :meth:`add`.  Because every per-item SELECT runs inside the same
-        ``BEGIN IMMEDIATE`` as the earlier items' INSERTs, in-batch
-        duplicates dedup against each other precisely as sequential
-        single submits would -- the batch is observationally equivalent
-        to N ordered calls, just one fsync instead of N.
+        This is the only statement that inserts a job.  ``items`` pairs
+        each job with a ``dedup`` flag: with it the item is inserted
+        only when no active (BLOCKED/PENDING/RUNNING) job holds its
+        content key -- ``(None, existing)`` comes back for a twin --
+        without it unconditionally; an inserted job is ``(job, None)``.
+        The existence check and the insert share one ``BEGIN
+        IMMEDIATE``, so two submitters racing on one key (threads of an
+        HTTP front-end, or separate processes) can never both queue a
+        job for it; and because every per-item SELECT sees the earlier
+        items' INSERTs, in-batch duplicates dedup against each other
+        precisely as sequential single submits would -- the batch is
+        observationally equivalent to N ordered calls, just one fsync
+        instead of N.
 
         Atomic: either every insert of the batch commits or none does.
-        Events are emitted post-COMMIT in submit order, identical to the
-        single-call paths (no batch marker on the wire or in the log).
+        Events are emitted post-COMMIT in submit order (no batch marker
+        on the wire or in the log).
         """
         conn = self._connection()
         results: list[tuple[Job | None, Job | None]] = []
@@ -1018,16 +980,6 @@ class JobStore:
         ):
             out[state] = n
         return out
-
-    def active_by_key(self, key: str) -> Job | None:
-        """The active (non-terminal) job with this content key (dedup)."""
-        row = self._connection().execute(
-            f"SELECT {_COLS} FROM jobs WHERE key = ? AND state IN (?, ?, ?)"
-            " ORDER BY created LIMIT 1",
-            (key, JobState.BLOCKED.value, JobState.PENDING.value,
-             JobState.RUNNING.value),
-        ).fetchone()
-        return Job.from_row(row) if row else None
 
     def outstanding(self) -> int:
         """Number of non-terminal jobs (BLOCKED and backoff included)."""

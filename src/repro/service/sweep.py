@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from ..errors import ServiceError
+from ..errors import MalformedRequestError, ServiceError
 from .cache import payload_key
 
 
@@ -70,6 +70,30 @@ class Sweep:
     axes: dict = field(default_factory=dict)
     base: dict = field(default_factory=dict)
 
+    @classmethod
+    def from_spec(cls, spec) -> "Sweep":
+        """Parse the wire form ``{"kind", "axes", "base"}``, validated.
+
+        Every sweep that arrives as data -- a ``"sweep"`` request body,
+        a campaign stage, a dict handed to a client -- comes through
+        here, so a malformed one is one typed error, whatever the route.
+        """
+        if not isinstance(spec, dict) or not isinstance(
+                spec.get("kind"), str):
+            raise MalformedRequestError(
+                "'sweep' must be an object with a string 'kind'"
+            )
+        axes, base = spec.get("axes", {}), spec.get("base", {})
+        if not isinstance(axes, dict) or not isinstance(base, dict):
+            raise MalformedRequestError(
+                "sweep 'axes' and 'base' must be objects"
+            )
+        return cls(kind=spec["kind"], axes=axes, base=base)
+
+    def to_spec(self) -> dict:
+        """The wire form :meth:`from_spec` parses."""
+        return {"kind": self.kind, "axes": self.axes, "base": self.base}
+
     def expand(self) -> list[dict]:
         """Deduplicated payload dicts for the full grid."""
         payloads = [
@@ -77,6 +101,10 @@ class Sweep:
         ]
         unique, _ = dedupe(self.kind, payloads)
         return unique
+
+    def submissions(self) -> list[dict]:
+        """The grid as :meth:`Service.submit_many` items, one per point."""
+        return [{"kind": self.kind, "payload": p} for p in self.expand()]
 
     @property
     def npoints(self) -> int:

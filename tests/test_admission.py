@@ -39,6 +39,8 @@ from repro.service.http import (
     WaitTimeout,
 )
 
+pytestmark = pytest.mark.dedicated
+
 
 def _probe(i, tag="t"):
     return {"behavior": "ok", "tag": f"{tag}{i}"}
@@ -170,7 +172,7 @@ class TestOverloadedWire:
         with pytest.raises(OverloadedError):
             client.submit_sweep(
                 {"kind": "probe", "axes": {"tag": [1, 2]},
-                 "base": {"behavior": "ok"}}, batch=True)
+                 "base": {"behavior": "ok"}})
 
     def test_reads_cancels_and_leases_never_gated(self, watermark_server):
         client = ServiceClient(watermark_server.url, retry_429=0)
@@ -185,7 +187,7 @@ class TestOverloadedWire:
         assert client.job(jid).state == "PENDING"
         lease, jobs = client.claim("w1", n=2)
         assert lease is not None and len(jobs) == 2
-        assert client.cancel(jid) in (True, False)
+        assert client.cancel_job(jid)[0] in (True, False)
 
     def test_draining_below_watermark_readmits(self, watermark_server):
         client = ServiceClient(watermark_server.url, retry_429=0)
@@ -193,7 +195,7 @@ class TestOverloadedWire:
         with pytest.raises(OverloadedError):
             client.submit("probe", _probe(99))
         for jid in ids[:3]:
-            client.cancel(jid)
+            client.cancel_job(jid)
         receipt = client.submit("probe", _probe(99))  # now admitted
         assert len(receipt.new) == 1
 
@@ -201,7 +203,7 @@ class TestOverloadedWire:
         client = ServiceClient(watermark_server.url, retry_429=0)
         ids = [client.submit("probe", _probe(i)).new[0] for i in range(5)]
         releaser = threading.Timer(
-            0.5, lambda: [client.cancel(j) for j in ids])
+            0.5, lambda: [client.cancel_job(j) for j in ids])
         releaser.start()
         try:
             retrying = ServiceClient(watermark_server.url, retry_429=10,

@@ -21,11 +21,15 @@ import signal
 import threading
 import time
 
+import pytest
+
 from repro.service import JobState, Service, shard_index
 from repro.service.cache import payload_key
 from repro.service.http import ServiceClient
 
 from .test_shard_chaos import _start_serve, _stop
+
+pytestmark = pytest.mark.dedicated
 
 NSHARDS = 3
 NJOBS = 2000

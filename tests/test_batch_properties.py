@@ -22,10 +22,14 @@ from __future__ import annotations
 
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service import Service
+from repro.errors import ConfigError
+from repro.service import Service, SubmitReceipt, Sweep
+
+pytestmark = pytest.mark.dedicated
 
 # A small payload pool makes in-batch duplicates common; "fact" dedups
 # on content, "probe" is in UNCACHED_KINDS and always enqueues.
@@ -40,6 +44,17 @@ _submissions = st.lists(
 ])
 
 _nshards = st.sampled_from([1, 3])
+
+# Grids over the same small pool: repeated axis values are grid corners
+# with one content key, which a sweep drops before submitting.
+_sweeps = st.builds(
+    lambda kind, ns, tag: Sweep(kind=kind, axes={"n": ns},
+                                base={"tag": tag}),
+    st.sampled_from(["fact", "probe"]),
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1,
+             max_size=8),
+    st.integers(min_value=0, max_value=1),
+)
 
 
 def _dispositions(receipts):
@@ -105,6 +120,41 @@ class TestBatchEquivalence:
                 singly.store.close()
                 batched.store.close()
 
+    @given(sweep=_sweeps, nshards=_nshards)
+    @settings(max_examples=30, deadline=None)
+    def test_sweep_equals_submit_many_equals_n_submits(self, sweep,
+                                                       nshards):
+        """``submit_sweep(s)`` is the merged ``submit_many`` of its
+        points, which is N ``submit`` calls: three spellings, one path."""
+        with tempfile.TemporaryDirectory() as td:
+            services = [Service(f"{td}/{name}", shards=nshards)
+                        for name in ("sweep", "many", "singly")]
+            swept, batched, singly = services
+            try:
+                points = sweep.submissions()
+                receipts = [
+                    swept.submit_sweep(sweep),
+                    SubmitReceipt.merged(batched.submit_many(points)),
+                    SubmitReceipt.merged(
+                        singly.submit(p["kind"], p["payload"])
+                        for p in points),
+                ]
+                # Same keys under the same dispositions, in one order;
+                # same rows; same events in every shard's log.
+                assert len({repr([
+                    [svc.store.get(jid).key for jid in ids]
+                    for ids in (r.new, r.cached, r.deduped)
+                ]) for svc, r in zip(services, receipts)}) == 1
+                assert _queue_rows(swept) == _queue_rows(batched) \
+                    == _queue_rows(singly)
+                assert len({repr([
+                    [(e["event"], e["key"]) for e in shard.events()]
+                    for shard in svc.store.shards
+                ]) for svc in services}) == 1
+            finally:
+                for svc in services:
+                    svc.store.close()
+
     @given(submissions=_submissions, nshards=_nshards)
     @settings(max_examples=30, deadline=None)
     def test_resubmitting_the_batch_dedups_everything(
@@ -130,3 +180,26 @@ class TestBatchEquivalence:
                 assert len(_queue_rows(svc)) == len(before) + probes
             finally:
                 svc.store.close()
+
+
+@pytest.mark.parametrize("nshards", [1, 3])
+def test_invalid_last_point_leaves_nothing_behind(tmp_path, nshards):
+    """In-process sweeps and campaigns get the HTTP routes' check: a
+    ``run`` grid whose *last* corner is no ``HPLConfig`` raises before
+    the first point is queued, and logs no ``submitted`` event."""
+    svc = Service(tmp_path / "svc", shards=nshards)
+    try:
+        grid = Sweep(kind="run", axes={"n": [64, 96, -1]},
+                     base={"nb": 8, "p": 2, "q": 2})
+        with pytest.raises(ConfigError, match=r"jobs\[2\]: n must be"):
+            svc.submit_sweep(grid)
+        with pytest.raises(ConfigError, match=r"stage 'grid': jobs\[2\]"):
+            svc.submit_campaign({"stages": [
+                {"name": "first", "kind": "probe", "payload": {}},
+                {"name": "grid", "after": ["first"],
+                 "sweep": grid.to_spec()},
+            ]})
+        assert svc.store.count_matching() == 0
+        assert svc.store.events() == []
+    finally:
+        svc.store.close()

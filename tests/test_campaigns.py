@@ -33,6 +33,8 @@ from repro.service.http import (
     ServiceHTTPServer,
 )
 
+pytestmark = pytest.mark.dedicated
+
 NSHARDS = 3
 
 TUNE_THEN_SCALE = {
@@ -193,7 +195,6 @@ class TestIdempotentCancelHTTP:
             flipped, view = client.cancel_job(jid)
             assert flipped is False
             assert isinstance(view, JobView) and view.state == "DONE"
-            assert client.cancel(jid) is False  # legacy bool shim
 
     def test_async_client_cancel_job_on_terminal(self, tmp_path):
         with ServiceHTTPServer(tmp_path / "svc", workers=2) as srv:

@@ -137,6 +137,12 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="schedule"):
             HPLConfig.from_dict({**base, "schedule": "bogus"})
 
+    def test_from_dict_names_missing_fields_and_rejects_wrong_types(self):
+        with pytest.raises(ConfigError, match="missing.*'nb', 'p', and 'q'"):
+            HPLConfig.from_dict({"n": 64})
+        with pytest.raises(ConfigError, match="invalid HPLConfig: '<' not"):
+            HPLConfig.from_dict({"n": "64", "nb": 8, "p": 2, "q": 2})
+
     def test_config_key_is_stable_and_content_addressed(self):
         a = HPLConfig(n=64, nb=8, p=2, q=2)
         b = HPLConfig(n=64, nb=8, p=2, q=2)

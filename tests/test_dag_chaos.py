@@ -24,10 +24,14 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from repro.service import JobState, Service
 from repro.service.http import ServiceClient
 
 from .conftest import claim_one
+
+pytestmark = pytest.mark.dedicated
 
 NSHARDS = 3
 

@@ -26,6 +26,8 @@ from repro.service import JobState, Service
 
 from .conftest import claim_one
 
+pytestmark = pytest.mark.dedicated
+
 
 @st.composite
 def dags(draw):

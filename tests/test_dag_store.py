@@ -35,6 +35,8 @@ from repro.service.workers import WorkerOptions
 
 from .conftest import claim_one
 
+pytestmark = pytest.mark.dedicated
+
 
 def _done(store, job):
     return store.complete_leased(job.id, job.lease_id, "rk")

@@ -34,6 +34,8 @@ from repro.service.events import (
 )
 from repro.service.views import EventView
 
+pytestmark = pytest.mark.dedicated
+
 
 class TestCursorTokens:
     def test_roundtrip(self):

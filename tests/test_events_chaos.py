@@ -24,6 +24,8 @@ import pytest
 
 from repro.service.http import ServiceClient
 
+pytestmark = pytest.mark.dedicated
+
 TERMINAL = ("DONE", "FAILED", "CANCELLED")
 
 

@@ -25,6 +25,8 @@ from repro.service.http import (
 )
 from repro.service.views import EventView
 
+pytestmark = pytest.mark.dedicated
+
 
 @pytest.fixture(params=[1, 3], ids=["1shard", "3shard"])
 def server(request, tmp_path):
@@ -288,7 +290,7 @@ class TestWatchAndWait:
                             timeout=60.0).new[0]
         with pytest.raises(WaitTimeout):
             list(client.watch([jid], timeout=0.5, poll=0.2))
-        client.cancel(jid)
+        client.cancel_job(jid)
 
     def test_async_watch_and_wait(self, server):
         async def run():

@@ -47,6 +47,8 @@ from repro.service.http import (
     WaitTimeout,
 )
 
+pytestmark = pytest.mark.dedicated
+
 SIM_SWEEP = Sweep(
     kind="sim",
     axes={"n": [512, 1024], "nb": [64, 128]},
@@ -135,10 +137,10 @@ class TestEndpoints:
         with ServiceHTTPServer(tmp_path / "idle", workers=0) as srv:
             c = ServiceClient(srv.url)
             jid = c.submit("probe", {"behavior": "ok"}).new[0]
-            assert c.cancel(jid) is True
+            assert c.cancel_job(jid)[0] is True
             assert c.job(jid).state == "CANCELLED"
             # A second cancel is a no-op, not an error.
-            assert c.cancel(jid) is False
+            assert c.cancel_job(jid)[0] is False
 
     def test_failed_job_reports_error_line(self, client):
         jid = client.submit("probe", {"behavior": "crash",
@@ -166,7 +168,7 @@ class TestErrorContract:
                                             "p": 2, "q": 2}))
 
     def test_unknown_job_id_is_404(self, client):
-        for call in (client.job, client.result, client.cancel):
+        for call in (client.job, client.result, client.cancel_job):
             with pytest.raises(UnknownJobError, match="no such job"):
                 call("deadbeef0000")
 
@@ -238,7 +240,7 @@ class TestErrorContractAcrossShards:
 
     def test_unknown_job_is_404_unknown_job(self, idle_server):
         c = ServiceClient(idle_server.url)
-        for call in (c.job, c.result, c.cancel):
+        for call in (c.job, c.result, c.cancel_job):
             with pytest.raises(UnknownJobError, match="no such job"):
                 call("deadbeef0000")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -286,6 +288,108 @@ class TestErrorContractAcrossShards:
         # The right lease still works afterwards, on every shard.
         for jid in ids:
             assert c.complete(jid, lease.id, {"ok": True}).state == "DONE"
+
+
+_OK_ITEM = {"kind": "probe", "payload": {"behavior": "ok"}}
+
+#: One malformed submission per row: what is wrong with it, the typed
+#: error it must earn, and the item (``kind``/``payload``/...) or the
+#: sweep spec that carries it.
+_BAD_ITEMS = {
+    "kind-not-a-string": ("malformed", {"kind": [], "payload": {}}),
+    "kind-a-list": ("malformed", {"kind": ["probe"], "payload": {}}),
+    "kind-unknown": ("unknown_kind", {"kind": "frobnicate"}),
+    "payload-not-an-object": ("malformed", {"kind": "probe",
+                                            "payload": [1]}),
+    "timeout-a-word": ("malformed", {**_OK_ITEM, "timeout": "abc"}),
+    "timeout-nan": ("malformed", {**_OK_ITEM, "timeout": "NaN"}),
+    "timeout-negative": ("malformed", {**_OK_ITEM, "timeout": -1}),
+    "retries-a-word": ("malformed", {**_OK_ITEM, "max_retries": "x"}),
+    "retries-null": ("malformed", {**_OK_ITEM, "max_retries": None}),
+    "retries-negative": ("malformed", {**_OK_ITEM, "max_retries": -1}),
+    "depends-on-a-string": ("malformed", {**_OK_ITEM,
+                                          "depends_on": "abc"}),
+    "run-missing-fields": ("bad_config", {"kind": "run",
+                                          "payload": {"n": -5}}),
+    "run-wrong-type": ("bad_config", {"kind": "run", "payload": {
+        "n": "64", "nb": 8, "p": 2, "q": 2}}),
+}
+_BAD_SWEEPS = {
+    "sweep-axes-a-list": ("malformed", {"kind": "probe", "axes": [1, 2]}),
+    "sweep-base-a-number": ("malformed", {"kind": "probe", "base": 3}),
+    "sweep-kind-a-list": ("malformed", {"kind": ["probe"]}),
+    "sweep-over-the-cap": ("malformed", {
+        "kind": "probe", "axes": {"tag": [1, 2, 3, 4]},
+        "base": {"behavior": "ok"}}),
+    "sweep-bad-run-corner": ("bad_config", {
+        "kind": "run", "axes": {"n": [64, -1]},
+        "base": {"nb": 8, "p": 2, "q": 2}}),
+}
+
+
+def _submit_bodies(bad: dict, is_sweep: bool) -> dict:
+    """``{route: body}`` for every submit route that can carry ``bad``.
+
+    The bad part always comes *after* a well-formed one (second batch
+    item, second campaign stage), so a route that enqueues as it goes
+    leaves something behind.  A campaign stage has no ``depends_on``.
+    """
+    good_stage = {"name": "good", **_OK_ITEM}
+    if is_sweep:
+        return {
+            "/v1/jobs": {"sweep": bad},
+            "/v1/jobs/batch": {"sweep": bad},
+            "/v1/campaigns": {"stages": [
+                good_stage, {"name": "bad", "sweep": bad}]},
+        }
+    bodies = {
+        "/v1/jobs": bad,
+        "/v1/jobs/batch": {"jobs": [_OK_ITEM, bad]},
+    }
+    if "depends_on" not in bad:
+        bodies["/v1/campaigns"] = {"stages": [
+            good_stage, {"name": "bad", "after": ["good"], **bad}]}
+    return bodies
+
+
+class TestMalformedSubmissions:
+    """One validator behind every submit route: no body is a 500."""
+
+    @pytest.mark.parametrize("row", [*_BAD_ITEMS, *_BAD_SWEEPS])
+    def test_typed_4xx_on_every_route_and_nothing_enqueued(
+            self, row, idle_server, monkeypatch):
+        monkeypatch.setattr("repro.service.api.MAX_BATCH_JOBS", 3)
+        is_sweep = row in _BAD_SWEEPS
+        code, bad = (_BAD_SWEEPS if is_sweep else _BAD_ITEMS)[row]
+        client = ServiceClient(idle_server.url)
+        before = client.healthz()["queue"]
+        for route, body in _submit_bodies(bad, is_sweep).items():
+            request = urllib.request.Request(
+                idle_server.url + route, data=json.dumps(body).encode(),
+                method="POST",
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10)
+            error = json.loads(excinfo.value.read())["error"]
+            assert (excinfo.value.code, error["code"]) == (
+                422 if code == "unknown_kind" else 400, code), \
+                (route, error)
+            assert client.healthz()["queue"] == before, route
+        assert not idle_server.service.store.events()
+
+    def test_errors_name_the_position_only_in_a_list(self, idle_server):
+        client = ServiceClient(idle_server.url)
+        bad = {"kind": "frobnicate", "payload": {}}
+        with pytest.raises(UnknownJobKindError, match=r"^unknown job kind"):
+            client.submit(**bad)
+        with pytest.raises(UnknownJobKindError,
+                           match=r"^jobs\[2\]: unknown job kind"):
+            client.submit_many([_OK_ITEM, _OK_ITEM, bad])
+        with pytest.raises(UnknownJobKindError,
+                           match=r"^stage 'bad': unknown job kind"):
+            client.submit_campaign(
+                {"stages": [{"name": "bad", **bad}]})
 
 
 @pytest.fixture(params=[1, 3], ids=["1shard", "3shards"])
@@ -562,7 +666,7 @@ class TestEndToEnd:
                 # Cancel can race the resident pool's claim; accept
                 # either outcome but the state must be terminal or
                 # observable.
-                await ac.cancel(held.new[0])
+                await ac.cancel_job(held.new[0])
                 kept_views = await ac.wait(kept.new, timeout=60)
                 assert kept_views[kept.new[0]].state == "DONE"
 

@@ -4,7 +4,7 @@ N threads submit overlapping sweeps against one :class:`Service` while
 a resident worker pool drains the storm.  The guarantees under test:
 
 * **no duplicate execution per content key** -- the atomic
-  check-and-insert in :meth:`JobStore.add_if_no_active` plus the pool's
+  check-and-insert in :meth:`JobStore.add_batch` plus the pool's
   claim-time cache check mean each unique benchmark point launches at
   most one child process, ever;
 * **no lost jobs** -- every receipt id resolves to a job, and every

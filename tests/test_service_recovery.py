@@ -117,7 +117,7 @@ def test_recovery_does_not_touch_terminal_jobs(service):
     service.run_workers(n=1, max_seconds=60)
     cancelled = service.submit("probe", {"behavior": "sleep",
                                          "seconds": 30.0})
-    service.cancel(cancelled.new)
+    service.cancel_job(cancelled.new[0])
 
     before = {jid: service.job(jid).attempts
               for jid in (done.new[0], cancelled.new[0])}

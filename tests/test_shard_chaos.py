@@ -27,9 +27,13 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from repro.service import JobState, Service, Sweep, shard_index
 from repro.service.cache import payload_key
 from repro.service.http import ServiceClient
+
+pytestmark = pytest.mark.dedicated
 
 NSHARDS = 3
 

@@ -122,11 +122,10 @@ class TestShardedStoreBasics:
             ShardedStore([tmp_path / "a", tmp_path / "a"])
 
     def test_dedup_is_shard_local_and_still_atomic(self, sharded):
-        first, existing = sharded.add_if_no_active(_job("same-key"))
-        assert first is not None and existing is None
-        second, twin = sharded.add_if_no_active(_job("same-key"))
-        assert second is None and twin.id == first.id
-        assert sharded.active_by_key("same-key").id == first.id
+        job = _job("same-key")
+        first = sharded.add(job, dedup=True)
+        assert first.id == job.id
+        assert sharded.add(_job("same-key"), dedup=True).id == first.id
         assert sharded.count_matching() == 1
 
     def test_id_operations_probe_shards(self, sharded):
@@ -304,7 +303,7 @@ class TestGracefulDegradation:
         assert excinfo.value.http_status == 503
         assert excinfo.value.code == "shard_unavailable"
         with pytest.raises(ShardUnavailableError):
-            store.add_if_no_active(_job(bad_key))
+            store.add(_job(bad_key), dedup=True)
         # A healthy-shard write still lands.
         good_key = _key_for_shard(1, 3)
         assert store.add(_job(good_key)).key == good_key

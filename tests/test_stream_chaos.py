@@ -32,6 +32,8 @@ from repro.service import Service
 from repro.service.http import ServiceClient
 from repro.service.streams import encode_result
 
+pytestmark = pytest.mark.dedicated
+
 #: The deterministic large result both workers "compute" for the chaos
 #: job: ~200 KB encoded, well past the server's tiny --inline-max below.
 CHAOS_RESULT = {"tag": "stream-chaos", "blob": "v" * 200_000}

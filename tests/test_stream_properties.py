@@ -35,6 +35,8 @@ from repro.errors import ChunkIntegrityError, ChunkOffsetError, MalformedRequest
 from repro.service import ChunkAssembler, decode_result, encode_result, iter_chunks
 from repro.service.streams import chunk_sha256, stream_sha256
 
+pytestmark = pytest.mark.dedicated
+
 _blobs = st.binary(max_size=4096)
 _chunk_sizes = st.integers(min_value=1, max_value=257)
 
