@@ -22,7 +22,7 @@ Batch service commands (see ``docs/service.md``):
                   queue over several workdir shards.
 * ``shards``   -- per-shard queue depth and lease stats.
 * ``status``   -- job counts and per-job states (filter/paginate with
-                  ``--state/--kind/--limit/--offset``).
+                  ``--state/--kind/--limit/--cursor``).
 * ``results``  -- print results of completed jobs.
 * ``cancel``   -- cancel queued jobs (idempotent: already-terminal
                   targets are reported, not errors).
@@ -30,9 +30,12 @@ Batch service commands (see ``docs/service.md``):
                   (``campaign submit``) and track its per-stage
                   progress (``campaign status`` / ``campaign list``).
 
-``submit``/``workers``/``status``/``results``/``cancel``/``campaign``
-accept ``--url`` to operate against a remote ``repro serve`` instance
-instead of a local workdir.
+``submit``/``workers``/``status``/``results``/``shards``/``cancel``/
+``campaign`` accept ``--url`` to operate against a remote ``repro
+serve`` instance instead of a local workdir.  Each is written once
+against the service facade (:mod:`repro.service.facade`): ``_backend``
+picks the in-process ``Service`` or the HTTP ``ServiceClient``, and the
+command body cannot tell which it got.
 """
 
 from __future__ import annotations
@@ -298,28 +301,23 @@ def _submit_sweep(args: argparse.Namespace):
     raise ConfigError(f"unknown job kind {args.kind!r}")
 
 
-def _remote_client(args: argparse.Namespace):
-    """The :class:`ServiceClient` for ``--url``, or None for local mode."""
-    if not getattr(args, "url", None):
-        return None
-    from .service.http.client import ServiceClient
-
-    return ServiceClient(args.url)
-
-
-def _backend(args: argparse.Namespace):
+def _backend(args: argparse.Namespace, client_options=None,
+             service_options=None):
     """The :class:`ServiceClient` for ``--url``, else the in-process
     :class:`Service` on ``--workdir``.
 
-    ``submit_sweep``, ``status`` and ``cancel_job`` have one signature
-    on both, so a command written against them serves either.
+    Both answer the calls of :mod:`repro.service.facade` with one
+    signature and one return type each, so every service command is
+    written once against whichever this returns.  The ``*_options``
+    are extra constructor arguments for the backend they name.
     """
-    client = _remote_client(args)
-    if client is not None:
-        return client
+    if args.url:
+        from .service.http.client import ServiceClient
+
+        return ServiceClient(args.url, **(client_options or {}))
     from .service import Service
 
-    return Service(args.workdir)
+    return Service(args.workdir, **(service_options or {}))
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -345,20 +343,14 @@ def _cmd_workers(args: argparse.Namespace) -> int:
         n=args.n, drain=not args.no_drain, max_seconds=args.max_seconds,
         lease_ttl=args.ttl,
     )
-    if getattr(args, "url", None):
-        from .service.http.client import ServiceClient
-
-        # The client carries the inline threshold, so a child's
-        # oversized result is chunk-streamed to the coordinator without
-        # the pool knowing: ``client.complete`` switches paths.
-        pool = WorkerPool(ServiceClient(args.url,
-                                        inline_max=args.inline_max),
-                          options, worker=args.name or None)
-    else:
-        from .service import Service
-
-        pool = Service(args.workdir, backoff_base=args.backoff) \
-            .worker_pool(options, worker=args.name or None)
+    # The client carries the inline threshold, so a child's oversized
+    # result is chunk-streamed to the coordinator without the pool
+    # knowing (``complete_job`` switches paths); the retry backoff is
+    # the coordinator's, which in process is this Service.
+    backend = _backend(args,
+                       client_options={"inline_max": args.inline_max},
+                       service_options={"backoff_base": args.backoff})
+    pool = WorkerPool(backend, options, worker=args.name or None)
     s = pool.run()
     print(f"pool {pool.worker} finished: {s.claimed} claimed, "
           f"{s.completed} completed, {s.failed} failed, "
@@ -388,57 +380,24 @@ def _print_event_row(view) -> None:
           f"{str(note)[:50]}", flush=True)
 
 
-def _follow_remote(client, job_ids) -> int:
-    """``status --follow`` against a server: stream watch() rows."""
-    try:
-        for view in client.watch(job_ids=job_ids or None):
-            _print_event_row(view)
-    except KeyboardInterrupt:
-        return 0
-    return 0
-
-
-def _follow_local(service, job_ids) -> int:
-    """``status --follow`` on a workdir: long-poll the local broker."""
-    cursor = None
-    try:
-        pending = set(job_ids) if job_ids else None
-        while True:
-            views, cursor, _timed_out = service.events_page(
-                cursor=cursor, timeout=15.0, job_ids=job_ids or None)
-            for view in views:
-                _print_event_row(view)
-                if pending is not None and view.terminal:
-                    pending.discard(view.job_id)
-            if pending is not None and not pending:
-                return 0
-    except KeyboardInterrupt:
-        return 0
-
-
 def _cmd_status(args: argparse.Namespace) -> int:
-    filters = dict(state=args.state or None, kind=args.kind or None,
-                   limit=args.limit, offset=args.offset)
-    client = _remote_client(args)
-    if client is not None:
-        if args.follow:
-            return _follow_remote(client, args.ids)
-        if args.ids:
-            _print_job_rows([client.job(jid) for jid in args.ids])
-            return 0
-        page = client.status(**filters)
-        where = f"{args.url} ({page.workdir})"
-    else:
-        from .service import Service
-
-        service = Service(args.workdir)
-        if args.follow:
-            return _follow_local(service, args.ids)
-        if args.ids:
-            _print_job_rows([service.job_view(jid) for jid in args.ids])
-            return 0
-        page = service.status(**filters)
-        where = f"workdir {page.workdir}"
+    backend = _backend(args)
+    if args.follow:
+        # Streams until every named job is terminal (forever without
+        # ids); an id the service never held is an UnknownJobError.
+        try:
+            for view in backend.watch(job_ids=args.ids or None):
+                _print_event_row(view)
+        except KeyboardInterrupt:
+            pass
+        return 0
+    if args.ids:
+        _print_job_rows([backend.job(jid) for jid in args.ids])
+        return 0
+    page = backend.status(state=args.state or None, kind=args.kind or None,
+                          limit=args.limit, cursor=args.cursor or None)
+    where = f"{args.url} ({page.workdir})" if args.url \
+        else f"workdir {page.workdir}"
     c = page.counts
     print(f"{where}: "
           + ", ".join(f"{c.get(s, 0)} {s.lower()}" for s in
@@ -447,37 +406,21 @@ def _cmd_status(args: argparse.Namespace) -> int:
     if page.jobs:
         _print_job_rows(page.jobs)
     if len(page.jobs) < page.total:
+        more = f"next page: --cursor {page.cursor}" if page.cursor \
+            else "last page"
         print(f"(showing {len(page.jobs)} of {page.total} matching job(s); "
-              f"offset {page.offset})")
+              f"{more})")
     return 0
 
 
 def _cmd_results(args: argparse.Namespace) -> int:
     import json as _json
 
-    client = _remote_client(args)
-    service = None
-    if client is not None:
-        ids = args.ids or [j.id for j in client.status(state="DONE").jobs]
-    else:
-        from .service import JobState, Service
-
-        service = Service(args.workdir)
-        ids = args.ids or [j.id for j in service.store.list(JobState.DONE)]
+    backend = _backend(args)
+    ids = args.ids or [j.id for j in backend.status(state="DONE").jobs]
     if args.output:
-        return _write_results_file(args.output, ids, client, service)
-    if client is not None:
-        views = {jid: client.result(jid) for jid in ids}
-        results = {jid: view.result for jid, view in views.items()}
-    else:
-        # A local view may defer a large result to a stream descriptor;
-        # resolve it from the cache (local reads are not size-bounded).
-        views = service.results(ids)
-        results = {
-            jid: (service.result(jid) if view.stream is not None
-                  else view.result)
-            for jid, view in views.items()
-        }
+        return _write_results_file(args.output, ids, backend)
+    results = {jid: backend.result(jid).result for jid in ids}
     if args.json:
         print(_json.dumps(results, indent=2, sort_keys=True))
         return 0
@@ -497,47 +440,24 @@ def _cmd_results(args: argparse.Namespace) -> int:
     return 0 if missing == 0 else 1
 
 
-def _write_results_file(output: str, ids: list, client, service) -> int:
+def _write_results_file(output: str, ids: list, backend) -> int:
     """Stream results into ``output`` as one JSON object keyed by job id.
 
-    Never holds a whole result in memory: remote results are
-    chunk-downloaded straight into the file via
-    ``client.download_result``; local ones are copied file-to-file from
-    the result cache.  Jobs without a result yet are written as
-    ``null`` and counted toward a non-zero exit.
+    Never holds a large result in memory: ``backend.download_result``
+    copies it into the file chunk by chunk.  Jobs without a result yet
+    are written as ``null`` and counted toward a non-zero exit.
     """
     import json as _json
-    import shutil as _shutil
 
     missing = 0
     with open(output, "wb") as fh:
         fh.write(b"{")
-        first = True
-        for jid in ids:
-            if not first:
-                fh.write(b",")
-            first = False
-            fh.write(_json.dumps(jid).encode("utf-8") + b":")
-            if client is not None:
-                if client.download_result(jid, fh) is None:
-                    fh.write(b"null")
-                    missing += 1
-                continue
-            from .service import JobState
-
-            job = service.store.get(jid)
-            opened = (service.cache.open_result(job.result_key)
-                      if job.state is JobState.DONE and job.result_key
-                      else None)
-            if opened is None:
+        for i, jid in enumerate(ids):
+            fh.write((b"," if i else b"")
+                     + _json.dumps(jid).encode("utf-8") + b":")
+            if backend.download_result(jid, fh) is None:
                 fh.write(b"null")
                 missing += 1
-                continue
-            src, _size = opened
-            try:
-                _shutil.copyfileobj(src, fh)
-            finally:
-                src.close()
         fh.write(b"}")
     done = len(ids) - missing
     note = f" ({missing} not ready)" if missing else ""
@@ -587,24 +507,15 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     """
     import json as _json
 
-    client = _remote_client(args)
-    service = None
-    if client is None:
-        from .service import Service
-
-        service = Service(args.workdir)
+    backend = _backend(args)
     if args.action == "submit":
         try:
             with open(args.spec) as fh:
                 spec = _json.load(fh)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read campaign spec: {exc}") from None
-        if client is not None:
-            view = client.submit_campaign(spec, timeout=args.timeout,
-                                          max_retries=args.retries)
-        else:
-            view = service.submit_campaign(spec, timeout=args.timeout,
-                                           max_retries=args.retries)
+        view = backend.submit_campaign(spec, timeout=args.timeout,
+                                       max_retries=args.retries)
         print(f"campaign {view.id} ({view.name}): {view.njobs} job(s)"
               f" in {len(view.stages)} stage(s)")
         for stage in view.stages:
@@ -612,15 +523,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                   f" {' '.join(stage.job_ids)}")
         return 0
     if args.action == "list":
-        views = client.campaigns() if client is not None \
-            else service.list_campaigns()
         print(f"{'id':<14}{'name':<22}{'state':<11}{'jobs':<6}stages")
-        for v in views:
+        for v in backend.campaigns():
             print(f"{v.id:<14}{v.name[:20]:<22}{v.state:<11}{v.njobs:<6}"
                   + ",".join(s.name for s in v.stages))
         return 0
-    view = client.campaign(args.id) if client is not None \
-        else service.campaign_view(args.id)
+    view = backend.campaign(args.id)
     print(f"campaign {view.id} ({view.name}) state={view.state}"
           f" jobs={view.njobs}")
     print(f"{'stage':<14}{'kind':<8}{'state':<11}{'blocked':<9}"
@@ -632,9 +540,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
               f"{c.get('RUNNING', 0):<9}{c.get('DONE', 0):<7}"
               f"{c.get('FAILED', 0):<8}{c.get('CANCELLED', 0)}")
     if args.dag:
-        dag = client.campaign_dag(view.id) if client is not None \
-            else service.campaign_dag(view.id)
-        for node in dag.nodes:
+        for node in backend.campaign_dag(view.id).nodes:
             deps = ",".join(node["depends_on"]) or "-"
             print(f"  {node['id']}  {node['stage']:<14}"
                   f"{node['state']:<11}<- {deps}")
@@ -683,18 +589,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_shards(args: argparse.Namespace) -> int:
-    """Per-shard depth/lease figures, local or from a remote healthz."""
-    client = _remote_client(args)
-    if client is not None:
-        health = client.healthz()
-        stats = health.get("shards", [])
-        where = args.url
-    else:
-        from .service import Service
-
-        service = Service(args.workdir)
-        stats = service.shard_stats()
-        where = f"workdir {service.workdir}"
+    """Per-shard depth/lease figures from the backend's ``healthz``."""
+    health = _backend(args).healthz()
+    stats = health["shards"]
+    where = args.url or f"workdir {health['workdir']}"
     degraded = [s for s in stats if not s.get("ok", False)]
     print(f"{where}: {len(stats)} shard(s)"
           + (f", {len(degraded)} DEGRADED" if degraded else ""))
@@ -908,8 +806,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="only show jobs of this kind (e.g. sim)")
     p_stat.add_argument("--limit", type=int, default=None,
                         help="show at most this many jobs")
-    p_stat.add_argument("--offset", type=int, default=0,
-                        help="skip this many jobs (with --limit: paging)")
+    p_stat.add_argument("--cursor", default="", metavar="TOKEN",
+                        help="continue from the page whose footer "
+                             "printed this token (with --limit: paging)")
     p_stat.add_argument("--follow", action="store_true",
                         help="stream job transitions live instead of a "
                              "snapshot (with ids: exits once they finish; "

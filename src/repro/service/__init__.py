@@ -7,9 +7,10 @@ lease-driven multiprocess worker pool with timeouts and bounded retry
 (:mod:`.workers`), and a sweep expander (:mod:`.sweep`), all fronted by
 the :class:`~repro.service.api.Service` facade and the ``repro submit``
 / ``workers`` / ``status`` / ``results`` / ``cancel`` CLI commands.
-The facade is transport-agnostic; :mod:`repro.service.http` serves it
-over a socket (``repro serve``) with blocking and asyncio clients so
-remote submitters share one queue and cache.
+The call vocabulary (:mod:`.facade`) is transport-agnostic;
+:mod:`repro.service.http` serves it over a socket (``repro serve``)
+with blocking and asyncio clients that answer the same calls, so remote
+submitters share one queue and cache.
 
 The design follows HPC job-service practice (Balsam's job store +
 launcher + worker states): jobs carry lifecycle states
@@ -36,6 +37,7 @@ from .events import (
     decode_cursor,
     encode_cursor,
 )
+from .facade import ServiceFacade, WaitTimeout
 from .jobs import Job, JobState, Lease, new_job_id
 from .shard import (
     ShardedStore,
@@ -93,11 +95,13 @@ __all__ = [
     "ResultCache",
     "ResultView",
     "Service",
+    "ServiceFacade",
     "ShardedStore",
     "StageView",
     "SubmitReceipt",
     "Sweep",
     "TokenBucket",
+    "WaitTimeout",
     "WorkerOptions",
     "WorkerPool",
     "decode_cursor",

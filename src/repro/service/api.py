@@ -1,7 +1,9 @@
-"""The service facade: submit / status / results / cancel / run_workers.
+"""The in-process service: submit / status / results / cancel / run_workers.
 
 :class:`Service` ties the store, cache, sweep expander, and worker pool
-together behind the surface the CLI and the HTTP front-end use.
+together behind the call vocabulary of :mod:`repro.service.facade` --
+the surface the CLI, the worker pool and the HTTP front-end use, and the
+one :class:`~repro.service.http.ServiceClient` answers over the wire.
 Submission has one path -- :meth:`Service.submit_many` validates,
 builds the jobs and inserts them with one transaction per shard; a
 single submit, a sweep and each campaign stage are calls of it -- and
@@ -39,12 +41,14 @@ from .campaign import (CampaignStore, build_campaign_view, build_dag_view,
 from .dag import DagResolver, has_placeholders
 from .events import (EventBroker, EventFilter, decode_queue_cursor,
                      encode_queue_cursor)
+from .facade import ServiceFacade
 from .jobs import UNCACHED_KINDS, Job, JobState, Lease, new_job_id
 from .shard import (ShardedStore, detect_shard_workdirs,
                     shard_workdirs as _shard_layout)
 from .streams import DEFAULT_INLINE_MAX, MAX_CHUNK_BYTES
 from .sweep import Sweep
-from .views import CampaignView, DagView, JobView, QueuePage, ResultView
+from .views import (CampaignView, DagView, EventView, JobView, QueuePage,
+                    ResultView)
 from .workers import RUNNERS, PoolSummary, WorkerOptions, WorkerPool
 
 DEFAULT_WORKDIR = ".repro-service"
@@ -182,7 +186,25 @@ def _validated(submissions, timeout, max_retries, depends_on,
     return out
 
 
-class Service:
+def _lease_ttl(ttl) -> float:
+    """A lease TTL from raw request data: a finite number > 0.
+
+    A NaN would violate the lease table's NOT NULL; an infinite one
+    would never expire, and lease expiry is the only thing that
+    recovers a dead supervisor's jobs.
+    """
+    try:
+        ttl = float(ttl)
+    except (TypeError, ValueError) as exc:
+        raise MalformedRequestError(f"bad ttl: {exc}") from None
+    if not math.isfinite(ttl) or ttl <= 0:
+        raise MalformedRequestError(
+            f"ttl must be finite and > 0, got {ttl}"
+        )
+    return ttl
+
+
+class Service(ServiceFacade):
     """One service instance rooted at a workdir (queue + cache on disk).
 
     The queue is always a :class:`~repro.service.shard.ShardedStore`:
@@ -192,6 +214,10 @@ class Service:
     The result cache stays single and shared (it is content-addressed,
     so shard routing never affects it).
     """
+
+    #: Growth factor of a worker pool's idle poll on this backend: an
+    #: empty claim is one local query, so the poll stays flat.
+    poll_backoff = 1.0
 
     def __init__(self, workdir=DEFAULT_WORKDIR,
                  backoff_base: float = 0.5, shards: int = 1,
@@ -212,7 +238,7 @@ class Service:
         self.cache = ResultCache(os.path.join(self.workdir, "cache"),
                                  inline_max=inline_max)
         self.backoff_base = backoff_base
-        self.campaigns = CampaignStore(
+        self.campaign_store = CampaignStore(
             os.path.join(self.workdir, "campaigns"))
         # Dependency-aware release: the resolver hangs off the store's
         # terminal hook so a parent finishing on any shard releases (or
@@ -345,9 +371,12 @@ class Service:
             [{"kind": kind, "payload": payload}], timeout=timeout,
             max_retries=max_retries, depends_on=depends_on)[0]
 
-    def submit_sweep(self, sweep: Sweep, timeout: float = 0.0,
+    def submit_sweep(self, sweep: Sweep | dict, timeout: float = 0.0,
                      max_retries: int = 2, depends_on=()) -> SubmitReceipt:
-        """Submit every unique point of a sweep; the merged receipt."""
+        """Submit every unique point of a :class:`Sweep` (or of its
+        spec dict); the merged receipt."""
+        if isinstance(sweep, dict):
+            sweep = Sweep.from_spec(sweep)
         return SubmitReceipt.merged(self.submit_many(
             sweep.submissions(), timeout=timeout,
             max_retries=max_retries, depends_on=depends_on))
@@ -385,41 +414,46 @@ class Service:
              "job_ids": stage_jobs[s.name]}
             for s in stages
         ])
-        self.campaigns.put(record)
+        self.campaign_store.put(record)
         return build_campaign_view(record, self.store)
 
-    def campaign_view(self, campaign_id: str) -> CampaignView:
+    def campaign(self, campaign_id: str) -> CampaignView:
         """Live per-stage progress for one campaign."""
-        return build_campaign_view(self.campaigns.get(campaign_id),
-                                   self.store)
+        return build_campaign_view(
+            self.campaign_store.get(campaign_id), self.store)
 
     def campaign_dag(self, campaign_id: str) -> DagView:
         """The campaign's dependency graph with live node states."""
-        return build_dag_view(self.campaigns.get(campaign_id), self.store)
+        return build_dag_view(
+            self.campaign_store.get(campaign_id), self.store)
 
-    def list_campaigns(self) -> list[CampaignView]:
+    def campaigns(self) -> list[CampaignView]:
         """Progress views for every recorded campaign, oldest first."""
         return [build_campaign_view(r, self.store)
-                for r in self.campaigns.list()]
+                for r in self.campaign_store.list()]
 
     # -- events ----------------------------------------------------------
 
     def campaign_job_ids(self, campaign_id: str) -> list[str]:
         """Every job id a campaign expanded into, stage order."""
-        record = self.campaigns.get(campaign_id)
+        record = self.campaign_store.get(campaign_id)
         return [jid for stage in record["stages"]
                 for jid in stage["job_ids"]]
 
-    def events_page(self, cursor: str | None = None, limit: int = 500,
-                    timeout: float = 0.0, job_ids=None, kinds=None,
-                    states=None, campaign: str | None = None,
-                    ) -> tuple[list, str, bool]:
+    def events(self, cursor: str | None = None, timeout: float = 0.0,
+               limit: int = 500, job_ids=None, kinds=None,
+               states=None, campaign: str | None = None,
+               ) -> tuple[list[EventView], str, bool]:
         """One (optionally blocking) read of the merged event feed.
 
-        Returns ``(views, next_cursor, timed_out)`` -- the long-poll
-        contract of ``GET /v1/events``.  A ``campaign`` filter expands
-        to the campaign's job-id set (404 on an unknown campaign);
-        combined with an explicit ``job_ids`` the two sets intersect.
+        Returns ``(events, next_cursor, timed_out)`` -- the long-poll
+        contract of ``GET /v1/events``.  ``cursor`` is an opaque token
+        from a previous call, ``"begin"`` (everything the logs hold --
+        the default), or ``"now"`` (only what happens from here on).
+        With ``timeout > 0`` the call blocks until a matching event
+        arrives.  A ``campaign`` filter expands to the campaign's
+        job-id set (404 on an unknown campaign); combined with an
+        explicit ``job_ids`` the two sets intersect.
         """
         if limit < 1:
             raise MalformedRequestError(f"limit must be >= 1, got {limit}")
@@ -433,23 +467,26 @@ class Service:
                                 filter=None if filter.empty else filter,
                                 timeout=timeout)
 
+    # The frozen benchmark (benchmarks/e2e/layers.py) times this call
+    # under its old name; nothing in src/ uses the alias.
+    events_page = events
+
     # -- queries ---------------------------------------------------------
 
     def status(self, state: str | None = None, kind: str | None = None,
-               limit: int | None = None, offset: int = 0,
+               limit: int | None = None,
                cursor: str | None = None) -> QueuePage:
         """One filtered, windowed page of the queue (a :class:`QueuePage`).
 
         ``state`` filters on lifecycle state (``"DONE"`` etc.), ``kind``
-        on job kind; ``limit``/``offset`` window the matches, oldest
-        first.  ``cursor`` -- the opaque continuation token a previous
-        page returned -- stands in for ``offset`` (and wins over an
-        explicit one).  ``counts`` and ``outstanding`` on the page
+        on job kind; ``limit`` caps the page, oldest match first, and
+        ``cursor`` -- the opaque continuation token the previous page
+        returned (its ``.cursor``; ``None`` on the last page) -- says
+        where it starts.  ``counts`` and ``outstanding`` on the page
         always cover the whole queue.  Expired leases are swept first so
         the page never shows a dead worker's jobs as RUNNING.
         """
-        if cursor is not None:
-            offset = decode_queue_cursor(cursor)
+        offset = 0 if cursor is None else decode_queue_cursor(cursor)
         if state is not None:
             try:
                 state = JobState(state).value
@@ -460,8 +497,6 @@ class Service:
                 ) from None
         if limit is not None and limit < 0:
             raise MalformedRequestError(f"limit must be >= 0, got {limit}")
-        if offset < 0:
-            raise MalformedRequestError(f"offset must be >= 0, got {offset}")
         self.store.expire_leases()
         jobs = self.store.list(state=state, kind=kind, limit=limit,
                                offset=offset)
@@ -474,33 +509,24 @@ class Service:
             counts=self.store.counts(),
             total=total,
             outstanding=self.store.outstanding(),
-            limit=limit, offset=offset, state=state, kind=kind,
+            limit=limit, state=state, kind=kind,
             workdir=self.workdir, cursor=next_cursor,
         )
 
-    def job(self, job_id: str) -> Job:
-        return self.store.get(job_id)
-
-    def job_view(self, job_id: str) -> JobView:
+    def job(self, job_id: str) -> JobView:
         """The :class:`JobView` projection of one job."""
         return JobView.from_job(self.store.get(job_id))
 
-    def result(self, job_id: str) -> dict | None:
-        """The result dict of a DONE job (None while not DONE)."""
-        job = self.store.get(job_id)
-        if job.state is not JobState.DONE:
-            return None
-        record = self.cache.get(job.result_key)
-        return record["result"] if record else None
-
     def result_view(self, job_id: str) -> ResultView:
-        """The full :class:`ResultView` envelope for one job.
+        """The :class:`ResultView` envelope for one job, as stored.
 
         Results whose canonical encoding is at most ``inline_max`` bytes
         travel inline (the historical shape, byte-for-byte); larger ones
         come back with ``result=None`` plus a ``stream`` descriptor
-        (``{"size", "sha256"}``) that clients resolve through the ranged
-        chunk endpoint -- the coordinator never loads the result.
+        (``{"size", "sha256"}``) that :meth:`result` /
+        :meth:`download_result` resolve through
+        :meth:`read_result_chunk` -- the coordinator never loads the
+        result.
         """
         job = self.store.get(job_id)
         view = JobView.from_job(job)
@@ -518,13 +544,23 @@ class Service:
             return ResultView(job=view, ready=False, result=None)
         return ResultView(job=view, ready=True, result=record["result"])
 
-    def results(self, job_ids=None) -> dict[str, ResultView]:
-        """Map of job id -> :class:`ResultView` (``ready=False`` rows
-        included, so callers see exactly which jobs still owe results).
-        """
-        if job_ids is None:
-            job_ids = [j.id for j in self.store.list()]
-        return {jid: self.result_view(jid) for jid in job_ids}
+    def healthz(self) -> dict:
+        """Liveness plus load: per-shard stats and per-state depths."""
+        shards = self.shard_stats()
+        degraded = [s["workdir"] for s in shards if not s["ok"]]
+        return {
+            "ok": not degraded,
+            "workdir": self.workdir,
+            "nshards": self.nshards,
+            "shards": shards,
+            "degraded": degraded,
+            # Per-state queue depths (BLOCKED included), merged across
+            # shards.  Each shard's figure is an exact snapshot of that
+            # shard; the merge is a smear across the read window (see
+            # ShardedStore.counts), never negative and never
+            # double-counting.
+            "queue": self.store.counts(),
+        }
 
     # -- leases (worker pools, embedded and remote) ----------------------
 
@@ -535,13 +571,19 @@ class Service:
         Jobs whose result is already cached (another submitter's twin
         completed while the job sat in the queue) are completed on the
         spot and never shipped, so no child process is burned on them.
+        ``worker`` / ``n`` / ``ttl`` may be raw request data.
         """
+        if not isinstance(worker, str) or not worker:
+            raise MalformedRequestError(
+                "'worker' must be a non-empty string"
+            )
+        try:
+            n = int(n)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedRequestError(f"bad n: {exc}") from None
         if n < 1:
             raise MalformedRequestError(f"n must be >= 1, got {n}")
-        if ttl <= 0:
-            raise MalformedRequestError(f"ttl must be > 0, got {ttl}")
-        if not worker:
-            raise MalformedRequestError("worker name must be non-empty")
+        ttl = _lease_ttl(ttl)
         lease, jobs = self.store.claim_batch(worker, limit=n, ttl=ttl)
         shipped = []
         for job in jobs:
@@ -555,11 +597,10 @@ class Service:
 
     def heartbeat(self, lease_id: str, ttl: float = 30.0) -> Lease:
         """Extend a live lease; raises ``LeaseExpiredError`` if lapsed."""
-        if ttl <= 0:
-            raise MalformedRequestError(f"ttl must be > 0, got {ttl}")
-        return self.store.heartbeat_lease(lease_id, ttl=ttl)
+        return self.store.heartbeat_lease(lease_id, ttl=_lease_ttl(ttl))
 
-    def complete_job(self, job_id: str, lease_id: str, result: dict) -> Job:
+    def complete_job(self, job_id: str, lease_id: str,
+                     result: dict) -> JobView:
         """Accept a leased job's result: cache it, then mark DONE.
 
         The cache write is content-addressed and idempotent, so it is
@@ -575,14 +616,15 @@ class Service:
         # key folds in the parent ids (and the payload may have been a
         # placeholder form the worker resolved before running).
         self.cache.put(job.key, job.kind, job.payload, result)
-        return self.store.complete_leased(job_id, lease_id, job.key)
+        return JobView.from_job(
+            self.store.complete_leased(job_id, lease_id, job.key))
 
-    def fail_job(self, job_id: str, lease_id: str, error: str) -> Job:
+    def fail_job(self, job_id: str, lease_id: str, error: str) -> JobView:
         """Record a leased attempt's failure (bounded retry applies)."""
-        return self.store.fail_leased(
+        return JobView.from_job(self.store.fail_leased(
             job_id, lease_id, str(error),
             backoff_base=self.backoff_base,
-        )
+        ))
 
     # -- streamed results ------------------------------------------------
 
@@ -601,7 +643,7 @@ class Service:
         return self.store.stage_chunk(job_id, lease_id, offset, sha256, data)
 
     def finish_result(self, job_id: str, lease_id: str, size: int,
-                      sha256: str) -> Job:
+                      sha256: str) -> JobView:
         """Promote a verified staged upload and mark the job DONE.
 
         The spool is moved (never read) into the cache as a blob-backed
@@ -625,7 +667,8 @@ class Service:
         except BaseException:
             self.store.discard_staged(job_id)
             raise
-        return self.store.complete_leased(job_id, lease_id, key)
+        return JobView.from_job(
+            self.store.complete_leased(job_id, lease_id, key))
 
     def read_result_chunk(self, job_id: str, offset: int,
                           length: int) -> bytes:
@@ -668,12 +711,16 @@ class Service:
         """
         self.store.get(job_id)  # 404 on unknown id
         flipped = self.store.cancel(job_id)
-        return flipped, self.job_view(job_id)
+        return flipped, self.job(job_id)
 
     def worker_pool(self, options: WorkerOptions | None = None,
                     worker: str | None = None) -> WorkerPool:
-        """A :class:`WorkerPool` leasing from this service in process."""
-        return WorkerPool(_InProcessCoordinator(self), options, worker)
+        """A :class:`WorkerPool` leasing from this service in process.
+
+        Every transition commits through the service's own store
+        handle, so the DAG and event hooks fire for embedded pools too.
+        """
+        return WorkerPool(self, options, worker)
 
     def run_workers(self, options: WorkerOptions | None = None,
                     **overrides) -> PoolSummary:
@@ -686,48 +733,3 @@ class Service:
         """
         options = (options or WorkerOptions()).replace(**overrides)
         return self.worker_pool(options).run()
-
-
-class _InProcessCoordinator:
-    """The worker pool's transport onto a :class:`Service` in process.
-
-    The same six calls :class:`~repro.service.http.ServiceClient`
-    answers over HTTP, bound to the facade methods the HTTP routes
-    themselves call -- so an embedded pool and a remote fleet exercise
-    one lease path, one cache write and one retry policy, and every
-    transition commits through the service's own store handle (the DAG
-    and event hooks fire for embedded pools too).
-    """
-
-    #: An empty claim is one local query: the idle poll stays flat.
-    poll_backoff = 1.0
-
-    def __init__(self, service: Service) -> None:
-        self.service = service
-
-    def claim(self, worker: str, n: int = 1,
-              ttl: float = 30.0) -> tuple[Lease | None, list[Job]]:
-        return self.service.claim_jobs(worker, n=n, ttl=ttl)
-
-    def heartbeat(self, lease_id: str, ttl: float = 30.0) -> Lease:
-        return self.service.heartbeat(lease_id, ttl=ttl)
-
-    def complete(self, job_id: str, lease_id: str, result: dict) -> JobView:
-        return JobView.from_job(
-            self.service.complete_job(job_id, lease_id, result))
-
-    def fail(self, job_id: str, lease_id: str, error: str) -> JobView:
-        return JobView.from_job(
-            self.service.fail_job(job_id, lease_id, error))
-
-    def result(self, job_id: str) -> ResultView:
-        view = self.service.result_view(job_id)
-        if view.stream is None:
-            return view
-        # Too large for an inline envelope; local reads are not
-        # size-bounded, so load it from the cache.
-        return ResultView(job=view.job, ready=True,
-                          result=self.service.result(job_id))
-
-    def counts(self) -> dict[str, int]:
-        return self.service.store.counts()

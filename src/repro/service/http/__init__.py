@@ -9,12 +9,9 @@ and result cache.  :class:`ServiceHTTPServer` is the stdlib-only server
 
 from __future__ import annotations
 
-from .client import (
-    TERMINAL_STATES,
-    AsyncServiceClient,
-    ServiceClient,
-    WaitTimeout,
-)
+from ..facade import WaitTimeout
+from ..views import TERMINAL_STATES
+from .client import AsyncServiceClient, ServiceClient
 from .server import ServiceHTTPServer
 
 __all__ = [

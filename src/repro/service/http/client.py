@@ -1,17 +1,13 @@
 """Clients for the HTTP front-end: blocking and asyncio.
 
 :class:`ServiceClient` is a thin blocking wrapper over
-``urllib.request`` that mirrors the :class:`~repro.service.api.Service`
-facade and returns the *same typed objects* local callers get:
-``submit``/``submit_sweep`` a :class:`~repro.service.api.SubmitReceipt`
-(``submit_many`` one per item), ``cancel_job`` a ``(flipped, JobView)``
-pair, ``job`` a :class:`~repro.service.views.JobView`, ``status``/``queue`` a
-:class:`~repro.service.views.QueuePage`, ``result`` a
-:class:`~repro.service.views.ResultView`, ``submit_campaign`` /
-``campaign`` a :class:`~repro.service.views.CampaignView` and
-``campaign_dag`` a :class:`~repro.service.views.DagView`.  The lease
-protocol the remote fleet speaks (``claim`` / ``heartbeat`` /
-``complete`` / ``fail``) is exposed the same way.
+``urllib.request``: the HTTP backend of the service facade.  It answers
+the primitive calls listed in :mod:`repro.service.facade` (submission,
+``status`` / ``job`` / ``result_view``, campaigns, ``events``, the
+lease protocol) with one round-trip each, under the same names and
+signatures as :class:`~repro.service.api.Service` and returning the
+*same typed objects*; the derived calls (``result``, ``watch``,
+``wait``, ...) are inherited from the shared base, so they exist once.
 
 Errors come back as the library's own exception types: the server puts a
 stable machine-readable ``code`` in every error body
@@ -28,10 +24,11 @@ transparently up to ``retry_429`` times, sleeping the server's
 
 :class:`AsyncServiceClient` layers asyncio on top for the batch shape
 the paper's experiments have (submit a grid, gather the points): it is
-*generated* from :class:`ServiceClient` -- every public method gets an
-awaitable twin with the identical signature that runs the blocking call
-on the event loop's executor -- so the two clients cannot drift apart.
-``watch``/``wait`` ride the ``/v1/events`` long-poll feed on both.
+*generated* from :class:`ServiceClient` -- every public method,
+inherited ones included, gets an awaitable twin with the identical
+signature that runs the blocking call on the event loop's executor --
+so the two clients cannot drift apart.  ``watch``/``wait`` ride the
+``/v1/events`` long-poll feed on both.
 """
 
 from __future__ import annotations
@@ -40,14 +37,12 @@ import asyncio
 import functools
 import hashlib
 import inspect
-import io
 import json
 import random
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from typing import BinaryIO
 
 from ...errors import (
     BackpressureError,
@@ -71,17 +66,17 @@ from ...errors import (
     UnknownRouteError,
 )
 from ..api import SubmitReceipt
-from ..events import BEGIN, NOW
-from ..jobs import Job, JobState, Lease
+from ..facade import ServiceFacade, WaitTimeout
+from ..jobs import Job, Lease
 from ..streams import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_INLINE_MAX,
-    decode_result,
     encode_result,
     iter_chunks,
 )
 from ..sweep import Sweep
 from ..views import (
+    TERMINAL_STATES,
     CampaignView,
     DagView,
     EventView,
@@ -113,48 +108,6 @@ _ERROR_BY_STATUS = {
     429: BackpressureError,
 }
 
-#: States from which a job will never produce further transitions.
-TERMINAL_STATES = frozenset(
-    s.value for s in JobState if s.terminal
-)
-
-
-class WaitTimeout(ServiceError, TimeoutError):
-    """A ``wait()`` deadline passed with jobs still outstanding."""
-
-    def __init__(self, outstanding: list[str], timeout: float) -> None:
-        self.outstanding = list(outstanding)
-        super().__init__(
-            f"timed out after {timeout:.3g}s waiting for"
-            f" {len(self.outstanding)} job(s):"
-            f" {', '.join(self.outstanding)}"
-        )
-
-
-class _Backoff:
-    """Exponential backoff with jitter; resets on observed progress.
-
-    Paces a worker pool's idle poll (see ``WorkerPool.run``).
-    """
-
-    def __init__(self, initial: float, maximum: float, factor: float,
-                 jitter: float, rng: random.Random) -> None:
-        self.initial = initial
-        self.maximum = maximum
-        self.factor = factor
-        self.jitter = jitter
-        self.rng = rng
-        self.delay = initial
-
-    def next_delay(self, progressed: bool) -> float:
-        if progressed:
-            self.delay = self.initial
-        else:
-            self.delay = min(self.delay * self.factor, self.maximum)
-        # uniform jitter in [1 - j, 1 + j] around the nominal delay
-        return self.delay * (1.0 + self.jitter * (2.0 * self.rng.random() - 1.0))
-
-
 def _query(**params) -> str:
     """Encode non-None params as a query string ('' when all default).
 
@@ -166,22 +119,19 @@ def _query(**params) -> str:
     return "?" + urllib.parse.urlencode(live, doseq=True) if live else ""
 
 
-class ServiceClient:
+class ServiceClient(ServiceFacade):
     """Blocking JSON-over-HTTP client for one service URL.
 
     Results whose canonical encoding exceeds ``inline_max`` bytes are
-    streamed transparently: :meth:`complete` switches from the inline
-    ``POST .../complete`` body to the chunk-upload endpoints, and
-    :meth:`result` resolves a ``stream`` descriptor by downloading the
-    chunks -- callers see the same :class:`ResultView` either way.
-    Smaller results use the historical requests byte-for-byte.
-
-    Also the HTTP transport of
-    :class:`~repro.service.workers.WorkerPool` (``claim`` /
-    ``heartbeat`` / ``complete`` / ``fail`` / ``result`` / ``counts``).
+    streamed transparently: :meth:`complete_job` switches from the
+    inline ``POST .../complete`` body to the chunk-upload endpoints,
+    and the inherited :meth:`result` resolves a ``stream`` descriptor
+    through :meth:`read_result_chunk` -- callers see the same
+    :class:`ResultView` either way.  Smaller results use the historical
+    requests byte-for-byte.
     """
 
-    #: Growth factor of a worker pool's idle poll on this transport:
+    #: Growth factor of a worker pool's idle poll on this backend:
     #: every empty claim is a round-trip, so the poll backs off.
     poll_backoff = 2.0
 
@@ -311,34 +261,26 @@ class ServiceClient:
         )
         return self._send(request, path)
 
-    # -- facade mirror ---------------------------------------------------
+    # -- the primitive calls ---------------------------------------------
 
     def healthz(self) -> dict:
+        """Liveness plus load; the server adds ``workers``/``admission``."""
         return self._request("GET", "/v1/healthz")
 
     def status(self, state: str | None = None, kind: str | None = None,
-               limit: int | None = None, offset: int | None = None,
+               limit: int | None = None,
                cursor: str | None = None) -> QueuePage:
         """One filtered, windowed :class:`QueuePage` of the queue.
 
-        Paginate either by ``limit``/``offset`` or by passing the
-        previous page's opaque ``cursor`` continuation token (the page's
-        ``.cursor`` attribute; ``None`` on the last page).
+        Paginate by passing the previous page's opaque ``cursor``
+        continuation token (the page's ``.cursor`` attribute; ``None``
+        on the last page).
         """
         return QueuePage.from_dict(self._request(
             "GET",
             "/v1/queue" + _query(state=state, kind=kind, limit=limit,
-                                 offset=offset, cursor=cursor),
+                                 cursor=cursor),
         ))
-
-    #: ``queue`` and ``status`` are the same page; both names kept
-    #: because local callers say ``service.status()`` and operational
-    #: scripts say "check the queue".
-    queue = status
-
-    def counts(self) -> dict[str, int]:
-        """Whole-queue job count per state (expired leases swept first)."""
-        return dict(self.status(limit=0).counts)
 
     def submit(self, kind: str, payload: dict, timeout: float = 0.0,
                max_retries: int = 2, depends_on=()) -> SubmitReceipt:
@@ -354,7 +296,7 @@ class ServiceClient:
             "depends_on": list(depends_on),
         })["receipt"])
 
-    def submit_sweep(self, sweep, timeout: float = 0.0,
+    def submit_sweep(self, sweep: Sweep | dict, timeout: float = 0.0,
                      max_retries: int = 2, depends_on=()) -> SubmitReceipt:
         """Submit a :class:`~repro.service.Sweep` (or its spec dict).
 
@@ -426,74 +368,27 @@ class ServiceClient:
         )["dag"])
 
     def job(self, job_id: str) -> JobView:
+        """The :class:`JobView` projection of one job."""
         return JobView.from_dict(
             self._request("GET", f"/v1/jobs/{job_id}")["job"]
         )
 
-    def result(self, job_id: str) -> ResultView:
-        """The :class:`ResultView` envelope for one job.
+    def result_view(self, job_id: str) -> ResultView:
+        """The :class:`ResultView` envelope for one job, as served.
 
-        A ``stream`` descriptor in the response (the result exceeded
-        the server's inline threshold) is resolved transparently: the
-        chunks are downloaded, verified against the declared size and
-        sha256, and decoded, so the returned view is indistinguishable
-        from an inline one.
+        A result over the server's inline threshold comes back with
+        ``result=None`` plus a ``stream`` descriptor; the inherited
+        :meth:`result` / :meth:`download_result` resolve it.
         """
-        body = self._request("GET", f"/v1/jobs/{job_id}/result")
-        view = ResultView.from_dict(body)
-        if view.stream is None:
-            return view
-        sink = io.BytesIO()
-        self._download_stream(job_id, view.stream, sink)
-        return ResultView(job=view.job, ready=True,
-                          result=decode_result(sink.getvalue()))
+        return ResultView.from_dict(
+            self._request("GET", f"/v1/jobs/{job_id}/result"))
 
-    def _download_stream(self, job_id: str, stream: dict,
-                         sink: BinaryIO) -> tuple[int, str]:
-        """Ranged-download a streamed result into ``sink``; verify it."""
-        size = int(stream["size"])
-        expected = stream["sha256"]
-        hasher = hashlib.sha256()
-        offset = 0
-        while offset < size:
-            data = self._request_bytes(
-                f"/v1/jobs/{job_id}/result/chunks"
-                + _query(offset=offset, length=self.chunk_size)
-            )
-            if not data:
-                raise ChunkIntegrityError(
-                    f"result stream for job {job_id} ended at byte"
-                    f" {offset} of {size}"
-                )
-            sink.write(data)
-            hasher.update(data)
-            offset += len(data)
-        if hasher.hexdigest() != expected:
-            raise ChunkIntegrityError(
-                f"downloaded result for job {job_id} does not match"
-                f" its declared sha256"
-            )
-        return size, expected
-
-    def download_result(self, job_id: str, sink: BinaryIO) -> dict | None:
-        """Stream one job's result bytes (canonical JSON) into ``sink``.
-
-        Large results are fetched chunk by chunk, so client memory stays
-        bounded by ``chunk_size``; inline results are encoded and
-        written whole.  Returns ``{"size", "sha256"}`` on success, or
-        ``None`` (nothing written) when the job has no result yet.
-        """
-        body = self._request("GET", f"/v1/jobs/{job_id}/result")
-        view = ResultView.from_dict(body)
-        if view.stream is not None:
-            size, sha256 = self._download_stream(job_id, view.stream, sink)
-            return {"size": size, "sha256": sha256}
-        if not view.ready:
-            return None
-        encoded = encode_result(view.result)
-        sink.write(encoded)
-        return {"size": len(encoded),
-                "sha256": hashlib.sha256(encoded).hexdigest()}
+    def read_result_chunk(self, job_id: str, offset: int,
+                          length: int) -> bytes:
+        """One ranged read of a DONE job's result bytes."""
+        return self._request_bytes(
+            f"/v1/jobs/{job_id}/result/chunks"
+            + _query(offset=offset, length=length))
 
     def cancel_job(self, job_id: str) -> tuple[bool, JobView]:
         """Cancel and return ``(flipped, current JobView)``.
@@ -508,8 +403,8 @@ class ServiceClient:
 
     # -- lease protocol (worker pools) -----------------------------------
 
-    def claim(self, worker: str, n: int = 1,
-              ttl: float = 30.0) -> tuple[Lease | None, list[Job]]:
+    def claim_jobs(self, worker: str, n: int = 1,
+                   ttl: float = 30.0) -> tuple[Lease | None, list[Job]]:
         """Lease up to ``n`` ready jobs; ``(None, [])`` when queue empty."""
         body = self._request("POST", "/v1/leases",
                              {"worker": worker, "n": n, "ttl": ttl})
@@ -523,8 +418,8 @@ class ServiceClient:
             "POST", f"/v1/leases/{lease_id}/heartbeat", {"ttl": ttl}
         )["lease"])
 
-    def complete(self, job_id: str, lease_id: str,
-                 result: dict) -> JobView:
+    def complete_job(self, job_id: str, lease_id: str,
+                     result: dict) -> JobView:
         """Upload a leased job's result; returns the DONE job view.
 
         A result whose canonical encoding exceeds ``inline_max`` bytes
@@ -556,7 +451,7 @@ class ServiceClient:
              "sha256": hashlib.sha256(encoded).hexdigest()},
         )["job"])
 
-    def fail(self, job_id: str, lease_id: str, error: str) -> JobView:
+    def fail_job(self, job_id: str, lease_id: str, error: str) -> JobView:
         """Report a leased attempt's failure (bounded retry applies)."""
         return JobView.from_dict(self._request(
             "POST", f"/v1/jobs/{job_id}/fail",
@@ -575,7 +470,7 @@ class ServiceClient:
         return self._capabilities
 
     def events(self, cursor: str | None = None, timeout: float = 0.0,
-               limit: int | None = None, job_ids=None, kinds=None,
+               limit: int = 500, job_ids=None, kinds=None,
                states=None, campaign: str | None = None,
                ) -> tuple[list[EventView], str, bool]:
         """One ``GET /v1/events`` long-poll round-trip.
@@ -677,106 +572,6 @@ class ServiceClient:
             # ``event:`` and ``id:`` duplicate fields already inside
             # the data JSON (kind, cursor); nothing else to track.
 
-    def watch(self, job_ids=None, kinds=None, states=None,
-              campaign: str | None = None, cursor: str | None = None,
-              timeout: float | None = None, poll: float = 15.0):
-        """Generator of :class:`EventView`\\ s for a set of jobs.
-
-        With ``job_ids``, the stream ends once every watched job has
-        been seen reaching a terminal state; without, it streams
-        matching events until ``timeout`` (forever when ``None``).
-        Starts from ``cursor`` (default ``"begin"``: full replay, so a
-        job that finished before the watch began is still seen
-        finishing).  Raises :class:`WaitTimeout` when a deadline passes
-        with watched jobs outstanding.
-        """
-        watched = list(dict.fromkeys(job_ids)) if job_ids is not None \
-            else None
-        pending = set(watched) if watched is not None else None
-        if pending is not None and not pending:
-            return
-        deadline = None if timeout is None \
-            else time.monotonic() + timeout
-        token = cursor
-        checked_current = False
-        while True:
-            budget = poll
-            if deadline is not None:
-                budget = min(budget, max(0.0, deadline - time.monotonic()))
-            try:
-                batch, token, timed_out = self.events(
-                    cursor=token, timeout=budget, job_ids=watched,
-                    kinds=kinds, states=states, campaign=campaign)
-            except EventsTruncatedError:
-                # The log was compacted past our offset; restart from
-                # the new beginning and let the state check below cover
-                # any transitions that fell off the log.
-                token = BEGIN
-                checked_current = False
-                continue
-            for view in batch:
-                if pending is not None and view.job_id not in pending:
-                    continue  # late event for an already-finished job
-                yield view
-                if pending is not None and view.terminal:
-                    pending.discard(view.job_id)
-                    if not pending:
-                        return
-            if pending is not None and not batch and not checked_current:
-                # Caught up with nothing pending resolved: guard the
-                # one hole event replay cannot cover -- a watched job
-                # whose terminal event predates a compacted log.  One
-                # state check per watched job, once per watch.
-                checked_current = True
-                for jid in sorted(pending):
-                    view = self._synthesize(self.job(jid))
-                    if view.terminal:
-                        yield view
-                        pending.discard(jid)
-                if not pending:
-                    return
-            if deadline is not None and time.monotonic() >= deadline:
-                if pending is not None:
-                    raise WaitTimeout(sorted(pending), timeout)
-                return
-
-    @staticmethod
-    def _synthesize(job: JobView) -> EventView:
-        """An :class:`EventView` standing in for an unobserved event.
-
-        Used where the real audit record is unavailable (a compacted
-        log): the view carries the job's current state with ``kind``
-        lowered from it and ``shard=-1`` marking it synthesized.
-        """
-        return EventView(
-            cursor="", t=job.updated, job_id=job.id,
-            kind=job.state.lower(), state=job.state, shard=-1,
-            data={"synthesized": True},
-        )
-
-    def wait(self, job_ids,
-             timeout: float | None = None) -> dict[str, ResultView]:
-        """Block until every job is terminal; id -> :class:`ResultView`.
-
-        Covers DONE, FAILED, and CANCELLED alike -- callers decide what
-        failure means for them.  Rides :meth:`watch`: one long-poll
-        connection instead of O(jobs x polls) status requests.  Raises
-        :class:`WaitTimeout` if ``timeout`` seconds pass first.
-        """
-        outstanding = list(dict.fromkeys(job_ids))
-        views: dict[str, ResultView] = {}
-        try:
-            for view in self.watch(job_ids=outstanding,
-                                   states=TERMINAL_STATES,
-                                   timeout=timeout):
-                if view.terminal and view.job_id not in views:
-                    views[view.job_id] = self.result(view.job_id)
-        except WaitTimeout:
-            raise WaitTimeout(
-                [jid for jid in outstanding if jid not in views], timeout
-            ) from None
-        return views
-
 
 def _awaitable_twin(method):
     """The :class:`AsyncServiceClient` twin of one blocking method.
@@ -847,7 +642,6 @@ class AsyncServiceClient:
         return views
 
 
-for _name, _method in vars(ServiceClient).items():
-    if inspect.isfunction(_method) and not _name.startswith("_") \
-            and _name not in vars(AsyncServiceClient):
+for _name, _method in inspect.getmembers(ServiceClient, inspect.isfunction):
+    if not _name.startswith("_") and _name not in vars(AsyncServiceClient):
         setattr(AsyncServiceClient, _name, _awaitable_twin(_method))

@@ -47,23 +47,33 @@ GET      ``/v1/events``                      merged audit-event feed:
 GET      ``/v1/healthz``                     liveness + per-state depths
 =======  ==================================  ===============================
 
-Queue pages (``GET /v1/queue`` / ``GET /v1/jobs``) paginate by
-``limit``/``offset`` or by the opaque ``cursor`` continuation token the
-previous page returned -- the same continuation idiom the event feed
-uses.  The event feed is documented in ``docs/service.md`` ("Events &
-watch"): resumable cursors over the per-shard audit logs, server-side
-``job_id``/``campaign``/``state``/``kind`` filters, SSE heartbeat
-comments and ``Last-Event-ID`` resume.
+Every route is a thin shell over the one call of the service facade
+(:mod:`repro.service.facade`) it names, so what ``ServiceClient`` hands
+back over the wire is what :class:`Service` hands back in process.  The
+chunk-upload routes (``stage_result_chunk`` / ``finish_result``) are
+the only ones the client does not mirror: it hides them inside
+``complete_job``.
+
+Queue pages (``GET /v1/queue`` / ``GET /v1/jobs``) take ``limit`` and
+paginate by the opaque ``cursor`` continuation token the previous page
+returned -- the same continuation idiom the event feed uses, and the
+only pagination scheme.  The event feed is documented in
+``docs/service.md`` ("Events & watch"): resumable cursors over the
+per-shard audit logs, server-side ``job_id``/``campaign``/``state``/
+``kind`` filters, SSE heartbeat comments and ``Last-Event-ID`` resume.
 
 The three submit routes read the body, pass admission and hand the
 submissions to :meth:`Service.submit_many` (campaigns: one call per
 stage) -- the one place a submission is validated and turned into a
 job, so a malformed item is the same typed 4xx on every route and the
-jobs of one call commit in one transaction per shard.  Submissions may
-carry ``depends_on`` (a list of parent job ids): the job enters
-``BLOCKED`` and is released only when every parent is ``DONE`` (see
-:mod:`repro.service.dag`).  Campaign specs are expanded into such a DAG
-server-side, validated whole before the first stage is enqueued.
+jobs of one call commit in one transaction per shard.  The lease
+routes do the same with ``n`` / ``ttl``: :meth:`Service.claim_jobs` and
+:meth:`Service.heartbeat` validate them for both transports.
+Submissions may carry ``depends_on`` (a list of parent job ids): the
+job enters ``BLOCKED`` and is released only when every parent is
+``DONE`` (see :mod:`repro.service.dag`).  Campaign specs are expanded
+into such a DAG server-side, validated whole before the first stage is
+enqueued.
 
 Error contract: every error body is
 ``{"error": {"code": "...", "message": "..."}}`` where ``code`` is the
@@ -148,6 +158,15 @@ def _float_param(params: dict, name: str, default=None):
         raise MalformedRequestError(
             f"query parameter {name!r} must be a number, got {raw!r}"
         ) from None
+
+
+def _given(body: dict, *keys: str) -> dict:
+    """The fields of ``keys`` the request carried, as sent.
+
+    Handed to the service as keyword arguments, so an absent field
+    takes the service's default and a present one is validated there.
+    """
+    return {k: body[k] for k in keys if k in body}
 
 
 #: Long-poll waits and SSE heartbeat intervals are clamped to this many
@@ -327,9 +346,8 @@ class _Handler(BaseHTTPRequestHandler):
                 "submission body must carry a non-empty "
                 + " or ".join(repr(f) for f in forms)
             )
-        receipts = self.service.submit_many(jobs, **{
-            k: body[k] for k in ("timeout", "max_retries", "depends_on")
-            if k in body})
+        receipts = self.service.submit_many(
+            jobs, **_given(body, "timeout", "max_retries", "depends_on"))
         admission: AdmissionController | None = getattr(
             self.server, "admission", None)
         if admission is not None:
@@ -343,7 +361,6 @@ class _Handler(BaseHTTPRequestHandler):
         page = self.service.status(
             state=state, kind=kind,
             limit=_int_param(params, "limit"),
-            offset=_int_param(params, "offset", 0),
             cursor=params.get("cursor", [None])[-1] or None,
         )
         return page.to_dict()
@@ -351,7 +368,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- the event feed --------------------------------------------------
 
     def _parse_event_query(self, query: str) -> dict:
-        """Shared long-poll/SSE parameter parsing -> events_page kwargs.
+        """Shared long-poll/SSE parameter parsing -> ``events`` kwargs.
 
         SSE resume prefers an explicit ``cursor`` param, falling back to
         the standard ``Last-Event-ID`` header an EventSource reconnect
@@ -387,7 +404,7 @@ class _Handler(BaseHTTPRequestHandler):
             heartbeat = min(max(0.2, heartbeat), MAX_EVENT_WAIT)
             self._serve_sse(kwargs, heartbeat)
             return None, None
-        views, cursor, timed_out = self.service.events_page(**kwargs)
+        views, cursor, timed_out = self.service.events(**kwargs)
         return 200, {
             "events": [v.to_dict() for v in views],
             "cursor": cursor,
@@ -417,8 +434,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             while True:
                 kwargs["timeout"] = heartbeat
-                views, cursor, timed_out = \
-                    self.service.events_page(**kwargs)
+                views, cursor, timed_out = self.service.events(**kwargs)
                 kwargs["cursor"] = cursor
                 if timed_out:
                     self.wfile.write(b": heartbeat\n\n")
@@ -450,23 +466,10 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/v1/events":
             return self._events_route(query)
         if path == "/v1/healthz":
-            shards = self.service.shard_stats()
-            degraded = [s["workdir"] for s in shards if not s["ok"]]
             admission = getattr(self.server, "admission", None)
             return 200, {
-                "ok": not degraded,
-                "workdir": self.service.workdir,
+                **self.service.healthz(),
                 "workers": getattr(self.server, "workers", 0),
-                "nshards": self.service.nshards,
-                "shards": shards,
-                "degraded": degraded,
-                # Per-state queue depths (BLOCKED included), merged
-                # across shards -- the one-call liveness + load probe.
-                # Each shard's figure is an exact snapshot of that
-                # shard; the merge is a smear across the read window
-                # (see ShardedStore.counts), never negative and never
-                # double-counting.
-                "queue": self.service.store.counts(),
                 "admission": (admission.stats()
                               if admission is not None else None),
             }
@@ -475,7 +478,7 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/v1/campaigns":
             return 200, {
                 "campaigns": [v.to_dict()
-                              for v in self.service.list_campaigns()],
+                              for v in self.service.campaigns()],
             }
         m = _CAMPAIGN_DAG_RE.match(path)
         if m:
@@ -485,12 +488,11 @@ class _Handler(BaseHTTPRequestHandler):
         m = _CAMPAIGN_RE.match(path)
         if m:
             return 200, {
-                "campaign":
-                    self.service.campaign_view(m.group(1)).to_dict(),
+                "campaign": self.service.campaign(m.group(1)).to_dict(),
             }
         m = _JOB_RE.match(path)
         if m:
-            return 200, {"job": self.service.job_view(m.group(1)).to_dict()}
+            return 200, {"job": self.service.job(m.group(1)).to_dict()}
         m = _RESULT_CHUNKS_RE.match(path)
         if m:
             params = urllib.parse.parse_qs(query)
@@ -564,10 +566,10 @@ class _Handler(BaseHTTPRequestHandler):
                 raise MalformedRequestError(
                     "'sha256' must be a non-empty string"
                 )
-            job = self.service.finish_result(
+            view = self.service.finish_result(
                 m.group(1), lease_id, size, sha256
             )
-            return 200, {"job": JobView.from_job(job).to_dict()}
+            return 200, {"job": view.to_dict()}
         if path == "/v1/jobs/batch":
             receipts = self._submit("sweep", "jobs")
             return 200, {
@@ -587,18 +589,11 @@ class _Handler(BaseHTTPRequestHandler):
             view = self.service.submit_campaign(body, **options)
             return 200, {"campaign": view.to_dict()}
         if path == "/v1/leases":
+            # ``worker`` / ``n`` / ``ttl`` go through as sent:
+            # Service.claim_jobs is the one place they are validated.
             body = self._read_body()
-            worker = body.get("worker", "")
-            if not isinstance(worker, str) or not worker:
-                raise MalformedRequestError(
-                    "'worker' must be a non-empty string"
-                )
-            try:
-                n = int(body.get("n", 1))
-                ttl = float(body.get("ttl", 30.0))
-            except (TypeError, ValueError) as exc:
-                raise MalformedRequestError(f"bad n/ttl: {exc}") from None
-            lease, jobs = self.service.claim_jobs(worker, n=n, ttl=ttl)
+            lease, jobs = self.service.claim_jobs(
+                body.get("worker", ""), **_given(body, "n", "ttl"))
             return 200, {
                 "lease": lease.to_dict() if lease else None,
                 "jobs": [JobView.from_job(j).to_dict() for j in jobs],
@@ -606,11 +601,8 @@ class _Handler(BaseHTTPRequestHandler):
         m = _HEARTBEAT_RE.match(path)
         if m:
             body = self._read_body()
-            try:
-                ttl = float(body.get("ttl", 30.0))
-            except (TypeError, ValueError) as exc:
-                raise MalformedRequestError(f"bad ttl: {exc}") from None
-            lease = self.service.heartbeat(m.group(1), ttl=ttl)
+            lease = self.service.heartbeat(m.group(1),
+                                           **_given(body, "ttl"))
             return 200, {"lease": lease.to_dict()}
         m = _COMPLETE_RE.match(path)
         if m:
@@ -620,10 +612,10 @@ class _Handler(BaseHTTPRequestHandler):
                 raise MalformedRequestError(
                     "'lease' must be a non-empty string"
                 )
-            job = self.service.complete_job(
+            view = self.service.complete_job(
                 m.group(1), lease_id, body.get("result")
             )
-            return 200, {"job": JobView.from_job(job).to_dict()}
+            return 200, {"job": view.to_dict()}
         m = _FAIL_RE.match(path)
         if m:
             body = self._read_body()
@@ -632,10 +624,10 @@ class _Handler(BaseHTTPRequestHandler):
                 raise MalformedRequestError(
                     "'lease' must be a non-empty string"
                 )
-            job = self.service.fail_job(
+            view = self.service.fail_job(
                 m.group(1), lease_id, str(body.get("error", ""))
             )
-            return 200, {"job": JobView.from_job(job).to_dict()}
+            return 200, {"job": view.to_dict()}
         m = _CANCEL_RE.match(path)
         if m:
             # Idempotent: cancelling an already-terminal job is a 200

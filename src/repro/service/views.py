@@ -16,7 +16,8 @@ import dataclasses
 
 from .jobs import Job, JobState
 
-_TERMINAL_STATES = frozenset(s.value for s in JobState if s.terminal)
+#: States from which a job will never produce further transitions.
+TERMINAL_STATES = frozenset(s.value for s in JobState if s.terminal)
 
 
 def one_line(error: str) -> str:
@@ -95,9 +96,9 @@ class QueuePage:
     """One filtered, windowed slice of the queue plus its global counts.
 
     ``total`` counts every job matching the ``state``/``kind`` filter
-    *before* the ``limit``/``offset`` window was applied, so clients can
-    page through without a separate count call; ``counts`` and
-    ``outstanding`` always describe the whole queue, unfiltered.
+    *before* the page window was applied, so clients can page through
+    without a separate count call; ``counts`` and ``outstanding``
+    always describe the whole queue, unfiltered.
     """
 
     jobs: tuple
@@ -105,7 +106,6 @@ class QueuePage:
     total: int
     outstanding: int
     limit: int | None
-    offset: int
     state: str | None = None
     kind: str | None = None
     workdir: str = ""
@@ -122,7 +122,6 @@ class QueuePage:
             "total": self.total,
             "outstanding": self.outstanding,
             "limit": self.limit,
-            "offset": self.offset,
             "state": self.state,
             "kind": self.kind,
             "workdir": self.workdir,
@@ -135,9 +134,8 @@ class QueuePage:
             jobs=tuple(JobView.from_dict(j) for j in data["jobs"]),
             counts=data["counts"], total=data["total"],
             outstanding=data["outstanding"], limit=data["limit"],
-            offset=data["offset"], state=data.get("state"),
-            kind=data.get("kind"), workdir=data.get("workdir", ""),
-            cursor=data.get("cursor"),
+            state=data.get("state"), kind=data.get("kind"),
+            workdir=data.get("workdir", ""), cursor=data.get("cursor"),
         )
 
 
@@ -167,7 +165,7 @@ class EventView:
     @property
     def terminal(self) -> bool:
         """True when this event put the job in a terminal state."""
-        return self.state in _TERMINAL_STATES
+        return self.state in TERMINAL_STATES
 
     def to_dict(self) -> dict:
         return {

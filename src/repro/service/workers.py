@@ -1,19 +1,20 @@
 """Multiprocess worker pool: the lease protocol over a transport.
 
 :class:`WorkerPool` is the one supervisor.  It *leases* ready jobs from
-a coordinator -- ``claim`` a batch under a TTL, ``heartbeat`` while
-children run, ``complete`` / ``fail`` each outcome -- and executes every
-job in a *fresh child process*.  The coordinator is any object with six
-calls (``claim``, ``heartbeat``, ``complete``, ``fail``, ``result``,
-``counts``): a :class:`~repro.service.http.ServiceClient` drains a
-remote ``repro serve`` over HTTP, and :meth:`Service.run_workers
+a coordinator -- ``claim_jobs`` a batch under a TTL, ``heartbeat`` while
+children run, ``complete_job`` / ``fail_job`` each outcome -- and
+executes every job in a *fresh child process*.  The coordinator is
+either backend of the service facade (:mod:`repro.service.facade`), of
+which the pool uses six calls (``claim_jobs``, ``heartbeat``,
+``complete_job``, ``fail_job``, ``result``, ``counts``): a
+:class:`~repro.service.http.ServiceClient` drains a remote ``repro
+serve`` over HTTP, and :meth:`Service.run_workers
 <repro.service.api.Service.run_workers>` / ``repro serve --workers``
-hand the pool an in-process adapter over the same
-:class:`~repro.service.api.Service` methods the HTTP routes call.  N
-hosts each running ``repro workers --url http://coordinator:8400``
-drain one queue and fill one content-addressed result cache, which is
-how a sweep like the paper's Fig. 8 stops being bounded by a single
-machine.
+hand the pool the :class:`~repro.service.api.Service` itself -- the
+methods the HTTP routes call.  N hosts each running ``repro workers
+--url http://coordinator:8400`` drain one queue and fill one
+content-addressed result cache, which is how a sweep like the paper's
+Fig. 8 stops being bounded by a single machine.
 
 The child process buys three properties the service needs:
 
@@ -356,16 +357,42 @@ def default_worker_name() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
+class _Backoff:
+    """Exponential backoff with jitter; resets on observed progress.
+
+    Paces a worker pool's idle poll (see :meth:`WorkerPool.run`).
+    """
+
+    def __init__(self, initial: float, maximum: float, factor: float,
+                 jitter: float, rng: random.Random) -> None:
+        self.initial = initial
+        self.maximum = maximum
+        self.factor = factor
+        self.jitter = jitter
+        self.rng = rng
+        self.delay = initial
+
+    def next_delay(self, progressed: bool) -> float:
+        if progressed:
+            self.delay = self.initial
+        else:
+            self.delay = min(self.delay * self.factor, self.maximum)
+        # uniform jitter in [1 - j, 1 + j] around the nominal delay
+        return self.delay * (1.0 + self.jitter * (2.0 * self.rng.random() - 1.0))
+
+
 class WorkerPool:
     """Lease-driven supervisor with ``options.n`` child slots.
 
-    ``coordinator`` is the transport: ``claim(worker, n=, ttl=)``,
-    ``heartbeat(lease_id, ttl=)``, ``complete(job_id, lease_id,
-    result)``, ``fail(job_id, lease_id, error)``, ``result(job_id)``
-    and ``counts()``, plus a ``poll_backoff`` growth factor for the
-    idle poll (1.0 in process: an empty claim is one local query, so
-    the poll stays flat at ``poll_interval``; 2.0 over HTTP: each one
-    is a round-trip, so the poll backs off).
+    ``coordinator`` is a :class:`~repro.service.api.Service` or a
+    :class:`~repro.service.http.ServiceClient`; the pool calls
+    ``claim_jobs(worker, n=, ttl=)``, ``heartbeat(lease_id, ttl=)``,
+    ``complete_job(job_id, lease_id, result)``, ``fail_job(job_id,
+    lease_id, error)``, ``result(job_id)`` and ``counts()`` on it, and
+    reads its ``poll_backoff`` growth factor for the idle poll (1.0 in
+    process: an empty claim is one local query, so the poll stays flat
+    at ``poll_interval``; 2.0 over HTTP: each one is a round-trip, so
+    the poll backs off).
     """
 
     def __init__(self, coordinator, options: WorkerOptions | None = None,
@@ -427,12 +454,12 @@ class WorkerPool:
                 attempts: int = 4) -> None:
         try:
             if error is None and result is not None:
-                self._with_retries(self.coordinator.complete, job.id,
+                self._with_retries(self.coordinator.complete_job, job.id,
                                    lease_id, result, attempts=attempts)
                 summary.completed += 1
                 return
             view = self._with_retries(
-                self.coordinator.fail, job.id, lease_id,
+                self.coordinator.fail_job, job.id, lease_id,
                 error or "worker child died without reporting",
                 attempts=attempts,
             )
@@ -520,7 +547,7 @@ class WorkerPool:
 
         A leased job's parents are all DONE (the coordinator only
         releases it then), so their results are one ``result`` call
-        each; the transport resolves chunk-streamed results
+        each; the facade resolves chunk-streamed results
         transparently.  A missing result raises :class:`ServiceError`
         and the attempt is failed back to the coordinator through the
         retry policy.
@@ -547,7 +574,7 @@ class WorkerPool:
         if free < 1:
             return False
         lease, jobs = self._with_retries(
-            self.coordinator.claim, self.worker, n=free,
+            self.coordinator.claim_jobs, self.worker, n=free,
             ttl=self.options.lease_ttl,
         )
         if lease is None or not jobs:
@@ -588,10 +615,6 @@ class WorkerPool:
         attempts failed back to the coordinator on the way out, so the
         jobs requeue immediately instead of waiting out the lease.
         """
-        # Imported here: the client module imports ``api``, which
-        # imports this module.
-        from .http.client import _Backoff
-
         options = self.options
         summary = PoolSummary()
         start = time.time()

@@ -185,7 +185,7 @@ class TestOverloadedWire:
         assert client.healthz()["queue"]["PENDING"] == 5
         assert client.status().counts["PENDING"] == 5
         assert client.job(jid).state == "PENDING"
-        lease, jobs = client.claim("w1", n=2)
+        lease, jobs = client.claim_jobs("w1", n=2)
         assert lease is not None and len(jobs) == 2
         assert client.cancel_job(jid)[0] in (True, False)
 

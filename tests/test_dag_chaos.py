@@ -159,8 +159,8 @@ class TestCoordinatorKilledMidSweep:
             else:
                 svc.store.fail_leased(job.id, job.lease_id, "boom")
         assert svc.store.release(kids[0]) is True
-        assert svc.job(kids[1]).state is JobState.BLOCKED
-        assert svc.job(doomed).state is JobState.BLOCKED
+        assert svc.store.get(kids[1]).state is JobState.BLOCKED
+        assert svc.store.get(doomed).state is JobState.BLOCKED
 
         # A fresh coordinator over the same shards sweeps on startup.
         proc, url = _start_serve(tmp_path / "svc", workers=2)

@@ -61,7 +61,7 @@ def _descendants(parents, root):
 
 def _drain(svc, ids, fail_id):
     """Claim/complete synchronously; return the claim order."""
-    state_of = lambda jid: svc.job(jid).state  # noqa: E731
+    state_of = lambda jid: svc.store.get(jid).state  # noqa: E731
     order = []
     while True:
         job = claim_one(svc.store)
@@ -106,7 +106,7 @@ def _check(parents, fail, shards):
                         if e["event"] == "parent_failed"]
 
         for i, jid in enumerate(ids):
-            state = svc.job(jid).state
+            state = svc.store.get(jid).state
             if i == fail:
                 assert state is JobState.FAILED
             elif i in doomed:
@@ -156,4 +156,4 @@ def test_wide_fanout_releases_every_child(shards):
                            depends_on=[root]).new[0]
                 for i in range(1, 13)]
         _drain(svc, [root] + kids, fail_id=None)
-        assert all(svc.job(k).state is JobState.DONE for k in kids)
+        assert all(svc.store.get(k).state is JobState.DONE for k in kids)

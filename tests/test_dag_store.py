@@ -67,13 +67,13 @@ class TestBlockedSubmission:
         svc = Service(tmp_path / "svc")
         parent = _submit(svc, 1)
         child = _submit(svc, 2, depends_on=[parent])
-        assert svc.job(child).state is JobState.BLOCKED
-        assert svc.job(child).depends_on == [parent]
+        assert svc.store.get(child).state is JobState.BLOCKED
+        assert svc.store.get(child).depends_on == [parent]
 
         claimed = claim_one(svc.store)
         assert claimed.id == parent
         _done(svc.store, claimed)
-        assert svc.job(child).state is JobState.PENDING
+        assert svc.store.get(child).state is JobState.PENDING
         assert len(_events(svc, "released", child)) == 1
 
     def test_child_of_done_parent_starts_pending(self, tmp_path):
@@ -81,14 +81,14 @@ class TestBlockedSubmission:
         parent = _submit(svc, 1)
         _done(svc.store, claim_one(svc.store))
         child = _submit(svc, 2, depends_on=[parent])
-        assert svc.job(child).state is JobState.PENDING
+        assert svc.store.get(child).state is JobState.PENDING
 
     def test_child_of_failed_parent_is_cancelled_at_submit(self, tmp_path):
         svc = Service(tmp_path / "svc")
         parent = _submit(svc, 1, max_retries=0)
         _failed(svc.store, claim_one(svc.store))
         child = _submit(svc, 2, depends_on=[parent])
-        assert svc.job(child).state is JobState.CANCELLED
+        assert svc.store.get(child).state is JobState.CANCELLED
         assert len(_events(svc, "parent_failed", child)) == 1
 
     def test_unknown_parent_rejected_before_enqueue(self, tmp_path):
@@ -106,7 +106,7 @@ class TestBlockedSubmission:
         assert first.id == parent
         # The only other job is BLOCKED: nothing to claim.
         assert claim_one(svc.store) is None
-        assert svc.job(child).state is JobState.BLOCKED
+        assert svc.store.get(child).state is JobState.BLOCKED
 
     def test_sweep_submission_carries_depends_on(self, tmp_path):
         svc = Service(tmp_path / "svc")
@@ -117,7 +117,7 @@ class TestBlockedSubmission:
             depends_on=[parent],
         )
         for jid in receipt.new:
-            job = svc.job(jid)
+            job = svc.store.get(jid)
             assert job.state is JobState.BLOCKED
             assert job.depends_on == [parent]
 
@@ -131,14 +131,14 @@ class TestDiamond:
         join = _submit(svc, 3, depends_on=[left, right])
 
         _done(svc.store, claim_one(svc.store))
-        assert svc.job(left).state is JobState.PENDING
-        assert svc.job(right).state is JobState.PENDING
-        assert svc.job(join).state is JobState.BLOCKED
+        assert svc.store.get(left).state is JobState.PENDING
+        assert svc.store.get(right).state is JobState.PENDING
+        assert svc.store.get(join).state is JobState.BLOCKED
 
         _done(svc.store, claim_one(svc.store))
-        assert svc.job(join).state is JobState.BLOCKED  # right not DONE
+        assert svc.store.get(join).state is JobState.BLOCKED  # right not DONE
         _done(svc.store, claim_one(svc.store))
-        assert svc.job(join).state is JobState.PENDING
+        assert svc.store.get(join).state is JobState.PENDING
         # Exactly one release despite two parent edges finishing.
         assert len(_events(svc, "released", join)) == 1
 
@@ -152,9 +152,9 @@ class TestFailurePropagation:
         other = _submit(svc, 3)  # unrelated branch
 
         _failed(svc.store, claim_one(svc.store))
-        assert svc.job(b).state is JobState.CANCELLED
-        assert svc.job(c).state is JobState.CANCELLED
-        assert svc.job(other).state is JobState.PENDING
+        assert svc.store.get(b).state is JobState.CANCELLED
+        assert svc.store.get(c).state is JobState.CANCELLED
+        assert svc.store.get(other).state is JobState.PENDING
         for jid in (b, c):
             events = _events(svc, "parent_failed", jid)
             assert len(events) == 1
@@ -166,7 +166,7 @@ class TestFailurePropagation:
         b = _submit(svc, 1, depends_on=[a])
         flipped, view = svc.cancel_job(a)
         assert flipped and view.state == "CANCELLED"
-        assert svc.job(b).state is JobState.CANCELLED
+        assert svc.store.get(b).state is JobState.CANCELLED
 
     def test_sibling_branch_survives_one_parents_failure(self, tmp_path):
         svc = Service(tmp_path / "svc")
@@ -178,7 +178,7 @@ class TestFailurePropagation:
         _done(svc.store, claim_one(svc.store))
         _failed(svc.store, claim_one(svc.store))  # doomed
         _done(svc.store, claim_one(svc.store))  # fine
-        assert svc.job(leaf).state is JobState.PENDING
+        assert svc.store.get(leaf).state is JobState.PENDING
 
 
 class TestRequeueInterplay:
@@ -191,8 +191,8 @@ class TestRequeueInterplay:
         # Attempt 1 of 3 fails: the parent requeues (PENDING), which is
         # not terminal -- the child must stay BLOCKED.
         svc.store.fail_leased(parent, lease.id, "transient")
-        assert svc.job(parent).state is JobState.PENDING
-        assert svc.job(child).state is JobState.BLOCKED
+        assert svc.store.get(parent).state is JobState.PENDING
+        assert svc.store.get(child).state is JobState.BLOCKED
         assert not _events(svc, "released", child)
 
     def test_lease_expiry_requeue_does_not_release_child(self, tmp_path):
@@ -202,8 +202,8 @@ class TestRequeueInterplay:
         svc.store.claim_batch("w0", limit=1, ttl=30.0, now=1000.0)
         recovered = svc.store.expire_leases(now=2000.0)
         assert [j.id for j in recovered] == [parent]
-        assert svc.job(parent).state is JobState.PENDING
-        assert svc.job(child).state is JobState.BLOCKED
+        assert svc.store.get(parent).state is JobState.PENDING
+        assert svc.store.get(child).state is JobState.BLOCKED
 
     def test_budget_exhausted_parent_cancels_child(self, tmp_path):
         svc = Service(tmp_path / "svc")
@@ -213,8 +213,8 @@ class TestRequeueInterplay:
         child = _submit(svc, 1, depends_on=[parent])
         lease, _ = svc.store.claim_batch("w0", limit=1, ttl=30.0)
         svc.store.fail_leased(parent, lease.id, "fatal")
-        assert svc.job(parent).state is JobState.FAILED
-        assert svc.job(child).state is JobState.CANCELLED
+        assert svc.store.get(parent).state is JobState.FAILED
+        assert svc.store.get(child).state is JobState.CANCELLED
 
 
 class TestIdempotentCancel:
@@ -257,7 +257,7 @@ class TestParentAwareKeys:
         c1 = _submit(svc, 9, depends_on=[p1])
         c2 = _submit(svc, 9, depends_on=[p2])
         assert c1 != c2
-        assert svc.job(c1).key != svc.job(c2).key
+        assert svc.store.get(c1).key != svc.store.get(c2).key
 
     def test_parent_order_does_not_change_the_key(self):
         a = payload_key("probe", {"x": 1}, parents=("p1", "p2"))
@@ -296,10 +296,10 @@ class TestRecoverySweep:
         # hook disconnected.
         svc.store.set_terminal_hook(None)
         _done(svc.store, claim_one(svc.store))
-        assert svc.job(child).state is JobState.BLOCKED
+        assert svc.store.get(child).state is JobState.BLOCKED
 
         reopened = Service(tmp_path / "svc")  # __init__ runs dag.sweep()
-        assert reopened.job(child).state is JobState.PENDING
+        assert reopened.store.get(child).state is JobState.PENDING
         assert len(_events(reopened, "released", child)) == 1
 
     def test_sweep_cascades_cancellations_to_fixpoint(self, tmp_path):
@@ -325,7 +325,7 @@ class TestCrossShardRelease:
         # its parent -- the content key folds the parent id in, so a few
         # tags suffice.
         nshards = svc.nshards
-        pshard = shard_index(svc.job(parent).key, nshards)
+        pshard = shard_index(svc.store.get(parent).key, nshards)
         child = None
         for tag in range(1, 50):
             key = payload_key("probe", {"behavior": "echo", "tag": tag},
@@ -334,12 +334,12 @@ class TestCrossShardRelease:
                 child = _submit(svc, tag, depends_on=[parent])
                 break
         assert child is not None
-        assert shard_index(svc.job(child).key, nshards) != pshard
+        assert shard_index(svc.store.get(child).key, nshards) != pshard
 
         claimed = claim_one(svc.store)
         assert claimed.id == parent
         _done(svc.store, claimed)
-        assert svc.job(child).state is JobState.PENDING
+        assert svc.store.get(child).state is JobState.PENDING
         assert len(_events(svc, "released", child)) == 1
 
 
@@ -375,7 +375,7 @@ class TestWorkersEndToEnd:
         svc = Service(tmp_path / "svc")
         jid = svc.submit("reduce", {"metric": "x"}, max_retries=0).new[0]
         svc.run_workers(WorkerOptions(n=1, drain=True))
-        job = svc.job(jid)
+        job = svc.store.get(jid)
         assert job.state is JobState.FAILED
         assert "parent" in job.error
 
@@ -414,9 +414,9 @@ class TestDagHelpers:
 
     def test_needs_parent_results(self, tmp_path):
         svc = Service(tmp_path / "svc")
-        plain = svc.job(_submit(svc, 0))
+        plain = svc.store.get(_submit(svc, 0))
         assert not needs_parent_results(plain)
         parent = plain.id
-        reduce_job = svc.job(svc.submit(
+        reduce_job = svc.store.get(svc.submit(
             "reduce", {"metric": "tag"}, depends_on=[parent]).new[0])
         assert needs_parent_results(reduce_job)

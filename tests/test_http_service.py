@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import inspect
 import hashlib
+import io
 import json
 import os
 import random
@@ -39,7 +40,8 @@ from repro.errors import (
     UnknownJobKindError,
     UnknownRouteError,
 )
-from repro.service import JobView, QueuePage, SubmitReceipt, Sweep
+from repro.service import (JobState, JobView, QueuePage, Service,
+                           ServiceFacade, SubmitReceipt, Sweep)
 from repro.service.http import (
     AsyncServiceClient,
     ServiceClient,
@@ -48,6 +50,15 @@ from repro.service.http import (
 )
 
 pytestmark = pytest.mark.dedicated
+
+#: The primitive calls of ``repro.service.facade``: what a backend
+#: answers itself (the derived calls are inherited from the base).
+FACADE_CALLS = (
+    "submit", "submit_many", "submit_sweep", "submit_campaign", "status",
+    "job", "result_view", "read_result_chunk", "cancel_job", "campaign",
+    "campaigns", "campaign_dag", "events", "healthz", "claim_jobs",
+    "heartbeat", "complete_job", "fail_job",
+)
 
 SIM_SWEEP = Sweep(
     kind="sim",
@@ -96,7 +107,7 @@ class TestEndpoints:
 
     def test_queue_counts(self, client):
         client.submit("probe", {"behavior": "ok"})
-        page = client.queue()
+        page = client.status()
         assert isinstance(page, QueuePage)
         assert set(page.counts) == {
             "BLOCKED", "PENDING", "RUNNING", "DONE", "FAILED", "CANCELLED"
@@ -111,17 +122,19 @@ class TestEndpoints:
                    for i in range(5)]
             c.submit_sweep(SIM_SWEEP)
 
-            page = c.status(kind="probe", limit=2, offset=1)
-            assert [j.id for j in page.jobs] == ids[1:3]
+            first = c.status(kind="probe", limit=2)
+            assert [j.id for j in first.jobs] == ids[:2]
+            page = c.status(kind="probe", limit=2, cursor=first.cursor)
+            assert [j.id for j in page.jobs] == ids[2:4]
             assert page.total == 5          # pre-window, filtered
-            assert page.limit == 2 and page.offset == 1
+            assert page.limit == 2 and page.cursor is not None
             assert page.kind == "probe"
             assert sum(page.counts.values()) == 9  # counts: whole queue
 
             done = c.status(state="DONE")
             assert done.total == 0 and not done.jobs
 
-            empty = c.queue(limit=0)
+            empty = c.status(limit=0)
             assert not empty.jobs and empty.outstanding == 9
 
     def test_job_view_roundtrips_payload(self, client):
@@ -271,10 +284,10 @@ class TestErrorContractAcrossShards:
         # the conflict genuinely round-trips through ShardedStore.
         ids = [c.submit("probe", {"behavior": "ok", "tag": i}).new[0]
                for i in range(6)]
-        lease, claimed = c.claim("w1", n=6, ttl=30.0)
+        lease, claimed = c.claim_jobs("w1", n=6, ttl=30.0)
         assert {j.id for j in claimed} == set(ids)
         with pytest.raises(LeaseConflictError):
-            c.complete(ids[0], "wrong-lease", {"ok": True})
+            c.complete_job(ids[0], "wrong-lease", {"ok": True})
         request = urllib.request.Request(
             idle_server.url + f"/v1/jobs/{ids[0]}/complete",
             data=json.dumps({"lease": "zzz", "result": {}}).encode(),
@@ -287,7 +300,7 @@ class TestErrorContractAcrossShards:
             "conflict"
         # The right lease still works afterwards, on every shard.
         for jid in ids:
-            assert c.complete(jid, lease.id, {"ok": True}).state == "DONE"
+            assert c.complete_job(jid, lease.id, {"ok": True}).state == "DONE"
 
 
 _OK_ITEM = {"kind": "probe", "payload": {"behavior": "ok"}}
@@ -352,6 +365,14 @@ def _submit_bodies(bad: dict, is_sweep: bool) -> dict:
     return bodies
 
 
+def _post_json(url: str, body: dict):
+    request = urllib.request.Request(
+        url, data=json.dumps(body).encode(), method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    return urllib.request.urlopen(request, timeout=10)
+
+
 class TestMalformedSubmissions:
     """One validator behind every submit route: no body is a 500."""
 
@@ -364,13 +385,8 @@ class TestMalformedSubmissions:
         client = ServiceClient(idle_server.url)
         before = client.healthz()["queue"]
         for route, body in _submit_bodies(bad, is_sweep).items():
-            request = urllib.request.Request(
-                idle_server.url + route, data=json.dumps(body).encode(),
-                method="POST",
-                headers={"Content-Type": "application/json"},
-            )
             with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(request, timeout=10)
+                _post_json(idle_server.url + route, body)
             error = json.loads(excinfo.value.read())["error"]
             assert (excinfo.value.code, error["code"]) == (
                 422 if code == "unknown_kind" else 400, code), \
@@ -390,6 +406,50 @@ class TestMalformedSubmissions:
                            match=r"^stage 'bad': unknown job kind"):
             client.submit_campaign(
                 {"stages": [{"name": "bad", **bad}]})
+
+
+#: Lease parameters no call and no route may accept: (field, value).
+_BAD_LEASE_PARAMS = {
+    "ttl-nan": ("ttl", float("nan")),
+    "ttl-infinite": ("ttl", float("inf")),
+    "n-infinite": ("n", float("inf")),
+    "ttl-not-a-number": ("ttl", "abc"),
+    "ttl-zero": ("ttl", 0),
+    "n-zero": ("n", 0),
+    "n-not-a-number": ("n", "x"),
+}
+
+
+class TestMalformedLeaseParameters:
+    """``Service.claim_jobs`` / ``heartbeat`` validate ``n`` and ``ttl``
+    for both transports: a lease that is NaN or never expires would void
+    recovery-by-lease-expiry."""
+
+    @pytest.mark.parametrize("row", _BAD_LEASE_PARAMS)
+    def test_typed_400_on_both_transports_and_nothing_leased(
+            self, row, idle_server):
+        field, value = _BAD_LEASE_PARAMS[row]
+        service = idle_server.service
+        service.submit("probe", {"behavior": "ok", "tag": "held"})
+        held, _ = service.claim_jobs("holder")
+        waiting = service.submit(
+            "probe", {"behavior": "ok", "tag": "waiting"}).new[0]
+
+        calls = [(service.claim_jobs, ("w",), "/v1/leases", {"worker": "w"})]
+        if field == "ttl":
+            calls.append((service.heartbeat, (held.id,),
+                          f"/v1/leases/{held.id}/heartbeat", {}))
+        for call, args, route, body in calls:
+            with pytest.raises(MalformedRequestError):
+                call(*args, **{field: value})
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post_json(idle_server.url + route, {**body, field: value})
+            error = json.loads(excinfo.value.read())["error"]
+            assert (excinfo.value.code, error["code"]) == (400, "malformed")
+
+        assert service.store.get(waiting).state is JobState.PENDING
+        assert sum(s["leases"] for s in service.shard_stats()) == 1
+        assert service.store.get_lease(held.id).expires == held.expires
 
 
 @pytest.fixture(params=[1, 3], ids=["1shard", "3shards"])
@@ -428,9 +488,9 @@ class TestStreamingWireContract:
     def _completed(self, server, result, tag) -> tuple[ServiceClient, str]:
         c = ServiceClient(server.url, inline_max=512, chunk_size=256)
         jid = c.submit("probe", {"tag": tag}).new[0]
-        lease, jobs = c.claim("w", n=1, ttl=30.0)
+        lease, jobs = c.claim_jobs("w", n=1, ttl=30.0)
         assert [j.id for j in jobs] == [jid]
-        c.complete(jid, lease.id, result)
+        c.complete_job(jid, lease.id, result)
         return c, jid
 
     def test_inline_result_envelope_is_byte_compatible(self, stream_server):
@@ -472,12 +532,21 @@ class TestStreamingWireContract:
         assert view.result == self.BIG
         _, jid_small = self._completed(stream_server, self.SMALL, "small")
         assert set(view.to_dict()) == set(c.result(jid_small).to_dict())
+        # The in-process backend answers the same calls the same way.
+        service = stream_server.service
+        assert service.result_view(jid).to_dict() == body
+        for any_jid in (jid, jid_small):
+            assert service.result(any_jid) == c.result(any_jid)
+            local, remote = io.BytesIO(), io.BytesIO()
+            assert service.download_result(any_jid, local) == \
+                c.download_result(any_jid, remote)
+            assert local.getvalue() == remote.getvalue()
 
     def test_mid_stream_lease_expiry_is_409_lease_expired(
             self, stream_server):
         c = ServiceClient(stream_server.url, inline_max=512)
         jid = c.submit("probe", {"tag": "expire-mid-stream"}).new[0]
-        lease, jobs = c.claim("w", n=1, ttl=5.0)
+        lease, jobs = c.claim_jobs("w", n=1, ttl=5.0)
         assert [j.id for j in jobs] == [jid]
         _post_chunk(stream_server.url, jid, lease.id, 0, b"x" * 256)
         # Force the sweep past the TTL: the half-uploaded stream's
@@ -492,7 +561,7 @@ class TestStreamingWireContract:
     def test_out_of_order_offset_is_422_bad_offset(self, stream_server):
         c = ServiceClient(stream_server.url, inline_max=512)
         jid = c.submit("probe", {"tag": "bad-offset"}).new[0]
-        lease, jobs = c.claim("w", n=1, ttl=30.0)
+        lease, jobs = c.claim_jobs("w", n=1, ttl=30.0)
         assert [j.id for j in jobs] == [jid]
         # No upload in flight yet: anything but offset 0 is rejected.
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -514,7 +583,7 @@ class TestStreamingWireContract:
     def test_corrupt_chunk_is_422_bad_chunk(self, stream_server):
         c = ServiceClient(stream_server.url, inline_max=512)
         jid = c.submit("probe", {"tag": "bad-chunk"}).new[0]
-        lease, jobs = c.claim("w", n=1, ttl=30.0)
+        lease, jobs = c.claim_jobs("w", n=1, ttl=30.0)
         assert [j.id for j in jobs] == [jid]
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post_chunk(stream_server.url, jid, lease.id, 0, b"flipped",
@@ -564,7 +633,7 @@ class TestAsyncClient:
                 asyncio.run(go())
 
     def test_backoff_grows_and_resets_on_progress(self):
-        from repro.service.http.client import _Backoff
+        from repro.service.workers import _Backoff
 
         backoff = _Backoff(0.1, 1.0, 2.0, 0.0, random.Random(0))
         idle = [backoff.next_delay(False) for _ in range(6)]
@@ -572,7 +641,7 @@ class TestAsyncClient:
         assert backoff.next_delay(True) == pytest.approx(0.1)
 
     def test_jitter_spreads_delays_around_nominal(self):
-        from repro.service.http.client import _Backoff
+        from repro.service.workers import _Backoff
 
         backoff = _Backoff(1.0, 8.0, 1.0, 0.5, random.Random(42))
         delays = [backoff.next_delay(True) for _ in range(200)]
@@ -583,15 +652,28 @@ class TestAsyncClient:
             self):
         """The async client is generated from the sync one, so the two
         cannot drift (``status`` once lost its ``cursor`` that way)."""
-        public = [name for name, member in vars(ServiceClient).items()
-                  if inspect.isfunction(member) and not name.startswith("_")]
-        assert {"status", "queue", "wait", "watch", "claim"} <= set(public)
+        public = [name for name, _ in inspect.getmembers(
+                      ServiceClient, inspect.isfunction)
+                  if not name.startswith("_")]
+        assert {"status", "wait", "watch", "claim_jobs"} <= set(public)
         for name in public:
             twin = getattr(AsyncServiceClient, name)
             assert inspect.signature(twin) == \
                 inspect.signature(getattr(ServiceClient, name)), name
             assert inspect.iscoroutinefunction(twin) \
                 or inspect.isasyncgenfunction(twin), name
+
+    def test_service_and_client_share_one_signature_per_call(self):
+        """Both backends answer the facade's calls with one signature
+        each, so a consumer written against one serves the other."""
+        assert Service.poll_backoff == 1.0
+        assert ServiceClient.poll_backoff == 2.0
+        for name in FACADE_CALLS:
+            assert inspect.signature(getattr(Service, name)) == \
+                inspect.signature(getattr(ServiceClient, name)), name
+        for name in ("counts", "result", "download_result", "watch", "wait"):
+            assert getattr(Service, name) is getattr(ServiceClient, name) \
+                is getattr(ServiceFacade, name), name
 
     def test_async_envelopes_roundtrip(self, tmp_path):
         """Async client returns the same typed objects as the sync one."""
@@ -670,7 +752,7 @@ class TestEndToEnd:
                 kept_views = await ac.wait(kept.new, timeout=60)
                 assert kept_views[kept.new[0]].state == "DONE"
 
-                counts = (await ac.queue()).counts
+                counts = (await ac.status()).counts
                 assert counts["DONE"] >= 9  # 4 ran + 4 cached + 1 kept
                 return True
 

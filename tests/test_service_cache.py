@@ -140,10 +140,10 @@ class TestSubmitTimeReuse:
         again = service.submit("fact", FACT_PAYLOAD)
         assert again.cached and not again.new and not again.deduped
         # the cached job is DONE immediately, with the same result
-        job = service.job(again.cached[0])
+        job = service.store.get(again.cached[0])
         assert job.state is JobState.DONE
         assert job.cached is True
-        assert service.result(again.cached[0]) == service.result(first.new[0])
+        assert service.result(again.cached[0]).result == service.result(first.new[0]).result
         # and nothing new ever entered RUNNING
         claims_after = sum(
             1 for e in service.store.events() if e["event"] == "claimed"

@@ -132,7 +132,7 @@ class TestSubmissionStorm:
         for receipt in all_receipts:
             for jid in receipt.job_ids:
                 assert jid in jobs_by_id
-                assert service.result(jid) is not None
+                assert service.result(jid).result is not None
 
         # Store consistency: every row terminal-DONE, counts agree,
         # every unique point cached exactly once.

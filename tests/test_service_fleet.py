@@ -145,7 +145,7 @@ class TestServiceLeaseFacade:
         lease, shipped = service.claim_jobs("w1", n=4)
         assert lease is None and shipped == []
         assert service.store.get(jid).state is JobState.DONE
-        assert service.result(jid) == {"score_tflops": 1.0}
+        assert service.result(jid).result == {"score_tflops": 1.0}
 
     def test_claim_validates_arguments(self, tmp_path):
         service = Service(tmp_path / "svc")
@@ -169,32 +169,32 @@ class TestLeaseEndpoints:
     def test_claim_heartbeat_complete_over_http(self, server):
         c = ServiceClient(server.url)
         jid = c.submit("probe", {"behavior": "ok"}).new[0]
-        lease, jobs = c.claim("w1", n=2, ttl=30.0)
+        lease, jobs = c.claim_jobs("w1", n=2, ttl=30.0)
         assert [j.id for j in jobs] == [jid]
         assert jobs[0].timeout == 0.0 and jobs[0].attempts == 1
         extended = c.heartbeat(lease.id, ttl=60.0)
         assert extended.expires > lease.expires
-        done = c.complete(jid, lease.id, {"ok": True})
+        done = c.complete_job(jid, lease.id, {"ok": True})
         assert done.state == "DONE"
         assert c.result(jid).result == {"ok": True}
 
     def test_fail_over_http_requeues_with_backoff(self, server):
         c = ServiceClient(server.url)
         jid = c.submit("probe", {"behavior": "ok"}).new[0]
-        lease, _ = c.claim("w1")
-        view = c.fail(jid, lease.id, "transient boom")
+        lease, _ = c.claim_jobs("w1")
+        view = c.fail_job(jid, lease.id, "transient boom")
         assert view.state == "PENDING" and "boom" in view.error
 
     def test_lease_error_codes_over_the_wire(self, server):
         c = ServiceClient(server.url)
         jid = c.submit("probe", {"behavior": "ok"}).new[0]
-        lease, _ = c.claim("w1", ttl=30.0)
+        lease, _ = c.claim_jobs("w1", ttl=30.0)
         with pytest.raises(LeaseConflictError):
-            c.complete(jid, "wrong-lease", {"ok": True})
+            c.complete_job(jid, "wrong-lease", {"ok": True})
         with pytest.raises(LeaseExpiredError):
             c.heartbeat("nosuchlease")
         with pytest.raises(MalformedRequestError):
-            c.claim("w1", n=0)
+            c.claim_jobs("w1", n=0)
         with pytest.raises(MalformedRequestError):
             c._request("POST", f"/v1/jobs/{jid}/complete", {"lease": ""})
         # The raw status for lease conflicts is 409.

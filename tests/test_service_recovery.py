@@ -67,23 +67,23 @@ def _kill_supervisor_then_recover(service, target, recover) -> None:
     try:
         # The pool claims the job and launches the hanging child ...
         _wait_for_event(service, "launched")
-        assert service.job(jid).state is JobState.RUNNING
+        assert service.store.get(jid).state is JobState.RUNNING
     finally:
         # ... and dies without any chance to fail or requeue it.
         proc.kill()
         proc.wait(timeout=30)
 
-    orphan = service.job(jid)
+    orphan = service.store.get(jid)
     assert orphan.state is JobState.RUNNING  # nobody cleaned up
     assert orphan.attempts == 1
 
     # The next pool's claims sweep the lapsed lease; the retry completes.
     summary = recover()
     assert summary.completed == 1
-    job = service.job(jid)
+    job = service.store.get(jid)
     assert job.state is JobState.DONE
     assert job.attempts == 2  # the killed attempt + exactly one retry
-    assert service.result(jid)["attempt"] == 2
+    assert service.result(jid).result["attempt"] == 2
 
     # The whole story is in the event log: exactly one expiry requeue,
     # exactly two claims (the killed attempt and the retry).
@@ -119,10 +119,10 @@ def test_recovery_does_not_touch_terminal_jobs(service):
                                          "seconds": 30.0})
     service.cancel_job(cancelled.new[0])
 
-    before = {jid: service.job(jid).attempts
+    before = {jid: service.store.get(jid).attempts
               for jid in (done.new[0], cancelled.new[0])}
     service.run_workers(n=1, max_seconds=60)
-    assert service.job(done.new[0]).state is JobState.DONE
-    assert service.job(cancelled.new[0]).state is JobState.CANCELLED
+    assert service.store.get(done.new[0]).state is JobState.DONE
+    assert service.store.get(cancelled.new[0]).state is JobState.CANCELLED
     for jid, attempts in before.items():
-        assert service.job(jid).attempts == attempts
+        assert service.store.get(jid).attempts == attempts

@@ -60,10 +60,10 @@ class TestHappyPath:
         assert summary.claimed == 1 and summary.completed == 1
         assert summary.failed == 0 and summary.lost == 0
         assert summary.counts["DONE"] == 1
-        job = service.job(receipt.new[0])
+        job = service.store.get(receipt.new[0])
         assert job.state is JobState.DONE
         assert job.worker == default_worker_name()  # this process's pool
-        assert service.result(job.id)["ok"] is True
+        assert service.result(job.id).result["ok"] is True
         kinds = [e["event"] for e in service.store.events()
                  if e["job"] == job.id]
         assert kinds == ["submitted", "claimed", "launched", "done"]
@@ -73,7 +73,7 @@ class TestHappyPath:
             "run", {"n": 32, "nb": 8, "p": 2, "q": 2}
         )
         drain(n=1)
-        result = service.result(receipt.new[0])
+        result = service.result(receipt.new[0]).result
         assert result["passed"] is True
         assert result["resid"] < 16.0
 
@@ -87,8 +87,8 @@ class TestHappyPath:
         summary = drain(n=1)
         assert summary.completed == 1 and summary.failed == 0
         assert time.monotonic() - started < 30.0
-        assert service.job(jid).state is JobState.DONE
-        assert service.result(jid) == {"blob": blob}
+        assert service.store.get(jid).state is JobState.DONE
+        assert service.result(jid).result == {"blob": blob}
 
 
 class TestCrashIsolation:
@@ -100,7 +100,7 @@ class TestCrashIsolation:
         )
         summary = drain(n=1)
         assert summary.retried == 1 and summary.failed == 1
-        job = service.job(receipt.new[0])
+        job = service.store.get(receipt.new[0])
         assert job.state is JobState.FAILED
         assert job.attempts == 2  # first try + one retry
         assert "kaboom" in job.error
@@ -115,9 +115,9 @@ class TestCrashIsolation:
                              max_retries=0)
         summary = drain(n=2)
         assert summary.completed == 2 and summary.failed == 1
-        assert service.job(ok1.new[0]).state is JobState.DONE
-        assert service.job(bad.new[0]).state is JobState.FAILED
-        assert service.job(ok2.new[0]).state is JobState.DONE
+        assert service.store.get(ok1.new[0]).state is JobState.DONE
+        assert service.store.get(bad.new[0]).state is JobState.FAILED
+        assert service.store.get(ok2.new[0]).state is JobState.DONE
 
     def test_flaky_job_succeeds_on_retry(self, service, drain):
         receipt = service.submit(
@@ -125,10 +125,10 @@ class TestCrashIsolation:
         )
         summary = drain(n=1)
         assert summary.completed == 1 and summary.retried == 1
-        job = service.job(receipt.new[0])
+        job = service.store.get(receipt.new[0])
         assert job.state is JobState.DONE
         assert job.attempts == 2
-        assert service.result(job.id)["attempt"] == 2
+        assert service.result(job.id).result["attempt"] == 2
         # The coordinator owns the backoff: the requeue carried one.
         requeued = [e for e in service.store.events()
                     if e["job"] == job.id and e["event"] == "requeued"]
@@ -145,10 +145,10 @@ class TestTimeouts:
         ok = service.submit("probe", {"behavior": "ok"}, max_retries=0)
         summary = drain(n=2)
         assert summary.failed == 1 and summary.completed == 1
-        job = service.job(slow.new[0])
+        job = service.store.get(slow.new[0])
         assert job.state is JobState.FAILED
         assert "timeout" in job.error
-        assert service.job(ok.new[0]).state is JobState.DONE
+        assert service.store.get(ok.new[0]).state is JobState.DONE
 
     def test_timeout_attempts_respect_the_retry_budget(self, service, drain):
         receipt = service.submit(
@@ -156,7 +156,7 @@ class TestTimeouts:
             timeout=0.2, max_retries=1,
         )
         drain(n=1)
-        job = service.job(receipt.new[0])
+        job = service.store.get(receipt.new[0])
         assert job.state is JobState.FAILED
         assert job.attempts == 2
 
@@ -171,7 +171,7 @@ class TestClaimTimeCacheFulfilment:
         payload = {"n": 256, "nb": 32, "p": 2, "q": 2}
         first = service.submit("sim", payload)
         drain(n=1)
-        assert service.result(first.new[0]) is not None
+        assert service.result(first.new[0]).result is not None
 
         # Force a PENDING twin past the submit-time cache check (as a
         # racing submitter would have) by adding the row directly.
@@ -181,9 +181,9 @@ class TestClaimTimeCacheFulfilment:
 
         summary = drain(n=1)
         assert summary.claimed == 0  # fulfilled coordinator-side
-        job = service.job(twin.id)
+        job = service.store.get(twin.id)
         assert job.state is JobState.DONE
-        assert service.result(twin.id) is not None
+        assert service.result(twin.id).result is not None
         launched = [e for e in service.store.events()
                     if e["event"] == "launched" and e["job"] == twin.id]
         assert not launched
@@ -202,8 +202,8 @@ class TestParentLookup:
             depends_on=[pick]).new[0]
         summary = drain(n=2)
         assert summary.counts["DONE"] == 5 and summary.failed == 0
-        assert service.result(pick)["winner_payload"]["tag"] == 5
-        assert service.result(study) == {"tag": 5, "x": 7}
+        assert service.result(pick).result["winner_payload"]["tag"] == 5
+        assert service.result(study).result == {"tag": 5, "x": 7}
 
 
 class TestHappyPathOverHTTP(TestHappyPath):
@@ -236,7 +236,7 @@ class TestSupervision:
 
         summary = service.run_workers(n=1, max_seconds=60)
         assert summary.completed == 1
-        job = service.job(orphan.id)
+        job = service.store.get(orphan.id)
         assert job.state is JobState.DONE
         assert job.attempts == 2  # the orphaned claim plus the real one
 
@@ -251,7 +251,7 @@ class TestSupervision:
                          " worker = 'pool/0' WHERE id = ?", (jid,))
         conn.close()
         assert [j.id for j in service.store.expire_leases()] == [jid]
-        assert service.job(jid).state is JobState.PENDING
+        assert service.store.get(jid).state is JobState.PENDING
         assert service.store.expire_leases() == []  # exactly once
 
     def test_unknown_kind_is_rejected_at_submit(self, service):
@@ -273,7 +273,7 @@ class TestShardedService:
             Sweep(kind="probe", axes={"tag": list(range(12))},
                   base={"behavior": "echo"})).new
         parent = ids[0]
-        pshard = shard_index(svc.job(parent).key, 3)
+        pshard = shard_index(svc.store.get(parent).key, 3)
         child = next(
             svc.submit("probe", {"behavior": "echo", "tag": tag},
                        depends_on=[parent]).new[0]
@@ -281,7 +281,7 @@ class TestShardedService:
             if shard_index(payload_key(
                 "probe", {"behavior": "echo", "tag": tag},
                 parents=(parent,)), 3) != pshard)
-        assert {shard_index(svc.job(j).key, 3) for j in ids} == {0, 1, 2}
+        assert {shard_index(svc.store.get(j).key, 3) for j in ids} == {0, 1, 2}
 
         summary = svc.run_workers(n=2, max_seconds=60)
         assert summary.claimed == 13 and summary.completed == 13

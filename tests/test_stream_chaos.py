@@ -69,7 +69,7 @@ _VICTIM_SCRIPT = textwrap.dedent("""\
 
     url = sys.argv[1]
     client = ServiceClient(url)
-    lease, jobs = client.claim(worker="victim", n=1, ttl=2.0)
+    lease, jobs = client.claim_jobs(worker="victim", n=1, ttl=2.0)
     encoded = encode_result(
         {"tag": "stream-chaos", "blob": "v" * 200_000})
     for chunk in iter_chunks(encoded, 4096):
@@ -132,7 +132,7 @@ class TestSigkilledUploader:
             # and garbage-collects the orphaned spool.
             deadline = time.monotonic() + 60.0
             while True:
-                lease, jobs = client.claim(worker="survivor", n=1, ttl=10.0)
+                lease, jobs = client.claim_jobs(worker="survivor", n=1, ttl=10.0)
                 if jobs:
                     break
                 assert time.monotonic() < deadline, "job never requeued"
@@ -143,7 +143,7 @@ class TestSigkilledUploader:
 
             # The survivor re-uploads the identical (deterministic)
             # result -- transparently chunked by the tiny inline_max.
-            view = client.complete(jid, lease.id, CHAOS_RESULT)
+            view = client.complete_job(jid, lease.id, CHAOS_RESULT)
             assert view.state == "DONE"
             assert client.result(jid).result == CHAOS_RESULT
         finally:
@@ -189,14 +189,14 @@ class TestCoordinatorMemoryBound:
             jid = client.submit("probe", {"tag": "big-result"}).new[0]
             base_kib = _vm_hwm_kib(proc.pid)
 
-            lease, jobs = client.claim(worker="bigw", n=1, ttl=120.0)
+            lease, jobs = client.claim_jobs(worker="bigw", n=1, ttl=120.0)
             assert [j.id for j in jobs] == [jid]
             result = {"tag": "big-result", "blob": "x" * (64 * 1024 * 1024)}
             encoded = encode_result(result)
             assert len(encoded) >= 64 * 1024 * 1024
             # Default inline_max (1 MiB) routes this through the chunk
             # endpoints; default chunk size is 4 MiB.
-            view = client.complete(jid, lease.id, result)
+            view = client.complete_job(jid, lease.id, result)
             assert view.state == "DONE"
 
             out = tmp_path / "result.json"
