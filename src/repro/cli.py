@@ -354,7 +354,7 @@ def _cmd_workers(args: argparse.Namespace) -> int:
     s = pool.run()
     print(f"pool {pool.worker} finished: {s.claimed} claimed, "
           f"{s.completed} completed, {s.failed} failed, "
-          f"{s.retried} retried, {s.lost} lost")
+          f"{s.retried} retried, {s.lost} lost, {s.spawned} spawned")
     c = s.counts
     if c:
         print(f"queue: {c.get('BLOCKED', 0)} blocked, "

@@ -46,7 +46,7 @@ from .jobs import UNCACHED_KINDS, Job, JobState, Lease, new_job_id
 from .shard import (ShardedStore, detect_shard_workdirs,
                     shard_workdirs as _shard_layout)
 from .streams import DEFAULT_INLINE_MAX, MAX_CHUNK_BYTES
-from .sweep import Sweep
+from .sweep import MAX_BATCH_JOBS, Sweep
 from .views import (CampaignView, DagView, EventView, JobView, QueuePage,
                     ResultView)
 from .workers import RUNNERS, PoolSummary, WorkerOptions, WorkerPool
@@ -98,13 +98,6 @@ class SubmitReceipt:
             cached=list(data.get("cached", ())),
             deduped=list(data.get("deduped", ())),
         )
-
-
-#: Safety cap on the jobs one submission call (a batch, a sweep, a
-#: campaign stage) may create: far above the 10k-point sweeps the batch
-#: path exists for, low enough that a single request cannot hold the
-#: coordinator's memory hostage.
-MAX_BATCH_JOBS = 100_000
 
 
 def _validated(submissions, timeout, max_retries, depends_on,

@@ -12,8 +12,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from ..errors import MalformedRequestError, ServiceError
+from ..errors import MalformedRequestError
 from .cache import payload_key
+
+#: Safety cap on the jobs one submission call (a batch, a sweep, a
+#: campaign stage) may create: far above the 10k-point sweeps the batch
+#: path exists for, low enough that a single request cannot hold the
+#: coordinator's memory hostage.
+MAX_BATCH_JOBS = 100_000
 
 
 def expand_grid(axes: dict) -> list[dict]:
@@ -29,7 +35,8 @@ def expand_grid(axes: dict) -> list[dict]:
         v = axes[name]
         if isinstance(v, (list, tuple)):
             if not v:
-                raise ServiceError(f"sweep axis {name!r} is empty")
+                raise MalformedRequestError(
+                    f"sweep axis {name!r} is empty")
             value_lists.append(list(v))
         else:
             value_lists.append([v])
@@ -103,7 +110,16 @@ class Sweep:
         return unique
 
     def submissions(self) -> list[dict]:
-        """The grid as :meth:`Service.submit_many` items, one per point."""
+        """The grid as :meth:`Service.submit_many` items, one per point.
+
+        A grid over the cap is refused from its size, before a single
+        point of the cartesian product is built.
+        """
+        if self.npoints > MAX_BATCH_JOBS:
+            raise MalformedRequestError(
+                f"sweep of {self.npoints} points exceeds the cap of"
+                f" {MAX_BATCH_JOBS} jobs in one submission"
+            )
         return [{"kind": self.kind, "payload": p} for p in self.expand()]
 
     @property

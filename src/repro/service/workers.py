@@ -3,7 +3,8 @@
 :class:`WorkerPool` is the one supervisor.  It *leases* ready jobs from
 a coordinator -- ``claim_jobs`` a batch under a TTL, ``heartbeat`` while
 children run, ``complete_job`` / ``fail_job`` each outcome -- and
-executes every job in a *fresh child process*.  The coordinator is
+executes every job in one of up to ``n`` *resident runner children*.
+The coordinator is
 either backend of the service facade (:mod:`repro.service.facade`), of
 which the pool uses six calls (``claim_jobs``, ``heartbeat``,
 ``complete_job``, ``fail_job``, ``result``, ``counts``): a
@@ -15,6 +16,19 @@ methods the HTTP routes call.  N hosts each running ``repro workers
 --url http://coordinator:8400`` drain one queue and fill one
 content-addressed result cache, which is how a sweep like the paper's
 Fig. 8 stops being bounded by a single machine.
+
+A runner child is forked when concurrency demands it, serves jobs over
+its pipe one at a time, and is *reused only after a success*: the first
+job on a child pays its runner's imports (~330 ms for ``sim``), every
+later one only the work (~2 ms).  It is retired -- terminated, never
+handed another job -- after an ``("error", traceback)``, a timeout, a
+crash, a lost lease, :data:`MAX_JOBS_PER_CHILD` jobs, or a
+:func:`register_runner` call made since it was forked, so a failed
+attempt never shares a process with a later one.  The price is memory:
+a warm child holds ~60 MB (numpy + the simulator) for the life of the
+pool where a per-attempt child held it for one job.  Custom runners
+must therefore not rely on a fresh interpreter per job (module globals,
+caches and the working directory persist across the jobs of one child).
 
 The child process buys three properties the service needs:
 
@@ -34,7 +48,9 @@ exactly once -- the same recovery for an embedded pool as for a remote
 one.  A report that loses the race against lease expiry is rejected
 (``lease_expired``) and the attempt is counted ``lost`` here, never
 recorded twice there.  The result always crosses the pipe to the
-supervisor and from there to the coordinator, which owns the cache.
+supervisor and from there to the coordinator, which owns the cache.  A
+child whose supervisor died sees its pipe close and exits (after its
+current job, if it has one); it holds none of the supervisor's sockets.
 
 Runners -- the functions that turn a payload dict into a result dict --
 are looked up by job kind in :data:`RUNNERS`.  The built-in kinds map
@@ -42,7 +58,7 @@ onto the existing entry points (``run`` -> :func:`repro.hpl.api.run_hpl`,
 ``sim`` -> :func:`repro.perf.hplsim.simulate_run`, ``scale`` ->
 :func:`repro.perf.scaling.weak_scaling`, ``fact`` ->
 :func:`repro.perf.factsim.fact_sweep`); ``probe`` jobs exercise the pool
-itself (ok / sleep / crash / flaky behaviours) and are used by the test
+itself (ok / sleep / crash / exit / flaky behaviours) and are used by the test
 suite and as operational smoke tests.
 """
 
@@ -53,6 +69,7 @@ import multiprocessing
 import os
 import random
 import socket
+import stat
 import threading
 import time
 import traceback
@@ -67,6 +84,15 @@ from .jobs import Job, JobState
 Runner = Callable[[dict, Job], dict]
 
 RUNNERS: dict[str, Runner] = {}
+
+#: Bumped by :func:`register_runner`.  A runner child holds the copy of
+#: :data:`RUNNERS` it was forked with, so the pool retires idle children
+#: forked under an older version instead of handing them a job.
+_registry_version = 0
+
+#: Jobs one runner child serves before it is retired, so a leaking
+#: runner cannot grow for the life of the pool.
+MAX_JOBS_PER_CHILD = 1000
 
 
 @dataclass(frozen=True)
@@ -93,7 +119,9 @@ class WorkerOptions:
 
 def register_runner(kind: str, fn: Runner) -> None:
     """Register (or replace) the runner for a job kind."""
+    global _registry_version
     RUNNERS[kind] = fn
+    _registry_version += 1
 
 
 def runner_for(kind: str) -> Runner:
@@ -245,7 +273,7 @@ def _probe_runner(payload: dict, job: Job) -> dict:
     """Pool self-test job: behaves as its payload instructs."""
     behavior = payload.get("behavior", "ok")
     if behavior == "ok":
-        return {"ok": True, "attempt": job.attempts}
+        return {"ok": True, "attempt": job.attempts, "pid": os.getpid()}
     if behavior == "echo":
         # Returns the payload itself (sans ``behavior``) -- gives DAG
         # and reduce tests a metric-bearing result without running a
@@ -256,6 +284,8 @@ def _probe_runner(payload: dict, job: Job) -> dict:
         return {"ok": True, "slept": payload.get("seconds", 1.0)}
     if behavior == "crash":
         raise RuntimeError(payload.get("message", "probe crash"))
+    if behavior == "exit":
+        os._exit(int(payload.get("code", 1)))  # a hard crash: no report
     if behavior == "flaky":
         # Fails the first `fail_times` attempts, then succeeds -- used to
         # verify the retry path end-to-end.
@@ -289,29 +319,65 @@ RUNNERS.update({
 # ---------------------------------------------------------------------------
 
 
-def _child_main(job: Job, conn) -> None:
-    """Run one leased job in a dedicated process; report through ``conn``.
+def _close_inherited_sockets(keep: int) -> None:
+    """Close every socket this forked child inherited, except ``keep``.
 
-    On success ``("ok", result)`` crosses the pipe (the supervisor hands
-    the result to the coordinator, which owns the cache).  On a Python
-    exception ``("error", traceback)`` is sent.  A hard crash sends
-    nothing -- the supervisor treats a dead, silent child as a failure.
+    A resident child would otherwise hold the coordinator's listening
+    socket (and every accepted connection) for the life of the pool, so
+    a restarted ``repro serve`` could not bind its port while an orphan
+    lived.  The supervisor's ends of its *other* children's pipes are
+    sockets too: closing those copies is what makes pipe EOF mean "my
+    supervisor is gone" for every child.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/dev/fd")]
+    except OSError:  # no fd directory: nothing to enumerate
+        return
+    for fd in fds:
+        if fd <= 2 or fd == keep:
+            continue
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:
+            pass  # the listing's own descriptor, already closed
+
+
+def _child_main(conn) -> None:
+    """Serve leased jobs from ``conn`` until told to stop or orphaned.
+
+    Each ``Job`` received is answered with ``("ok", result)`` (the
+    supervisor hands the result to the coordinator, which owns the
+    cache) or, on a Python exception, ``("error", traceback)`` -- after
+    which the child exits, because the supervisor never reuses a child
+    that failed.  A hard crash sends nothing: the supervisor treats a
+    dead, silent child as a failure.  EOF (the supervisor died), a
+    ``None`` sentinel or an interrupt while idle ends the child quietly.
     """
     # A forked child inherits every other thread's objects but not the
     # threads.  Their sqlite connections are garbage here, and closing
     # one waits forever on any mutex its thread held at the instant of
     # the fork.  Park everything inherited in the permanent generation
-    # so no collection in this process ever finalizes it; the job's own
+    # so no collection in this process ever finalizes it; each job's own
     # garbage is still collected.
     gc.freeze()
+    _close_inherited_sockets(keep=conn.fileno())
     try:
-        result = runner_for(job.kind)(job.payload, job)
-        conn.send(("ok", result))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except BaseException:
-            pass
+        while True:
+            try:
+                job = conn.recv()
+            except (EOFError, OSError, KeyboardInterrupt):
+                return
+            if job is None:
+                return
+            try:
+                conn.send(("ok", runner_for(job.kind)(job.payload, job)))
+            except BaseException:
+                try:
+                    conn.send(("error", traceback.format_exc()))
+                except BaseException:
+                    pass  # the supervisor is gone too
+                return
     finally:
         conn.close()
 
@@ -322,12 +388,21 @@ def _child_main(job: Job, conn) -> None:
 
 
 @dataclass
+class _Child:
+    """One resident runner process and the supervisor's end of its pipe."""
+
+    process: multiprocessing.Process
+    conn: object  # a multiprocessing Connection
+    version: int  # the registry version it was forked under
+    jobs: int = 0  # jobs handed to it so far
+
+
+@dataclass
 class _Slot:
-    """One in-flight leased job: process, pipe, deadline, owning lease."""
+    """One in-flight leased job: its child, deadline and owning lease."""
 
     job: Job
-    process: multiprocessing.Process
-    conn: object
+    child: _Child
     deadline: float  # 0 = no timeout
     lease_id: str
 
@@ -343,6 +418,8 @@ class PoolSummary:
     already requeued the job) or that could not be reported at all --
     never double-recorded work.  Jobs the coordinator fulfilled from
     the cache at claim time never reach the pool and are not counted.
+    ``spawned`` counts the runner children forked: well below
+    ``claimed`` when children are being reused.
     """
 
     claimed: int = 0
@@ -350,6 +427,7 @@ class PoolSummary:
     failed: int = 0
     retried: int = 0
     lost: int = 0
+    spawned: int = 0
     counts: dict = field(default_factory=dict)
 
 
@@ -405,6 +483,10 @@ class WorkerPool:
         self.coordinator = coordinator
         self.worker = worker or default_worker_name()
         self._slots: list[_Slot] = []
+        # Idle children, warmest last: reuse pops the one that ran most
+        # recently, and a cold one is forked only when every live child
+        # is busy.  len(_slots) + len(_idle) never exceeds options.n.
+        self._idle: list[_Child] = []
         self._leases: dict[str, float] = {}  # lease id -> expiry time
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
@@ -435,19 +517,40 @@ class WorkerPool:
 
     # -- slot management -------------------------------------------------
 
-    def _launch(self, job: Job, lease_id: str) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+    def _spawn(self, summary: PoolSummary) -> _Child:
+        parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
-            target=_child_main,
-            args=(job, child_conn),
-            name=f"{self.worker}-{job.id}",
-            daemon=True,
+            target=_child_main, args=(child_conn,),
+            name=f"{self.worker}-runner", daemon=True,
         )
         proc.start()
         child_conn.close()
+        summary.spawned += 1
+        return _Child(proc, parent_conn, _registry_version)
+
+    def _idle_child(self, summary: PoolSummary) -> _Child:
+        """The warmest usable idle child, or a newly forked one."""
+        while self._idle:
+            child = self._idle.pop()
+            if child.version == _registry_version \
+                    and child.process.is_alive():
+                return child
+            self._retire(child)
+        return self._spawn(summary)
+
+    def _launch(self, job: Job, lease_id: str,
+                summary: PoolSummary) -> None:
+        child = self._idle_child(summary)
+        try:
+            child.conn.send(job)
+        except OSError:
+            # It died idle and never saw the job: not a failed attempt.
+            self._retire(child)
+            child = self._spawn(summary)
+            child.conn.send(job)
+        child.jobs += 1
         deadline = time.time() + job.timeout if job.timeout > 0 else 0.0
-        self._slots.append(_Slot(job, proc, parent_conn, deadline,
-                                 lease_id))
+        self._slots.append(_Slot(job, child, deadline, lease_id))
 
     def _report(self, job: Job, lease_id: str, summary: PoolSummary,
                 error: str | None, result: dict | None,
@@ -476,25 +579,27 @@ class WorkerPool:
             summary.failed += 1
 
     @staticmethod
-    def _stop_child(slot: _Slot) -> None:
-        if slot.process.is_alive():
-            slot.process.terminate()
-            slot.process.join(timeout=5.0)
-            if slot.process.is_alive():  # pragma: no cover
-                slot.process.kill()
-                slot.process.join()
-        slot.conn.close()
+    def _retire(child: _Child) -> None:
+        """Stop a child for good; it is never handed another job."""
+        if child.process.is_alive():
+            child.process.terminate()
+            child.process.join(timeout=5.0)
+            if child.process.is_alive():  # pragma: no cover
+                child.process.kill()
+                child.process.join()
+        child.conn.close()
 
     def _reap(self, summary: PoolSummary) -> None:
         now = time.time()
         live: list[_Slot] = []
         for slot in self._slots:
+            child = slot.child
             # A ready pipe is drained even while the child is alive: a
             # result larger than the OS pipe buffer keeps the child
             # blocked in ``send`` until the supervisor reads it.
-            if not slot.conn.poll() and slot.process.is_alive():
+            if not child.conn.poll() and child.process.is_alive():
                 if slot.deadline and now >= slot.deadline:
-                    self._stop_child(slot)
+                    self._retire(child)
                     self._report(
                         slot.job, slot.lease_id, summary,
                         f"timeout: exceeded {slot.job.timeout:.3g}s", None,
@@ -503,18 +608,22 @@ class WorkerPool:
                     live.append(slot)
                 continue
             try:
-                status, body = slot.conn.recv()
+                status, body = child.conn.recv()
             except (EOFError, OSError):
                 status = None  # the pipe closed without a report
-            slot.process.join(timeout=5.0)  # it exits right after sending
-            self._stop_child(slot)
+            if status == "ok" and child.jobs < MAX_JOBS_PER_CHILD:
+                self._idle.append(child)
+            else:
+                if status != "ok":  # it is exiting, or already has
+                    child.process.join(timeout=5.0)
+                self._retire(child)
             if status == "ok":
                 error, result = None, body
             elif status == "error":
                 error, result = body, None
             else:
                 error, result = ("worker child crashed"
-                                 f" (exit code {slot.process.exitcode})"), None
+                                 f" (exit code {child.process.exitcode})"), None
             self._report(slot.job, slot.lease_id, summary, error, result)
         self._slots = live
         self._leases = {
@@ -539,8 +648,9 @@ class WorkerPool:
                 # burning cores on work that now belongs to someone else.
                 self._leases.pop(lid, None)
                 for slot in self._slots:
-                    if slot.lease_id == lid and slot.process.is_alive():
-                        slot.process.terminate()
+                    if slot.lease_id == lid \
+                            and slot.child.process.is_alive():
+                        slot.child.process.terminate()
 
     def _prepare(self, job: Job) -> None:
         """Fetch parent results for reduce / ``$winner`` jobs.
@@ -588,7 +698,7 @@ class WorkerPool:
                 self._report(job, lease.id, summary,
                              f"dag input error: {exc}", None, attempts=2)
                 continue
-            self._launch(job, lease.id)
+            self._launch(job, lease.id, summary)
         return True
 
     def _drained(self) -> bool:
@@ -653,8 +763,19 @@ class WorkerPool:
 
     def _shutdown(self, summary: PoolSummary) -> None:
         for slot in self._slots:
-            self._stop_child(slot)
+            self._retire(slot.child)
             self._report(slot.job, slot.lease_id, summary,
                          "worker pool shut down", None)
+        # Idle children are asked to leave, then made to: pipe EOF alone
+        # is not relied on.
+        for child in self._idle:
+            try:
+                child.conn.send(None)
+            except OSError:
+                pass  # already dead
+        for child in self._idle:
+            child.process.join(timeout=1.0)
+            self._retire(child)
         self._slots = []
+        self._idle = []
         self._leases = {}

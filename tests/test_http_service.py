@@ -35,6 +35,7 @@ from repro.errors import (
     LeaseConflictError,
     LeaseExpiredError,
     MalformedRequestError,
+    ReproError,
     ServiceError,
     UnknownJobError,
     UnknownJobKindError,
@@ -337,6 +338,12 @@ _BAD_SWEEPS = {
     "sweep-bad-run-corner": ("bad_config", {
         "kind": "run", "axes": {"n": [64, -1]},
         "base": {"nb": 8, "p": 2, "q": 2}}),
+    "sweep-empty-axis": ("malformed", {
+        "kind": "probe", "axes": {"tag": []}, "base": {"behavior": "ok"}}),
+    # 10**20 points: refused from its size, never expanded.
+    "sweep-never-expanded": ("malformed", {
+        "kind": "probe", "base": {"behavior": "ok"},
+        "axes": {f"a{i}": list(range(100)) for i in range(10)}}),
 }
 
 
@@ -384,6 +391,7 @@ class TestMalformedSubmissions:
         code, bad = (_BAD_SWEEPS if is_sweep else _BAD_ITEMS)[row]
         client = ServiceClient(idle_server.url)
         before = client.healthz()["queue"]
+        started = time.monotonic()
         for route, body in _submit_bodies(bad, is_sweep).items():
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _post_json(idle_server.url + route, body)
@@ -392,6 +400,12 @@ class TestMalformedSubmissions:
                 422 if code == "unknown_kind" else 400, code), \
                 (route, error)
             assert client.healthz()["queue"] == before, route
+        if is_sweep:  # and the same answer without HTTP in the way
+            with pytest.raises(ReproError) as refused:
+                idle_server.service.submit_sweep(bad)
+            assert refused.value.code == code
+        if row == "sweep-never-expanded":
+            assert time.monotonic() - started < 1.0
         assert not idle_server.service.store.events()
 
     def test_errors_name_the_position_only_in_a_list(self, idle_server):

@@ -6,11 +6,18 @@ lease lapses, and the coordinator requeues the job exactly once for the
 next pool -- the same recovery whether the dead supervisor was leasing
 in process or over HTTP -- leaving the whole story readable in the
 JSONL event log.
+
+The runner children are resident, so the other half of the story is
+theirs: none may outlive a dead supervisor by more than its current
+job, and none may keep the supervisor's sockets (a restarted ``repro
+serve`` must be able to bind the port at once).
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import socket
 import subprocess
 import sys
 import time
@@ -126,3 +133,117 @@ def test_recovery_does_not_touch_terminal_jobs(service):
     assert service.store.get(cancelled.new[0]).state is JobState.CANCELLED
     for jid, attempts in before.items():
         assert service.store.get(jid).attempts == attempts
+
+
+def _repro(*argv) -> subprocess.Popen:
+    """``python -m repro ...`` as a subprocess; stdout is piped."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *map(str, argv)], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+
+
+def _serve(workdir, port: int, workers: int) -> tuple[subprocess.Popen, str]:
+    proc = _repro("serve", "--workdir", workdir, "--port", port,
+                  "--workers", workers, "--backoff", "0.01")
+    line = proc.stdout.readline()  # "serving <workdir> on <url> with ..."
+    url = next((tok for tok in line.split() if tok.startswith("http://")),
+               None)
+    if url is None:
+        proc.kill()
+        raise AssertionError(
+            f"repro serve did not come up: {line}{proc.stdout.read()}")
+    return proc, url
+
+
+def _children(pid: int) -> list[int]:
+    """Live processes whose parent is ``pid`` (read from ``/proc``)."""
+    found = []
+    for name in os.listdir("/proc"):
+        if name.isdigit() and _parent_and_state(int(name))[0] == pid:
+            found.append(int(name))
+    return found
+
+
+def _parent_and_state(pid: int) -> tuple[int, str]:
+    """``(ppid, state)`` of a process; ``(0, "X")`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+    except (FileNotFoundError, ProcessLookupError):
+        return 0, "X"
+    return int(ppid), state
+
+
+def _running(pid: int) -> bool:
+    """A zombie nobody reaps has exited: no sockets, no memory."""
+    return _parent_and_state(pid)[1] not in "XZ"
+
+
+def _wait_dead(pids, timeout: float) -> list[int]:
+    """The pids still running after at most ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = [pid for pid in pids if _running(pid)]
+        if not alive or time.monotonic() >= deadline:
+            return alive
+        time.sleep(0.05)
+
+
+def _free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def _sockets(pid: int) -> int:
+    """How many of a process's open descriptors are sockets."""
+    count = 0
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            count += os.readlink(f"/proc/{pid}/fd/{fd}").startswith("socket:")
+        except FileNotFoundError:
+            pass  # closed since the listing
+    return count
+
+
+@pytest.mark.parametrize("supervisor", ["serve", "workers --url"])
+def test_no_runner_child_outlives_a_killed_supervisor(tmp_path, supervisor):
+    """SIGKILL a supervisor with one warm idle child and one busy one.
+    Neither holds any socket but its own pipe -- not the coordinator's
+    listening socket, not the supervisor's end of its sibling's pipe --
+    so the port can be bound again at once, the idle child sees EOF and
+    leaves, and the busy one leaves right after its job."""
+    embedded = supervisor == "serve"
+    port = _free_port()
+    server, url = _serve(tmp_path / "svc", port, workers=2 if embedded else 0)
+    pool = server if embedded else _repro(
+        "workers", "--url", url, "-n", 2, "--no-drain", "--ttl", 2)
+    client = ServiceClient(url, timeout=10.0)
+    children: list[int] = []
+    try:
+        # Two concurrent jobs fork both children; the short one leaves
+        # its child warm and idle while the long one is still running.
+        short, _long = (r.new[0] for r in client.submit_many([
+            {"kind": "probe",
+             "payload": {"behavior": "sleep", "seconds": seconds}}
+            for seconds in (0.1, 1.0)]))
+        assert client.wait([short], timeout=60)[short].state == "DONE"
+        children = _children(pool.pid)
+        assert len(children) == 2
+        assert [_sockets(pid) for pid in children] == [1, 1]
+        pool.send_signal(signal.SIGKILL)
+        pool.wait(timeout=30)
+        if embedded:  # the busy child is still alive: it must not matter
+            server, _ = _serve(tmp_path / "svc", port, workers=0)
+            assert ServiceClient(url, timeout=10.0).healthz()["ok"]
+        # Up to 1 s for the running job, 2 s for everything else.
+        assert _wait_dead(children, 3.0) == []
+    finally:
+        for proc in {pool, server}:
+            proc.kill()
+            proc.wait(timeout=30)
+        for pid in filter(_running, children):
+            os.kill(pid, signal.SIGKILL)

@@ -10,24 +10,35 @@ leasing from a ``ServiceHTTPServer`` on the same workdir through a
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import sqlite3
+import threading
 import time
 
 import pytest
 
 from repro.errors import ServiceError
 from repro.service import (
+    Job,
     JobState,
     Service,
     Sweep,
     WorkerOptions,
     WorkerPool,
+    new_job_id,
     payload_key,
+    register_runner,
     shard_index,
 )
+from repro.service import workers
 from repro.service.http import ServiceClient, ServiceHTTPServer
-from repro.service.workers import default_worker_name
+from repro.service.workers import (
+    RUNNERS,
+    _child_main,
+    default_worker_name,
+    runner_for,
+)
 
 
 @pytest.fixture
@@ -37,11 +48,11 @@ def service(tmp_path):
 
 
 @pytest.fixture
-def drain(request, service):
-    """``drain(n=...)``: one pool run over the test class's transport."""
+def pool(request, service):
+    """``pool(n=...)``: a :class:`WorkerPool` on the class's transport."""
     if getattr(request.cls, "transport", "inproc") == "inproc":
-        yield lambda **options: service.run_workers(max_seconds=60,
-                                                    **options)
+        yield lambda **options: service.worker_pool(
+            WorkerOptions(max_seconds=60, **options))
         return
     with ServiceHTTPServer(service.workdir, workers=0,
                            backoff_base=0.01) as srv:
@@ -50,7 +61,13 @@ def drain(request, service):
         yield lambda **options: WorkerPool(
             ServiceClient(srv.url),
             WorkerOptions(max_seconds=60, lease_ttl=2.0, **options),
-        ).run()
+        )
+
+
+@pytest.fixture
+def drain(pool):
+    """``drain(n=...)``: one pool run over the test class's transport."""
+    return lambda **options: pool(**options).run()
 
 
 class TestHappyPath:
@@ -77,19 +94,6 @@ class TestHappyPath:
         assert result["passed"] is True
         assert result["resid"] < 16.0
 
-    def test_result_larger_than_the_pipe_buffer(self, service, drain):
-        """A 1 MB result must not wedge the child in ``send``: the
-        supervisor drains a ready pipe while the child is still alive."""
-        blob = "x" * (1 << 20)
-        jid = service.submit("probe", {"behavior": "echo", "blob": blob},
-                             max_retries=0).new[0]
-        started = time.monotonic()
-        summary = drain(n=1)
-        assert summary.completed == 1 and summary.failed == 0
-        assert time.monotonic() - started < 30.0
-        assert service.store.get(jid).state is JobState.DONE
-        assert service.result(jid).result == {"blob": blob}
-
 
 class TestCrashIsolation:
     def test_always_crashing_job_retries_then_fails(self, service, drain):
@@ -105,19 +109,6 @@ class TestCrashIsolation:
         assert job.attempts == 2  # first try + one retry
         assert "kaboom" in job.error
         assert "RuntimeError" in job.error  # captured traceback
-
-    def test_crash_does_not_take_down_the_pool(self, service, drain):
-        """Healthy jobs queued around a crasher still complete."""
-        ok1 = service.submit("probe", {"behavior": "ok", "tag": 1},
-                             max_retries=0)
-        bad = service.submit("probe", {"behavior": "crash"}, max_retries=0)
-        ok2 = service.submit("probe", {"behavior": "ok", "tag": 2},
-                             max_retries=0)
-        summary = drain(n=2)
-        assert summary.completed == 2 and summary.failed == 1
-        assert service.store.get(ok1.new[0]).state is JobState.DONE
-        assert service.store.get(bad.new[0]).state is JobState.FAILED
-        assert service.store.get(ok2.new[0]).state is JobState.DONE
 
     def test_flaky_job_succeeds_on_retry(self, service, drain):
         receipt = service.submit(
@@ -136,20 +127,6 @@ class TestCrashIsolation:
 
 
 class TestTimeouts:
-    def test_job_exceeding_timeout_is_failed(self, service, drain):
-        """Acceptance: a job over its timeout ends FAILED, pool survives."""
-        slow = service.submit(
-            "probe", {"behavior": "sleep", "seconds": 30.0},
-            timeout=0.3, max_retries=0,
-        )
-        ok = service.submit("probe", {"behavior": "ok"}, max_retries=0)
-        summary = drain(n=2)
-        assert summary.failed == 1 and summary.completed == 1
-        job = service.store.get(slow.new[0])
-        assert job.state is JobState.FAILED
-        assert "timeout" in job.error
-        assert service.store.get(ok.new[0]).state is JobState.DONE
-
     def test_timeout_attempts_respect_the_retry_budget(self, service, drain):
         receipt = service.submit(
             "probe", {"behavior": "sleep", "seconds": 30.0},
@@ -166,8 +143,6 @@ class TestClaimTimeCacheFulfilment:
                                                             drain):
         """A claimed job with a cached result is marked DONE without
         burning a child process (closes the submit-vs-complete race)."""
-        from repro.service import Job, new_job_id
-
         payload = {"n": 256, "nb": 32, "p": 2, "q": 2}
         first = service.submit("sim", payload)
         drain(n=1)
@@ -206,6 +181,158 @@ class TestParentLookup:
         assert service.result(study).result == {"tag": 5, "x": 7}
 
 
+#: A result larger than the OS pipe buffer: the child blocks in ``send``
+#: until the supervisor drains the ready pipe of a live child.
+_BLOB = "x" * (1 << 20)
+
+
+def _ok(tag: int) -> dict:
+    """Results are stored by content key: one payload per ``ok`` job."""
+    return {"behavior": "ok", "tag": tag}
+
+
+#: One n=1 pool runs these in order.  (payload, submit options,
+#: terminal state, text the recorded error must contain)
+_LIFECYCLE = [
+    (_ok(0), {}, "DONE", ""),
+    ({"behavior": "crash", "message": "kaboom"}, {},
+     "FAILED", "RuntimeError: kaboom"),
+    (_ok(1), {}, "DONE", ""),
+    ({"behavior": "sleep", "seconds": 30.0}, {"timeout": 0.3},
+     "FAILED", "timeout: exceeded 0.3s"),
+    (_ok(2), {}, "DONE", ""),
+    ({"behavior": "exit", "code": 3}, {},
+     "FAILED", "worker child crashed (exit code 3)"),
+    (_ok(3), {}, "DONE", ""),
+    ({"behavior": "echo", "blob": _BLOB}, {}, "DONE", ""),
+    (_ok(4), {}, "DONE", ""),
+]
+
+
+class TestChildLifecycle:
+    def test_a_child_is_reused_after_success_and_only_then(self, service,
+                                                           drain):
+        """The pool's contract in one table: an exception, a timeout
+        and a hard exit each fail only their own attempt, the pool keeps
+        draining, and the next job runs in a new process; successes
+        (however large the result) leave the child warm for the next."""
+        ids = [service.submit("probe", payload, max_retries=0,
+                              **options).new[0]
+               for payload, options, _state, _error in _LIFECYCLE]
+        started = time.monotonic()
+        summary = drain(n=1)
+        assert time.monotonic() - started < 30.0  # nothing wedged
+        pids = []
+        for jid, (payload, _options, state, error) in zip(ids, _LIFECYCLE):
+            job = service.store.get(jid)
+            assert job.state.value == state
+            assert error in job.error
+            if payload["behavior"] == "ok":
+                pids.append(service.result(jid).result["pid"])
+            elif state == "DONE":
+                assert service.result(jid).result == {"blob": _BLOB}
+        first, after_crash, after_timeout, after_exit, after_blob = pids
+        assert len({first, after_crash, after_timeout, after_exit}) == 4
+        assert after_blob == after_exit
+        assert os.getpid() not in pids
+        assert summary.spawned == 4
+        assert (summary.completed, summary.failed) == (6, 3)
+        assert summary.retried == 0 and summary.lost == 0
+
+    def test_a_child_is_retired_after_its_job_bound(self, service, drain,
+                                                    monkeypatch):
+        monkeypatch.setattr(workers, "MAX_JOBS_PER_CHILD", 3)
+        ids = [service.submit("probe", _ok(i)).new[0] for i in range(7)]
+        summary = drain(n=1)
+        assert summary.completed == 7 and summary.spawned == 3
+        pids = [service.result(jid).result["pid"] for jid in ids]
+        assert [pids.count(pid) for pid in dict.fromkeys(pids)] == [3, 3, 1]
+
+    def test_a_runner_registered_after_a_child_is_warm_is_found(
+            self, service, pool):
+        """A resident child holds the registry it was forked with, so a
+        registration retires the idle children instead of letting them
+        answer "unknown kind" (or run the function that was replaced)."""
+        stop, summaries = threading.Event(), []
+        resident = pool(n=1, drain=False)
+        thread = threading.Thread(
+            target=lambda: summaries.append(resident.run(stop)))
+        thread.start()
+        try:
+            warm = service.submit("probe", _ok(0)).new[0]
+            assert service.wait([warm], timeout=30)[warm].state == "DONE"
+            for version in (1, 2):  # a new kind, then a replaced one
+                register_runner(
+                    "late", lambda payload, job, v=version: {"version": v})
+                jid = service.submit("late", {"n": version}).new[0]
+                view = service.wait([jid], timeout=30)[jid]
+                assert (view.state, view.result) == (
+                    "DONE", {"version": version})
+        finally:
+            stop.set()
+            thread.join(30)
+            RUNNERS.pop("late", None)
+        assert not thread.is_alive()
+        assert summaries[0].spawned == 3  # one, plus one per registration
+
+
+#: (kind, payload A, two other payloads run between A's two runs, the
+#: result fields that must match -- None for all of them)
+_HISTORY = [
+    ("sim", {"n": 4096, "nb": 256, "p": 2, "q": 2},
+     [{"n": 8192, "nb": 512, "p": 4, "q": 2, "schedule": "lookahead"},
+      {"n": 6144, "nb": 384, "p": 2, "q": 4, "split_fraction": 0.3}], None),
+    ("scale", {"nnodes": 2, "n_single": 32_000, "nb": 256},
+     [{"nnodes": 8, "n_single": 32_000, "nb": 512},
+      {"nnodes": 1, "n_single": 16_000, "nb": 256}], None),
+    ("fact", {"nb": 128, "m_multiples": [1, 4], "thread_counts": [1, 4]},
+     [{"nb": 256, "m_multiples": [2], "thread_counts": [2, 8]},
+      {"nb": 512}], None),
+    ("run", {"n": 96, "nb": 8, "p": 2, "q": 2, "seed": 7},
+     [{"n": 32, "nb": 8, "p": 1, "q": 2, "seed": 8},
+      {"n": 48, "nb": 8, "p": 2, "q": 2, "seed": 9}], ("resid", "passed")),
+]
+
+
+@pytest.fixture
+def child():
+    """``child(kind, payload)``: run a job on one resident runner child."""
+    ctx = multiprocessing.get_context("fork")
+    ours, theirs = ctx.Pipe()
+    process = ctx.Process(target=_child_main, args=(theirs,), daemon=True)
+    process.start()
+    theirs.close()
+
+    def run(kind, payload):
+        ours.send(Job(id=new_job_id(), kind=kind, payload=payload,
+                      key=payload_key(kind, payload)))
+        assert ours.poll(120)
+        status, body = ours.recv()
+        assert status == "ok", body
+        return body
+
+    yield run
+    ours.send(None)  # the sentinel ends an idle child quietly
+    process.join(10)
+    assert process.exitcode == 0
+
+
+class TestWarmChildPurity:
+    @pytest.mark.parametrize("kind, a, others, fields", _HISTORY,
+                             ids=[row[0] for row in _HISTORY])
+    def test_result_does_not_depend_on_the_childs_history(
+            self, child, kind, a, others, fields):
+        """A on a fresh child == A after B and C on the same warm child
+        == A computed in this process."""
+        cold = child(kind, a)
+        for payload in others:
+            child(kind, payload)
+        warm = child(kind, a)
+        local = runner_for(kind)(a, None)
+        for field in fields or local:
+            assert cold[field] == warm[field] == local[field]
+
+
 class TestHappyPathOverHTTP(TestHappyPath):
     transport = "http"
 
@@ -223,6 +350,10 @@ class TestClaimTimeCacheFulfilmentOverHTTP(TestClaimTimeCacheFulfilment):
 
 
 class TestParentLookupOverHTTP(TestParentLookup):
+    transport = "http"
+
+
+class TestChildLifecycleOverHTTP(TestChildLifecycle):
     transport = "http"
 
 
