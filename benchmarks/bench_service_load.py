@@ -125,7 +125,7 @@ class _CountingClient(ServiceClient):
     def _send(self, request, path, timeout=None):
         if path.startswith("/v1/events"):
             kind = "events"
-        elif (request.get_method() == "GET"
+        elif (request[0] == "GET"
               and path.startswith(("/v1/queue", "/v1/jobs"))):
             kind = "status"
         else:

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 from ..config import HPLConfig
@@ -40,7 +42,7 @@ from .campaign import (CampaignStore, build_campaign_view, build_dag_view,
                        make_record, new_campaign_id, parse_campaign_spec)
 from .dag import DagResolver, has_placeholders
 from .events import (EventBroker, EventFilter, decode_queue_cursor,
-                     encode_queue_cursor)
+                     encode_queue_cursor, makes_claimable)
 from .facade import ServiceFacade
 from .jobs import UNCACHED_KINDS, Job, JobState, Lease, new_job_id
 from .shard import (ShardedStore, detect_shard_workdirs,
@@ -246,6 +248,22 @@ class Service(ServiceFacade):
         # no subscriber state, so constructing it is cheap even for
         # one-shot CLI calls.
         self.broker = EventBroker(self.store)
+        # Pools built by worker_pool(): an append through this service
+        # that makes a job claimable wakes them.  Weak references, so a
+        # finished pool costs nothing.
+        self._pools: weakref.WeakSet = weakref.WeakSet()
+        self._pools_lock = threading.Lock()
+        # In place of the hook the broker installed for itself.
+        self.store.set_event_hook(self._on_event)
+
+    def _on_event(self, record: dict) -> None:
+        """The stores' append hook: wake feed readers, then idle pools."""
+        self.broker.wake(record)
+        if makes_claimable(record):
+            with self._pools_lock:
+                pools = list(self._pools)
+            for pool in pools:
+                pool.wake()
 
     @property
     def nshards(self) -> int:
@@ -446,7 +464,9 @@ class Service(ServiceFacade):
         With ``timeout > 0`` the call blocks until a matching event
         arrives.  A ``campaign`` filter expands to the campaign's
         job-id set (404 on an unknown campaign); combined with an
-        explicit ``job_ids`` the two sets intersect.
+        explicit ``job_ids`` the two sets intersect.  Under a job-id
+        filter ``"begin"`` starts where the earliest of those jobs was
+        submitted (:meth:`EventBroker.begin_offsets`).
         """
         if limit < 1:
             raise MalformedRequestError(f"limit must be >= 1, got {limit}")
@@ -711,9 +731,14 @@ class Service(ServiceFacade):
         """A :class:`WorkerPool` leasing from this service in process.
 
         Every transition commits through the service's own store
-        handle, so the DAG and event hooks fire for embedded pools too.
+        handle, so the DAG and event hooks fire for embedded pools too
+        -- and a submit, release or requeue made through this service
+        wakes the pool at once (see :meth:`WorkerPool.wake`).
         """
-        return WorkerPool(self, options, worker)
+        pool = WorkerPool(self, options, worker)
+        with self._pools_lock:
+            self._pools.add(pool)
+        return pool
 
     def run_workers(self, options: WorkerOptions | None = None,
                     **overrides) -> PoolSummary:

@@ -16,12 +16,16 @@ The pieces:
   folds discarded bytes into the offset arithmetic), which is what makes
   ``Last-Event-ID`` resume exactly-once.  The sentinels ``begin`` and
   ``now`` stand for "everything the log still holds" and "only what
-  happens from here on".
+  happens from here on"; under a job-id filter ``begin`` is where the
+  earliest of those jobs was submitted, so waiting on a job never
+  replays the log that precedes it.
 
 * **Filters** -- :class:`EventFilter` narrows a feed server-side by job
   id, audit event name (``kind``), and implied job state; filtered-out
   events still advance the cursor, so a narrow watch over a busy queue
-  stays cheap for the client without ever skipping a match.
+  stays cheap for the client without ever skipping a match (and for
+  the server: the filter reads raw records, views and cursor tokens are
+  built for matches only).
 
 * **:class:`EventBroker`** -- the coordinator-side fan-out.  It tails
   every shard's log with cursor reads, k-way merges them into one
@@ -44,6 +48,7 @@ import binascii
 import collections
 import dataclasses
 import json
+import sqlite3
 import threading
 import time
 
@@ -140,6 +145,14 @@ def event_state(record: dict) -> str:
     return IMPLIED_STATE.get(record.get("event", ""), "")
 
 
+def makes_claimable(record: dict) -> bool:
+    """Whether a raw audit record put a job where a pool can claim it:
+    a ``submitted`` that was neither BLOCKED nor served from cache, a
+    ``released`` DAG child or a ``requeued`` failed attempt."""
+    return record.get("event") in ("submitted", "released", "requeued") \
+        and event_state(record) == JobState.PENDING.value
+
+
 @dataclasses.dataclass(frozen=True)
 class EventFilter:
     """Server-side narrowing of a feed; ``None`` means "any".
@@ -172,12 +185,16 @@ class EventFilter:
         return (self.job_ids is None and self.kinds is None
                 and self.states is None)
 
-    def matches(self, view: EventView) -> bool:
-        if self.job_ids is not None and view.job_id not in self.job_ids:
+    def matches(self, record: dict) -> bool:
+        """Whether a raw audit record would pass as a view."""
+        if self.job_ids is not None \
+                and record.get("job", "") not in self.job_ids:
             return False
-        if self.kinds is not None and view.kind not in self.kinds:
+        if self.kinds is not None \
+                and record.get("event", "") not in self.kinds:
             return False
-        if self.states is not None and view.state not in self.states:
+        if self.states is not None \
+                and event_state(record) not in self.states:
             return False
         return True
 
@@ -200,25 +217,43 @@ class EventBroker:
         self.poll_interval = poll_interval
         self._cond = threading.Condition()
         self._version = 0
-        store.set_event_hook(self._wake)
+        store.set_event_hook(self.wake)
 
-    def _wake(self) -> None:
+    def wake(self, record: dict | None = None) -> None:
+        """The stores' append hook: release every blocked :meth:`poll`."""
         with self._cond:
             self._version += 1
             self._cond.notify_all()
 
     # -- cursor resolution ----------------------------------------------
 
-    def begin_offsets(self) -> list[int]:
+    def begin_offsets(self, job_ids=None) -> list[int]:
+        """The oldest offsets the logs hold -- or, for a feed filtered
+        to ``job_ids``, the offsets those jobs' histories start at.
+
+        A job's row records the log position it was submitted at
+        (:meth:`JobStore.events_start`), so a watch of named jobs reads
+        what the filtered replay would deliver without replaying what
+        was logged before them.  An id no shard holds, or a shard that
+        cannot be asked, means the full replay.
+        """
+        if job_ids is not None:
+            try:
+                starts = [s.events_start(job_ids) for s in self.stores]
+            except sqlite3.OperationalError:
+                starts = []  # a wedged shard: replay rather than fail
+            if sum(held for held, _ in starts) == len(job_ids):
+                return [offset for _, offset in starts]
         return [s.events_base() for s in self.stores]
 
     def end_offsets(self) -> list[int]:
         return [s.events_end() for s in self.stores]
 
-    def resolve(self, token: str | None) -> list[int]:
-        """Offsets for a wire token (sentinels included)."""
+    def resolve(self, token: str | None, job_ids=None) -> list[int]:
+        """Offsets for a wire token (sentinels included); ``job_ids`` is
+        the feed's job filter, which only ``begin`` looks at."""
         if token is None or token == "" or token == BEGIN:
-            return self.begin_offsets()
+            return self.begin_offsets(job_ids)
         if token == NOW:
             return self.end_offsets()
         return decode_cursor(token, self.nshards)
@@ -242,12 +277,17 @@ class EventBroker:
         in file order -- so per-shard order (the authoritative one) is
         never violated by slightly inverted wall clocks, and cutting at
         ``limit`` always leaves each shard at a clean prefix boundary.
+        The merge also stops where a shard's full window runs dry: its
+        next event is still on disk and may sort before the other
+        shards' heads (only a filtered read gets there; an unfiltered
+        one has its ``limit`` views by then).
         """
         offsets = list(offsets)
         queues = []
         for i, store in enumerate(self.stores):
             batch, _end = store.read_events(offsets[i], limit=limit)
             queues.append(collections.deque(batch))
+        full = [len(queue) == limit for queue in queues]
         views: list[EventView] = []
         while len(views) < limit:
             pick = -1
@@ -263,18 +303,21 @@ class EventBroker:
                 break
             record, end_offset = queues[pick].popleft()
             offsets[pick] = end_offset
-            view = EventView(
-                cursor=encode_cursor(offsets),
-                t=record.get("t", 0.0),
-                job_id=record.get("job", ""),
-                kind=record.get("event", ""),
-                state=event_state(record),
-                shard=pick,
-                data={k: v for k, v in record.items()
-                      if k not in ("t", "job", "event")},
-            )
-            if filter is None or filter.matches(view):
-                views.append(view)
+            # A filtered-out event is consumed (the cursor moves past
+            # it) but no view or token is built for it.
+            if filter is None or filter.matches(record):
+                views.append(EventView(
+                    cursor=encode_cursor(offsets),
+                    t=record.get("t", 0.0),
+                    job_id=record.get("job", ""),
+                    kind=record.get("event", ""),
+                    state=event_state(record),
+                    shard=pick,
+                    data={k: v for k, v in record.items()
+                          if k not in ("t", "job", "event")},
+                ))
+            if full[pick] and not queues[pick]:
+                break
         return views, offsets
 
     def poll(self, token: str | None, limit: int = 500,
@@ -288,7 +331,8 @@ class EventBroker:
         ``poll_interval`` seconds for appends by other processes
         sharing the workdir.
         """
-        offsets = self.resolve(token)
+        offsets = self.resolve(
+            token, filter.job_ids if filter is not None else None)
         deadline = time.monotonic() + max(0.0, timeout)
         while True:
             with self._cond:

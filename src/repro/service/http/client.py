@@ -1,7 +1,9 @@
 """Clients for the HTTP front-end: blocking and asyncio.
 
-:class:`ServiceClient` is a thin blocking wrapper over
-``urllib.request``: the HTTP backend of the service facade.  It answers
+:class:`ServiceClient` is a thin blocking wrapper over ``http.client``:
+the HTTP backend of the service facade.  Each thread that uses a client
+keeps one connection open between its calls (and reconnects once,
+transparently, when the server restarted in between).  It answers
 the primitive calls listed in :mod:`repro.service.facade` (submission,
 ``status`` / ``job`` / ``result_view``, campaigns, ``events``, the
 lease protocol) with one round-trip each, under the same names and
@@ -36,13 +38,13 @@ from __future__ import annotations
 import asyncio
 import functools
 import hashlib
+import http.client
 import inspect
 import json
 import random
+import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 
 from ...errors import (
     BackpressureError,
@@ -156,6 +158,12 @@ class ServiceClient(ServiceFacade):
         self.retry_429_cap = float(retry_429_cap)
         # GET /v1 capability probe result; None until first asked.
         self._capabilities: frozenset | None = None
+        split = urllib.parse.urlsplit(self.base_url)
+        self._connect = functools.partial(
+            http.client.HTTPSConnection if split.scheme == "https"
+            else http.client.HTTPConnection, split.netloc)
+        self._root = split.path  # a base URL may carry a path prefix
+        self._local = threading.local()  # .conn: this thread's connection
 
     # -- transport -------------------------------------------------------
 
@@ -191,25 +199,64 @@ class ServiceClient(ServiceFacade):
             exc.retry_after = retry_after
         raise exc from None
 
+    def _unreachable(self, exc: Exception) -> ServiceError:
+        return ServiceError(
+            f"cannot reach service at {self.base_url}: {exc}")
+
+    def _start(self, conn, request, path: str, headers=()):
+        """Send ``request`` on ``conn``; the response, status line read.
+
+        ``request`` is ``(method, body bytes or None, content type or
+        None)``.  A 4xx/5xx is read whole (the connection stays usable)
+        and raised as the exception its error body names.
+        """
+        method, data, content_type = request
+        send = {"X-Client-Id": self.client_id, **dict(headers)}
+        if content_type:
+            send["Content-Type"] = content_type
+        conn.request(method, self._root + path, body=data, headers=send)
+        resp = conn.getresponse()
+        if resp.status >= 400:
+            try:
+                payload = json.loads(resp.read() or b"{}")
+            except (ValueError, OSError, http.client.HTTPException):
+                payload = {}
+            self._raise_for(resp.status, payload if isinstance(payload, dict)
+                            else {}, path, headers=resp.headers)
+        return resp
+
     def _open(self, request, path: str,
               timeout: float | None = None) -> bytes:
-        """One urlopen round-trip with the v1 error mapping applied."""
+        """One round-trip on the calling thread's kept connection.
+
+        The server may have hung up on an idle one (a restart): a
+        request that dies on a *reused* connection before a status line
+        arrives is replayed once on a fresh one -- the window the 429
+        loop and the worker pool's retries already accept; a fresh
+        connection's failure is raised at once.
+        """
+        timeout = self.timeout if timeout is None else timeout
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect()
+        conn.timeout = timeout  # applied by the next (re)connect
         try:
-            with urllib.request.urlopen(
-                    request, timeout=self.timeout if timeout is None
-                    else timeout) as resp:
-                return resp.read()
-        except urllib.error.HTTPError as exc:
-            try:
-                payload = json.loads(exc.read() or b"{}")
-            except (json.JSONDecodeError, OSError):
-                payload = {}
-            self._raise_for(exc.code, payload if isinstance(payload, dict)
-                            else {}, path, headers=exc.headers)
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach service at {self.base_url}: {exc.reason}"
-            ) from None
+            while True:
+                reused = conn.sock is not None
+                if reused:
+                    conn.sock.settimeout(timeout)
+                try:
+                    resp = self._start(conn, request, path)
+                except (http.client.RemoteDisconnected,
+                        ConnectionResetError, BrokenPipeError):
+                    conn.close()
+                    if not reused:
+                        raise
+                else:
+                    return resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise self._unreachable(exc) from None
 
     def _send(self, request, path: str,
               timeout: float | None = None) -> bytes:
@@ -236,30 +283,14 @@ class ServiceClient(ServiceFacade):
     def _request(self, method: str, path: str, body: dict | None = None,
                  timeout: float | None = None) -> dict:
         data = json.dumps(body).encode() if body is not None else None
-        request = urllib.request.Request(
-            self.base_url + path, data=data, method=method,
-            headers={"Content-Type": "application/json",
-                     "X-Client-Id": self.client_id},
-        )
-        return json.loads(
-            self._send(request, path, timeout=timeout) or b"{}")
+        return json.loads(self._send(
+            (method, data, "application/json"), path, timeout=timeout,
+        ) or b"{}")
 
     def _request_raw(self, method: str, path: str, data: bytes) -> dict:
         """Send a raw octet-stream body; parse the JSON response."""
-        request = urllib.request.Request(
-            self.base_url + path, data=data, method=method,
-            headers={"Content-Type": "application/octet-stream",
-                     "X-Client-Id": self.client_id},
-        )
-        return json.loads(self._send(request, path) or b"{}")
-
-    def _request_bytes(self, path: str) -> bytes:
-        """GET a raw octet-stream response body."""
-        request = urllib.request.Request(
-            self.base_url + path, method="GET",
-            headers={"X-Client-Id": self.client_id},
-        )
-        return self._send(request, path)
+        return json.loads(self._send(
+            (method, data, "application/octet-stream"), path) or b"{}")
 
     # -- the primitive calls ---------------------------------------------
 
@@ -386,8 +417,8 @@ class ServiceClient(ServiceFacade):
     def read_result_chunk(self, job_id: str, offset: int,
                           length: int) -> bytes:
         """One ranged read of a DONE job's result bytes."""
-        return self._request_bytes(
-            f"/v1/jobs/{job_id}/result/chunks"
+        return self._send(
+            ("GET", None, None), f"/v1/jobs/{job_id}/result/chunks"
             + _query(offset=offset, length=length))
 
     def cancel_job(self, job_id: str) -> tuple[bool, JobView]:
@@ -509,40 +540,32 @@ class ServiceClient(ServiceFacade):
         Infinite by design -- the consumer decides when to stop.
         """
         token = cursor
+        path = "/v1/events" + _query(job_id=job_ids, kind=kinds,
+                                     state=states, campaign=campaign,
+                                     heartbeat=heartbeat)
         while True:
-            query = _query(job_id=job_ids, kind=kinds, state=states,
-                           campaign=campaign, heartbeat=heartbeat)
-            headers = {"Accept": "text/event-stream",
-                       "X-Client-Id": self.client_id}
+            headers = {"Accept": "text/event-stream"}
             if token:
                 headers["Last-Event-ID"] = token
-            request = urllib.request.Request(
-                self.base_url + "/v1/events" + query, headers=headers)
+            # The server frames the stream by closing it, so it gets a
+            # connection of its own, not the thread's kept one.
+            conn = self._connect(timeout=self.timeout + heartbeat)
             try:
-                resp = urllib.request.urlopen(
-                    request, timeout=self.timeout + heartbeat)
-            except urllib.error.HTTPError as exc:
                 try:
-                    payload = json.loads(exc.read() or b"{}")
-                except (json.JSONDecodeError, OSError):
-                    payload = {}
-                self._raise_for(exc.code,
-                                payload if isinstance(payload, dict)
-                                else {}, "/v1/events", headers=exc.headers)
-            except urllib.error.URLError as exc:
-                if not reconnect:
-                    raise ServiceError(
-                        f"cannot reach service at {self.base_url}:"
-                        f" {exc.reason}") from None
-                time.sleep(reconnect_delay)
-                continue
-            try:
-                with resp:
-                    for view in self._parse_sse(resp):
-                        token = view.cursor
-                        yield view
-            except (ConnectionError, TimeoutError, OSError):
-                pass  # fall through to reconnect (or stop) below
+                    resp = self._start(conn, ("GET", None, None), path,
+                                       headers)
+                except (OSError, http.client.HTTPException) as exc:
+                    if not reconnect:
+                        raise self._unreachable(exc) from None
+                else:
+                    try:
+                        for view in self._parse_sse(resp):
+                            token = view.cursor
+                            yield view
+                    except OSError:
+                        pass  # the stream broke: reconnect (or stop)
+            finally:
+                conn.close()
             if not reconnect:
                 return
             time.sleep(reconnect_delay)

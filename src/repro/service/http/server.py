@@ -44,7 +44,9 @@ GET      ``/v1/events``                      merged audit-event feed:
                                              long-poll (``?cursor&timeout``)
                                              or SSE (``Accept:
                                              text/event-stream``)
-GET      ``/v1/healthz``                     liveness + per-state depths
+GET      ``/v1/healthz``                     liveness + per-state depths +
+                                             ``"http": {"connections",
+                                             "requests"}`` since start
 =======  ==================================  ===============================
 
 Every route is a thin shell over the one call of the service facade
@@ -91,6 +93,13 @@ uploads and ranged reads move raw ``application/octet-stream`` bodies,
 bounded by :data:`~repro.service.streams.MAX_CHUNK_BYTES` per request,
 so the coordinator never buffers more than one chunk of a result.
 
+Connections are HTTP/1.1 keep-alive: one handler thread (and one
+SQLite handle per shard) per *connection*, not per request, parked
+between requests; the bundled clients keep one connection per thread.
+Responses go out with ``TCP_NODELAY``; a request body no route read is
+drained (or the connection closed) before the next request is parsed;
+:meth:`ServiceHTTPServer.shutdown` hangs up on every open connection.
+
 Admission control (off by default) guards the three submit routes --
 ``POST /v1/jobs``, ``/v1/jobs/batch``, ``/v1/campaigns`` -- with a
 queue-depth watermark and per-client token buckets keyed on the
@@ -107,6 +116,8 @@ from __future__ import annotations
 import json
 import math
 import re
+import socket
+import sys
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -177,6 +188,10 @@ MAX_EVENT_WAIT = 60.0
 #: Per-response cap on the event batch size (and per-shard scan window).
 MAX_EVENT_LIMIT = 1000
 
+#: A request body its route never read is drained if at most this long
+#: (the connection stays usable); a longer one costs the connection.
+MAX_DRAIN_BYTES = 64 * 1024
+
 #: Things this server can do beyond the PR-3 v1 baseline, for client
 #: feature detection via ``GET /v1`` -- one probe instead of sniffing
 #: 404s per endpoint.
@@ -212,6 +227,10 @@ ENDPOINTS = (
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # A response leaves as two writes (headers, body).  On a kept
+    # connection Nagle holds the second until the client's delayed ACK
+    # of the first: ~40 ms added to every round-trip.
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; route through
     # the server's quiet flag so tests and embedded servers stay silent.
@@ -225,20 +244,32 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing --------------------------------------------------------
 
-    def _send_json(self, status: int, obj: dict) -> None:
-        data = json.dumps(obj, sort_keys=True).encode()
+    def _send(self, status: int, content_type: str, data: bytes,
+              retry_after: int | None = None) -> None:
+        """Write one framed response (all of them but the SSE stream).
+
+        A request body the route never read would be parsed as the next
+        request of a kept connection: drain it, or close after this.
+        """
+        if self._unread > MAX_DRAIN_BYTES:
+            self.close_connection = True
+        elif self._unread:
+            self.rfile.read(self._unread)
+        self._unread = 0
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
+        if retry_after is not None:
+            self.send_header("Retry-After", str(retry_after))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
 
-    def _send_bytes(self, status: int, data: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+    def _send_json(self, status: int, obj: dict,
+                   retry_after: int | None = None) -> None:
+        self._send(status, "application/json",
+                   json.dumps(obj, sort_keys=True).encode(), retry_after)
 
     def _send_error_json(self, status: int, code: str, message: str,
                          retry_after: float | None = None) -> None:
@@ -248,19 +279,23 @@ class _Handler(BaseHTTPRequestHandler):
         if retry_after is not None:
             # HTTP Retry-After is integer seconds; round up so clients
             # never retry before the hinted window has actually passed.
-            obj["error"]["retry_after"] = max(1, math.ceil(retry_after))
-        data = json.dumps(obj, sort_keys=True).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        if retry_after is not None:
-            self.send_header("Retry-After",
-                             str(obj["error"]["retry_after"]))
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+            retry_after = max(1, math.ceil(retry_after))
+            obj["error"]["retry_after"] = retry_after
+        self._send_json(status, obj, retry_after)
+
+    def _declared_length(self) -> int:
+        """The request's ``Content-Length`` (0 when absent), parsed once."""
+        raw = self.headers.get("Content-Length") or "0"
+        if not raw.isdecimal():
+            self.close_connection = True  # no way to frame the body
+            raise MalformedRequestError(
+                f"Content-Length must be a non-negative integer,"
+                f" got {raw!r}"
+            )
+        return int(raw)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        length, self._unread = self._unread, 0
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise MalformedRequestError("request body must be a JSON object")
@@ -278,7 +313,10 @@ class _Handler(BaseHTTPRequestHandler):
         return body
 
     def _dispatch(self, fn) -> None:
+        self.server.count_request()
+        self._unread = 0  # body bytes declared and not yet read
         try:
+            self._unread = self._declared_length()
             status, obj = fn()
         except ReproError as exc:
             self._send_error_json(exc.http_status, exc.code, str(exc),
@@ -291,7 +329,7 @@ class _Handler(BaseHTTPRequestHandler):
             if status is None:
                 return  # the route streamed its own response (SSE)
             if isinstance(obj, (bytes, bytearray)):
-                self._send_bytes(status, bytes(obj))
+                self._send(status, "application/octet-stream", bytes(obj))
             else:
                 self._send_json(status, obj)
 
@@ -309,8 +347,7 @@ class _Handler(BaseHTTPRequestHandler):
         The client identity is the ``X-Client-Id`` header when present
         (what well-behaved clients send; both bundled clients do), else
         the peer address -- so an anonymous storm from one host is still
-        one bucket.  Called *after* the body is read: an early 429 would
-        leave the unread body poisoning the keep-alive connection.
+        one bucket.
         """
         admission: AdmissionController | None = getattr(
             self.server, "admission", None)
@@ -472,6 +509,8 @@ class _Handler(BaseHTTPRequestHandler):
                 "workers": getattr(self.server, "workers", 0),
                 "admission": (admission.stats()
                               if admission is not None else None),
+                "http": {"connections": self.server.connections,
+                         "requests": self.server.requests},
             }
         if path in ("/v1/queue", "/v1/jobs"):
             return 200, self._queue_page(query)
@@ -513,17 +552,15 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_chunk_body(self) -> bytes:
         """The raw octet-stream body of a chunk upload, bounded.
 
-        An oversized declaration is refused *without reading*: the
-        connection is closed after the error response, since the unread
-        body would otherwise corrupt the next keep-alive request.
+        An oversized declaration is refused *without reading* (and so
+        costs the connection; see :meth:`_send`).
         """
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_CHUNK_BYTES:
-            self.close_connection = True
+        if self._unread > MAX_CHUNK_BYTES:
             raise MalformedRequestError(
-                f"chunk of {length} bytes exceeds the"
+                f"chunk of {self._unread} bytes exceeds the"
                 f" {MAX_CHUNK_BYTES}-byte cap"
             )
+        length, self._unread = self._unread, 0
         return self.rfile.read(length) if length else b""
 
     def _route_post(self) -> tuple[int, dict]:
@@ -646,6 +683,10 @@ EMBEDDED_LEASE_TTL = 5.0
 
 
 class _Server(ThreadingHTTPServer):
+    """One daemon handler thread per *connection*, parked between the
+    requests of a kept one -- and still answering, from the stopped
+    server's service, after ``shutdown()``: :meth:`hang_up` ends them."""
+
     daemon_threads = True
     allow_reuse_address = True
 
@@ -653,6 +694,44 @@ class _Server(ThreadingHTTPServer):
     quiet: bool = True
     workers: int = 0
     admission: AdmissionController | None = None
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._lock = threading.Lock()
+        self._open: set[socket.socket] = set()  # accepted, not yet closed
+        self.connections = self.requests = 0  # since start, for healthz
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            self._open.add(request)
+            self.connections += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def count_request(self) -> None:
+        with self._lock:
+            self.requests += 1
+
+    def handle_error(self, request, client_address) -> None:
+        # A peer that left mid-response, or was hung up on while its
+        # long-poll was parked, is not a fault to print a traceback for.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def hang_up(self) -> None:
+        """Shut every open connection down: its handler thread reads
+        EOF, closes the socket and exits."""
+        with self._lock:
+            open_now = list(self._open)
+        for sock in open_now:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer got there first
 
 
 class ServiceHTTPServer:
@@ -747,9 +826,10 @@ class ServiceHTTPServer:
         self._httpd.serve_forever(poll_interval=0.1)
 
     def shutdown(self) -> None:
-        """Stop serving, stop the pool, release the socket."""
+        """Stop serving, hang up, stop the pool, release the socket."""
         self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.hang_up()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=10.0)
             self._serve_thread = None

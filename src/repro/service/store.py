@@ -52,7 +52,8 @@ CREATE TABLE IF NOT EXISTS jobs (
     lease_expires REAL NOT NULL DEFAULT 0,
     created REAL NOT NULL,
     updated REAL NOT NULL,
-    depends_on TEXT NOT NULL DEFAULT '[]'
+    depends_on TEXT NOT NULL DEFAULT '[]',
+    events_from INTEGER NOT NULL DEFAULT 0
 );
 CREATE TABLE IF NOT EXISTS leases (
     id TEXT PRIMARY KEY,
@@ -79,6 +80,11 @@ _MIGRATIONS = (
                       " REAL NOT NULL DEFAULT 0"),
     ("depends_on", "ALTER TABLE jobs ADD COLUMN depends_on"
                    " TEXT NOT NULL DEFAULT '[]'"),
+    # The audit-log offset read just before the row was inserted: a
+    # lower bound on the job's events (0 = unknown).  Only the feed
+    # reads it, so it is not a Job field.
+    ("events_from", "ALTER TABLE jobs ADD COLUMN events_from"
+                    " INTEGER NOT NULL DEFAULT 0"),
 )
 
 _COLS = ", ".join(COLUMNS)
@@ -137,7 +143,14 @@ class JobStore:
         #: busy-polling the log.  See :meth:`set_event_hook`.
         self.on_event = None
         self._repair_events_tail()
-        self._connection()  # create the schema eagerly
+        # Create or migrate the schema once per store; every later
+        # handle, on whichever thread, only opens the file.
+        conn = self._connection()
+        conn.executescript(_SCHEMA)
+        have = {row[1] for row in conn.execute("PRAGMA table_info(jobs)")}
+        for column, ddl in _MIGRATIONS:
+            if column not in have:
+                conn.execute(ddl)
 
     # -- connection management -------------------------------------------
 
@@ -153,11 +166,6 @@ class JobStore:
             conn.isolation_level = None  # explicit transactions only
             conn.execute("PRAGMA busy_timeout = %d"
                          % max(0, int(self.busy_timeout * 1000)))
-            conn.executescript(_SCHEMA)
-            have = {row[1] for row in conn.execute("PRAGMA table_info(jobs)")}
-            for column, ddl in _MIGRATIONS:
-                if column not in have:
-                    conn.execute(ddl)
             self._local.conn = conn
             self._local.pid = pid
         return conn
@@ -172,7 +180,7 @@ class JobStore:
         callback = self.on_event
         if callback is not None:
             try:
-                callback()
+                callback(record)
             except Exception:  # noqa: BLE001 -- wake-ups are best-effort
                 pass
 
@@ -196,7 +204,7 @@ class JobStore:
     # compaction -- still means the same position in the stream.
 
     def set_event_hook(self, callback) -> None:
-        """Install ``callback()``, fired after every audit-log append.
+        """Install ``callback(record)``, fired after every log append.
 
         Runs outside the events lock (and outside any transaction) so a
         broker may immediately read the log from it.  Exceptions are
@@ -240,6 +248,32 @@ class JobStore:
         except OSError:
             size = 0
         return self.events_base() + size
+
+    def events_start(self, job_ids) -> tuple[int, int]:
+        """Where a feed filtered to ``job_ids`` may start on this log.
+
+        Returns ``(held, offset)``: how many of the ids are rows here,
+        and the earliest submit position recorded on them
+        (:meth:`add_batch`), never before the compaction base (a
+        pre-migration row's 0 means "all the log holds").  A store that
+        holds none answers with the end of its log: a job's events are
+        only ever appended by the store holding its row.
+        """
+        ids = list(job_ids)
+        conn = self._connection()
+        held, first = 0, None
+        for i in range(0, len(ids), 500):  # SQLite caps bound variables
+            chunk = ids[i:i + 500]
+            count, least = conn.execute(
+                "SELECT COUNT(*), MIN(events_from) FROM jobs"
+                f" WHERE id IN ({', '.join('?' * len(chunk))})", chunk,
+            ).fetchone()
+            if count:
+                held += count
+                first = least if first is None else min(first, least)
+        if first is None:
+            return 0, self.events_end()
+        return held, max(self.events_base(), first)
 
     def read_events(self, offset: int, limit: int | None = None,
                     ) -> tuple[list[tuple[dict, int]], int]:
@@ -389,6 +423,9 @@ class JobStore:
         conn = self._connection()
         results: list[tuple[Job | None, Job | None]] = []
         inserted: list[Job] = []
+        # Read before the transaction: these jobs' events are appended
+        # after their rows commit, so this offset precedes all of them.
+        events_from = self.events_end()
         conn.execute("BEGIN IMMEDIATE")
         try:
             for job, dedup in items:
@@ -403,8 +440,9 @@ class JobStore:
                         results.append((None, Job.from_row(row)))
                         continue
                 conn.execute(
-                    f"INSERT INTO jobs ({_COLS}) VALUES ({_PLACEHOLDERS})",
-                    job.to_row(),
+                    f"INSERT INTO jobs ({_COLS}, events_from)"
+                    f" VALUES ({_PLACEHOLDERS}, ?)",
+                    job.to_row() + (events_from,),
                 )
                 self._insert_deps(conn, job)
                 results.append((job, None))

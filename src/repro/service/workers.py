@@ -30,6 +30,16 @@ pool where a per-attempt child held it for one job.  Custom runners
 must therefore not rely on a fresh interpreter per job (module globals,
 caches and the working directory persist across the jobs of one child).
 
+The supervisor's loop has one blocking point (:meth:`WorkerPool._wait`):
+it sleeps on the pipes of its busy children -- a result, an error or a
+death is reaped when it happens -- and on a wake socket that
+:meth:`WorkerPool.wake` writes to, which a :class:`Service` does for the
+pools it built whenever it logs a submit, a DAG release or a requeue.
+The idle tick is only the timeout of that wait: it still paces
+heartbeats and deadlines, and finds what no one announces -- another
+process's submit to a shared workdir, a retry whose backoff ran out, a
+lapsed lease, and every new job of a remote (``ServiceClient``) pool.
+
 The child process buys three properties the service needs:
 
 * **per-job timeout** -- the supervisor terminates a child that outlives
@@ -68,6 +78,7 @@ import gc
 import multiprocessing
 import os
 import random
+import selectors
 import socket
 import stat
 import threading
@@ -470,7 +481,8 @@ class WorkerPool:
     reads its ``poll_backoff`` growth factor for the idle poll (1.0 in
     process: an empty claim is one local query, so the poll stays flat
     at ``poll_interval``; 2.0 over HTTP: each one is a round-trip, so
-    the poll backs off).
+    the poll backs off).  The poll delay is the longest the pool waits,
+    not how long: see :meth:`_wait` and :meth:`wake`.
     """
 
     def __init__(self, coordinator, options: WorkerOptions | None = None,
@@ -488,6 +500,8 @@ class WorkerPool:
         # is busy.  len(_slots) + len(_idle) never exceeds options.n.
         self._idle: list[_Child] = []
         self._leases: dict[str, float] = {}  # lease id -> expiry time
+        # The wake socket pair (read end, write end); open while run() is.
+        self._wake_r = self._wake_w = None
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else None
@@ -709,6 +723,36 @@ class WorkerPool:
         return not any(n for state, n in counts.items()
                        if not JobState(state).terminal)
 
+    # -- waiting ---------------------------------------------------------
+
+    def wake(self) -> None:
+        """Cut the pool's current wait short: a job may be claimable.
+
+        Safe from any thread and never blocks; a no-op unless the pool
+        is inside :meth:`run`.  One unread byte is a pending wake, so a
+        write the buffer refuses (or that races shutdown) is dropped.
+        """
+        sock = self._wake_w
+        if sock is not None:
+            try:
+                sock.send(b"\0")
+            except OSError:
+                pass
+
+    def _wait(self, timeout: float) -> None:
+        """Block until a busy child's pipe is readable (it answered, or
+        died), :meth:`wake` is called, or ``timeout`` seconds pass."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._wake_r, selectors.EVENT_READ)
+            for slot in self._slots:
+                selector.register(slot.child.conn, selectors.EVENT_READ)
+            selector.select(timeout)
+        try:
+            while self._wake_r.recv(4096):
+                pass
+        except BlockingIOError:
+            pass  # drained
+
     # -- main loop -------------------------------------------------------
 
     def run(self, stop: threading.Event | None = None) -> PoolSummary:
@@ -728,13 +772,16 @@ class WorkerPool:
         options = self.options
         summary = PoolSummary()
         start = time.time()
-        # The idle sleep must never outlast the heartbeat window: cap it
+        # The idle wait must never outlast the heartbeat window: cap it
         # at a quarter TTL so a lease is always renewed before half-TTL
-        # sleep drift can let it lapse under a healthy worker.
+        # drift can let it lapse under a healthy worker.
         idle = _Backoff(max(options.poll_interval, 0.01),
                         min(2.0, options.lease_ttl / 4.0),
                         self.coordinator.poll_backoff, 0.1,
                         random.Random())
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
         try:
             while True:
                 self._reap(summary)
@@ -752,7 +799,7 @@ class WorkerPool:
                     break
                 if stop is not None and stop.is_set():
                     break
-                time.sleep(idle.next_delay(progressed=claimed))
+                self._wait(idle.next_delay(progressed=claimed))
         finally:
             self._shutdown(summary)
         try:
@@ -779,3 +826,6 @@ class WorkerPool:
         self._slots = []
         self._idle = []
         self._leases = {}
+        self._wake_r.close()
+        self._wake_w.close()
+        self._wake_r = self._wake_w = None

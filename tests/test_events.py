@@ -14,6 +14,7 @@ write order.
 from __future__ import annotations
 
 import json
+import sqlite3
 import threading
 
 import pytest
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BadCursorError, EventsTruncatedError
-from repro.service import JobStore
+from repro.service import JobStore, Service, shard_index
 from repro.service.events import (
     BEGIN,
     NOW,
@@ -209,6 +210,80 @@ class TestBroker:
         assert broker.resolve(NOW) == broker.end_offsets()
         with pytest.raises(BadCursorError):
             broker.resolve("junk-token")
+
+
+def _pages(service, cursor, **filters) -> list[EventView]:
+    """Every event from ``cursor`` to the end of the feed."""
+    out: list[EventView] = []
+    while True:
+        views, cursor, _ = service.events(cursor=cursor, **filters)
+        if not views:
+            return out
+        out.extend(views)
+
+
+class TestJobFilteredBegin:
+    """``begin`` + a job filter starts where the jobs were submitted."""
+
+    @pytest.mark.parametrize("nshards", [1, 3])
+    @pytest.mark.parametrize(
+        "case", ["plain", "compacted", "premigration", "unknown_id"])
+    def test_equals_the_filtered_replay_without_replaying(
+            self, tmp_path, monkeypatch, nshards, case):
+        service = Service(tmp_path / "svc", shards=nshards)
+        shards = service.store.shards
+        for i in range(3000):  # history that has nothing to do with S
+            shards[i % nshards]._event(f"noise{i}", "submitted",
+                                       state="PENDING")
+        held: dict[str, tuple[int, int]] = {}  # id -> (shard, position)
+        for tag in range(6):
+            if case == "compacted" and tag == 3:
+                service.store.truncate_events()
+            before = [s.events_end() for s in shards]
+            jid = service.submit("probe", {"behavior": "echo",
+                                           "tag": tag}).new[0]
+            shard = shard_index(service.store.get(jid).key, nshards)
+            held[jid] = (shard, before[shard])
+        service.run_workers(n=2, max_seconds=60)
+        watched = list(held)[1::2]  # some, not all
+        bases = [s.events_base() for s in shards]
+        expected_start = []
+        for k, shard in enumerate(shards):
+            positions = [at for on, at in map(held.get, watched) if on == k]
+            expected_start.append(max(bases[k], min(positions))
+                                  if positions else shard.events_end())
+        if case == "premigration":  # a row older than the column
+            shard, _ = held[watched[0]]
+            with sqlite3.connect(shards[shard].db_path) as conn:
+                conn.execute("UPDATE jobs SET events_from = 0"
+                             " WHERE id = ?", (watched[0],))
+            expected_start[shard] = bases[shard]
+        ids = list(watched)
+        if case == "unknown_id":
+            ids.append("nosuchjob000")
+            expected_start = bases
+
+        replay = _pages(service, encode_cursor(bases), job_ids=ids)
+        first_reads: dict[str, int] = {}
+        read_events = JobStore.read_events
+        monkeypatch.setattr(
+            JobStore, "read_events",
+            lambda self, offset, limit=None: (
+                first_reads.setdefault(self.workdir, offset),
+                read_events(self, offset, limit))[1])
+        fast = _pages(service, "begin", job_ids=ids)
+        monkeypatch.undo()
+
+        # Same events, same order, same cursor tokens ...
+        assert fast == replay and len(fast) >= 4 * len(watched) - 6
+        assert [(v.job_id, v.kind, v.t) for v in fast] == [
+            (v.job_id, v.kind, v.t) for v in _pages(service, "begin")
+            if v.job_id in watched]
+        # ... read from the jobs' submit positions, not from the base.
+        assert [first_reads[s.workdir] for s in shards] == expected_start
+        if case == "plain":  # and that skipped the 3 000
+            assert all(start > base
+                       for start, base in zip(expected_start, bases))
 
 
 class TestEventView:

@@ -42,12 +42,13 @@ def client(server):
 
 
 def _drain(client, jid, timeout=30.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if client.job(jid).state in ("DONE", "FAILED", "CANCELLED"):
-            return
-        time.sleep(0.02)
-    raise AssertionError(f"job {jid} never finished")
+    """Returns once the job's terminal event is in the log.
+
+    A state poll is not enough: ``complete_leased`` commits the DONE row
+    before it appends ``done``, so the row can be read a moment before
+    the event the caller is about to assert on exists.
+    """
+    client.wait([jid], timeout=timeout)
 
 
 class TestDiscovery:

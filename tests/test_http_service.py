@@ -15,6 +15,7 @@ round-trips are asserted here.
 from __future__ import annotations
 
 import asyncio
+import http.client
 import inspect
 import hashlib
 import io
@@ -22,8 +23,11 @@ import json
 import os
 import random
 import signal
+import socket
+import statistics
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 
@@ -230,6 +234,132 @@ class TestErrorContract:
         dead = ServiceClient("http://127.0.0.1:9", timeout=2.0)
         with pytest.raises(ServiceError, match="cannot reach"):
             dead.healthz()
+
+
+def _raw_exchange(sock, request: bytes):
+    """One request on a raw socket -> ``(status, Connection, body)``."""
+    sock.sendall(request)
+    response = http.client.HTTPResponse(sock)
+    response.begin()
+    return (response.status, response.getheader("Connection"),
+            json.loads(response.read()))
+
+
+_GET_V1 = b"GET /v1 HTTP/1.1\r\nHost: t\r\n\r\n"
+
+#: (request, status, error code, whether the connection survives it)
+_BODY_FRAMING = [
+    # A body the route never reads is drained ...
+    (b"POST /v1/nope HTTP/1.1\r\nHost: t\r\nContent-Length: 8\r\n\r\n"
+     b'{"x": 1}', 404, "unknown_route", True),
+    (b"POST /v1/jobs/nosuchjob/cancel HTTP/1.1\r\nHost: t\r\n"
+     b'Content-Length: 8\r\n\r\n{"x": 1}', 404, "unknown_job", True),
+    # ... unless it is long (declared here, and never sent),
+    (b"POST /v1/nope HTTP/1.1\r\nHost: t\r\n"
+     b"Content-Length: 1000000\r\n\r\n", 404, "unknown_route", False),
+    # and a length that cannot frame a body is refused, not a 500.
+    (b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: abc\r\n\r\n",
+     400, "malformed", False),
+    (b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: -5\r\n\r\n",
+     400, "malformed", False),
+]
+
+
+class TestKeptConnections:
+    """One connection per client thread, and what keeping it exposes."""
+
+    @pytest.fixture
+    def idle(self, tmp_path):
+        with ServiceHTTPServer(tmp_path / "idle", workers=0) as srv:
+            yield srv
+
+    @pytest.mark.parametrize(
+        "request_, status, code, survives", _BODY_FRAMING,
+        ids=["unread-no-route", "unread-cancel", "unread-long",
+             "length-junk", "length-negative"])
+    def test_a_bad_request_never_poisons_the_next(self, idle, request_,
+                                                  status, code, survives):
+        with socket.create_connection((idle.host, idle.port),
+                                      timeout=10) as sock:
+            got, connection, body = _raw_exchange(sock, request_)
+            assert (got, body["error"]["code"]) == (status, code)
+            if survives:
+                assert _raw_exchange(sock, _GET_V1)[0] == 200
+            else:
+                assert connection == "close"
+                assert sock.recv(1) == b""  # the server hung up
+        with socket.create_connection((idle.host, idle.port),
+                                      timeout=10) as sock:
+            assert _raw_exchange(sock, _GET_V1)[0] == 200
+
+    def test_one_connection_per_client_thread(self, idle):
+        client = ServiceClient(idle.url)
+        for _ in range(50):
+            client.healthz()
+        assert client.healthz()["http"] == {"connections": 1,
+                                            "requests": 51}
+        threads = [threading.Thread(
+            target=lambda: [client.healthz() for _ in range(5)])
+            for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert client.healthz()["http"] == {"connections": 3,
+                                            "requests": 62}
+
+    def test_round_trips_do_not_stall_on_nagle(self, idle):
+        """Headers and body leave as two writes: with Nagle on, a kept
+        connection adds the client's 40 ms delayed ACK to each one."""
+        client = ServiceClient(idle.url)
+        samples = []
+        for _ in range(50):
+            start = time.perf_counter()
+            client._request("GET", "/v1")
+            samples.append(time.perf_counter() - start)
+        assert statistics.median(samples) < 0.020
+
+    @pytest.mark.parametrize("first", ["healthz", "submit"])
+    def test_a_restarted_server_costs_one_reconnect(self, tmp_path, first):
+        old = ServiceHTTPServer(tmp_path / "svc", workers=0).start()
+        client = ServiceClient(old.url)
+        assert client.healthz()["ok"]
+        old.shutdown()
+        with ServiceHTTPServer(tmp_path / "svc", port=old.port,
+                               workers=0):
+            # The kept connection is dead; the call is replayed once.
+            if first == "submit":
+                assert client.submit("probe", {"behavior": "ok"}).new
+            assert client.healthz()["http"]["connections"] == 1
+            assert client.submit("probe", {"behavior": "ok"}).new
+            assert client.healthz()["http"]["connections"] == 1
+
+    def test_a_stopped_server_hangs_up(self, tmp_path):
+        """``shutdown()`` alone leaves the handler thread of a kept
+        connection answering from the stopped server's service."""
+        before = set(threading.enumerate())
+        srv = ServiceHTTPServer(tmp_path / "svc", workers=0).start()
+        client = ServiceClient(srv.url)
+        sock = socket.create_connection((srv.host, srv.port), timeout=10)
+        try:
+            assert client.healthz()["ok"]
+            assert _raw_exchange(sock, _GET_V1)[0] == 200
+            srv.shutdown()
+            deadline = time.monotonic() + 1.0
+            handlers = None
+            while handlers != [] and time.monotonic() < deadline:
+                handlers = [t for t in set(threading.enumerate()) - before
+                            if "process_request_thread" in t.name]
+                time.sleep(0.01)
+            assert handlers == []
+            with pytest.raises(OSError):  # refused, not answered
+                sock.sendall(_GET_V1)
+                if sock.recv(1) == b"":
+                    raise ConnectionResetError("hung up")
+            with pytest.raises(ServiceError, match="cannot reach"):
+                client.healthz()
+        finally:
+            sock.close()
 
 
 @pytest.fixture(params=[1, 3], ids=["1shard", "3shards"])

@@ -10,6 +10,7 @@ leasing from a ``ServiceHTTPServer`` on the same workdir through a
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import sqlite3
@@ -274,6 +275,93 @@ class TestChildLifecycle:
             RUNNERS.pop("late", None)
         assert not thread.is_alive()
         assert summaries[0].spawned == 3  # one, plus one per registration
+
+
+@contextlib.contextmanager
+def _resident(pool):
+    """Run a ``drain=False`` pool on a thread for the ``with`` body."""
+    stop = threading.Event()
+    thread = threading.Thread(target=pool.run, args=(stop,))
+    thread.start()
+    try:
+        yield pool
+    finally:
+        stop.set()
+        pool.wake()  # do not sit out the idle tick
+        thread.join(30)
+    assert not thread.is_alive()
+
+
+#: Far longer than any bound below: whatever finishes in time was not
+#: found by the idle tick.
+_SLOW_TICK = {"drain": False, "poll_interval": 5.0}
+
+
+class TestEventDrivenPool:
+    def test_a_child_is_reaped_when_it_answers(self, service, pool):
+        """Pipe-wait: three queued jobs on one slot, back to back."""
+        ids = [service.submit("probe", _ok(i)).new[0] for i in range(3)]
+        started = time.monotonic()
+        with _resident(pool(n=1, **_SLOW_TICK)):
+            views = service.wait(ids, timeout=30)
+        assert time.monotonic() - started < 2.0
+        assert [views[jid].state for jid in ids] == ["DONE"] * 3
+
+
+class TestEventDrivenPoolOverHTTP(TestEventDrivenPool):
+    transport = "http"
+
+
+class TestWakeOnSubmit:
+    """In process only: a ``ServiceClient`` offers no wake source."""
+
+    @pytest.mark.parametrize("how", ["submitted", "released"])
+    def test_an_idle_pool_wakes_for_a_claimable_job(self, service, pool,
+                                                    how):
+        if how == "released":
+            # A parent held by another pool; its completion is what
+            # releases (and must announce) the child.
+            parent = service.submit("probe", _ok(0)).new[0]
+            lease, _jobs = service.claim_jobs("elsewhere", n=1)
+            child = service.submit("probe", _ok(1),
+                                   depends_on=[parent]).new[0]
+        with _resident(pool(n=1, **_SLOW_TICK)):
+            time.sleep(0.3)  # idle: 4.7 s of tick to go
+            started = time.monotonic()
+            if how == "released":
+                service.complete_job(parent, lease.id, {"ok": True})
+                jid = child
+            else:
+                jid = service.submit("probe", _ok(2)).new[0]
+            view = service.wait([jid], timeout=30)[jid]
+            assert time.monotonic() - started < 1.0
+        assert view.state == "DONE"
+        kinds = [e["event"] for e in service.store.events()
+                 if e["job"] == jid]
+        assert how in kinds
+
+    def test_the_pools_own_events_do_not_wake_it(self, service, pool,
+                                                 monkeypatch):
+        claims = []
+        claim_jobs = service.claim_jobs
+        monkeypatch.setattr(
+            service, "claim_jobs",
+            lambda *a, **k: claims.append(a) or claim_jobs(*a, **k))
+        jid = service.submit("probe", _ok(0)).new[0]
+        with _resident(pool(n=1, **_SLOW_TICK)):
+            assert service.wait([jid], timeout=30)[jid].state == "DONE"
+            time.sleep(1.0)
+            # The claim that got the job and the empty one after its
+            # reap; claimed / launched / done woke nothing.
+            assert len(claims) <= 2
+
+    def test_the_wake_sockets_do_not_outlive_the_run(self, service):
+        service.run_workers(n=1, max_seconds=60)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            service.run_workers(n=1, max_seconds=60)
+        # (<=: earlier tests' garbage may be collected meanwhile)
+        assert len(os.listdir("/proc/self/fd")) <= before
 
 
 #: (kind, payload A, two other payloads run between A's two runs, the
