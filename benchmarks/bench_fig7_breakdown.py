@@ -49,8 +49,7 @@ def test_fig7_early_regime_gpu_bound(report):
 def test_fig7_transition_around_iteration_250(report):
     """'Around iteration 250, the left section ... is too small to
     adequately hide the RS2 communication.'"""
-    first_exposed = next(it.k for it in report.iterations if not it.hidden)
-    assert 200 <= first_exposed <= 300
+    assert 200 <= report.first_exposed <= 300
 
 
 def test_fig7_tail_critical_path_is_fact_mpi_transfer(report):

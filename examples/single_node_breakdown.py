@@ -39,11 +39,8 @@ def main() -> None:
     print("Per-iteration breakdown (Fig. 7 series, every 50th iteration):")
     print(format_breakdown_table(report, stride=50))
 
-    transition = next(
-        (it.k for it in report.iterations if not it.hidden), None
-    )
     print(f"Two regimes: iteration time == GPU-active time up to iteration "
-          f"{transition} of {len(report.iterations)},\nthen FACT + MPI + "
+          f"{report.first_exposed} of {len(report.k)},\nthen FACT + MPI + "
           "transfers take over the critical path (the paper sees ~250/500).\n")
 
     print("=== Numeric engine on the same schedule (small N) ===")

@@ -82,8 +82,8 @@ def energy_of_run(
     total = report.makespan
     if total <= 0:
         raise ConfigError("run has no duration")
-    gpu_busy = sum(it.gpu_active for it in report.iterations)
-    cpu_busy = sum(it.fact for it in report.iterations)
+    gpu_busy = sum(report.gpu_active.tolist())
+    cpu_busy = sum(report.fact.tolist())
     gpu_busy = min(gpu_busy, total)
     cpu_busy = min(cpu_busy, total)
 

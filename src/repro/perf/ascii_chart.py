@@ -110,12 +110,10 @@ def line_chart(
 
 def fig7_chart(report, width: int = 72, height: int = 18) -> str:
     """Fig. 7 as ASCII: per-iteration total vs GPU-active time (ms)."""
-    ks = [it.k for it in report.iterations]
-    total = [it.time * 1e3 for it in report.iterations]
-    gpu = [it.gpu_active * 1e3 for it in report.iterations]
-    stacked = [
-        (it.fact + it.mpi + it.transfer) * 1e3 for it in report.iterations
-    ]
+    ks = report.k.tolist()
+    total = (report.time * 1e3).tolist()
+    gpu = (report.gpu_active * 1e3).tolist()
+    stacked = ((report.fact + report.mpi + report.transfer) * 1e3).tolist()
     # "total" drawn last: early on it coincides with "gpu active" (that is
     # the hidden regime) and must stay visible on top.
     return line_chart(

@@ -16,12 +16,15 @@ the fully-hidden regime, and the early-regime running throughput.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from ..errors import ConfigError
 from ..machine.spec import ClusterSpec
 from ..sched.engine import TimelineResult, simulate
-from ..sched.fastpath import evaluate
+from ..sched.fastpath import FastTimeline, evaluate
 from ..sched.timeline import build_run
 from .ledger import PerfConfig, run_cost_arrays, run_costs
 
@@ -43,14 +46,48 @@ class IterBreakdown:
         return self.time <= self.gpu_active * 1.02 + 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class RunReport:
-    """Aggregate result of one simulated benchmark run."""
+    """Aggregate result of one simulated benchmark run.
+
+    The per-iteration series are the data: six aligned read-only columns,
+    one row per iteration, with the meaning of the like-named
+    :class:`IterBreakdown` fields.  ``iterations`` is a row-wise view of
+    them, built on first use.  The aggregates sum their columns left to
+    right (``sum`` over a list), as a loop over ``iterations`` would:
+    numpy's pairwise ``sum`` rounds differently.
+    """
 
     cfg: PerfConfig
     makespan: float
     score_tflops: float
-    iterations: list[IterBreakdown] = field(default_factory=list)
+    k: np.ndarray
+    time: np.ndarray
+    gpu_active: np.ndarray
+    fact: np.ndarray
+    mpi: np.ndarray
+    transfer: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in self._columns():
+            column.setflags(write=False)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """In :class:`IterBreakdown`'s field order."""
+        return self.k, self.time, self.gpu_active, self.fact, self.mpi, self.transfer
+
+    @cached_property
+    def hidden(self) -> np.ndarray:
+        """Per iteration, :attr:`IterBreakdown.hidden`'s formula."""
+        hidden = self.time <= self.gpu_active * 1.02 + 1e-9
+        hidden.setflags(write=False)
+        return hidden
+
+    @cached_property
+    def iterations(self) -> list[IterBreakdown]:
+        """The columns as one :class:`IterBreakdown` per iteration."""
+        rows = zip(*(column.tolist() for column in self._columns()))
+        return [IterBreakdown(*row) for row in rows]
 
     @property
     def hidden_time_fraction(self) -> float:
@@ -58,29 +95,38 @@ class RunReport:
 
         The paper reports ~75 % for the split update on one node.
         """
-        hidden = sum(it.time for it in self.iterations if it.hidden)
-        total = sum(it.time for it in self.iterations)
+        hidden = sum(self.time[self.hidden].tolist())
+        total = sum(self.time.tolist())
         return hidden / total if total else 0.0
 
     @property
     def hidden_iteration_fraction(self) -> float:
         """Fraction of iterations that are fully hidden (~50 % in Sec. V)."""
-        if not self.iterations:
+        if not len(self.k):
             return 0.0
-        return sum(1 for it in self.iterations if it.hidden) / len(self.iterations)
+        return int(np.count_nonzero(self.hidden)) / len(self.k)
+
+    @property
+    def first_exposed(self) -> int | None:
+        """The first iteration that is not hidden (``None`` when all are).
+
+        Where the paper's two regimes cross: near iteration 250 of 500 on
+        the Fig. 7 run.
+        """
+        exposed = np.flatnonzero(~self.hidden)
+        return int(self.k[exposed[0]]) if len(exposed) else None
 
     def early_regime_tflops(self, fraction: float = 0.2) -> float:
         """Running throughput over the first ``fraction`` of iterations.
 
         The paper reports ~175 TFLOPS (90 % of the 196 ceiling) here.
         """
-        cut = max(1, int(len(self.iterations) * fraction))
-        head = self.iterations[:cut]
-        seconds = sum(it.time for it in head)
+        cut = max(1, int(len(self.k) * fraction))
+        seconds = sum(self.time[:cut].tolist())
         flops = 0.0
         n, nb = self.cfg.n, self.cfg.nb
-        for it in head:
-            trail = n - it.k * nb
+        for k in self.k[:cut].tolist():
+            trail = n - k * nb
             jb = min(nb, trail)
             # flops of iteration k: panel + dtrsm + rank-jb update
             flops += 2.0 * (trail - jb) * (trail + 1 - jb) * jb + jb * jb * (
@@ -106,51 +152,40 @@ def simulate_run(
     closed-form vectorized timeline (bit-identical report, order of
     magnitude faster), ``"full"`` walks the per-task object engine (use
     it when traces or per-message simmpi events are needed).  Both read
-    the same memoized :func:`~repro.perf.ledger.run_cost_arrays`.
+    the same memoized :func:`~repro.perf.ledger.run_cost_arrays` and fill
+    the same :class:`RunReport` columns.
     """
     mode = fidelity if fidelity is not None else cfg.fidelity
     if mode not in ("fast", "full"):
         raise ConfigError(f"fidelity must be 'fast' or 'full', got {mode!r}")
     arrays = run_cost_arrays(cfg, cluster)
-    ks = arrays.k.tolist()
     if mode == "full":
         tl = simulate_timeline(cfg, cluster)
-        makespan = tl.makespan
-        prev_end = tl.span_of_tag(-1)[1] if arrays.preamble is not None else 0.0
-        rows = (
-            (
-                tl.span_of_tag(k)[1],
-                tl.busy_in_tag(k, "gpu"),
-                tl.phase_in_tag(k, "FACT"),
-                tl.phase_in_tag(k, "MPI"),
-                tl.phase_in_tag(k, "TRANSFER"),
-            )
-            for k in ks
+        ks = arrays.k.tolist()
+
+        def column(read) -> np.ndarray:
+            return np.array([read(k) for k in ks], dtype=np.float64)
+
+        run = FastTimeline(
+            makespan=tl.makespan,
+            preamble_end=tl.span_of_tag(-1)[1] if arrays.preamble is not None else 0.0,
+            end=column(lambda k: tl.span_of_tag(k)[1]),
+            gpu_busy=column(lambda k: tl.busy_in_tag(k, "gpu")),
+            fact_busy=column(lambda k: tl.phase_in_tag(k, "FACT")),
+            mpi_busy=column(lambda k: tl.phase_in_tag(k, "MPI")),
+            transfer_busy=column(lambda k: tl.phase_in_tag(k, "TRANSFER")),
         )
     else:
-        fast = evaluate(arrays)
-        makespan = fast.makespan
-        prev_end = fast.preamble_end
-        rows = zip(
-            fast.end.tolist(),
-            fast.gpu_busy.tolist(),
-            fast.fact_busy.tolist(),
-            fast.mpi_busy.tolist(),
-            fast.transfer_busy.tolist(),
-        )
-    report = RunReport(
-        cfg=cfg, makespan=makespan, score_tflops=cfg.total_flops / makespan / 1e12
+        run = evaluate(arrays)
+    return RunReport(
+        cfg=cfg,
+        makespan=run.makespan,
+        score_tflops=cfg.total_flops / run.makespan / 1e12,
+        k=arrays.k,
+        # Elementwise end[i] - end[i-1]: the subtraction a loop would do.
+        time=np.diff(run.end, prepend=run.preamble_end),
+        gpu_active=run.gpu_busy,
+        fact=run.fact_busy,
+        mpi=run.mpi_busy,
+        transfer=run.transfer_busy,
     )
-    for k, (end, gpu, fact, mpi, transfer) in zip(ks, rows):
-        report.iterations.append(
-            IterBreakdown(
-                k=k,
-                time=end - prev_end,
-                gpu_active=gpu,
-                fact=fact,
-                mpi=mpi,
-                transfer=transfer,
-            )
-        )
-        prev_end = end
-    return report

@@ -111,11 +111,14 @@ def format_breakdown_table(report: RunReport, stride: int = 25) -> str:
         f"{'iter':>6s}{'time_ms':>10s}{'gpu_ms':>10s}{'fact_ms':>10s}"
         f"{'mpi_ms':>10s}{'xfer_ms':>10s}{'hidden':>8s}\n"
     )
-    for it in report.iterations[::stride]:
+    names = ("k", "time", "gpu_active", "fact", "mpi", "transfer", "hidden")
+    for k, time, gpu, fact, mpi, transfer, hidden in zip(
+        *(getattr(report, name)[::stride].tolist() for name in names)
+    ):
         out.write(
-            f"{it.k:>6d}{it.time * 1e3:>10.2f}{it.gpu_active * 1e3:>10.2f}"
-            f"{it.fact * 1e3:>10.2f}{it.mpi * 1e3:>10.2f}"
-            f"{it.transfer * 1e3:>10.2f}{str(it.hidden):>8s}\n"
+            f"{k:>6d}{time * 1e3:>10.2f}{gpu * 1e3:>10.2f}"
+            f"{fact * 1e3:>10.2f}{mpi * 1e3:>10.2f}"
+            f"{transfer * 1e3:>10.2f}{str(hidden):>8s}\n"
         )
     return out.getvalue()
 

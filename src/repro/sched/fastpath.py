@@ -6,13 +6,30 @@ the in-order-resource engine resolves them task by task.  Because the
 shapes are fixed, every start/end time the engine would compute is a
 closed-form max-plus recurrence over a handful of scalars carried across
 iterations -- the four resource frees (gpu / hd / cpu / mpi), the live
-panel's LBCAST end, the pending right-section communication, and the
-previous trailing update.  :func:`evaluate` walks those recurrences
-directly over cost arrays, allocating no :class:`~repro.sched.engine.Task`
-objects, and reproduces the engine's timings **bit for bit**: every
-``max``/``+`` is performed on the same float values in the same order the
-engine would, including the per-task ``max(0.0, duration)`` clamp the
-builder applies.
+panel's LBCAST end and the pending right-section communication.
+:func:`evaluate` walks those recurrences directly over cost arrays,
+allocating no :class:`~repro.sched.engine.Task` objects, and reproduces
+the engine's timings **bit for bit**: every ``+`` is performed on the same
+float values in the same order the engine would, including the per-task
+``max(0.0, duration)`` clamp the builder applies.
+
+A run is a few *segments* of consecutive iterations with one shape (a
+split run is ``split x many``, one fallback iteration, ``lookahead x
+many``), so the shape is decided per segment, not per iteration: each
+segment clamps and reads only the columns its shape uses and runs that
+shape's own loop, the carried scalars flowing from one segment into the
+next.
+
+The loops omit every ``max`` whose winner is fixed by the shape itself.
+Those omissions rest on two invariants and nothing else (in particular on
+no property of realistic inputs):
+
+1. every duration is clamped ``>= 0.0`` before it is added;
+2. IEEE-754 addition is monotone: ``x + d >= x`` whenever ``d >= 0``.
+
+Together they order the ends of any dependency chain inside one iteration
+(a task ends no earlier than anything it waited for), and each omitted
+``max`` is annotated with the chain that decides it.
 
 What the fast path does *not* produce: the per-task trace (there are no
 tasks) and per-message simmpi events.  Use the full engine
@@ -23,6 +40,8 @@ from __future__ import annotations
 
 from copy import deepcopy
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -135,46 +154,49 @@ _CLASSIC, _LOOKAHEAD, _SPLIT, _S2L = 0, 1, 2, 3
 
 
 def _resolve_shapes(
-    modes: list[int], has_preamble: bool
-) -> tuple[list[int], list[bool]]:
-    """Replay ``build_run``'s mode dispatch without building tasks.
+    mode: np.ndarray, has_preamble: bool
+) -> list[tuple[int, int, int, bool]]:
+    """Replay ``build_run``'s mode dispatch over runs of equal mode.
 
-    Returns the concrete shape per iteration plus a flag marking split
-    iterations that must communicate their right section inline (no
-    pending RS2 from a previous split iteration).
+    Returns run-length segments ``(shape, lo, hi, first_split)``: the
+    iterations ``[lo, hi)`` share one DAG shape, and ``first_split`` marks
+    a split segment whose first iteration must communicate its right
+    section inline (no pending RS2 from an earlier split iteration).
     """
-    shapes: list[int] = []
-    first_split: list[bool] = []
+    if not len(mode):
+        return []
+    cuts = [0, *(np.flatnonzero(np.diff(mode)) + 1).tolist(), len(mode)]
+    segments: list[tuple[int, int, int, bool]] = []
     was_split = False
     pending = False
     panel_live = has_preamble
-    for m in modes:
-        first = False
+    for lo, hi in zip(cuts, cuts[1:]):
+        m = int(mode[lo])
         if m == MODE_CLASSIC:
-            shape = _CLASSIC
+            segments.append((_CLASSIC, lo, hi, False))
         elif m == MODE_LOOKAHEAD:
             if was_split and pending:
-                shape = _S2L
+                segments.append((_S2L, lo, lo + 1, False))
                 pending = False
-            else:
-                if not panel_live:
-                    raise ScheduleError("lookahead schedule needs a preamble")
-                shape = _LOOKAHEAD
+                lo += 1
+            elif not panel_live:
+                raise ScheduleError("lookahead schedule needs a preamble")
+            if lo < hi:
+                segments.append((_LOOKAHEAD, lo, hi, False))
             was_split = False
             panel_live = True
         elif m == MODE_SPLIT:
             if not panel_live:
                 raise ScheduleError("split schedule needs a preamble")
-            shape = _SPLIT
-            first = not pending
-            pending = True
-            was_split = True
-            panel_live = True
+            segments.append((_SPLIT, lo, hi, not pending))
+            pending = was_split = panel_live = True
         else:
             raise ScheduleError(f"unknown iteration mode {m!r}")
-        shapes.append(shape)
-        first_split.append(first)
-    return shapes, first_split
+    return segments
+
+
+def _lists(*columns: np.ndarray) -> list[list[float]]:
+    return [column.tolist() for column in columns]
 
 
 def evaluate(ca: CostArrays) -> FastTimeline:
@@ -183,103 +205,27 @@ def evaluate(ca: CostArrays) -> FastTimeline:
     Bit-identical to ``simulate(build_run(ca.to_iter_costs()))`` in every
     reported quantity; see the module docstring for the argument.
     """
-    nblocks = ca.nblocks
-    shapes, first_split = _resolve_shapes(ca.mode.tolist(), ca.preamble is not None)
-
-    # Task durations exactly as the builder creates them: merged RS tasks
-    # sum the la + left components first, and every duration is clamped
-    # at zero (Task construction applies max(0.0, dur)).
+    # Task durations exactly as the builder creates them: every duration
+    # is clamped at zero (Task construction applies max(0.0, dur)), and
+    # merged RS tasks sum the la + left components before the clamp.
+    # The d2h -> FACT -> h2d -> LBCAST chain is part of every shape.
     z = 0.0
     d2h_a = np.maximum(ca.d2h, z)
     fact_a = np.maximum(ca.fact, z)
     h2d_a = np.maximum(ca.h2d, z)
     lb_a = np.maximum(ca.lbcast, z)
-    la_c = np.maximum(ca.la_comm, z)
-    la_sc = np.maximum(ca.la_scatter, z)
-    la_t = np.maximum(ca.la_dtrsm, z)
-    la_u = np.maximum(ca.la_dgemm, z)
-    left_g = np.maximum(ca.left_gather, z)
-    left_c = np.maximum(ca.left_comm, z)
-    left_sc = np.maximum(ca.left_scatter, z)
-    left_t = np.maximum(ca.left_dtrsm, z)
-    left_u = np.maximum(ca.left_dgemm, z)
-    right_g = np.maximum(ca.right_gather, z)
-    right_c = np.maximum(ca.right_comm, z)
-    right_sc = np.maximum(ca.right_scatter, z)
-    right_t = np.maximum(ca.right_dtrsm, z)
-    right_u = np.maximum(ca.right_dgemm, z)
-    rs_g = np.maximum(ca.la_gather + ca.left_gather, z)
-    rs_c = np.maximum(ca.la_comm + ca.left_comm, z)
-    rs_sc = np.maximum(ca.la_scatter + ca.left_scatter, z)
-
-    # ------------------------------------------------------------------
     # Per-iteration busy/phase sums: the engine adds task durations in
     # submission order, so each shape gets its literal left-to-right sum.
-    # ------------------------------------------------------------------
-    shape_a = np.asarray(shapes, dtype=np.int8)
-    first_a = np.asarray(first_split, dtype=bool)
-    is_classic = shape_a == _CLASSIC
-    is_la = shape_a == _LOOKAHEAD
-    is_split = shape_a == _SPLIT
-    is_split_first = is_split & first_a
-    is_split_rest = is_split & ~first_a
-    is_s2l = shape_a == _S2L
+    gpu_busy = np.empty(ca.nblocks)
+    mpi_busy = np.empty(ca.nblocks)
 
-    transfer_busy = d2h_a + h2d_a
-    fact_busy = fact_a
-    gpu_busy = np.select(
-        [is_classic, is_la, is_split_rest, is_split_first, is_s2l],
-        [
-            left_g + left_sc + left_t + left_u,
-            rs_g + rs_sc + la_t + la_u + left_t + left_u,
-            rs_g + right_sc + la_sc + la_t + la_u + right_t + right_u
-            + right_g + left_sc + left_t + left_u,
-            right_g + rs_g + right_sc + la_sc + la_t + la_u + right_t
-            + right_u + right_g + left_sc + left_t + left_u,
-            rs_sc + la_t + la_u + left_t + left_u,
-        ],
-    )
-    mpi_busy = np.select(
-        [is_classic, is_la, is_split_rest, is_split_first, is_s2l],
-        [
-            lb_a + left_c,
-            rs_c + lb_a,
-            la_c + lb_a + left_c + right_c,
-            right_c + la_c + lb_a + left_c + right_c,
-            lb_a,
-        ],
-    )
-
-    # ------------------------------------------------------------------
-    # The timeline recurrence.  State carried across iterations: resource
-    # frees G/H/C/M (gpu, hd, cpu, mpi), the live panel's LBCAST end P,
-    # the pending RS2 communication R, and the last trailing update U.
-    # Python lists beat numpy scalar indexing by ~5x in this loop.
-    # ------------------------------------------------------------------
-    d2h_l = d2h_a.tolist()
-    fact_l = fact_a.tolist()
-    h2d_l = h2d_a.tolist()
-    lb_l = lb_a.tolist()
-    la_c_l = la_c.tolist()
-    la_sc_l = la_sc.tolist()
-    la_t_l = la_t.tolist()
-    la_u_l = la_u.tolist()
-    left_g_l = left_g.tolist()
-    left_c_l = left_c.tolist()
-    left_sc_l = left_sc.tolist()
-    left_t_l = left_t.tolist()
-    left_u_l = left_u.tolist()
-    right_g_l = right_g.tolist()
-    right_c_l = right_c.tolist()
-    right_sc_l = right_sc.tolist()
-    right_t_l = right_t.tolist()
-    right_u_l = right_u.tolist()
-    rs_g_l = rs_g.tolist()
-    rs_c_l = rs_c.tolist()
-    rs_sc_l = rs_sc.tolist()
-
+    # State carried across iterations and segments: resource frees G/H/C/M
+    # (gpu, hd, cpu, mpi), the live panel's LBCAST end P and the pending
+    # RS2 communication R.  The last trailing update's end U, which the
+    # classic chain waits for, is G: every shape ends its GPU stream with
+    # that DGEMM.
     G = H = C = M = 0.0
-    P = R = U = None
+    P = R = None
     preamble_end = 0.0
     if ca.preamble is not None:
         c = ca.preamble
@@ -295,115 +241,153 @@ def evaluate(ca: CostArrays) -> FastTimeline:
         preamble_end = e4
 
     ends: list[float] = []
-    makespan = preamble_end
-    for i in range(nblocks):
-        shape = shapes[i]
+    push = ends.append
+    for shape, lo, hi, first in _resolve_shapes(ca.mode, ca.preamble is not None):
+        seg = slice(lo, hi)
+
+        def dur(*columns: np.ndarray) -> np.ndarray:
+            """One task's clamped durations: the sum of its columns."""
+            return np.maximum(reduce(add, [c[seg] for c in columns]), z)
+
+        lb_s = lb_a[seg]
+        chain = _lists(d2h_a[seg], fact_a[seg], h2d_a[seg], lb_s)
+        # Every loop runs the chain as  e1 = max(x, H) + d2h;
+        # e2 = max(e1, C) + fact;  e3 = e2 + h2d  -- h2d waits for FACT
+        # (e2) and the hd engine, free since e1 <= e2.  ``a if a > b else
+        # b`` is ``max(a, b)`` without the call.
         if shape == _CLASSIC:
-            e1 = max(U if U is not None else 0.0, H) + d2h_l[i]
-            H = e1
-            e2 = max(e1, C) + fact_l[i]
-            C = e2
-            e3 = max(e2, H) + h2d_l[i]
-            H = e3
-            e4 = max(e3, M) + lb_l[i]
-            M = e4
-            e5 = max(e4, G) + left_g_l[i]
-            e6 = max(e5, M) + left_c_l[i]
-            M = e6
-            e7 = max(e6, e5) + left_sc_l[i]
-            e8 = e7 + left_t_l[i]
-            e9 = e8 + left_u_l[i]
-            G = e9
-            U = e9
-            end = e9
+            left_g_a, left_c_a, left_sc_a, left_t_a, left_u_a = map(dur, (
+                ca.left_gather, ca.left_comm, ca.left_scatter,
+                ca.left_dtrsm, ca.left_dgemm,
+            ))
+            gpu_busy[seg] = left_g_a + left_sc_a + left_t_a + left_u_a
+            mpi_busy[seg] = lb_s + left_c_a
+            for d2h, fact, h2d, lb, left_g, left_c, left_sc, left_t, left_u in zip(
+                *chain, *_lists(left_g_a, left_c_a, left_sc_a, left_t_a, left_u_a)
+            ):
+                e1 = (G if G > H else H) + d2h
+                C = (e1 if e1 > C else C) + fact
+                H = C + h2d
+                e4 = (H if H > M else M) + lb
+                # gather: waits for LBCAST e4 >= e1 >= G, the gpu free.
+                # comm: the mpi free is e4 <= gather.  scatter: comm >=
+                # gather, the gpu free.
+                M = e4 + left_g + left_c
+                G = M + left_sc + left_t + left_u
+                push(G)
         elif shape == _LOOKAHEAD:
-            a1 = max(P, G) + rs_g_l[i]
-            a2 = max(a1, M) + rs_c_l[i]
-            M = a2
-            a3 = max(a2, a1) + rs_sc_l[i]
-            a4 = max(max(a3, P), a3) + la_t_l[i]
-            a5 = a4 + la_u_l[i]
-            G = a5
-            e1 = max(a5, H) + d2h_l[i]
-            H = e1
-            e2 = max(e1, C) + fact_l[i]
-            C = e2
-            e3 = max(e2, H) + h2d_l[i]
-            H = e3
-            e4 = max(e3, M) + lb_l[i]
-            M = e4
-            b1 = max(P, G) + left_t_l[i]
-            b2 = b1 + left_u_l[i]
-            G = b2
-            P = e4
-            U = b2
-            end = e4 if e4 > b2 else b2
+            rs_g_a = dur(ca.la_gather, ca.left_gather)
+            rs_c_a = dur(ca.la_comm, ca.left_comm)
+            rs_sc_a = dur(ca.la_scatter, ca.left_scatter)
+            la_t_a, la_u_a, left_t_a, left_u_a = map(dur, (
+                ca.la_dtrsm, ca.la_dgemm, ca.left_dtrsm, ca.left_dgemm,
+            ))
+            gpu_busy[seg] = rs_g_a + rs_sc_a + la_t_a + la_u_a + left_t_a + left_u_a
+            mpi_busy[seg] = rs_c_a + lb_s
+            for d2h, fact, h2d, lb, rs_g, rs_c, rs_sc, la_t, la_u, left_t, left_u in zip(
+                *chain,
+                *_lists(rs_g_a, rs_c_a, rs_sc_a, la_t_a, la_u_a, left_t_a, left_u_a),
+            ):
+                a1 = (P if P > G else G) + rs_g
+                a2 = (a1 if a1 > M else M) + rs_c
+                # scatter: comm a2 >= gather a1, the gpu free.  la DTRSM:
+                # scatter >= a1 >= P.
+                a5 = a2 + rs_sc + la_t + la_u
+                e1 = (a5 if a5 > H else H) + d2h
+                C = (e1 if e1 > C else C) + fact
+                H = C + h2d
+                # LBCAST: the mpi free is a2 <= a5 <= e1 <= e3.  rest
+                # DTRSM: the gpu free is a5 >= a1 >= P.
+                M = H + lb
+                G = a5 + left_t + left_u
+                P = M
+                push(M if M > G else G)
         elif shape == _SPLIT:
-            if R is None:
-                f1 = max(P, G) + right_g_l[i]
-                G = f1
-                R = max(f1, M) + right_c_l[i]
-                M = R
-            s1 = max(P, G) + rs_g_l[i]
-            s2 = max(R, s1) + right_sc_l[i]
-            m1 = max(s1, M) + la_c_l[i]
-            s3 = max(m1, s2) + la_sc_l[i]
-            s4 = max(max(s3, P), s3) + la_t_l[i]
-            s5 = s4 + la_u_l[i]
-            G = s5
-            e1 = max(s5, H) + d2h_l[i]
-            H = e1
-            e2 = max(e1, C) + fact_l[i]
-            C = e2
-            e3 = max(e2, H) + h2d_l[i]
-            H = e3
-            e4 = max(e3, m1) + lb_l[i]
-            m2 = max(s1, e4) + left_c_l[i]
-            g1 = max(max(s2, P), G) + right_t_l[i]
-            g2 = g1 + right_u_l[i]
-            g3 = max(max(e4, g2), g2) + right_g_l[i]
-            m3 = max(g3, m2) + right_c_l[i]
-            M = m3
-            g4 = max(m2, g3) + left_sc_l[i]
-            g5 = max(max(g4, P), g4) + left_t_l[i]
-            g6 = g5 + left_u_l[i]
-            G = g6
-            P = e4
-            R = m3
-            U = g6
-            end = max(e4, m3)
-            if g6 > end:
-                end = g6
-        else:  # _S2L
-            a1 = max(R, G) + rs_sc_l[i]
-            R = None
-            a2 = max(max(a1, P), a1) + la_t_l[i]
-            a3 = a2 + la_u_l[i]
-            G = a3
-            e1 = max(a3, H) + d2h_l[i]
-            H = e1
-            e2 = max(e1, C) + fact_l[i]
-            C = e2
-            e3 = max(e2, H) + h2d_l[i]
-            H = e3
-            e4 = max(e3, M) + lb_l[i]
-            M = e4
-            b1 = max(P, G) + left_t_l[i]
-            b2 = b1 + left_u_l[i]
-            G = b2
-            P = e4
-            U = b2
-            end = e4 if e4 > b2 else b2
-        ends.append(end)
-        if end > makespan:
-            makespan = end
+            rs_g_a = dur(ca.la_gather, ca.left_gather)
+            la_c_a, la_sc_a, la_t_a, la_u_a = map(dur, (
+                ca.la_comm, ca.la_scatter, ca.la_dtrsm, ca.la_dgemm,
+            ))
+            left_c_a, left_sc_a, left_t_a, left_u_a = map(dur, (
+                ca.left_comm, ca.left_scatter, ca.left_dtrsm, ca.left_dgemm,
+            ))
+            right_g_a, right_c_a, right_sc_a, right_t_a, right_u_a = map(dur, (
+                ca.right_gather, ca.right_comm, ca.right_scatter,
+                ca.right_dtrsm, ca.right_dgemm,
+            ))
+            gpu_cols = (
+                rs_g_a, right_sc_a, la_sc_a, la_t_a, la_u_a, right_t_a,
+                right_u_a, right_g_a, left_sc_a, left_t_a, left_u_a,
+            )
+            mpi_cols = (la_c_a, lb_s, left_c_a, right_c_a)
+            gpu_busy[seg] = reduce(add, gpu_cols)
+            mpi_busy[seg] = reduce(add, mpi_cols)
+            if first:
+                # No RS2 pending: communicate the right section inline,
+                # ahead of the first iteration's own tasks.
+                gpu_busy[lo] = reduce(add, [c[0] for c in (right_g_a, *gpu_cols)])
+                mpi_busy[lo] = reduce(add, [c[0] for c in (right_c_a, *mpi_cols)])
+                G = (P if P > G else G) + float(right_g_a[0])
+                R = M = (G if G > M else M) + float(right_c_a[0])
+            for (
+                d2h, fact, h2d, lb, rs_g, la_c, la_sc, la_t, la_u,
+                left_c, left_sc, left_t, left_u,
+                right_g, right_c, right_sc, right_t, right_u,
+            ) in zip(
+                *chain,
+                *_lists(rs_g_a, la_c_a, la_sc_a, la_t_a, la_u_a),
+                *_lists(left_c_a, left_sc_a, left_t_a, left_u_a),
+                *_lists(right_g_a, right_c_a, right_sc_a, right_t_a, right_u_a),
+            ):
+                s1 = (P if P > G else G) + rs_g
+                s2 = (R if R > s1 else s1) + right_sc
+                m1 = (s1 if s1 > M else M) + la_c
+                # la DTRSM: la scatter >= m1 >= s1 >= P.
+                s5 = (m1 if m1 > s2 else s2) + la_sc + la_t + la_u
+                e1 = (s5 if s5 > H else H) + d2h
+                C = (e1 if e1 > C else C) + fact
+                H = C + h2d
+                # LBCAST: the mpi free is m1 <= s5 <= e1 <= e3.  RS1 comm:
+                # the mpi free is e4 >= s5 >= s1, its gather.
+                e4 = H + lb
+                m2 = e4 + left_c
+                # right DTRSM: the gpu free is s5 >= s2 >= s1 >= P.
+                g2 = s5 + right_t + right_u
+                g3 = (e4 if e4 > g2 else g2) + right_g
+                # RS2 comm and left scatter both start at max(g3, m2);
+                # left DTRSM: scatter >= g3 >= g2 >= s5 >= P.
+                x = g3 if g3 > m2 else m2
+                R = M = x + right_c
+                G = x + left_sc + left_t + left_u
+                P = e4
+                # e4 <= m2 <= M: the latest end is M or G.
+                push(M if M > G else G)
+        else:  # _S2L: one iteration
+            rs_sc_a = dur(ca.la_scatter, ca.left_scatter)
+            la_t_a, la_u_a, left_t_a, left_u_a = map(dur, (
+                ca.la_dtrsm, ca.la_dgemm, ca.left_dtrsm, ca.left_dgemm,
+            ))
+            gpu_busy[seg] = rs_sc_a + la_t_a + la_u_a + left_t_a + left_u_a
+            mpi_busy[seg] = lb_s
+            for d2h, fact, h2d, lb, rs_sc, la_t, la_u, left_t, left_u in zip(
+                *chain, *_lists(rs_sc_a, la_t_a, la_u_a, left_t_a, left_u_a)
+            ):
+                a1 = (R if R > G else G) + rs_sc
+                a3 = (a1 if a1 > P else P) + la_t + la_u
+                e1 = (a3 if a3 > H else H) + d2h
+                C = (e1 if e1 > C else C) + fact
+                H = C + h2d
+                M = (H if H > M else M) + lb
+                # rest DTRSM: the gpu free is a3 >= P.
+                G = a3 + left_t + left_u
+                P = M
+                push(M if M > G else G)
 
     return FastTimeline(
-        makespan=makespan,
+        makespan=max([preamble_end, *ends]),
         preamble_end=preamble_end,
         end=np.asarray(ends, dtype=np.float64),
-        gpu_busy=np.asarray(gpu_busy, dtype=np.float64),
-        fact_busy=np.asarray(fact_busy, dtype=np.float64),
-        mpi_busy=np.asarray(mpi_busy, dtype=np.float64),
-        transfer_busy=np.asarray(transfer_busy, dtype=np.float64),
+        gpu_busy=gpu_busy,
+        fact_busy=fact_a,
+        mpi_busy=mpi_busy,
+        transfer_busy=d2h_a + h2d_a,
     )

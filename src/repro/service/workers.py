@@ -195,7 +195,7 @@ def _sim_runner(payload: dict, job: Job) -> dict:
         "makespan": report.makespan,
         "hidden_time_fraction": report.hidden_time_fraction,
         "hidden_iteration_fraction": report.hidden_iteration_fraction,
-        "iterations": len(report.iterations),
+        "iterations": len(report.k),
     }
 
 

@@ -51,12 +51,18 @@ class TestFig7Golden:
         assert early == pytest.approx(181.3091112130893, rel=REL)
         assert early / 196.0 > 0.90
 
+    def test_regime_crossover_pinned(self, fig7_report):
+        """Paper: the regimes cross near iteration 250 of 500."""
+        assert fig7_report.first_exposed == 241
+        assert len(fig7_report.k) == 500
+
     def test_fast_and_full_engines_agree_bitwise(self, fig7_report):
         cfg = fig7_report.cfg
         full = simulate_run(cfg, crusher_cluster(1), fidelity="full")
         assert full.makespan == fig7_report.makespan
         assert full.score_tflops == fig7_report.score_tflops
         assert full.hidden_time_fraction == fig7_report.hidden_time_fraction
+        assert full.first_exposed == 241
 
 
 class TestFig8Golden:

@@ -111,8 +111,7 @@ class TestFig7:
     def test_transition_near_half(self, report):
         """The paper sees the split update stop hiding around iter 250/500
         with the 50-50 split."""
-        first_unhidden = next(it.k for it in report.iterations if not it.hidden)
-        assert 200 <= first_unhidden <= 300
+        assert 200 <= report.first_exposed <= 300
 
     def test_hidden_time_fraction_near_paper(self, report):
         assert 0.65 <= report.hidden_time_fraction <= 0.85  # paper: ~0.75
