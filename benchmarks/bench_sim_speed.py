@@ -1,21 +1,18 @@
-"""Simulator-speed benchmark: closed-form timeline vs the per-task engine.
+"""Pricing-speed benchmark: what one ``simulate_run`` costs, cold and warm.
 
-Both engines read the same memoized cost arrays
-(:func:`~repro.perf.ledger.run_cost_arrays`), so the only remaining twin
-is the timeline: ``sched.fastpath.evaluate`` against ``build_run`` +
-``simulate`` over the same :class:`~repro.sched.fastpath.CostArrays`.
-For each Fig. 8 sweep point this benchmark times that pair, plus the
-whole ``simulate_run`` three ways -- ``full``, fast *cold* (memo cleared
-first, so the time includes pricing every cost array) and fast *warm*
-(arrays cached, the realistic service-tier steady state) -- and asserts
-the two engines still land on bit-identical makespans while doing it.
+For each Fig. 8 sweep point this benchmark times the whole
+``simulate_run`` two ways -- *cold* (memo cleared first, so the time
+includes pricing every cost array) and *warm* (arrays cached, the
+realistic service-tier steady state) -- plus the closed-form timeline
+(``sched.fastpath.evaluate``) alone, the share of a cold run that is not
+pricing.
 
 The committed trajectory (``BENCH_sim_speed.json`` at the repo root)
-records every entry so a regression is a diff, not an anecdote.  The
-gates: a cold fast run must cost no more than 1.25x the last committed
-entry's (1.2 / 2.0 / 5.7 ms at 1 / 8 / 128 nodes, of which the timeline
-is 0.4 / 0.9 / 3.7 ms), and the closed-form timeline must beat the
-object engine >= 8x on every sweep point (measured 37-74x).
+records every entry so a regression is a diff, not an anecdote; entries
+from before the object engine left the pricing path also carry its
+timings (``full_s``, ``engine_s``, ``timeline_speedup``).  The gates: a
+cold run must cost no more than 1.25x the last committed entry's, and a
+warm run must not be slower than a cold one.
 
 Run directly for more repeats::
 
@@ -37,11 +34,9 @@ import time
 
 from repro.machine.frontier import crusher_cluster
 from repro.perf.hplsim import simulate_run
-from repro.perf.ledger import PerfConfig, run_cost_arrays
-from repro.perf.scaling import choose_grid, node_local_grid, scaled_n
-from repro.sched.engine import simulate
+from repro.perf.ledger import run_cost_arrays
+from repro.perf.scaling import weak_scaling
 from repro.sched.fastpath import evaluate
-from repro.sched.timeline import build_run
 
 try:
     from .conftest import write_artifact
@@ -52,15 +47,7 @@ except ImportError:  # direct `python benchmarks/bench_sim_speed.py`
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRAJECTORY = REPO_ROOT / "BENCH_sim_speed.json"
 
-#: The acceptance gate: resolving the timeline in closed form must beat
-#: materializing and simulating its tasks by at least this factor on
-#: every Fig. 8 sweep point.  Pricing is excluded on purpose -- both
-#: engines share it, so a cheaper ledger must not be able to trip (or
-#: mask) this gate.  Measured: 37-41x at 1 node, 50-52x at 8,
-#: 68-74x at 128.
-TIMELINE_SPEEDUP_FLOOR = 8.0
-
-#: A cold fast run (pricing + timeline + report) may cost at most this
+#: A cold run (pricing + timeline + report) may cost at most this
 #: multiple of the last committed entry's before the step fails.  These
 #: are absolute seconds, so the comparison means something only on
 #: hardware like the last entry's; a deliberate move to slower hardware
@@ -72,62 +59,38 @@ COLD_REGRESSION_CEILING = 1.25
 NODE_COUNTS = [1, 8, 128]
 
 
-def sweep_config(nnodes: int, n_single: int = 256_000,
-                 nb: int = 512) -> PerfConfig:
-    """The exact config ``weak_scaling`` builds for this node count."""
-    gpus = crusher_cluster(nnodes).node.gpus
-    p, q = choose_grid(nnodes * gpus)
-    pl, ql = (p, q) if nnodes == 1 else node_local_grid(p, q, gpus)
-    return PerfConfig(n=scaled_n(nnodes, n_single, nb), nb=nb,
-                      p=p, q=q, pl=pl, ql=ql)
-
-
-def _best_of(fn, repeats: int) -> tuple[float, object]:
-    """(best wall seconds, last result) over ``repeats`` calls."""
+def _best_of(fn, repeats: int) -> float:
+    """Best wall seconds over ``repeats`` calls."""
     best = float("inf")
-    result = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = fn()
+        fn()
         best = min(best, time.perf_counter() - t0)
-    return best, result
+    return best
 
 
 def run_point(nnodes: int, repeats: int = 3) -> dict:
-    """Time both engines on one Fig. 8 sweep point."""
-    cfg = sweep_config(nnodes)
+    """Time one Fig. 8 sweep point."""
+    cfg = weak_scaling([nnodes])[0].report.cfg
     cluster = crusher_cluster(nnodes)
 
-    full_s, full = _best_of(
-        lambda: simulate_run(cfg, cluster, fidelity="full"), max(2, repeats - 1)
-    )
-
-    def fast_cold():
+    def cold():
         run_cost_arrays.cache_clear()
-        return simulate_run(cfg, cluster, fidelity="fast")
+        simulate_run(cfg, cluster)
 
-    cold_s, fast = _best_of(fast_cold, repeats)
-    warm_s, _ = _best_of(
-        lambda: simulate_run(cfg, cluster, fidelity="fast"), repeats
-    )
+    # Cold last: the earlier timings double as the process's warm-up.
     arrays = run_cost_arrays(cfg, cluster)
-    costs = arrays.to_iter_costs()
-    engine_s, _ = _best_of(lambda: simulate(build_run(costs)),
-                           max(2, repeats - 1))
-    evaluate_s, _ = _best_of(lambda: evaluate(arrays), repeats)
+    evaluate_s = _best_of(lambda: evaluate(arrays), repeats)
+    warm_s = _best_of(lambda: simulate_run(cfg, cluster), repeats)
+    cold_s = _best_of(cold, repeats)
     return {
         "nnodes": nnodes,
         "n": cfg.n,
         "grid": f"{cfg.p}x{cfg.q}",
         "iterations": cfg.nblocks,
-        "full_s": round(full_s, 6),
         "fast_cold_s": round(cold_s, 6),
         "fast_warm_s": round(warm_s, 6),
-        "engine_s": round(engine_s, 6),
         "evaluate_s": round(evaluate_s, 6),
-        "timeline_speedup": round(engine_s / evaluate_s, 2),
-        "makespan_equal": fast.makespan == full.makespan,
-        "score_equal": fast.score_tflops == full.score_tflops,
     }
 
 
@@ -162,8 +125,8 @@ def append_trajectory(entry: dict, path: pathlib.Path = TRAJECTORY) -> list:
 def check_entry(entry: dict, previous: dict | None = None) -> None:
     """The claims every trajectory entry must satisfy.
 
-    ``previous`` is the last committed entry; its cold fast-run seconds
-    are the regression baseline.
+    ``previous`` is the last committed entry; its cold-run seconds are
+    the regression baseline.
     """
     points = entry["points"]
     assert [pt["nnodes"] for pt in points] == NODE_COUNTS
@@ -171,22 +134,13 @@ def check_entry(entry: dict, previous: dict | None = None) -> None:
                 for pt in (previous or {}).get("points", [])}
     for pt in points:
         name = f"{pt['nnodes']}-node"
-        assert pt["makespan_equal"], \
-            f"{name}: fast and full engines disagree on makespan"
-        assert pt["score_equal"], \
-            f"{name}: fast and full engines disagree on the score"
-        assert pt["timeline_speedup"] >= TIMELINE_SPEEDUP_FLOOR, \
-            f"{name}: closed-form timeline only {pt['timeline_speedup']}x" \
-            f" faster than the object engine, floor is" \
-            f" {TIMELINE_SPEEDUP_FLOOR}x ({pt['engine_s']}s build+simulate" \
-            f" vs {pt['evaluate_s']}s evaluate)"
         assert pt["fast_warm_s"] * 0.9 <= pt["fast_cold_s"], \
             f"{name}: warm runs slower than cold -- memoization broken?" \
             f" ({pt['fast_warm_s']}s warm vs {pt['fast_cold_s']}s cold)"
         if pt["nnodes"] in baseline:
             ceiling = COLD_REGRESSION_CEILING * baseline[pt["nnodes"]]
             assert pt["fast_cold_s"] <= ceiling, \
-                f"{name}: cold fast run {pt['fast_cold_s']}s is more than" \
+                f"{name}: cold run {pt['fast_cold_s']}s is more than" \
                 f" {COLD_REGRESSION_CEILING}x the last committed entry's" \
                 f" {baseline[pt['nnodes']]}s"
 
@@ -204,7 +158,7 @@ def test_sim_speed_trajectory():
 def main() -> int:
     parser = argparse.ArgumentParser(description="simulator-speed benchmark")
     parser.add_argument("--repeats", type=int, default=5,
-                        help="timing repeats per engine (best-of)")
+                        help="timing repeats (best-of)")
     parser.add_argument("--no-append", action="store_true",
                         help="print the entry without touching the"
                              " trajectory file")
@@ -218,12 +172,10 @@ def main() -> int:
                                                     sort_keys=True))
     for pt in entry["points"]:
         print(f"{pt['nnodes']:>4} node(s) N={pt['n']:>8}"
-              f" ({pt['iterations']} iters): full {pt['full_s']*1e3:8.1f} ms,"
-              f" fast cold {pt['fast_cold_s']*1e3:7.2f} ms,"
-              f" warm {pt['fast_warm_s']*1e3:7.2f} ms;"
-              f" timeline {pt['engine_s']*1e3:8.1f} ms engine vs"
-              f" {pt['evaluate_s']*1e3:6.2f} ms closed form"
-              f" ({pt['timeline_speedup']}x)")
+              f" ({pt['iterations']} iters):"
+              f" cold {pt['fast_cold_s']*1e3:7.2f} ms,"
+              f" warm {pt['fast_warm_s']*1e3:7.2f} ms,"
+              f" of which timeline {pt['evaluate_s']*1e3:6.2f} ms")
     return 0
 
 

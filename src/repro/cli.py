@@ -98,7 +98,6 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         ql=args.ql or args.Q,
         schedule=Schedule(args.schedule),
         split_fraction=args.frac,
-        fidelity=args.fidelity,
     )
     nodes = (cfg.p // cfg.pl) * (cfg.q // cfg.ql)
     report = simulate_run(cfg, crusher_cluster(nodes))
@@ -113,9 +112,11 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         from .perf.hplsim import simulate_timeline
         from .sched.trace import write_chrome_trace
 
-        write_chrome_trace(
-            simulate_timeline(cfg, crusher_cluster(nodes)), args.trace
-        )
+        timeline = simulate_timeline(cfg, crusher_cluster(nodes))
+        try:
+            write_chrome_trace(timeline, args.trace)
+        except OSError as exc:
+            raise ConfigError(f"cannot write trace: {exc}") from None
         print(f"chrome trace written to {args.trace} "
               "(open in chrome://tracing or Perfetto)")
     if args.energy:
@@ -135,9 +136,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     from .perf.scaling import weak_scaling
 
     counts = [2**i for i in range(args.max_doublings + 1)]
-    points = weak_scaling(
-        counts, n_single=args.N, nb=args.NB, fidelity=args.fidelity
-    )
+    points = weak_scaling(counts, n_single=args.N, nb=args.NB)
     print(format_scaling_table(points))
     if args.chart:
         from .perf.ascii_chart import fig8_chart
@@ -232,17 +231,6 @@ def _axis(args_value, cast, sweep: bool, name: str):
     return values if sweep else values[0]
 
 
-def _fidelity_axis(args_value, sweep: bool):
-    """The --fidelity axis, validated eagerly (exit 2, not a worker FAIL)."""
-    axis = _axis(args_value, str, sweep, "--fidelity")
-    for value in axis if isinstance(axis, list) else [axis]:
-        if value not in ("fast", "full"):
-            raise ConfigError(
-                f"fidelity must be 'fast' or 'full', got {value!r}"
-            )
-    return axis
-
-
 def _submit_sweep(args: argparse.Namespace):
     """Build the :class:`~repro.service.Sweep` a ``submit`` call describes."""
     from .service import Sweep
@@ -285,7 +273,6 @@ def _submit_sweep(args: argparse.Namespace):
                 "ql": _axis(args.ql, int, sweep, "--ql"),
                 "schedule": _axis(args.schedule, str, sweep, "--schedule"),
                 "split_fraction": _axis(args.frac, float, sweep, "--frac"),
-                "fidelity": _fidelity_axis(args.fidelity, sweep),
             },
         )
     if args.kind == "scale":
@@ -293,8 +280,7 @@ def _submit_sweep(args: argparse.Namespace):
             kind="scale",
             axes={"nnodes": _axis(args.nodes, int, sweep, "--nodes")},
             base={"n_single": int(args.N), "nb": int(args.NB),
-                  "schedule": args.schedule,
-                  "fidelity": _fidelity_axis(args.fidelity, sweep=False)},
+                  "schedule": args.schedule},
         )
     if args.kind == "fact":
         return Sweep(kind="fact", axes={"nb": _axis(args.NB, int, sweep, "-NB")})
@@ -663,10 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the run's energy/power accounting")
     p_sim.add_argument("--trace", metavar="FILE", default="",
                        help="write the simulated timeline as a Chrome trace")
-    p_sim.add_argument("--fidelity", choices=["fast", "full"], default="fast",
-                       help="simulator engine: closed-form vectorized "
-                            "timeline (fast) or per-task object engine "
-                            "(full); both produce identical reports")
     p_sim.set_defaults(fn=_cmd_sim)
 
     p_scale = sub.add_parser("scale", help="weak scaling sweep (Fig. 8)")
@@ -677,8 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="scale to 2^k nodes")
     p_scale.add_argument("--chart", action="store_true",
                          help="render Fig. 8 as an ASCII chart")
-    p_scale.add_argument("--fidelity", choices=["fast", "full"],
-                         default="fast", help="simulator engine per point")
     p_scale.set_defaults(fn=_cmd_scale)
 
     p_fact = sub.add_parser("fact", help="FACT threading sweep (Fig. 5)")
@@ -727,9 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="FACT threads per rank (run)")
     p_sub.add_argument("--nodes", default="1,2,4,8",
                        help="node counts (scale)")
-    p_sub.add_argument("--fidelity", default="fast",
-                       help="simulator engine(s) for sim/scale jobs "
-                            "(fast, full)")
     p_sub.add_argument("--timeout", type=float, default=0.0,
                        help="per-attempt wall-clock limit in seconds")
     p_sub.add_argument("--retries", type=int, default=2,

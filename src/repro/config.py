@@ -246,3 +246,73 @@ class HPLConfig:
     def config_key(self) -> str:
         """Stable content hash of this configuration (sha256 hex)."""
         return config_key(self.to_dict())
+
+
+@dataclasses.dataclass(frozen=True)
+class PerfConfig:
+    """A benchmark run as the performance simulator sees it.
+
+    Lives here, not under ``repro.perf``, so the service can validate a
+    ``sim`` payload at submit without importing numpy.
+
+    Attributes:
+        n, nb, p, q: Global problem and grid (as in ``HPLConfig``).
+        pl, ql: Node-local grid (rocHPL's launch-wrapper input); determines
+            both node placement and the CPU core time-sharing factor.
+        schedule: Iteration schedule.
+        split_fraction: Right-section fraction for the split update.
+        bcast: Panel broadcast algorithm.
+        swap: Row-swapping algorithm (LONG / BINEXCH / MIX).
+        swap_threshold: MIX's width threshold for binary exchange.
+        fact_threads: Override for FACT threads per process; 0 means use
+            the Section III.B time-sharing formula ``T = 1 + Cbar / pl``.
+    """
+
+    n: int
+    nb: int
+    p: int
+    q: int
+    pl: int
+    ql: int
+    schedule: Schedule = Schedule.SPLIT_UPDATE
+    split_fraction: float = 0.5
+    bcast: BcastVariant = BcastVariant.ONE_RING_M
+    swap: SwapVariant = SwapVariant.LONG
+    swap_threshold: int = 64
+    fact_threads: int = 0
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ConfigError(f"n must be positive, got {self.n}")
+        if self.nb < 1:
+            raise ConfigError(f"nb must be positive, got {self.nb}")
+        if min(self.p, self.q, self.pl, self.ql) < 1:
+            raise ConfigError(
+                f"grids must be at least 1x1, got {self.p}x{self.q}"
+                f" with node-local {self.pl}x{self.ql}"
+            )
+        if not 0.0 <= self.split_fraction <= 1.0:
+            raise ConfigError(
+                f"split_fraction must be in [0, 1], got {self.split_fraction}"
+            )
+        if self.fact_threads < 0:
+            raise ConfigError(
+                f"fact_threads must be >= 0 (0 = time-sharing formula),"
+                f" got {self.fact_threads}"
+            )
+        if self.swap_threshold < 0:
+            raise ConfigError(
+                f"swap_threshold must be >= 0, got {self.swap_threshold}"
+            )
+        if self.p % self.pl or self.q % self.ql:
+            raise ConfigError(
+                f"node-local {self.pl}x{self.ql} does not tile {self.p}x{self.q}"
+            )
+
+    @property
+    def nblocks(self) -> int:
+        return math.ceil(self.n / self.nb)
+
+    @property
+    def total_flops(self) -> float:
+        return (2.0 / 3.0) * self.n**3 + 1.5 * self.n**2

@@ -1,8 +1,9 @@
 """Full-benchmark performance simulation: the paper's Figure 7 and score.
 
 ``simulate_run`` prices every iteration with the ledger, resolves the
-schedule's chained task DAGs -- in closed form, or task by task on the
-in-order-resource engine -- and extracts exactly the series rocHPL's
+schedule's chained task DAGs in closed form (traces:
+``simulate_timeline``, the same DAGs task by task on the
+in-order-resource engine) and extracts exactly the series rocHPL's
 per-iteration timers print:
 
 * total time per iteration and GPU active time per iteration (the black
@@ -21,10 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import ConfigError
 from ..machine.spec import ClusterSpec
 from ..sched.engine import TimelineResult, simulate
-from ..sched.fastpath import FastTimeline, evaluate
+from ..sched.fastpath import evaluate
 from ..sched.timeline import build_run
 from .ledger import PerfConfig, run_cost_arrays, run_costs
 
@@ -148,35 +148,13 @@ def simulate_run(
 ) -> RunReport:
     """Simulate a full benchmark run; returns the per-iteration report.
 
-    ``fidelity`` overrides ``cfg.fidelity``: ``"fast"`` evaluates the
-    closed-form vectorized timeline (bit-identical report, order of
-    magnitude faster), ``"full"`` walks the per-task object engine (use
-    it when traces or per-message simmpi events are needed).  Both read
-    the same memoized :func:`~repro.perf.ledger.run_cost_arrays` and fill
-    the same :class:`RunReport` columns.
+    Prices the run once (the memoized
+    :func:`~repro.perf.ledger.run_cost_arrays`) and resolves its timeline
+    in closed form; traces: :func:`simulate_timeline`.
+    ``fidelity``: ignored; goes with the PR that retargets ``fig7_full``.
     """
-    mode = fidelity if fidelity is not None else cfg.fidelity
-    if mode not in ("fast", "full"):
-        raise ConfigError(f"fidelity must be 'fast' or 'full', got {mode!r}")
     arrays = run_cost_arrays(cfg, cluster)
-    if mode == "full":
-        tl = simulate_timeline(cfg, cluster)
-        ks = arrays.k.tolist()
-
-        def column(read) -> np.ndarray:
-            return np.array([read(k) for k in ks], dtype=np.float64)
-
-        run = FastTimeline(
-            makespan=tl.makespan,
-            preamble_end=tl.span_of_tag(-1)[1] if arrays.preamble is not None else 0.0,
-            end=column(lambda k: tl.span_of_tag(k)[1]),
-            gpu_busy=column(lambda k: tl.busy_in_tag(k, "gpu")),
-            fact_busy=column(lambda k: tl.phase_in_tag(k, "FACT")),
-            mpi_busy=column(lambda k: tl.phase_in_tag(k, "MPI")),
-            transfer_busy=column(lambda k: tl.phase_in_tag(k, "TRANSFER")),
-        )
-    else:
-        run = evaluate(arrays)
+    run = evaluate(arrays)
     return RunReport(
         cfg=cfg,
         makespan=run.makespan,

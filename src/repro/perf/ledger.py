@@ -20,13 +20,12 @@ engine executes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ..config import BcastVariant, Schedule, SwapVariant
+from ..config import PerfConfig, Schedule, SwapVariant
 from ..errors import ConfigError
 from ..grid.block_cyclic import num_local_before_array, numroc, numroc_array
 from ..machine.comm_model import CommModel, GridTopology
@@ -40,82 +39,6 @@ from ..machine.spec import ClusterSpec
 from ..machine.transfer_model import transfer_seconds_array
 from ..sched.fastpath import MODE_CLASSIC, MODE_LOOKAHEAD, MODE_SPLIT, CostArrays
 from ..sched.timeline import IterCosts
-
-
-@dataclass(frozen=True)
-class PerfConfig:
-    """A benchmark run as the performance simulator sees it.
-
-    Attributes:
-        n, nb, p, q: Global problem and grid (as in ``HPLConfig``).
-        pl, ql: Node-local grid (rocHPL's launch-wrapper input); determines
-            both node placement and the CPU core time-sharing factor.
-        schedule: Iteration schedule.
-        split_fraction: Right-section fraction for the split update.
-        bcast: Panel broadcast algorithm.
-        swap: Row-swapping algorithm (LONG / BINEXCH / MIX).
-        swap_threshold: MIX's width threshold for binary exchange.
-        fact_threads: Override for FACT threads per process; 0 means use
-            the Section III.B time-sharing formula ``T = 1 + Cbar / pl``.
-        fidelity: Default simulator engine for this config -- ``"fast"``
-            (vectorized closed-form timeline, bit-identical reports) or
-            ``"full"`` (per-task object engine, required for traces and
-            per-message simmpi events).
-    """
-
-    n: int
-    nb: int
-    p: int
-    q: int
-    pl: int
-    ql: int
-    schedule: Schedule = Schedule.SPLIT_UPDATE
-    split_fraction: float = 0.5
-    bcast: BcastVariant = BcastVariant.ONE_RING_M
-    swap: SwapVariant = SwapVariant.LONG
-    swap_threshold: int = 64
-    fact_threads: int = 0
-    fidelity: str = "fast"
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"n must be positive, got {self.n}")
-        if self.nb < 1:
-            raise ConfigError(f"nb must be positive, got {self.nb}")
-        if min(self.p, self.q, self.pl, self.ql) < 1:
-            raise ConfigError(
-                f"grids must be at least 1x1, got {self.p}x{self.q}"
-                f" with node-local {self.pl}x{self.ql}"
-            )
-        if not 0.0 <= self.split_fraction <= 1.0:
-            raise ConfigError(
-                f"split_fraction must be in [0, 1], got {self.split_fraction}"
-            )
-        if self.fact_threads < 0:
-            raise ConfigError(
-                f"fact_threads must be >= 0 (0 = time-sharing formula),"
-                f" got {self.fact_threads}"
-            )
-        if self.swap_threshold < 0:
-            raise ConfigError(
-                f"swap_threshold must be >= 0, got {self.swap_threshold}"
-            )
-        if self.p % self.pl or self.q % self.ql:
-            raise ConfigError(
-                f"node-local {self.pl}x{self.ql} does not tile {self.p}x{self.q}"
-            )
-        if self.fidelity not in ("fast", "full"):
-            raise ConfigError(
-                f"fidelity must be 'fast' or 'full', got {self.fidelity!r}"
-            )
-
-    @property
-    def nblocks(self) -> int:
-        return math.ceil(self.n / self.nb)
-
-    @property
-    def total_flops(self) -> float:
-        return (2.0 / 3.0) * self.n**3 + 1.5 * self.n**2
 
 
 def time_sharing_threads(cores: int, pl: int, ql: int) -> int:

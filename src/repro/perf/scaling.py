@@ -68,6 +68,24 @@ class ScalePoint:
         return self.report.score_tflops
 
 
+def _scale_points(node_counts, n_of, nb, schedule, cluster_factory):
+    """One :class:`ScalePoint` per node count, sized by ``n_of(nnodes)``."""
+    points: list[ScalePoint] = []
+    for nnodes in node_counts:
+        cluster: ClusterSpec = cluster_factory(nnodes)
+        gpus = cluster.node.gpus
+        p, q = choose_grid(nnodes * gpus)
+        # single node: the whole grid is node-local
+        pl, ql = (p, q) if nnodes == 1 else node_local_grid(p, q, gpus)
+        n = n_of(nnodes)
+        cfg = PerfConfig(n=n, nb=nb, p=p, q=q, pl=pl, ql=ql, schedule=schedule)
+        points.append(
+            ScalePoint(nnodes=nnodes, n=n, p=p, q=q,
+                       report=simulate_run(cfg, cluster))
+        )
+    return points
+
+
 def weak_scaling(
     node_counts: list[int] | None = None,
     n_single: int = 256_000,
@@ -78,31 +96,14 @@ def weak_scaling(
 ) -> list[ScalePoint]:
     """Run the Fig. 8 sweep; default node counts 1, 2, 4, ..., 128.
 
-    ``fidelity`` selects the simulator engine per point (``"fast"`` /
-    ``"full"``); ``None`` uses each config's default.
+    ``fidelity``: ignored; goes with the PR that retargets ``fig7_full``.
     """
     if node_counts is None:
         node_counts = [2**i for i in range(8)]
-    points: list[ScalePoint] = []
-    for nnodes in node_counts:
-        cluster: ClusterSpec = cluster_factory(nnodes)
-        gpus = cluster.node.gpus
-        p, q = choose_grid(nnodes * gpus)
-        if nnodes == 1:
-            pl, ql = p, q  # single node: the whole grid is node-local
-        else:
-            pl, ql = node_local_grid(p, q, gpus)
-        n = scaled_n(nnodes, n_single, nb)
-        cfg = PerfConfig(
-            n=n, nb=nb, p=p, q=q, pl=pl, ql=ql, schedule=schedule
-        )
-        points.append(
-            ScalePoint(
-                nnodes=nnodes, n=n, p=p, q=q,
-                report=simulate_run(cfg, cluster, fidelity=fidelity),
-            )
-        )
-    return points
+    return _scale_points(
+        node_counts, lambda nnodes: scaled_n(nnodes, n_single, nb),
+        nb, schedule, cluster_factory,
+    )
 
 
 def strong_scaling(
@@ -111,7 +112,6 @@ def strong_scaling(
     nb: int = 512,
     schedule: Schedule = Schedule.SPLIT_UPDATE,
     cluster_factory=crusher_cluster,
-    fidelity: str | None = None,
 ) -> list[ScalePoint]:
     """Fixed-N scaling (an extension beyond the paper's weak-scaling study).
 
@@ -122,20 +122,9 @@ def strong_scaling(
     """
     if node_counts is None:
         node_counts = [1, 2, 4, 8]
-    points: list[ScalePoint] = []
-    for nnodes in node_counts:
-        cluster: ClusterSpec = cluster_factory(nnodes)
-        gpus = cluster.node.gpus
-        p, q = choose_grid(nnodes * gpus)
-        pl, ql = (p, q) if nnodes == 1 else node_local_grid(p, q, gpus)
-        cfg = PerfConfig(n=n, nb=nb, p=p, q=q, pl=pl, ql=ql, schedule=schedule)
-        points.append(
-            ScalePoint(
-                nnodes=nnodes, n=n, p=p, q=q,
-                report=simulate_run(cfg, cluster, fidelity=fidelity),
-            )
-        )
-    return points
+    return _scale_points(
+        node_counts, lambda nnodes: n, nb, schedule, cluster_factory
+    )
 
 
 def strong_scaling_efficiency(points: list[ScalePoint]) -> list[float]:

@@ -32,8 +32,8 @@ Together they order the ends of any dependency chain inside one iteration
 ``max`` is annotated with the chain that decides it.
 
 What the fast path does *not* produce: the per-task trace (there are no
-tasks) and per-message simmpi events.  Use the full engine
-(``fidelity="full"``) when those are needed.
+tasks).  Traces: :func:`repro.perf.hplsim.simulate_timeline`, the engine
+these loops are tested against.
 """
 
 from __future__ import annotations

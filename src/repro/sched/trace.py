@@ -13,8 +13,9 @@ import json
 
 from .engine import TimelineResult
 
-#: Stable row order in the trace viewer.
-_RESOURCE_ROWS = {"gpu": 0, "hd": 1, "cpu": 2, "mpi": 3}
+#: The first rows of the trace viewer, labeled even when idle; any other
+#: resource gets the next row in first-seen order.
+_FIXED_ROWS = ("gpu", "hd", "cpu", "mpi")
 
 #: Colors by accounting phase (Chrome trace color names).
 _PHASE_COLORS = {
@@ -33,29 +34,17 @@ def to_chrome_trace(result: TimelineResult, time_unit: float = 1e6) -> dict:
         time_unit: Multiplier from model seconds to trace microseconds
             (the default treats model seconds as real seconds).
     """
-    events = []
-    for resource, row in sorted(_RESOURCE_ROWS.items(), key=lambda kv: kv[1]):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": row,
-                "args": {"name": resource},
-            }
-        )
+    rows = {resource: row for row, resource in enumerate(_FIXED_ROWS)}
+    spans = []
     for task in result.tasks:
         if task.resource is None or task.duration <= 0:
             continue
-        row = _RESOURCE_ROWS.get(task.resource)
-        if row is None:
-            row = len(_RESOURCE_ROWS) + hash(task.resource) % 16
         event = {
             "name": task.name,
             "cat": task.phase or "other",
             "ph": "X",
             "pid": 1,
-            "tid": row,
+            "tid": rows.setdefault(task.resource, len(rows)),
             "ts": task.start * time_unit,
             "dur": task.duration * time_unit,
             "args": {"iteration": task.tag, "phase": task.phase},
@@ -63,9 +52,14 @@ def to_chrome_trace(result: TimelineResult, time_unit: float = 1e6) -> dict:
         color = _PHASE_COLORS.get(task.phase)
         if color:
             event["cname"] = color
-        events.append(event)
+        spans.append(event)
+    labels = [
+        {"name": "thread_name", "ph": "M", "pid": 1, "tid": row,
+         "args": {"name": resource}}
+        for resource, row in rows.items()
+    ]
     return {
-        "traceEvents": events,
+        "traceEvents": labels + spans,
         "displayTimeUnit": "ms",
         "otherData": {"makespan_s": result.makespan},
     }

@@ -51,7 +51,8 @@ from .streams import DEFAULT_INLINE_MAX, MAX_CHUNK_BYTES
 from .sweep import MAX_BATCH_JOBS, Sweep
 from .views import (CampaignView, DagView, EventView, JobView, QueuePage,
                     ResultView)
-from .workers import RUNNERS, PoolSummary, WorkerOptions, WorkerPool
+from .workers import (RUNNERS, PoolSummary, WorkerOptions, WorkerPool,
+                      sim_config)
 
 DEFAULT_WORKDIR = ".repro-service"
 
@@ -145,14 +146,17 @@ def _validated(submissions, timeout, max_retries, depends_on,
                 f"{at}'payload' must be an object,"
                 f" got {type(payload).__name__}"
             )
-        if kind == "run" and not has_placeholders(payload):
-            # A run payload is an HPLConfig dict: construct it now, so a
-            # bad grid corner fails the submission and not a worker.
+        if kind in ("run", "sim") and not has_placeholders(payload):
+            # Construct the config the payload describes now, so a bad
+            # grid corner fails the submission and not a worker.
             # ($winner placeholders only get their values at launch.)
-            depth0 = ({"depth": 0}
-                      if payload.get("schedule") == "classic" else {})
             try:
-                HPLConfig.from_dict({**payload, **depth0})
+                if kind == "sim":
+                    sim_config(payload)
+                else:
+                    depth0 = ({"depth": 0}
+                              if payload.get("schedule") == "classic" else {})
+                    HPLConfig.from_dict({**payload, **depth0})
             except ConfigError as exc:
                 raise ConfigError(f"{at}{exc}") from None
         try:

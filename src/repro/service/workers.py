@@ -87,8 +87,9 @@ import traceback
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Callable
 
-from ..errors import (LeaseConflictError, ServiceError, UnknownJobError,
-                      UnknownJobKindError)
+from ..config import BcastVariant, PerfConfig, Schedule, SwapVariant
+from ..errors import (ConfigError, LeaseConflictError, ServiceError,
+                      UnknownJobError, UnknownJobKindError)
 from .dag import has_placeholders, needs_parent_results, resolve_payload
 from .jobs import Job, JobState
 
@@ -166,31 +167,44 @@ def _run_runner(payload: dict, job: Job) -> dict:
     }
 
 
+def sim_config(payload: dict) -> PerfConfig:
+    """The :class:`PerfConfig` a ``sim`` payload describes.
+
+    Keys it does not name are ignored.  A missing field, a wrongly typed
+    value or an unknown variant name is a :class:`ConfigError`, like any
+    value the config itself rejects.  Also called by the server at
+    submit, so it must not import numpy (``repro.config`` does not).
+    """
+    try:
+        return PerfConfig(
+            n=payload["n"], nb=payload["nb"], p=payload["p"], q=payload["q"],
+            pl=payload.get("pl") or payload["p"],
+            ql=payload.get("ql") or payload["q"],
+            schedule=Schedule(payload.get("schedule", "split")),
+            split_fraction=payload.get("split_fraction", 0.5),
+            bcast=BcastVariant(payload.get("bcast", "1ringM")),
+            swap=SwapVariant(payload.get("swap", "long")),
+            swap_threshold=payload.get("swap_threshold", 64),
+            fact_threads=payload.get("fact_threads", 0),
+        )
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"invalid sim payload: {type(exc).__name__}: {exc}"
+        ) from None
+
+
 def _sim_runner(payload: dict, job: Job) -> dict:
     """Performance simulation of one full-size run (Fig. 7 machinery)."""
-    from ..config import BcastVariant, Schedule, SwapVariant
     from ..machine.frontier import crusher_cluster
     from ..perf.hplsim import simulate_run
-    from ..perf.ledger import PerfConfig
 
-    params = dict(payload)
-    cfg = PerfConfig(
-        n=params["n"], nb=params["nb"], p=params["p"], q=params["q"],
-        pl=params.get("pl") or params["p"],
-        ql=params.get("ql") or params["q"],
-        schedule=Schedule(params.get("schedule", "split")),
-        split_fraction=params.get("split_fraction", 0.5),
-        bcast=BcastVariant(params.get("bcast", "1ringM")),
-        swap=SwapVariant(params.get("swap", "long")),
-        swap_threshold=params.get("swap_threshold", 64),
-        fact_threads=params.get("fact_threads", 0),
-        fidelity=params.get("fidelity", "fast"),
-    )
+    cfg = sim_config(payload)
     nodes = (cfg.p // cfg.pl) * (cfg.q // cfg.ql)
     report = simulate_run(cfg, crusher_cluster(nodes))
     return {
         "n": cfg.n, "nb": cfg.nb, "p": cfg.p, "q": cfg.q, "nodes": nodes,
-        "fidelity": cfg.fidelity,
         "score_tflops": report.score_tflops,
         "makespan": report.makespan,
         "hidden_time_fraction": report.hidden_time_fraction,
@@ -201,7 +215,6 @@ def _sim_runner(payload: dict, job: Job) -> dict:
 
 def _scale_runner(payload: dict, job: Job) -> dict:
     """One node count of the Fig. 8 weak-scaling sweep."""
-    from ..config import Schedule
     from ..perf.scaling import weak_scaling
 
     point = weak_scaling(
@@ -209,7 +222,6 @@ def _scale_runner(payload: dict, job: Job) -> dict:
         n_single=payload.get("n_single", 256_000),
         nb=payload.get("nb", 512),
         schedule=Schedule(payload.get("schedule", "split")),
-        fidelity=payload.get("fidelity", "fast"),
     )[0]
     return {
         "nnodes": point.nnodes, "n": point.n, "p": point.p, "q": point.q,

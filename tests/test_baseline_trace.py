@@ -100,6 +100,18 @@ class TestChromeTrace:
         meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         assert {e["args"]["name"] for e in meta} >= {"gpu", "cpu", "mpi", "hd"}
 
+    def test_unknown_resources_get_their_own_labeled_rows(self):
+        """Consecutive rows in first-seen order: nothing depends on
+        ``hash(str)``, which is salted per process."""
+        tasks = [Task(f"{res}.{i}", 1.0, res, phase="MPI", tag=0)
+                 for i in range(2) for res in ("xgmi", "mpi", "nic2")]
+        events = to_chrome_trace(simulate(tasks))["traceEvents"]
+        labels = {e["tid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
+        assert labels == {0: "gpu", 1: "hd", 2: "cpu", 3: "mpi",
+                          4: "xgmi", 5: "nic2"}
+        assert all(e["name"].startswith(labels[e["tid"]] + ".")
+                   for e in events if e["ph"] == "X")
+
     def test_roundtrips_through_json(self, tmp_path):
         path = tmp_path / "trace.json"
         write_chrome_trace(self._result(), str(path))

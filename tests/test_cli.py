@@ -101,3 +101,11 @@ class TestConfigErrorHandling:
         assert rc == 2
         assert "n must be positive" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_unwritable_trace_path_exits_two(self, capsys, tmp_path):
+        rc = main(["sim", "-N", "4096", "-NB", "512", "-P", "2", "-Q", "2",
+                   "--trace", str(tmp_path / "no-such-dir" / "t.json")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: cannot write trace")
+        assert len(captured.err.strip().splitlines()) == 1

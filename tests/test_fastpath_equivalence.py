@@ -1,11 +1,12 @@
-"""Exhaustive fast-vs-full engine equivalence.
+"""Exhaustive equivalence of the closed-form timeline and its oracle.
 
-The closed-form vectorized timeline (``fidelity="fast"``) must reproduce
-the per-task object engine (``fidelity="full"``) not approximately but
-bit for bit on every reported number.  The Hypothesis layer sweeps random
-problem sizes, grids, node-local tilings, all three schedules, every
-broadcast variant, all swap algorithms, and the whole split-fraction
-range; a pinned config matrix holds the segment edges of the fast path's
+``sched.fastpath.evaluate`` -- the only evaluator behind ``simulate_run``
+-- must reproduce the per-task object engine (``build_run`` +
+``simulate``, the producer of traces) not approximately but bit for bit
+on every number it returns.  The Hypothesis layer sweeps random problem
+sizes, grids, node-local tilings, all three schedules, every broadcast
+variant, all swap algorithms, and the whole split-fraction range; a
+pinned config matrix holds the segment edges of the fast path's
 per-shape loops.
 """
 
@@ -19,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import BcastVariant, Schedule, SwapVariant
 from repro.machine.frontier import crusher_cluster
-from repro.perf import PerfConfig, run_cost_arrays, run_costs, simulate_run
+from repro.perf import (PerfConfig, run_cost_arrays, run_costs, simulate_run,
+                        simulate_timeline)
 from repro.sched.engine import simulate
 from repro.sched.fastpath import MODE_CLASSIC, MODE_LOOKAHEAD, MODE_SPLIT, evaluate
 from repro.sched.timeline import build_run
@@ -27,17 +29,29 @@ from repro.sched.timeline import build_run
 COLUMNS = ("k", "time", "gpu_active", "fact", "mpi", "transfer")
 
 
-def assert_reports_identical(cfg):
-    """Both engines report the same floats: ``==``, no tolerance."""
-    cluster = crusher_cluster((cfg.p // cfg.pl) * (cfg.q // cfg.ql))
-    full = simulate_run(cfg, cluster, fidelity="full")
-    fast = simulate_run(cfg, cluster, fidelity="fast")
-    assert fast.makespan == full.makespan
-    assert fast.score_tflops == full.score_tflops
-    for name in COLUMNS:
-        np.testing.assert_array_equal(
-            getattr(fast, name), getattr(full, name), err_msg=name
-        )
+def assert_timelines_identical(arrays):
+    """``evaluate`` equals the engine's tag/phase accounting on every
+    :class:`~repro.sched.fastpath.FastTimeline` field: ``==``, no tolerance."""
+    tl = simulate(build_run(arrays.to_iter_costs()))
+    ks = arrays.k.tolist()
+    reference = {
+        "makespan": tl.makespan,
+        "preamble_end": tl.span_of_tag(-1)[1] if arrays.preamble is not None else 0.0,
+        "end": [tl.span_of_tag(k)[1] for k in ks],
+        "gpu_busy": [tl.busy_in_tag(k, "gpu") for k in ks],
+        "fact_busy": [tl.phase_in_tag(k, "FACT") for k in ks],
+        "mpi_busy": [tl.phase_in_tag(k, "MPI") for k in ks],
+        "transfer_busy": [tl.phase_in_tag(k, "TRANSFER") for k in ks],
+    }
+    fast = vars(evaluate(arrays))
+    assert fast.keys() == reference.keys()
+    for name, want in reference.items():
+        np.testing.assert_array_equal(fast[name], want, err_msg=name)
+
+
+def cost_arrays(cfg):
+    nodes = (cfg.p // cfg.pl) * (cfg.q // cfg.ql)
+    return run_cost_arrays(cfg, crusher_cluster(nodes))
 
 
 @st.composite
@@ -74,7 +88,7 @@ class TestHypothesisEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(perf_configs())
     def test_fast_matches_full_everywhere(self, cfg):
-        assert_reports_identical(cfg)
+        assert_timelines_identical(cost_arrays(cfg))
 
 
 # A deterministic matrix of the same property, holding the cases a random
@@ -119,28 +133,22 @@ class TestBitExactMatrix:
         ids=lambda c: f"{c.schedule.value}-n{c.n}-nb{c.nb}-{c.p}x{c.q}",
     )
     def test_bit_identical_reports(self, cfg):
-        assert_reports_identical(cfg)
+        assert_timelines_identical(cost_arrays(cfg))
 
     @pytest.mark.parametrize("pattern", ["SCSL", "SLSSL", "CSSCLLS", "LLSC"])
     def test_mode_sequences_the_ledger_never_emits(self, pattern):
         """``build_run`` accepts any mode order; so do the segments."""
-        base = run_cost_arrays(EXACT_MATRIX[0], crusher_cluster(1))
+        base = cost_arrays(EXACT_MATRIX[0])
         codes = {"C": MODE_CLASSIC, "L": MODE_LOOKAHEAD, "S": MODE_SPLIT}
         mode = np.resize([codes[c] for c in pattern], base.nblocks)
-        arrays = dataclasses.replace(base, mode=mode.astype(np.int8))
-        tl = simulate(build_run(arrays.to_iter_costs()))
-        fast = evaluate(arrays)
-        ks = arrays.k.tolist()
-        assert fast.makespan == tl.makespan
-        assert fast.end.tolist() == [tl.span_of_tag(k)[1] for k in ks]
-        assert fast.gpu_busy.tolist() == [tl.busy_in_tag(k, "gpu") for k in ks]
-        assert fast.mpi_busy.tolist() == [tl.phase_in_tag(k, "MPI") for k in ks]
+        assert_timelines_identical(
+            dataclasses.replace(base, mode=mode.astype(np.int8))
+        )
 
-    @pytest.mark.parametrize("fidelity", ["fast", "full"])
-    def test_iterations_are_a_view_of_the_columns(self, fidelity):
+    def test_iterations_are_a_view_of_the_columns(self):
         """Row for row, and the aggregates equal the per-object loops."""
         cfg = PerfConfig(n=256_000, nb=512, p=4, q=2, pl=4, ql=2)
-        report = simulate_run(cfg, crusher_cluster(1), fidelity=fidelity)
+        report = simulate_run(cfg, crusher_cluster(1))
         its = report.iterations
         assert its is report.iterations
         for name in COLUMNS + ("hidden",):
@@ -183,28 +191,10 @@ class TestFastPathContracts:
         with pytest.raises(ValueError):
             arrays.mode[:] = 0
         run_costs(cfg, cluster)[0].fact = 1e9  # the preamble, k = -1
-        for fidelity in ("fast", "full"):
-            after = simulate_run(cfg, cluster, fidelity=fidelity)
-            assert after.makespan == before.makespan
-            assert after.iterations == before.iterations
-            for name in COLUMNS + ("hidden",):
-                with pytest.raises(ValueError):
-                    getattr(after, name)[0] = 0
-
-    def test_fidelity_knob_on_config(self):
-        cfg = PerfConfig(n=4096, nb=512, p=2, q=2, pl=2, ql=2,
-                         fidelity="full")
-        cluster = crusher_cluster(1)
-        via_cfg = simulate_run(cfg, cluster)  # honors cfg.fidelity="full"
-        via_arg = simulate_run(cfg, cluster, fidelity="fast")
-        assert via_cfg.makespan == via_arg.makespan
-
-    def test_bad_fidelity_rejected(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            PerfConfig(n=4096, nb=512, p=2, q=2, pl=2, ql=2,
-                       fidelity="approximate")
-        cfg = PerfConfig(n=4096, nb=512, p=2, q=2, pl=2, ql=2)
-        with pytest.raises(ConfigError):
-            simulate_run(cfg, crusher_cluster(1), fidelity="turbo")
+        assert simulate_timeline(cfg, cluster).makespan == before.makespan
+        after = simulate_run(cfg, cluster)
+        assert after.makespan == before.makespan
+        assert after.iterations == before.iterations
+        for name in COLUMNS + ("hidden",):
+            with pytest.raises(ValueError):
+                getattr(after, name)[0] = 0

@@ -3,8 +3,8 @@
 Unlike the shape assertions in test_perf.py (which allow wide ranges),
 these pin the simulator's *current* Fig. 7 / Fig. 8 outputs tightly, so
 any model or engine change that moves a headline number fails loudly and
-must update the pin deliberately.  All pins run on the fast engine; a
-cross-check asserts the full engine lands on the identical floats.
+must update the pin deliberately.  The pins read ``simulate_run``'s report;
+a cross-check holds the per-task engine's timeline to the same makespan.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.machine.frontier import crusher_cluster
-from repro.perf import PerfConfig, simulate_run
+from repro.perf import PerfConfig, simulate_run, simulate_timeline
 from repro.perf.scaling import weak_scaling, weak_scaling_efficiency
 
 REL = 1e-9
@@ -22,7 +22,7 @@ REL = 1e-9
 def fig7_report():
     """The paper's single-node Fig. 7 run: N=256k, NB=512, 4x2, split."""
     cfg = PerfConfig(n=256_000, nb=512, p=4, q=2, pl=4, ql=2)
-    return simulate_run(cfg, crusher_cluster(1), fidelity="fast")
+    return simulate_run(cfg, crusher_cluster(1))
 
 
 class TestFig7Golden:
@@ -57,18 +57,14 @@ class TestFig7Golden:
         assert len(fig7_report.k) == 500
 
     def test_fast_and_full_engines_agree_bitwise(self, fig7_report):
-        cfg = fig7_report.cfg
-        full = simulate_run(cfg, crusher_cluster(1), fidelity="full")
-        assert full.makespan == fig7_report.makespan
-        assert full.score_tflops == fig7_report.score_tflops
-        assert full.hidden_time_fraction == fig7_report.hidden_time_fraction
-        assert full.first_exposed == 241
+        timeline = simulate_timeline(fig7_report.cfg, crusher_cluster(1))
+        assert timeline.makespan == fig7_report.makespan
 
 
 class TestFig8Golden:
     @pytest.fixture(scope="class")
     def points(self):
-        return weak_scaling([1, 128], fidelity="fast")
+        return weak_scaling([1, 128])
 
     def test_128_node_efficiency_pinned(self, points):
         """Paper: >90 % weak-scaling efficiency out to 128 nodes."""

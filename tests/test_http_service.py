@@ -435,6 +435,7 @@ class TestErrorContractAcrossShards:
 
 
 _OK_ITEM = {"kind": "probe", "payload": {"behavior": "ok"}}
+_SIM_GRID = {"n": 4096, "nb": 256, "p": 2, "q": 2}
 
 #: One malformed submission per row: what is wrong with it, the typed
 #: error it must earn, and the item (``kind``/``payload``/...) or the
@@ -457,6 +458,14 @@ _BAD_ITEMS = {
                                           "payload": {"n": -5}}),
     "run-wrong-type": ("bad_config", {"kind": "run", "payload": {
         "n": "64", "nb": 8, "p": 2, "q": 2}}),
+    "sim-nb-zero": ("bad_config", {"kind": "sim", "payload": {
+        **_SIM_GRID, "nb": 0}}),
+    "sim-pl-not-tiling-p": ("bad_config", {"kind": "sim", "payload": {
+        **_SIM_GRID, "pl": 3}}),
+    "sim-unknown-schedule": ("bad_config", {"kind": "sim", "payload": {
+        **_SIM_GRID, "schedule": "eager"}}),
+    "sim-split-fraction-2": ("bad_config", {"kind": "sim", "payload": {
+        **_SIM_GRID, "split_fraction": 2}}),
 }
 _BAD_SWEEPS = {
     "sweep-axes-a-list": ("malformed", {"kind": "probe", "axes": [1, 2]}),
@@ -537,6 +546,14 @@ class TestMalformedSubmissions:
         if row == "sweep-never-expanded":
             assert time.monotonic() - started < 1.0
         assert not idle_server.service.store.events()
+
+    def test_validating_a_sim_payload_imports_no_numpy(self, tmp_path):
+        """Submit-time validation runs in the server: numpy there would
+        more than double its resident set (28 -> 64 MB)."""
+        code = ("import sys; from repro.service import Service; "
+                f"Service({str(tmp_path)!r}).submit('sim', {_SIM_GRID!r}); "
+                "sys.exit('numpy' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
     def test_errors_name_the_position_only_in_a_list(self, idle_server):
         client = ServiceClient(idle_server.url)
