@@ -6,12 +6,11 @@ submits per second one coordinator absorbs -- and keep the answer in a
 committed trajectory (``BENCH_service_throughput.json`` at the repo
 root) so every future PR's regression is a diff, not an anecdote.
 
-Four scenarios, each against a **real** ``repro serve`` subprocess
+Three scenarios, each against a **real** ``repro serve`` subprocess
 (so the RSS figures are the coordinator's own, not the harness's):
 
-* ``1shard``  -- storm over a single-workdir coordinator, 2 workers.
-* ``3shard``  -- the same storm over ``--shards 3``; sharding should
-  hold or raise throughput, never crater it.
+* ``1shard``  -- storm over a coordinator with 2 workers (the name is
+  kept so the trajectory's entries line up across commits).
 * ``admission`` -- a submit-only storm into a low watermark
   (``--max-queue-depth``): the point is the 429 ``overloaded`` path
   *under* load -- rejections are cheap, nothing 500s, and the queue
@@ -65,13 +64,13 @@ TRAJECTORY = REPO_ROOT / "BENCH_service_throughput.json"
 SUBMITS_PER_S_FLOOR = 25.0
 
 
-def _start_serve(workdir, shards: int = 1, workers: int = 2,
+def _start_serve(workdir, workers: int = 2,
                  max_queue_depth: int = 0) -> tuple[subprocess.Popen, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + \
         env.get("PYTHONPATH", "")
     cmd = [sys.executable, "-m", "repro", "serve", "--workdir",
-           str(workdir), "--shards", str(shards), "--port", "0",
+           str(workdir), "--port", "0",
            "--workers", str(workers), "--backoff", "0.01"]
     if max_queue_depth:
         cmd += ["--max-queue-depth", str(max_queue_depth)]
@@ -90,19 +89,17 @@ def _stop(proc: subprocess.Popen | None) -> None:
         proc.wait(timeout=30)
 
 
-def run_scenario(workdir, *, shards: int, duration: float,
+def run_scenario(workdir, *, duration: float,
                  processes: int = 2, concurrency: int = 6,
                  mix: dict | None = None, max_queue_depth: int = 0,
                  drain_timeout: float = 600.0, seed: int = 0) -> dict:
     """One storm + drain against a fresh serve subprocess."""
-    proc, url = _start_serve(workdir, shards=shards,
-                             max_queue_depth=max_queue_depth)
+    proc, url = _start_serve(workdir, max_queue_depth=max_queue_depth)
     try:
         report = run_storm(url, duration=duration, processes=processes,
                            concurrency=concurrency, mix=mix, seed=seed,
                            server_pid=proc.pid)
         report["drain"] = measure_drain(url, timeout=drain_timeout)
-        report["shards"] = shards
         report["max_queue_depth"] = max_queue_depth
         return report
     finally:
@@ -206,8 +203,7 @@ def _committed_poll_baseline(jobs: int, watchers: int) -> dict:
 
 
 def run_watch_scenario(workdir, *, jobs: int = 200, watchers: int = 50,
-                       job_seconds: float = 0.05,
-                       shards: int = 1) -> dict:
+                       job_seconds: float = 0.05) -> dict:
     """Watch-vs-poll: a watched drain against the committed poll tally.
 
     The claim under test: 50 clients watching a 200-job drain issue at
@@ -215,7 +211,7 @@ def run_watch_scenario(workdir, *, jobs: int = 200, watchers: int = 50,
     polling did, while missing zero terminal transitions.
     """
     poll = _committed_poll_baseline(jobs, watchers)
-    proc, url = _start_serve(workdir, shards=shards, workers=4)
+    proc, url = _start_serve(workdir, workers=4)
     try:
         watch = _watch_drain(url, jobs=jobs, watchers=watchers,
                              job_seconds=job_seconds)
@@ -223,7 +219,6 @@ def run_watch_scenario(workdir, *, jobs: int = 200, watchers: int = 50,
         _stop(proc)
     ratio = poll["status_requests"] / max(1, watch["status_requests"])
     return {
-        "shards": shards,
         "poll": poll,
         "watch": watch,
         "status_request_ratio": round(ratio, 1),
@@ -234,14 +229,11 @@ def run_all(tmp_root, duration: float = 6.0) -> dict:
     """The full scenario set; ``tmp_root`` holds the scratch workdirs."""
     tmp_root = pathlib.Path(tmp_root)
     scenarios = {
-        "1shard": run_scenario(tmp_root / "s1", shards=1,
-                               duration=duration, seed=1),
-        "3shard": run_scenario(tmp_root / "s3", shards=3,
-                               duration=duration, seed=3),
+        "1shard": run_scenario(tmp_root / "s1", duration=duration, seed=1),
         # Submit-only flood into a low watermark: measure the refusal
         # path itself.  Workers keep draining, so admitted jobs clear.
         "admission": run_scenario(
-            tmp_root / "adm", shards=1, duration=duration,
+            tmp_root / "adm", duration=duration,
             mix={"submit": 1}, max_queue_depth=200, seed=5),
         # The events tentpole's claim: watching a drain costs an order
         # of magnitude fewer status requests than polling it, and no
@@ -275,18 +267,17 @@ def append_trajectory(entry: dict, path: pathlib.Path = TRAJECTORY) -> list:
 
 def check_entry(entry: dict) -> None:
     """The shape claims every trajectory entry must satisfy."""
-    for name in ("1shard", "3shard"):
-        rep = entry["scenarios"][name]
-        assert rep["submitted_jobs"] > 0, f"{name}: nothing submitted"
-        assert rep["submits_per_s"] >= SUBMITS_PER_S_FLOOR, \
-            f"{name}: {rep['submits_per_s']} submits/s below the" \
-            f" {SUBMITS_PER_S_FLOOR} floor"
-        assert bad_5xx(rep) == 0, \
-            f"{name}: non-503 5xx under load: {rep['status_codes']}"
-        assert rep["drain"]["initial_depth"] >= 0
-        for op in ("submit", "status"):
-            stats = rep["ops"].get(op)
-            assert stats and stats["p99_ms"] > 0.0, f"{name}: no {op} data"
+    rep = entry["scenarios"]["1shard"]
+    assert rep["submitted_jobs"] > 0, "1shard: nothing submitted"
+    assert rep["submits_per_s"] >= SUBMITS_PER_S_FLOOR, \
+        f"1shard: {rep['submits_per_s']} submits/s below the" \
+        f" {SUBMITS_PER_S_FLOOR} floor"
+    assert bad_5xx(rep) == 0, \
+        f"1shard: non-503 5xx under load: {rep['status_codes']}"
+    assert rep["drain"]["initial_depth"] >= 0
+    for op in ("submit", "status"):
+        stats = rep["ops"].get(op)
+        assert stats and stats["p99_ms"] > 0.0, f"1shard: no {op} data"
     adm = entry["scenarios"]["admission"]
     assert bad_5xx(adm) == 0, \
         f"admission: non-503 5xx: {adm['status_codes']}"
@@ -306,7 +297,7 @@ def check_entry(entry: dict) -> None:
 
 
 def test_service_throughput_trajectory(tmp_path):
-    """Short storms over 1/3 shards + the watermark; append trajectory."""
+    """A short storm + the watermark + the watch; append trajectory."""
     entry = run_all(tmp_path, duration=float(
         os.environ.get("BENCH_LOAD_DURATION", "6.0")))
     check_entry(entry)

@@ -6,9 +6,7 @@ the weak-scaling study (Fig. 8) *at* the winning NB — expressed as one
 ``POST /v1/campaigns``.  The coordinator expands the spec into a job
 DAG: the scaling stage is born BLOCKED, the ``reduce`` stage picks the
 winner from its parents' results, and the ``{"$winner": "nb"}``
-placeholder resolves at launch, after the winner exists.  A 3-shard
-coordinator hosts the queue, so the dependency edges routinely cross
-shards.
+placeholder resolves at launch, after the winner exists.
 
 Run with:  PYTHONPATH=src python examples/service_campaign.py
 """
@@ -80,11 +78,9 @@ async def run_example(url: str) -> None:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
-        # In production this is a long-lived `repro serve --shards 3`;
-        # here the coordinator, its shards, and the client share one
-        # process.
-        with ServiceHTTPServer(workdir, port=0, workers=2,
-                               shards=3) as server:
+        # In production this is a long-lived `repro serve`; here the
+        # coordinator and the client share one process.
+        with ServiceHTTPServer(workdir, port=0, workers=2) as server:
             asyncio.run(run_example(server.url))
 
 

@@ -17,10 +17,7 @@ Batch service commands (see ``docs/service.md``):
                   with ``--url`` the pool becomes a *remote fleet
                   member* leasing jobs from a coordinator over HTTP.
 * ``serve``    -- run the JSON-over-HTTP front-end (plus an in-process
-                  worker pool) so remote clients share one queue;
-                  ``--shards N`` (or ``--workdir`` repeated) fans the
-                  queue over several workdir shards.
-* ``shards``   -- per-shard queue depth and lease stats.
+                  worker pool) so remote clients share one queue.
 * ``status``   -- job counts and per-job states (filter/paginate with
                   ``--state/--kind/--limit/--cursor``).
 * ``results``  -- print results of completed jobs.
@@ -30,9 +27,9 @@ Batch service commands (see ``docs/service.md``):
                   (``campaign submit``) and track its per-stage
                   progress (``campaign status`` / ``campaign list``).
 
-``submit``/``workers``/``status``/``results``/``shards``/``cancel``/
-``campaign`` accept ``--url`` to operate against a remote ``repro
-serve`` instance instead of a local workdir.  Each is written once
+``submit``/``workers``/``status``/``results``/``cancel``/``campaign``
+accept ``--url`` to operate against a remote ``repro serve`` instance
+instead of a local workdir.  Each is written once
 against the service facade (:mod:`repro.service.facade`): ``_backend``
 picks the in-process ``Service`` or the HTTP ``ServiceClient``, and the
 command body cannot tell which it got.
@@ -536,13 +533,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.http.server import ServiceHTTPServer
 
-    workdirs = args.workdir or [".repro-service"]
-    if args.shards < 1:
-        raise ConfigError(f"--shards must be >= 1, got {args.shards}")
-    if len(workdirs) > 1 and args.shards != 1:
-        raise ConfigError(
-            "pass either --shards N or --workdir repeated, not both"
-        )
     if args.max_queue_depth < 0:
         raise ConfigError(
             f"--max-queue-depth must be >= 0, got {args.max_queue_depth}"
@@ -552,18 +542,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"--rate-limit must be >= 0, got {args.rate_limit}"
         )
     server = ServiceHTTPServer(
-        workdirs[0], host=args.host, port=args.port,
+        args.workdir, host=args.host, port=args.port,
         workers=args.workers, backoff_base=args.backoff, quiet=args.quiet,
-        shards=args.shards,
-        shard_workdirs=workdirs if len(workdirs) > 1 else None,
         inline_max=args.inline_max,
         max_queue_depth=args.max_queue_depth,
         rate_limit=args.rate_limit, rate_burst=args.rate_burst,
     )
-    nshards = server.service.nshards
-    shard_note = f" across {nshards} shard(s)" if nshards > 1 else ""
     print(f"serving {server.service.workdir} on {server.url} "
-          f"with {args.workers} worker slot(s){shard_note}", flush=True)
+          f"with {args.workers} worker slot(s)", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -574,39 +560,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shards(args: argparse.Namespace) -> int:
-    """Per-shard depth/lease figures from the backend's ``healthz``."""
-    health = _backend(args).healthz()
-    stats = health["shards"]
-    where = args.url or f"workdir {health['workdir']}"
-    degraded = [s for s in stats if not s.get("ok", False)]
-    print(f"{where}: {len(stats)} shard(s)"
-          + (f", {len(degraded)} DEGRADED" if degraded else ""))
-    print(f"{'shard':<7}{'blocked':<9}{'pending':<9}{'running':<9}"
-          f"{'done':<7}{'failed':<8}{'leases':<8}workdir")
-    for s in stats:
-        if not s.get("ok", False):
-            print(f"{s['index']:<7}{'-':<9}{'-':<9}{'-':<9}{'-':<7}{'-':<8}"
-                  f"{'-':<8}{s['workdir']}  DEGRADED:"
-                  f" {s.get('error', '')[:80]}")
-            continue
-        c = s["counts"]
-        print(f"{s['index']:<7}{c.get('BLOCKED', 0):<9}{c['PENDING']:<9}"
-              f"{c['RUNNING']:<9}{c['DONE']:<7}{c['FAILED']:<8}"
-              f"{s['leases']:<8}{s['workdir']}")
-    return 1 if degraded else 0
-
-
-def _add_service_args(p: argparse.ArgumentParser, remote: bool = False,
-                      multi_workdir: bool = False) -> None:
-    if multi_workdir:
-        p.add_argument("--workdir", action="append", default=None,
-                       help="service state directory (queue + cache); "
-                            "repeat to shard the queue over several "
-                            "explicit directories")
-    else:
-        p.add_argument("--workdir", default=".repro-service",
-                       help="service state directory (queue + cache)")
+def _add_service_args(p: argparse.ArgumentParser,
+                      remote: bool = False) -> None:
+    p.add_argument("--workdir", default=".repro-service",
+                   help="service state directory (queue + cache)")
     if remote:
         p.add_argument("--url", default="",
                        help="operate on a remote `repro serve` instance "
@@ -741,17 +698,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve", help="serve the queue over HTTP (see docs/service.md)"
     )
-    _add_service_args(p_serve, multi_workdir=True)
-    p_serve.add_argument("--shards", type=int, default=1,
-                         help="fan the queue over this many workdir "
-                              "shards under --workdir (1 = plain store)")
+    _add_service_args(p_serve)
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="interface to bind")
     p_serve.add_argument("--port", type=int, default=8400,
                          help="port to bind (0 = ephemeral)")
     p_serve.add_argument("--workers", type=int, default=2,
-                         help="in-process worker slots in total, "
-                              "whatever --shards is (0 = serve only; "
+                         help="in-process worker slots (0 = serve only; "
                               "run `repro workers` separately)")
     p_serve.add_argument("--backoff", type=float, default=0.5,
                          help="retry backoff base (seconds)")
@@ -802,12 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "printing (large results are chunk-downloaded, "
                             "never held in memory)")
     p_res.set_defaults(fn=_cmd_results)
-
-    p_shards = sub.add_parser(
-        "shards", help="per-shard queue depth and lease stats"
-    )
-    _add_service_args(p_shards, remote=True)
-    p_shards.set_defaults(fn=_cmd_shards)
 
     p_can = sub.add_parser("cancel", help="cancel queued jobs (idempotent)")
     _add_service_args(p_can, remote=True)

@@ -112,16 +112,16 @@ class UnknownRouteError(ServiceError):
     http_status = 404
 
 
-class ShardUnavailableError(ServiceError):
-    """A write routed to a shard whose SQLite file cannot be reached.
+class StoreUnavailableError(ServiceError):
+    """The job store's SQLite file cannot be read or written right now.
 
-    Other shards keep serving; the caller may retry once the shard
-    recovers (a hung writer released the file lock, the disk came
-    back).  Reads and sweeps never raise this -- they skip the wedged
-    shard and serve what is reachable.
+    A hung writer holds the file lock past the busy timeout, or the disk
+    failed.  Every call that touches the queue raises this instead of
+    answering from a queue it could not read; the caller may retry once
+    the store recovers.
     """
 
-    code = "shard_unavailable"
+    code = "store_unavailable"
     http_status = 503
 
 
@@ -147,8 +147,8 @@ class BadCursorError(ServiceError):
     """An event/queue cursor token is malformed or ahead of the log.
 
     Cursors are opaque continuation tokens; a token the server cannot
-    decode, one minted against a different shard count, or one whose
-    offsets lie beyond the end of the audit log is rejected outright --
+    decode, or one whose offset lies beyond the end of the audit log, is
+    rejected outright --
     the client should restart from ``begin`` (or ``now``).
     """
 

@@ -39,12 +39,6 @@ from .events import (
 )
 from .facade import ServiceFacade, WaitTimeout
 from .jobs import Job, JobState, Lease, new_job_id
-from .shard import (
-    ShardedStore,
-    detect_shard_workdirs,
-    shard_index,
-    shard_workdirs,
-)
 from .store import JobStore
 from .streams import (
     DEFAULT_CHUNK_SIZE,
@@ -96,7 +90,6 @@ __all__ = [
     "ResultView",
     "Service",
     "ServiceFacade",
-    "ShardedStore",
     "StageView",
     "SubmitReceipt",
     "Sweep",
@@ -107,7 +100,6 @@ __all__ = [
     "decode_cursor",
     "decode_result",
     "encode_cursor",
-    "detect_shard_workdirs",
     "encode_result",
     "expand_grid",
     "iter_chunks",
@@ -115,7 +107,5 @@ __all__ = [
     "parse_campaign_spec",
     "payload_key",
     "register_runner",
-    "shard_index",
-    "shard_workdirs",
     "toposort",
 ]

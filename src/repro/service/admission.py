@@ -12,8 +12,7 @@ independent gates guard the submit endpoints (``POST /v1/jobs``,
   Depth is read through a short-TTL cache (:attr:`depth_ttl`) so a
   storm of submissions costs one store scan per window, not one per
   request; the watermark is therefore *soft* by at most one window's
-  worth of admissions, which is exactly the tolerance a sharded
-  ``counts()`` has anyway (see :meth:`ShardedStore.counts`).
+  worth of admissions.
 * **Per-client token bucket** -- each client (the ``X-Client-Id``
   header, falling back to the peer address) gets ``rate_limit`` tokens
   per second with a burst of ``rate_burst``; a request finding the

@@ -5,8 +5,8 @@ together behind the call vocabulary of :mod:`repro.service.facade` --
 the surface the CLI, the worker pool and the HTTP front-end use, and the
 one :class:`~repro.service.http.ServiceClient` answers over the wire.
 Submission has one path -- :meth:`Service.submit_many` validates,
-builds the jobs and inserts them with one transaction per shard; a
-single submit, a sweep and each campaign stage are calls of it -- and
+builds the jobs and inserts them in one transaction; a single submit,
+a sweep and each campaign stage are calls of it -- and
 it is where result reuse happens:
 
 * a payload whose content key already has a cached result is recorded as
@@ -22,6 +22,7 @@ it is where result reuse happens:
 
 from __future__ import annotations
 
+import glob
 import math
 import os
 import threading
@@ -33,6 +34,7 @@ from ..errors import (
     ConfigError,
     MalformedRequestError,
     ServiceError,
+    StoreUnavailableError,
     UnknownJobError,
     UnknownJobKindError,
     UnknownParentError,
@@ -45,8 +47,7 @@ from .events import (EventBroker, EventFilter, decode_queue_cursor,
                      encode_queue_cursor, makes_claimable)
 from .facade import ServiceFacade
 from .jobs import UNCACHED_KINDS, Job, JobState, Lease, new_job_id
-from .shard import (ShardedStore, detect_shard_workdirs,
-                    shard_workdirs as _shard_layout)
+from .store import JobStore
 from .streams import DEFAULT_INLINE_MAX, MAX_CHUNK_BYTES
 from .sweep import MAX_BATCH_JOBS, Sweep
 from .views import (CampaignView, DagView, EventView, JobView, QueuePage,
@@ -206,12 +207,11 @@ def _lease_ttl(ttl) -> float:
 class Service(ServiceFacade):
     """One service instance rooted at a workdir (queue + cache on disk).
 
-    The queue is always a :class:`~repro.service.shard.ShardedStore`:
-    ``shards > 1`` (or an explicit ``shard_workdirs`` list) fans it over
-    N workdir shards, and a plain workdir is shard 0 of 1 -- same files
-    on disk as before sharding existed, so no migration step exists.
-    The result cache stays single and shared (it is content-addressed,
-    so shard routing never affects it).
+    The queue is one :class:`~repro.service.store.JobStore` in the
+    workdir itself, beside the content-addressed result cache.  A
+    workdir still laid out as ``shards/NN/`` is refused with a
+    :class:`ConfigError` rather than served as an empty queue.
+    ``shards``: ignored; goes with the benchmark harness's next change.
     """
 
     #: Growth factor of a worker pool's idle poll on this backend: an
@@ -219,20 +219,18 @@ class Service(ServiceFacade):
     poll_backoff = 1.0
 
     def __init__(self, workdir=DEFAULT_WORKDIR,
-                 backoff_base: float = 0.5, shards: int = 1,
-                 shard_workdirs=None,
+                 backoff_base: float = 0.5, shards=None,
                  busy_timeout: float = 30.0,
                  inline_max: int = DEFAULT_INLINE_MAX) -> None:
         self.workdir = os.fspath(workdir)
-        if shard_workdirs is None:
-            # Respect a shards/ layout already on disk: reopening a
-            # sharded workdir without --shards must not strand the
-            # shard queues.
-            shard_workdirs = (_shard_layout(self.workdir, shards)
-                              if shards > 1
-                              else detect_shard_workdirs(self.workdir))
-        self.store = ShardedStore(shard_workdirs,
-                                  busy_timeout=busy_timeout)
+        if glob.glob(os.path.join(glob.escape(self.workdir), "shards", "*",
+                                  "jobs.sqlite")):
+            raise ConfigError(
+                f"{self.workdir} holds a sharded queue (shards/NN/"
+                f"jobs.sqlite), which this release cannot serve; drain it"
+                f" with the previous release"
+            )
+        self.store = JobStore(self.workdir, busy_timeout=busy_timeout)
         self.inline_max = inline_max
         self.cache = ResultCache(os.path.join(self.workdir, "cache"),
                                  inline_max=inline_max)
@@ -240,16 +238,16 @@ class Service(ServiceFacade):
         self.campaign_store = CampaignStore(
             os.path.join(self.workdir, "campaigns"))
         # Dependency-aware release: the resolver hangs off the store's
-        # terminal hook so a parent finishing on any shard releases (or
-        # cancels) its children event-driven.  The opening sweep is
-        # crash recovery -- a coordinator SIGKILLed between a parent's
-        # commit and its children's release reconciles here.
+        # terminal hook so a parent finishing releases (or cancels) its
+        # children event-driven.  The opening sweep is crash recovery --
+        # a coordinator SIGKILLed between a parent's commit and its
+        # children's release reconciles here.
         self.dag = DagResolver(self.store)
         self.store.set_terminal_hook(self.dag.on_terminal)
         self.dag.sweep()
-        # The event feed: tails every shard's audit log with resumable
-        # cursors and wakes long-poll/SSE subscribers on append.  Holds
-        # no subscriber state, so constructing it is cheap even for
+        # The event feed: tails the audit log with resumable cursors
+        # and wakes long-poll/SSE subscribers on append.  Holds no
+        # subscriber state, so constructing it is cheap even for
         # one-shot CLI calls.
         self.broker = EventBroker(self.store)
         # Pools built by worker_pool(): an append through this service
@@ -261,22 +259,13 @@ class Service(ServiceFacade):
         self.store.set_event_hook(self._on_event)
 
     def _on_event(self, record: dict) -> None:
-        """The stores' append hook: wake feed readers, then idle pools."""
+        """The store's append hook: wake feed readers, then idle pools."""
         self.broker.wake(record)
         if makes_claimable(record):
             with self._pools_lock:
                 pools = list(self._pools)
             for pool in pools:
                 pool.wake()
-
-    @property
-    def nshards(self) -> int:
-        """How many shards back the queue (1 for a plain workdir)."""
-        return self.store.nshards
-
-    def shard_stats(self) -> list[dict]:
-        """Per-shard depth/lease figures (one entry for a plain workdir)."""
-        return self.store.shard_stats()
 
     # -- submission ------------------------------------------------------
     #
@@ -286,31 +275,25 @@ class Service(ServiceFacade):
     # and the CLI) are callers of it, so what a well-formed submission
     # is gets decided in ``_validated`` and nowhere else.
 
-    def _parents_done(self, parents: list[str]) -> bool:
-        """Whether every parent is DONE; all of them must exist.
+    def _parent_states(self, parents) -> dict:
+        """Each parent's state, in one store read; all must exist.
 
-        :class:`UnknownParentError` (404) otherwise.  A submission
-        cannot create a cycle -- its own id does not exist yet, so a
-        self- or forward-reference fails the existence check; cyclic
-        *stage* graphs are rejected by the campaign expander before
-        anything is enqueued.
+        :class:`UnknownParentError` (404) names the first that does
+        not.  A submission cannot create a cycle -- its own id does not
+        exist yet, so a self- or forward-reference fails this check;
+        cyclic *stage* graphs are rejected by the campaign expander
+        before anything is enqueued.
         """
-        all_done = True
+        states = self.store.states(parents)
         for pid in parents:
-            try:
-                parent = self.store.get(pid)
-            except UnknownJobError:
-                raise UnknownParentError(
-                    f"unknown parent job: {pid}"
-                ) from None
-            if parent.state is not JobState.DONE:
-                all_done = False
-        return all_done
+            if pid not in states:
+                raise UnknownParentError(f"unknown parent job: {pid}")
+        return states
 
     def submit_many(self, submissions, timeout: float = 0.0,
                     max_retries: int = 2,
                     depends_on=()) -> list[SubmitReceipt]:
-        """Submit N jobs with one store transaction per shard.
+        """Submit N jobs in one store transaction.
 
         ``submissions`` is a sequence of dicts, each with ``kind`` and
         ``payload`` plus optional per-item ``timeout`` / ``max_retries``
@@ -331,21 +314,26 @@ class Service(ServiceFacade):
 
         Everything is validated before anything is enqueued, so a
         malformed item rejects the whole call with nothing inserted,
-        and the insert is one ``BEGIN IMMEDIATE`` per shard instead of
-        one per job -- per the tiled-algorithms rule that per-item
+        and the insert is one ``BEGIN IMMEDIATE`` instead of one per
+        job -- per the tiled-algorithms rule that per-item
         overhead caps sustained throughput.  ``depends_on`` may only
         name jobs that already exist; items cannot reference each other
         (their ids are not assigned until the call commits) -- use a
         campaign for staged graphs.
         """
+        items = _validated(submissions, timeout, max_retries, depends_on)
+        # One read for every distinct parent of the call, not one per
+        # item and parent.
+        states = self._parent_states(
+            list(dict.fromkeys(p for *_, parents in items for p in parents)))
         staged: list[tuple[Job, bool]] = []
-        for kind, payload, item_timeout, item_retries, parents in \
-                _validated(submissions, timeout, max_retries, depends_on):
+        for kind, payload, item_timeout, item_retries, parents in items:
             key = payload_key(kind, payload, parents=parents)
             job = Job(
                 id=new_job_id(), kind=kind, payload=payload, key=key,
                 timeout=item_timeout, max_retries=item_retries,
-                state=(JobState.PENDING if self._parents_done(parents)
+                state=(JobState.PENDING
+                       if all(states[p] is JobState.DONE for p in parents)
                        else JobState.BLOCKED),
                 depends_on=parents,
             )
@@ -361,7 +349,7 @@ class Service(ServiceFacade):
                 dedup = False
             staged.append((job, dedup))
         receipts: list[SubmitReceipt] = []
-        blocked: list[str] = []
+        blocked: list[Job] = []
         for (job, _), (_, existing) in zip(
                 staged, self.store.add_batch(staged)):
             if existing is not None:
@@ -371,12 +359,17 @@ class Service(ServiceFacade):
             else:
                 receipts.append(SubmitReceipt(new=[job.id]))
                 if job.state is JobState.BLOCKED:
-                    blocked.append(job.id)
-        for job_id in blocked:
+                    blocked.append(job)
+        if blocked:
             # Close the submit-vs-completion race: a parent that turned
-            # terminal between the state check above and the insert
-            # fired its hook before this child's edges existed.
-            self.dag.reconcile(job_id)
+            # terminal between the state read above and the insert
+            # fired its hook before these children's edges existed.
+            # One more read says which children need settling.
+            now = self.store.states(list(dict.fromkeys(
+                p for job in blocked for p in job.depends_on)))
+            for job in blocked:
+                if any(now[p].terminal for p in job.depends_on):
+                    self.dag.reconcile(job.id)
         return receipts
 
     def submit(self, kind: str, payload: dict, timeout: float = 0.0,
@@ -562,22 +555,20 @@ class Service(ServiceFacade):
         return ResultView(job=view, ready=True, result=record["result"])
 
     def healthz(self) -> dict:
-        """Liveness plus load: per-shard stats and per-state depths."""
-        shards = self.shard_stats()
-        degraded = [s["workdir"] for s in shards if not s["ok"]]
-        return {
-            "ok": not degraded,
-            "workdir": self.workdir,
-            "nshards": self.nshards,
-            "shards": shards,
-            "degraded": degraded,
-            # Per-state queue depths (BLOCKED included), merged across
-            # shards.  Each shard's figure is an exact snapshot of that
-            # shard; the merge is a smear across the read window (see
-            # ShardedStore.counts), never negative and never
-            # double-counting.
-            "queue": self.store.counts(),
-        }
+        """Liveness plus load: per-state depths and live leases.
+
+        A wedged store is reported, not raised: ``ok`` is False with
+        the ``error`` text and ``queue`` / ``leases`` are None, so the
+        probe itself never goes dark.
+        """
+        try:
+            queue = self.store.counts()
+            leases = len(self.store.active_leases())
+        except StoreUnavailableError as exc:
+            return {"ok": False, "workdir": self.workdir, "error": str(exc),
+                    "queue": None, "leases": None}
+        return {"ok": True, "workdir": self.workdir, "queue": queue,
+                "leases": leases}
 
     # -- leases (worker pools, embedded and remote) ----------------------
 
@@ -749,9 +740,7 @@ class Service(ServiceFacade):
         """Drain the queue with an in-process worker pool (blocking).
 
         Accepts a :class:`WorkerOptions` bundle; bare keyword overrides
-        (``run_workers(n=4, max_seconds=60)``) are folded into it.  One
-        pool claims across every shard under one logical lease, so ``n``
-        is the total number of children whatever the shard count.
+        (``run_workers(n=4, max_seconds=60)``) are folded into it.
         """
         options = (options or WorkerOptions()).replace(**overrides)
         return self.worker_pool(options).run()

@@ -23,13 +23,9 @@ BLOCKED:
   permanent), so the guarded BLOCKED -> CANCELLED update covers exactly
   the descendant set.
 
-The resolver is written against the *logical* store -- a single
-:class:`~repro.service.store.JobStore` or a
-:class:`~repro.service.shard.ShardedStore` -- so a parent completing on
-one shard releases children that hashed to any other shard: this is the
-cross-shard release notifier.  :meth:`DagResolver.sweep` replays the
-same decisions over every BLOCKED job for crash recovery (a coordinator
-SIGKILLed between a parent's commit and its children's release).
+:meth:`DagResolver.sweep` replays the same decisions over every BLOCKED
+job for crash recovery (a coordinator SIGKILLed between a parent's
+commit and its children's release).
 """
 
 from __future__ import annotations

@@ -1,19 +1,19 @@
-"""Resumable event feed over the per-shard JSONL audit logs.
+"""Resumable event feed over the JSONL audit log.
 
 Every state transition the service commits is already durably recorded
-in each shard's ``events.jsonl`` (see :meth:`JobStore._event`); this
-module exposes those logs as one merged, resumable stream so clients
-can *watch* jobs instead of polling them -- the O(clients x poll-rate)
-status traffic the admission controller otherwise has to throttle
-collapses to O(transitions).
+in the store's ``events.jsonl`` (see :meth:`JobStore._event`); this
+module exposes that log as a resumable stream so clients can *watch*
+jobs instead of polling them -- the O(clients x poll-rate) status
+traffic the admission controller otherwise has to throttle collapses to
+O(transitions).
 
 The pieces:
 
-* **Cursors** -- a cursor is one logical byte offset per shard, encoded
-  as an opaque base64 token (:func:`encode_cursor` /
+* **Cursors** -- a cursor is one logical byte offset into the log,
+  encoded as an opaque base64 token (:func:`encode_cursor` /
   :func:`decode_cursor`).  Offsets are stable across coordinator
-  restarts *and* log compactions (each shard's ``events.base`` sidecar
-  folds discarded bytes into the offset arithmetic), which is what makes
+  restarts *and* log compactions (the ``events.base`` sidecar folds
+  discarded bytes into the offset arithmetic), which is what makes
   ``Last-Event-ID`` resume exactly-once.  The sentinels ``begin`` and
   ``now`` stand for "everything the log still holds" and "only what
   happens from here on"; under a job-id filter ``begin`` is where the
@@ -28,14 +28,13 @@ The pieces:
   built for matches only).
 
 * **:class:`EventBroker`** -- the coordinator-side fan-out.  It tails
-  every shard's log with cursor reads, k-way merges them into one
-  stream (per-shard file order is preserved even when clock timestamps
-  invert under write contention -- file order is the authoritative
-  order within a shard), and wakes blocked long-poll/SSE subscribers
-  from the store's append hook, falling back to a short re-check
-  interval for appends made by *other* processes sharing the workdir.
+  the log with cursor reads in file order (the authoritative order,
+  even when clock timestamps invert under write contention), and wakes
+  blocked long-poll/SSE subscribers from the store's append hook,
+  falling back to a short re-check interval for appends made by
+  *other* processes sharing the workdir.
 
-No broker process, no message queue: the JSONL logs are the bus, the
+No broker process, no message queue: the JSONL log is the bus, the
 cursor is the subscription state, and the client holds it.  This is the
 decoupled pub/sub shape of Balsam's ``MessageInterface`` fan-out with
 the durable log standing in for the AMQP broker.
@@ -45,10 +44,8 @@ from __future__ import annotations
 
 import base64
 import binascii
-import collections
 import dataclasses
 import json
-import sqlite3
 import threading
 import time
 
@@ -75,20 +72,24 @@ IMPLIED_STATE = {
 }
 
 
-def encode_cursor(offsets) -> str:
-    """Pack per-shard logical offsets into an opaque token."""
-    payload = json.dumps({"v": 1, "o": [int(o) for o in offsets]},
+def encode_cursor(offset: int) -> str:
+    """Pack a logical log offset into an opaque token.
+
+    The wire shape is ``{"v": 1, "o": [offset]}`` -- a one-element list,
+    so every token an earlier server minted still resumes.
+    """
+    payload = json.dumps({"v": 1, "o": [int(offset)]},
                          separators=(",", ":"))
     return base64.urlsafe_b64encode(payload.encode("ascii")) \
         .decode("ascii").rstrip("=")
 
 
-def decode_cursor(token: str, nshards: int) -> list[int]:
+def decode_cursor(token: str) -> int:
     """Unpack a cursor token; reject anything that cannot be one.
 
     Raises :class:`BadCursorError` on undecodable tokens, unknown
-    versions, negative offsets, and tokens minted against a different
-    shard count (offsets are per-shard, so they do not transfer).
+    versions, negative offsets, and tokens carrying more than one
+    offset.
     """
     try:
         padded = token + "=" * (-len(token) % 4)
@@ -101,11 +102,11 @@ def decode_cursor(token: str, nshards: int) -> list[int]:
     if (not isinstance(offsets, list)
             or not all(isinstance(o, int) and o >= 0 for o in offsets)):
         raise BadCursorError(f"malformed cursor offsets in {token!r}")
-    if len(offsets) != nshards:
+    if len(offsets) != 1:
         raise BadCursorError(
-            f"cursor spans {len(offsets)} shard(s), this feed has {nshards}"
+            f"cursor carries {len(offsets)} offsets, this feed has one log"
         )
-    return offsets
+    return offsets[0]
 
 
 def encode_queue_cursor(offset: int) -> str:
@@ -200,7 +201,7 @@ class EventFilter:
 
 
 class EventBroker:
-    """Shard-merging tail over the audit logs, with blocking waits.
+    """Tail over the audit log, with blocking waits.
 
     One broker per coordinator process, shared by every subscriber; it
     holds no per-subscriber state (the cursor each client carries *is*
@@ -209,116 +210,75 @@ class EventBroker:
     """
 
     def __init__(self, store, poll_interval: float = 0.2) -> None:
-        # Shard order is the feed's shard numbering: cursor tokens
-        # encode one offset per shard, so it must be stable across
-        # restarts (it is -- shard workdirs are sorted on open).
-        self.stores = list(store.shards)
-        self.nshards = len(self.stores)
+        self.store = store
         self.poll_interval = poll_interval
         self._cond = threading.Condition()
         self._version = 0
         store.set_event_hook(self.wake)
 
     def wake(self, record: dict | None = None) -> None:
-        """The stores' append hook: release every blocked :meth:`poll`."""
+        """The store's append hook: release every blocked :meth:`poll`."""
         with self._cond:
             self._version += 1
             self._cond.notify_all()
 
     # -- cursor resolution ----------------------------------------------
 
-    def begin_offsets(self, job_ids=None) -> list[int]:
-        """The oldest offsets the logs hold -- or, for a feed filtered
-        to ``job_ids``, the offsets those jobs' histories start at.
+    def begin_offset(self, job_ids=None) -> int:
+        """The oldest offset the log holds -- or, for a feed filtered to
+        ``job_ids``, the offset those jobs' histories start at.
 
         A job's row records the log position it was submitted at
         (:meth:`JobStore.events_start`), so a watch of named jobs reads
         what the filtered replay would deliver without replaying what
-        was logged before them.  An id no shard holds, or a shard that
-        cannot be asked, means the full replay.
+        was logged before them.  An id the store does not hold means
+        the full replay.
         """
         if job_ids is not None:
-            try:
-                starts = [s.events_start(job_ids) for s in self.stores]
-            except sqlite3.OperationalError:
-                starts = []  # a wedged shard: replay rather than fail
-            if sum(held for held, _ in starts) == len(job_ids):
-                return [offset for _, offset in starts]
-        return [s.events_base() for s in self.stores]
+            held, start = self.store.events_start(job_ids)
+            if held == len(job_ids):
+                return start
+        return self.store.events_base()
 
-    def end_offsets(self) -> list[int]:
-        return [s.events_end() for s in self.stores]
-
-    def resolve(self, token: str | None, job_ids=None) -> list[int]:
-        """Offsets for a wire token (sentinels included); ``job_ids`` is
-        the feed's job filter, which only ``begin`` looks at."""
+    def resolve(self, token: str | None, job_ids=None) -> int:
+        """The offset for a wire token (sentinels included); ``job_ids``
+        is the feed's job filter, which only ``begin`` looks at."""
         if token is None or token == "" or token == BEGIN:
-            return self.begin_offsets(job_ids)
+            return self.begin_offset(job_ids)
         if token == NOW:
-            return self.end_offsets()
-        return decode_cursor(token, self.nshards)
+            return self.store.events_end()
+        return decode_cursor(token)
 
     # -- reads -----------------------------------------------------------
 
-    def read(self, offsets, limit: int = 500,
+    def read(self, offset: int, limit: int = 500,
              filter: EventFilter | None = None,
-             ) -> tuple[list[EventView], list[int]]:
-        """One non-blocking merged read from ``offsets``.
+             ) -> tuple[list[EventView], int]:
+        """One non-blocking read from ``offset``, in file order.
 
-        Returns ``(views, next_offsets)``: up to ``limit`` *matching*
-        events in merged order, each carrying the cursor token that
-        resumes just past it.  At most ``limit`` raw events are read
-        per shard, so one call is bounded regardless of log size; a
-        fully-filtered-out window returns no views but still advances
-        the offsets (callers loop until offsets stop moving).
-
-        The merge pops whichever shard's oldest unconsumed event has the
-        smallest timestamp, but only ever consumes each shard's events
-        in file order -- so per-shard order (the authoritative one) is
-        never violated by slightly inverted wall clocks, and cutting at
-        ``limit`` always leaves each shard at a clean prefix boundary.
-        The merge also stops where a shard's full window runs dry: its
-        next event is still on disk and may sort before the other
-        shards' heads (only a filtered read gets there; an unfiltered
-        one has its ``limit`` views by then).
+        Returns ``(views, next_offset)``: the *matching* events among
+        the next ``limit`` raw ones, each carrying the cursor token that
+        resumes just past it, so one call is bounded regardless of log
+        size.  A fully-filtered-out window returns no views but still
+        advances the offset (callers loop until it stops moving).
         """
-        offsets = list(offsets)
-        queues = []
-        for i, store in enumerate(self.stores):
-            batch, _end = store.read_events(offsets[i], limit=limit)
-            queues.append(collections.deque(batch))
-        full = [len(queue) == limit for queue in queues]
-        views: list[EventView] = []
-        while len(views) < limit:
-            pick = -1
-            best = None
-            for i, queue in enumerate(queues):
-                if not queue:
-                    continue
-                head_t = queue[0][0].get("t", 0.0)
-                if best is None or head_t < best:
-                    best = head_t
-                    pick = i
-            if pick < 0:
-                break
-            record, end_offset = queues[pick].popleft()
-            offsets[pick] = end_offset
-            # A filtered-out event is consumed (the cursor moves past
-            # it) but no view or token is built for it.
-            if filter is None or filter.matches(record):
-                views.append(EventView(
-                    cursor=encode_cursor(offsets),
-                    t=record.get("t", 0.0),
-                    job_id=record.get("job", ""),
-                    kind=record.get("event", ""),
-                    state=event_state(record),
-                    shard=pick,
-                    data={k: v for k, v in record.items()
-                          if k not in ("t", "job", "event")},
-                ))
-            if full[pick] and not queues[pick]:
-                break
-        return views, offsets
+        batch, next_offset = self.store.read_events(offset, limit=limit)
+        # A filtered-out event is consumed (the cursor moves past it)
+        # but no view or token is built for it.
+        views = [
+            EventView(
+                cursor=encode_cursor(end),
+                t=record.get("t", 0.0),
+                job_id=record.get("job", ""),
+                kind=record.get("event", ""),
+                state=event_state(record),
+                data={k: v for k, v in record.items()
+                      if k not in ("t", "job", "event")},
+            )
+            for record, end in batch
+            if filter is None or filter.matches(record)
+        ]
+        return views, next_offset
 
     def poll(self, token: str | None, limit: int = 500,
              filter: EventFilter | None = None, timeout: float = 0.0,
@@ -331,21 +291,21 @@ class EventBroker:
         ``poll_interval`` seconds for appends by other processes
         sharing the workdir.
         """
-        offsets = self.resolve(
+        offset = self.resolve(
             token, filter.job_ids if filter is not None else None)
         deadline = time.monotonic() + max(0.0, timeout)
         while True:
             with self._cond:
                 version = self._version
-            before = list(offsets)
-            views, offsets = self.read(offsets, limit=limit, filter=filter)
+            before = offset
+            views, offset = self.read(offset, limit=limit, filter=filter)
             if views:
-                return views, encode_cursor(offsets), False
-            if offsets != before:
+                return views, encode_cursor(offset), False
+            if offset != before:
                 continue  # scanned a filtered-out window; keep scanning
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                return [], encode_cursor(offsets), True
+                return [], encode_cursor(offset), True
             with self._cond:
                 # An append that landed after the version snapshot (and
                 # so may postdate the read) skips the wait entirely.

@@ -194,11 +194,11 @@ class ServiceFacade:
 
         Used where the real audit record is unavailable (a compacted
         log): the view carries the job's current state with ``kind``
-        lowered from it and ``shard=-1`` marking it synthesized.
+        lowered from it and ``data["synthesized"]`` marking it.
         """
         return EventView(
             cursor="", t=job.updated, job_id=job.id,
-            kind=job.state.lower(), state=job.state, shard=-1,
+            kind=job.state.lower(), state=job.state,
             data={"synthesized": True},
         )
 

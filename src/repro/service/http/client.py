@@ -60,7 +60,7 @@ from ...errors import (
     OverloadedError,
     RateLimitedError,
     ServiceError,
-    ShardUnavailableError,
+    StoreUnavailableError,
     UnknownCampaignError,
     UnknownJobError,
     UnknownJobKindError,
@@ -94,7 +94,7 @@ ERRORS_BY_CODE = {
         ConfigError, MalformedRequestError, UnknownJobError,
         UnknownRouteError, UnknownJobKindError, LeaseConflictError,
         LeaseExpiredError, ChunkOffsetError, ChunkIntegrityError,
-        ShardUnavailableError, CycleError, UnknownParentError,
+        StoreUnavailableError, CycleError, UnknownParentError,
         UnknownCampaignError, BackpressureError, OverloadedError,
         RateLimitedError, BadCursorError, EventsTruncatedError,
         ServiceError,
@@ -332,7 +332,7 @@ class ServiceClient(ServiceFacade):
         """Submit a :class:`~repro.service.Sweep` (or its spec dict).
 
         One round-trip, one merged receipt; the server expands the grid
-        and inserts the points with one transaction per shard.
+        and inserts the points in one transaction.
         ``depends_on`` applies to every job of the sweep.
         """
         if isinstance(sweep, dict):

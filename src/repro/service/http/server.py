@@ -40,7 +40,7 @@ GET      ``/v1/campaigns``                   ``{"campaigns": [...]}``
 GET      ``/v1/campaigns/{id}``              progress -> ``{"campaign"}``
 GET      ``/v1/campaigns/{id}/dag``          node graph -> ``{"dag": ...}``
 GET      ``/v1/queue``                       queue page (same as GET jobs)
-GET      ``/v1/events``                      merged audit-event feed:
+GET      ``/v1/events``                      audit-event feed:
                                              long-poll (``?cursor&timeout``)
                                              or SSE (``Accept:
                                              text/event-stream``)
@@ -61,14 +61,14 @@ paginate by the opaque ``cursor`` continuation token the previous page
 returned -- the same continuation idiom the event feed uses, and the
 only pagination scheme.  The event feed is documented in
 ``docs/service.md`` ("Events & watch"): resumable cursors over the
-per-shard audit logs, server-side ``job_id``/``campaign``/``state``/
+audit log, server-side ``job_id``/``campaign``/``state``/
 ``kind`` filters, SSE heartbeat comments and ``Last-Event-ID`` resume.
 
 The three submit routes read the body, pass admission and hand the
 submissions to :meth:`Service.submit_many` (campaigns: one call per
 stage) -- the one place a submission is validated and turned into a
 job, so a malformed item is the same typed 4xx on every route and the
-jobs of one call commit in one transaction per shard.  The lease
+jobs of one call commit in one transaction.  The lease
 routes do the same with ``n`` / ``ttl``: :meth:`Service.claim_jobs` and
 :meth:`Service.heartbeat` validate them for both transports.
 Submissions may carry ``depends_on`` (a list of parent job ids): the
@@ -87,14 +87,14 @@ stable machine-readable identifier the raised
 ``bad_cursor`` 422, ``events_truncated`` 410,
 ``conflict`` / ``lease_expired`` 409, ``overloaded`` /
 ``rate_limited`` 429 with a ``Retry-After`` header,
-``shard_unavailable`` 503); the HTTP status comes from the same class.
+``store_unavailable`` 503); the HTTP status comes from the same class.
 Clients re-raise the matching typed exception by ``code``.  Chunk
 uploads and ranged reads move raw ``application/octet-stream`` bodies,
 bounded by :data:`~repro.service.streams.MAX_CHUNK_BYTES` per request,
 so the coordinator never buffers more than one chunk of a result.
 
 Connections are HTTP/1.1 keep-alive: one handler thread (and one
-SQLite handle per shard) per *connection*, not per request, parked
+SQLite handle) per *connection*, not per request, parked
 between requests; the bundled clients keep one connection per thread.
 Responses go out with ``TCP_NODELAY``; a request body no route read is
 drained (or the connection closed) before the next request is parsed;
@@ -180,12 +180,20 @@ def _given(body: dict, *keys: str) -> dict:
     return {k: body[k] for k in keys if k in body}
 
 
+def _lease_of(body: dict) -> str:
+    """The ``lease`` field of a leased-report body: a non-empty string."""
+    lease_id = body.get("lease", "")
+    if not isinstance(lease_id, str) or not lease_id:
+        raise MalformedRequestError("'lease' must be a non-empty string")
+    return lease_id
+
+
 #: Long-poll waits and SSE heartbeat intervals are clamped to this many
 #: seconds so one subscriber can never park a handler thread for long
 #: without the server getting a say (clients simply re-poll).
 MAX_EVENT_WAIT = 60.0
 
-#: Per-response cap on the event batch size (and per-shard scan window).
+#: Per-response cap on the event batch size (and the log scan window).
 MAX_EVENT_LIMIT = 1000
 
 #: A request body its route never read is drained if at most this long
@@ -498,7 +506,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "service": "repro",
                 "capabilities": list(CAPABILITIES),
                 "endpoints": list(ENDPOINTS),
-                "nshards": self.service.nshards,
             }
         if path == "/v1/events":
             return self._events_route(query)
@@ -587,11 +594,7 @@ class _Handler(BaseHTTPRequestHandler):
         m = _RESULT_FINISH_RE.match(path)
         if m:
             body = self._read_body()
-            lease_id = body.get("lease", "")
-            if not isinstance(lease_id, str) or not lease_id:
-                raise MalformedRequestError(
-                    "'lease' must be a non-empty string"
-                )
+            lease_id = _lease_of(body)
             try:
                 size = int(body["size"])
                 sha256 = body["sha256"]
@@ -644,25 +647,15 @@ class _Handler(BaseHTTPRequestHandler):
         m = _COMPLETE_RE.match(path)
         if m:
             body = self._read_body()
-            lease_id = body.get("lease", "")
-            if not isinstance(lease_id, str) or not lease_id:
-                raise MalformedRequestError(
-                    "'lease' must be a non-empty string"
-                )
             view = self.service.complete_job(
-                m.group(1), lease_id, body.get("result")
+                m.group(1), _lease_of(body), body.get("result")
             )
             return 200, {"job": view.to_dict()}
         m = _FAIL_RE.match(path)
         if m:
             body = self._read_body()
-            lease_id = body.get("lease", "")
-            if not isinstance(lease_id, str) or not lease_id:
-                raise MalformedRequestError(
-                    "'lease' must be a non-empty string"
-                )
             view = self.service.fail_job(
-                m.group(1), lease_id, str(body.get("error", ""))
+                m.group(1), _lease_of(body), str(body.get("error", ""))
             )
             return 200, {"job": view.to_dict()}
         m = _CANCEL_RE.match(path)
@@ -750,7 +743,6 @@ class ServiceHTTPServer:
     def __init__(self, workdir, host: str = "127.0.0.1", port: int = 0,
                  workers: int = 0, backoff_base: float = 0.5,
                  poll_interval: float = 0.02, quiet: bool = True,
-                 shards: int = 1, shard_workdirs=None,
                  busy_timeout: float = 30.0,
                  inline_max: int = DEFAULT_INLINE_MAX,
                  max_queue_depth: int = 0, rate_limit: float = 0.0,
@@ -758,8 +750,6 @@ class ServiceHTTPServer:
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
         self.service = Service(workdir, backoff_base=backoff_base,
-                               shards=shards,
-                               shard_workdirs=shard_workdirs,
                                busy_timeout=busy_timeout,
                                inline_max=inline_max)
         self.workers = workers
@@ -792,9 +782,6 @@ class ServiceHTTPServer:
     def _start_pool(self) -> None:
         if self.workers < 1 or self._pool_thread is not None:
             return
-        # One resident pool, whatever the shard count: it claims across
-        # shards under one logical lease, so ``workers`` is the total
-        # number of children.
         pool = self.service.worker_pool(
             WorkerOptions(n=self.workers, drain=False,
                           poll_interval=self.poll_interval,

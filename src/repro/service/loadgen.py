@@ -18,7 +18,7 @@ Balsam's ``tests/benchmark`` locust harness.  A storm is:
 Every operation records its latency and status code; the merged
 :func:`run_storm` report carries per-endpoint p50/p95/p99, a status-code
 histogram (429s are the admission control *working*, 5xx other than 503
-``shard_unavailable`` are bugs), aggregate submits/s, and the error
+``store_unavailable`` are bugs), aggregate submits/s, and the error
 samples needed to debug a failure.  :func:`measure_drain` then times the
 queue going to zero, and :func:`rss_bytes` reads the coordinator's
 resident set from ``/proc`` so a leak under load is a number, not a

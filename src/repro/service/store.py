@@ -12,6 +12,11 @@ Connections are opened lazily *per process and per thread*: a
 ``fork`` in a worker child, or shared by the threads of an HTTP
 front-end; each (process, thread) pair gets its own connection, since
 SQLite connections are neither fork- nor thread-shareable.
+
+A store SQLite cannot reach (a hung writer holding the file lock past
+the busy timeout, a disk error) raises
+:class:`~repro.errors.StoreUnavailableError` (503) from every statement,
+so no caller ever mistakes a wedged store for an empty queue.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from ..errors import (
     EventsTruncatedError,
     LeaseConflictError,
     LeaseExpiredError,
+    StoreUnavailableError,
     UnknownJobError,
 )
 from .jobs import COLUMNS, Job, JobState, Lease, new_lease_id
@@ -89,6 +95,36 @@ _MIGRATIONS = (
 
 _COLS = ", ".join(COLUMNS)
 _PLACEHOLDERS = ", ".join("?" for _ in COLUMNS)
+
+
+def _guarded(fn, *args, **kwargs):
+    """``fn(...)``, with a SQLite operational failure re-raised as the
+    typed 503 -- the one place a wedged store is told apart from an
+    empty one."""
+    try:
+        return fn(*args, **kwargs)
+    except sqlite3.OperationalError as exc:
+        raise StoreUnavailableError(
+            f"job store is unavailable: {exc}") from None
+
+
+def _id_chunks(job_ids):
+    """``(ids, "?, ?, ...")`` per slice of at most 500 ids: SQLite caps
+    the bound variables of one statement."""
+    ids = list(job_ids)
+    for i in range(0, len(ids), 500):
+        chunk = ids[i:i + 500]
+        yield chunk, ", ".join("?" * len(chunk))
+
+
+class _Connection(sqlite3.Connection):
+    """A connection whose every statement goes through :func:`_guarded`."""
+
+    def execute(self, *args):
+        return _guarded(super().execute, *args)
+
+    def executescript(self, script):
+        return _guarded(super().executescript, script)
 
 
 class _StagedUpload:
@@ -162,7 +198,8 @@ class JobStore:
             # child would share the parent's file locks), and sqlite3
             # connections refuse cross-thread use; open fresh per
             # (process, thread).
-            conn = sqlite3.connect(self.db_path, timeout=self.busy_timeout)
+            conn = _guarded(sqlite3.connect, self.db_path,
+                            timeout=self.busy_timeout, factory=_Connection)
             conn.isolation_level = None  # explicit transactions only
             conn.execute("PRAGMA busy_timeout = %d"
                          % max(0, int(self.busy_timeout * 1000)))
@@ -255,25 +292,19 @@ class JobStore:
         Returns ``(held, offset)``: how many of the ids are rows here,
         and the earliest submit position recorded on them
         (:meth:`add_batch`), never before the compaction base (a
-        pre-migration row's 0 means "all the log holds").  A store that
-        holds none answers with the end of its log: a job's events are
-        only ever appended by the store holding its row.
+        pre-migration row's 0 means "all the log holds").
         """
-        ids = list(job_ids)
         conn = self._connection()
         held, first = 0, None
-        for i in range(0, len(ids), 500):  # SQLite caps bound variables
-            chunk = ids[i:i + 500]
+        for chunk, marks in _id_chunks(job_ids):
             count, least = conn.execute(
                 "SELECT COUNT(*), MIN(events_from) FROM jobs"
-                f" WHERE id IN ({', '.join('?' * len(chunk))})", chunk,
+                f" WHERE id IN ({marks})", chunk,
             ).fetchone()
             if count:
                 held += count
                 first = least if first is None else min(first, least)
-        if first is None:
-            return 0, self.events_end()
-        return held, max(self.events_base(), first)
+        return held, max(self.events_base(), first or 0)
 
     def read_events(self, offset: int, limit: int | None = None,
                     ) -> tuple[list[tuple[dict, int]], int]:
@@ -362,7 +393,7 @@ class JobStore:
         transaction, so it may freely read and write the store (the DAG
         resolver releases children from it).  A callback failure is
         logged to the audit log and swallowed: completing a job must
-        never fail because a dependent shard is wedged -- the recovery
+        never fail because releasing its children did -- the recovery
         sweep reconciles missed releases later.
         """
         self.on_terminal = callback
@@ -487,12 +518,8 @@ class JobStore:
     # -- DAG edges (dependency-aware release) ----------------------------
 
     def children_of(self, parent_id: str) -> list[Job]:
-        """BLOCKED jobs that declare ``parent_id`` as a parent.
-
-        Edges are stored child-side (in this store's ``deps`` table), so
-        a sharded deployment asks every shard and unions the answers --
-        see :meth:`ShardedStore.children_of`.
-        """
+        """BLOCKED jobs that declare ``parent_id`` as a parent (edges
+        are stored child-side, in the ``deps`` table)."""
         cols = ", ".join(f"jobs.{c}" for c in COLUMNS)
         rows = self._connection().execute(
             f"SELECT {cols} FROM jobs JOIN deps ON deps.child = jobs.id"
@@ -561,19 +588,15 @@ class JobStore:
     # -- leases (worker pools) -------------------------------------------
 
     def claim_batch(self, worker: str, limit: int = 1, ttl: float = 60.0,
-                    now: float | None = None,
-                    lease_id: str | None = None) -> tuple[Lease | None,
-                                                          list[Job]]:
+                    now: float | None = None) -> tuple[Lease | None,
+                                                       list[Job]]:
         """Atomically lease up to ``limit`` ready PENDING jobs to ``worker``.
 
         The batch and its lease are created in one transaction, so two
-        pools polling one coordinator can never lease the same job.  Returns ``(None, [])`` when nothing is ready -- no empty
-        lease is minted.  Expired leases are swept first, so a dead
-        worker's jobs become claimable by the very call that replaces it.
-
-        ``lease_id`` lets a sharded coordinator span one logical lease
-        over several stores: each store records its own lease row under
-        the caller's id.  Left ``None``, a fresh id is minted.
+        pools polling one coordinator can never lease the same job.
+        Returns ``(None, [])`` when nothing is ready -- no empty lease
+        is minted.  Expired leases are swept first, so a dead worker's
+        jobs become claimable by the very call that replaces it.
         """
         now = time.time() if now is None else now
         self.expire_leases(now=now)
@@ -588,7 +611,7 @@ class JobStore:
             if not rows:
                 conn.execute("COMMIT")
                 return None, []
-            lease = Lease(id=lease_id or new_lease_id(), worker=worker,
+            lease = Lease(id=new_lease_id(), worker=worker,
                           created=now, expires=now + ttl)
             conn.execute(
                 "INSERT INTO leases (id, worker, created, expires)"
@@ -969,6 +992,16 @@ class JobStore:
         if row is None:
             raise UnknownJobError(f"no such job: {job_id}")
         return Job.from_row(row)
+
+    def states(self, job_ids) -> dict[str, JobState]:
+        """The state of each of ``job_ids`` the store holds."""
+        conn = self._connection()
+        out: dict[str, JobState] = {}
+        for chunk, marks in _id_chunks(job_ids):
+            out.update((job_id, JobState(state)) for job_id, state in
+                       conn.execute("SELECT id, state FROM jobs"
+                                    f" WHERE id IN ({marks})", chunk))
+        return out
 
     @staticmethod
     def _filters(state, kind) -> tuple[str, list]:

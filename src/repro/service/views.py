@@ -159,7 +159,6 @@ class EventView:
     job_id: str
     kind: str
     state: str
-    shard: int
     data: dict
 
     @property
@@ -174,7 +173,6 @@ class EventView:
             "job": self.job_id,
             "event": self.kind,
             "state": self.state,
-            "shard": self.shard,
             "data": dict(self.data),
         }
 
@@ -183,7 +181,7 @@ class EventView:
         return cls(
             cursor=data["cursor"], t=data["t"], job_id=data["job"],
             kind=data["event"], state=data.get("state", ""),
-            shard=data.get("shard", 0), data=data.get("data", {}),
+            data=data.get("data", {}),
         )
 
 

@@ -527,7 +527,7 @@ class WorkerPool:
         Lease/job-state rejections (``lease_expired``, ``conflict``,
         ``unknown_job``) are *not* transient and re-raise immediately;
         anything else service-shaped (an unreachable server, a wedged
-        shard) is retried with exponential backoff and then re-raised.
+        store) is retried with exponential backoff and then re-raised.
         """
         delay = 0.1
         for attempt in range(attempts):

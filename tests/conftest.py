@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -46,3 +50,45 @@ def claim_one(store, worker: str = "w0"):
     """
     _lease, jobs = store.claim_batch(worker, limit=1)
     return jobs[0] if jobs else None
+
+
+def _repro_process(*args) -> subprocess.Popen:
+    """``python -m repro ARGS`` from the repo root, output piped."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *map(str, args)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
+    )
+
+
+def start_serve(workdir, *, workers: int = 0, port: int = 0,
+                inline_max: int | None = None) -> tuple[subprocess.Popen,
+                                                         str]:
+    """A ``repro serve`` subprocess and its URL (read off its banner)."""
+    args = ["serve", "--workdir", workdir, "--port", port,
+            "--workers", workers, "--backoff", "0.01"]
+    if inline_max is not None:
+        args += ["--inline-max", inline_max]
+    proc = _repro_process(*args)
+    line = proc.stdout.readline()
+    url = next(tok for tok in line.split() if tok.startswith("http://"))
+    return proc, url
+
+
+def start_worker(url: str, *, n: int = 2, ttl: float = 30.0,
+                 name: str = "") -> subprocess.Popen:
+    """A ``repro workers --url`` fleet member subprocess."""
+    args = ["workers", "--url", url, "-n", n, "--ttl", ttl,
+            "--backoff", "0.01"]
+    if name:
+        args += ["--name", name]
+    return _repro_process(*args)
+
+
+def stop(proc: subprocess.Popen | None) -> None:
+    """SIGKILL a helper subprocess (if still running) and reap it."""
+    if proc is not None and proc.poll() is None:
+        proc.kill()
+        proc.wait(timeout=30)

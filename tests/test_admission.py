@@ -8,11 +8,10 @@ Four claims pinned here:
   ``overloaded`` + a ``Retry-After`` header while reads, cancels, and
   leases keep working; per-client buckets reject with ``rate_limited``;
   clients retry transparently and a storm never turns into a 500.
-* **healthz queue depths under concurrent submits** -- each shard's
-  figure is a consistent snapshot of that shard (documented on
-  :meth:`ShardedStore.counts`), so depths are never negative, never
-  double-count, and the merged total is monotone under a submit-only
-  workload, ending exactly at the number submitted.
+* **healthz queue depths under concurrent submits** -- each figure is
+  one consistent ``GROUP BY state`` snapshot, so depths are never
+  negative, never double-count, and the total is monotone under a
+  submit-only workload, ending exactly at the number submitted.
 * **``wait()`` deadline** -- the long-poll budget is clamped to the
   time remaining, so a short timeout cannot overshoot by a full
   long-poll step (both the sync and asyncio clients).
@@ -275,13 +274,11 @@ class TestRateLimitedWire:
 class TestHealthzDepthSnapshots:
     """The /v1/healthz queue-depth semantics under concurrent submits."""
 
-    NSHARDS = 3
     PER_THREAD = 25
     THREADS = 4
 
     def test_depths_never_negative_or_double_counted(self, tmp_path):
-        with ServiceHTTPServer(tmp_path / "svc",
-                               shards=self.NSHARDS, workers=0) as srv:
+        with ServiceHTTPServer(tmp_path / "svc", workers=0) as srv:
             stop = threading.Event()
             observations: list[dict] = []
             failures: list[str] = []
@@ -315,15 +312,14 @@ class TestHealthzDepthSnapshots:
             total_jobs = self.PER_THREAD * self.THREADS
             # Submit-only workload: every observation is non-negative,
             # totals never exceed what was truly submitted (a job is
-            # never double-counted), and the merged total is monotone
-            # (per-shard reads are consistent; jobs never migrate).
+            # never double-counted), and the total is monotone.
             last_total = 0
             for obs in observations:
                 assert all(n >= 0 for n in obs.values()), obs
                 total = sum(obs.values())
                 assert total <= total_jobs, obs
                 assert total >= last_total, (
-                    f"merged total went backwards: {last_total} ->"
+                    f"total went backwards: {last_total} ->"
                     f" {total}")
                 last_total = total
             assert sum(final.values()) == total_jobs

@@ -1,14 +1,12 @@
 """Batch-submit chaos: SIGKILL the coordinator mid-``/v1/jobs/batch``.
 
-The batch endpoint commits one transaction per shard, so a coordinator
-killed partway through a large batch may leave *some* shards holding
-their slice and others holding nothing -- that is the allowed failure
-mode.  What must never happen, and what this suite proves with a real
+The batch endpoint commits in one transaction, so a coordinator killed
+partway through a large batch leaves either all of it or none of it.
+What must never happen, and what this suite proves with a real
 ``repro serve`` subprocess and a real SIGKILL:
 
-* after restart, **no shard holds two active jobs for one content
-  key** (a partially landed batch never manifests as duplicates), and
-  every surviving row sits on the shard its key routes to;
+* after restart, **the store holds no two active jobs for one content
+  key** (a landed batch never manifests as duplicates);
 * **resubmitting the identical batch dedups cleanly**: one round-trip
   later every point of the sweep is active exactly once, whether its
   first copy survived the crash or not -- which is why a client may
@@ -23,15 +21,14 @@ import time
 
 import pytest
 
-from repro.service import JobState, Service, shard_index
+from repro.service import JobState, Service
 from repro.service.cache import payload_key
 from repro.service.http import ServiceClient
 
-from .test_shard_chaos import _start_serve, _stop
+from .conftest import start_serve, stop
 
 pytestmark = pytest.mark.dedicated
 
-NSHARDS = 3
 NJOBS = 2000
 
 
@@ -45,7 +42,7 @@ class TestSigkilledCoordinatorMidBatch:
     def test_partial_batch_never_duplicates_and_resubmit_dedups(
             self, tmp_path):
         submissions = _batch()
-        proc, url = _start_serve(tmp_path / "svc")
+        proc, url = start_serve(tmp_path / "svc")
         outcome: dict = {}
 
         def submit_batch() -> None:
@@ -58,30 +55,29 @@ class TestSigkilledCoordinatorMidBatch:
         try:
             thread = threading.Thread(target=submit_batch)
             thread.start()
-            # Let the request reach the per-shard insert loop, then
-            # yank the coordinator out from under it.
+            # Let the request reach the insert transaction, then yank
+            # the coordinator out from under it.
             time.sleep(0.15)
             proc.kill()
             proc.wait(timeout=30)
             thread.join(timeout=120)
             assert not thread.is_alive(), "batch submit never returned"
         finally:
-            _stop(proc)
+            stop(proc)
 
-        # Offline audit of whatever survived: per-shard routing holds
-        # and no key is active twice, no matter where the kill landed.
+        # Offline audit of whatever survived: no key is active twice,
+        # no matter where the kill landed.
         expected_keys = {payload_key("sim", s["payload"])
                          for s in submissions}
         service = Service(tmp_path / "svc")
-        assert service.nshards == NSHARDS
         survivors = self._active_by_key(service)
         assert set(survivors) <= expected_keys
         assert {k: v for k, v in survivors.items() if len(v) > 1} == {}
         service.store.close()
 
-        # A fresh coordinator over the same shards accepts a blind
+        # A fresh coordinator over the same workdir accepts a blind
         # retry of the identical batch in one round-trip.
-        proc2, url2 = _start_serve(tmp_path / "svc")
+        proc2, url2 = start_serve(tmp_path / "svc")
         try:
             client2 = ServiceClient(url2, timeout=120.0)
             receipts = client2.submit_many(submissions)
@@ -104,10 +100,8 @@ class TestSigkilledCoordinatorMidBatch:
     @staticmethod
     def _active_by_key(service) -> dict[str, list[str]]:
         active: dict[str, list[str]] = {}
-        for i, shard in enumerate(service.store.shards):
-            for job in shard.list():
-                assert shard_index(job.key, NSHARDS) == i, job.id
-                if job.state in (JobState.BLOCKED, JobState.PENDING,
-                                 JobState.RUNNING):
-                    active.setdefault(job.key, []).append(job.id)
+        for job in service.store.list():
+            if job.state in (JobState.BLOCKED, JobState.PENDING,
+                             JobState.RUNNING):
+                active.setdefault(job.key, []).append(job.id)
         return active

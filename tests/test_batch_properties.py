@@ -1,8 +1,8 @@
 """Hypothesis property: ``submit_many`` == N single ``submit`` calls.
 
 The batch endpoint exists to save round-trips, not to change meaning.
-For ANY sequence of submissions (duplicate payloads included, over 1-
-and 3-shard stores) a single ``submit_many`` call must be
+For ANY sequence of submissions (duplicate payloads included) a single
+``submit_many`` call must be
 observationally equivalent to submitting the same items one at a time:
 
 * the per-position **disposition** sequence matches (``new`` vs
@@ -42,8 +42,6 @@ _submissions = st.lists(
 ).map(lambda items: [
     {"kind": kind, "payload": {"n": n}} for kind, n in items
 ])
-
-_nshards = st.sampled_from([1, 3])
 
 # Grids over the same small pool: repeated axis values are grid corners
 # with one content key, which a sweep drops before submitting.
@@ -93,12 +91,12 @@ def _queue_rows(svc):
 
 
 class TestBatchEquivalence:
-    @given(submissions=_submissions, nshards=_nshards)
+    @given(submissions=_submissions)
     @settings(max_examples=60, deadline=None)
-    def test_submit_many_equals_n_submits(self, submissions, nshards):
+    def test_submit_many_equals_n_submits(self, submissions):
         with tempfile.TemporaryDirectory() as td:
-            singly = Service(f"{td}/singly", shards=nshards)
-            batched = Service(f"{td}/batched", shards=nshards)
+            singly = Service(f"{td}/singly")
+            batched = Service(f"{td}/batched")
             try:
                 want = [singly.submit(s["kind"], s["payload"])
                         for s in submissions]
@@ -120,14 +118,13 @@ class TestBatchEquivalence:
                 singly.store.close()
                 batched.store.close()
 
-    @given(sweep=_sweeps, nshards=_nshards)
+    @given(sweep=_sweeps)
     @settings(max_examples=30, deadline=None)
-    def test_sweep_equals_submit_many_equals_n_submits(self, sweep,
-                                                       nshards):
+    def test_sweep_equals_submit_many_equals_n_submits(self, sweep):
         """``submit_sweep(s)`` is the merged ``submit_many`` of its
         points, which is N ``submit`` calls: three spellings, one path."""
         with tempfile.TemporaryDirectory() as td:
-            services = [Service(f"{td}/{name}", shards=nshards)
+            services = [Service(f"{td}/{name}")
                         for name in ("sweep", "many", "singly")]
             swept, batched, singly = services
             try:
@@ -140,30 +137,28 @@ class TestBatchEquivalence:
                         for p in points),
                 ]
                 # Same keys under the same dispositions, in one order;
-                # same rows; same events in every shard's log.
+                # same rows; same events in the log.
                 assert len({repr([
                     [svc.store.get(jid).key for jid in ids]
                     for ids in (r.new, r.cached, r.deduped)
                 ]) for svc, r in zip(services, receipts)}) == 1
                 assert _queue_rows(swept) == _queue_rows(batched) \
                     == _queue_rows(singly)
-                assert len({repr([
-                    [(e["event"], e["key"]) for e in shard.events()]
-                    for shard in svc.store.shards
-                ]) for svc in services}) == 1
+                assert len({repr([(e["event"], e["key"])
+                                  for e in svc.store.events()])
+                            for svc in services}) == 1
             finally:
                 for svc in services:
                     svc.store.close()
 
-    @given(submissions=_submissions, nshards=_nshards)
+    @given(submissions=_submissions)
     @settings(max_examples=30, deadline=None)
-    def test_resubmitting_the_batch_dedups_everything(
-            self, submissions, nshards):
+    def test_resubmitting_the_batch_dedups_everything(self, submissions):
         """Replaying an identical batch creates nothing new: every
         position resolves to an already-active job (the retry-safety
         claim the chaos suite leans on)."""
         with tempfile.TemporaryDirectory() as td:
-            svc = Service(f"{td}/svc", shards=nshards)
+            svc = Service(f"{td}/svc")
             try:
                 first = svc.submit_many(submissions)
                 before = _queue_rows(svc)
@@ -182,12 +177,11 @@ class TestBatchEquivalence:
                 svc.store.close()
 
 
-@pytest.mark.parametrize("nshards", [1, 3])
-def test_invalid_last_point_leaves_nothing_behind(tmp_path, nshards):
+def test_invalid_last_point_leaves_nothing_behind(tmp_path):
     """In-process sweeps and campaigns get the HTTP routes' check: a
     ``run`` grid whose *last* corner is no ``HPLConfig`` raises before
     the first point is queued, and logs no ``submitted`` event."""
-    svc = Service(tmp_path / "svc", shards=nshards)
+    svc = Service(tmp_path / "svc")
     try:
         grid = Sweep(kind="run", axes={"n": [64, 96, -1]},
                      base={"nb": 8, "p": 2, "q": 2})

@@ -1,9 +1,8 @@
-"""Campaigns over HTTP: staged specs, cross-shard DAGs, CLI, clients.
+"""Campaigns over HTTP: staged specs, DAGs, CLI, clients.
 
 The acceptance scenario lives here: one ``POST /v1/campaigns`` request
-expands a 3-stage tune-then-scale spec into a job DAG spread across a
-3-shard coordinator (parents and children verifiably on different
-shards), drains to ``done`` with the winner resolved into the study
+expands a 3-stage tune-then-scale spec into a job DAG, drains to
+``done`` with the winner resolved into the study
 stage, a cyclic spec dies with 422 ``cycle_detected`` before any job is
 enqueued, and a mid-campaign stage failure cancels exactly its
 descendants while the unrelated branch completes.
@@ -25,7 +24,6 @@ from repro.service import (
     JobView,
     WorkerOptions,
     WorkerPool,
-    shard_index,
 )
 from repro.service.http import (
     AsyncServiceClient,
@@ -34,8 +32,6 @@ from repro.service.http import (
 )
 
 pytestmark = pytest.mark.dedicated
-
-NSHARDS = 3
 
 TUNE_THEN_SCALE = {
     "name": "tune-then-scale",
@@ -71,9 +67,8 @@ def _wait_campaign(client, campaign_id, want, timeout=120.0):
 
 
 class TestCampaignAcceptance:
-    def test_three_stage_campaign_drains_across_three_shards(self, tmp_path):
-        with ServiceHTTPServer(tmp_path / "svc", workers=2,
-                               shards=NSHARDS) as srv:
+    def test_three_stage_campaign_drains(self, tmp_path):
+        with ServiceHTTPServer(tmp_path / "svc", workers=2) as srv:
             client = ServiceClient(srv.url)
             view = client.submit_campaign(TUNE_THEN_SCALE)
             assert isinstance(view, CampaignView)
@@ -93,14 +88,6 @@ class TestCampaignAcceptance:
             for study in by_stage["study"]:
                 assert study["depends_on"] == [pick["id"]]
 
-            # The acceptance cross-shard claim: some dependency edge
-            # spans two shards (fixed payloads make this deterministic).
-            home = {n["id"]: shard_index(client.job(n["id"]).key, NSHARDS)
-                    for n in dag.nodes}
-            edges = [(p, n["id"]) for n in dag.nodes
-                     for p in n["depends_on"]]
-            assert any(home[p] != home[c] for p, c in edges), home
-
             final = _wait_campaign(client, view.id, "done")
             assert all(s.state == "done" for s in final.stages)
             pick_result = client.result(pick["id"]).result
@@ -113,8 +100,7 @@ class TestCampaignAcceptance:
                                      {"tag": 5, "x": 20}]
 
     def test_cycle_rejected_before_any_enqueue(self, tmp_path):
-        with ServiceHTTPServer(tmp_path / "svc", workers=0,
-                               shards=NSHARDS) as srv:
+        with ServiceHTTPServer(tmp_path / "svc", workers=0) as srv:
             client = ServiceClient(srv.url)
             spec = {"name": "loop", "stages": [
                 {"name": "a", "kind": "probe",
@@ -143,8 +129,7 @@ class TestCampaignAcceptance:
             {"name": "good-leaf", "after": ["good"], "kind": "probe",
              "payload": {"behavior": "echo", "tag": 3}},
         ]}
-        with ServiceHTTPServer(tmp_path / "svc", workers=2,
-                               shards=NSHARDS) as srv:
+        with ServiceHTTPServer(tmp_path / "svc", workers=2) as srv:
             client = ServiceClient(srv.url)
             view = client.submit_campaign(spec)
             final = _wait_campaign(client, view.id, "failed")
@@ -167,8 +152,7 @@ class TestRemoteFleetReduce:
         """The reduce stage runs on a *remote* worker, which must pull
         its parents' results through the coordinator's HTTP API.
         """
-        with ServiceHTTPServer(tmp_path / "svc", workers=0,
-                               shards=NSHARDS) as srv:
+        with ServiceHTTPServer(tmp_path / "svc", workers=0) as srv:
             client = ServiceClient(srv.url)
             view = client.submit_campaign(TUNE_THEN_SCALE)
             pool = WorkerPool(
@@ -222,8 +206,7 @@ class TestCampaignCLI:
     def test_submit_status_list_dag_roundtrip(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(TUNE_THEN_SCALE))
-        with ServiceHTTPServer(tmp_path / "svc", workers=2,
-                               shards=NSHARDS) as srv:
+        with ServiceHTTPServer(tmp_path / "svc", workers=2) as srv:
             rc = main(["campaign", "submit", "--spec", str(spec_path),
                        "--url", srv.url])
             out = capsys.readouterr().out

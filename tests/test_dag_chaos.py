@@ -10,18 +10,15 @@ Three scenarios over real processes and real SIGKILL:
   partially released and a ``FAILED`` parent whose child was never
   cancelled; a fresh coordinator's startup sweep must finish the job
   exactly once per child, including the half-released one.
-* **Coordinator SIGKILLed mid-drain** -- a live 3-shard coordinator is
-  killed while a fan-in DAG is in flight; a replacement over the same
-  workdirs drains it to DONE with single-release audit proof and no
+* **Coordinator SIGKILLed mid-drain** -- a live coordinator is killed
+  while a fan-in DAG is in flight; a replacement over the same workdir
+  drains it to DONE with single-release audit proof and no
   orphaned ``BLOCKED`` jobs.
 """
 
 from __future__ import annotations
 
-import os
 import signal
-import subprocess
-import sys
 import time
 
 import pytest
@@ -29,47 +26,9 @@ import pytest
 from repro.service import JobState, Service
 from repro.service.http import ServiceClient
 
-from .conftest import claim_one
+from .conftest import claim_one, start_serve, start_worker, stop
 
 pytestmark = pytest.mark.dedicated
-
-NSHARDS = 3
-
-
-def _start_serve(workdir, *, workers: int = 0,
-                 shards: int = NSHARDS) -> tuple[subprocess.Popen, str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--workdir", str(workdir),
-         "--shards", str(shards), "--port", "0", "--workers", str(workers),
-         "--backoff", "0.01"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
-    )
-    line = proc.stdout.readline()
-    url = next(tok for tok in line.split() if tok.startswith("http://"))
-    return proc, url
-
-
-def _start_worker(url: str, *, n: int = 1, ttl: float = 5.0,
-                  name: str = "") -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    cmd = [sys.executable, "-m", "repro", "workers", "--url", url,
-           "-n", str(n), "--ttl", str(ttl), "--backoff", "0.01"]
-    if name:
-        cmd += ["--name", name]
-    return subprocess.Popen(
-        cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
-    )
-
-
-def _stop(proc: subprocess.Popen | None) -> None:
-    if proc is not None and proc.poll() is None:
-        proc.kill()
-        proc.wait(timeout=30)
 
 
 def _audit(service, event, job_id):
@@ -83,7 +42,7 @@ class TestWorkerKilledMidParent:
         child stays BLOCKED through the requeue, a survivor's second
         attempt releases it, and the audit shows exactly one release.
         """
-        proc, url = _start_serve(tmp_path / "svc")
+        proc, url = start_serve(tmp_path / "svc")
         victim = survivor = None
         try:
             client = ServiceClient(url)
@@ -96,7 +55,7 @@ class TestWorkerKilledMidParent:
             ).new[0]
             assert client.job(child).state == "BLOCKED"
 
-            victim = _start_worker(url, n=1, ttl=1.5, name="victim")
+            victim = start_worker(url, n=1, ttl=1.5, name="victim")
             deadline = time.monotonic() + 60.0
             while client.job(parent).state != "RUNNING":
                 assert time.monotonic() < deadline, "parent never claimed"
@@ -106,15 +65,15 @@ class TestWorkerKilledMidParent:
             # The parent is dead-but-leased; its child must not move.
             assert client.job(child).state == "BLOCKED"
 
-            survivor = _start_worker(url, n=1, ttl=5.0, name="survivor")
+            survivor = start_worker(url, n=1, ttl=5.0, name="survivor")
             views = client.wait([parent, child], timeout=120)
             assert views[parent].state == "DONE"
             assert views[parent].result["attempt"] == 2
             assert views[child].state == "DONE"
             survivor.wait(timeout=60)
         finally:
-            _stop(victim)
-            _stop(survivor)
+            stop(victim)
+            stop(survivor)
             proc.send_signal(signal.SIGINT)
             proc.communicate(timeout=30)
 
@@ -136,7 +95,7 @@ class TestCoordinatorKilledMidSweep:
         double-released, the orphaned ones are released, and the child
         of the failed parent is cancelled -- each exactly once.
         """
-        svc = Service(tmp_path / "svc", shards=NSHARDS)
+        svc = Service(tmp_path / "svc")
         done_parent = svc.submit(
             "probe", {"behavior": "echo", "tag": 0}).new[0]
         kids = [svc.submit("probe", {"behavior": "echo", "tag": i},
@@ -162,8 +121,8 @@ class TestCoordinatorKilledMidSweep:
         assert svc.store.get(kids[1]).state is JobState.BLOCKED
         assert svc.store.get(doomed).state is JobState.BLOCKED
 
-        # A fresh coordinator over the same shards sweeps on startup.
-        proc, url = _start_serve(tmp_path / "svc", workers=2)
+        # A fresh coordinator over the same workdir sweeps on startup.
+        proc, url = start_serve(tmp_path / "svc", workers=2)
         try:
             client = ServiceClient(url)
             views = client.wait(kids, timeout=120)
@@ -182,11 +141,11 @@ class TestCoordinatorKilledMidSweep:
 
     def test_live_coordinator_sigkill_mid_drain(self, tmp_path):
         """SIGKILL a live coordinator while a fan-in DAG drains, bring
-        up a replacement on the same workdirs: everything reaches DONE,
+        up a replacement on the same workdir: everything reaches DONE,
         every release happened exactly once across both incarnations,
         and nothing is left BLOCKED.
         """
-        proc, url = _start_serve(tmp_path / "svc", workers=2)
+        proc, url = start_serve(tmp_path / "svc", workers=2)
         client = ServiceClient(url)
         # Staggered durations keep the drain partially complete for a
         # while, so the kill reliably lands mid-flight.
@@ -212,7 +171,7 @@ class TestCoordinatorKilledMidSweep:
 
         # Replacement coordinator: leases from the dead incarnation
         # expire, parents rerun, joins release exactly once.
-        proc2, url2 = _start_serve(tmp_path / "svc", workers=2)
+        proc2, url2 = start_serve(tmp_path / "svc", workers=2)
         try:
             client2 = ServiceClient(url2)
             views = client2.wait(parents + joins, timeout=180)

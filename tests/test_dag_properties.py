@@ -1,8 +1,8 @@
 """Property-based checks for DAG release and failure propagation.
 
-Random DAGs (including diamonds and, at 3 shards, cross-shard edges)
-are drained by a synchronous claim/complete loop driving the store
-directly.  Invariants, per hypothesis example:
+Random DAGs (including diamonds) are drained by a synchronous
+claim/complete loop driving the store directly.  Invariants, per
+hypothesis example:
 
 * a job is never claimable before every parent is ``DONE``;
 * the claim sequence is a valid topological order of the surviving
@@ -78,9 +78,9 @@ def _drain(svc, ids, fail_id):
     return order
 
 
-def _check(parents, fail, shards):
+def _check(parents, fail):
     with tempfile.TemporaryDirectory() as tmp:
-        svc = Service(Path(tmp) / "svc", shards=shards)
+        svc = Service(Path(tmp) / "svc")
         ids = []
         for i, ps in enumerate(parents):
             receipt = svc.submit("probe", {"behavior": "echo", "tag": i},
@@ -126,16 +126,9 @@ def _check(parents, fail, shards):
 
 @given(dag=dags())
 @settings(max_examples=100, deadline=None)
-def test_single_shard_dag_invariants(dag):
+def test_dag_invariants(dag):
     parents, fail = dag
-    _check(parents, fail, shards=1)
-
-
-@given(dag=dags())
-@settings(max_examples=100, deadline=None)
-def test_three_shard_dag_invariants(dag):
-    parents, fail = dag
-    _check(parents, fail, shards=3)
+    _check(parents, fail)
 
 
 @given(fail_mid=st.booleans())
@@ -144,13 +137,12 @@ def test_diamond_is_exercised_explicitly(fail_mid):
     # Diamonds appear in the random draw, but pin the canonical one so
     # a strategy shift can never silently drop the shape.
     parents = [[], [0], [0], [1, 2]]
-    _check(parents, fail=1 if fail_mid else None, shards=3)
+    _check(parents, fail=1 if fail_mid else None)
 
 
-@pytest.mark.parametrize("shards", [1, 3])
-def test_wide_fanout_releases_every_child(shards):
+def test_wide_fanout_releases_every_child():
     with tempfile.TemporaryDirectory() as tmp:
-        svc = Service(Path(tmp) / "svc", shards=shards)
+        svc = Service(Path(tmp) / "svc")
         root = svc.submit("probe", {"behavior": "echo", "tag": 0}).new[0]
         kids = [svc.submit("probe", {"behavior": "echo", "tag": i},
                            depends_on=[root]).new[0]

@@ -23,7 +23,6 @@ from repro.service import (
     Service,
     Sweep,
     payload_key,
-    shard_index,
 )
 from repro.service.dag import (
     has_placeholders,
@@ -94,9 +93,33 @@ class TestBlockedSubmission:
     def test_unknown_parent_rejected_before_enqueue(self, tmp_path):
         svc = Service(tmp_path / "svc")
         before = svc.store.counts()
-        with pytest.raises(UnknownParentError):
+        with pytest.raises(UnknownParentError,
+                           match="unknown parent job: nope"):
             _submit(svc, 1, depends_on=["nope"])
         assert svc.store.counts() == before
+
+    @pytest.mark.parametrize("parents_done", [False, True])
+    def test_a_stage_reads_each_parent_once(self, tmp_path, monkeypatch,
+                                            parents_done):
+        svc = Service(tmp_path / "svc")
+        parents = [_submit(svc, i) for i in range(3)]
+        if parents_done:
+            for _ in parents:
+                _done(svc.store, claim_one(svc.store))
+        reads: list[str] = []
+        for name in ("get", "states"):
+            real = getattr(svc.store, name)
+            monkeypatch.setattr(
+                svc.store, name,
+                lambda *a, real=real, name=name: (reads.append(name),
+                                                  real(*a))[1])
+        receipts = svc.submit_many(
+            [{"kind": "probe", "payload": {"behavior": "echo", "tag": i}}
+             for i in range(50)], depends_on=parents)
+        assert len({jid for r in receipts for jid in r.new}) == 50
+        assert len(reads) <= len(parents), reads
+        state = JobState.PENDING if parents_done else JobState.BLOCKED
+        assert svc.store.counts()[state.value] == 50
 
     def test_blocked_jobs_are_not_claimable(self, tmp_path):
         svc = Service(tmp_path / "svc")
@@ -240,14 +263,6 @@ class TestIdempotentCancel:
         with pytest.raises(UnknownJobError):
             svc.cancel_job("nope")
 
-    def test_sharded_cancel_is_idempotent(self, tmp_path):
-        svc = Service(tmp_path / "svc", shards=3)
-        jid = _submit(svc, 0)
-        assert svc.store.cancel(jid) is True
-        assert svc.store.cancel(jid) is False
-        flipped, view = svc.cancel_job(jid)
-        assert flipped is False and view.state == "CANCELLED"
-
 
 class TestParentAwareKeys:
     def test_same_payload_different_parents_different_keys(self, tmp_path):
@@ -277,13 +292,6 @@ class TestCountsAndOutstanding:
         counts = svc.store.counts()
         assert counts["BLOCKED"] == 1 and counts["PENDING"] == 1
         assert svc.store.outstanding() == 2
-
-    def test_sharded_outstanding_includes_blocked(self, tmp_path):
-        svc = Service(tmp_path / "svc", shards=3)
-        parent = _submit(svc, 0)
-        _submit(svc, 1, depends_on=[parent])
-        assert svc.store.outstanding() == 2
-        assert svc.store.counts()["BLOCKED"] == 1
 
 
 class TestRecoverySweep:
@@ -315,32 +323,6 @@ class TestRecoverySweep:
         assert set(cancelled) == {b, c}
         # A second sweep finds nothing left to do.
         assert svc.dag.sweep() == ([], [])
-
-
-class TestCrossShardRelease:
-    def test_parent_on_one_shard_releases_child_on_another(self, tmp_path):
-        svc = Service(tmp_path / "svc", shards=3)
-        parent = _submit(svc, 0)
-        # Hunt for a child payload that lands on a different shard than
-        # its parent -- the content key folds the parent id in, so a few
-        # tags suffice.
-        nshards = svc.nshards
-        pshard = shard_index(svc.store.get(parent).key, nshards)
-        child = None
-        for tag in range(1, 50):
-            key = payload_key("probe", {"behavior": "echo", "tag": tag},
-                              parents=(parent,))
-            if shard_index(key, nshards) != pshard:
-                child = _submit(svc, tag, depends_on=[parent])
-                break
-        assert child is not None
-        assert shard_index(svc.store.get(child).key, nshards) != pshard
-
-        claimed = claim_one(svc.store)
-        assert claimed.id == parent
-        _done(svc.store, claimed)
-        assert svc.store.get(child).state is JobState.PENDING
-        assert len(_events(svc, "released", child)) == 1
 
 
 class TestWorkersEndToEnd:

@@ -1,11 +1,11 @@
-"""The event-feed primitives: cursors, log tailing, merge, broker.
+"""The event-feed primitives: cursors, log tailing, broker.
 
 The feed's contract is *exactly-once resumability over plain JSONL
 audit logs*: every event carries a cursor that resumes just past it,
 offsets survive restarts and compactions (``events.base`` folds
 discarded bytes in), torn tails from a SIGKILLed writer are sealed and
-skipped without desynchronizing offsets, and the shard merge never
-reorders one shard's file order.  The Hypothesis property at the bottom
+skipped without desynchronizing offsets, and the broker reads in file
+order.  The Hypothesis property at the bottom
 pins the core invariant under a live writer: a reader tailing the log
 concurrently with appends sees every record exactly once, whole, in
 write order.
@@ -13,6 +13,7 @@ write order.
 
 from __future__ import annotations
 
+import base64
 import json
 import sqlite3
 import threading
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BadCursorError, EventsTruncatedError
-from repro.service import JobStore, Service, shard_index
+from repro.service import JobStore, Service
 from repro.service.events import (
     BEGIN,
     NOW,
@@ -38,37 +39,41 @@ from repro.service.views import EventView
 pytestmark = pytest.mark.dedicated
 
 
+def _token(payload: dict) -> str:
+    """A cursor token carrying ``payload`` verbatim."""
+    raw = json.dumps(payload).encode()
+    return base64.urlsafe_b64encode(raw).decode().rstrip("=")
+
+
 class TestCursorTokens:
-    def test_roundtrip(self):
-        for offsets in ([0], [0, 0, 0], [17, 0, 123456789]):
-            token = encode_cursor(offsets)
-            assert decode_cursor(token, len(offsets)) == offsets
+    def test_roundtrip_keeps_the_one_offset_wire_shape(self):
+        for offset in (0, 17, 123456789):
+            token = encode_cursor(offset)
+            assert decode_cursor(token) == offset
             assert "=" not in token  # unpadded: URL- and header-safe
+            # The shape every earlier server minted, so its tokens
+            # still resume.
+            padded = token + "=" * (-len(token) % 4)
+            assert json.loads(base64.urlsafe_b64decode(padded)) == \
+                {"v": 1, "o": [offset]}
 
     @pytest.mark.parametrize("token", [
         "not-base64!!", "", "AAAA", encode_queue_cursor(5),
+        _token({"v": 1, "o": [-1]}),
     ])
     def test_junk_is_bad_cursor(self, token):
         with pytest.raises(BadCursorError):
-            decode_cursor(token, 1)
+            decode_cursor(token)
 
-    def test_wrong_shard_count_is_bad_cursor(self):
-        token = encode_cursor([0, 0])
-        with pytest.raises(BadCursorError, match="2 shard"):
-            decode_cursor(token, 3)
-
-    def test_negative_offsets_rejected(self):
-        import base64
-        raw = json.dumps({"v": 1, "o": [-1]}).encode()
-        token = base64.urlsafe_b64encode(raw).decode().rstrip("=")
-        with pytest.raises(BadCursorError):
-            decode_cursor(token, 1)
+    def test_multi_offset_token_is_bad_cursor(self):
+        with pytest.raises(BadCursorError, match="3 offsets"):
+            decode_cursor(_token({"v": 1, "o": [0, 0, 0]}))
 
     def test_queue_cursor_roundtrip_and_cross_rejection(self):
         token = encode_queue_cursor(40)
         assert decode_queue_cursor(token) == 40
         with pytest.raises(BadCursorError):
-            decode_queue_cursor(encode_cursor([0]))  # event token on queue
+            decode_queue_cursor(encode_cursor(0))  # event token on queue
         with pytest.raises(BadCursorError):
             decode_queue_cursor("garbage")
 
@@ -127,68 +132,62 @@ class TestStoreLog:
         assert pos == reopened.events_end()
 
 
-def _broker(tmp_path, nshards=1):
-    """``(per-shard stores, broker)`` over a fresh ``nshards`` queue."""
-    from repro.service.shard import ShardedStore, shard_workdirs
-    store = ShardedStore(shard_workdirs(tmp_path, nshards))
-    return store.shards, EventBroker(store)
+def _broker(tmp_path):
+    """``(store, broker)`` over a fresh store."""
+    store = JobStore(tmp_path)
+    return store, EventBroker(store)
 
 
 class TestBroker:
-    def test_merge_preserves_per_shard_order(self, tmp_path):
-        shards, broker = _broker(tmp_path, nshards=3)
-        # Interleave appends across shards; timestamps may collide.
+    def test_read_keeps_file_order(self, tmp_path):
+        store, broker = _broker(tmp_path)
         for i in range(12):
-            shards[i % 3]._event(f"j{i}", "submitted", seq=i)
-        views, offsets = broker.read(broker.begin_offsets())
-        assert len(views) == 12
-        for shard in range(3):
-            seqs = [v.data["seq"] for v in views if v.shard == shard]
-            assert seqs == sorted(seqs), "shard file order violated"
-        assert offsets == broker.end_offsets()
+            store._event(f"j{i}", "submitted", seq=i)
+        views, offset = broker.read(broker.begin_offset())
+        assert [v.data["seq"] for v in views] == list(range(12))
+        assert offset == store.events_end()
 
     def test_every_cursor_is_an_exact_resume_point(self, tmp_path):
-        shards, broker = _broker(tmp_path, nshards=3)
+        store, broker = _broker(tmp_path)
         for i in range(10):
-            shards[i % 3]._event(f"j{i}", "submitted", seq=i)
-        views, _ = broker.read(broker.begin_offsets())
+            store._event(f"j{i}", "submitted", seq=i)
+        views, _ = broker.read(broker.begin_offset())
         for i, view in enumerate(views):
-            offsets = decode_cursor(view.cursor, broker.nshards)
-            rest, _ = broker.read(offsets)
+            rest, _ = broker.read(decode_cursor(view.cursor))
             assert [v.data["seq"] for v in rest] == \
                 [v.data["seq"] for v in views[i + 1:]]
 
     def test_limit_cuts_cleanly(self, tmp_path):
-        shards, broker = _broker(tmp_path, nshards=3)
+        store, broker = _broker(tmp_path)
         for i in range(9):
-            shards[i % 3]._event(f"j{i}", "submitted", seq=i)
-        collected, offsets = [], broker.begin_offsets()
+            store._event(f"j{i}", "submitted", seq=i)
+        collected, offset = [], broker.begin_offset()
         while True:
-            views, offsets = broker.read(offsets, limit=2)
+            views, offset = broker.read(offset, limit=2)
             if not views:
                 break
             collected.extend(views)
-        assert sorted(v.data["seq"] for v in collected) == list(range(9))
+        assert [v.data["seq"] for v in collected] == list(range(9))
 
     def test_filters_match_and_still_advance(self, tmp_path):
-        (store,), broker = _broker(tmp_path)
+        store, broker = _broker(tmp_path)
         store._event("a", "submitted", state="PENDING")
         store._event("b", "submitted", state="PENDING")
         store._event("a", "done", state="DONE")
         f = EventFilter.build(job_ids={"a"})
-        views, offsets = broker.read(broker.begin_offsets(), filter=f)
+        views, offset = broker.read(broker.begin_offset(), filter=f)
         assert [v.kind for v in views] == ["submitted", "done"]
-        assert offsets == broker.end_offsets()  # b's event consumed too
+        assert offset == store.events_end()  # b's event consumed too
         # States fold case; kinds are exact.
         f = EventFilter.build(states={"done"})
-        views, _ = broker.read(broker.begin_offsets(), filter=f)
+        views, _ = broker.read(broker.begin_offset(), filter=f)
         assert [v.job_id for v in views] == ["a"]
         f = EventFilter.build(kinds={"submitted"})
-        views, _ = broker.read(broker.begin_offsets(), filter=f)
+        views, _ = broker.read(broker.begin_offset(), filter=f)
         assert [v.job_id for v in views] == ["a", "b"]
 
     def test_poll_times_out_then_wakes_on_append(self, tmp_path):
-        (store,), broker = _broker(tmp_path)
+        store, broker = _broker(tmp_path)
         views, token, timed_out = broker.poll(NOW, timeout=0.05)
         assert views == [] and timed_out
         # An append from another thread wakes a blocked poll promptly.
@@ -203,11 +202,11 @@ class TestBroker:
         assert not timed_out and [v.job_id for v in views] == ["late"]
 
     def test_sentinels_and_bad_tokens(self, tmp_path):
-        (store,), broker = _broker(tmp_path)
+        store, broker = _broker(tmp_path)
         store._event("j", "submitted")
-        assert broker.resolve(BEGIN) == broker.begin_offsets()
-        assert broker.resolve(None) == broker.begin_offsets()
-        assert broker.resolve(NOW) == broker.end_offsets()
+        assert broker.resolve(BEGIN) == broker.begin_offset()
+        assert broker.resolve(None) == broker.begin_offset()
+        assert broker.resolve(NOW) == store.events_end()
         with pytest.raises(BadCursorError):
             broker.resolve("junk-token")
 
@@ -225,51 +224,42 @@ def _pages(service, cursor, **filters) -> list[EventView]:
 class TestJobFilteredBegin:
     """``begin`` + a job filter starts where the jobs were submitted."""
 
-    @pytest.mark.parametrize("nshards", [1, 3])
     @pytest.mark.parametrize(
         "case", ["plain", "compacted", "premigration", "unknown_id"])
     def test_equals_the_filtered_replay_without_replaying(
-            self, tmp_path, monkeypatch, nshards, case):
-        service = Service(tmp_path / "svc", shards=nshards)
-        shards = service.store.shards
+            self, tmp_path, monkeypatch, case):
+        service = Service(tmp_path / "svc")
+        store = service.store
         for i in range(3000):  # history that has nothing to do with S
-            shards[i % nshards]._event(f"noise{i}", "submitted",
-                                       state="PENDING")
-        held: dict[str, tuple[int, int]] = {}  # id -> (shard, position)
+            store._event(f"noise{i}", "submitted", state="PENDING")
+        held: dict[str, int] = {}  # id -> log position at submit
         for tag in range(6):
             if case == "compacted" and tag == 3:
-                service.store.truncate_events()
-            before = [s.events_end() for s in shards]
-            jid = service.submit("probe", {"behavior": "echo",
-                                           "tag": tag}).new[0]
-            shard = shard_index(service.store.get(jid).key, nshards)
-            held[jid] = (shard, before[shard])
+                store.truncate_events()
+            before = store.events_end()
+            held[service.submit("probe", {"behavior": "echo",
+                                          "tag": tag}).new[0]] = before
         service.run_workers(n=2, max_seconds=60)
         watched = list(held)[1::2]  # some, not all
-        bases = [s.events_base() for s in shards]
-        expected_start = []
-        for k, shard in enumerate(shards):
-            positions = [at for on, at in map(held.get, watched) if on == k]
-            expected_start.append(max(bases[k], min(positions))
-                                  if positions else shard.events_end())
+        base = store.events_base()
+        expected_start = max(base, min(held[j] for j in watched))
         if case == "premigration":  # a row older than the column
-            shard, _ = held[watched[0]]
-            with sqlite3.connect(shards[shard].db_path) as conn:
+            with sqlite3.connect(store.db_path) as conn:
                 conn.execute("UPDATE jobs SET events_from = 0"
                              " WHERE id = ?", (watched[0],))
-            expected_start[shard] = bases[shard]
+            expected_start = base
         ids = list(watched)
         if case == "unknown_id":
             ids.append("nosuchjob000")
-            expected_start = bases
+            expected_start = base
 
-        replay = _pages(service, encode_cursor(bases), job_ids=ids)
-        first_reads: dict[str, int] = {}
+        replay = _pages(service, encode_cursor(base), job_ids=ids)
+        first_reads: list[int] = []
         read_events = JobStore.read_events
         monkeypatch.setattr(
             JobStore, "read_events",
             lambda self, offset, limit=None: (
-                first_reads.setdefault(self.workdir, offset),
+                first_reads.append(offset),
                 read_events(self, offset, limit))[1])
         fast = _pages(service, "begin", job_ids=ids)
         monkeypatch.undo()
@@ -280,16 +270,15 @@ class TestJobFilteredBegin:
             (v.job_id, v.kind, v.t) for v in _pages(service, "begin")
             if v.job_id in watched]
         # ... read from the jobs' submit positions, not from the base.
-        assert [first_reads[s.workdir] for s in shards] == expected_start
+        assert first_reads[0] == expected_start
         if case == "plain":  # and that skipped the 3 000
-            assert all(start > base
-                       for start, base in zip(expected_start, bases))
+            assert expected_start > base
 
 
 class TestEventView:
     def test_roundtrip_and_terminal(self):
         view = EventView(cursor="c", t=1.0, job_id="j", kind="done",
-                        state="DONE", shard=0, data={"worker": "w"})
+                        state="DONE", data={"worker": "w"})
         again = EventView.from_dict(view.to_dict())
         assert again == view and again.terminal
         assert not EventView.from_dict(

@@ -7,16 +7,12 @@ mid-append), a new coordinator starts over the same workdirs and port,
 and the client's automatic ``Last-Event-ID`` reconnect must deliver
 **every durably-logged event exactly once** -- the stream the client
 saw, concatenated across the kill, equals a post-hoc replay of the full
-log, cursor for cursor.  Run over both a single-workdir coordinator and
-``--shards 3`` (per-shard offsets must all survive the restart).
+log, cursor for cursor.
 """
 
 from __future__ import annotations
 
-import os
 import signal
-import subprocess
-import sys
 import threading
 import time
 
@@ -24,31 +20,11 @@ import pytest
 
 from repro.service.http import ServiceClient
 
+from .conftest import start_serve, stop
+
 pytestmark = pytest.mark.dedicated
 
 TERMINAL = ("DONE", "FAILED", "CANCELLED")
-
-
-def _start_serve(workdir, shards: int, port: int = 0,
-                 workers: int = 2) -> tuple[subprocess.Popen, str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--workdir",
-         str(workdir), "--shards", str(shards), "--port", str(port),
-         "--workers", str(workers), "--backoff", "0.01"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
-    )
-    line = proc.stdout.readline()
-    url = next(tok for tok in line.split() if tok.startswith("http://"))
-    return proc, url
-
-
-def _stop(proc: subprocess.Popen | None) -> None:
-    if proc is not None and proc.poll() is None:
-        proc.kill()
-        proc.wait(timeout=30)
 
 
 def _wait_healthy(url: str, timeout: float = 30.0) -> None:
@@ -63,16 +39,15 @@ def _wait_healthy(url: str, timeout: float = 30.0) -> None:
     raise AssertionError(f"no healthy server at {url}")
 
 
-@pytest.mark.parametrize("shards", [1, 3])
-def test_sigkill_mid_sse_resumes_exactly_once(tmp_path, shards):
+def test_sigkill_mid_sse_resumes_exactly_once(tmp_path):
     """Kill the coordinator under a live SSE consumer; nothing is lost
     or repeated across the ``Last-Event-ID`` reconnect.
     """
     workdir = tmp_path / "svc"
-    proc, url = _start_serve(workdir, shards)
+    proc, url = start_serve(workdir, workers=2)
     restarted = None
     streamed: list = []
-    stop = threading.Event()
+    finished = threading.Event()
 
     def consume() -> None:
         # reconnect=True is the contract under test: on a dead socket
@@ -83,7 +58,7 @@ def test_sigkill_mid_sse_resumes_exactly_once(tmp_path, shards):
                                          reconnect=True,
                                          reconnect_delay=0.1):
             streamed.append(view)
-            if stop.is_set():
+            if finished.is_set():
                 return
 
     consumer = threading.Thread(target=consume, daemon=True)
@@ -102,7 +77,7 @@ def test_sigkill_mid_sse_resumes_exactly_once(tmp_path, shards):
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
         port = int(url.rsplit(":", 1)[1])
-        restarted, _ = _start_serve(workdir, shards, port=port)
+        restarted, _ = start_serve(workdir, workers=2, port=port)
         _wait_healthy(url)
 
         # The restarted coordinator finishes the drain (stale RUNNING
@@ -116,7 +91,7 @@ def test_sigkill_mid_sse_resumes_exactly_once(tmp_path, shards):
         else:
             raise AssertionError(f"drain incomplete: {states}")
 
-        # Ground truth: one replay of the full merged log.
+        # Ground truth: one replay of the full log.
         truth, cursor = [], "begin"
         while True:
             batch, cursor, timed_out = client.events(cursor=cursor)
@@ -129,7 +104,7 @@ def test_sigkill_mid_sse_resumes_exactly_once(tmp_path, shards):
         while time.monotonic() < deadline and \
                 [v.cursor for v in streamed] != want:
             time.sleep(0.1)
-        stop.set()
+        finished.set()
 
         got = [v.cursor for v in streamed]
         assert len(got) == len(set(got)), "duplicate events delivered"
@@ -145,6 +120,6 @@ def test_sigkill_mid_sse_resumes_exactly_once(tmp_path, shards):
         assert len(terminal_jobs) == len(ids), \
             "a job reached a terminal state more than once"
     finally:
-        stop.set()
-        _stop(proc)
-        _stop(restarted)
+        finished.set()
+        stop(proc)
+        stop(restarted)

@@ -11,6 +11,7 @@ the feed on both clients.
 from __future__ import annotations
 
 import asyncio
+import base64
 import time
 import urllib.request
 
@@ -28,11 +29,10 @@ from repro.service.views import EventView
 pytestmark = pytest.mark.dedicated
 
 
-@pytest.fixture(params=[1, 3], ids=["1shard", "3shard"])
-def server(request, tmp_path):
+@pytest.fixture
+def server(tmp_path):
     with ServiceHTTPServer(tmp_path / "svc", port=0, workers=2,
-                           backoff_base=0.01,
-                           shards=request.param) as srv:
+                           backoff_base=0.01) as srv:
         yield srv
 
 
@@ -58,7 +58,8 @@ class TestDiscovery:
         assert "events" in doc["capabilities"]
         assert "GET /v1/events" in doc["endpoints"]
         assert "GET /v1" in doc["endpoints"]
-        assert doc["nshards"] == server.service.nshards
+        assert set(doc) == {"version", "service", "capabilities",
+                            "endpoints"}
 
     def test_capabilities_probe_is_cached(self, server, client):
         assert "events" in client.capabilities()
@@ -165,17 +166,25 @@ class TestErrorContract:
         with pytest.raises(BadCursorError):
             client.events(cursor="junk-token")
 
-    def test_wrong_shard_count_is_422(self, server, client):
-        nshards = server.service.nshards
-        token = encode_cursor([0] * (nshards + 1))
+    def test_one_offset_token_resumes_and_multi_offset_is_422(
+            self, server, client):
+        jid = client.submit("probe", {"behavior": "ok"}).new[0]
+        _drain(client, jid)
+
+        def token(raw: bytes) -> str:
+            return base64.urlsafe_b64encode(raw).decode().rstrip("=")
+
+        # The one-offset shape every earlier server minted resumes ...
+        views, _, _ = client.events(cursor=token(b'{"v":1,"o":[0]}'))
+        assert jid in {v.job_id for v in views}
+        # ... and a token carrying one offset per shard does not.
         with pytest.raises(BadCursorError):
-            client.events(cursor=token)
+            client.events(cursor=token(b'{"v":1,"o":[0,0,0]}'))
 
     def test_compacted_offset_is_410(self, server, client):
         jid = client.submit("probe", {"behavior": "ok"}).new[0]
         _drain(client, jid)
-        nshards = server.service.nshards
-        stale = encode_cursor([0] * nshards)
+        stale = encode_cursor(0)
         server.service.store.truncate_events()
         with pytest.raises(EventsTruncatedError):
             client.events(cursor=stale)
@@ -205,7 +214,7 @@ class TestQueueCursor:
         with pytest.raises(BadCursorError):
             client.status(cursor="junk")
         with pytest.raises(BadCursorError):
-            client.status(cursor=encode_cursor([0]))  # event token
+            client.status(cursor=encode_cursor(0))  # event token
 
 
 class TestSSE:

@@ -20,7 +20,6 @@ import inspect
 import hashlib
 import io
 import json
-import os
 import random
 import signal
 import socket
@@ -53,6 +52,8 @@ from repro.service.http import (
     ServiceHTTPServer,
     WaitTimeout,
 )
+
+from .conftest import start_serve
 
 pytestmark = pytest.mark.dedicated
 
@@ -362,25 +363,20 @@ class TestKeptConnections:
             sock.close()
 
 
-@pytest.fixture(params=[1, 3], ids=["1shard", "3shards"])
-def idle_server(request, tmp_path):
-    """No-pool servers over one shard and over three.
-
-    The v1 error contract must be indistinguishable between them: a
-    client cannot tell whether ``unknown_job``, ``lease_expired``, or
-    ``conflict`` came from a plain store or crossed a ShardedStore.
-    """
-    with ServiceHTTPServer(tmp_path / "svc", workers=0,
-                           shards=request.param) as srv:
+@pytest.fixture
+def idle_server(tmp_path):
+    """A no-pool server: nothing claims behind the test's back."""
+    with ServiceHTTPServer(tmp_path / "svc", workers=0) as srv:
         yield srv
 
 
-class TestErrorContractAcrossShards:
-    def test_healthz_reports_the_shard_count(self, idle_server):
+class TestWireErrorContract:
+    def test_healthz_reports_queue_and_leases(self, idle_server):
         health = ServiceClient(idle_server.url).healthz()
-        assert health["nshards"] == idle_server.service.nshards
-        assert len(health["shards"]) == health["nshards"]
-        assert health["degraded"] == []
+        assert health["ok"] is True
+        assert set(health) == {"ok", "workdir", "queue", "leases",
+                               "workers", "admission", "http"}
+        assert sum(health["queue"].values()) == 0 and health["leases"] == 0
 
     def test_unknown_job_is_404_unknown_job(self, idle_server):
         c = ServiceClient(idle_server.url)
@@ -411,8 +407,6 @@ class TestErrorContractAcrossShards:
 
     def test_wrong_lease_on_complete_is_409_conflict(self, idle_server):
         c = ServiceClient(idle_server.url)
-        # Enough jobs that a 3-shard store has claims on >1 shard, so
-        # the conflict genuinely round-trips through ShardedStore.
         ids = [c.submit("probe", {"behavior": "ok", "tag": i}).new[0]
                for i in range(6)]
         lease, claimed = c.claim_jobs("w1", n=6, ttl=30.0)
@@ -429,7 +423,7 @@ class TestErrorContractAcrossShards:
         assert excinfo.value.code == 409
         assert json.loads(excinfo.value.read())["error"]["code"] == \
             "conflict"
-        # The right lease still works afterwards, on every shard.
+        # The right lease still works afterwards, on every job.
         for jid in ids:
             assert c.complete_job(jid, lease.id, {"ok": True}).state == "DONE"
 
@@ -609,21 +603,19 @@ class TestMalformedLeaseParameters:
             assert (excinfo.value.code, error["code"]) == (400, "malformed")
 
         assert service.store.get(waiting).state is JobState.PENDING
-        assert sum(s["leases"] for s in service.shard_stats()) == 1
+        assert len(service.store.active_leases()) == 1
         assert service.store.get_lease(held.id).expires == held.expires
 
 
-@pytest.fixture(params=[1, 3], ids=["1shard", "3shards"])
-def stream_server(request, tmp_path):
-    """No-pool servers with a tiny inline threshold (512 bytes).
+@pytest.fixture
+def stream_server(tmp_path):
+    """A no-pool server with a tiny inline threshold (512 bytes).
 
     Any result over ~half a KB crosses the wire as chunks, so the
-    streaming contract is exercised with small payloads -- and it must
-    be indistinguishable between a plain store and a ShardedStore,
-    whose staging areas are shard-local.
+    streaming contract is exercised with small payloads.
     """
     with ServiceHTTPServer(tmp_path / "svc", workers=0,
-                           shards=request.param, inline_max=512) as srv:
+                           inline_max=512) as srv:
         yield srv
 
 
@@ -641,7 +633,7 @@ def _post_chunk(url: str, jid: str, lease: str, offset: int,
 
 
 class TestStreamingWireContract:
-    """The chunk endpoints' v1 contract, over one shard and three."""
+    """The chunk endpoints' v1 contract."""
 
     BIG = {"tag": "big", "blob": "z" * 4000}      # ~4 KB encoded: streams
     SMALL = {"tag": "small", "ok": True}          # well under 512: inline
@@ -866,24 +858,10 @@ class TestAsyncClient:
         assert all(v.state == "DONE" for v in views.values())
 
 
-def _start_serve(workdir) -> tuple[subprocess.Popen, str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--workdir", str(workdir),
-         "--port", "0", "--workers", "2", "--backoff", "0.01"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
-    )
-    line = proc.stdout.readline()
-    url = next(tok for tok in line.split() if tok.startswith("http://"))
-    return proc, url
-
-
 class TestEndToEnd:
     def test_serve_submit_wait_cancel_shutdown(self, tmp_path):
         """The acceptance path, over a real socket to a real process."""
-        proc, url = _start_serve(tmp_path / "svc")
+        proc, url = start_serve(tmp_path / "svc", workers=2)
         try:
             async def scenario():
                 ac = AsyncServiceClient(url)
@@ -926,7 +904,7 @@ class TestEndToEnd:
 
     def test_cli_against_remote_server(self, tmp_path, capsys):
         """submit/status/results/cancel all drive the remote instance."""
-        proc, url = _start_serve(tmp_path / "svc")
+        proc, url = start_serve(tmp_path / "svc", workers=2)
         try:
             rc = main(["submit", "--url", url, "--kind", "sim", "--sweep",
                        "-N", "512,1024", "-NB", "64", "-P", "2", "-Q", "2"])

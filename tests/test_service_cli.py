@@ -85,8 +85,6 @@ class TestEndToEnd:
         rc, out, _ = _read(["status", "--limit", "3"], workdir, server,
                            capsys, header=1)
         assert "showing 3 of 8" in out and "--cursor " in out
-        rc, _, _ = _read(["shards"], workdir, server, capsys, header=1)
-        assert rc == 0
 
         rc, out, _ = _read(["results", "--json"], workdir, server, capsys)
         assert rc == 0

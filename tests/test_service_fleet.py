@@ -17,10 +17,7 @@ Three layers are exercised:
 from __future__ import annotations
 
 import json
-import os
 import signal
-import subprocess
-import sys
 import time
 import urllib.request
 
@@ -40,6 +37,8 @@ from repro.service import (
     new_job_id,
 )
 from repro.service.http import ServiceClient, ServiceHTTPServer
+
+from .conftest import start_serve, start_worker
 
 
 def _job(kind="probe", payload=None, **kw) -> Job:
@@ -210,48 +209,20 @@ class TestLeaseEndpoints:
             "conflict"
 
 
-def _start_serve(workdir) -> tuple[subprocess.Popen, str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--workdir", str(workdir),
-         "--port", "0", "--workers", "0", "--backoff", "0.01"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
-    )
-    line = proc.stdout.readline()
-    url = next(tok for tok in line.split() if tok.startswith("http://"))
-    return proc, url
-
-
-def _start_worker(url: str, *, n: int = 2, ttl: float = 30.0,
-                  name: str = "") -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    cmd = [sys.executable, "-m", "repro", "workers", "--url", url,
-           "-n", str(n), "--ttl", str(ttl), "--backoff", "0.01"]
-    if name:
-        cmd += ["--name", name]
-    return subprocess.Popen(
-        cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
-    )
-
-
 class TestFleetProcesses:
     def test_sigkilled_worker_jobs_requeue_and_finish(self, tmp_path):
         """The acceptance path: kill a fleet member mid-job; the lease
         lapses, the coordinator requeues exactly once, and a surviving
         worker completes the job (hang_once sleeps only on attempt 1).
         """
-        proc, url = _start_serve(tmp_path / "svc")
+        proc, url = start_serve(tmp_path / "svc")
         victim = survivor = None
         try:
             client = ServiceClient(url)
             jid = client.submit(
                 "probe", {"behavior": "hang_once", "seconds": 120.0}
             ).new[0]
-            victim = _start_worker(url, n=1, ttl=1.5, name="victim")
+            victim = start_worker(url, n=1, ttl=1.5, name="victim")
             deadline = time.monotonic() + 60.0
             while client.job(jid).state != "RUNNING":
                 assert time.monotonic() < deadline, "job never claimed"
@@ -259,7 +230,7 @@ class TestFleetProcesses:
             victim.kill()
             victim.wait(timeout=30)
 
-            survivor = _start_worker(url, n=1, ttl=5.0, name="survivor")
+            survivor = start_worker(url, n=1, ttl=5.0, name="survivor")
             view = client.wait([jid], timeout=120)[jid]
             assert view.state == "DONE"
             assert view.result["attempt"] == 2
@@ -285,7 +256,7 @@ class TestFleetProcesses:
         """Two concurrent `repro workers --url` processes drain one
         sweep; the audit log proves every job ran exactly once.
         """
-        proc, url = _start_serve(tmp_path / "svc")
+        proc, url = start_serve(tmp_path / "svc")
         workers = []
         try:
             client = ServiceClient(url)
@@ -295,7 +266,7 @@ class TestFleetProcesses:
                                            "seconds": 0.8, "tag": i},
                                  timeout=60.0).new[0]
                    for i in range(10)]
-            workers = [_start_worker(url, n=2, ttl=10.0, name=f"host{i}")
+            workers = [start_worker(url, n=2, ttl=10.0, name=f"host{i}")
                        for i in range(2)]
             views = client.wait(ids, timeout=120)
             assert all(v.state == "DONE" for v in views.values())

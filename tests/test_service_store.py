@@ -1,12 +1,18 @@
-"""Job store: claims, transitions, and persistence across restarts."""
+"""Job store: claims, transitions, persistence, and a wedged store."""
 
 from __future__ import annotations
 
+import json
+import sqlite3
+import urllib.request
+
 import pytest
 
-from repro.errors import UnknownJobError
-from repro.service import Job, JobState, JobStore
+from repro.cli import main
+from repro.errors import ConfigError, StoreUnavailableError, UnknownJobError
+from repro.service import Job, JobState, JobStore, Service
 from repro.service.cache import payload_key
+from repro.service.http import ServiceClient, ServiceHTTPServer
 
 from .conftest import claim_one
 
@@ -118,3 +124,77 @@ class TestPersistence:
         events = [e["event"] for e in store.events()
                   if e["job"] == "job-0001"]
         assert events == ["submitted", "claimed", "done"]
+
+
+#: The facade calls that read or write the queue, each of which must be
+#: a typed 503 -- never an empty answer -- while the store is wedged.
+WEDGED_CALLS = {
+    "status": lambda backend, ids: backend.status(),
+    "job": lambda backend, ids: backend.job(ids[0]),
+    "submit": lambda backend, ids: backend.submit(
+        "probe", {"behavior": "ok", "tag": "new"}),
+    "claim_jobs": lambda backend, ids: backend.claim_jobs("w", n=3),
+    # ``begin`` under a job filter asks the store where the job's
+    # history starts.
+    "events": lambda backend, ids: backend.events(job_ids=[ids[0]]),
+}
+
+
+class TestWedgedStore:
+    """Another connection holds ``BEGIN EXCLUSIVE`` past the busy
+    timeout: every call says so, in process and over HTTP."""
+
+    @pytest.fixture
+    def wedged(self, tmp_path):
+        with ServiceHTTPServer(tmp_path / "svc", workers=0,
+                               busy_timeout=0.2) as srv:
+            ids = [srv.service.submit("probe", {"behavior": "ok",
+                                                "tag": i}).new[0]
+                   for i in range(3)]
+            blocker = sqlite3.connect(srv.service.store.db_path)
+            blocker.isolation_level = None
+            blocker.execute("BEGIN EXCLUSIVE")
+            try:
+                yield srv, ids, blocker
+            finally:
+                if blocker.in_transaction:
+                    blocker.execute("ROLLBACK")
+                blocker.close()
+
+    @pytest.mark.parametrize("call", sorted(WEDGED_CALLS))
+    def test_call_is_503_then_recovers(self, wedged, call):
+        srv, ids, blocker = wedged
+        backends = (srv.service, ServiceClient(srv.url, retry_429=0))
+        for backend in backends:
+            with pytest.raises(StoreUnavailableError) as excinfo:
+                WEDGED_CALLS[call](backend, ids)
+            assert (excinfo.value.code, excinfo.value.http_status) == \
+                ("store_unavailable", 503)
+        blocker.execute("ROLLBACK")
+        assert {j.id: j.state for j in srv.service.status().jobs} == \
+            dict.fromkeys(ids, "PENDING")
+        for backend in backends:
+            WEDGED_CALLS[call](backend, ids)
+
+    def test_healthz_stays_a_200_that_says_so(self, wedged):
+        srv, _, blocker = wedged
+        with urllib.request.urlopen(srv.url + "/v1/healthz",
+                                    timeout=30) as resp:
+            assert resp.status == 200
+            health = json.loads(resp.read())
+        assert health["ok"] is False and "unavailable" in health["error"]
+        assert health["queue"] is None
+        assert srv.service.healthz()["ok"] is False
+        blocker.execute("ROLLBACK")
+        health = ServiceClient(srv.url).healthz()
+        assert health["ok"] is True and health["queue"]["PENDING"] == 3
+
+
+def test_sharded_workdir_is_refused_not_served_empty(tmp_path, capsys):
+    root = tmp_path / "svc"
+    JobStore(root / "shards" / "00").add(_job(1))
+    with pytest.raises(ConfigError, match="previous release"):
+        Service(root)
+    assert main(["serve", "--workdir", str(root), "--port", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

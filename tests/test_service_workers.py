@@ -30,7 +30,6 @@ from repro.service import (
     new_job_id,
     payload_key,
     register_runner,
-    shard_index,
 )
 from repro.service import workers
 from repro.service.http import ServiceClient, ServiceHTTPServer
@@ -464,7 +463,7 @@ class TestSupervision:
         """Pre-lease versions left RUNNING rows with no lease at all;
         the expiry sweep treats them as orphans too."""
         jid = service.submit("probe", {"behavior": "ok"}).new[0]
-        conn = sqlite3.connect(service.store.shards[0].db_path)
+        conn = sqlite3.connect(service.store.db_path)
         with conn:
             conn.execute("UPDATE jobs SET state = 'RUNNING', attempts = 1,"
                          " worker = 'pool/0' WHERE id = ?", (jid,))
@@ -480,39 +479,6 @@ class TestSupervision:
     def test_pool_requires_at_least_one_worker(self, service):
         with pytest.raises(ServiceError):
             service.worker_pool(WorkerOptions(n=0))
-
-
-class TestShardedService:
-    def test_one_pool_drains_three_shards_exactly_once(self, tmp_path):
-        """The embedded pool claims across shards under one lease: no
-        job is launched twice, and a parent finishing on one shard
-        releases a child that lives on another."""
-        svc = Service(tmp_path / "svc", shards=3, backoff_base=0.01)
-        ids = svc.submit_sweep(
-            Sweep(kind="probe", axes={"tag": list(range(12))},
-                  base={"behavior": "echo"})).new
-        parent = ids[0]
-        pshard = shard_index(svc.store.get(parent).key, 3)
-        child = next(
-            svc.submit("probe", {"behavior": "echo", "tag": tag},
-                       depends_on=[parent]).new[0]
-            for tag in range(100, 150)
-            if shard_index(payload_key(
-                "probe", {"behavior": "echo", "tag": tag},
-                parents=(parent,)), 3) != pshard)
-        assert {shard_index(svc.store.get(j).key, 3) for j in ids} == {0, 1, 2}
-
-        summary = svc.run_workers(n=2, max_seconds=60)
-        assert summary.claimed == 13 and summary.completed == 13
-        assert summary.counts["DONE"] == 13
-        events = svc.store.events()
-        for jid in ids + [child]:
-            mine = [e["event"] for e in events if e["job"] == jid]
-            assert mine.count("claimed") == 1
-            assert mine.count("launched") == 1
-            assert mine.count("done") == 1
-        assert [e["event"] for e in events
-                if e["job"] == child].count("released") == 1
 
 
 class _Canary:

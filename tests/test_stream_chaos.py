@@ -32,30 +32,13 @@ from repro.service import Service
 from repro.service.http import ServiceClient
 from repro.service.streams import encode_result
 
+from .conftest import start_serve, stop
+
 pytestmark = pytest.mark.dedicated
 
 #: The deterministic large result both workers "compute" for the chaos
 #: job: ~200 KB encoded, well past the server's tiny --inline-max below.
 CHAOS_RESULT = {"tag": "stream-chaos", "blob": "v" * 200_000}
-
-
-def _start_serve(workdir, shards: int = 1,
-                 inline_max: int | None = None) -> tuple[subprocess.Popen,
-                                                         str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    cmd = [sys.executable, "-m", "repro", "serve", "--workdir", str(workdir),
-           "--shards", str(shards), "--port", "0", "--workers", "0",
-           "--backoff", "0.01"]
-    if inline_max is not None:
-        cmd += ["--inline-max", str(inline_max)]
-    proc = subprocess.Popen(
-        cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
-    )
-    line = proc.stdout.readline()
-    url = next(tok for tok in line.split() if tok.startswith("http://"))
-    return proc, url
 
 
 #: Claims the one pending job and uploads CHAOS_RESULT in small chunks
@@ -89,16 +72,10 @@ def _staged_parts(workdir) -> list[pathlib.Path]:
     return sorted(pathlib.Path(workdir).rglob("staging/*.part"))
 
 
-def _stop(proc: subprocess.Popen | None) -> None:
-    if proc is not None and proc.poll() is None:
-        proc.kill()
-        proc.wait(timeout=30)
-
-
 class TestSigkilledUploader:
     def test_spool_gcd_requeued_once_and_rerun_identically(self, tmp_path):
         svc_dir = tmp_path / "svc"
-        proc, url = _start_serve(svc_dir, inline_max=1024)
+        proc, url = start_serve(svc_dir, inline_max=1024)
         victim = None
         try:
             client = ServiceClient(url, inline_max=1024, chunk_size=8192)
@@ -147,7 +124,7 @@ class TestSigkilledUploader:
             assert view.state == "DONE"
             assert client.result(jid).result == CHAOS_RESULT
         finally:
-            _stop(victim)
+            stop(victim)
             proc.send_signal(signal.SIGINT)
             proc.communicate(timeout=30)
 
@@ -183,7 +160,7 @@ class TestCoordinatorMemoryBound:
         result: it spools chunks to disk, holding at most one (4 MiB)
         chunk plus request overhead in memory.
         """
-        proc, url = _start_serve(tmp_path / "svc")
+        proc, url = start_serve(tmp_path / "svc")
         try:
             client = ServiceClient(url)
             jid = client.submit("probe", {"tag": "big-result"}).new[0]
