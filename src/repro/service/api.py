@@ -191,8 +191,10 @@ def _lease_ttl(ttl) -> float:
 
     A NaN would violate the lease table's NOT NULL; an infinite one
     would never expire, and lease expiry is the only thing that
-    recovers a dead supervisor's jobs.
+    recovers a dead supervisor's jobs.  A JSON ``true`` is no number.
     """
+    if isinstance(ttl, bool):
+        raise MalformedRequestError(f"bad ttl: {ttl!r}")
     try:
         ttl = float(ttl)
     except (TypeError, ValueError) as exc:
@@ -585,6 +587,8 @@ class Service(ServiceFacade):
             raise MalformedRequestError(
                 "'worker' must be a non-empty string"
             )
+        if isinstance(n, bool):
+            raise MalformedRequestError(f"bad n: {n!r}")
         try:
             n = int(n)
         except (TypeError, ValueError, OverflowError) as exc:

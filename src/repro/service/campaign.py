@@ -45,7 +45,11 @@ import os
 import time
 import uuid
 
-from ..errors import MalformedRequestError, UnknownCampaignError
+from ..errors import (
+    MalformedRequestError,
+    UnknownCampaignError,
+    UnknownJobError,
+)
 from .dag import toposort
 from .jobs import JobState
 from .sweep import Sweep
@@ -211,19 +215,23 @@ def _collapse(counts: dict, total: int) -> str:
 
 
 def build_campaign_view(record: dict, store) -> CampaignView:
-    """Live progress for one campaign record, computed from job states."""
+    """Live progress for one campaign record, computed from job states.
+
+    The states come from one store read; a job the store no longer
+    holds is left out of the counts, and a store that cannot be read
+    raises (503) rather than reporting an empty campaign.
+    """
+    states = store.states(
+        [jid for entry in record["stages"] for jid in entry["job_ids"]])
     stages = []
     total_counts = {s.value: 0 for s in JobState}
     njobs = 0
     for entry in record["stages"]:
         counts = {s.value: 0 for s in JobState}
         for job_id in entry["job_ids"]:
-            try:
-                state = store.get(job_id).state.value
-            except Exception:  # noqa: BLE001 -- vanished/unreachable job
-                continue
-            counts[state] += 1
-            total_counts[state] += 1
+            if job_id in states:
+                counts[states[job_id].value] += 1
+                total_counts[states[job_id].value] += 1
         njobs += len(entry["job_ids"])
         stages.append(StageView(
             name=entry["name"], kind=entry["kind"],
@@ -248,7 +256,7 @@ def build_dag_view(record: dict, store) -> DagView:
             try:
                 job = store.get(job_id)
                 state, depends_on = job.state.value, list(job.depends_on)
-            except Exception:  # noqa: BLE001 -- vanished/unreachable job
+            except UnknownJobError:  # vanished; a wedged store raises
                 state, depends_on = "UNKNOWN", []
             nodes.append({
                 "id": job_id,

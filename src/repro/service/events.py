@@ -84,6 +84,18 @@ def encode_cursor(offset: int) -> str:
         .decode("ascii").rstrip("=")
 
 
+def _version_1(payload) -> bool:
+    """Whether a decoded token is an object of version 1 (``true`` and
+    ``1.0`` compare equal to 1 but were never minted)."""
+    return (isinstance(payload, dict) and payload.get("v") == 1
+            and type(payload["v"]) is int)
+
+
+def _offset(value) -> bool:
+    """A JSON integer >= 0 -- not a bool, which Python counts as one."""
+    return type(value) is int and value >= 0
+
+
 def decode_cursor(token: str) -> int:
     """Unpack a cursor token; reject anything that cannot be one.
 
@@ -96,11 +108,10 @@ def decode_cursor(token: str) -> int:
         payload = json.loads(base64.urlsafe_b64decode(padded.encode("ascii")))
     except (ValueError, binascii.Error, UnicodeEncodeError):
         raise BadCursorError(f"undecodable cursor token: {token!r}") from None
-    if not isinstance(payload, dict) or payload.get("v") != 1:
+    if not _version_1(payload):
         raise BadCursorError(f"unsupported cursor version in {token!r}")
     offsets = payload.get("o")
-    if (not isinstance(offsets, list)
-            or not all(isinstance(o, int) and o >= 0 for o in offsets)):
+    if not isinstance(offsets, list) or not all(map(_offset, offsets)):
         raise BadCursorError(f"malformed cursor offsets in {token!r}")
     if len(offsets) != 1:
         raise BadCursorError(
@@ -130,10 +141,10 @@ def decode_queue_cursor(token: str) -> int:
         raise BadCursorError(
             f"undecodable queue cursor token: {token!r}"
         ) from None
-    if not isinstance(payload, dict) or payload.get("v") != 1:
+    if not _version_1(payload):
         raise BadCursorError(f"unsupported queue cursor version in {token!r}")
     offset = payload.get("q")
-    if not isinstance(offset, int) or offset < 0:
+    if not _offset(offset):
         raise BadCursorError(f"malformed queue cursor offset in {token!r}")
     return offset
 

@@ -121,6 +121,52 @@ class TestBlockedSubmission:
         state = JobState.PENDING if parents_done else JobState.BLOCKED
         assert svc.store.counts()[state.value] == 50
 
+    #: What the parent does between ``submit_many``'s state read and its
+    #: insert -> (children's state, the one event each must carry).
+    _RACES = {
+        "done": (JobState.PENDING, "released"),
+        "failed": (JobState.CANCELLED, "parent_failed"),
+        "cancelled": (JobState.CANCELLED, "parent_failed"),
+        "still-running": (JobState.BLOCKED, None),
+    }
+
+    @pytest.mark.parametrize("race", _RACES)
+    def test_parent_settling_mid_submit_settles_the_stage(
+            self, tmp_path, monkeypatch, race):
+        """The parent's terminal hook fires before its children's edges
+        exist; ``submit_many`` reconciles exactly the children whose
+        parent turned terminal, each once."""
+        svc = Service(tmp_path / "svc")
+        parent = _submit(svc, "parent", max_retries=0)
+        leased = None if race == "cancelled" else claim_one(svc.store)
+        real_add_batch = svc.store.add_batch
+
+        def add_batch_after_the_parent_settles(staged):
+            if race == "done":
+                _done(svc.store, leased)
+            elif race == "failed":
+                _failed(svc.store, leased)
+            elif race == "cancelled":
+                assert svc.store.cancel(parent)
+            return real_add_batch(staged)
+
+        monkeypatch.setattr(svc.store, "add_batch",
+                            add_batch_after_the_parent_settles)
+        reconciled: list[str] = []
+        real_reconcile = svc.dag.reconcile
+        monkeypatch.setattr(svc.dag, "reconcile", lambda jid: (
+            reconciled.append(jid), real_reconcile(jid))[1])
+        receipts = svc.submit_many(
+            [{"kind": "probe", "payload": {"behavior": "echo", "tag": i}}
+             for i in range(3)], depends_on=[parent])
+        children = [r.new[0] for r in receipts]
+        state, event = self._RACES[race]
+        assert [svc.store.get(c).state for c in children] == [state] * 3
+        assert sorted(reconciled) == ([] if event is None
+                                      else sorted(children))
+        if event is not None:
+            assert all(len(_events(svc, event, c)) == 1 for c in children)
+
     def test_blocked_jobs_are_not_claimable(self, tmp_path):
         svc = Service(tmp_path / "svc")
         parent = _submit(svc, 1)

@@ -60,6 +60,15 @@ class TestCursorTokens:
     @pytest.mark.parametrize("token", [
         "not-base64!!", "", "AAAA", encode_queue_cursor(5),
         _token({"v": 1, "o": [-1]}),
+        _token({"v": 2, "o": [0]}), _token({"o": [0]}),
+        _token({"v": "1", "o": [0]}), _token({"v": 1}),
+        _token({"v": 1, "o": []}), _token({"v": 1, "o": 0}),
+        _token({"v": 1, "o": ["0"]}), _token({"v": 1, "o": [1.5]}),
+        _token([0]), _token(None),
+        # JSON ``true`` and ``1.0`` compare equal to 1 in Python; no
+        # server ever minted either.
+        _token({"v": 1, "o": [True]}), _token({"v": True, "o": [0]}),
+        _token({"v": 1.0, "o": [0]}),
     ])
     def test_junk_is_bad_cursor(self, token):
         with pytest.raises(BadCursorError):
@@ -76,6 +85,14 @@ class TestCursorTokens:
             decode_queue_cursor(encode_cursor(0))  # event token on queue
         with pytest.raises(BadCursorError):
             decode_queue_cursor("garbage")
+
+    @pytest.mark.parametrize("payload", [
+        {"v": 1, "q": -1}, {"v": 1, "q": "3"}, {"v": 1, "q": 2.0},
+        {"v": 1, "q": True}, {"v": True, "q": 0}, {"v": 2, "q": 0},
+    ])
+    def test_junk_is_bad_queue_cursor(self, payload):
+        with pytest.raises(BadCursorError):
+            decode_queue_cursor(_token(payload))
 
 
 class TestStoreLog:

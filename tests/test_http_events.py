@@ -18,6 +18,7 @@ import urllib.request
 import pytest
 
 from repro.errors import BadCursorError, EventsTruncatedError
+from repro.service import JobStore
 from repro.service.events import encode_cursor, encode_queue_cursor
 from repro.service.http import (
     AsyncServiceClient,
@@ -30,10 +31,24 @@ pytestmark = pytest.mark.dedicated
 
 
 @pytest.fixture
-def server(tmp_path):
+def server(request, tmp_path):
+    """A served workdir; ``"compacted"`` (indirect parameter) starts it
+    on a log an earlier server life filled and compacted, so every
+    offset the feed hands out lies past a non-zero base."""
+    if getattr(request, "param", "fresh") == "compacted":
+        store = JobStore(tmp_path / "svc")
+        for i in range(5):
+            store._event(f"gone-{i}", "submitted")
+        assert store.truncate_events() > 0
+        store.close()
     with ServiceHTTPServer(tmp_path / "svc", port=0, workers=2,
                            backoff_base=0.01) as srv:
         yield srv
+
+
+#: The feed's contracts hold on a fresh log and on a compacted one.
+both_logs = pytest.mark.parametrize("server", ["fresh", "compacted"],
+                                    indirect=True)
 
 
 @pytest.fixture
@@ -71,6 +86,7 @@ class TestDiscovery:
         assert calls == []
 
 
+@both_logs
 class TestLongPoll:
     def test_full_lifecycle_from_begin(self, server, client):
         jid = client.submit("probe", {"behavior": "ok"}).new[0]
@@ -161,6 +177,7 @@ class TestLongPoll:
             time.monotonic() - t0 >= 0.15
 
 
+@both_logs
 class TestErrorContract:
     def test_undecodable_cursor_is_422(self, server, client):
         with pytest.raises(BadCursorError):
@@ -174,12 +191,14 @@ class TestErrorContract:
         def token(raw: bytes) -> str:
             return base64.urlsafe_b64encode(raw).decode().rstrip("=")
 
+        base = server.service.store.events_base()
         # The one-offset shape every earlier server minted resumes ...
-        views, _, _ = client.events(cursor=token(b'{"v":1,"o":[0]}'))
+        views, _, _ = client.events(
+            cursor=token(b'{"v":1,"o":[%d]}' % base))
         assert jid in {v.job_id for v in views}
         # ... and a token carrying one offset per shard does not.
         with pytest.raises(BadCursorError):
-            client.events(cursor=token(b'{"v":1,"o":[0,0,0]}'))
+            client.events(cursor=token(b'{"v":1,"o":[%d,0,0]}' % base))
 
     def test_compacted_offset_is_410(self, server, client):
         jid = client.submit("probe", {"behavior": "ok"}).new[0]
@@ -217,6 +236,7 @@ class TestQueueCursor:
             client.status(cursor=encode_cursor(0))  # event token
 
 
+@both_logs
 class TestSSE:
     def test_stream_frames_and_heartbeat(self, server, client):
         jid = client.submit("probe", {"behavior": "ok"}).new[0]
@@ -267,6 +287,7 @@ class TestSSE:
             ["submitted", "claimed", "launched", "done"]
 
 
+@both_logs
 class TestWatchAndWait:
     def test_watch_yields_lifecycle_then_ends(self, server, client):
         jid = client.submit("probe", {"behavior": "ok"}).new[0]

@@ -460,6 +460,33 @@ _BAD_ITEMS = {
         **_SIM_GRID, "schedule": "eager"}}),
     "sim-split-fraction-2": ("bad_config", {"kind": "sim", "payload": {
         **_SIM_GRID, "split_fraction": 2}}),
+    "kind-missing": ("malformed", {"payload": {}}),
+    "kind-empty": ("malformed", {"kind": "", "payload": {}}),
+    "payload-null": ("malformed", {"kind": "probe", "payload": None}),
+    "payload-a-string": ("malformed", {"kind": "probe", "payload": "x"}),
+    "timeout-infinite": ("malformed", {**_OK_ITEM, "timeout": "Infinity"}),
+    "timeout-a-list": ("malformed", {**_OK_ITEM, "timeout": []}),
+    "retries-a-list": ("malformed", {**_OK_ITEM, "max_retries": [1]}),
+    "retries-a-fraction": ("malformed", {**_OK_ITEM, "max_retries": "1.5"}),
+    "depends-on-a-number": ("malformed", {**_OK_ITEM, "depends_on": 7}),
+    "depends-on-an-empty-id": ("malformed", {**_OK_ITEM,
+                                             "depends_on": [""]}),
+    "depends-on-a-number-id": ("malformed", {**_OK_ITEM,
+                                             "depends_on": [1]}),
+    "depends-on-an-unknown-job": ("unknown_parent", {
+        **_OK_ITEM, "depends_on": ["nosuchjob"]}),
+    "run-nb-zero": ("bad_config", {"kind": "run", "payload": {
+        "n": 64, "nb": 0, "p": 2, "q": 2}}),
+    "run-p-zero": ("bad_config", {"kind": "run", "payload": {
+        "n": 64, "nb": 8, "p": 0, "q": 2}}),
+    "run-unknown-schedule": ("bad_config", {"kind": "run", "payload": {
+        "n": 64, "nb": 8, "p": 2, "q": 2, "schedule": "eager"}}),
+    "sim-n-negative": ("bad_config", {"kind": "sim", "payload": {
+        **_SIM_GRID, "n": -1}}),
+    "sim-q-zero": ("bad_config", {"kind": "sim", "payload": {
+        **_SIM_GRID, "q": 0}}),
+    "sim-nb-a-string": ("bad_config", {"kind": "sim", "payload": {
+        **_SIM_GRID, "nb": "256"}}),
 }
 _BAD_SWEEPS = {
     "sweep-axes-a-list": ("malformed", {"kind": "probe", "axes": [1, 2]}),
@@ -477,7 +504,15 @@ _BAD_SWEEPS = {
     "sweep-never-expanded": ("malformed", {
         "kind": "probe", "base": {"behavior": "ok"},
         "axes": {f"a{i}": list(range(100)) for i in range(10)}}),
+    "sweep-kind-missing": ("malformed", {"axes": {"tag": [1]}}),
+    "sweep-kind-unknown": ("unknown_kind", {
+        "kind": "frobnicate", "axes": {"tag": [1]}}),
+    "sweep-bad-sim-corner": ("bad_config", {
+        "kind": "sim", "axes": {"nb": [256, 0]}, "base": _SIM_GRID}),
 }
+
+#: The status of each typed error the tables above name; the rest 400.
+_STATUS = {"unknown_kind": 422, "unknown_parent": 404}
 
 
 def _submit_bodies(bad: dict, is_sweep: bool) -> dict:
@@ -530,8 +565,7 @@ class TestMalformedSubmissions:
                 _post_json(idle_server.url + route, body)
             error = json.loads(excinfo.value.read())["error"]
             assert (excinfo.value.code, error["code"]) == (
-                422 if code == "unknown_kind" else 400, code), \
-                (route, error)
+                _STATUS.get(code, 400), code), (route, error)
             assert client.healthz()["queue"] == before, route
         if is_sweep:  # and the same answer without HTTP in the way
             with pytest.raises(ReproError) as refused:
@@ -572,6 +606,16 @@ _BAD_LEASE_PARAMS = {
     "ttl-zero": ("ttl", 0),
     "n-zero": ("n", 0),
     "n-not-a-number": ("n", "x"),
+    "ttl-negative": ("ttl", -1),
+    "ttl-null": ("ttl", None),
+    "ttl-a-list": ("ttl", [30]),
+    "ttl-a-bool": ("ttl", True),
+    "n-negative": ("n", -3),
+    "n-null": ("n", None),
+    "n-a-list": ("n", [2]),
+    "n-nan": ("n", float("nan")),
+    "n-a-fraction": ("n", "1.5"),
+    "n-a-bool": ("n", True),
 }
 
 

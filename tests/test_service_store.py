@@ -128,53 +128,88 @@ class TestPersistence:
 
 #: The facade calls that read or write the queue, each of which must be
 #: a typed 503 -- never an empty answer -- while the store is wedged.
+#: ``ctx`` holds the fixture's job ids (``ids[0]`` is leased), the
+#: lease and a campaign id.
 WEDGED_CALLS = {
-    "status": lambda backend, ids: backend.status(),
-    "job": lambda backend, ids: backend.job(ids[0]),
-    "submit": lambda backend, ids: backend.submit(
+    "status": lambda backend, ctx: backend.status(),
+    "status_page": lambda backend, ctx: backend.status(
+        state="PENDING", limit=1),
+    "job": lambda backend, ctx: backend.job(ctx["ids"][1]),
+    "result": lambda backend, ctx: backend.result(ctx["ids"][1]),
+    "submit": lambda backend, ctx: backend.submit(
         "probe", {"behavior": "ok", "tag": "new"}),
-    "claim_jobs": lambda backend, ids: backend.claim_jobs("w", n=3),
+    "submit_many": lambda backend, ctx: backend.submit_many([
+        {"kind": "probe", "payload": {"behavior": "ok", "tag": t}}
+        for t in ("new-1", "new-2")]),
+    "submit_sweep": lambda backend, ctx: backend.submit_sweep({
+        "kind": "probe", "axes": {"tag": ["sw-1", "sw-2"]},
+        "base": {"behavior": "ok"}}),
+    "submit_campaign": lambda backend, ctx: backend.submit_campaign({
+        "stages": [{"name": "one", "kind": "probe",
+                    "payload": {"behavior": "ok", "tag": "camp-new"}}]}),
+    "claim_jobs": lambda backend, ctx: backend.claim_jobs("w", n=3),
+    "heartbeat": lambda backend, ctx: backend.heartbeat(ctx["lease"]),
+    "complete_job": lambda backend, ctx: backend.complete_job(
+        ctx["ids"][0], ctx["lease"], {"ok": True}),
+    "fail_job": lambda backend, ctx: backend.fail_job(
+        ctx["ids"][0], ctx["lease"], "boom"),
+    "cancel_job": lambda backend, ctx: backend.cancel_job(ctx["ids"][1]),
     # ``begin`` under a job filter asks the store where the job's
     # history starts.
-    "events": lambda backend, ids: backend.events(job_ids=[ids[0]]),
+    "events": lambda backend, ctx: backend.events(job_ids=[ctx["ids"][1]]),
+    "campaign": lambda backend, ctx: backend.campaign(ctx["campaign"]),
+    "campaign_dag": lambda backend, ctx: backend.campaign_dag(
+        ctx["campaign"]),
+    "campaigns": lambda backend, ctx: backend.campaigns(),
 }
 
 
 class TestWedgedStore:
     """Another connection holds ``BEGIN EXCLUSIVE`` past the busy
-    timeout: every call says so, in process and over HTTP."""
+    timeout: every call says so, in process and over HTTP, changes
+    nothing, and works again once the lock is gone."""
 
     @pytest.fixture
     def wedged(self, tmp_path):
         with ServiceHTTPServer(tmp_path / "svc", workers=0,
                                busy_timeout=0.2) as srv:
-            ids = [srv.service.submit("probe", {"behavior": "ok",
-                                                "tag": i}).new[0]
+            service = srv.service
+            ids = [service.submit("probe", {"behavior": "ok",
+                                            "tag": i}).new[0]
                    for i in range(3)]
-            blocker = sqlite3.connect(srv.service.store.db_path)
+            lease, claimed = service.claim_jobs("holder", n=1)
+            assert [j.id for j in claimed] == ids[:1]
+            campaign = service.submit_campaign({"stages": [
+                {"name": "one", "kind": "probe",
+                 "payload": {"behavior": "ok", "tag": "camp"}}]})
+            ctx = {"ids": ids, "lease": lease.id, "campaign": campaign.id}
+            blocker = sqlite3.connect(service.store.db_path)
             blocker.isolation_level = None
             blocker.execute("BEGIN EXCLUSIVE")
             try:
-                yield srv, ids, blocker
+                yield srv, ctx, blocker
             finally:
                 if blocker.in_transaction:
                     blocker.execute("ROLLBACK")
                 blocker.close()
 
+    @pytest.mark.parametrize("transport", ["in_process", "http"])
     @pytest.mark.parametrize("call", sorted(WEDGED_CALLS))
-    def test_call_is_503_then_recovers(self, wedged, call):
-        srv, ids, blocker = wedged
-        backends = (srv.service, ServiceClient(srv.url, retry_429=0))
-        for backend in backends:
-            with pytest.raises(StoreUnavailableError) as excinfo:
-                WEDGED_CALLS[call](backend, ids)
-            assert (excinfo.value.code, excinfo.value.http_status) == \
-                ("store_unavailable", 503)
+    def test_call_is_503_then_recovers(self, wedged, call, transport):
+        srv, ctx, blocker = wedged
+        backend = (srv.service if transport == "in_process"
+                   else ServiceClient(srv.url, retry_429=0))
+        with pytest.raises(StoreUnavailableError) as excinfo:
+            WEDGED_CALLS[call](backend, ctx)
+        assert (excinfo.value.code, excinfo.value.http_status) == \
+            ("store_unavailable", 503)
         blocker.execute("ROLLBACK")
-        assert {j.id: j.state for j in srv.service.status().jobs} == \
-            dict.fromkeys(ids, "PENDING")
-        for backend in backends:
-            WEDGED_CALLS[call](backend, ids)
+        states = {j.id: j.state for j in srv.service.status().jobs}
+        assert {jid: states[jid] for jid in ctx["ids"]} == {
+            ctx["ids"][0]: "RUNNING", ctx["ids"][1]: "PENDING",
+            ctx["ids"][2]: "PENDING"}
+        assert len(states) == 4  # and nothing was enqueued
+        WEDGED_CALLS[call](backend, ctx)
 
     def test_healthz_stays_a_200_that_says_so(self, wedged):
         srv, _, blocker = wedged
@@ -198,3 +233,37 @@ def test_sharded_workdir_is_refused_not_served_empty(tmp_path, capsys):
     assert main(["serve", "--workdir", str(root), "--port", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["submit", "--kind", "sim"], ["workers", "-n", "1"], ["status"],
+    ["results"], ["cancel", "--all"], ["campaign", "list"],
+    ["campaign", "status", "abc123"],
+], ids=" ".join)
+def test_every_local_command_refuses_a_sharded_workdir(tmp_path, capsys,
+                                                       argv):
+    """Each command that opens the workdir itself says why, in one
+    line, and leaves the old shard untouched."""
+    root = tmp_path / "svc"
+    JobStore(root / "shards" / "00").add(_job(1))
+    assert main([*argv, "--workdir", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sharded queue" in err
+    assert err.count("\n") == 1
+    assert not (root / "jobs.sqlite").exists()
+    assert JobStore(root / "shards" / "00").get("job-0001").state is \
+        JobState.PENDING
+
+
+def test_an_unopenable_store_is_a_one_line_cli_error(tmp_path, capsys):
+    """SQLite cannot open the queue file (here: it is a directory), so
+    the command fails in one line instead of listing an empty queue."""
+    root = tmp_path / "svc"
+    (root / "jobs.sqlite").mkdir(parents=True)
+    argv = ["status", "--workdir", str(root)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: job store is unavailable")
+    assert err.count("\n") == 1
+    (root / "jobs.sqlite").rmdir()
+    assert main(argv) == 0
