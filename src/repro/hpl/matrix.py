@@ -3,9 +3,12 @@
 The global ``n x (n+1)`` augmented system is a pure function of
 ``(n, seed)``: element ``(i, j)`` is stream element ``j*n + i`` of the
 jump-ahead LCG (column-major enumeration, the RHS being column ``n``).
-Each rank materializes exactly its block-cyclic local piece, stored
-Fortran-ordered so that column slices -- which is all HPL ever takes -- are
-contiguous.
+Each rank materializes exactly its block-cyclic local piece with one
+:func:`~repro.hpl.rng.local_block` call: a per-row table of ``r``-step
+maps times a per-column table of column-start states, so the cost is one
+array pass per block of local columns and nothing per element.  The
+piece is stored Fortran-ordered so that column slices -- which is all HPL
+ever takes -- are contiguous.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ def generate_global(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Serial reference: the full ``(A, b)`` for small-n ground truth."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    flat = rng.random_values(seed, 0, n * (n + 1))
-    aug = flat.reshape((n, n + 1), order="F")
+    aug = rng.local_block(seed, n, np.arange(n), np.arange(n + 1))
     return np.asfortranarray(aug[:, :n]), aug[:, n].copy()
 
 
@@ -55,28 +57,7 @@ class DistMatrix:
         self.nloc_aug = numroc(n + 1, nb, grid.mycol, grid.q)
         self.row_pos = local_indices(n, nb, grid.myrow, grid.p)
         self.col_pos = local_indices(n + 1, nb, grid.mycol, grid.q)
-        self.a = np.zeros((self.mloc, self.nloc_aug), order="F")
-        self._generate()
-
-    def _generate(self) -> None:
-        """Fill local storage from the global stream, block by block.
-
-        Local rows come in globally-contiguous ``nb``-row runs, so each
-        (local column, row block) pair is one contiguous stream segment.
-        """
-        n, nb = self.n, self.nb
-        for lc in range(self.nloc_aug):
-            gc = int(self.col_pos[lc])
-            lr = 0
-            while lr < self.mloc:
-                run = min(nb - (int(self.row_pos[lr]) % nb), self.mloc - lr)
-                # clip the run to stay globally contiguous
-                grow0 = int(self.row_pos[lr])
-                run = min(run, n - grow0)
-                self.a[lr : lr + run, lc] = rng.random_values(
-                    self.seed, gc * n + grow0, run
-                )
-                lr += run
+        self.a = rng.local_block(seed, n, self.row_pos, self.col_pos)
 
     # ------------------------------------------------------------------
     # Index helpers bound to this matrix's distribution

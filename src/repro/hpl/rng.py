@@ -63,27 +63,57 @@ def state_at(seed: int, k: int) -> int:
     return (a * _initial_state(seed) + c) & _MASK
 
 
+def _affine_table(mult: int, incr: int, count: int):
+    """``(A_t, C_t)``, ``t < count``, of the map ``x -> mult x + incr``:
+    a cumulative product and sum in wrapping uint64 arithmetic."""
+    a_pow = np.ones(count, dtype=np.uint64)
+    powers = np.full(max(count - 1, 0), mult, dtype=np.uint64)
+    np.cumprod(powers, out=a_pow[1:])
+    c_sum = np.zeros(count, dtype=np.uint64)
+    np.cumsum(a_pow[:-1], out=c_sum[1:])
+    return a_pow, c_sum * np.uint64(incr)
+
+
+def _to_unit(states: np.ndarray) -> np.ndarray:
+    """Doubles in ``[-0.5, 0.5)`` from the top 53 bits of each state."""
+    return (states >> np.uint64(11)) * 2.0**-53 - 0.5
+
+
 def random_values(seed: int, start: int, count: int) -> np.ndarray:
     """``count`` doubles in ``[-0.5, 0.5)`` at stream positions
-    ``start, start+1, ...`` -- vectorized.
-
-    Uses the closed form ``x_{start+t} = A_t x_start + C_t`` with
-    ``A_t = a^t`` (a cumulative product) and ``C_t = sum_{s<t} a^s``
-    (a cumulative sum), evaluated in wrapping uint64 arithmetic.
-    """
+    ``start, start+1, ...``: ``x_{start+t} = A_t x_start + C_t``."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return np.empty(0, dtype=np.float64)
-    x0 = np.uint64(state_at(seed, start))
-    mult = np.uint64(MULT)
-    a_pow = np.empty(count, dtype=np.uint64)
-    a_pow[0] = np.uint64(1)
-    if count > 1:
-        powers = np.full(count - 1, mult, dtype=np.uint64)
-        np.cumprod(powers, out=a_pow[1:])
-    c_sum = np.zeros(count, dtype=np.uint64)
-    if count > 1:
-        np.cumsum(a_pow[:-1], out=c_sum[1:])
-    states = a_pow * x0 + c_sum  # wraps mod 2^64
-    return (states >> np.uint64(11)).astype(np.float64) * 2.0**-53 - 0.5
+    a_pow, c_sum = _affine_table(MULT, INCR, count)
+    return _to_unit(a_pow * np.uint64(state_at(seed, start)) + c_sum)
+
+
+#: uint64 elements per array pass of :func:`local_block` (512 KiB).
+_PASS_ELEMS = 1 << 16
+
+
+def local_block(seed: int, n: int, rows, cols) -> np.ndarray:
+    """Elements ``(r, c)`` -- stream position ``c*n + r`` -- of the
+    ``n``-row column-major stream matrix, for global ``rows`` x ``cols``.
+
+    The state at ``(r, c)`` is ``A_r S_c + C_r``: a per-row table of
+    ``r``-step maps applied to the column start ``S_c``, which is itself
+    an LCG (``S_{c+1} = A_n S_c + C_n``), so no element costs a jump.
+    The ``(len(rows), len(cols))`` Fortran-ordered result is filled one
+    block of columns per array pass, so the temporaries beside it are a
+    few ``max(len(rows), _PASS_ELEMS)``-element arrays, never a matrix.
+    """
+    rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+    out = np.empty((rows.size, cols.size), order="F")
+    if not out.size:
+        return out
+    a_row, c_row = _affine_table(MULT, INCR, rows.max() + 1)
+    a_row, c_row = a_row[rows], c_row[rows]
+    a_col, c_col = _affine_table(*lcg_jump(n), cols.max() + 1)
+    starts = a_col[cols] * np.uint64(_initial_state(seed)) + c_col[cols]
+    step = max(1, _PASS_ELEMS // rows.size)
+    for j in range(0, cols.size, step):
+        # (columns, rows) C-ordered: its transpose matches out's layout
+        states = np.multiply.outer(starts[j : j + step], a_row) + c_row
+        out[:, j : j + step] = _to_unit(states).T
+    return out

@@ -9,7 +9,9 @@ HPL accepts a solve when::
 computed against the *original* matrix.  Because the generator is
 jump-ahead reproducible, each rank regenerates its original local piece
 instead of keeping a copy -- the same trick HPL itself uses -- so
-verification costs no extra memory.
+verification costs no extra memory.  The regeneration is the very call
+that built the piece, :func:`~repro.hpl.rng.local_block`, over the local
+A columns plus column ``n`` (every rank needs ``b`` on its rows).
 
 The matrix-vector product is distributed: each rank multiplies its local
 block by the matching slice of ``x``, partial products are summed across
@@ -41,41 +43,25 @@ class Verification:
 
 
 def _regenerate_local(mat: DistMatrix) -> np.ndarray:
-    """This rank's original local piece (columns of A only, no RHS)."""
+    """This rank's original rows of ``[A | b]``: its local A columns, then
+    the RHS (global column ``n``) whether or not this rank owns it."""
     ncols = int(np.searchsorted(mat.col_pos, mat.n))
-    orig = np.zeros((mat.mloc, ncols), order="F")
-    for lc in range(ncols):
-        gc = int(mat.col_pos[lc])
-        lr = 0
-        while lr < mat.mloc:
-            grow0 = int(mat.row_pos[lr])
-            run = min(mat.nb - (grow0 % mat.nb), mat.mloc - lr)
-            orig[lr : lr + run, lc] = rng.random_values(
-                mat.seed, gc * mat.n + grow0, run
-            )
-            lr += run
-    return orig
+    cols = np.append(mat.col_pos[:ncols], mat.n)
+    return rng.local_block(mat.seed, mat.n, mat.row_pos, cols)
 
 
 def verify(mat: DistMatrix, x: np.ndarray) -> Verification:
     """Run the acceptance test; collective over the grid communicator."""
     grid, n = mat.grid, mat.n
     comm = grid.comm
-    orig = _regenerate_local(mat)
+    aug = _regenerate_local(mat)
+    orig, b_rows = aug[:, :-1], aug[:, -1]
     ncols = orig.shape[1]
     x_local = x[mat.col_pos[:ncols]]
 
     # r = A x - b on the local rows: sum partials across the process row.
     partial = orig @ x_local if ncols else np.zeros(mat.mloc)
     row_sum = grid.row_comm.allreduce(partial, op="sum")
-    # regenerate b rows for this rank (row-distributed, same for all columns)
-    b_rows = np.zeros(mat.mloc)
-    lr = 0
-    while lr < mat.mloc:
-        grow0 = int(mat.row_pos[lr])
-        run = min(mat.nb - (grow0 % mat.nb), mat.mloc - lr)
-        b_rows[lr : lr + run] = rng.random_values(mat.seed, n * n + grow0, run)
-        lr += run
     resid_local = float(np.max(np.abs(row_sum - b_rows))) if mat.mloc else 0.0
 
     # ||A||_oo: local row sums -> sum across the row -> max grid-wide.

@@ -29,10 +29,6 @@ class MeasuredIteration:
     h2d_bytes: float = 0.0
 
     @property
-    def total_seconds(self) -> float:
-        return sum(self.seconds.values())
-
-    @property
     def update_share(self) -> float:
         """Fraction of this iteration's flops in UPDATE (GPU-side work)."""
         total = sum(self.flops.values())

@@ -3,7 +3,8 @@
 :class:`ServiceClient` is a thin blocking wrapper over ``http.client``:
 the HTTP backend of the service facade.  Each thread that uses a client
 keeps one connection open between its calls (and reconnects once,
-transparently, when the server restarted in between).  It answers
+transparently, when the server restarted in between) until
+:meth:`ServiceClient.close` or the end of a ``with`` block.  It answers
 the primitive calls listed in :mod:`repro.service.facade` (submission,
 ``status`` / ``job`` / ``result_view``, campaigns, ``events``, the
 lease protocol) with one round-trip each, under the same names and
@@ -45,6 +46,7 @@ import random
 import threading
 import time
 import urllib.parse
+import weakref
 
 from ...errors import (
     BackpressureError,
@@ -164,6 +166,22 @@ class ServiceClient(ServiceFacade):
             else http.client.HTTPConnection, split.netloc)
         self._root = split.path  # a base URL may carry a path prefix
         self._local = threading.local()  # .conn: this thread's connection
+        self._conns = weakref.WeakSet()  # every thread's, for close()
+        self._conns_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every thread's kept connection, freeing the server's
+        handler thread for each; a later call on any thread reconnects."""
+        with self._conns_lock:
+            conns = list(self._conns)
+        for conn in conns:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport -------------------------------------------------------
 
@@ -239,6 +257,8 @@ class ServiceClient(ServiceFacade):
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._local.conn = self._connect()
+            with self._conns_lock:
+                self._conns.add(conn)
         conn.timeout = timeout  # applied by the next (re)connect
         try:
             while True:

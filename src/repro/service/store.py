@@ -953,15 +953,6 @@ class JobStore:
         except OSError:
             return False
 
-    def staged_info(self, job_id: str) -> dict | None:
-        """``{"bytes_received", "path", "lease"}`` for an in-flight upload."""
-        with self._staging_lock:
-            staged = self._staging.get(job_id)
-            if staged is None:
-                return None
-            return {"bytes_received": staged.bytes_received,
-                    "path": staged.path, "lease": staged.lease_id}
-
     def get_lease(self, lease_id: str) -> Lease | None:
         """The lease row, if it still exists (expired rows are swept)."""
         row = self._connection().execute(

@@ -230,9 +230,3 @@ class Fabric:
                         f"tag={tag}) unmatched after {self.watchdog:.0f}s"
                     )
                 box.cond.wait(_POLL_INTERVAL)
-
-    def pending_count(self, world_rank: int) -> int:
-        """Number of undelivered messages for a rank (diagnostics)."""
-        box = self._boxes[world_rank]
-        with box.cond:
-            return len(box.pending)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from repro.grid import ProcessGrid
 from repro.hpl.api import run_hpl
 from repro.hpl.backsolve import backsolve
 from repro.hpl.driver import factorize
-from repro.hpl.matrix import DistMatrix
-from repro.hpl.verify import THRESHOLD, verify
+from repro.hpl.matrix import DistMatrix, generate_global
+from repro.hpl.verify import THRESHOLD, _regenerate_local, verify
 
 from .conftest import reference_solution, spmd
 
@@ -87,6 +89,51 @@ class TestVerify:
 
         checks = spmd(4, main)
         assert len({c.resid for c in checks}) == 1
+
+
+class TestRegeneration:
+    def test_verify_regenerates_what_was_generated(self):
+        """verify's regenerated ``[A | b]`` rows are, bit for bit, what
+        DistMatrix built before factorize overwrote it -- on a 3x2 grid
+        whose third process row owns no rows (n=5, nb=4)."""
+        cfg = HPLConfig(n=5, nb=4, p=3, q=2)
+        _, b_ref = generate_global(cfg.n, cfg.seed)
+
+        def main(comm):
+            grid = ProcessGrid(comm, cfg.p, cfg.q)
+            mat = DistMatrix(grid, cfg.n, cfg.nb, seed=cfg.seed)
+            before = mat.a.copy()
+            factorize(mat, cfg)
+            return before, mat.a, mat.row_pos, mat.col_pos, \
+                _regenerate_local(mat)
+
+        out = spmd(cfg.p * cfg.q, main)
+        assert any(before.size == 0 for before, *_ in out)
+        for before, after, rows, cols, aug in out:
+            ncols = int(np.searchsorted(cols, cfg.n))
+            assert aug.shape == (len(rows), ncols + 1)
+            assert np.array_equal(aug[:, :ncols], before[:, :ncols])
+            if ncols < len(cols):  # this rank owns the RHS column
+                assert np.array_equal(aug[:, -1], before[:, -1])
+            assert np.array_equal(aug[:, -1], b_ref[rows])
+            if after.size:
+                assert not np.array_equal(after, before)
+
+    def test_generation_peak_memory(self):
+        """A 1x1 ``DistMatrix(n=2048, nb=128)`` peaks at <= 1.25x the
+        matrix bytes: the generator fills one block of columns per pass
+        (a whole-matrix uint64 pass would be ~4x)."""
+        def main(comm):
+            grid = ProcessGrid(comm, 1, 1)
+            tracemalloc.start()
+            try:
+                mat = DistMatrix(grid, 2048, 128)
+                return tracemalloc.get_traced_memory()[1], mat.a.nbytes
+            finally:
+                tracemalloc.stop()
+
+        peak, nbytes = spmd(1, main)[0]
+        assert peak <= 1.25 * nbytes, (peak, nbytes)
 
 
 class TestRunHpl:

@@ -309,6 +309,53 @@ class TestKeptConnections:
         assert client.healthz()["http"] == {"connections": 3,
                                             "requests": 62}
 
+    def test_close_hangs_up_every_thread_then_reconnects(self, idle):
+        """``close()`` -- and a ``with`` block's exit -- closes the kept
+        connection of every thread that used the client, even while
+        threads register theirs concurrently; a later call on any
+        thread opens a fresh one."""
+        nthreads = 4  # more threads than cores
+        used = threading.Barrier(nthreads + 1, timeout=30)
+        reused = threading.Barrier(nthreads + 1, timeout=30)
+        closed, done, after = threading.Event(), threading.Event(), []
+
+        def other():
+            client.healthz()
+            used.wait()
+            closed.wait(30)
+            after.append(client.healthz()["ok"])
+            reused.wait()
+            done.wait(30)  # stay alive until the second close()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServiceClient(idle.url) as client:
+                threads = [threading.Thread(target=other)
+                           for _ in range(nthreads)]
+                for thread in threads:
+                    thread.start()
+                client.healthz()
+                used.wait()
+                conns = list(client._conns)
+                assert len(conns) == nthreads + 1
+                assert all(conn.sock is not None for conn in conns)
+            assert all(conn.sock is None for conn in conns)
+            with client:
+                closed.set()
+                reused.wait()
+                assert after == [True] * nthreads
+                assert client.healthz()["http"]["connections"] == \
+                    2 * (nthreads + 1)
+            assert all(conn.sock is None for conn in client._conns)
+            done.set()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+            done.set()
+
     def test_round_trips_do_not_stall_on_nagle(self, idle):
         """Headers and body leave as two writes: with Nagle on, a kept
         connection adds the client's 40 ms delayed ACK to each one."""

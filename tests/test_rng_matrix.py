@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.grid import ProcessGrid
+from repro.grid.block_cyclic import local_indices
 from repro.hpl import rng
 from repro.hpl.matrix import DistMatrix, generate_global
 
@@ -19,6 +20,24 @@ def _sequential_states(seed: int, count: int) -> list[int]:
     for _ in range(count):
         out.append(x)
         x = (rng.MULT * x + rng.INCR) & ((1 << 64) - 1)
+    return out
+
+
+def _per_run_oracle(seed, n, nb, rows, cols):
+    """The pre-table generator: one stream window per (column, row run).
+
+    Local rows come in globally contiguous runs of at most ``nb``, so each
+    (local column, run) pair is one ``random_values`` window.
+    """
+    out = np.zeros((len(rows), len(cols)), order="F")
+    for lc, gc in enumerate(cols):
+        lr = 0
+        while lr < len(rows):
+            grow0 = int(rows[lr])
+            run = min(nb - grow0 % nb, len(rows) - lr)
+            out[lr : lr + run, lc] = rng.random_values(
+                seed, int(gc) * n + grow0, run)
+            lr += run
     return out
 
 
@@ -49,6 +68,13 @@ class TestLCG:
         full = rng.random_values(seed, 0, start + count)
         window = rng.random_values(seed, start, count)
         assert np.array_equal(window, full[start:])
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 300))
+    def test_random_values_match_sequential_states(self, seed, count):
+        """The vectorized tables reproduce the one-step recurrence."""
+        states = np.array(_sequential_states(seed, count), dtype=np.uint64)
+        expect = (states >> np.uint64(11)).astype(np.float64) * 2.0**-53 - 0.5
+        assert np.array_equal(rng.random_values(seed, 0, count), expect)
 
     def test_range_and_distribution(self):
         v = rng.random_values(7, 0, 50_000)
@@ -82,8 +108,38 @@ class TestDistMatrix:
             return mat.gather_global()
 
         full = spmd(p * q, main)[0]
-        assert np.allclose(full[:, :n], a_ref)
-        assert np.allclose(full[:, n], b_ref)
+        assert np.array_equal(full[:, :n], a_ref)
+        assert np.array_equal(full[:, n], b_ref)
+
+    @given(n=st.integers(1, 200), nb=st.integers(1, 64), p=st.integers(1, 3),
+           q=st.integers(1, 3), seed=st.integers(0, 2**63))
+    @example(n=5, nb=4, p=3, q=1, seed=0)  # rank 2 owns no rows
+    @example(n=5, nb=4, p=1, q=3, seed=0)  # rank 2 owns no columns
+    @example(n=3, nb=64, p=2, q=2, seed=9)  # nb > n: one rank owns all
+    def test_every_rank_is_the_global_slice(self, n, nb, p, q, seed):
+        """Each rank's piece is bit-identical to its slice of the serial
+        reference, including ranks with zero local rows or columns."""
+        a_ref, b_ref = generate_global(n, seed)
+        aug = np.column_stack([a_ref, b_ref])
+
+        def main(comm):
+            mat = DistMatrix(ProcessGrid(comm, p, q), n, nb, seed=seed)
+            return mat.a, mat.row_pos, mat.col_pos
+
+        for a, rows, cols in spmd(p * q, main):
+            assert a.flags["F_CONTIGUOUS"]
+            assert np.array_equal(a, aug[np.ix_(rows, cols)])
+
+    @given(n=st.integers(1, 120), nb=st.integers(1, 40), p=st.integers(1, 3),
+           q=st.integers(1, 3), data=st.data())
+    def test_local_block_matches_per_run_windows(self, n, nb, p, q, data):
+        """``local_block`` equals the per-run ``random_values`` walk."""
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        rows = local_indices(n, nb, data.draw(st.integers(0, p - 1)), p)
+        cols = local_indices(n + 1, nb, data.draw(st.integers(0, q - 1)), q)
+        got = rng.local_block(seed, n, rows, cols)
+        assert got.shape == (len(rows), len(cols))
+        assert np.array_equal(got, _per_run_oracle(seed, n, nb, rows, cols))
 
     def test_local_shapes(self):
         def main(comm):
