@@ -9,10 +9,16 @@ touches only its own tiles, keeping them hot in the cache private to the
 core the thread is bound to.
 
 :class:`TileWorkerPool` provides the OpenMP-style execution model the
-factorization needs: a persistent parallel region (`run`) with reusable
-barriers, thread-local tile assignment, a broadcast cell and an all-thread
-reduction (used for the pivot max-loc search).  The main thread (tid 0) is
-the only one that talks to MPI, exactly as in rocHPL.
+factorization needs: a persistent parallel region (`run`) and thread-local
+tile assignment, with one synchronisation primitive,
+:meth:`ParallelContext.handoff` -- a master-mediated rendezvous.  Every
+thread deposits a slot; the main thread (tid 0) receives all slots in tid
+order, runs a function on them and publishes the one result back.  The
+barrier, the broadcast, the all-thread reduction (the pivot max-loc
+search) and the region start/done handshake are all built on the same pair
+of per-worker locks.  The main thread is the only one that talks to MPI,
+exactly as in rocHPL, and it does so inside a handoff while the workers
+wait.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import threading
 from typing import Any, Callable, TypeVar
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 def tile_slices(nrows: int, tile: int, tid: int, nthreads: int) -> list[slice]:
@@ -52,26 +59,52 @@ class ParallelContext:
         self.pool = pool
         self.tid = tid
         self.nthreads = pool.nthreads
+        self._seq = 0  # handoffs this thread has entered in the region
+
+    def handoff(
+        self, value: Any = None, master: Callable[[list], R] | None = None
+    ) -> R:
+        """The pool's one rendezvous: gather at tid 0, then release.
+
+        Every thread passes its ``value``.  Once all have arrived, tid 0
+        calls ``master(slots)`` with the values in tid order (workers'
+        ``master`` is ignored; ``None`` publishes ``None``) and every
+        thread returns its result.  An exception in ``master`` propagates
+        on tid 0 and aborts the region.
+        """
+        pool = self.pool
+        if self.nthreads == 1:
+            return master([value]) if master is not None else None  # type: ignore[return-value]
+        self._seq += 1
+        if pool._broken:  # never block once an abort is visible
+            raise ParallelAbort()
+        if self.tid:
+            pool._slots[self.tid] = value
+            pool._post(pool._arrive[self.tid - 1])
+            pool._go[self.tid - 1].acquire()
+            if pool._seq != self._seq:  # woken by an abort, not a release
+                raise ParallelAbort()
+            return pool._cell
+        slots = pool._slots
+        slots[0] = value
+        for lock in pool._arrive:
+            lock.acquire()
+        if pool._broken:
+            raise ParallelAbort()
+        result = master(slots) if master is not None else None
+        pool._cell = result
+        pool._seq = self._seq
+        for lock in pool._go:
+            pool._post(lock)
+        return result  # type: ignore[return-value]
 
     def barrier(self) -> None:
         """Synchronize all threads of the region."""
-        if self.nthreads == 1:
-            return
-        try:
-            self.pool._barrier.wait()
-        except threading.BrokenBarrierError:
-            raise ParallelAbort() from None
+        self.handoff()
 
     def bcast(self, obj: T | None = None, root: int = 0) -> T:
         """Broadcast ``obj`` from thread ``root`` to every thread."""
-        if self.nthreads == 1:
-            return obj  # type: ignore[return-value]
-        if self.tid == root:
-            self.pool._cell = obj
-        self.barrier()
-        result = self.pool._cell
-        self.barrier()  # nobody reuses the cell until all have read it
-        return result  # type: ignore[return-value]
+        return self.handoff(obj, lambda slots: slots[root])
 
     def reduce(self, value: T, combine: Callable[[T, T], T]) -> T:
         """All-thread reduction; every thread returns the combined value.
@@ -80,13 +113,7 @@ class ParallelContext:
         non-commutative tie-breaking combiners -- like the pivot max-loc --
         give every thread the same answer.
         """
-        if self.nthreads == 1:
-            return value
-        self.pool._slots[self.tid] = value
-        self.barrier()
-        result = functools.reduce(combine, self.pool._slots)
-        self.barrier()
-        return result
+        return self.handoff(value, lambda slots: functools.reduce(combine, slots))
 
     def tile_slices(self, nrows: int, tile: int) -> list[slice]:
         """This thread's round-robin tile slices over ``nrows`` rows."""
@@ -99,7 +126,24 @@ class TileWorkerPool:
     The pool owns ``nthreads - 1`` worker threads; the caller of
     :meth:`run` participates as thread 0 (the "main thread" in the paper's
     terminology).  Workers persist across regions, like an OpenMP runtime's
-    thread team, so per-panel invocation cost is two barrier crossings.
+    thread team, so per-panel invocation cost is one release and one
+    gather.
+
+    Each worker ``t`` has two raw locks, both held while idle: it releases
+    ``arrive`` when it reaches a rendezvous (or the end of a region), and
+    acquires ``go`` to leave one (or to start a region).  Only worker ``t``
+    releases ``arrive`` and only tid 0 acquires it; only tid 0 releases
+    ``go`` and only worker ``t`` acquires it.  tid 0 writes the shared cell
+    only after every worker has arrived, and a worker reads it before it
+    can arrive again, so no worker can miss a value.
+
+    A failure on any thread aborts the region: the pool is marked broken
+    and every lock is released.  Every thread checks the mark before it
+    blocks, so each waiter either wakes or never waits; a worker woken by
+    the abort rather than by a publish unwinds with :class:`ParallelAbort`,
+    while one whose handoff tid 0 had already published still returns that
+    value (so a zero pivot raises the same error on every thread).  The
+    workers then exit; the next :meth:`run` starts a fresh team.
 
     Use as a context manager, or call :meth:`shutdown` explicitly.
     """
@@ -108,24 +152,39 @@ class TileWorkerPool:
         if nthreads < 1:
             raise ValueError(f"nthreads must be >= 1, got {nthreads}")
         self.nthreads = nthreads
-        self._barrier = threading.Barrier(nthreads) if nthreads > 1 else None
         self._slots: list[Any] = [None] * nthreads
         self._cell: Any = None
+        self._seq = 0  # handoffs tid 0 has published in the region
         self._fn: Callable[[ParallelContext], Any] | None = None
-        self._gen = 0
-        self._lock = threading.Lock()
-        self._go = threading.Condition(self._lock)
-        self._done = threading.Barrier(nthreads) if nthreads > 1 else None
-        self._stop = False
+        self._arrive: list[threading.Lock] = []
+        self._go: list[threading.Lock] = []
+        self._broken = False
         self._errors: dict[int, BaseException] = {}
         self._threads: list[threading.Thread] = []
-        self._started = False
 
     # ------------------------------------------------------------------
+    def _post(self, lock: threading.Lock) -> None:
+        """Release ``lock``; after an abort it may already be released."""
+        try:
+            lock.release()
+        except RuntimeError:
+            if not self._broken:
+                raise
+
+    def _abort(self) -> None:
+        """Mark the pool broken and wake every thread waiting on it."""
+        self._broken = True
+        for lock in (*self._arrive, *self._go):
+            self._post(lock)
+
     def _ensure_workers(self) -> None:
-        if self._started or self.nthreads == 1:
+        if self._threads or self.nthreads == 1:
             return
-        self._started = True
+        self._broken = False
+        self._arrive = [threading.Lock() for _ in range(self.nthreads - 1)]
+        self._go = [threading.Lock() for _ in range(self.nthreads - 1)]
+        for lock in (*self._arrive, *self._go):
+            lock.acquire()
         for tid in range(1, self.nthreads):
             thread = threading.Thread(
                 target=self._worker_loop, args=(tid,), name=f"pfact-worker-{tid}",
@@ -134,31 +193,27 @@ class TileWorkerPool:
             thread.start()
             self._threads.append(thread)
 
+    def _join_workers(self, timeout: float | None = None) -> None:
+        for thread in self._threads:
+            thread.join(timeout)
+        self._threads.clear()
+
     def _worker_loop(self, tid: int) -> None:
-        last_gen = 0
-        while True:
-            with self._go:
-                while self._gen == last_gen and not self._stop:
-                    self._go.wait()
-                if self._stop:
-                    return
-                last_gen = self._gen
-                fn = self._fn
+        arrive, go = self._arrive[tid - 1], self._go[tid - 1]
+        while not self._broken:
+            go.acquire()  # region start
+            if self._broken:
+                return
             try:
-                assert fn is not None
-                fn(ParallelContext(self, tid))
+                assert self._fn is not None
+                self._fn(ParallelContext(self, tid))
             except ParallelAbort:
-                pass
+                return
             except BaseException as exc:  # noqa: BLE001 - reported to run()
                 self._errors[tid] = exc
-                if self._barrier is not None:
-                    self._barrier.abort()
-            finally:
-                try:
-                    assert self._done is not None
-                    self._done.wait()
-                except threading.BrokenBarrierError:
-                    pass
+                self._abort()
+                return
+            self._post(arrive)  # region done
 
     # ------------------------------------------------------------------
     def run(self, fn: Callable[[ParallelContext], T]) -> T:
@@ -171,13 +226,10 @@ class TileWorkerPool:
             return fn(ParallelContext(self, 0))
         self._ensure_workers()
         self._errors.clear()
-        assert self._barrier is not None and self._done is not None
-        self._barrier.reset()
-        self._done.reset()
-        with self._go:
-            self._fn = fn
-            self._gen += 1
-            self._go.notify_all()
+        self._fn = fn
+        self._seq = 0
+        for lock in self._go:
+            lock.release()
         result: T | None = None
         try:
             result = fn(ParallelContext(self, 0))
@@ -185,27 +237,21 @@ class TileWorkerPool:
             pass
         except BaseException as exc:  # noqa: BLE001
             self._errors[0] = exc
-            self._barrier.abort()
-        finally:
-            try:
-                self._done.wait()
-            except threading.BrokenBarrierError:
-                pass
+            self._abort()
+        if not self._broken:
+            for lock in self._arrive:
+                lock.acquire()
+        if self._broken:
+            self._join_workers()
         if self._errors:
             raise self._errors[min(self._errors)]
         return result  # type: ignore[return-value]
 
     def shutdown(self) -> None:
         """Stop the worker threads (idempotent)."""
-        if not self._started:
-            return
-        with self._go:
-            self._stop = True
-            self._go.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        self._threads.clear()
-        self._started = False
+        if self._threads:
+            self._abort()
+            self._join_workers(timeout=5.0)
 
     def __enter__(self) -> "TileWorkerPool":
         return self

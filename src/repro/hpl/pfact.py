@@ -16,8 +16,12 @@ multi-threaded inside each process:
 * **Within a process** the local rows are blocked into ``NB``-row tiles,
   round-robined over ``T`` threads (tile ``t`` -> thread ``t % T``), so the
   first tile is always the main thread's.  Each thread updates and searches
-  only its own tiles; the pivot search is a tree reduction over threads,
-  after which only the main thread talks to MPI (paper Fig. 4).
+  only its own tiles.  Each pivot column is one handoff of the thread team
+  (:meth:`~repro.blas.threaded.ParallelContext.handoff`): every thread
+  deposits its best candidate, the main thread combines them in tid order,
+  runs the cross-process all-reduce -- only it talks to MPI (paper Fig. 4)
+  -- applies the swap, writes the pivot row into ``W`` and releases the
+  team with the outcome.
 
 The recursion (HPL's RFACT/NDIV/NBMIN) subdivides the panel; leaves run one
 of three classic variants:
@@ -34,6 +38,7 @@ numerically interchangeable, as the tests verify against LAPACK.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
 
@@ -152,6 +157,45 @@ def _update_cols(
     ctx.barrier()
 
 
+def _thread_best(u: tuple, v: tuple) -> tuple:
+    """Max-loc over threads' ``(value, gpos, lidx)``; ties to the lower gpos."""
+    return u if (u[0], -u[1]) >= (v[0], -v[1]) else v
+
+
+def _pivot(st: _FactState, slots: list, a: int, j: int, b: int) -> bool:
+    """tid 0's half of column ``j``'s handoff; ``False`` on a zero pivot.
+
+    Combines the threads' candidates in tid order, runs the cross-process
+    max-loc all-reduce, swaps the current row into the pivot's old slot and
+    writes the finished pivot row into ``W``.
+    """
+    val, gpos, lidx = functools.reduce(_thread_best, slots)
+    aa, w = st.a, st.w
+    row = aa[lidx, :].copy() if lidx >= 0 and val >= 0.0 else None
+    if row is None:
+        val, gpos = -1.0, _FAR
+    cur = None
+    if st.owns(st.j0 + j):
+        cur = aa[st.local_row(st.j0 + j), :].copy()
+    with st.col_comm.phase("FACT"):
+        val, gpos, wrow, cur = st.col_comm.allreduce(
+            (val, gpos, row, cur), op=_pivot_combine
+        )
+    if val <= 0.0:
+        return False
+    st.ipiv[j] = gpos
+    # Move the displaced current row into the pivot's old slot.
+    if gpos != st.j0 + j and st.owns(gpos):
+        aa[st.local_row(gpos), :] = cur
+    # Store the winning row into the replicated triangle.
+    wfin = wrow.copy()
+    if st.pfact is PFactVariant.CROUT and j > a:
+        wfin[j + 1 : b] -= wfin[a:j] @ w[a:j, j + 1 : b]
+        FLOPS.add(2.0 * (j - a) * (b - j - 1))
+    w[j, :] = wfin
+    return True
+
+
 def _leaf(
     ctx: ParallelContext,
     st: _FactState,
@@ -186,45 +230,10 @@ def _leaf(
             idx = sl.start + i
             if (v, -int(st.pos[idx])) > (best_val, -(int(st.pos[best_idx]) if best_idx >= 0 else _FAR)):
                 best_val, best_idx = v, idx
-        thread_best = ctx.reduce(
-            (best_val, int(st.pos[best_idx]) if best_idx >= 0 else _FAR, best_idx),
-            lambda u, v: u if (u[0], -u[1]) >= (v[0], -v[1]) else v,
-        )
-        # ---- cross-process exchange (main thread only) ------------------
-        if ctx.tid == 0:
-            val, gpos, lidx = thread_best
-            row = aa[lidx, :].copy() if lidx >= 0 and val >= 0.0 else None
-            if row is None:
-                val, gpos = -1.0, _FAR
-            cur = None
-            if st.owns(st.j0 + j):
-                cur = aa[st.local_row(st.j0 + j), :].copy()
-            with st.col_comm.phase("FACT"):
-                val, gpos, wrow, cur = st.col_comm.allreduce(
-                    (val, gpos, row, cur), op=_pivot_combine
-                )
-            if val <= 0.0:
-                ctx.bcast(("singular", j))
-                raise SingularMatrixError(
-                    f"zero pivot at global column {st.j0 + j}"
-                )
-            st.ipiv[j] = gpos
-            # Move the displaced current row into the pivot's old slot.
-            if gpos != st.j0 + j and st.owns(gpos):
-                aa[st.local_row(gpos), :] = cur
-            # Store the winning row into the replicated triangle.
-            wfin = wrow.copy()
-            if variant is PFactVariant.CROUT and j > a:
-                wfin[j + 1 : b] -= wfin[a:j] @ w[a:j, j + 1 : b]
-                FLOPS.add(2.0 * (j - a) * (b - j - 1))
-            w[j, :] = wfin
-            ctx.bcast(("ok", j))
-        else:
-            flag, _ = ctx.bcast(None)
-            if flag == "singular":
-                raise SingularMatrixError(
-                    f"zero pivot at global column {st.j0 + j}"
-                )
+        # ---- one handoff: candidates to tid 0, which alone talks to MPI --
+        cand = (best_val, int(st.pos[best_idx]) if best_idx >= 0 else _FAR, best_idx)
+        if not ctx.handoff(cand, lambda slots: _pivot(st, slots, a, j, b)):
+            raise SingularMatrixError(f"zero pivot at global column {st.j0 + j}")
         # ---- scale (+ rank-1 for RIGHT) on this thread's rows -----------
         upd_lb = st.boundary(st.j0 + j + 1)
         inv = 1.0 / w[j, j]

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.config import HPLConfig, Schedule
+from repro.config import HPLConfig, PFactVariant, Schedule
 from repro.errors import ConfigError
 from repro.grid import ProcessGrid
 from repro.hpl.driver import factorize
@@ -94,13 +96,31 @@ class TestScheduleEquivalence:
         ref_full, ref_ipiv, _ = _factor(ref_cfg)
         assert np.allclose(full, ref_full, atol=1e-12)
 
-    def test_threads_do_not_change_results(self):
-        cfg1 = HPLConfig(n=32, nb=8, p=2, q=2, fact_threads=1)
-        cfg4 = HPLConfig(n=32, nb=8, p=2, q=2, fact_threads=4)
-        full1, ipiv1, _ = _factor(cfg1)
-        full4, ipiv4, _ = _factor(cfg4)
-        assert np.array_equal(full1, full4)
-        assert all(np.array_equal(a, b) for a, b in zip(ipiv1, ipiv4))
+    @pytest.mark.parametrize("sched", list(Schedule))
+    @pytest.mark.parametrize("variant", list(PFactVariant))
+    @pytest.mark.parametrize("threads", [1, 2, 3, 5])
+    def test_threads_do_not_change_results(self, threads, variant, sched):
+        """FACT thread count never moves a bit: factors and pivots equal the
+        single-threaded run's for every leaf variant and schedule."""
+        full, ipiv, _ = _factor(_threads_cfg(sched, variant, threads))
+        base_full, base_ipiv = _single_thread_factor(sched, variant)
+        assert np.array_equal(full, base_full)
+        assert all(np.array_equal(a, b) for a, b in zip(ipiv, base_ipiv))
+
+
+def _threads_cfg(sched: Schedule, variant: PFactVariant, threads: int) -> HPLConfig:
+    # nbmin 4 < nb 8: every panel recurses once before its leaves.
+    return HPLConfig(
+        n=48, nb=8, p=2, q=2, schedule=sched,
+        depth=0 if sched is Schedule.CLASSIC else 1,
+        pfact=variant, rfact=variant, nbmin=4, fact_threads=threads,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _single_thread_factor(sched: Schedule, variant: PFactVariant):
+    full, ipiv, _ = _factor(_threads_cfg(sched, variant, 1))
+    return full, ipiv
 
 
 class TestLedgers:

@@ -14,10 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.blas.threaded import TileWorkerPool
+import time
+
+from repro.blas.threaded import ParallelContext, TileWorkerPool
 from repro.config import HPLConfig, PFactVariant, Schedule
 from repro.errors import SingularMatrixError, SpmdError
 from repro.grid.block_cyclic import local_indices
+from repro.hpl import pfact
 from repro.hpl.pfact import _split_sizes, factor_panel
 
 from .conftest import spmd
@@ -178,6 +181,79 @@ class TestEdgeCases:
         a = np.asfortranarray(rng.standard_normal((10, 1)))
         w, ipiv, rows = _factor_distributed(a, 1, 2, dict())
         _reconstruct_and_check(a, 1, w, ipiv, rows)
+
+
+class TestThreadTeam:
+    """The FACT thread team meets once per pivot column (one handoff)."""
+
+    def test_rendezvous_count_per_panel(self, rng, monkeypatch):
+        """Default recursion (NB = 32, RIGHT, ndiv 2, nbmin 16): one
+        handoff per column (32), two per ``_update_cols`` call (one call)
+        and one per leaf end (two leaves) -- 36, down from 132 when every
+        column crossed four barriers."""
+        counts = [0, 0]
+        handoff = ParallelContext.handoff
+
+        def counting(self, *args, **kwargs):
+            counts[self.tid] += 1
+            return handoff(self, *args, **kwargs)
+
+        monkeypatch.setattr(ParallelContext, "handoff", counting)
+        a = np.asfortranarray(rng.standard_normal((96, 32)))
+        w, ipiv, rows = _factor_distributed(a, 32, 1, dict(fact_threads=2))
+        _reconstruct_and_check(a, 32, w, ipiv, rows)
+        assert counts == [36, 36]
+
+    def test_singular_panel_raises_on_every_thread(self, monkeypatch):
+        """A zero pivot is published by the handoff, so every thread raises
+        SingularMatrixError itself; no ParallelAbort unwinds any of them."""
+        raised: dict[int, type] = {}
+        rfact = pfact._rfact
+
+        def recording(ctx, *args):
+            try:
+                rfact(ctx, *args)
+            except BaseException as exc:
+                raised[ctx.tid] = type(exc)
+                raise
+
+        monkeypatch.setattr(pfact, "_rfact", recording)
+        a = np.zeros((16, 4), order="F")
+        with pytest.raises(SpmdError) as exc_info:
+            _factor_distributed(a, 4, 1, dict(fact_threads=3))
+        assert raised == {tid: SingularMatrixError for tid in range(3)}
+        assert [type(e) for e in exc_info.value.failures.values()] == [
+            SingularMatrixError
+        ]
+
+    def test_other_rank_failure_unwinds_waiting_workers(self, rng):
+        """Rank 1 fails while rank 0's tid 0 waits in the pivot all-reduce
+        and its workers wait to be released: the fabric abort reaches tid 0,
+        which aborts the team, and the job fails with rank 1's error."""
+        a = np.asfortranarray(rng.standard_normal((16, 4)))
+        cfg = HPLConfig(n=16, nb=4, p=2, q=1, depth=0,
+                        schedule=Schedule.CLASSIC, fact_threads=3)
+        pool = TileWorkerPool(3)
+
+        def main(comm):
+            if comm.rank == 1:
+                time.sleep(0.2)
+                raise RuntimeError("rank 1 down")
+            pos = local_indices(16, 4, 0, 2)
+            local = np.asfortranarray(a[pos, :])
+            factor_panel(comm, local, pos, 0, 0, 4, cfg, pool, 0, 2)
+
+        start = time.monotonic()
+        try:
+            with pytest.raises(SpmdError) as exc_info:
+                spmd(2, main)
+            assert time.monotonic() - start < 10.0
+            failures = exc_info.value.failures
+            assert list(failures) == [1]
+            assert isinstance(failures[1], RuntimeError)
+            assert pool.run(lambda ctx: ctx.reduce(ctx.tid, max)) == 2
+        finally:
+            pool.shutdown()
 
 
 class TestSplitSizes:

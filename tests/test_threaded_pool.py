@@ -1,6 +1,10 @@
-"""The tiled worker pool: round-robin ownership, barriers, reductions."""
+"""The tiled worker pool: round-robin ownership, the handoff, aborts."""
 
 from __future__ import annotations
+
+import random
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -156,3 +160,144 @@ class TestPool:
 
             pool.run(region)
         assert partial.sum() == data.sum()
+
+
+class TestHandoff:
+    @pytest.mark.parametrize("nthreads", [2, 3, 5])
+    def test_interleaved_rounds_deliver_every_value_in_order(self, nthreads):
+        """Bcast (any root), reduce, bare handoffs and barriers interleaved
+        over 2 000 rounds, more threads than cores and a short switch
+        interval: every thread sees every round's value.  A cell written
+        before every worker has read the previous one loses values here."""
+        rounds = 2000
+        ops = random.Random(nthreads).choices(
+            ["bcast", "reduce", "handoff", "barrier"], k=rounds
+        )
+        stamp = [-1] * nthreads
+        seen: list[list] = [[] for _ in range(nthreads)]
+
+        def expected(r, op):
+            if op == "bcast":
+                return ("b", r, r % nthreads)
+            if op == "reduce":
+                return r * nthreads + sum(range(nthreads))
+            if op == "handoff":
+                return ("h", r, tuple(range(nthreads)))
+            return ("barrier", r)
+
+        def region(ctx):
+            tid = ctx.tid
+            for r, op in enumerate(ops):
+                if op == "bcast":
+                    root = r % nthreads
+                    got = ctx.bcast(("b", r, tid) if tid == root else None, root=root)
+                elif op == "reduce":
+                    got = ctx.reduce(r + tid, lambda x, y: x + y)
+                elif op == "handoff":
+                    got = ctx.handoff(tid, lambda slots, r=r: ("h", r, tuple(slots)))
+                else:
+                    stamp[tid] = r
+                    ctx.barrier()
+                    got = ("barrier", r) if min(stamp) >= r else ("early", r)
+                seen[tid].append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often mid-handoff
+        try:
+            with TileWorkerPool(nthreads) as pool:
+                pool.run(region)
+        finally:
+            sys.setswitchinterval(interval)
+        want = [expected(r, op) for r, op in enumerate(ops)]
+        for tid in range(nthreads):
+            assert seen[tid] == want, tid
+
+    def test_master_sees_slots_in_tid_order(self):
+        with TileWorkerPool(4) as pool:
+            results = [None] * 4
+
+            def region(ctx):
+                results[ctx.tid] = ctx.handoff(ctx.tid * 10, lambda s: list(s))
+
+            pool.run(region)
+        assert results == [[0, 10, 20, 30]] * 4
+
+    def test_single_thread_runs_master_inline(self):
+        pool = TileWorkerPool(1)
+        assert pool.run(lambda ctx: ctx.handoff(3, lambda s: s[0] + 1)) == 4
+
+
+class TestAbort:
+    """Each failure must surface as the original exception, promptly, and
+    leave the pool able to run a fresh region."""
+
+    @staticmethod
+    def _fresh_region_runs(pool):
+        seen = [False] * pool.nthreads
+
+        def region(ctx):
+            seen[ctx.tid] = True
+            return ctx.reduce(ctx.tid, lambda x, y: x + y)
+
+        assert pool.run(region) == sum(range(pool.nthreads))
+        assert all(seen)
+
+    def test_worker_raises_while_others_wait_in_the_gather(self):
+        with TileWorkerPool(3) as pool:
+            def region(ctx):
+                ctx.barrier()
+                if ctx.tid == 2:
+                    time.sleep(0.05)  # tid 1 has arrived; tid 0 is gathering
+                    raise RuntimeError("worker boom")
+                ctx.handoff(ctx.tid)
+
+            start = time.monotonic()
+            with pytest.raises(RuntimeError, match="worker boom"):
+                pool.run(region)
+            assert time.monotonic() - start < 5.0
+            self._fresh_region_runs(pool)
+
+    def test_master_raises_between_gather_and_release(self):
+        with TileWorkerPool(3) as pool:
+            def master(slots):
+                raise ValueError("master boom")
+
+            passed = []
+
+            def region(ctx):
+                ctx.handoff(ctx.tid, master)
+                passed.append(ctx.tid)  # nothing was published: unreachable
+
+            start = time.monotonic()
+            with pytest.raises(ValueError, match="master boom"):
+                pool.run(region)
+            assert time.monotonic() - start < 5.0
+            assert passed == []
+            self._fresh_region_runs(pool)
+
+    def test_worker_raises_after_its_last_handoff(self):
+        with TileWorkerPool(3) as pool:
+            def region(ctx):
+                ctx.barrier()
+                if ctx.tid == 1:
+                    raise KeyError("late")
+
+            with pytest.raises(KeyError, match="late"):
+                pool.run(region)
+            self._fresh_region_runs(pool)
+
+    def test_first_error_in_tid_order_wins(self):
+        with TileWorkerPool(3) as pool:
+            def region(ctx):
+                raise RuntimeError(f"tid {ctx.tid}")
+
+            with pytest.raises(RuntimeError, match="tid 0"):
+                pool.run(region)
+            self._fresh_region_runs(pool)
+
+    def test_shutdown_then_run_starts_a_fresh_team(self):
+        pool = TileWorkerPool(3)
+        self._fresh_region_runs(pool)
+        pool.shutdown()
+        self._fresh_region_runs(pool)
+        pool.shutdown()
