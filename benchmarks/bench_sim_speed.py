@@ -11,8 +11,9 @@ The committed trajectory (``BENCH_sim_speed.json`` at the repo root)
 records every entry so a regression is a diff, not an anecdote; entries
 from before the object engine left the pricing path also carry its
 timings (``full_s``, ``engine_s``, ``timeline_speedup``).  The gates: a
-cold run must cost no more than 1.25x the last committed entry's, and a
-warm run must not be slower than a cold one.
+cold run must cost no more than 1.25x the last committed entry's, a
+warm run must not be slower than a cold one, and the timeline must cost
+at most 0.75x as much per iteration at 128 nodes as at 1 node.
 
 Run directly for more repeats::
 
@@ -53,6 +54,12 @@ TRAJECTORY = REPO_ROOT / "BENCH_sim_speed.json"
 #: hardware like the last entry's; a deliberate move to slower hardware
 #: needs a fresh entry committed from it.
 COLD_REGRESSION_CEILING = 1.25
+
+#: The timeline's seconds per iteration at 128 nodes may be at most this
+#: fraction of its seconds per iteration at 1 node.  Long segments are
+#: resolved regime by regime, so the cost per iteration falls with run
+#: length; both sides come from one run, so the speed of the box cancels.
+EVALUATE_SCALING_CEILING = 0.75
 
 #: Fig. 8 sweep points (node counts); 128 nodes is the paper's headline
 #: scale and this simulator's largest iteration count (5657 blocks).
@@ -143,6 +150,12 @@ def check_entry(entry: dict, previous: dict | None = None) -> None:
                 f"{name}: cold run {pt['fast_cold_s']}s is more than" \
                 f" {COLD_REGRESSION_CEILING}x the last committed entry's" \
                 f" {baseline[pt['nnodes']]}s"
+    per_iteration = {pt["nnodes"]: pt["evaluate_s"] / pt["iterations"]
+                     for pt in points}
+    ratio = per_iteration[128] / per_iteration[1]
+    assert ratio <= EVALUATE_SCALING_CEILING, \
+        f"timeline per iteration: 128 nodes cost {ratio:.2f}x 1 node's," \
+        f" more than {EVALUATE_SCALING_CEILING} -- speculation off?"
 
 
 def test_sim_speed_trajectory():

@@ -7,26 +7,88 @@ on every number it returns.  The Hypothesis layer sweeps random problem
 sizes, grids, node-local tilings, all three schedules, every broadcast
 variant, all swap algorithms, and the whole split-fraction range; a
 pinned config matrix holds the segment edges of the fast path's
-per-shape loops.
+per-shape loops.  Both ways ``evaluate`` resolves a segment run every
+case: speculating regime by regime from the first iteration, and
+stepping every iteration on floats.  Long runs and inputs built to
+defeat speculation hold the two to each other, sign bits included.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import BcastVariant, Schedule, SwapVariant
 from repro.machine.frontier import crusher_cluster
 from repro.perf import (PerfConfig, run_cost_arrays, run_costs, simulate_run,
                         simulate_timeline)
+from repro.perf.scaling import weak_scaling
+from repro.sched import fastpath
 from repro.sched.engine import simulate
 from repro.sched.fastpath import MODE_CLASSIC, MODE_LOOKAHEAD, MODE_SPLIT, evaluate
 from repro.sched.timeline import build_run
 
 COLUMNS = ("k", "time", "gpu_active", "fact", "mpi", "transfer")
+
+#: ``evaluate``'s policy constants for each way of resolving a segment.
+#: "speculate" traces at the first iteration of every segment, starts
+#: with one-iteration windows and traces again right after a failed one;
+#: "float" never speculates.
+SPECULATION = {
+    "speculate": {"_MIN_RANGE": 0, "_FIRST_WINDOW": 1, "_SCALAR_CHUNK": 0},
+    "float": {"_MIN_RANGE": sys.maxsize},
+}
+
+
+@pytest.fixture(params=sorted(SPECULATION))
+def speculation(request, monkeypatch):
+    for name, value in SPECULATION[request.param].items():
+        monkeypatch.setattr(fastpath, name, value)
+    return request.param
+
+
+def evaluate_as(monkeypatch, arrays, setting):
+    """``evaluate`` under one :data:`SPECULATION` setting (``None``: the
+    module's own constants)."""
+    with monkeypatch.context() as patch:
+        for name, value in SPECULATION.get(setting, {}).items():
+            patch.setattr(fastpath, name, value)
+        return evaluate(arrays)
+
+
+def assert_same_bits(got, want):
+    """Every :class:`~repro.sched.fastpath.FastTimeline` field equal,
+    sign bits included."""
+    for name, value in vars(want).items():
+        a, b = np.asarray(getattr(got, name)), np.asarray(value)
+        assert np.array_equal(a, b), name
+        assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts ``evaluate``'s vectorized passes, the iterations they
+    accept and the float chunks stepped between them."""
+    counts = {"passes": 0, "accepted": 0, "chunks": 0}
+    verify, step = fastpath._verify, fastpath._step
+
+    def counted_verify(*args):
+        good, *rest = verify(*args)
+        counts["passes"] += 1
+        counts["accepted"] += good
+        return (good, *rest)
+
+    def counted_step(loop, cols, a, b, state, end):
+        counts["chunks"] += b > a
+        return step(loop, cols, a, b, state, end)
+
+    monkeypatch.setattr(fastpath, "_verify", counted_verify)
+    monkeypatch.setattr(fastpath, "_step", counted_step)
+    return counts
 
 
 def assert_timelines_identical(arrays):
@@ -85,9 +147,11 @@ def perf_configs(draw):
 
 
 class TestHypothesisEquivalence:
-    @settings(max_examples=200, deadline=None)
-    @given(perf_configs())
-    def test_fast_matches_full_everywhere(self, cfg):
+    # The fixture sets module constants once for all examples.
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=perf_configs())
+    def test_fast_matches_full_everywhere(self, speculation, cfg):
         assert_timelines_identical(cost_arrays(cfg))
 
 
@@ -132,11 +196,11 @@ class TestBitExactMatrix:
         "cfg", EXACT_MATRIX,
         ids=lambda c: f"{c.schedule.value}-n{c.n}-nb{c.nb}-{c.p}x{c.q}",
     )
-    def test_bit_identical_reports(self, cfg):
+    def test_bit_identical_reports(self, speculation, cfg):
         assert_timelines_identical(cost_arrays(cfg))
 
     @pytest.mark.parametrize("pattern", ["SCSL", "SLSSL", "CSSCLLS", "LLSC"])
-    def test_mode_sequences_the_ledger_never_emits(self, pattern):
+    def test_mode_sequences_the_ledger_never_emits(self, speculation, pattern):
         """``build_run`` accepts any mode order; so do the segments."""
         base = cost_arrays(EXACT_MATRIX[0])
         codes = {"C": MODE_CLASSIC, "L": MODE_LOOKAHEAD, "S": MODE_SPLIT}
@@ -171,6 +235,100 @@ class TestBitExactMatrix:
         assert report.early_regime_tflops() == (
             flops / sum(it.time for it in head) / 1e12
         )
+
+
+def long_run(nnodes):
+    """The paper's Fig. 7 run (1 node), or a Fig. 8 weak-scaling point."""
+    if nnodes == 1:
+        cfg = PerfConfig(n=256_000, nb=512, p=4, q=2, pl=4, ql=2)
+    else:
+        cfg = weak_scaling([nnodes])[0].report.cfg
+    return run_cost_arrays(cfg, crusher_cluster(nnodes))
+
+
+class TestSpeculation:
+    """Regime-by-regime resolution against the float loop."""
+
+    @pytest.mark.parametrize("nnodes", [1, 8, 32, 128])
+    def test_long_runs(self, monkeypatch, nnodes):
+        arrays = long_run(nnodes)
+        want = evaluate_as(monkeypatch, arrays, "float")
+        assert_same_bits(evaluate_as(monkeypatch, arrays, "speculate"), want)
+        assert_same_bits(evaluate_as(monkeypatch, arrays, None), want)
+
+    @pytest.mark.parametrize("nnodes, max_passes, max_scalar", [
+        (1, 0, 1.0),  # 500 iterations: the float loop throughout
+        (128, 16, 0.03),  # measured: 11 passes, 1.0 % not vectorized
+    ])
+    def test_structure(self, passes, nnodes, max_passes, max_scalar):
+        """A change that quietly stops speculating fails here."""
+        arrays = long_run(nnodes)  # prices through evaluate: uncount it
+        passes.update(dict.fromkeys(passes, 0))
+        evaluate(arrays)
+        assert passes["passes"] <= max_passes
+        assert 1 - passes["accepted"] / arrays.nblocks <= max_scalar
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        """2000 iterations, long enough to speculate on by default."""
+        return cost_arrays(PerfConfig(n=256_000, nb=128, p=4, q=2, pl=4, ql=2))
+
+    @staticmethod
+    def one_shape(base, mode, **columns):
+        return dataclasses.replace(
+            base, mode=np.full(base.nblocks, mode, dtype=np.int8), **columns)
+
+    @staticmethod
+    def cost_columns(base):
+        return [f.name for f in dataclasses.fields(base)
+                if f.name not in ("k", "mode", "preamble")]
+
+    def assert_float_bits(self, monkeypatch, arrays):
+        want = evaluate_as(monkeypatch, arrays, "float")
+        assert_same_bits(evaluate_as(monkeypatch, arrays, "speculate"), want)
+        assert_same_bits(evaluate_as(monkeypatch, arrays, None), want)
+
+    @pytest.mark.parametrize("mode, column", [
+        (MODE_LOOKAHEAD, "fact"), (MODE_SPLIT, "right_comm"),
+    ])
+    def test_winner_flipping_every_iteration(self, monkeypatch, passes, base,
+                                             mode, column):
+        big = 10 * float(np.median(base.la_dgemm + base.left_dgemm))
+        flip = np.where(base.k % 2 == 0, big, 0.0)
+        arrays = self.one_shape(base, mode, **{column: flip})
+        want = evaluate_as(monkeypatch, arrays, "float")
+        passes.update(dict.fromkeys(passes, 0))
+        assert_same_bits(evaluate(arrays), want)
+        assert passes["accepted"] == 0
+        assert 1 <= passes["passes"] <= passes["chunks"]
+        self.assert_float_bits(monkeypatch, arrays)
+
+    @pytest.mark.parametrize("mode", [MODE_CLASSIC, MODE_LOOKAHEAD, MODE_SPLIT])
+    def test_exact_ties(self, monkeypatch, base, mode):
+        """Equal durations everywhere: every ``max`` sees equal operands."""
+        ones = np.ones(base.nblocks)
+        self.assert_float_bits(monkeypatch, self.one_shape(
+            base, mode, **{name: ones for name in self.cost_columns(base)}))
+
+    @pytest.mark.parametrize("mode", [MODE_CLASSIC, MODE_LOOKAHEAD, MODE_SPLIT])
+    def test_zero_and_negative_columns(self, monkeypatch, base, mode):
+        zeros = np.zeros(base.nblocks)
+        self.assert_float_bits(monkeypatch, self.one_shape(
+            base, mode, **{name: zeros for name in self.cost_columns(base)}))
+        # every third iteration negative before the clamp, -0.0 included
+        sign = np.where(base.k % 3 == 0, -1.0, 1.0)
+        self.assert_float_bits(monkeypatch, self.one_shape(base, mode, **{
+            name: sign * getattr(base, name) for name in self.cost_columns(base)}))
+
+    def test_segments_shorter_than_the_first_window(self, monkeypatch, passes,
+                                                    base):
+        monkeypatch.setattr(fastpath, "_MIN_RANGE", 0)
+        short = fastpath._FIRST_WINDOW // 2
+        mode = np.where(base.k // short % 2 == 0, MODE_SPLIT, MODE_LOOKAHEAD)
+        arrays = dataclasses.replace(base, mode=mode.astype(np.int8))
+        assert_same_bits(evaluate(arrays), evaluate_as(monkeypatch, arrays, "float"))
+        assert passes["passes"] == 0
+        self.assert_float_bits(monkeypatch, arrays)
 
 
 class TestFastPathContracts:
