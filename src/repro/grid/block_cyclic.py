@@ -66,23 +66,29 @@ def num_local_before_array(g, nb: int, iproc, nprocs: int) -> np.ndarray:
 
     Pure int64 arithmetic, so the result is exactly the scalar function
     applied elementwise (the fast ledger computes every iteration's local
-    extents in one shot through this).
+    extents in one shot through this).  Of the ``block = g // nb`` full
+    blocks before ``g``, ``iproc`` owns ``ceil((block - iproc) / nprocs)``
+    (zero when ``block <= iproc``): the quotient of ``block - iproc +
+    nprocs - 1 >= 0`` by ``nprocs``.  Its remainder is ``nprocs - 1``
+    exactly when ``block % nprocs == iproc``, i.e. when ``iproc`` also
+    owns the partial block holding ``g``.
     """
     _check(nb, nprocs)
     g = np.asarray(g, dtype=np.int64)
     iproc = np.asarray(iproc, dtype=np.int64)
-    if np.any(g < 0):
+    if g.size and g.min() < 0:
         raise ValueError("global indices must be >= 0")
-    if np.any(iproc < 0) or np.any(iproc >= nprocs):
+    if iproc.size and (iproc.min() < 0 or iproc.max() >= nprocs):
         raise ValueError(f"iproc outside [0, {nprocs})")
     block, offset = np.divmod(g, nb)
-    nfull = np.where(block > iproc, (block - iproc - 1) // nprocs + 1, 0)
-    return nfull * nb + np.where(block % nprocs == iproc, offset, 0)
+    nfull, rem = np.divmod(block - iproc + (nprocs - 1), nprocs)
+    return nfull * nb + np.where(rem == nprocs - 1, offset, 0)
 
 
 def numroc_array(n, nb: int, iproc, nprocs: int) -> np.ndarray:
     """Vectorized :func:`numroc` over ``n`` and/or ``iproc``."""
-    if np.any(np.asarray(n) < 0):
+    n = np.asarray(n)
+    if n.size and n.min() < 0:
         raise ValueError("n must be >= 0")
     return num_local_before_array(n, nb, iproc, nprocs)
 

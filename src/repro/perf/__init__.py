@@ -2,8 +2,8 @@
 
 * :mod:`repro.perf.ledger` -- exact per-iteration work/volume formulas from
   the block-cyclic distribution (``run_sizes``), priced by
-  :mod:`repro.machine` for all iterations at once into
-  :class:`~repro.sched.fastpath.CostArrays` (``run_cost_arrays``).
+  :mod:`repro.machine` once per distinct iteration, in one call per model,
+  into :class:`~repro.sched.fastpath.CostArrays` (``run_cost_arrays``).
 * :mod:`repro.perf.hplsim` -- runs the timeline simulation for a whole
   benchmark and produces the per-iteration breakdown of Fig. 7 plus the
   headline score.
@@ -19,7 +19,6 @@
 
 from .ledger import (
     PerfConfig,
-    preamble_costs,
     run_cost_arrays,
     run_costs,
     run_sizes,
@@ -33,7 +32,6 @@ from .measured import MeasuredIteration, measured_breakdown
 
 __all__ = [
     "PerfConfig",
-    "preamble_costs",
     "run_costs",
     "run_cost_arrays",
     "run_sizes",

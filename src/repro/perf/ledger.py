@@ -12,6 +12,13 @@ numpy column per phase, producing the
 (:func:`run_costs` is the same numbers expanded to one
 :class:`~repro.sched.timeline.IterCosts` per iteration).
 
+Block-cyclic ownership makes every size a step function of ``k``, so
+:func:`run_cost_arrays` prices each distinct iteration once -- the first
+of every run of equal sizes, in one call per machine model -- and repeats
+the costs out.  That is exact because every pricing entry point is
+elementwise: a row prices to the same float wherever it sits in a batch
+(``TestScalarBatchConsistency`` in ``tests/test_machine_models.py``).
+
 The integration tests cross-check the sizes against the flop/byte counts
 *measured* by the instrumented numeric engine at small sizes, so the
 performance simulation provably prices the same algorithm the numeric
@@ -87,7 +94,7 @@ def run_sizes(cfg: PerfConfig) -> RunSizes:
     blk = np.where(has_next, k + 1, k)
     r_f = blk % p
     c_f = np.where(has_next, blk % q, (n // nb) % q)
-    numroc_rf = numroc_array(n, nb, r_f, p)
+    numroc_rf = numroc_array(n, nb, np.arange(p), p)[r_f]
     m_update = numroc_rf - num_local_before_array(j0n, nb, r_f, p)
     j1 = np.minimum(n, j0n + jb_next)
     m_l2 = numroc_rf - num_local_before_array(j1, nb, r_f, p)
@@ -95,7 +102,7 @@ def run_sizes(cfg: PerfConfig) -> RunSizes:
     # the shifted-frame proc-0 share (equals max over r of the trailing
     # numroc; property-tested equivalence).
     m_fact = numroc_array(n - j0n, nb, 0, p)
-    nloc_aug = numroc_array(n + 1, nb, c_f, q)
+    nloc_aug = numroc_array(n + 1, nb, np.arange(q), q)[c_f]
     lo = num_local_before_array(j0n, nb, c_f, q)
     w_trail = nloc_aug - lo
 
@@ -160,19 +167,22 @@ def _price_panel(
     )
 
 
-def _price_section(
-    cfg: PerfConfig, cm: CommModel, sz: RunSizes, name: str
-) -> dict[str, np.ndarray]:
-    """The ``{name}_*`` cost columns of column section ``la``/``left``/``right``.
+def _price_sections(
+    cfg: PerfConfig,
+    cm: CommModel,
+    jb: np.ndarray,
+    m_update: np.ndarray,
+    w: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(gather, comm, dtrsm, dgemm) of column sections of local width ``w``.
 
-    Rows with ``w <= 0`` price to zero through the models' own payload
-    guards.
+    The scatter costs what the gather does.  Rows with ``w <= 0`` price to
+    zero through the models' own payload guards.
     """
     gpu = cm.cluster.node.gpu
     topo = cm.topo
     members = topo.col_members(0)
-    w = getattr(sz, f"w_{name}")
-    u_bytes = 8.0 * sz.jb * w
+    u_bytes = 8.0 * jb * w
     if cfg.swap is SwapVariant.BINEXCH:
         assemble = cm.binexch_allgather_seconds_array(members, u_bytes)
     elif cfg.swap is SwapVariant.MIX:
@@ -186,36 +196,11 @@ def _price_section(
     comm = assemble + cm.scatterv_seconds_array(
         (0, 0), members, u_bytes * (topo.p - 1) / max(topo.p, 1)
     )
-    gather = rowcopy_seconds_array(gpu, u_bytes)
-    return {
-        f"{name}_gather": gather,
-        f"{name}_comm": comm,
-        f"{name}_scatter": gather,
-        f"{name}_dtrsm": dtrsm_seconds_array(gpu, sz.jb, w),
-        f"{name}_dgemm": dgemm_seconds_array(gpu, sz.m_update, w, sz.jb),
-    }
-
-
-def preamble_costs(
-    cfg: PerfConfig, cluster: ClusterSpec, cm: CommModel | None = None
-) -> IterCosts:
-    """FACT + LBCAST of panel 0 before iteration 0 (``k = -1`` by convention).
-
-    ``cm`` may be supplied to reuse a run's topology.
-    """
-    if cm is None:
-        cm = CommModel(cluster, GridTopology(cfg.p, cfg.q, cfg.pl, cfg.ql))
-    # Panel 0 as a one-row batch: grid column 0 factors all n rows.
-    m_fact = np.array([numroc(cfg.n, cfg.nb, 0, cfg.p)])
-    jb = np.array([min(cfg.nb, cfg.n)])
-    fact, lbcast, d2h, h2d = _price_panel(cfg, cm, m_fact, m_fact, jb)
-    return IterCosts(
-        k=-1,
-        mode="preamble",
-        fact=float(fact[0]),
-        lbcast=float(lbcast[0]),
-        d2h=float(d2h[0]),
-        h2d=float(h2d[0]),
+    return (
+        rowcopy_seconds_array(gpu, u_bytes),
+        comm,
+        dtrsm_seconds_array(gpu, jb, w),
+        dgemm_seconds_array(gpu, m_update, w, jb),
     )
 
 
@@ -231,12 +216,42 @@ def run_cost_arrays(cfg: PerfConfig, cluster: ClusterSpec) -> CostArrays:
     cm = CommModel(cluster, GridTopology(cfg.p, cfg.q, cfg.pl, cfg.ql))
     sz = run_sizes(cfg)
 
-    # FACT of panel k+1 plus its transfers and broadcast.
-    fact, lbcast, d2h, h2d = np.zeros((4, cfg.nblocks), dtype=np.float64)
-    nxt = sz.jb_next > 0
-    fact[nxt], lbcast[nxt], d2h[nxt], h2d[nxt] = _price_panel(
-        cfg, cm, sz.m_fact[nxt], sz.m_l2[nxt], sz.jb_next[nxt]
+    # Price the first iteration of each run of equal sizes, then repeat.
+    changed = np.zeros(cfg.nblocks, dtype=bool)
+    changed[0] = True
+    for col in (sz.m_update, sz.m_l2, sz.m_fact, sz.w_la, sz.w_left,
+                sz.w_right, sz.jb, sz.jb_next):
+        changed[1:] |= col[1:] != col[:-1]
+    first = np.flatnonzero(changed)
+    runs = np.diff(first, append=cfg.nblocks)
+
+    # FACT of panel k+1 plus its transfers and broadcast; panel 0 (the
+    # preamble) rides in front.  Only the last iteration, always a run of
+    # its own, has no next panel.
+    nxt = first[:-1]
+    m0 = numroc(cfg.n, cfg.nb, 0, cfg.p)  # grid column 0 factors all n rows
+    panel = _price_panel(
+        cfg, cm,
+        np.concatenate(([m0], sz.m_fact[nxt])),
+        np.concatenate(([m0], sz.m_l2[nxt])),
+        np.concatenate(([min(cfg.nb, cfg.n)], sz.jb_next[nxt])),
     )
+    fact, lbcast, d2h, h2d = (np.repeat(np.append(c[1:], 0.0), runs) for c in panel)
+
+    # The la / left / right sections stacked into one batch.
+    gather, comm, dtrsm, dgemm = (
+        np.repeat(c.reshape(3, -1), runs, axis=1)
+        for c in _price_sections(
+            cfg, cm, np.tile(sz.jb[first], 3), np.tile(sz.m_update[first], 3),
+            np.concatenate((sz.w_la[first], sz.w_left[first], sz.w_right[first])),
+        )
+    )
+    sections = {}
+    for name, g, c, t, u in zip(("la", "left", "right"), gather, comm, dtrsm, dgemm):
+        sections.update({
+            f"{name}_gather": g, f"{name}_comm": c, f"{name}_scatter": g,
+            f"{name}_dtrsm": t, f"{name}_dgemm": u,
+        })
 
     arrays = CostArrays(
         k=sz.k,
@@ -245,11 +260,13 @@ def run_cost_arrays(cfg: PerfConfig, cluster: ClusterSpec) -> CostArrays:
         lbcast=lbcast,
         d2h=d2h,
         h2d=h2d,
-        **_price_section(cfg, cm, sz, "la"),
-        **_price_section(cfg, cm, sz, "left"),
-        **_price_section(cfg, cm, sz, "right"),
+        **sections,
         preamble=(
-            preamble_costs(cfg, cluster, cm=cm)
+            IterCosts(
+                k=-1, mode="preamble", fact=float(panel[0][0]),
+                lbcast=float(panel[1][0]), d2h=float(panel[2][0]),
+                h2d=float(panel[3][0]),
+            )
             if cfg.schedule is not Schedule.CLASSIC
             else None
         ),

@@ -6,6 +6,8 @@ stand on; hypothesis sweeps them broadly.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,9 @@ from repro.grid.block_cyclic import (
     local_indices,
     local_to_global,
     num_local_before,
+    num_local_before_array,
     numroc,
+    numroc_array,
     owning_process,
 )
 
@@ -83,6 +87,52 @@ class TestRoundTrips:
                 cur = num_local_before(g, nb, ip, nprocs)
                 assert cur >= prev
                 prev = cur
+
+
+@st.composite
+def array_cases(draw):
+    """``(g, nb, iproc, nprocs)`` with ``g`` and ``iproc`` each a scalar or
+    an equal-length list (empty included)."""
+    nprocs = draw(st.integers(1, 40))
+    length = draw(st.integers(0, 12))
+    g_vals, ip_vals = st.integers(0, 3_000), st.integers(0, nprocs - 1)
+    g = draw(g_vals | st.lists(g_vals, min_size=length, max_size=length))
+    iproc = draw(ip_vals | st.lists(ip_vals, min_size=length, max_size=length))
+    return g, draw(blocks), iproc, nprocs
+
+
+class TestArrayTwins:
+    """The vectorized helpers the ledger prices through are the scalar
+    helpers applied elementwise."""
+
+    @given(array_cases())
+    def test_match_scalars_elementwise(self, case):
+        g, nb, iproc, nprocs = case
+        gs, ips = np.broadcast_arrays(np.asarray(g, dtype=np.int64),
+                                      np.asarray(iproc, dtype=np.int64))
+        for array_fn, scalar_fn in ((num_local_before_array, num_local_before),
+                                    (numroc_array, numroc)):
+            got = np.asarray(array_fn(g, nb, iproc, nprocs))
+            assert got.dtype == np.int64
+            assert got.shape == gs.shape
+            assert got.ravel().tolist() == [
+                scalar_fn(int(a), nb, int(b), nprocs)
+                for a, b in zip(gs.ravel(), ips.ravel())
+            ]
+
+    @given(st.integers(1, 40), blocks, st.integers(1, 100), st.booleans())
+    def test_reject_what_scalars_reject(self, nprocs, nb, bad, as_array):
+        wrap = (lambda v: [0, v]) if as_array else (lambda v: v)
+        with pytest.raises(ValueError, match="global indices must be >= 0"):
+            num_local_before_array(wrap(-bad), nb, 0, nprocs)
+        outside = re.escape(f"iproc outside [0, {nprocs})")
+        for ip in (-bad, nprocs - 1 + bad):
+            with pytest.raises(ValueError, match=outside):
+                num_local_before_array(5, nb, wrap(ip), nprocs)
+            with pytest.raises(ValueError, match=outside):
+                numroc_array(5, nb, wrap(ip), nprocs)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            numroc_array(wrap(-bad), nb, 0, nprocs)
 
 
 class TestValidation:
