@@ -147,8 +147,8 @@ class BadCursorError(ServiceError):
     """An event/queue cursor token is malformed or ahead of the log.
 
     Cursors are opaque continuation tokens; a token the server cannot
-    decode, or one whose offset lies beyond the end of the audit log, is
-    rejected outright --
+    decode, or one whose position lies beyond the end of the audit log,
+    is rejected outright --
     the client should restart from ``begin`` (or ``now``).
     """
 

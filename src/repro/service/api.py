@@ -248,11 +248,11 @@ class Service(ServiceFacade):
         self.store.set_terminal_hook(self.dag.on_terminal)
         self.dag.sweep()
         # The event feed: tails the audit log with resumable cursors
-        # and wakes long-poll/SSE subscribers on append.  Holds no
+        # and wakes long-poll/SSE subscribers on each event.  Holds no
         # subscriber state, so constructing it is cheap even for
         # one-shot CLI calls.
         self.broker = EventBroker(self.store)
-        # Pools built by worker_pool(): an append through this service
+        # Pools built by worker_pool(): an event through this service
         # that makes a job claimable wakes them.  Weak references, so a
         # finished pool costs nothing.
         self._pools: weakref.WeakSet = weakref.WeakSet()
@@ -261,7 +261,7 @@ class Service(ServiceFacade):
         self.store.set_event_hook(self._on_event)
 
     def _on_event(self, record: dict) -> None:
-        """The store's append hook: wake feed readers, then idle pools."""
+        """The store's event hook: wake feed readers, then idle pools."""
         self.broker.wake(record)
         if makes_claimable(record):
             with self._pools_lock:
@@ -458,14 +458,14 @@ class Service(ServiceFacade):
 
         Returns ``(events, next_cursor, timed_out)`` -- the long-poll
         contract of ``GET /v1/events``.  ``cursor`` is an opaque token
-        from a previous call, ``"begin"`` (everything the logs hold --
+        from a previous call, ``"begin"`` (everything the log holds --
         the default), or ``"now"`` (only what happens from here on).
         With ``timeout > 0`` the call blocks until a matching event
         arrives.  A ``campaign`` filter expands to the campaign's
         job-id set (404 on an unknown campaign); combined with an
         explicit ``job_ids`` the two sets intersect.  Under a job-id
         filter ``"begin"`` starts where the earliest of those jobs was
-        submitted (:meth:`EventBroker.begin_offsets`).
+        submitted (:meth:`EventBroker.begin_offset`).
         """
         if limit < 1:
             raise MalformedRequestError(f"limit must be >= 1, got {limit}")
@@ -580,7 +580,8 @@ class Service(ServiceFacade):
 
         Jobs whose result is already cached (another submitter's twin
         completed while the job sat in the queue) are completed on the
-        spot and never shipped, so no child process is burned on them.
+        spot, in the claim's own transaction, and never shipped, so no
+        child process is burned on them.
         ``worker`` / ``n`` / ``ttl`` may be raw request data.
         """
         if not isinstance(worker, str) or not worker:
@@ -595,17 +596,10 @@ class Service(ServiceFacade):
             raise MalformedRequestError(f"bad n: {exc}") from None
         if n < 1:
             raise MalformedRequestError(f"n must be >= 1, got {n}")
-        ttl = _lease_ttl(ttl)
-        lease, jobs = self.store.claim_batch(worker, limit=n, ttl=ttl)
-        shipped = []
-        for job in jobs:
-            if job.kind not in UNCACHED_KINDS and job.key in self.cache:
-                self.store.complete_leased(job.id, job.lease_id, job.key)
-                continue
-            self.store.log_event(job.id, "launched", worker=worker,
-                                 lease=job.lease_id)
-            shipped.append(job)
-        return (lease if shipped else None), shipped
+        return self.store.claim_batch(
+            worker, limit=n, ttl=_lease_ttl(ttl),
+            cached=lambda job: (job.kind not in UNCACHED_KINDS
+                                and job.key in self.cache))
 
     def heartbeat(self, lease_id: str, ttl: float = 30.0) -> Lease:
         """Extend a live lease; raises ``LeaseExpiredError`` if lapsed."""

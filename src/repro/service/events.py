@@ -1,24 +1,24 @@
-"""Resumable event feed over the JSONL audit log.
+"""Resumable event feed over the job store's audit log.
 
-Every state transition the service commits is already durably recorded
-in the store's ``events.jsonl`` (see :meth:`JobStore._event`); this
-module exposes that log as a resumable stream so clients can *watch*
-jobs instead of polling them -- the O(clients x poll-rate) status
-traffic the admission controller otherwise has to throttle collapses to
-O(transitions).
+Every state transition the service commits is recorded, in the same
+transaction, as a row of the store's ``events`` table (see
+:class:`~repro.service.store.JobStore`); this module exposes that log
+as a resumable stream so clients can *watch* jobs instead of polling
+them -- the O(clients x poll-rate) status traffic the admission
+controller otherwise has to throttle collapses to O(transitions).
 
 The pieces:
 
-* **Cursors** -- a cursor is one logical byte offset into the log,
-  encoded as an opaque base64 token (:func:`encode_cursor` /
-  :func:`decode_cursor`).  Offsets are stable across coordinator
-  restarts *and* log compactions (the ``events.base`` sidecar folds
-  discarded bytes into the offset arithmetic), which is what makes
+* **Cursors** -- a cursor is one event id, encoded as an opaque base64
+  token (:func:`encode_cursor` / :func:`decode_cursor`).  Ids follow
+  commit order and are never reused, so a cursor is stable across
+  coordinator restarts *and* log compactions, which is what makes
   ``Last-Event-ID`` resume exactly-once.  The sentinels ``begin`` and
   ``now`` stand for "everything the log still holds" and "only what
   happens from here on"; under a job-id filter ``begin`` is where the
   earliest of those jobs was submitted, so waiting on a job never
-  replays the log that precedes it.
+  replays the log that precedes it.  A token minted before the log was
+  a table (a byte offset into a JSONL file) is a ``bad_cursor``.
 
 * **Filters** -- :class:`EventFilter` narrows a feed server-side by job
   id, audit event name (``kind``), and implied job state; filtered-out
@@ -28,13 +28,12 @@ The pieces:
   built for matches only).
 
 * **:class:`EventBroker`** -- the coordinator-side fan-out.  It tails
-  the log with cursor reads in file order (the authoritative order,
-  even when clock timestamps invert under write contention), and wakes
-  blocked long-poll/SSE subscribers from the store's append hook,
-  falling back to a short re-check interval for appends made by
-  *other* processes sharing the workdir.
+  the log with cursor reads in id order, and wakes blocked
+  long-poll/SSE subscribers from the store's event hook, falling back
+  to a short re-check interval for events committed by *other*
+  processes sharing the workdir.
 
-No broker process, no message queue: the JSONL log is the bus, the
+No broker process, no message queue: the store's log is the bus, the
 cursor is the subscription state, and the client holds it.  This is the
 decoupled pub/sub shape of Balsam's ``MessageInterface`` fan-out with
 the durable log standing in for the AMQP broker.
@@ -53,14 +52,14 @@ from ..errors import BadCursorError
 from .jobs import JobState
 from .views import EventView
 
-#: Cursor sentinels accepted wherever a token is: the oldest offset the
-#: logs still hold, and the offset just past everything already logged.
+#: Cursor sentinels accepted wherever a token is: the start of what the
+#: log still holds, and the position past everything already logged.
 BEGIN = "begin"
 NOW = "now"
 
 #: Job state implied by an audit event whose record carries no explicit
-#: ``state`` field.  Events absent here (``stream_started``, custom
-#: ``log_event`` records, ...) imply no state at all.
+#: ``state`` field.  Events absent here (``stream_started``,
+#: ``dag_hook_error``, ...) imply no state at all.
 IMPLIED_STATE = {
     "claimed": JobState.RUNNING.value,
     "launched": JobState.RUNNING.value,
@@ -72,26 +71,26 @@ IMPLIED_STATE = {
 }
 
 
-def encode_cursor(offset: int) -> str:
-    """Pack a logical log offset into an opaque token.
+def encode_cursor(event_id: int) -> str:
+    """Pack an event id into an opaque token.
 
-    The wire shape is ``{"v": 1, "o": [offset]}`` -- a one-element list,
-    so every token an earlier server minted still resumes.
+    The wire shape is ``{"v": 2, "e": id}``.  Version 1 tokens held byte
+    offsets into the log file of an earlier release and are refused.
     """
-    payload = json.dumps({"v": 1, "o": [int(offset)]},
+    payload = json.dumps({"v": 2, "e": int(event_id)},
                          separators=(",", ":"))
     return base64.urlsafe_b64encode(payload.encode("ascii")) \
         .decode("ascii").rstrip("=")
 
 
-def _version_1(payload) -> bool:
-    """Whether a decoded token is an object of version 1 (``true`` and
+def _version(payload, version: int) -> bool:
+    """Whether a decoded token is an object of ``version`` (``true`` and
     ``1.0`` compare equal to 1 but were never minted)."""
-    return (isinstance(payload, dict) and payload.get("v") == 1
+    return (isinstance(payload, dict) and payload.get("v") == version
             and type(payload["v"]) is int)
 
 
-def _offset(value) -> bool:
+def _nonneg_int(value) -> bool:
     """A JSON integer >= 0 -- not a bool, which Python counts as one."""
     return type(value) is int and value >= 0
 
@@ -100,24 +99,25 @@ def decode_cursor(token: str) -> int:
     """Unpack a cursor token; reject anything that cannot be one.
 
     Raises :class:`BadCursorError` on undecodable tokens, unknown
-    versions, negative offsets, and tokens carrying more than one
-    offset.
+    versions (version 1 included: a byte offset from an earlier
+    release), and ids that are not integers >= 0.
     """
     try:
         padded = token + "=" * (-len(token) % 4)
         payload = json.loads(base64.urlsafe_b64decode(padded.encode("ascii")))
     except (ValueError, binascii.Error, UnicodeEncodeError):
         raise BadCursorError(f"undecodable cursor token: {token!r}") from None
-    if not _version_1(payload):
-        raise BadCursorError(f"unsupported cursor version in {token!r}")
-    offsets = payload.get("o")
-    if not isinstance(offsets, list) or not all(map(_offset, offsets)):
-        raise BadCursorError(f"malformed cursor offsets in {token!r}")
-    if len(offsets) != 1:
+    if _version(payload, 1):
         raise BadCursorError(
-            f"cursor carries {len(offsets)} offsets, this feed has one log"
+            f"cursor {token!r} is a byte offset from an earlier release;"
+            f" restart from 'begin'"
         )
-    return offsets[0]
+    if not _version(payload, 2):
+        raise BadCursorError(f"unsupported cursor version in {token!r}")
+    event_id = payload.get("e")
+    if not _nonneg_int(event_id):
+        raise BadCursorError(f"malformed cursor id in {token!r}")
+    return event_id
 
 
 def encode_queue_cursor(offset: int) -> str:
@@ -141,10 +141,10 @@ def decode_queue_cursor(token: str) -> int:
         raise BadCursorError(
             f"undecodable queue cursor token: {token!r}"
         ) from None
-    if not _version_1(payload):
+    if not _version(payload, 1):
         raise BadCursorError(f"unsupported queue cursor version in {token!r}")
     offset = payload.get("q")
-    if not _offset(offset):
+    if not _nonneg_int(offset):
         raise BadCursorError(f"malformed queue cursor offset in {token!r}")
     return offset
 
@@ -228,7 +228,7 @@ class EventBroker:
         store.set_event_hook(self.wake)
 
     def wake(self, record: dict | None = None) -> None:
-        """The store's append hook: release every blocked :meth:`poll`."""
+        """The store's event hook: release every blocked :meth:`poll`."""
         with self._cond:
             self._version += 1
             self._cond.notify_all()
@@ -236,8 +236,8 @@ class EventBroker:
     # -- cursor resolution ----------------------------------------------
 
     def begin_offset(self, job_ids=None) -> int:
-        """The oldest offset the log holds -- or, for a feed filtered to
-        ``job_ids``, the offset those jobs' histories start at.
+        """The cursor before the oldest event the log holds -- or, for a
+        feed filtered to ``job_ids``, where those jobs' histories start.
 
         A job's row records the log position it was submitted at
         (:meth:`JobStore.events_start`), so a watch of named jobs reads
@@ -252,7 +252,7 @@ class EventBroker:
         return self.store.events_base()
 
     def resolve(self, token: str | None, job_ids=None) -> int:
-        """The offset for a wire token (sentinels included); ``job_ids``
+        """The event id for a wire token (sentinels included); ``job_ids``
         is the feed's job filter, which only ``begin`` looks at."""
         if token is None or token == "" or token == BEGIN:
             return self.begin_offset(job_ids)
@@ -265,7 +265,7 @@ class EventBroker:
     def read(self, offset: int, limit: int = 500,
              filter: EventFilter | None = None,
              ) -> tuple[list[EventView], int]:
-        """One non-blocking read from ``offset``, in file order.
+        """One non-blocking read after ``offset``, in id order.
 
         Returns ``(views, next_offset)``: the *matching* events among
         the next ``limit`` raw ones, each carrying the cursor token that
@@ -278,7 +278,7 @@ class EventBroker:
         # but no view or token is built for it.
         views = [
             EventView(
-                cursor=encode_cursor(end),
+                cursor=encode_cursor(event_id),
                 t=record.get("t", 0.0),
                 job_id=record.get("job", ""),
                 kind=record.get("event", ""),
@@ -286,7 +286,7 @@ class EventBroker:
                 data={k: v for k, v in record.items()
                       if k not in ("t", "job", "event")},
             )
-            for record, end in batch
+            for record, event_id in batch
             if filter is None or filter.matches(record)
         ]
         return views, next_offset
@@ -298,9 +298,9 @@ class EventBroker:
 
         Returns ``(views, next_token, timed_out)``.  ``timeout=0``
         makes it a plain read.  The wait wakes instantly on same-process
-        appends (the store's append hook) and re-checks every
-        ``poll_interval`` seconds for appends by other processes
-        sharing the workdir.
+        events (the store's event hook) and re-checks every
+        ``poll_interval`` seconds for events committed by other
+        processes sharing the workdir.
         """
         offset = self.resolve(
             token, filter.job_ids if filter is not None else None)
@@ -318,7 +318,7 @@ class EventBroker:
             if remaining <= 0:
                 return [], encode_cursor(offset), True
             with self._cond:
-                # An append that landed after the version snapshot (and
+                # An event that landed after the version snapshot (and
                 # so may postdate the read) skips the wait entirely.
                 if self._version == version:
                     self._cond.wait(min(remaining, self.poll_interval))

@@ -1,11 +1,14 @@
-"""Persistent job store: an SQLite queue plus a JSONL event log.
+"""Persistent job store: one SQLite file holding the queue and its audit log.
 
 The store is the service's single source of truth.  SQLite gives the
 multiprocess worker pool atomic job claims (``BEGIN IMMEDIATE`` write
-transactions serialize claimers across processes), and the sidecar
-``events.jsonl`` append-only log records every transition so tests and
-operators can audit exactly what ran -- e.g. "how many jobs entered
-RUNNING during this resubmission?" is a one-line scan.
+transactions serialize claimers across processes), and the ``events``
+table records every transition so tests and operators can audit
+exactly what ran -- e.g. "how many jobs entered RUNNING during this
+resubmission?" is one ``SELECT COUNT(*)``.  A transition INSERTs its
+events inside the transaction that changes the rows, so a row and its
+event commit together or not at all, and an event's ``id`` is its
+position in commit order (the feed's cursor, :mod:`.events`).
 
 Connections are opened lazily *per process and per thread*: a
 :class:`JobStore` handle may be created in a supervisor and used after
@@ -21,6 +24,7 @@ so no caller ever mistakes a wedged store for an empty queue.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sqlite3
@@ -86,15 +90,44 @@ _MIGRATIONS = (
                       " REAL NOT NULL DEFAULT 0"),
     ("depends_on", "ALTER TABLE jobs ADD COLUMN depends_on"
                    " TEXT NOT NULL DEFAULT '[]'"),
-    # The audit-log offset read just before the row was inserted: a
-    # lower bound on the job's events (0 = unknown).  Only the feed
-    # reads it, so it is not a Job field.
+    # The highest event id when the row was inserted: every event of
+    # the job lies past it (0 = unknown).  Only the feed reads it, so
+    # it is not a Job field.
     ("events_from", "ALTER TABLE jobs ADD COLUMN events_from"
                     " INTEGER NOT NULL DEFAULT 0"),
 )
 
+#: The audit log, created after the column migrations.  An older
+#: release kept its log in a JSONL file beside the database and its
+#: rows' ``events_from`` are byte offsets into that file, which is left
+#: on disk unread: the transaction that creates the table sets them to 0.
+_EVENTS_SCHEMA = """
+BEGIN IMMEDIATE;
+UPDATE jobs SET events_from = 0 WHERE NOT EXISTS (
+    SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'events');
+CREATE TABLE IF NOT EXISTS events (
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
+    t REAL NOT NULL,
+    job TEXT NOT NULL,
+    event TEXT NOT NULL,
+    body TEXT NOT NULL
+);
+COMMIT;
+"""
+
 _COLS = ", ".join(COLUMNS)
 _PLACEHOLDERS = ", ".join("?" for _ in COLUMNS)
+
+_INSERT_EVENT = "INSERT INTO events (t, job, event, body) VALUES (?, ?, ?, ?)"
+_SELECT_EVENTS = "SELECT id, t, job, event, body FROM events"
+#: The highest event id ever allocated (AUTOINCREMENT never reuses one,
+#: so a compaction leaves it in place).
+_LAST_ID = ("SELECT COALESCE((SELECT seq FROM sqlite_sequence"
+            " WHERE name = 'events'), 0)")
+#: ``(base, end)``: the cursor before the oldest event the log holds
+#: (the last id when it holds none) and the one past the newest.
+_BOUNDS = (f"SELECT COALESCE(MIN(id) - 1, ({_LAST_ID})), ({_LAST_ID})"
+           " FROM events")
 
 
 def _guarded(fn, *args, **kwargs):
@@ -106,6 +139,21 @@ def _guarded(fn, *args, **kwargs):
     except sqlite3.OperationalError as exc:
         raise StoreUnavailableError(
             f"job store is unavailable: {exc}") from None
+
+
+def _event_row(record: dict) -> tuple:
+    """An audit record as ``events`` columns: the extras (``pid``
+    included) travel as one JSON ``body``."""
+    body = {k: v for k, v in record.items()
+            if k not in ("t", "job", "event")}
+    return (record["t"], record["job"], record["event"],
+            json.dumps(body, sort_keys=True))
+
+
+def _records(rows) -> list[tuple[dict, int]]:
+    """``(record, id)`` for ``events`` rows read by ``_SELECT_EVENTS``."""
+    return [({"t": t, "job": job, "event": event, **json.loads(body)}, id_)
+            for id_, t, job, event, body in rows]
 
 
 def _id_chunks(job_ids):
@@ -154,6 +202,22 @@ class _StagedUpload:
             pass
 
 
+class _Transition:
+    """The audit records one write INSERTs on its connection -- a
+    transaction's, announced by :meth:`JobStore._transaction` after
+    COMMIT, or one autocommit record's (:meth:`JobStore._event`)."""
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        self.records: list[dict] = []
+
+    def log(self, job_id: str, event: str, **extra) -> None:
+        record = {"t": time.time(), "pid": os.getpid(), "job": job_id,
+                  "event": event, **extra}
+        self.conn.execute(_INSERT_EVENT, _event_row(record))
+        self.records.append(record)
+
+
 class JobStore:
     """Queue of :class:`~repro.service.jobs.Job` rows under a workdir."""
 
@@ -161,12 +225,9 @@ class JobStore:
         self.workdir = os.fspath(workdir)
         os.makedirs(self.workdir, exist_ok=True)
         self.db_path = os.path.join(self.workdir, "jobs.sqlite")
-        self.events_path = os.path.join(self.workdir, "events.jsonl")
-        self.events_base_path = os.path.join(self.workdir, "events.base")
         self.staging_dir = os.path.join(self.workdir, "staging")
         self.busy_timeout = busy_timeout
         self._local = threading.local()
-        self._events_lock = threading.Lock()
         self._staging: dict[str, _StagedUpload] = {}
         self._staging_lock = threading.Lock()
         #: Callback fired (outside any transaction) after a job commits a
@@ -174,11 +235,10 @@ class JobStore:
         #: release or cancel dependent jobs event-driven; see
         #: :meth:`set_terminal_hook`.
         self.on_terminal = None
-        #: Callback fired after every audit-log append; the event broker
-        #: hangs off this to wake long-poll/SSE subscribers without
-        #: busy-polling the log.  See :meth:`set_event_hook`.
+        #: Callback fired after every committed audit event; the event
+        #: broker hangs off this to wake long-poll/SSE subscribers
+        #: without busy-polling the log.  See :meth:`set_event_hook`.
         self.on_event = None
-        self._repair_events_tail()
         # Create or migrate the schema once per store; every later
         # handle, on whichever thread, only opens the file.
         conn = self._connection()
@@ -187,6 +247,7 @@ class JobStore:
         for column, ddl in _MIGRATIONS:
             if column not in have:
                 conn.execute(ddl)
+        conn.executescript(_EVENTS_SCHEMA)
 
     # -- connection management -------------------------------------------
 
@@ -207,89 +268,76 @@ class JobStore:
             self._local.pid = pid
         return conn
 
-    def _event(self, job_id: str, event: str, **extra) -> None:
-        record = {"t": time.time(), "pid": os.getpid(), "job": job_id,
-                  "event": event, **extra}
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with self._events_lock:
-            with open(self.events_path, "a") as fh:
-                fh.write(line)
+    @contextlib.contextmanager
+    def _transaction(self, begin: str = "BEGIN IMMEDIATE"):
+        """``BEGIN ... COMMIT`` around the block, which gets a
+        :class:`_Transition`; ROLLBACK if it raises.  The events it
+        logged reach the event hook after COMMIT, in id order."""
+        conn = self._connection()
+        tx = _Transition(conn)
+        conn.execute(begin)
+        try:
+            yield tx
+            conn.execute("COMMIT")
+        except BaseException:
+            if conn.in_transaction:
+                conn.execute("ROLLBACK")
+            raise
+        self._announce(tx.records)
+
+    def _announce(self, records: list[dict]) -> None:
         callback = self.on_event
-        if callback is not None:
+        if callback is None:
+            return
+        for record in records:
             try:
                 callback(record)
             except Exception:  # noqa: BLE001 -- wake-ups are best-effort
                 pass
 
-    def log_event(self, job_id: str, event: str, **extra) -> None:
-        """Append a custom record to the JSONL audit log."""
-        self._event(job_id, event, **extra)
+    def _event(self, job_id: str, event: str, **extra) -> None:
+        """Log a record that goes with no row change, as one autocommit
+        INSERT (a transition logs through its own :class:`_Transition`)."""
+        tx = _Transition(self._connection())
+        tx.log(job_id, event, **extra)
+        self._announce(tx.records)
 
     def events(self) -> list[dict]:
         """All logged events, oldest first (empty if none yet)."""
-        if not os.path.exists(self.events_path):
-            return []
-        with open(self.events_path) as fh:
-            return [json.loads(line) for line in fh if line.strip()]
+        rows = self._connection().execute(
+            f"{_SELECT_EVENTS} ORDER BY id").fetchall()
+        return [record for record, _ in _records(rows)]
 
     # -- event cursors (resumable audit-log reads) -----------------------
     #
-    # Every event has a stable *logical* offset: the byte position just
-    # past its line, plus the bytes discarded by earlier compactions
-    # (``events.base`` holds that discarded-byte count).  Offsets only
-    # ever grow, so a cursor held across a coordinator restart -- or a
-    # compaction -- still means the same position in the stream.
+    # A cursor is an event id: "every event after this one".  SQLite
+    # serialises write transactions and allocates ids inside them, so id
+    # order is commit order and a reader never passes an id that commits
+    # later.  Ids are never reused, so a cursor held across a restart --
+    # or a compaction -- still means the same position in the log.
 
     def set_event_hook(self, callback) -> None:
-        """Install ``callback(record)``, fired after every log append.
+        """Install ``callback(record)``, fired after every logged event.
 
-        Runs outside the events lock (and outside any transaction) so a
+        Runs after the event's COMMIT (outside any transaction) so a
         broker may immediately read the log from it.  Exceptions are
-        swallowed: appending an audit event must never fail because a
+        swallowed: logging an audit event must never fail because a
         subscriber misbehaved.
         """
         self.on_event = callback
 
-    def _repair_events_tail(self) -> None:
-        """Terminate a torn final line left by a SIGKILLed writer.
-
-        A coordinator killed mid-append can leave ``events.jsonl``
-        without a trailing newline; the next append would then fuse two
-        records into one unparseable line.  Sealing the torn tail with a
-        newline on open costs one byte and keeps every *later* event
-        intact (the torn record itself is lost either way -- readers
-        skip the unparseable line but still advance past it).
-        """
-        try:
-            with self._events_lock, open(self.events_path, "rb+") as fh:
-                fh.seek(0, os.SEEK_END)
-                if fh.tell() > 0:
-                    fh.seek(-1, os.SEEK_END)
-                    if fh.read(1) != b"\n":
-                        fh.write(b"\n")
-        except OSError:
-            pass  # no log yet
-
     def events_base(self) -> int:
-        """Logical offset of the first byte still present in the log."""
-        try:
-            with open(self.events_base_path) as fh:
-                return int(fh.read().strip() or 0)
-        except (OSError, ValueError):
-            return 0
+        """The cursor before the oldest event the log still holds."""
+        return self._connection().execute(_BOUNDS).fetchone()[0]
 
     def events_end(self) -> int:
-        """Logical offset just past the last byte of the log."""
-        try:
-            size = os.path.getsize(self.events_path)
-        except OSError:
-            size = 0
-        return self.events_base() + size
+        """The cursor past the newest event: the highest id allocated."""
+        return self._connection().execute(_LAST_ID).fetchone()[0]
 
     def events_start(self, job_ids) -> tuple[int, int]:
         """Where a feed filtered to ``job_ids`` may start on this log.
 
-        Returns ``(held, offset)``: how many of the ids are rows here,
+        Returns ``(held, cursor)``: how many of the ids are rows here,
         and the earliest submit position recorded on them
         (:meth:`add_batch`), never before the compaction base (a
         pre-migration row's 0 means "all the log holds").
@@ -306,83 +354,48 @@ class JobStore:
                 first = least if first is None else min(first, least)
         return held, max(self.events_base(), first or 0)
 
-    def read_events(self, offset: int, limit: int | None = None,
+    def read_events(self, cursor: int, limit: int | None = None,
                     ) -> tuple[list[tuple[dict, int]], int]:
-        """Complete events at logical ``offset`` on, with their offsets.
+        """The events after ``cursor``, oldest first, with their ids.
 
-        Returns ``(batch, next_offset)`` where ``batch`` pairs each
-        parsed record with the logical offset just past its line --
-        resuming from that offset never re-reads the record, so a
-        cursor-driven reader sees every event exactly once.  Only lines
-        terminated by a newline are consumed: a line still being
-        appended is left for the next call, so no read ever yields a
-        torn record.  Unparseable lines (a sealed torn tail) are
-        skipped but still advance ``next_offset``.
+        Returns ``(batch, next_cursor)`` where ``batch`` pairs each
+        record with its id -- resuming from that id never re-reads the
+        record, so a cursor-driven reader sees every event exactly once.
 
-        Raises :class:`EventsTruncatedError` when ``offset`` precedes a
+        Raises :class:`EventsTruncatedError` when ``cursor`` precedes a
         compaction and :class:`BadCursorError` when it lies beyond the
         end of the log.
         """
-        base = self.events_base()
-        if offset < base:
-            raise EventsTruncatedError(
-                f"cursor offset {offset} precedes the compacted log"
-                f" (events before offset {base} are gone)"
-            )
-        batch: list[tuple[dict, int]] = []
-        try:
-            fh = open(self.events_path, "rb")
-        except OSError:
-            if offset > base:
-                raise BadCursorError(
-                    f"cursor offset {offset} is beyond the end of the"
-                    f" log ({base})"
-                ) from None
-            return batch, offset
-        with fh:
-            fh.seek(0, os.SEEK_END)
-            end = base + fh.tell()
-            if offset > end:
-                raise BadCursorError(
-                    f"cursor offset {offset} is beyond the end of the"
-                    f" log ({end})"
+        with self._transaction("BEGIN") as tx:
+            base, end = tx.conn.execute(_BOUNDS).fetchone()
+            if cursor < base:
+                raise EventsTruncatedError(
+                    f"cursor {cursor} precedes the compacted log"
+                    f" (events up to id {base} are gone)"
                 )
-            fh.seek(offset - base)
-            position = offset
-            while limit is None or len(batch) < limit:
-                line = fh.readline()
-                if not line.endswith(b"\n"):
-                    break  # torn tail (or EOF): leave it for later
-                position += len(line)
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue  # sealed torn line: skip, offset advances
-                batch.append((record, position))
-        return batch, position
+            if cursor > end:
+                raise BadCursorError(
+                    f"cursor {cursor} is beyond the end of the log ({end})"
+                )
+            rows = tx.conn.execute(
+                f"{_SELECT_EVENTS} WHERE id > ? ORDER BY id LIMIT ?",
+                (cursor, -1 if limit is None else limit)).fetchall()
+        # Decoded after COMMIT, so a writer's COMMIT (which waits for
+        # readers to let go) never waits on the JSON parsing.
+        batch = _records(rows)
+        return batch, batch[-1][1] if batch else cursor
 
     def truncate_events(self) -> int:
         """Compact the audit log by discarding every event in it.
 
-        The discarded byte count folds into ``events.base``, so logical
-        offsets keep their meaning: a cursor minted before the
-        compaction either still points at live data (offset == end) or
-        gets :class:`EventsTruncatedError` on its next read.  Returns
-        the new base offset.
+        Ids are never reused, so cursors keep their meaning: one minted
+        before the compaction either still points at the end or gets
+        :class:`EventsTruncatedError` on its next read.  Returns the
+        new base.
         """
-        with self._events_lock:
-            try:
-                dropped = os.path.getsize(self.events_path)
-            except OSError:
-                dropped = 0
-            base = self.events_base() + dropped
-            tmp = self.events_base_path + ".tmp"
-            with open(tmp, "w") as fh:
-                fh.write(f"{base}\n")
-            os.replace(tmp, self.events_base_path)
-            with open(self.events_path, "w"):
-                pass
-        return base
+        with self._transaction() as tx:
+            tx.conn.execute("DELETE FROM events")
+            return self.events_end()
 
     # -- DAG hook --------------------------------------------------------
 
@@ -405,8 +418,10 @@ class JobStore:
         try:
             callback(job)
         except Exception as exc:  # noqa: BLE001 -- see set_terminal_hook
-            self._event(job.id, "dag_hook_error",
-                        error=f"{type(exc).__name__}: {exc}"[:200])
+            # A wedged store fails the hook and this record alike.
+            with contextlib.suppress(StoreUnavailableError):
+                self._event(job.id, "dag_hook_error",
+                            error=f"{type(exc).__name__}: {exc}"[:200])
 
     @staticmethod
     def _insert_deps(conn, job: Job) -> None:
@@ -447,18 +462,15 @@ class JobStore:
         observationally equivalent to N ordered calls, just one fsync
         instead of N.
 
-        Atomic: either every insert of the batch commits or none does.
-        Events are emitted post-COMMIT in submit order (no batch marker
-        on the wire or in the log).
+        Atomic: either every insert of the batch and its ``submitted``
+        events commit or none do.  Events are logged in submit order (no
+        batch marker on the wire or in the log).
         """
-        conn = self._connection()
         results: list[tuple[Job | None, Job | None]] = []
-        inserted: list[Job] = []
-        # Read before the transaction: these jobs' events are appended
-        # after their rows commit, so this offset precedes all of them.
-        events_from = self.events_end()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction() as tx:
+            conn = tx.conn
+            # Every event of these jobs gets a later id.
+            events_from = conn.execute(_LAST_ID).fetchone()[0]
             for job, dedup in items:
                 if dedup:
                     row = conn.execute(
@@ -476,15 +488,9 @@ class JobStore:
                     job.to_row() + (events_from,),
                 )
                 self._insert_deps(conn, job)
+                tx.log(job.id, "submitted", kind=job.kind, key=job.key,
+                       state=job.state.value, cached=job.cached)
                 results.append((job, None))
-                inserted.append(job)
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        for job in inserted:
-            self._event(job.id, "submitted", kind=job.kind, key=job.key,
-                        state=job.state.value, cached=job.cached)
         return results
 
     def cancel(self, job_id: str) -> bool:
@@ -495,24 +501,26 @@ class JobStore:
         an error, so racing cancellers (a user and the DAG failure
         propagation) are both safe.
         """
-        conn = self._connection()
-        now = time.time()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            cur = conn.execute(
-                "UPDATE jobs SET state = ?, updated = ? WHERE id = ?"
-                " AND state IN (?, ?)",
-                (JobState.CANCELLED.value, now, job_id,
-                 JobState.BLOCKED.value, JobState.PENDING.value),
-            )
-            hit = cur.rowcount > 0
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
+        hit = self._flip(job_id, (JobState.BLOCKED, JobState.PENDING),
+                         JobState.CANCELLED, "cancelled")
         if hit:
-            self._event(job_id, "cancelled")
             self._fire_terminal(self.get(job_id))
+        return hit
+
+    def _flip(self, job_id: str, sources, target: JobState, event: str,
+              **extra) -> bool:
+        """Move ``job_id`` from one of ``sources`` to ``target`` and log
+        ``event``; False when it is in none of them.  The guarded UPDATE
+        makes the move exactly-once among racing callers."""
+        with self._transaction() as tx:
+            hit = tx.conn.execute(
+                "UPDATE jobs SET state = ?, updated = ? WHERE id = ?"
+                f" AND state IN ({', '.join('?' * len(sources))})",
+                (target.value, time.time(), job_id,
+                 *(state.value for state in sources)),
+            ).rowcount > 0
+            if hit:
+                tx.log(job_id, event, **extra)
         return hit
 
     # -- DAG edges (dependency-aware release) ----------------------------
@@ -537,24 +545,8 @@ class JobStore:
         recovery sweep racing live traffic) see exactly one winning
         rowcount, and only the winner logs the ``released`` event.
         """
-        conn = self._connection()
-        now = time.time()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            cur = conn.execute(
-                "UPDATE jobs SET state = ?, updated = ? WHERE id = ?"
-                " AND state = ?",
-                (JobState.PENDING.value, now, job_id,
-                 JobState.BLOCKED.value),
-            )
-            hit = cur.rowcount > 0
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        if hit:
-            self._event(job_id, "released")
-        return hit
+        return self._flip(job_id, (JobState.BLOCKED,), JobState.PENDING,
+                          "released")
 
     def cancel_from_parent(self, job_id: str, parent_id: str) -> bool:
         """Cancel a BLOCKED descendant of a FAILED/CANCELLED parent.
@@ -565,84 +557,85 @@ class JobStore:
         *not* fire the terminal hook -- the resolver that calls it owns
         the whole descendant closure and would only re-enter itself.
         """
-        conn = self._connection()
-        now = time.time()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            cur = conn.execute(
-                "UPDATE jobs SET state = ?, updated = ? WHERE id = ?"
-                " AND state = ?",
-                (JobState.CANCELLED.value, now, job_id,
-                 JobState.BLOCKED.value),
-            )
-            hit = cur.rowcount > 0
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        if hit:
-            self._event(job_id, "parent_failed", parent=parent_id,
-                        state=JobState.CANCELLED.value)
-        return hit
+        return self._flip(job_id, (JobState.BLOCKED,), JobState.CANCELLED,
+                          "parent_failed", parent=parent_id,
+                          state=JobState.CANCELLED.value)
 
     # -- leases (worker pools) -------------------------------------------
 
     def claim_batch(self, worker: str, limit: int = 1, ttl: float = 60.0,
-                    now: float | None = None) -> tuple[Lease | None,
-                                                       list[Job]]:
+                    now: float | None = None, cached=None,
+                    ) -> tuple[Lease | None, list[Job]]:
         """Atomically lease up to ``limit`` ready PENDING jobs to ``worker``.
 
         The batch and its lease are created in one transaction, so two
         pools polling one coordinator can never lease the same job.
-        Returns ``(None, [])`` when nothing is ready -- no empty lease
-        is minted.  Expired leases are swept first, so a dead worker's
+        Returns ``(None, [])`` when no job ships -- no empty lease is
+        minted.  Expired leases are swept first, so a dead worker's
         jobs become claimable by the very call that replaces it.
+
+        ``cached(job) -> bool`` makes the claim a launch (the store
+        never imports the result cache; ``Service.claim_jobs`` passes
+        it).  In the same transaction a job whose result ``cached``
+        reports is completed DONE -- logged ``claimed`` + ``done`` with
+        the record :meth:`complete_leased` writes, and not returned --
+        and every other job is logged ``claimed`` + ``launched``.
+        Without it every job is returned and logged ``claimed`` only.
         """
         now = time.time() if now is None else now
         self.expire_leases(now=now)
-        conn = self._connection()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            rows = conn.execute(
+        done: list[Job] = []
+        with self._transaction() as tx:
+            rows = tx.conn.execute(
                 f"SELECT {_COLS} FROM jobs WHERE state = ? AND not_before <= ?"
                 " ORDER BY created, id LIMIT ?",
                 (JobState.PENDING.value, now, max(0, int(limit))),
             ).fetchall()
             if not rows:
-                conn.execute("COMMIT")
                 return None, []
             lease = Lease(id=new_lease_id(), worker=worker,
                           created=now, expires=now + ttl)
-            conn.execute(
-                "INSERT INTO leases (id, worker, created, expires)"
-                " VALUES (?, ?, ?, ?)",
-                (lease.id, lease.worker, lease.created, lease.expires),
-            )
             jobs = []
             for row in rows:
                 job = Job.from_row(row)
-                job.state = JobState.RUNNING
                 job.attempts += 1
                 job.worker = worker
-                job.lease_id = lease.id
-                job.lease_expires = lease.expires
                 job.updated = now
-                conn.execute(
+                tx.log(job.id, "claimed", worker=worker,
+                       attempt=job.attempts, lease=lease.id)
+                if cached is not None and cached(job):
+                    job.state = JobState.DONE
+                    job.result_key = job.key
+                    job.error = ""
+                    tx.log(job.id, "done", state=job.state.value,
+                           lease=lease.id)
+                    done.append(job)
+                else:
+                    job.state = JobState.RUNNING
+                    job.lease_id = lease.id
+                    job.lease_expires = lease.expires
+                    if cached is not None:
+                        tx.log(job.id, "launched", worker=worker,
+                               lease=lease.id)
+                    jobs.append(job)
+                tx.conn.execute(
                     "UPDATE jobs SET state = ?, attempts = ?, worker = ?,"
-                    " lease_id = ?, lease_expires = ?, updated = ?"
-                    " WHERE id = ?",
-                    (job.state.value, job.attempts, worker, lease.id,
-                     lease.expires, now, job.id),
+                    " result_key = ?, error = ?, lease_id = ?,"
+                    " lease_expires = ?, updated = ? WHERE id = ?",
+                    (job.state.value, job.attempts, worker, job.result_key,
+                     job.error, job.lease_id, job.lease_expires, now,
+                     job.id),
                 )
-                jobs.append(job)
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        for job in jobs:
-            self._event(job.id, "claimed", worker=worker,
-                        attempt=job.attempts, lease=lease.id)
-        return lease, jobs
+            if jobs:
+                tx.conn.execute(
+                    "INSERT INTO leases (id, worker, created, expires)"
+                    " VALUES (?, ?, ?, ?)",
+                    (lease.id, lease.worker, lease.created, lease.expires),
+                )
+        for job in done:
+            self.discard_staged(job.id)
+            self._fire_terminal(job)
+        return (lease if jobs else None), jobs
 
     def heartbeat_lease(self, lease_id: str, ttl: float = 60.0,
                         now: float | None = None) -> Lease:
@@ -653,33 +646,24 @@ class JobStore:
         """
         now = time.time() if now is None else now
         self.expire_leases(now=now)
-        conn = self._connection()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            row = conn.execute(
+        with self._transaction() as tx:
+            row = tx.conn.execute(
                 "SELECT id, worker, created, expires FROM leases"
                 " WHERE id = ?", (lease_id,),
             ).fetchone()
             if row is None or row[3] <= now:
-                conn.execute("COMMIT")
                 raise LeaseExpiredError(
                     f"lease {lease_id} has expired or does not exist"
                 )
             lease = Lease(id=row[0], worker=row[1], created=row[2],
                           expires=now + ttl)
-            conn.execute("UPDATE leases SET expires = ? WHERE id = ?",
-                         (lease.expires, lease_id))
-            conn.execute(
+            tx.conn.execute("UPDATE leases SET expires = ? WHERE id = ?",
+                            (lease.expires, lease_id))
+            tx.conn.execute(
                 "UPDATE jobs SET lease_expires = ?, updated = ?"
                 " WHERE lease_id = ? AND state = ?",
                 (lease.expires, now, lease_id, JobState.RUNNING.value),
             )
-            conn.execute("COMMIT")
-        except LeaseExpiredError:
-            raise
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
         return lease
 
     def _leased_job(self, conn, job_id: str, lease_id: str) -> Job:
@@ -718,27 +702,21 @@ class JobStore:
         """
         now = time.time() if now is None else now
         self.expire_leases(now=now)
-        conn = self._connection()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            job = self._leased_job(conn, job_id, lease_id)
+        with self._transaction() as tx:
+            job = self._leased_job(tx.conn, job_id, lease_id)
             job.state = JobState.DONE
             job.result_key = result_key
             job.error = ""
             job.lease_id = ""
             job.lease_expires = 0.0
             job.updated = now
-            conn.execute(
+            tx.conn.execute(
                 "UPDATE jobs SET state = ?, result_key = ?, error = '',"
                 " lease_id = '', lease_expires = 0, updated = ?"
                 " WHERE id = ?",
                 (job.state.value, result_key, now, job_id),
             )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        self._event(job_id, "done", state=job.state.value, lease=lease_id)
+            tx.log(job_id, "done", state=job.state.value, lease=lease_id)
         self.discard_staged(job_id)
         self._fire_terminal(job)
         return job
@@ -754,10 +732,8 @@ class JobStore:
         """
         now = time.time() if now is None else now
         self.expire_leases(now=now)
-        conn = self._connection()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            job = self._leased_job(conn, job_id, lease_id)
+        with self._transaction() as tx:
+            job = self._leased_job(tx.conn, job_id, lease_id)
             if job.attempts <= job.max_retries:
                 job.state = JobState.PENDING
                 job.not_before = now + backoff_base * 2 ** (job.attempts - 1)
@@ -767,19 +743,16 @@ class JobStore:
             job.lease_id = ""
             job.lease_expires = 0.0
             job.updated = now
-            conn.execute(
+            tx.conn.execute(
                 "UPDATE jobs SET state = ?, not_before = ?, error = ?,"
                 " lease_id = '', lease_expires = 0, updated = ?"
                 " WHERE id = ?",
                 (job.state.value, job.not_before, error, now, job_id),
             )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        event = "requeued" if job.state is JobState.PENDING else "failed"
-        self._event(job_id, event, state=job.state.value, lease=lease_id,
-                    error=error.splitlines()[-1][:200] if error else "")
+            tx.log(job_id,
+                   "requeued" if job.state is JobState.PENDING else "failed",
+                   state=job.state.value, lease=lease_id,
+                   error=error.splitlines()[-1][:200] if error else "")
         self.discard_staged(job_id)
         self._fire_terminal(job)
         return job
@@ -797,9 +770,9 @@ class JobStore:
         same rule.
         """
         now = time.time() if now is None else now
-        conn = self._connection()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        recovered = []
+        with self._transaction() as tx:
+            conn = tx.conn
             dead = conn.execute(
                 "SELECT id FROM leases WHERE expires <= ?", (now,)
             ).fetchall()
@@ -808,7 +781,6 @@ class JobStore:
                 " AND lease_expires <= ?",
                 (JobState.RUNNING.value, now),
             ).fetchall()
-            recovered = []
             for row in rows:
                 job = Job.from_row(row)
                 expired_lease = job.lease_id
@@ -829,23 +801,19 @@ class JobStore:
                     " WHERE id = ?",
                     (job.state.value, job.not_before, message, now, job.id),
                 )
-                recovered.append((job, expired_lease))
+                tx.log(job.id, "lease_expired", lease=expired_lease,
+                       worker=job.worker, state=job.state.value)
+                recovered.append(job)
             if dead:
                 conn.execute("DELETE FROM leases WHERE expires <= ?", (now,))
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        for job, expired_lease in recovered:
-            self._event(job.id, "lease_expired", lease=expired_lease,
-                        worker=job.worker, state=job.state.value)
+        for job in recovered:
             # A dead worker's half-uploaded result must not outlive its
             # lease: the requeued job will stream a fresh one.
             self.discard_staged(job.id)
             # Only jobs FAILED here (retry budget spent) are terminal;
             # requeued ones stay active, so their children stay BLOCKED.
             self._fire_terminal(job)
-        return [job for job, _ in recovered]
+        return recovered
 
     # -- staged result uploads (chunk streaming) -------------------------
 

@@ -52,6 +52,52 @@ def claim_one(store, worker: str = "w0"):
     return jobs[0] if jobs else None
 
 
+class Killed(BaseException):
+    """Stands in for a kill that lands right after a COMMIT."""
+
+
+class CommitSpy:
+    """Counts the job store's committing transactions that changed rows.
+
+    Patches ``_Connection.execute``, which every store statement goes
+    through: a ``BEGIN ... COMMIT`` counts when ``total_changes``
+    advanced inside it, an autocommit statement when it advanced across
+    it.  Setting ``kill`` raises :class:`Killed` right after the next
+    such commit has succeeded, and from every statement after it (a
+    killed process runs nothing more) until ``monkeypatch.undo()``.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        from repro.service import store
+
+        self.commits = 0
+        self.kill = self.dead = False
+        begun: dict[int, int] = {}
+        execute = store._Connection.execute
+
+        def spy(conn, sql, *args):
+            if self.dead:
+                raise Killed
+            before, in_txn = conn.total_changes, conn.in_transaction
+            cursor = execute(conn, sql, *args)
+            if sql.startswith("BEGIN"):
+                begun[id(conn)] = before
+            elif sql == "COMMIT":
+                self._committed(conn.total_changes > begun.pop(id(conn)))
+            elif not in_txn:
+                self._committed(conn.total_changes > before)
+            return cursor
+
+        monkeypatch.setattr(store._Connection, "execute", spy)
+
+    def _committed(self, changed: bool) -> None:
+        if changed:
+            self.commits += 1
+            if self.kill:
+                self.dead = True
+                raise Killed
+
+
 def _repro_process(*args) -> subprocess.Popen:
     """``python -m repro ARGS`` from the repo root, output piped."""
     env = dict(os.environ)

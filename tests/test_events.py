@@ -1,14 +1,15 @@
 """The event-feed primitives: cursors, log tailing, broker.
 
-The feed's contract is *exactly-once resumability over plain JSONL
-audit logs*: every event carries a cursor that resumes just past it,
-offsets survive restarts and compactions (``events.base`` folds
-discarded bytes in), torn tails from a SIGKILLed writer are sealed and
-skipped without desynchronizing offsets, and the broker reads in file
-order.  The Hypothesis property at the bottom
-pins the core invariant under a live writer: a reader tailing the log
-concurrently with appends sees every record exactly once, whole, in
-write order.
+The feed's contract is *exactly-once resumability over the store's
+``events`` table*: every event carries a cursor (its id) that resumes
+just past it, ids survive restarts and compactions (they are never
+reused), and the broker reads in id order, which is commit order.  A
+workdir an older release left -- an ``events.jsonl`` log, an
+``events.base`` sidecar, byte offsets in ``jobs.events_from`` -- opens,
+leaves both files alone, and refuses the byte-offset tokens of that
+release.  The Hypothesis property at the bottom pins the core invariant
+under a live writer: a reader tailing the log concurrently with appends
+sees every record exactly once, whole, in write order.
 """
 
 from __future__ import annotations
@@ -17,13 +18,16 @@ import base64
 import json
 import sqlite3
 import threading
+import urllib.error
+import urllib.request
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BadCursorError, EventsTruncatedError
-from repro.service import JobStore, Service
+from repro.service import Job, JobStore, Service, payload_key
+from repro.service import store as store_module
 from repro.service.events import (
     BEGIN,
     NOW,
@@ -34,6 +38,8 @@ from repro.service.events import (
     encode_cursor,
     encode_queue_cursor,
 )
+from repro.service.http import ServiceClient, ServiceHTTPServer
+from repro.service.jobs import COLUMNS
 from repro.service.views import EventView
 
 pytestmark = pytest.mark.dedicated
@@ -47,15 +53,13 @@ def _token(payload: dict) -> str:
 
 class TestCursorTokens:
     def test_roundtrip_keeps_the_one_offset_wire_shape(self):
-        for offset in (0, 17, 123456789):
-            token = encode_cursor(offset)
-            assert decode_cursor(token) == offset
+        for event_id in (0, 17, 123456789):
+            token = encode_cursor(event_id)
+            assert decode_cursor(token) == event_id
             assert "=" not in token  # unpadded: URL- and header-safe
-            # The shape every earlier server minted, so its tokens
-            # still resume.
             padded = token + "=" * (-len(token) % 4)
             assert json.loads(base64.urlsafe_b64decode(padded)) == \
-                {"v": 1, "o": [offset]}
+                {"v": 2, "e": event_id}
 
     @pytest.mark.parametrize("token", [
         "not-base64!!", "", "AAAA", encode_queue_cursor(5),
@@ -69,14 +73,23 @@ class TestCursorTokens:
         # server ever minted either.
         _token({"v": 1, "o": [True]}), _token({"v": True, "o": [0]}),
         _token({"v": 1.0, "o": [0]}),
+        _token({"v": 2, "e": -1}), _token({"v": 3, "e": 0}),
+        _token({"e": 0}), _token({"v": "2", "e": 0}), _token({"v": 2}),
+        _token({"v": 2, "e": [0]}), _token({"v": 2, "e": "0"}),
+        _token({"v": 2, "e": 1.5}), _token({"v": 2, "e": True}),
+        _token({"v": 2.0, "e": 0}),
     ])
     def test_junk_is_bad_cursor(self, token):
         with pytest.raises(BadCursorError):
             decode_cursor(token)
 
     def test_multi_offset_token_is_bad_cursor(self):
-        with pytest.raises(BadCursorError, match="3 offsets"):
-            decode_cursor(_token({"v": 1, "o": [0, 0, 0]}))
+        with pytest.raises(BadCursorError, match="malformed"):
+            decode_cursor(_token({"v": 2, "e": [0, 0, 0]}))
+        # A byte-offset token of an earlier release, one offset or many.
+        for offsets in ([0], [0, 0, 0]):
+            with pytest.raises(BadCursorError, match="earlier release"):
+                decode_cursor(_token({"v": 1, "o": offsets}))
 
     def test_queue_cursor_roundtrip_and_cross_rejection(self):
         token = encode_queue_cursor(40)
@@ -130,23 +143,6 @@ class TestStoreLog:
         batch, new_end = store.read_events(base)
         assert [r["job"] for r, _ in batch] == ["j2"]
         assert new_end > base
-
-    def test_torn_tail_is_left_then_sealed(self, tmp_path):
-        store = JobStore(tmp_path)
-        store._event("j1", "submitted")
-        end = store.events_end()
-        with open(store.events_path, "ab") as fh:
-            fh.write(b'{"job": "torn", "event": "half')  # no newline
-        # A live reader never consumes the torn tail.
-        batch, pos = store.read_events(0)
-        assert [r["job"] for r, _ in batch] == ["j1"] and pos == end
-        # Reopening the workdir (the restart path) seals the tail; the
-        # sealed junk line is skipped but still advances the offset.
-        reopened = JobStore(tmp_path)
-        reopened._event("j2", "submitted")
-        batch, pos = reopened.read_events(0)
-        assert [r["job"] for r, _ in batch] == ["j1", "j2"]
-        assert pos == reopened.events_end()
 
 
 def _broker(tmp_path):
@@ -247,9 +243,15 @@ class TestJobFilteredBegin:
             self, tmp_path, monkeypatch, case):
         service = Service(tmp_path / "svc")
         store = service.store
-        for i in range(3000):  # history that has nothing to do with S
-            store._event(f"noise{i}", "submitted", state="PENDING")
-        held: dict[str, int] = {}  # id -> log position at submit
+        # History that has nothing to do with S, in one transaction.
+        with sqlite3.connect(store.db_path) as conn:
+            conn.executemany(
+                "INSERT INTO events (t, job, event, body)"
+                " VALUES (?, ?, 'submitted', ?)",
+                [(float(i), f"noise{i}", '{"state": "PENDING"}')
+                 for i in range(3000)])
+        conn.close()
+        held: dict[str, int] = {}  # id -> last event id at submit
         for tag in range(6):
             if case == "compacted" and tag == 3:
                 store.truncate_events()
@@ -290,6 +292,65 @@ class TestJobFilteredBegin:
         assert first_reads[0] == expected_start
         if case == "plain":  # and that skipped the 3 000
             assert expected_start > base
+
+
+class TestOldWorkdir:
+    """A workdir left by the release that logged to ``events.jsonl``."""
+
+    @pytest.fixture
+    def old(self, tmp_path):
+        """Its layout, built by hand: the ``jobs`` table (whose schema
+        this release keeps) holding a row whose ``events_from`` is a
+        byte offset, the JSONL log, and the compaction base sidecar."""
+        root = tmp_path / "svc"
+        root.mkdir()
+        payload = {"behavior": "ok"}
+        job = Job(id="old000000001", kind="probe", payload=payload,
+                  key=payload_key("probe", payload))
+        line = json.dumps({"event": "submitted", "job": job.id, "pid": 1,
+                           "state": "PENDING", "t": 1.0})
+        with sqlite3.connect(root / "jobs.sqlite") as conn:
+            conn.executescript(store_module._SCHEMA)
+            conn.execute(
+                f"INSERT INTO jobs ({', '.join(COLUMNS)}, events_from)"
+                f" VALUES ({', '.join('?' * len(COLUMNS))}, ?)",
+                job.to_row() + (123 + 4096,))
+        conn.close()
+        (root / "events.jsonl").write_text(line + "\n")
+        (root / "events.base").write_text("123\n")
+        files = {name: (root / name).read_bytes()
+                 for name in ("events.jsonl", "events.base")}
+        yield root, job.id
+        assert {name: (root / name).read_bytes() for name in files} == files
+
+    def test_opens_and_begin_resolves_to_the_base(self, old):
+        root, job_id = old
+        service = Service(root)
+        store = service.store
+        assert store.events() == []  # the old log is not read
+        assert service.broker.resolve("begin", [job_id]) == \
+            store.events_base() == 0
+        # The old job runs on, logging into the table.
+        lease, (job,) = service.claim_jobs("w", n=1)
+        service.complete_job(job.id, lease.id, {"ok": True})
+        views, _, _ = service.events(cursor="begin", job_ids=[job_id])
+        assert [v.kind for v in views] == ["claimed", "launched", "done"]
+
+    def test_byte_offset_token_is_bad_cursor(self, old):
+        root, _ = old
+        stale = _token({"v": 1, "o": [123]})  # the old log's base
+        with pytest.raises(BadCursorError, match="earlier release"):
+            Service(root).events(cursor=stale)
+        with ServiceHTTPServer(root, workers=0) as srv:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(
+                    f"{srv.url}/v1/events?cursor={stale}", timeout=30)
+            assert excinfo.value.code == 422
+            assert json.loads(excinfo.value.read())["error"]["code"] == \
+                "bad_cursor"
+            with ServiceClient(srv.url) as client, \
+                    pytest.raises(BadCursorError):
+                client.events(cursor=stale)
 
 
 class TestEventView:

@@ -57,11 +57,10 @@ def client(server):
 
 
 def _drain(client, jid, timeout=30.0):
-    """Returns once the job's terminal event is in the log.
+    """Returns once the job is terminal.
 
-    A state poll is not enough: ``complete_leased`` commits the DONE row
-    before it appends ``done``, so the row can be read a moment before
-    the event the caller is about to assert on exists.
+    A row and its events commit in one transaction, so once the job
+    reads terminal its terminal event is in the log.
     """
     client.wait([jid], timeout=timeout)
 
@@ -192,13 +191,16 @@ class TestErrorContract:
             return base64.urlsafe_b64encode(raw).decode().rstrip("=")
 
         base = server.service.store.events_base()
-        # The one-offset shape every earlier server minted resumes ...
+        # The one-id shape this server mints resumes ...
         views, _, _ = client.events(
-            cursor=token(b'{"v":1,"o":[%d]}' % base))
+            cursor=token(b'{"v":2,"e":%d}' % base))
         assert jid in {v.job_id for v in views}
-        # ... and a token carrying one offset per shard does not.
+        # ... and neither a list of ids nor an earlier release's byte
+        # offset does.
         with pytest.raises(BadCursorError):
-            client.events(cursor=token(b'{"v":1,"o":[%d,0,0]}' % base))
+            client.events(cursor=token(b'{"v":2,"e":[%d,0,0]}' % base))
+        with pytest.raises(BadCursorError):
+            client.events(cursor=token(b'{"v":1,"o":[%d]}' % base))
 
     def test_compacted_offset_is_410(self, server, client):
         jid = client.submit("probe", {"behavior": "ok"}).new[0]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import time
 import urllib.request
 
 import pytest
@@ -14,7 +15,7 @@ from repro.service import Job, JobState, JobStore, Service
 from repro.service.cache import payload_key
 from repro.service.http import ServiceClient, ServiceHTTPServer
 
-from .conftest import claim_one
+from .conftest import CommitSpy, Killed, claim_one
 
 
 def _job(i: int, **kwargs) -> Job:
@@ -126,10 +127,96 @@ class TestPersistence:
         assert events == ["submitted", "claimed", "done"]
 
 
+def _queued(store, *jobs) -> None:
+    for job in jobs:
+        store.add(job)
+
+
+def _leased(store, **job) -> Job:
+    store.add(_job(1, **job))
+    return claim_one(store)
+
+
+def _expired(store) -> None:
+    store.add(_job(1))
+    store.claim_batch("w0", ttl=1.0, now=time.time() - 10.0)
+
+
+#: Each transition: ``(setup, transition, events)``.  ``setup(store)``
+#: builds the rows it needs; every row the transition moves to a new
+#: state must then carry exactly ``events``.
+TRANSITIONS = {
+    "add_batch": (
+        lambda store: None,
+        lambda store, _: store.add_batch([(_job(1), False),
+                                          (_job(2), False)]),
+        ["submitted"]),
+    "claim_batch_shipped": (
+        lambda store: _queued(store, _job(1), _job(2)),
+        lambda store, _: store.claim_batch("w0", limit=5,
+                                           cached=lambda job: False),
+        ["claimed", "launched"]),
+    "claim_batch_cached": (
+        lambda store: _queued(store, _job(1), _job(2)),
+        lambda store, _: store.claim_batch("w0", limit=5,
+                                           cached=lambda job: True),
+        ["claimed", "done"]),
+    "complete_leased": (
+        _leased,
+        lambda store, job: store.complete_leased(job.id, job.lease_id, "k"),
+        ["done"]),
+    "fail_leased_requeue": (
+        lambda store: _leased(store, max_retries=1),
+        lambda store, job: store.fail_leased(job.id, job.lease_id, "boom"),
+        ["requeued"]),
+    "fail_leased_final": (
+        lambda store: _leased(store, max_retries=0),
+        lambda store, job: store.fail_leased(job.id, job.lease_id, "boom"),
+        ["failed"]),
+    "cancel": (
+        lambda store: _queued(store, _job(1)),
+        lambda store, _: store.cancel("job-0001"),
+        ["cancelled"]),
+    "release": (
+        lambda store: _queued(store, _job(1, state=JobState.BLOCKED)),
+        lambda store, _: store.release("job-0001"),
+        ["released"]),
+    "cancel_from_parent": (
+        lambda store: _queued(store, _job(1, state=JobState.BLOCKED)),
+        lambda store, _: store.cancel_from_parent("job-0001", "job-0000"),
+        ["parent_failed"]),
+    "expire_leases": (
+        _expired,
+        lambda store, _: store.expire_leases(),
+        ["lease_expired"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSITIONS))
+def test_a_kill_right_after_commit_keeps_every_event(store, monkeypatch,
+                                                     name):
+    """A row and its events commit together: nothing a transition wrote
+    waits for a step after its COMMIT."""
+    setup, transition, expected = TRANSITIONS[name]
+    held = setup(store)
+    states = {job.id: job.state for job in store.list()}
+    logged = len(store.events())
+    CommitSpy(monkeypatch).kill = True
+    with pytest.raises(Killed):
+        transition(store, held)
+    monkeypatch.undo()
+    moved = {job.id for job in store.list()
+             if states.get(job.id) != job.state}
+    new = store.events()[logged:]
+    assert moved and {e["job"] for e in new} == moved
+    for job_id in moved:
+        assert [e["event"] for e in new if e["job"] == job_id] == expected
+
+
 #: The facade calls that read or write the queue, each of which must be
 #: a typed 503 -- never an empty answer -- while the store is wedged.
 #: ``ctx`` holds the fixture's job ids (``ids[0]`` is leased), the
-#: lease and a campaign id.
+#: lease, a campaign id and a feed cursor minted before the wedge.
 WEDGED_CALLS = {
     "status": lambda backend, ctx: backend.status(),
     "status_page": lambda backend, ctx: backend.status(
@@ -157,6 +244,9 @@ WEDGED_CALLS = {
     # ``begin`` under a job filter asks the store where the job's
     # history starts.
     "events": lambda backend, ctx: backend.events(job_ids=[ctx["ids"][1]]),
+    "events_begin": lambda backend, ctx: backend.events(cursor="begin"),
+    "events_token": lambda backend, ctx: backend.events(
+        cursor=ctx["cursor"]),
     "campaign": lambda backend, ctx: backend.campaign(ctx["campaign"]),
     "campaign_dag": lambda backend, ctx: backend.campaign_dag(
         ctx["campaign"]),
@@ -182,7 +272,9 @@ class TestWedgedStore:
             campaign = service.submit_campaign({"stages": [
                 {"name": "one", "kind": "probe",
                  "payload": {"behavior": "ok", "tag": "camp"}}]})
-            ctx = {"ids": ids, "lease": lease.id, "campaign": campaign.id}
+            _, cursor, _ = service.events(cursor="begin", limit=2)
+            ctx = {"ids": ids, "lease": lease.id, "campaign": campaign.id,
+                   "cursor": cursor}
             blocker = sqlite3.connect(service.store.db_path)
             blocker.isolation_level = None
             blocker.execute("BEGIN EXCLUSIVE")

@@ -40,6 +40,8 @@ from repro.service.workers import (
     runner_for,
 )
 
+from .conftest import CommitSpy
+
 
 @pytest.fixture
 def service(tmp_path):
@@ -62,6 +64,18 @@ def pool(request, service):
             ServiceClient(srv.url),
             WorkerOptions(max_seconds=60, lease_ttl=2.0, **options),
         )
+
+
+@pytest.fixture
+def backend(request, service):
+    """The class's transport as a facade: ``service`` itself, or a
+    client of a server on its workdir."""
+    if getattr(request.cls, "transport", "inproc") == "inproc":
+        yield service
+        return
+    with ServiceHTTPServer(service.workdir, workers=0) as srv, \
+            ServiceClient(srv.url) as client:
+        yield client
 
 
 @pytest.fixture
@@ -139,8 +153,24 @@ class TestTimeouts:
 
 
 class TestClaimTimeCacheFulfilment:
-    def test_queued_job_whose_result_landed_is_not_launched(self, service,
-                                                            drain):
+    def test_a_job_takes_three_commits(self, service, backend,
+                                       monkeypatch):
+        """Submit, claim and complete commit once each; the claim's one
+        commit writes ``claimed`` and ``launched`` together."""
+        spy = CommitSpy(monkeypatch)
+        jid = backend.submit("probe", {"behavior": "ok"}).new[0]
+        assert spy.commits == 1
+        lease, (job,) = backend.claim_jobs("w", n=1)
+        assert spy.commits == 2
+        kinds = [e["event"] for e in service.store.events()]
+        assert kinds == ["submitted", "claimed", "launched"]
+        backend.complete_job(jid, lease.id, {"ok": True})
+        assert spy.commits == 3
+        assert [e["event"] for e in service.store.events()] == \
+            ["submitted", "claimed", "launched", "done"]
+
+    def test_queued_job_whose_result_landed_is_not_launched(
+            self, service, drain, monkeypatch):
         """A claimed job with a cached result is marked DONE without
         burning a child process (closes the submit-vs-complete race)."""
         payload = {"n": 256, "nb": 32, "p": 2, "q": 2}
@@ -154,14 +184,16 @@ class TestClaimTimeCacheFulfilment:
         twin = Job(id=new_job_id(), kind="sim", payload=payload, key=key)
         service.store.add(twin)
 
+        spy = CommitSpy(monkeypatch)
         summary = drain(n=1)
+        assert spy.commits == 1  # the claim completes it: no 2nd commit
         assert summary.claimed == 0  # fulfilled coordinator-side
         job = service.store.get(twin.id)
         assert job.state is JobState.DONE
         assert service.result(twin.id).result is not None
-        launched = [e for e in service.store.events()
-                    if e["event"] == "launched" and e["job"] == twin.id]
-        assert not launched
+        kinds = [e["event"] for e in service.store.events()
+                 if e["job"] == twin.id]
+        assert kinds == ["submitted", "claimed", "done"]
 
 
 class TestParentLookup:
