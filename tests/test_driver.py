@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.config import HPLConfig, PFactVariant, Schedule
 from repro.errors import ConfigError
 from repro.grid import ProcessGrid
+from repro.hpl.backsolve import backsolve
 from repro.hpl.driver import factorize
 from repro.hpl.matrix import DistMatrix, generate_global
 
@@ -94,7 +96,7 @@ class TestScheduleEquivalence:
         full, ipiv, _ = _factor(cfg)
         ref_cfg = cfg.replace(schedule=Schedule.LOOKAHEAD)
         ref_full, ref_ipiv, _ = _factor(ref_cfg)
-        assert np.allclose(full, ref_full, atol=1e-12)
+        assert np.array_equal(full, ref_full)
 
     @pytest.mark.parametrize("sched", list(Schedule))
     @pytest.mark.parametrize("variant", list(PFactVariant))
@@ -121,6 +123,78 @@ def _threads_cfg(sched: Schedule, variant: PFactVariant, threads: int) -> HPLCon
 def _single_thread_factor(sched: Schedule, variant: PFactVariant):
     full, ipiv, _ = _factor(_threads_cfg(sched, variant, 1))
     return full, ipiv
+
+
+def _digest_cfg(sched: Schedule, variant: PFactVariant, threads: int) -> HPLConfig:
+    return HPLConfig(
+        n=128, nb=32, p=2, q=2, schedule=sched,
+        depth=0 if sched is Schedule.CLASSIC else 1,
+        pfact=variant, rfact=variant, fact_threads=threads, seed=7,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _solve(cfg: HPLConfig):
+    """Factor and back-solve on the SPMD runtime.
+
+    Returns ``(x, concatenated pivots, factored global matrix, messages,
+    bytes)``, the factorization's traffic summed over every rank.
+    """
+
+    def main(comm):
+        grid = ProcessGrid(comm, cfg.p, cfg.q)
+        mat = DistMatrix(grid, cfg.n, cfg.nb, seed=cfg.seed)
+        result = factorize(mat, cfg)
+        traffic = comm.stats.total
+        full = mat.gather_global()
+        return backsolve(mat), np.concatenate(result.ipiv), full, traffic
+
+    outs = spmd(cfg.nranks, main)
+    x, ipiv, full, _ = outs[0]
+    totals = [o[3] for o in outs]
+    return (x, ipiv, full, sum(t.msgs_sent for t in totals),
+            sum(t.bytes_sent for t in totals))
+
+
+#: Messages and bytes of one factorization per schedule on the digest grid
+#: (n=128, nb=32, 2x2, seed 7); every pfact variant and FACT thread count
+#: sends the same.  Integers, so the same on any BLAS build.  Split
+#: sends look-ahead's count: where its left section is empty it swaps the
+#: look-ahead and remaining columns as two sections, as look-ahead does.
+DIGEST_TRAFFIC = {
+    Schedule.CLASSIC: (300, 285496),
+    Schedule.LOOKAHEAD: (324, 285496),
+    Schedule.SPLIT_UPDATE: (324, 285496),
+}
+
+#: The digest grid's pivot sequence: every schedule, variant and thread
+#: count picks the same rows.
+DIGEST_PIVOTS = [
+    41, 79, 120, 82, 27, 113, 10, 127, 115, 30, 39, 98, 109, 119, 46, 35,
+    76, 40, 94, 104, 31, 110, 84, 54, 30, 38, 125, 91, 103, 47, 44, 102,
+    111, 49, 114, 109, 120, 82, 77, 80, 111, 120, 107, 105, 124, 56, 123, 72,
+    109, 104, 72, 104, 85, 75, 75, 99, 75, 109, 109, 72, 107, 63, 116, 116,
+    72, 77, 120, 102, 110, 104, 72, 78, 99, 86, 85, 87, 121, 105, 114, 115,
+    114, 107, 121, 121, 95, 122, 113, 111, 113, 111, 92, 102, 96, 123, 98, 99,
+    121, 123, 115, 107, 105, 107, 107, 114, 109, 113, 123, 112, 108, 119, 124, 116,
+    125, 120, 123, 126, 121, 123, 123, 121, 126, 122, 125, 123, 126, 127, 127, 127,
+]
+
+
+class TestDigest:
+    """Every schedule x pfact (= rfact) variant x FACT thread count."""
+
+    @pytest.mark.parametrize(
+        "sched,variant,threads",
+        list(itertools.product(Schedule, PFactVariant, (1, 2, 3))),
+    )
+    def test_traffic_and_pivots_are_pinned(self, sched, variant, threads):
+        x, ipiv, _, msgs, nbytes = _solve(_digest_cfg(sched, variant, threads))
+        assert (msgs, nbytes) == DIGEST_TRAFFIC[sched]
+        assert ipiv.tolist() == DIGEST_PIVOTS
+        if sched is Schedule.SPLIT_UPDATE:
+            ref = _solve(_digest_cfg(Schedule.LOOKAHEAD, variant, threads))
+            assert np.array_equal(x, ref[0])
 
 
 class TestLedgers:
