@@ -1,8 +1,9 @@
 """The HPL factorization loop: classic, look-ahead, and split-update.
 
-All three schedules compute *the same factorization* (same pivots, same
-factors -- the tests assert this); they differ only in the order phases are
-issued, which is what determines how much communication the paper's
+All three schedules compute *the same factorization* (pivots bitwise;
+split-update's factors bitwise equal to look-ahead's, classic's within
+rounding -- the tests assert this); they differ only in the order phases
+are issued, which is what determines how much communication the paper's
 hardware could hide:
 
 * ``CLASSIC`` -- fact, bcast, swap, update, strictly in sequence.  On real
@@ -17,18 +18,25 @@ hardware could hide:
   RS1 under UPDATE2, and RS2 -- communicated one iteration early, scattered
   back at the start of the next -- under UPDATE1.
 
-The numeric engine is single-threaded per rank, so "hiding" is a statement
-about issue order, not wall time; the issue order here is mirrored by the
-task DAGs in :mod:`repro.sched.timeline`, which is where the paper's
-timelines are actually simulated.  What this module guarantees is that the
-reordered schedules are *numerically valid* -- every value is produced
-before it is consumed -- which is the property the paper's Section III.C
-argues informally and our tests check mechanically.
+The issue order *is* the task DAG of :mod:`repro.sched.timeline`, where
+the paper's timelines are simulated: :func:`factorize` fills each
+iteration's :class:`~repro.sched.timeline.IterCosts` with numeric
+:class:`~repro.sched.timeline.Step`\\ s in place of seconds, from this
+rank's own column sections, and executes the list
+:func:`~repro.sched.timeline.build_run` chains from them.  FACT runs on a
+thread team; everything else runs on the rank's own thread in list order,
+so "hiding" is a statement about the DAG, not wall time.  What this module
+guarantees is that the DAG is *numerically valid* -- every value is
+produced before it is consumed -- which is the property the paper's
+Section III.C argues informally and the tests check mechanically, by
+executing the list in random dependency- and FIFO-respecting orders.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -36,13 +44,15 @@ from ..blas.threaded import TileWorkerPool
 from ..config import HPLConfig, Schedule, SwapVariant
 from ..errors import ConfigError
 from ..grid.block_cyclic import owning_process
+from ..sched.engine import Task
+from ..sched.timeline import IterCosts, SectionCosts, Step, build_run
 from .lbcast import broadcast_panel
 from .matrix import DistMatrix
 from .panel import Panel
 from .pfact import factor_panel
-from .rowswap import RowSwapper, compute_swap_plan
+from .rowswap import RowSwapper, SwapPlan, compute_swap_plan
 from .timers import Timers
-from .update import apply_update, solve_u, trailing_dgemm
+from .update import solve_u, trailing_dgemm
 
 
 @dataclass
@@ -52,37 +62,15 @@ class FactorResult:
     timers: Timers
     ipiv: list[np.ndarray] = field(default_factory=list)  # per-panel pivots
     modes: list[str] = field(default_factory=list)  # per-iteration DAG shape
+    #: The executed task list; ``start``/``end`` are wall seconds from the
+    #: start of the loop and ``duration`` their difference (0 for a task
+    #: with no work on this rank).
+    tasks: list[Task] = field(default_factory=list)
 
 
 def _panel_width(n: int, nb: int, k: int) -> tuple[int, int]:
     j0 = k * nb
     return j0, min(nb, n - j0)
-
-
-def _fact_and_bcast(
-    mat: DistMatrix, cfg: HPLConfig, pool: TileWorkerPool, k: int, timers: Timers
-) -> Panel:
-    """FACT on the owning column (plus the synthetic host transfers),
-    then LBCAST along the process row."""
-    grid = mat.grid
-    j0, jb = _panel_width(mat.n, cfg.nb, k)
-    pcol = owning_process(j0, cfg.nb, grid.q)
-    panel: Panel | None = None
-    if grid.mycol == pcol:
-        lr0 = mat.local_rows_from(j0)
-        lc0 = mat.local_cols_from(j0)
-        view = mat.a[lr0:, lc0 : lc0 + jb]
-        pos = mat.row_pos[lr0:]
-        # The D2H/H2D transfers that bracket FACT on the paper's hardware.
-        timers.transfer(d2h_bytes=8.0 * view.shape[0] * jb)
-        with timers.phase("FACT"):
-            panel = factor_panel(
-                grid.col_comm, view, pos, k, j0, jb, cfg, pool, grid.myrow, grid.p
-            )
-        timers.transfer(h2d_bytes=8.0 * view.shape[0] * jb)
-    with timers.phase("LBCAST"):
-        panel = broadcast_panel(grid.row_comm, panel, pcol, cfg.bcast)
-    return panel
 
 
 def swap_algo(cfg: HPLConfig, width: int) -> str:
@@ -98,224 +86,194 @@ def swap_algo(cfg: HPLConfig, width: int) -> str:
     return "binexch" if width <= cfg.swap_threshold else "long"
 
 
-def _full_swap(
-    mat: DistMatrix,
-    cfg: HPLConfig,
-    plan,
-    col_lo: int,
-    col_hi: int,
-    timers: Timers,
-    phase: str = "RS",
-) -> RowSwapper:
-    """gather + communicate + scatter_back for one section."""
-    sw = RowSwapper(
-        mat, plan, col_lo, col_hi, phase=phase,
-        algo=swap_algo(cfg, col_hi - col_lo),
-    )
-    with timers.phase(phase):
-        sw.gather()
-        sw.communicate()
-        sw.scatter_back()
-    return sw
+class _Section:
+    """Local columns ``[lo, hi)`` of iteration ``k``: their RS stages and
+    update, as the methods the section's steps run."""
+
+    def __init__(self, rank: "_Rank", k: int, lo: int, hi: int) -> None:
+        self.rank, self.k, self.lo, self.hi = rank, k, lo, hi
+        self.sw: RowSwapper | None = None
+
+    def swapper(self) -> RowSwapper:
+        return self.sw
+
+    def gather(self) -> None:
+        self.sw = self.rank.swapper(self.k, self.lo, self.hi)
+        self.sw.gather()
+
+    def communicate(self) -> None:
+        self.sw.communicate()
+
+    def scatter(self) -> None:
+        self.swapper().scatter_back()
+
+    def u(self) -> np.ndarray:
+        sw = self.swapper()
+        return sw.u[:, self.lo - sw.col_lo : self.hi - sw.col_lo]
+
+    def dtrsm(self) -> None:
+        sw, u = self.swapper(), self.u()
+        solve_u(self.rank.panels[self.k], u)
+        sw.store_u(u, self.lo - sw.col_lo)
+
+    def dgemm(self) -> None:
+        rank = self.rank
+        trailing_dgemm(rank.mat, rank.panels[self.k], self.u(), self.lo, self.hi)
+
+    def costs(
+        self,
+        gather: Callable[[], None] | None = None,
+        comm: Callable[[], None] | None = None,
+        scatter: bool = True,
+    ) -> SectionCosts:
+        return SectionCosts(
+            gather=Step("RS", gather or self.gather),
+            comm=Step("RS", comm or self.communicate),
+            scatter=Step("RS", self.scatter) if scatter else 0.0,
+            dtrsm=Step("UPDATE", self.dtrsm),
+            dgemm=Step("UPDATE", self.dgemm),
+        )
 
 
-# ----------------------------------------------------------------------
-# Schedules
-# ----------------------------------------------------------------------
-def _run_classic(
-    mat: DistMatrix, cfg: HPLConfig, pool: TileWorkerPool, timers: Timers
-) -> FactorResult:
-    result = FactorResult(timers)
-    for k in range(cfg.nblocks):
+class _RS2Section(_Section):
+    """Columns swapped by panel ``k``'s right-section swapper (RS2), which
+    the previous iteration gathered and communicated."""
+
+    def swapper(self) -> RowSwapper:
+        return self.rank.rs2[self.k]
+
+
+class _Rank:
+    """One rank's factorization, as the steps of :func:`build_run`'s DAG."""
+
+    def __init__(
+        self, mat: DistMatrix, cfg: HPLConfig, pool: TileWorkerPool, timers: Timers
+    ) -> None:
+        self.mat, self.cfg, self.pool, self.timers = mat, cfg, pool, timers
+        self.panels: dict[int, Panel] = {}  # broadcast panels, by index
+        self.plans: dict[int, SwapPlan] = {}
+        self.rs2: dict[int, RowSwapper] = {}  # right-section swappers
+        self.rs2_next = 0  # the panel the next RS2 gather swaps
+        nloc = mat.nloc_aug
+        n2 = int(round(cfg.split_fraction * nloc))
+        # Split's left/right boundary: the right section's width is fixed,
+        # the left one shrinks as the factorization advances.
+        self.sp = max(0, min(nloc, ((nloc - n2) // cfg.nb) * cfg.nb))
+
+    def swapper(self, k: int, lo: int, hi: int) -> RowSwapper:
+        if k not in self.plans:
+            j0, jb = _panel_width(self.mat.n, self.cfg.nb, k)
+            self.plans[k] = compute_swap_plan(self.panels[k].ipiv, j0, jb)
+        return RowSwapper(
+            self.mat, self.plans[k], lo, hi, algo=swap_algo(self.cfg, hi - lo)
+        )
+
+    def gather_rs2(self) -> None:
+        """RS2's gather, for the next panel in line: the first split
+        iteration's own panel (``rs2.gather0``), then one panel ahead.  The
+        gathers run in order on one stream and each communication between
+        its gather and the next, so RS2 is a queue."""
+        k = self.rs2_next
+        self.rs2_next += 1
+        if k < self.cfg.nblocks:
+            self.rs2[k] = self.swapper(k, self.sp, self.mat.nloc_aug)
+            self.rs2[k].gather()
+
+    def communicate_rs2(self) -> None:
+        sw = self.rs2.get(self.rs2_next - 1)
+        if sw is not None:
+            sw.communicate()
+
+    def fact_chain(self, c: IterCosts, k: int) -> IterCosts:
+        """Fill ``c``'s d2h -> FACT -> h2d -> LBCAST with panel ``k``'s
+        steps; FACT and its transfers only on the owning column."""
+        mat, cfg, grid = self.mat, self.cfg, self.mat.grid
+        if k >= cfg.nblocks:
+            return c
         j0, jb = _panel_width(mat.n, cfg.nb, k)
-        result.modes.append("classic")
-        with timers.iteration(k):
-            panel = _fact_and_bcast(mat, cfg, pool, k, timers)
-            result.ipiv.append(panel.ipiv)
-            plan = compute_swap_plan(panel.ipiv, j0, jb)
-            lo = mat.local_cols_from(j0 + jb)
-            sw = _full_swap(mat, cfg, plan, lo, mat.nloc_aug, timers)
-            with timers.phase("UPDATE"):
-                apply_update(mat, panel, sw, lo, mat.nloc_aug)
-    return result
+        pcol = owning_process(j0, cfg.nb, grid.q)
+        factored: list[Panel | None] = [None]
+        if grid.mycol == pcol:
+            lr0 = mat.local_rows_from(j0)
+            lc0 = mat.local_cols_from(j0)
+            view = mat.a[lr0:, lc0 : lc0 + jb]
+            pos = mat.row_pos[lr0:]
+            # The D2H/H2D transfers that bracket FACT on the paper's hardware.
+            nbytes = 8.0 * view.shape[0] * jb
 
-
-def _run_lookahead(
-    mat: DistMatrix, cfg: HPLConfig, pool: TileWorkerPool, timers: Timers
-) -> FactorResult:
-    """Fig. 3: update the next panel's columns first, FACT them, then
-    finish the update while (on real hardware) LBCAST streams."""
-    result = FactorResult(timers)
-    with timers.iteration(-1):
-        panel = _fact_and_bcast(mat, cfg, pool, 0, timers)
-    for k in range(cfg.nblocks):
-        j0, jb = _panel_width(mat.n, cfg.nb, k)
-        result.ipiv.append(panel.ipiv)
-        result.modes.append("lookahead")
-        with timers.iteration(k):
-            plan = compute_swap_plan(panel.ipiv, j0, jb)
-            lo = mat.local_cols_from(j0 + jb)
-            has_next = k + 1 < cfg.nblocks
-            if has_next:
-                j0n, jbn = _panel_width(mat.n, cfg.nb, k + 1)
-                la_hi = mat.local_cols_from(j0n + jbn)
-            else:
-                la_hi = lo
-            # look-ahead section: swap + update, then FACT the next panel
-            sw_la = _full_swap(mat, cfg, plan, lo, la_hi, timers)
-            with timers.phase("UPDATE"):
-                apply_update(mat, panel, sw_la, lo, la_hi)
-            next_panel = (
-                _fact_and_bcast(mat, cfg, pool, k + 1, timers) if has_next else None
-            )
-            # remainder of the trailing matrix
-            sw = _full_swap(mat, cfg, plan, la_hi, mat.nloc_aug, timers)
-            with timers.phase("UPDATE"):
-                apply_update(mat, panel, sw, la_hi, mat.nloc_aug)
-            if has_next:
-                panel = next_panel
-    return result
-
-
-def _run_split(
-    mat: DistMatrix, cfg: HPLConfig, pool: TileWorkerPool, timers: Timers
-) -> FactorResult:
-    """Fig. 6: look-ahead plus the left/right split update.
-
-    The right section's width ``n2`` is fixed (``split_fraction`` of the
-    initial local columns, aligned down to a block boundary); the left
-    section shrinks as the factorization advances.  The right section's
-    row swap for panel ``k+1`` is *communicated* during iteration ``k``
-    (after UPDATE2, hidden by UPDATE1 on hardware) and *scattered back* at
-    the start of iteration ``k+1``.  Once the left section is exhausted,
-    iterations fall back to the plain look-ahead form, exactly as the
-    paper describes.
-    """
-    result = FactorResult(timers)
-    nloc = mat.nloc_aug
-    n2 = int(round(cfg.split_fraction * nloc))
-    sp = ((nloc - n2) // cfg.nb) * cfg.nb  # left/right boundary, block-aligned
-    sp = max(0, min(nloc, sp))
-
-    with timers.iteration(-1):
-        panel = _fact_and_bcast(mat, cfg, pool, 0, timers)
-    pending: RowSwapper | None = None  # RS2 communicated, not yet scattered
-
-    for k in range(cfg.nblocks):
-        j0, jb = _panel_width(mat.n, cfg.nb, k)
-        result.ipiv.append(panel.ipiv)
-        lo = mat.local_cols_from(j0 + jb)
-        has_next = k + 1 < cfg.nblocks
-        result.modes.append("split" if lo < sp else "lookahead")
-        with timers.iteration(k):
-            plan = compute_swap_plan(panel.ipiv, j0, jb)
-            if lo >= sp:
-                # ---- fallback: plain look-ahead over what remains ----
-                if pending is not None:
-                    # RS for panel k was already communicated (full right
-                    # section == full remaining trailing matrix).
-                    with timers.phase("RS"):
-                        pending.scatter_back()
-                    with timers.phase("UPDATE"):
-                        u = pending.u
-                        solve_u(panel, u)
-                        pending.store_u(u)
-                    full_u = pending
-                    pending = None
-                else:
-                    full_u = _full_swap(mat, cfg, plan, lo, nloc, timers)
-                    with timers.phase("UPDATE"):
-                        u = full_u.u
-                        solve_u(panel, u)
-                        full_u.store_u(u)
-                if has_next:
-                    j0n, jbn = _panel_width(mat.n, cfg.nb, k + 1)
-                    la_hi = mat.local_cols_from(j0n + jbn)
-                else:
-                    la_hi = lo
-                # look-ahead: update la columns, FACT next, update the rest
-                u = full_u.u
-                with timers.phase("UPDATE"):
-                    trailing_dgemm(mat, panel, u[:, : la_hi - lo], lo, la_hi)
-                next_panel = (
-                    _fact_and_bcast(mat, cfg, pool, k + 1, timers) if has_next else None
+            def fact() -> None:
+                factored[0] = factor_panel(
+                    grid.col_comm, view, pos, k, j0, jb, cfg, self.pool,
+                    grid.myrow, grid.p,
                 )
-                with timers.phase("UPDATE"):
-                    trailing_dgemm(mat, panel, u[:, la_hi - lo :], la_hi, nloc)
-                if has_next:
-                    panel = next_panel
-                continue
 
-            # ---- split-update iteration (left section nonempty) ----
-            # 1. finish RS2 for panel k on the right section
-            if pending is not None:
-                with timers.phase("RS"):
-                    pending.scatter_back()
-                with timers.phase("UPDATE"):
-                    u2 = pending.u
-                    solve_u(panel, u2)
-                    pending.store_u(u2)
-                s2 = pending
-                pending = None
+            c.d2h = Step("TRANSFER", lambda: self.timers.transfer(d2h_bytes=nbytes))
+            c.fact = Step("FACT", fact)
+            c.h2d = Step("TRANSFER", lambda: self.timers.transfer(h2d_bytes=nbytes))
+
+        def lbcast() -> None:
+            self.panels[k] = broadcast_panel(grid.row_comm, factored[0], pcol, cfg.bcast)
+
+        c.lbcast = Step("LBCAST", lbcast)
+        return c
+
+    def costs(self) -> list[IterCosts]:
+        """The run's :class:`IterCosts`, one numeric step per phase.
+
+        The mode of each iteration follows from this rank's own section
+        bounds, as the performance ledger's does for the focal rank.
+        """
+        mat, cfg, sp = self.mat, self.cfg, self.sp
+        nloc = mat.nloc_aug
+        classic = cfg.schedule is Schedule.CLASSIC
+        out = [] if classic else [self.fact_chain(IterCosts(-1, "preamble"), 0)]
+        prev = ""
+        for k in range(cfg.nblocks):
+            j0, jb = _panel_width(mat.n, cfg.nb, k)
+            lo = mat.local_cols_from(j0 + jb)
+            # end of panel k+1's local columns (== lo in the last iteration)
+            la_hi = lo if classic else mat.local_cols_from(min(mat.n, j0 + jb + cfg.nb))
+            if classic:
+                mode = "classic"
+            elif cfg.schedule is Schedule.SPLIT_UPDATE and lo < sp:
+                mode = "split"
             else:
-                s2 = _full_swap(mat, cfg, plan, sp, nloc, timers, phase="RS")
-                with timers.phase("UPDATE"):
-                    u2 = s2.u
-                    solve_u(panel, u2)
-                    s2.store_u(u2)
-            # 2. look-ahead section: swap, update, then FACT next panel
-            if has_next:
-                j0n, jbn = _panel_width(mat.n, cfg.nb, k + 1)
-                la_hi = mat.local_cols_from(j0n + jbn)
-            else:
-                la_hi = lo
-            sw_la = _full_swap(mat, cfg, plan, lo, la_hi, timers)
-            with timers.phase("UPDATE"):
-                apply_update(mat, panel, sw_la, lo, la_hi)
-            next_panel = (
-                _fact_and_bcast(mat, cfg, pool, k + 1, timers) if has_next else None
-            )
-            # 3. RS1: left section swap (hidden under UPDATE2 on hardware)
-            sw1 = _full_swap(mat, cfg, plan, la_hi, sp, timers)
-            with timers.phase("UPDATE"):
-                u1 = sw1.u
-                solve_u(panel, u1)
-                sw1.store_u(u1)
-            # 4. UPDATE2: the right section's trailing DGEMM
-            with timers.phase("UPDATE"):
-                trailing_dgemm(mat, panel, u2, sp, nloc)
-            # 5. RS2 for panel k+1: gather + communicate only
-            if has_next:
-                plan_next = compute_swap_plan(next_panel.ipiv, j0n, jbn)
-                pending = RowSwapper(
-                    mat, plan_next, sp, nloc, phase="RS",
-                    algo=swap_algo(cfg, nloc - sp),
+                mode = "lookahead"
+            c = self.fact_chain(IterCosts(k, mode), k if classic else k + 1)
+            if mode == "split":
+                if prev != "split":
+                    self.rs2_next = k
+                c.la = _Section(self, k, lo, la_hi).costs()
+                c.left = _Section(self, k, la_hi, sp).costs()
+                c.right = _RS2Section(self, k, sp, nloc).costs(
+                    self.gather_rs2, self.communicate_rs2
                 )
-                with timers.phase("RS"):
-                    pending.gather()
-                    pending.communicate()
-            # 6. UPDATE1: the left section's trailing DGEMM
-            with timers.phase("UPDATE"):
-                trailing_dgemm(mat, panel, u1, la_hi, sp)
-            if has_next:
-                panel = next_panel
-    return result
-
-
-_SCHEDULES = {
-    Schedule.CLASSIC: _run_classic,
-    Schedule.LOOKAHEAD: _run_lookahead,
-    Schedule.SPLIT_UPDATE: _run_split,
-}
+            elif prev == "split":
+                # Panel k's RS2 already covers [lo, nloc) (here sp == lo):
+                # one scatter, then the look-ahead and remaining updates.
+                c.la = _RS2Section(self, k, lo, la_hi).costs()
+                c.left = _RS2Section(self, k, la_hi, nloc).costs(scatter=False)
+            else:
+                c.la = _Section(self, k, lo, la_hi).costs()
+                c.left = _Section(self, k, la_hi, nloc).costs()
+            out.append(c)
+            prev = mode
+        return out
 
 
 def factorize(
-    mat: DistMatrix, cfg: HPLConfig, pool: TileWorkerPool | None = None
+    mat: DistMatrix,
+    cfg: HPLConfig,
+    pool: TileWorkerPool | None = None,
+    order: Callable[[list[Task]], Iterable[Task]] | None = None,
 ) -> FactorResult:
     """Run the configured schedule; collective over the grid.
 
     On return ``mat.a`` holds the factorization (U on/above the global
-    diagonal, L multipliers below) and the fully-updated RHS.
+    diagonal, L multipliers below) and the fully-updated RHS.  The tasks
+    run in :func:`build_run`'s submission order, or in ``order(tasks)``,
+    which must respect every dependency and each resource's submission
+    order, and be the same on every rank of a process column.
     """
     if mat.n != cfg.n or mat.nb != cfg.nb:
         raise ConfigError(
@@ -327,7 +285,24 @@ def factorize(
     if own_pool:
         pool = TileWorkerPool(cfg.fact_threads)
     try:
-        return _SCHEDULES[cfg.schedule](mat, cfg, pool, timers)
+        rank = _Rank(mat, cfg, pool, timers)
+        costs = rank.costs()
+        tasks = build_run(costs)
+        t0 = time.perf_counter()
+        for task in tasks if order is None else order(tasks):
+            task.start = task.end = time.perf_counter() - t0
+            step = task.duration
+            if isinstance(step, Step):
+                with timers.iteration(task.tag), timers.phase(step.label):
+                    step()
+                task.end = time.perf_counter() - t0
+                task.duration = task.end - task.start
     finally:
         if own_pool:
             pool.shutdown()
+    return FactorResult(
+        timers,
+        ipiv=[rank.panels[k].ipiv for k in range(cfg.nblocks)],
+        modes=[c.mode for c in costs if c.k >= 0],
+        tasks=tasks,
+    )

@@ -245,10 +245,16 @@ class RowSwapper:
             )
         self._incoming = None
 
-    def store_u(self, u_final: np.ndarray) -> None:
-        """Block-row owner stores the (post-DTRSM) U into the block rows."""
+    def store_u(self, u_final: np.ndarray, offset: int = 0) -> None:
+        """Block-row owner stores the (post-DTRSM) U into the block rows.
+
+        ``u_final`` may cover only part of the section: its columns start
+        ``offset`` columns into it.
+        """
         if self.myrow != self.block_owner:
             return
         plan = self.plan
         rows = self._local_rows(plan.j0 + np.arange(plan.jb))
-        self.mat.a[np.ix_(rows, np.arange(self.col_lo, self.col_hi))] = u_final
+        col0 = self.col_lo + offset
+        cols = np.arange(col0, col0 + u_final.shape[1])
+        self.mat.a[np.ix_(rows, cols)] = u_final

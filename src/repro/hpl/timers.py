@@ -55,16 +55,21 @@ class Timers:
 
     def __init__(self) -> None:
         self.iters: list[IterLedger] = []
+        self._by_k: dict[int, IterLedger] = {}
         self._current: IterLedger | None = None
 
     @contextlib.contextmanager
     def iteration(self, k: int) -> Iterator[IterLedger]:
-        """Open the ledger for iteration ``k``."""
-        self._current = IterLedger(k)
+        """Open the ledger for iteration ``k``: a new one on first use,
+        after that the same one again."""
+        ledger = self._by_k.get(k)
+        if ledger is None:
+            ledger = self._by_k[k] = IterLedger(k)
+            self.iters.append(ledger)
+        self._current = ledger
         try:
-            yield self._current
+            yield ledger
         finally:
-            self.iters.append(self._current)
             self._current = None
 
     @contextlib.contextmanager

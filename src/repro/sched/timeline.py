@@ -2,9 +2,13 @@
 
 Each iteration's phase durations arrive as an :class:`IterCosts`; the
 builders chain iterations into one task list for the in-order-resource
-engine, reproducing rocHPL's issue order.  The convention matches the
-numeric driver: *the row swap for panel ``k`` executes at the start of
-iteration ``k``* (between the previous iteration's update and this one's).
+engine, reproducing rocHPL's issue order.  The convention: *the row swap
+for panel ``k`` executes at the start of iteration ``k``* (between the
+previous iteration's update and this one's).
+
+The same builder serves the numeric run: :func:`repro.hpl.driver.factorize`
+fills each field with a :class:`Step` instead of seconds and executes the
+task list, so the simulator and the numeric engine run one DAG.
 
 * ``classic`` -- everything sequential; the GPU idles through FACT,
   LBCAST and the RS communication.
@@ -24,6 +28,7 @@ kernels), ``hd`` (host-device DMA), ``cpu`` (panel factorization), ``mpi``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..errors import ScheduleError
 from .engine import Task
@@ -31,9 +36,35 @@ from .engine import Task
 GPU, HD, CPU, MPI = "gpu", "hd", "cpu", "mpi"
 
 
+class Step:
+    """Numeric work in place of a duration, timed under ``label``.
+
+    ``a + b`` runs ``a`` then ``b``, so a task whose duration sums two
+    sections' costs runs both sections' steps; a float operand (a section
+    with no work) adds nothing.
+    """
+
+    __slots__ = ("label", "fns")
+
+    def __init__(self, label: str, *fns: Callable[[], None]) -> None:
+        self.label = label
+        self.fns = fns
+
+    def __add__(self, other: "Step | float") -> "Step":
+        if isinstance(other, Step):
+            return Step(self.label, *self.fns, *other.fns)
+        return self
+
+    __radd__ = __add__
+
+    def __call__(self) -> None:
+        for fn in self.fns:
+            fn()
+
+
 @dataclass
 class SectionCosts:
-    """Durations for one column section's RS + update pipeline."""
+    """Durations (or steps) of one column section's RS + update."""
 
     gather: float = 0.0  # GPU kernel packing outgoing rows
     comm: float = 0.0  # MPI: allgatherv + scatterv
@@ -80,7 +111,7 @@ class _Builder:
     def add(
         self,
         name: str,
-        dur: float,
+        dur: float | Step,
         res: str | None,
         deps: list[Task | None],
         phase: str,
@@ -88,7 +119,7 @@ class _Builder:
     ) -> Task:
         task = Task(
             name=name,
-            duration=max(0.0, dur),
+            duration=dur if isinstance(dur, Step) else max(0.0, dur),
             resource=res,
             deps=[d for d in deps if d is not None],
             phase=phase,
