@@ -47,7 +47,7 @@ def test_fig5_real_threaded_kernel(benchmark):
     rng = np.random.default_rng(3)
     a_global = np.asfortranarray(rng.standard_normal((m, nb)))
     cfg = HPLConfig(
-        n=m, nb=nb, p=1, q=1, depth=0, schedule=Schedule.CLASSIC, fact_threads=4
+        n=m, nb=nb, p=1, q=1, schedule=Schedule.CLASSIC, fact_threads=4
     )
 
     def run_fact():

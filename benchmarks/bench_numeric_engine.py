@@ -17,8 +17,7 @@ from repro.simmpi import run_spmd
 
 def _solve(sched: Schedule) -> float:
     cfg = HPLConfig(
-        n=96, nb=16, p=2, q=2, schedule=sched,
-        depth=0 if sched is Schedule.CLASSIC else 1, check=False,
+        n=96, nb=16, p=2, q=2, schedule=sched, check=False,
     )
     return run_hpl(cfg).wall_seconds
 

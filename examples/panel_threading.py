@@ -44,7 +44,7 @@ def real_threaded_fact() -> None:
 
     def factor(threads: int):
         cfg = HPLConfig(
-            n=m, nb=nb, p=p, q=1, depth=0, schedule=Schedule.CLASSIC,
+            n=m, nb=nb, p=p, q=1, schedule=Schedule.CLASSIC,
             fact_threads=threads,
         )
 

@@ -66,7 +66,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         bcast=BcastVariant(args.bcast),
         split_fraction=args.frac,
         fact_threads=args.threads,
-        depth=0 if args.schedule == "classic" else 1,
     )
     result = run_hpl(cfg)
     print(
@@ -245,18 +244,6 @@ def _submit_sweep(args: argparse.Namespace):
             "split_fraction": _axis(args.frac, float, sweep, "--frac"),
             "fact_threads": _axis(args.threads, int, sweep, "--threads"),
         }
-        if not sweep:
-            if axes["schedule"] == "classic":
-                axes = {**axes, "depth": 0}
-        else:
-            classic_only = axes["schedule"] == ["classic"]
-            if classic_only:
-                axes = {**axes, "depth": 0}
-            elif "classic" in axes["schedule"]:
-                raise ConfigError(
-                    "--sweep cannot mix 'classic' with look-ahead schedules"
-                    " (depth differs); submit them as two sweeps"
-                )
         return Sweep(kind="run", axes=axes)
     if args.kind == "sim":
         return Sweep(

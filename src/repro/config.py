@@ -118,8 +118,8 @@ class HPLConfig:
         swap_threshold: Section width (columns) below which ``MIX``
             switches from spread-roll to binary exchange (HPL.dat's
             swapping threshold).
-        depth: Look-ahead depth (0 = classic; rocHPL uses 1).
-        schedule: Iteration schedule (rocHPL addition).
+        schedule: Iteration schedule (rocHPL addition); it fixes the
+            look-ahead :attr:`depth`.
         split_fraction: Fraction of local columns placed in the *right*
             section of the split update (rocHPL's ``--frac``); the paper
             finds 0.5 optimal on a single node.
@@ -141,7 +141,6 @@ class HPLConfig:
     bcast: BcastVariant = BcastVariant.ONE_RING_M
     swap: SwapVariant = SwapVariant.LONG
     swap_threshold: int = 64
-    depth: int = 1
     schedule: Schedule = Schedule.SPLIT_UPDATE
     split_fraction: float = 0.5
     fact_threads: int = 1
@@ -160,8 +159,6 @@ class HPLConfig:
             raise ConfigError(f"ndiv must be >= 2, got {self.ndiv}")
         if self.nbmin < 1:
             raise ConfigError(f"nbmin must be >= 1, got {self.nbmin}")
-        if self.depth not in (0, 1):
-            raise ConfigError(f"look-ahead depth must be 0 or 1, got {self.depth}")
         if not 0.0 <= self.split_fraction <= 1.0:
             raise ConfigError(
                 f"split_fraction must be in [0, 1], got {self.split_fraction}"
@@ -172,8 +169,11 @@ class HPLConfig:
             raise ConfigError(
                 f"swap_threshold must be >= 0, got {self.swap_threshold}"
             )
-        if self.schedule is not Schedule.CLASSIC and self.depth == 0:
-            raise ConfigError("look-ahead/split schedules require depth=1")
+
+    @property
+    def depth(self) -> int:
+        """Look-ahead depth (HPL.dat's DEPTHs): 0 for classic, else 1."""
+        return 0 if self.schedule is Schedule.CLASSIC else 1
 
     @property
     def nranks(self) -> int:
@@ -209,9 +209,12 @@ class HPLConfig:
         Enum fields accept either the enum member or its value; unknown
         keys, missing required fields and wrongly typed values all
         raise :class:`~repro.errors.ConfigError` (unknown keys are not
-        silently dropped, so stale payloads fail loudly).
+        silently dropped, so stale payloads fail loudly).  A ``depth``
+        key (older payloads stored one) must match the schedule's.
         """
         fields = {f.name: f for f in dataclasses.fields(cls)}
+        data = dict(data)
+        depth = data.pop("depth", None)
         unknown = set(data) - set(fields)
         if unknown:
             raise ConfigError(
@@ -236,12 +239,18 @@ class HPLConfig:
                     ) from exc
             kwargs[name] = value
         try:
-            return cls(**kwargs)
+            cfg = cls(**kwargs)
         except TypeError as exc:
             # A required field is missing (the message names it), or a
             # value of the wrong type (``"n": "64"``) broke a range
             # check: for the caller either is a bad config.
             raise ConfigError(f"invalid HPLConfig: {exc}") from None
+        if depth is not None and depth != cfg.depth:
+            raise ConfigError(
+                f"depth {depth!r} does not match schedule "
+                f"{cfg.schedule.value!r} (depth {cfg.depth})"
+            )
+        return cfg
 
     def config_key(self) -> str:
         """Stable content hash of this configuration (sha256 hex)."""

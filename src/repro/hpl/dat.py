@@ -59,8 +59,9 @@ class HPLDat:
     def configs(self, **overrides) -> Iterator[HPLConfig]:
         """Expand the cross product into :class:`HPLConfig` objects.
 
-        Depth 0 maps to the classic schedule, depth >= 1 to rocHPL's
-        split-update schedule (the overlap family the paper describes).
+        The depths select the schedule only: 0 maps to classic, >= 1 to
+        rocHPL's split-update schedule (the overlap family the paper
+        describes).
         """
         for n in self.ns:
             for nb in self.nbs:
@@ -81,7 +82,6 @@ class HPLDat:
                                                 nbmin=nbmin,
                                                 ndiv=ndiv,
                                                 bcast=bcast,
-                                                depth=min(depth, 1),
                                                 schedule=(
                                                     Schedule.CLASSIC
                                                     if depth == 0

@@ -155,9 +155,7 @@ def _validated(submissions, timeout, max_retries, depends_on,
                 if kind == "sim":
                     sim_config(payload)
                 else:
-                    depth0 = ({"depth": 0}
-                              if payload.get("schedule") == "classic" else {})
-                    HPLConfig.from_dict({**payload, **depth0})
+                    HPLConfig.from_dict(payload)
             except ConfigError as exc:
                 raise ConfigError(f"{at}{exc}") from None
         try:

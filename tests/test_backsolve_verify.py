@@ -143,7 +143,6 @@ class TestRunHpl:
     def test_end_to_end(self, sched):
         cfg = HPLConfig(
             n=32, nb=8, p=2, q=2, schedule=sched,
-            depth=0 if sched is Schedule.CLASSIC else 1,
         )
         result = run_hpl(cfg)
         assert result.passed

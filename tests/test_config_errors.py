@@ -50,7 +50,6 @@ class TestConfig:
             dict(q=0),
             dict(ndiv=1),
             dict(nbmin=0),
-            dict(depth=2),
             dict(split_fraction=1.5),
             dict(split_fraction=-0.1),
             dict(fact_threads=0),
@@ -74,12 +73,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PerfConfig(**base)
 
-    def test_lookahead_needs_depth(self):
-        with pytest.raises(ConfigError):
-            HPLConfig(n=64, nb=8, p=2, q=2, schedule=Schedule.LOOKAHEAD, depth=0)
+    def test_depth_follows_the_schedule(self):
+        for sched in Schedule:
+            cfg = HPLConfig(n=64, nb=8, p=2, q=2, schedule=sched)
+            assert cfg.depth == (0 if sched is Schedule.CLASSIC else 1)
+            assert "depth" not in cfg.to_dict()
+        with pytest.raises(TypeError):
+            HPLConfig(n=64, nb=8, p=2, q=2, depth=1)
 
-    def test_classic_with_depth_zero_ok(self):
-        HPLConfig(n=64, nb=8, p=2, q=2, schedule=Schedule.CLASSIC, depth=0)
+    @pytest.mark.parametrize(
+        "schedule,depth,ok",
+        [("classic", 0, True), ("lookahead", 1, True), ("split", 1, True),
+         ("classic", 1, False), ("classic", 2, False), ("lookahead", 0, False),
+         ("split", 2, False)],
+    )
+    def test_a_stored_depth_must_match_the_schedule(self, schedule, depth, ok):
+        data = dict(n=64, nb=8, p=2, q=2, schedule=schedule, depth=depth)
+        if ok:
+            assert HPLConfig.from_dict(data).depth == depth
+        else:
+            with pytest.raises(ConfigError, match="does not match schedule"):
+                HPLConfig.from_dict(data)
 
     def test_frozen(self):
         cfg = HPLConfig(n=64, nb=8, p=2, q=2)

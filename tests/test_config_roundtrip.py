@@ -38,7 +38,7 @@ configs = st.builds(
     bcast=st.sampled_from(BcastVariant),
     swap=st.sampled_from(SwapVariant),
     swap_threshold=st.integers(min_value=0, max_value=512),
-    schedule=st.sampled_from([Schedule.LOOKAHEAD, Schedule.SPLIT_UPDATE]),
+    schedule=st.sampled_from(Schedule),
     split_fraction=st.floats(min_value=0.0, max_value=1.0,
                              allow_nan=False),
     fact_threads=st.integers(min_value=1, max_value=16),
@@ -95,16 +95,9 @@ def _mutated(cfg: HPLConfig, name: str):
         return cfg.replace(**{name: not value})
     if isinstance(value, enum.Enum):
         alternatives = [m for m in type(value) if m is not value]
-        if name == "schedule":
-            # CLASSIC requires depth=0; stay within depth-1 schedules.
-            alternatives = [m for m in alternatives
-                            if m is not Schedule.CLASSIC]
         return cfg.replace(**{name: alternatives[0]})
     if isinstance(value, float):
         return cfg.replace(**{name: value / 2 if value else 0.25})
-    if name == "depth":
-        # depth pairs with schedule; flip both coherently.
-        return cfg.replace(depth=0, schedule=Schedule.CLASSIC)
     return cfg.replace(**{name: value + 1})
 
 

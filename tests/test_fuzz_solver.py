@@ -38,7 +38,6 @@ def hpl_configs(draw):
         p=p,
         q=q,
         schedule=schedule,
-        depth=0 if schedule is Schedule.CLASSIC else 1,
         pfact=draw(st.sampled_from(list(PFactVariant))),
         rfact=draw(st.sampled_from(list(PFactVariant))),
         nbmin=draw(st.integers(1, 8)),
@@ -69,7 +68,7 @@ def test_random_config_solves_correctly(cfg):
 def test_schedules_agree_pairwise(cfg):
     """Whatever the draw, the overlapped schedules match classic exactly."""
     classic = run_hpl(
-        cfg.replace(schedule=Schedule.CLASSIC, depth=0)
+        cfg.replace(schedule=Schedule.CLASSIC)
     )
     other = run_hpl(cfg)
     assert np.array_equal(classic.x, other.x) or np.allclose(

@@ -121,7 +121,7 @@ class TestConfigExpansion:
 class TestTvEncoding:
     def test_encoding_fields(self):
         cfg = HPLConfig(
-            n=64, nb=8, p=2, q=2, depth=1,
+            n=64, nb=8, p=2, q=2,
             bcast=BcastVariant.TWO_RING_M,
             rfact=PFactVariant.CROUT, ndiv=3,
             pfact=PFactVariant.LEFT, nbmin=8,
@@ -131,6 +131,10 @@ class TestTvEncoding:
     def test_default_encoding(self):
         cfg = HPLConfig(n=64, nb=8, p=2, q=2)
         assert encode_tv(cfg) == "W11R2R16"
+
+    def test_classic_encodes_depth_zero(self):
+        cfg = HPLConfig(n=64, nb=8, p=2, q=2, schedule=Schedule.CLASSIC)
+        assert encode_tv(cfg) == "W01R2R16"
 
 
 class TestCliDat:

@@ -528,6 +528,8 @@ _BAD_ITEMS = {
         "n": 64, "nb": 8, "p": 0, "q": 2}}),
     "run-unknown-schedule": ("bad_config", {"kind": "run", "payload": {
         "n": 64, "nb": 8, "p": 2, "q": 2, "schedule": "eager"}}),
+    "run-depth-not-the-schedules": ("bad_config", {"kind": "run", "payload": {
+        "n": 64, "nb": 8, "p": 2, "q": 2, "schedule": "classic", "depth": 2}}),
     "sim-n-negative": ("bad_config", {"kind": "sim", "payload": {
         **_SIM_GRID, "n": -1}}),
     "sim-q-zero": ("bad_config", {"kind": "sim", "payload": {
@@ -621,6 +623,18 @@ class TestMalformedSubmissions:
         if row == "sweep-never-expanded":
             assert time.monotonic() - started < 1.0
         assert not idle_server.service.store.events()
+
+    def test_a_run_depth_must_match_its_schedule(self, idle_server):
+        """Refused at submit on both transports, so no worker meets it."""
+        payload = {"n": 64, "nb": 8, "p": 2, "q": 2,
+                   "schedule": "classic", "depth": 2}
+        client = ServiceClient(idle_server.url)
+        for submit in (idle_server.service.submit, client.submit):
+            with pytest.raises(ConfigError, match="does not match schedule"):
+                submit("run", payload)
+        assert not idle_server.service.store.events()
+        # a matching (legacy) depth key is accepted
+        assert client.submit("run", {**payload, "depth": 0}).new
 
     def test_validating_a_sim_payload_imports_no_numpy(self, tmp_path):
         """Submit-time validation runs in the server: numpy there would

@@ -42,7 +42,6 @@ class TestLedgerAgainstMeasurement:
         n, nb, p, q = 64, 8, 2, 2
         cfg = HPLConfig(
             n=n, nb=nb, p=p, q=q, schedule=sched,
-            depth=0 if sched is Schedule.CLASSIC else 1,
         )
         pcfg = PerfConfig(n=n, nb=nb, p=p, q=q, pl=p, ql=q, schedule=sched)
         by_coords = _run_numeric(cfg)
@@ -79,7 +78,7 @@ class TestLedgerAgainstMeasurement:
         """The driver's synthetic D2H bytes equal the ledger's panel-move
         size for the same iteration and rank."""
         n, nb, p, q = 48, 8, 2, 2
-        cfg = HPLConfig(n=n, nb=nb, p=p, q=q, schedule=Schedule.CLASSIC, depth=0)
+        cfg = HPLConfig(n=n, nb=nb, p=p, q=q, schedule=Schedule.CLASSIC)
         by_coords = _run_numeric(cfg)
         from repro.grid.block_cyclic import num_local_before, numroc
 
@@ -97,7 +96,7 @@ class TestLedgerAgainstMeasurement:
 
     def test_fact_flops_concentrated_in_owner_column(self):
         """Only ranks in the factoring column burn FACT flops."""
-        cfg = HPLConfig(n=32, nb=8, p=2, q=2, schedule=Schedule.CLASSIC, depth=0)
+        cfg = HPLConfig(n=32, nb=8, p=2, q=2, schedule=Schedule.CLASSIC)
         by_coords = _run_numeric(cfg)
         for (row, col), result in by_coords.items():
             for ledger in result.timers.iters:
@@ -112,7 +111,7 @@ class TestNumericPerfConsistency:
     def test_total_flops_near_hpl_formula(self):
         """Summed DGEMM+DTRSM+FACT flops across ranks come out near
         2/3 n^3 (the duplicated DTRSM and the RHS column add the excess)."""
-        cfg = HPLConfig(n=64, nb=8, p=2, q=2, schedule=Schedule.CLASSIC, depth=0)
+        cfg = HPLConfig(n=64, nb=8, p=2, q=2, schedule=Schedule.CLASSIC)
         by_coords = _run_numeric(cfg)
         total = 0.0
         for result in by_coords.values():

@@ -34,7 +34,7 @@ def _factor_distributed(a_global: np.ndarray, nb: int, p: int, cfg_kwargs: dict)
     """
     m, jb = a_global.shape
     cfg = HPLConfig(
-        n=max(m, nb), nb=nb, p=p, q=1, depth=0, schedule=Schedule.CLASSIC,
+        n=max(m, nb), nb=nb, p=p, q=1, schedule=Schedule.CLASSIC,
         **cfg_kwargs,
     )
 
@@ -231,7 +231,7 @@ class TestThreadTeam:
         and its workers wait to be released: the fabric abort reaches tid 0,
         which aborts the team, and the job fails with rank 1's error."""
         a = np.asfortranarray(rng.standard_normal((16, 4)))
-        cfg = HPLConfig(n=16, nb=4, p=2, q=1, depth=0,
+        cfg = HPLConfig(n=16, nb=4, p=2, q=1,
                         schedule=Schedule.CLASSIC, fact_threads=3)
         pool = TileWorkerPool(3)
 

@@ -49,7 +49,7 @@ def _expected_rs_bytes(cfg: HPLConfig, all_ipiv: list[np.ndarray]) -> float:
 
 
 def test_measured_rs_bytes_match_plans():
-    cfg = HPLConfig(n=48, nb=8, p=3, q=2, schedule=Schedule.CLASSIC, depth=0)
+    cfg = HPLConfig(n=48, nb=8, p=3, q=2, schedule=Schedule.CLASSIC)
     fabric = Fabric(cfg.nranks, watchdog=60.0)
 
     def main(comm):
@@ -71,7 +71,6 @@ def test_split_schedule_moves_same_rs_volume():
     def run(schedule):
         cfg = HPLConfig(
             n=48, nb=8, p=2, q=2, schedule=schedule,
-            depth=0 if schedule is Schedule.CLASSIC else 1,
         )
         fabric = Fabric(cfg.nranks, watchdog=60.0)
 

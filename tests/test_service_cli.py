@@ -187,6 +187,16 @@ class TestSubmitValidation:
         main(["status", "--workdir", workdir])
         assert "0 pending" in capsys.readouterr().out
 
+    def test_a_run_sweep_may_mix_classic_and_look_ahead(self, workdir,
+                                                        capsys):
+        rc = main(["submit", "--workdir", workdir, "--sweep", "--kind", "run",
+                   "-N", "32", "-NB", "8", "-P", "1", "-Q", "1",
+                   "--schedule", "classic,split"])
+        assert rc == 0, capsys.readouterr().err
+        capsys.readouterr()
+        main(["status", "--workdir", workdir])
+        assert "2 pending" in capsys.readouterr().out
+
     def test_unparseable_value_list_is_a_config_error(self, workdir, capsys):
         rc = main(["submit", "--workdir", workdir, "-N", "12,potato"])
         assert rc == 2
