@@ -21,7 +21,7 @@ hardware could hide:
 The issue order *is* the task DAG of :mod:`repro.sched.timeline`, where
 the paper's timelines are simulated: :func:`factorize` fills each
 iteration's :class:`~repro.sched.timeline.IterCosts` with numeric
-:class:`~repro.sched.timeline.Step`\\ s in place of seconds, from this
+:class:`~repro.sched.timeline.Step` objects in place of seconds, from this
 rank's own column sections, and executes the list
 :func:`~repro.sched.timeline.build_run` chains from them.  FACT runs on a
 thread team; everything else runs on the rank's own thread in list order,
@@ -62,9 +62,8 @@ class FactorResult:
     timers: Timers
     ipiv: list[np.ndarray] = field(default_factory=list)  # per-panel pivots
     modes: list[str] = field(default_factory=list)  # per-iteration DAG shape
-    #: The executed task list; ``start``/``end`` are wall seconds from the
-    #: start of the loop and ``duration`` their difference (0 for a task
-    #: with no work on this rank).
+    #: The executed task list: wall ``start``/``end`` seconds from the loop's
+    #: start, ``duration`` their difference (0 where the rank had no work).
     tasks: list[Task] = field(default_factory=list)
 
 
@@ -87,15 +86,13 @@ def swap_algo(cfg: HPLConfig, width: int) -> str:
 
 
 class _Section:
-    """Local columns ``[lo, hi)`` of iteration ``k``: their RS stages and
-    update, as the methods the section's steps run."""
+    """Local columns ``[lo, hi)`` of iteration ``k``: the methods its RS
+    and update steps run, on the swapper its own gather builds."""
+
+    sw: RowSwapper | None = None
 
     def __init__(self, rank: "_Rank", k: int, lo: int, hi: int) -> None:
         self.rank, self.k, self.lo, self.hi = rank, k, lo, hi
-        self.sw: RowSwapper | None = None
-
-    def swapper(self) -> RowSwapper:
-        return self.sw
 
     def gather(self) -> None:
         self.sw = self.rank.swapper(self.k, self.lo, self.hi)
@@ -105,42 +102,51 @@ class _Section:
         self.sw.communicate()
 
     def scatter(self) -> None:
-        self.swapper().scatter_back()
+        self.sw.scatter_back()
 
     def u(self) -> np.ndarray:
-        sw = self.swapper()
-        return sw.u[:, self.lo - sw.col_lo : self.hi - sw.col_lo]
+        return self.sw.u[:, self.lo - self.sw.col_lo : self.hi - self.sw.col_lo]
 
     def dtrsm(self) -> None:
-        sw, u = self.swapper(), self.u()
+        u = self.u()
         solve_u(self.rank.panels[self.k], u)
-        sw.store_u(u, self.lo - sw.col_lo)
+        self.sw.store_u(u, self.lo - self.sw.col_lo)
 
     def dgemm(self) -> None:
         rank = self.rank
         trailing_dgemm(rank.mat, rank.panels[self.k], self.u(), self.lo, self.hi)
 
-    def costs(
-        self,
-        gather: Callable[[], None] | None = None,
-        comm: Callable[[], None] | None = None,
-        scatter: bool = True,
-    ) -> SectionCosts:
+    def costs(self) -> SectionCosts:
         return SectionCosts(
-            gather=Step("RS", gather or self.gather),
-            comm=Step("RS", comm or self.communicate),
-            scatter=Step("RS", self.scatter) if scatter else 0.0,
-            dtrsm=Step("UPDATE", self.dtrsm),
-            dgemm=Step("UPDATE", self.dgemm),
+            Step("RS", self.gather), Step("RS", self.communicate),
+            Step("RS", self.scatter), Step("UPDATE", self.dtrsm),
+            Step("UPDATE", self.dgemm),
         )
 
 
 class _RS2Section(_Section):
-    """Columns swapped by panel ``k``'s right-section swapper (RS2), which
-    the previous iteration gathered and communicated."""
+    """Columns covered by panel ``k``'s right-section swap (RS2), which
+    runs ahead as a queue: ``rs2.gather0.k`` and every ``rs2.gather.k``
+    read the same ``right.gather`` field, so each gather takes the next
+    panel in line (the DAG orders them, and each exchange between its
+    gather and the next)."""
 
-    def swapper(self) -> RowSwapper:
+    @property
+    def sw(self) -> RowSwapper:
         return self.rank.rs2[self.k]
+
+    def gather(self) -> None:
+        rank = self.rank
+        k = rank.rs2_next
+        rank.rs2_next += 1
+        if k < rank.cfg.nblocks:
+            rank.rs2[k] = rank.swapper(k, self.lo, self.hi)
+            rank.rs2[k].gather()
+
+    def communicate(self) -> None:
+        sw = self.rank.rs2.get(self.rank.rs2_next - 1)
+        if sw is not None:
+            sw.communicate()
 
 
 class _Rank:
@@ -150,15 +156,17 @@ class _Rank:
         self, mat: DistMatrix, cfg: HPLConfig, pool: TileWorkerPool, timers: Timers
     ) -> None:
         self.mat, self.cfg, self.pool, self.timers = mat, cfg, pool, timers
-        self.panels: dict[int, Panel] = {}  # broadcast panels, by index
+        self.panels: dict[int, Panel] = {}  # by panel index
         self.plans: dict[int, SwapPlan] = {}
         self.rs2: dict[int, RowSwapper] = {}  # right-section swappers
         self.rs2_next = 0  # the panel the next RS2 gather swaps
+        # Split's left/right boundary (block-aligned): the right section's
+        # width is fixed, the left one shrinks.  0 -- no left section --
+        # unless the schedule splits.
         nloc = mat.nloc_aug
         n2 = int(round(cfg.split_fraction * nloc))
-        # Split's left/right boundary: the right section's width is fixed,
-        # the left one shrinks as the factorization advances.
-        self.sp = max(0, min(nloc, ((nloc - n2) // cfg.nb) * cfg.nb))
+        split = cfg.schedule is Schedule.SPLIT_UPDATE
+        self.sp = (nloc - n2) // cfg.nb * cfg.nb if split else 0
 
     def swapper(self, k: int, lo: int, hi: int) -> RowSwapper:
         if k not in self.plans:
@@ -168,22 +176,6 @@ class _Rank:
             self.mat, self.plans[k], lo, hi, algo=swap_algo(self.cfg, hi - lo)
         )
 
-    def gather_rs2(self) -> None:
-        """RS2's gather, for the next panel in line: the first split
-        iteration's own panel (``rs2.gather0``), then one panel ahead.  The
-        gathers run in order on one stream and each communication between
-        its gather and the next, so RS2 is a queue."""
-        k = self.rs2_next
-        self.rs2_next += 1
-        if k < self.cfg.nblocks:
-            self.rs2[k] = self.swapper(k, self.sp, self.mat.nloc_aug)
-            self.rs2[k].gather()
-
-    def communicate_rs2(self) -> None:
-        sw = self.rs2.get(self.rs2_next - 1)
-        if sw is not None:
-            sw.communicate()
-
     def fact_chain(self, c: IterCosts, k: int) -> IterCosts:
         """Fill ``c``'s d2h -> FACT -> h2d -> LBCAST with panel ``k``'s
         steps; FACT and its transfers only on the owning column."""
@@ -192,7 +184,6 @@ class _Rank:
             return c
         j0, jb = _panel_width(mat.n, cfg.nb, k)
         pcol = owning_process(j0, cfg.nb, grid.q)
-        factored: list[Panel | None] = [None]
         if grid.mycol == pcol:
             lr0 = mat.local_rows_from(j0)
             lc0 = mat.local_cols_from(j0)
@@ -202,7 +193,7 @@ class _Rank:
             nbytes = 8.0 * view.shape[0] * jb
 
             def fact() -> None:
-                factored[0] = factor_panel(
+                self.panels[k] = factor_panel(
                     grid.col_comm, view, pos, k, j0, jb, cfg, self.pool,
                     grid.myrow, grid.p,
                 )
@@ -212,16 +203,18 @@ class _Rank:
             c.h2d = Step("TRANSFER", lambda: self.timers.transfer(h2d_bytes=nbytes))
 
         def lbcast() -> None:
-            self.panels[k] = broadcast_panel(grid.row_comm, factored[0], pcol, cfg.bcast)
+            self.panels[k] = broadcast_panel(
+                grid.row_comm, self.panels.get(k), pcol, cfg.bcast
+            )
 
         c.lbcast = Step("LBCAST", lbcast)
         return c
 
     def costs(self) -> list[IterCosts]:
-        """The run's :class:`IterCosts`, one numeric step per phase.
+        """The run's :class:`IterCosts`, with numeric steps for seconds.
 
-        The mode of each iteration follows from this rank's own section
-        bounds, as the performance ledger's does for the focal rank.
+        Each iteration's mode follows from this rank's own section bounds,
+        as the performance ledger's does from the focal rank's.
         """
         mat, cfg, sp = self.mat, self.cfg, self.sp
         nloc = mat.nloc_aug
@@ -233,26 +226,20 @@ class _Rank:
             lo = mat.local_cols_from(j0 + jb)
             # end of panel k+1's local columns (== lo in the last iteration)
             la_hi = lo if classic else mat.local_cols_from(min(mat.n, j0 + jb + cfg.nb))
-            if classic:
-                mode = "classic"
-            elif cfg.schedule is Schedule.SPLIT_UPDATE and lo < sp:
-                mode = "split"
-            else:
-                mode = "lookahead"
+            mode = "classic" if classic else "split" if lo < sp else "lookahead"
             c = self.fact_chain(IterCosts(k, mode), k if classic else k + 1)
             if mode == "split":
                 if prev != "split":
                     self.rs2_next = k
                 c.la = _Section(self, k, lo, la_hi).costs()
                 c.left = _Section(self, k, la_hi, sp).costs()
-                c.right = _RS2Section(self, k, sp, nloc).costs(
-                    self.gather_rs2, self.communicate_rs2
-                )
+                c.right = _RS2Section(self, k, sp, nloc).costs()
             elif prev == "split":
-                # Panel k's RS2 already covers [lo, nloc) (here sp == lo):
-                # one scatter, then the look-ahead and remaining updates.
+                # Panel k's RS2 covers [lo, nloc) (sp == lo here): scatter
+                # it once, then update the look-ahead and remaining columns.
                 c.la = _RS2Section(self, k, lo, la_hi).costs()
-                c.left = _RS2Section(self, k, la_hi, nloc).costs(scatter=False)
+                c.left = _RS2Section(self, k, la_hi, nloc).costs()
+                c.left.scatter = 0.0
             else:
                 c.la = _Section(self, k, lo, la_hi).costs()
                 c.left = _Section(self, k, la_hi, nloc).costs()

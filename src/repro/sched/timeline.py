@@ -6,9 +6,9 @@ engine, reproducing rocHPL's issue order.  The convention: *the row swap
 for panel ``k`` executes at the start of iteration ``k``* (between the
 previous iteration's update and this one's).
 
-The same builder serves the numeric run: :func:`repro.hpl.driver.factorize`
-fills each field with a :class:`Step` instead of seconds and executes the
-task list, so the simulator and the numeric engine run one DAG.
+The builder serves the numeric run too: :func:`repro.hpl.driver.factorize`
+fills the fields with :class:`Step` objects instead of seconds and runs
+the list, so the simulator and the numeric engine execute one DAG.
 
 * ``classic`` -- everything sequential; the GPU idles through FACT,
   LBCAST and the RS communication.
@@ -39,16 +39,12 @@ GPU, HD, CPU, MPI = "gpu", "hd", "cpu", "mpi"
 class Step:
     """Numeric work in place of a duration, timed under ``label``.
 
-    ``a + b`` runs ``a`` then ``b``, so a task whose duration sums two
-    sections' costs runs both sections' steps; a float operand (a section
-    with no work) adds nothing.
+    ``a + b`` runs ``a`` then ``b``, so a task summing two sections' costs
+    runs both sections' steps; a float operand (no work) adds nothing.
     """
 
-    __slots__ = ("label", "fns")
-
     def __init__(self, label: str, *fns: Callable[[], None]) -> None:
-        self.label = label
-        self.fns = fns
+        self.label, self.fns = label, fns
 
     def __add__(self, other: "Step | float") -> "Step":
         if isinstance(other, Step):
@@ -71,10 +67,6 @@ class SectionCosts:
     scatter: float = 0.0  # GPU kernel writing received rows
     dtrsm: float = 0.0  # GPU
     dgemm: float = 0.0  # GPU
-
-    @property
-    def empty(self) -> bool:
-        return self.comm == 0.0 and self.dgemm == 0.0 and self.gather == 0.0
 
 
 @dataclass
