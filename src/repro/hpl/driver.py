@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -249,18 +248,12 @@ class _Rank:
 
 
 def factorize(
-    mat: DistMatrix,
-    cfg: HPLConfig,
-    pool: TileWorkerPool | None = None,
-    order: Callable[[list[Task]], Iterable[Task]] | None = None,
+    mat: DistMatrix, cfg: HPLConfig, pool: TileWorkerPool | None = None
 ) -> FactorResult:
     """Run the configured schedule; collective over the grid.
 
     On return ``mat.a`` holds the factorization (U on/above the global
-    diagonal, L multipliers below) and the fully-updated RHS.  The tasks
-    run in :func:`build_run`'s submission order, or in ``order(tasks)``,
-    which must respect every dependency and each resource's submission
-    order, and be the same on every rank of a process column.
+    diagonal, L multipliers below) and the fully-updated RHS.
     """
     if mat.n != cfg.n or mat.nb != cfg.nb:
         raise ConfigError(
@@ -276,7 +269,7 @@ def factorize(
         costs = rank.costs()
         tasks = build_run(costs)
         t0 = time.perf_counter()
-        for task in tasks if order is None else order(tasks):
+        for task in tasks:
             task.start = task.end = time.perf_counter() - t0
             step = task.duration
             if isinstance(step, Step):

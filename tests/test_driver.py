@@ -17,6 +17,7 @@ from repro.hpl.backsolve import backsolve
 from repro.hpl.driver import factorize
 from repro.hpl.matrix import DistMatrix, generate_global
 from repro.sched.engine import TimelineResult
+from repro.sched.timeline import build_run
 from repro.sched.trace import to_chrome_trace
 
 from .conftest import spmd
@@ -144,12 +145,13 @@ def _digest_cfg(sched: Schedule, variant: PFactVariant, threads: int) -> HPLConf
 
 
 def _random_order(seed: int):
-    """``factorize``'s ``order``: a random linear extension of the task
-    list that respects every dependency and each resource's submission
-    (FIFO) order.  It depends only on the seed and the list's shape, so
-    every rank of a process column draws the same interleaving."""
+    """``build_run``, returning its list in a random linear extension that
+    respects every dependency and each resource's submission (FIFO) order.
+    The order depends only on the seed and the list's shape, so every rank
+    of a process column draws the same interleaving."""
 
-    def order(tasks):
+    def build(costs):
+        tasks = build_run(costs)
         index = {id(t): i for i, t in enumerate(tasks)}
         last_on: dict[str, int] = {}
         waits = []
@@ -160,31 +162,28 @@ def _random_order(seed: int):
             last_on[task.resource] = i
             waits.append(before)
         rng = random.Random(seed)
-        done: set[int] = set()
+        order: list[int] = []
         todo = list(range(len(tasks)))
         while todo:
-            i = rng.choice([j for j in todo if waits[j] <= done])
+            i = rng.choice([j for j in todo if waits[j] <= set(order)])
             todo.remove(i)
-            done.add(i)
-            yield tasks[i]
+            order.append(i)
+        return [tasks[i] for i in order]
 
-    return order
+    return build
 
 
-@functools.lru_cache(maxsize=None)
-def _solve(cfg: HPLConfig, order_seed: int | None = None):
-    """Factor (in list order, or a random DAG order drawn from
-    ``order_seed``) and back-solve on the SPMD runtime.
+def _run(cfg: HPLConfig):
+    """Factor and back-solve on the SPMD runtime.
 
     Returns ``(x, concatenated pivots, factored global matrix, messages,
     bytes)``, the factorization's traffic summed over every rank.
     """
-    order = None if order_seed is None else _random_order(order_seed)
 
     def main(comm):
         grid = ProcessGrid(comm, cfg.p, cfg.q)
         mat = DistMatrix(grid, cfg.n, cfg.nb, seed=cfg.seed)
-        result = factorize(mat, cfg, order=order)
+        result = factorize(mat, cfg)
         traffic = comm.stats.total
         full = mat.gather_global()
         return backsolve(mat), np.concatenate(result.ipiv), full, traffic
@@ -194,6 +193,10 @@ def _solve(cfg: HPLConfig, order_seed: int | None = None):
     totals = [o[3] for o in outs]
     return (x, ipiv, full, sum(t.msgs_sent for t in totals),
             sum(t.bytes_sent for t in totals))
+
+
+#: List-order runs, shared by the digest grid and the order property.
+_solve = functools.lru_cache(maxsize=None)(_run)
 
 
 #: Messages and bytes of one factorization per schedule on the digest grid
@@ -251,7 +254,9 @@ class TestTaskOrder:
         list order's bits; a failure means ``build_run`` lacks an edge the
         numbers need (an overlap the algorithm cannot perform)."""
         cfg = _digest_cfg(sched, variant, threads)
-        x, ipiv, full, _, _ = _solve(cfg, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.hpl.driver.build_run", _random_order(seed))
+            x, ipiv, full, _, _ = _run(cfg)
         ref_x, ref_ipiv, ref_full, _, _ = _solve(cfg)
         assert np.array_equal(x, ref_x)
         assert np.array_equal(ipiv, ref_ipiv)
