@@ -127,8 +127,8 @@ class _RS2Section(_Section):
     """Columns covered by panel ``k``'s right-section swap (RS2), which
     runs ahead as a queue: ``rs2.gather0.k`` and every ``rs2.gather.k``
     read the same ``right.gather`` field, so each gather takes the next
-    panel in line (the DAG orders them, and each exchange between its
-    gather and the next)."""
+    panel in line.  The DAG orders the gathers, and puts each exchange
+    between its gather and the next one."""
 
     @property
     def sw(self) -> RowSwapper:
