@@ -224,7 +224,8 @@ class _Rank:
             j0, jb = _panel_width(mat.n, cfg.nb, k)
             lo = mat.local_cols_from(j0 + jb)
             # end of panel k+1's local columns (== lo in the last iteration)
-            la_hi = lo if classic else mat.local_cols_from(min(mat.n, j0 + jb + cfg.nb))
+            end = min(mat.n, j0 + jb + cfg.nb)
+            la_hi = lo if classic else mat.local_cols_from(end)
             mode = "classic" if classic else "split" if lo < sp else "lookahead"
             c = self.fact_chain(IterCosts(k, mode), k if classic else k + 1)
             if mode == "split":
