@@ -62,7 +62,9 @@ class FactorResult:
     ipiv: list[np.ndarray] = field(default_factory=list)  # per-panel pivots
     modes: list[str] = field(default_factory=list)  # per-iteration DAG shape
     #: The executed task list: wall ``start``/``end`` seconds from the loop's
-    #: start, ``duration`` their difference (0 where the rank had no work).
+    #: start, ``duration`` their difference (0 where the rank had no work),
+    #: ``cpu`` the rank thread's CPU seconds inside the step (the rest of
+    #: ``duration`` is waiting).
     tasks: list[Task] = field(default_factory=list)
 
 
@@ -274,8 +276,10 @@ def factorize(
             task.start = task.end = time.perf_counter() - t0
             step = task.duration
             if isinstance(step, Step):
+                cpu0 = time.thread_time()
                 with timers.iteration(task.tag), timers.phase(step.label):
                     step()
+                task.cpu = time.thread_time() - cpu0
                 task.end = time.perf_counter() - t0
                 task.duration = task.end - task.start
     finally:

@@ -36,6 +36,10 @@ class Task:
         phase: Accounting label (``FACT`` / ``MPI`` / ``TRANSFER`` /
             ``GPU`` ...), used for the Fig. 7 breakdown.
         tag: Free-form grouping key (we use the iteration index).
+        start, end: Seconds from the run's origin, set by :func:`simulate`
+            (or, for a numeric run, by the wall clock around its step).
+        cpu: Thread CPU seconds a numeric run's step burned; ``end -
+            start - cpu`` is its waiting.  The simulator leaves it 0.
     """
 
     name: str
@@ -46,6 +50,7 @@ class Task:
     tag: int = 0
     start: float = -1.0
     end: float = -1.0
+    cpu: float = 0.0
 
     def __repr__(self) -> str:
         return (

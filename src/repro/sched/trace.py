@@ -47,7 +47,8 @@ def to_chrome_trace(result: TimelineResult, time_unit: float = 1e6) -> dict:
             "tid": rows.setdefault(task.resource, len(rows)),
             "ts": task.start * time_unit,
             "dur": task.duration * time_unit,
-            "args": {"iteration": task.tag, "phase": task.phase},
+            "args": {"iteration": task.tag, "phase": task.phase,
+                     "cpu": task.cpu},
         }
         color = _PHASE_COLORS.get(task.phase)
         if color:

@@ -59,8 +59,9 @@ one.  A report that loses the race against lease expiry is rejected
 (``lease_expired``) and the attempt is counted ``lost`` here, never
 recorded twice there.  The result always crosses the pipe to the
 supervisor and from there to the coordinator, which owns the cache.  A
-child whose supervisor died sees its pipe close and exits (after its
-current job, if it has one); it holds none of the supervisor's sockets.
+child whose supervisor died exits at once, busy or not: an idle one sees
+its pipe close, and a watchdog thread ends a busy one, whose result
+could reach no one.  It holds none of the supervisor's sockets.
 
 Runners -- the functions that turn a payload dict into a result dict --
 are looked up by job kind in :data:`RUNNERS`.  The built-in kinds map
@@ -366,6 +367,22 @@ def _close_inherited_sockets(keep: int) -> None:
             pass  # the listing's own descriptor, already closed
 
 
+#: Seconds between a runner child's checks that its supervisor lives.
+ORPHAN_POLL_S = 0.1
+
+
+def _exit_when_orphaned(supervisor: int) -> None:
+    """End this child once ``supervisor`` is gone, busy or not.
+
+    A dead process's children are re-parented, so ``getppid()`` changes.
+    The job in hand can report to no one (its lease lapses and the
+    coordinator requeues it), so dropping it loses nothing.
+    """
+    while os.getppid() == supervisor:
+        time.sleep(ORPHAN_POLL_S)
+    os._exit(1)
+
+
 def _child_main(conn) -> None:
     """Serve leased jobs from ``conn`` until told to stop or orphaned.
 
@@ -375,7 +392,8 @@ def _child_main(conn) -> None:
     which the child exits, because the supervisor never reuses a child
     that failed.  A hard crash sends nothing: the supervisor treats a
     dead, silent child as a failure.  EOF (the supervisor died), a
-    ``None`` sentinel or an interrupt while idle ends the child quietly.
+    ``None`` sentinel or an interrupt while idle ends the child quietly;
+    a supervisor that dies mid-job ends it through its watchdog.
     """
     # A forked child inherits every other thread's objects but not the
     # threads.  Their sqlite connections are garbage here, and closing
@@ -385,6 +403,10 @@ def _child_main(conn) -> None:
     # garbage is still collected.
     gc.freeze()
     _close_inherited_sockets(keep=conn.fileno())
+    # Should the supervisor die before this line, the pipe's EOF ends
+    # the still idle child instead.
+    threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
+                     name="orphan-watchdog", daemon=True).start()
     try:
         while True:
             try:

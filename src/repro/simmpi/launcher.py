@@ -6,6 +6,11 @@ communicator, and collects per-rank return values.  If any rank raises, the
 fabric is aborted so every other rank's blocking receive unwinds with
 :class:`~repro.errors.AbortError` instead of deadlocking, and the primary
 failure is re-raised wrapped in :class:`~repro.errors.SpmdError`.
+
+For the whole launch every loaded OpenBLAS runs one thread (see
+:mod:`repro.blas.threads`): each rank thread and each FACT worker is
+one BLAS thread, as §III.B binds one core to each, instead of every
+BLAS call fanning out over the host's cores beside the other ranks.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable
 
+from ..blas.threads import one_blas_thread
 from ..errors import AbortError, SpmdError
 from .communicator import CommContext, Communicator
 from .fabric import Fabric
@@ -75,10 +81,11 @@ def run_spmd(
         ]
     finally:
         threading.stack_size(old_stack)
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    with one_blas_thread():
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
 
     if failures:
         # AbortError failures are secondary (caused by the primary failure);

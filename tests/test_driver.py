@@ -17,7 +17,7 @@ from repro.hpl.backsolve import backsolve
 from repro.hpl.driver import factorize
 from repro.hpl.matrix import DistMatrix, generate_global
 from repro.sched.engine import TimelineResult
-from repro.sched.timeline import build_run
+from repro.sched.timeline import Step, build_run
 from repro.sched.trace import to_chrome_trace
 
 from .conftest import spmd
@@ -284,6 +284,38 @@ class TestTaskOrder:
         starts = [e["ts"] for e in spans]
         assert starts == sorted(starts) and starts[0] >= 0
         assert all(e["ts"] + e["dur"] <= makespan * 1e6 + 1e-6 for e in spans)
+
+
+class TestTaskCpu:
+    def test_each_step_carries_its_thread_cpu(self):
+        """A task that ran a step is stamped with the rank thread's CPU
+        seconds inside it: none below zero, none above its wall span (the
+        rest is waiting).  A task with no step burned nothing."""
+        cfg = HPLConfig(n=128, nb=32, p=2, q=2, fact_threads=2)
+        ran: dict[int, bool] = {}
+
+        def build(costs):
+            tasks = build_run(costs)
+            ran.update((id(t), isinstance(t.duration, Step)) for t in tasks)
+            return tasks
+
+        def main(comm):
+            grid = ProcessGrid(comm, cfg.p, cfg.q)
+            mat = DistMatrix(grid, cfg.n, cfg.nb, seed=cfg.seed)
+            return factorize(mat, cfg).tasks
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.hpl.driver.build_run", build)
+            ranks = spmd(cfg.nranks, main)
+        for tasks in ranks:
+            steps = [t for t in tasks if ran[id(t)]]
+            assert steps and all(0 <= t.cpu <= t.duration + 1e-3 for t in steps)
+            assert all(t.cpu == 0.0 for t in tasks if not ran[id(t)])
+            assert sum(t.cpu for t in steps) > 0
+        spans = to_chrome_trace(TimelineResult(ranks[0], 1.0, {}))["traceEvents"]
+        cpu = {t.name: t.cpu for t in ranks[0]}
+        assert all(e["args"]["cpu"] == cpu[e["name"]]
+                   for e in spans if e["ph"] == "X")
 
 
 class TestLedgers:
