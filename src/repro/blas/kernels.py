@@ -9,6 +9,10 @@ Flop accounting is per-thread (:class:`_FlopCounter`): every rank of an SPMD
 job and every panel-factorization worker accumulates into its own counter,
 and the HPL driver samples/resets it around each phase.  The counts use the
 standard LAPACK conventions (a multiply-add is 2 flops).
+
+``scipy.linalg`` is imported by the first triangular solve (:func:`lapack`),
+not by this module: the simulator reaches here for the flop formulas and
+:data:`FLOPS` only, and never pays for loading LAPACK.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-import scipy.linalg
 
 
 class _FlopCounter(threading.local):
@@ -37,6 +40,13 @@ class _FlopCounter(threading.local):
 
 #: Global per-thread flop counter used by every kernel in this module.
 FLOPS = _FlopCounter()
+
+
+def lapack():
+    """``scipy.linalg``, imported on the first call."""
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +143,7 @@ def unit_lower_solve_inplace(l: np.ndarray, b: np.ndarray) -> None:
     if m == 0 or b.size == 0:
         return
     FLOPS.add(flops_trsm(m, b.shape[1] if b.ndim == 2 else 1))
-    out = scipy.linalg.solve_triangular(
+    out = lapack().solve_triangular(
         l, b, lower=True, unit_diagonal=True, check_finite=False
     )
     b[...] = out
@@ -147,4 +157,4 @@ def upper_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     if m == 0:
         return b.copy()
     FLOPS.add(flops_trsm(m, b.shape[1] if b.ndim == 2 else 1))
-    return scipy.linalg.solve_triangular(u, b, lower=False, check_finite=False)
+    return lapack().solve_triangular(u, b, lower=False, check_finite=False)

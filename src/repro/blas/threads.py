@@ -28,6 +28,8 @@ import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
+from .kernels import lapack
+
 
 class _OpenBLAS:
     """The thread-count controls of one loaded OpenBLAS."""
@@ -93,10 +95,13 @@ def one_blas_thread() -> Iterator[None]:
 
     Scopes nest and overlap across threads: the counts are saved by the
     first holder and restored by the last one out, also when the body
-    raises.  A library first loaded inside the scope is pinned by the
-    next holder to enter.
+    raises.  LAPACK is loaded on entry, outside the lock, so scipy's
+    OpenBLAS is pinned from a process's first launch on; any other
+    library first loaded inside the scope is pinned by the next holder
+    to enter.
     """
     global _holders
+    lapack()
     with _lock:
         for lib in loaded_openblas():
             if lib not in _saved:

@@ -14,7 +14,16 @@ from .block_cyclic import (
     numroc,
     owning_process,
 )
-from .process_grid import ProcessGrid
+
+
+def __getattr__(name: str):
+    # Lazy: the index math must not pull in repro.simmpi.
+    if name == "ProcessGrid":
+        from .process_grid import ProcessGrid
+
+        return ProcessGrid
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "numroc",

@@ -19,14 +19,15 @@ Fig. 8 stops being bounded by a single machine.
 
 A runner child is forked when concurrency demands it, serves jobs over
 its pipe one at a time, and is *reused only after a success*: the first
-job on a child pays its runner's imports (~330 ms for ``sim``), every
-later one only the work (~2 ms).  It is retired -- terminated, never
-handed another job -- after an ``("error", traceback)``, a timeout, a
-crash, a lost lease, :data:`MAX_JOBS_PER_CHILD` jobs, or a
-:func:`register_runner` call made since it was forked, so a failed
-attempt never shares a process with a later one.  The price is memory:
-a warm child holds ~60 MB (numpy + the simulator) for the life of the
-pool where a per-attempt child held it for one job.  Custom runners
+job on a child pays its runner's imports (~220 ms for ``sim``: numpy
+and the simulator, never scipy), every later one only the work
+(~2 ms).  It is retired -- terminated, never handed another job --
+after an ``("error", traceback)``, a timeout, a crash, a lost lease,
+:data:`MAX_JOBS_PER_CHILD` jobs, or a :func:`register_runner` call made
+since it was forked, so a failed attempt never shares a process with a
+later one.  The price is memory: a warm child holds ~37 MB (numpy + the
+simulator; ~62 MB once a ``run`` job has loaded scipy) for the life of
+the pool where a per-attempt child held it for one job.  Custom runners
 must therefore not rely on a fresh interpreter per job (module globals,
 caches and the working directory persist across the jobs of one child).
 

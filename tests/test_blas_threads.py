@@ -9,12 +9,16 @@ core count.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
 import sys
 import threading
 
 import pytest
 
 from repro import HPLConfig
+from repro.blas.kernels import lapack
 from repro.blas.threads import loaded_openblas
 from repro.config import Schedule
 from repro.errors import SpmdError
@@ -22,11 +26,18 @@ from repro.hpl.api import run_hpl
 
 from .conftest import spmd
 
-#: Read after ``repro.hpl`` has loaded both numpy's and scipy's BLAS.
+# scipy's OpenBLAS arrives with the first solve, not with ``repro.hpl``.
+lapack()
 LIBS = loaded_openblas()
 
 pytestmark = pytest.mark.skipif(
     not LIBS, reason="no OpenBLAS thread-count symbol is loaded")
+
+
+def test_numpy_and_scipy_each_bring_an_openblas():
+    """Both wheels ship their own OpenBLAS; if LAPACK were not loaded
+    above, every case here would quietly check numpy's alone."""
+    assert len(LIBS) == 2
 
 
 def _counts() -> list[int]:
@@ -144,3 +155,46 @@ def test_the_solution_does_not_depend_on_the_callers_blas(caller_threads, cfg):
         assert result.passed
         xs.append(result.x.tobytes())
     assert xs[0] == xs[1]
+
+
+_FIRST_LAUNCH = """
+import hashlib, json, sys
+from repro import HPLConfig
+from repro.blas import kernels
+from repro.blas.threads import loaded_openblas
+from repro.config import Schedule
+from repro.hpl.api import run_hpl
+
+if sys.argv[1] == "scipy-first":
+    import scipy.linalg
+assert ("scipy" in sys.modules) == (sys.argv[1] == "scipy-first")
+load, seen = kernels.lapack, []
+
+def lapack():  # every triangular solve of every rank passes through here
+    linalg = load()
+    seen.append(tuple(lib.get() for lib in loaded_openblas()))
+    return linalg
+
+kernels.lapack = lapack
+result = run_hpl(HPLConfig(n=512, nb=64, p=2, q=2, schedule=Schedule.CLASSIC))
+assert result.passed
+print(json.dumps({"counts": sorted(set(seen)),
+                  "x": hashlib.sha256(result.x.tobytes()).hexdigest()}))
+"""
+
+
+def test_the_first_launch_pins_the_lapack_it_loads():
+    """A fresh process's first launch loads scipy's OpenBLAS on entry,
+    so that library too runs one thread in every rank's first solve,
+    and the solution has the bits of a process that imported scipy
+    before the launch.  Both children start their BLAS at 2 threads."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    out = {
+        order: json.loads(subprocess.run(
+            [sys.executable, "-c", _FIRST_LAUNCH, order], env=env,
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout)
+        for order in ("fresh", "scipy-first")
+    }
+    assert out["fresh"]["counts"] == [[1, 1]]
+    assert out["fresh"] == out["scipy-first"]

@@ -262,7 +262,7 @@ class TestWedgedStore:
     @pytest.fixture
     def wedged(self, tmp_path):
         with ServiceHTTPServer(tmp_path / "svc", workers=0,
-                               busy_timeout=0.2) as srv:
+                               busy_timeout=0.05) as srv:
             service = srv.service
             ids = [service.submit("probe", {"behavior": "ok",
                                             "tag": i}).new[0]

@@ -514,14 +514,16 @@ class TestSupervision:
 
 
 class _Canary:
-    """Cyclic garbage that writes a byte to ``fd`` when finalized."""
+    """Cyclic garbage that writes a byte to ``fd`` when finalized, until
+    its ``fd`` is cleared."""
 
     def __init__(self, fd: int) -> None:
-        self.fd = fd
+        self.fd: int | None = fd
         self.cycle = self
 
     def __del__(self) -> None:
-        os.write(self.fd, b"x")
+        if self.fd is not None:
+            os.write(self.fd, b"x")
 
 
 class TestForkSafety:
@@ -536,6 +538,7 @@ class TestForkSafety:
         that runs a full collection."""
         import gc
         import threading
+        import weakref
 
         from repro.service import register_runner
         from repro.service.workers import RUNNERS
@@ -544,9 +547,12 @@ class TestForkSafety:
         os.set_blocking(rfd, False)
         local = threading.local()
         parked, stop = threading.Event(), threading.Event()
+        canary = None
 
         def handler():
+            nonlocal canary
             local.canary = _Canary(wfd)
+            canary = weakref.ref(local.canary)
             parked.set()
             stop.wait(60)
 
@@ -564,6 +570,10 @@ class TestForkSafety:
             RUNNERS.pop("collect", None)
             stop.set()
             thread.join(10)
-            gc.collect()  # the parent may finalize it; the pipe is open
+            # Disarmed before the pipe closes: a canary finalized later
+            # must not write to whatever reuses ``wfd``.
+            alive = canary() if canary is not None else None
+            if alive is not None:
+                alive.fd = None
             os.close(rfd)
             os.close(wfd)
