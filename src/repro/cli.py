@@ -271,20 +271,19 @@ def _submit_sweep(args: argparse.Namespace):
     raise ConfigError(f"unknown job kind {args.kind!r}")
 
 
-def _backend(args: argparse.Namespace, client_options=None,
-             service_options=None):
+def _backend(args: argparse.Namespace, service_options=None):
     """The :class:`ServiceClient` for ``--url``, else the in-process
     :class:`Service` on ``--workdir``.
 
     Both answer the calls of :mod:`repro.service.facade` with one
     signature and one return type each, so every service command is
-    written once against whichever this returns.  The ``*_options``
-    are extra constructor arguments for the backend they name.
+    written once against whichever this returns.  ``service_options``
+    are extra :class:`Service` constructor arguments.
     """
     if args.url:
         from .service.http.client import ServiceClient
 
-        return ServiceClient(args.url, **(client_options or {}))
+        return ServiceClient(args.url)
     from .service import Service
 
     return Service(args.workdir, **(service_options or {}))
@@ -313,13 +312,9 @@ def _cmd_workers(args: argparse.Namespace) -> int:
         n=args.n, drain=not args.no_drain, max_seconds=args.max_seconds,
         lease_ttl=args.ttl,
     )
-    # The client carries the inline threshold, so a child's oversized
-    # result is chunk-streamed to the coordinator without the pool
-    # knowing (``complete_job`` switches paths); the retry backoff is
-    # the coordinator's, which in process is this Service.
-    backend = _backend(args,
-                       client_options={"inline_max": args.inline_max},
-                       service_options={"backoff_base": args.backoff})
+    # The retry backoff is the coordinator's, which in process is this
+    # Service.
+    backend = _backend(args, service_options={"backoff_base": args.backoff})
     pool = WorkerPool(backend, options, worker=args.name or None)
     s = pool.run()
     print(f"pool {pool.worker} finished: {s.claimed} claimed, "
@@ -388,17 +383,14 @@ def _cmd_results(args: argparse.Namespace) -> int:
 
     backend = _backend(args)
     ids = args.ids or [j.id for j in backend.status(state="DONE").jobs]
-    if args.output:
-        return _write_results_file(args.output, ids, backend)
     results = {jid: backend.result(jid).result for jid in ids}
+    missing = sum(result is None for result in results.values())
     if args.json:
         print(_json.dumps(results, indent=2, sort_keys=True))
-        return 0
-    missing = 0
+        return 0 if missing == 0 else 1
     for jid in ids:
         result = results[jid]
         if result is None:
-            missing += 1
             print(f"{jid}: (no result yet)")
             continue
         line = ", ".join(
@@ -407,31 +399,6 @@ def _cmd_results(args: argparse.Namespace) -> int:
             for k in sorted(result) if not isinstance(result[k], (list, dict))
         )
         print(f"{jid}: {line}")
-    return 0 if missing == 0 else 1
-
-
-def _write_results_file(output: str, ids: list, backend) -> int:
-    """Stream results into ``output`` as one JSON object keyed by job id.
-
-    Never holds a large result in memory: ``backend.download_result``
-    copies it into the file chunk by chunk.  Jobs without a result yet
-    are written as ``null`` and counted toward a non-zero exit.
-    """
-    import json as _json
-
-    missing = 0
-    with open(output, "wb") as fh:
-        fh.write(b"{")
-        for i, jid in enumerate(ids):
-            fh.write((b"," if i else b"")
-                     + _json.dumps(jid).encode("utf-8") + b":")
-            if backend.download_result(jid, fh) is None:
-                fh.write(b"null")
-                missing += 1
-        fh.write(b"}")
-    done = len(ids) - missing
-    note = f" ({missing} not ready)" if missing else ""
-    print(f"wrote {done} result(s) to {output}{note}")
     return 0 if missing == 0 else 1
 
 
@@ -531,7 +498,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = ServiceHTTPServer(
         args.workdir, host=args.host, port=args.port,
         workers=args.workers, backoff_base=args.backoff, quiet=args.quiet,
-        inline_max=args.inline_max,
         max_queue_depth=args.max_queue_depth,
         rate_limit=args.rate_limit, rate_burst=args.rate_burst,
     )
@@ -676,10 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_work.add_argument("--name", default="",
                         help="worker name recorded on claimed jobs "
                              "(default: hostname-pid)")
-    p_work.add_argument("--inline-max", type=int, default=1024 * 1024,
-                        help="results larger than this many encoded bytes "
-                             "are chunk-streamed to the coordinator "
-                             "(remote --url mode)")
     p_work.set_defaults(fn=_cmd_workers)
 
     p_serve = sub.add_parser(
@@ -697,10 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="retry backoff base (seconds)")
     p_serve.add_argument("--verbose", dest="quiet", action="store_false",
                          help="log every request to stderr")
-    p_serve.add_argument("--inline-max", type=int, default=1024 * 1024,
-                         help="results larger than this many encoded "
-                              "bytes are served as chunk streams instead "
-                              "of inline JSON")
     p_serve.add_argument("--max-queue-depth", type=int, default=0,
                          help="refuse submissions (429 overloaded) while "
                               "this many jobs are outstanding "
@@ -736,11 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_service_args(p_res, remote=True)
     p_res.add_argument("ids", nargs="*", help="job ids (default: all DONE)")
     p_res.add_argument("--json", action="store_true",
-                       help="dump results as JSON")
-    p_res.add_argument("-o", "--output", default="",
-                       help="stream results into FILE as JSON instead of "
-                            "printing (large results are chunk-downloaded, "
-                            "never held in memory)")
+                       help="dump results as JSON (null for a job with "
+                            "no result yet; exits 1 if any)")
     p_res.set_defaults(fn=_cmd_results)
 
     p_can = sub.add_parser("cancel", help="cancel queued jobs (idempotent)")

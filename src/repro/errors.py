@@ -125,22 +125,17 @@ class StoreUnavailableError(ServiceError):
     http_status = 503
 
 
-class ChunkOffsetError(ServiceError):
-    """A streamed-result chunk arrived out of order.
+class ResultTooLargeError(ServiceError):
+    """A job result, or a request body, exceeds the service's size cap.
 
-    The message names the offset the server expected next; a client may
-    restart the upload from offset 0, which discards any staged prefix.
+    Every result travels inline, so a result whose canonical JSON
+    encoding is larger than :data:`repro.service.api.MAX_RESULT_BYTES`
+    is refused rather than stored; the worker pool records it as the
+    attempt's failure.
     """
 
-    code = "bad_offset"
-    http_status = 422
-
-
-class ChunkIntegrityError(ServiceError):
-    """A streamed-result chunk (or the finished stream) failed its sha256."""
-
-    code = "bad_chunk"
-    http_status = 422
+    code = "too_large"
+    http_status = 413
 
 
 class BadCursorError(ServiceError):

@@ -40,16 +40,6 @@ from .events import (
 from .facade import ServiceFacade, WaitTimeout
 from .jobs import Job, JobState, Lease, new_job_id
 from .store import JobStore
-from .streams import (
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_INLINE_MAX,
-    MAX_CHUNK_BYTES,
-    Chunk,
-    ChunkAssembler,
-    decode_result,
-    encode_result,
-    iter_chunks,
-)
 from .sweep import Sweep, expand_grid
 from .views import (
     CampaignView,
@@ -68,17 +58,12 @@ __all__ = [
     "CampaignStage",
     "CampaignStore",
     "CampaignView",
-    "Chunk",
-    "ChunkAssembler",
-    "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_INLINE_MAX",
     "DagResolver",
     "DagView",
     "EventBroker",
     "EventFilter",
     "EventView",
     "Job",
-    "MAX_CHUNK_BYTES",
     "NOW",
     "JobState",
     "JobStore",
@@ -98,11 +83,8 @@ __all__ = [
     "WorkerOptions",
     "WorkerPool",
     "decode_cursor",
-    "decode_result",
     "encode_cursor",
-    "encode_result",
     "expand_grid",
-    "iter_chunks",
     "new_job_id",
     "parse_campaign_spec",
     "payload_key",

@@ -29,11 +29,11 @@ import threading
 import weakref
 from dataclasses import dataclass, field
 
-from ..config import HPLConfig
+from ..config import HPLConfig, canonical_json
 from ..errors import (
     ConfigError,
     MalformedRequestError,
-    ServiceError,
+    ResultTooLargeError,
     StoreUnavailableError,
     UnknownJobError,
     UnknownJobKindError,
@@ -48,7 +48,6 @@ from .events import (EventBroker, EventFilter, decode_queue_cursor,
 from .facade import ServiceFacade
 from .jobs import UNCACHED_KINDS, Job, JobState, Lease, new_job_id
 from .store import JobStore
-from .streams import DEFAULT_INLINE_MAX, MAX_CHUNK_BYTES
 from .sweep import MAX_BATCH_JOBS, Sweep
 from .views import (CampaignView, DagView, EventView, JobView, QueuePage,
                     ResultView)
@@ -56,6 +55,18 @@ from .workers import (RUNNERS, PoolSummary, WorkerOptions, WorkerPool,
                       sim_config)
 
 DEFAULT_WORKDIR = ".repro-service"
+
+#: The largest result, in bytes of its canonical JSON encoding, that
+#: :meth:`Service.complete_job` accepts.  Every result travels inline in
+#: one request and one cache record; a built-in kind's summary is a few
+#: KiB at most.
+MAX_RESULT_BYTES = 1024 * 1024
+
+#: The largest HTTP request body the server reads.  A ``complete`` body
+#: is the result re-encoded with ``json.dumps``'s default separators
+#: (at most 1.5x the canonical bytes) plus the lease id, so any result
+#: the service would accept fits.
+MAX_BODY_BYTES = 2 * MAX_RESULT_BYTES
 
 
 @dataclass
@@ -220,8 +231,7 @@ class Service(ServiceFacade):
 
     def __init__(self, workdir=DEFAULT_WORKDIR,
                  backoff_base: float = 0.5, shards=None,
-                 busy_timeout: float = 30.0,
-                 inline_max: int = DEFAULT_INLINE_MAX) -> None:
+                 busy_timeout: float = 30.0) -> None:
         self.workdir = os.fspath(workdir)
         if glob.glob(os.path.join(glob.escape(self.workdir), "shards", "*",
                                   "jobs.sqlite")):
@@ -231,9 +241,7 @@ class Service(ServiceFacade):
                 f" with the previous release"
             )
         self.store = JobStore(self.workdir, busy_timeout=busy_timeout)
-        self.inline_max = inline_max
-        self.cache = ResultCache(os.path.join(self.workdir, "cache"),
-                                 inline_max=inline_max)
+        self.cache = ResultCache(os.path.join(self.workdir, "cache"))
         self.backoff_base = backoff_base
         self.campaign_store = CampaignStore(
             os.path.join(self.workdir, "campaigns"))
@@ -527,29 +535,12 @@ class Service(ServiceFacade):
         """The :class:`JobView` projection of one job."""
         return JobView.from_job(self.store.get(job_id))
 
-    def result_view(self, job_id: str) -> ResultView:
-        """The :class:`ResultView` envelope for one job, as stored.
-
-        Results whose canonical encoding is at most ``inline_max`` bytes
-        travel inline (the historical shape, byte-for-byte); larger ones
-        come back with ``result=None`` plus a ``stream`` descriptor
-        (``{"size", "sha256"}``) that :meth:`result` /
-        :meth:`download_result` resolve through
-        :meth:`read_result_chunk` -- the coordinator never loads the
-        result.
-        """
+    def result(self, job_id: str) -> ResultView:
+        """The :class:`ResultView` for one job: its result once DONE."""
         job = self.store.get(job_id)
         view = JobView.from_job(job)
-        if job.state is not JobState.DONE:
-            return ResultView(job=view, ready=False, result=None)
-        info = self.cache.result_info(job.result_key)
-        if info is None:
-            return ResultView(job=view, ready=False, result=None)
-        if info["size"] > self.inline_max:
-            return ResultView(job=view, ready=True, result=None,
-                              stream={"size": info["size"],
-                                      "sha256": info["sha256"]})
-        record = self.cache.get(job.result_key)
+        record = (self.cache.get(job.result_key)
+                  if job.state is JobState.DONE else None)
         if record is None:
             return ResultView(job=view, ready=False, result=None)
         return ResultView(job=view, ready=True, result=record["result"])
@@ -608,12 +599,21 @@ class Service(ServiceFacade):
         """Accept a leased job's result: cache it, then mark DONE.
 
         The cache write is content-addressed and idempotent, so it is
-        safe even when the lease guard then rejects a late upload.
+        safe even when the lease guard then rejects a late upload.  A
+        result larger than :data:`MAX_RESULT_BYTES` is refused with
+        :class:`~repro.errors.ResultTooLargeError` and nothing is
+        stored; the caller records the attempt as failed.
         """
         if not isinstance(result, dict):
             raise MalformedRequestError(
                 f"result must be a JSON object,"
                 f" got {type(result).__name__}"
+            )
+        size = len(canonical_json(result).encode("utf-8"))
+        if size > MAX_RESULT_BYTES:
+            raise ResultTooLargeError(
+                f"result of {size} bytes exceeds the"
+                f" {MAX_RESULT_BYTES}-byte limit"
             )
         job = self.store.get(job_id)
         # The stored key, not a recomputation: for dependent jobs the
@@ -629,78 +629,6 @@ class Service(ServiceFacade):
             job_id, lease_id, str(error),
             backoff_base=self.backoff_base,
         ))
-
-    # -- streamed results ------------------------------------------------
-
-    def stage_result_chunk(self, job_id: str, lease_id: str, offset: int,
-                           sha256: str, data: bytes) -> int:
-        """Spool one uploaded result chunk; returns total bytes staged."""
-        if not lease_id:
-            raise MalformedRequestError("lease id must be non-empty")
-        if offset < 0:
-            raise MalformedRequestError(f"offset must be >= 0, got {offset}")
-        if len(data) > MAX_CHUNK_BYTES:
-            raise MalformedRequestError(
-                f"chunk of {len(data)} bytes exceeds the"
-                f" {MAX_CHUNK_BYTES}-byte cap"
-            )
-        return self.store.stage_chunk(job_id, lease_id, offset, sha256, data)
-
-    def finish_result(self, job_id: str, lease_id: str, size: int,
-                      sha256: str) -> JobView:
-        """Promote a verified staged upload and mark the job DONE.
-
-        The spool is moved (never read) into the cache as a blob-backed
-        record, then ``complete_leased`` applies the same lease guard as
-        the inline path.  Like the inline path, the cache write is
-        content-addressed and idempotent, so a lease lost at the last
-        moment wastes nothing but the late worker's upload.
-        """
-        path = self.store.finish_staged(job_id, lease_id, size, sha256)
-        job = self.store.get(job_id)
-        key = job.key  # parent-aware for dependent jobs; see complete_job
-        try:
-            # The stream must be a JSON *object* to be a result; one
-            # byte tells us without loading it.
-            with open(path, "rb") as fh:
-                first = fh.read(1)
-            if first != b"{":
-                raise MalformedRequestError("result must be a JSON object")
-            self.cache.put_file(key, job.kind, job.payload, path,
-                                size=size, sha256=sha256)
-        except BaseException:
-            self.store.discard_staged(job_id)
-            raise
-        return JobView.from_job(
-            self.store.complete_leased(job_id, lease_id, key))
-
-    def read_result_chunk(self, job_id: str, offset: int,
-                          length: int) -> bytes:
-        """One ranged read of a DONE job's result bytes.
-
-        Serves from the cache's blob (or the re-encoded inline record)
-        with a seek + bounded read -- at most ``min(length,
-        MAX_CHUNK_BYTES)`` bytes are ever in memory.  Reads past the end
-        return ``b""``.
-        """
-        if offset < 0:
-            raise MalformedRequestError(f"offset must be >= 0, got {offset}")
-        if length < 1:
-            raise MalformedRequestError(f"length must be >= 1, got {length}")
-        job = self.store.get(job_id)
-        if job.state is not JobState.DONE:
-            raise ServiceError(
-                f"job {job_id} has no result yet (state {job.state.value})"
-            )
-        opened = self.cache.open_result(job.result_key)
-        if opened is None:
-            raise ServiceError(f"result record for job {job_id} is missing")
-        fh, _size = opened
-        try:
-            fh.seek(offset)
-            return fh.read(min(length, MAX_CHUNK_BYTES))
-        finally:
-            fh.close()
 
     # -- control ---------------------------------------------------------
 

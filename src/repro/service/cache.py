@@ -10,29 +10,15 @@ file per key, sharded by the first two hex digits, written atomically
 half-written record that a reader would parse; a record that *is* found
 truncated or corrupt (torn disk, partial copy) reads as a miss, never a
 crash.
-
-Results whose canonical encoding exceeds ``inline_max`` bytes are not
-embedded in the record.  They live in a sidecar blob file
-(``<key>.result.json`` -- the result's canonical JSON bytes, exactly
-what streamed over the wire) and the record carries a ``result_blob``
-descriptor ``{"size", "sha256"}`` instead of a ``result`` field.
-:meth:`get` is transparent (it loads the blob back into the record);
-:meth:`open_result` and :meth:`result_info` let the HTTP layer serve
-ranged reads without ever holding the blob in memory.
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
 import json
 import os
-import shutil
 import time
-from typing import BinaryIO
 
 from ..config import canonical_json, config_key
-from .streams import DEFAULT_INLINE_MAX, encode_result
 
 
 def payload_key(kind: str, payload: dict, parents=()) -> str:
@@ -52,19 +38,15 @@ def payload_key(kind: str, payload: dict, parents=()) -> str:
 class ResultCache:
     """Directory of ``<key>.json`` result records under a workdir."""
 
-    def __init__(self, root, inline_max: int = DEFAULT_INLINE_MAX) -> None:
+    def __init__(self, root) -> None:
         self.root = os.fspath(root)
-        self.inline_max = inline_max
         os.makedirs(self.root, exist_ok=True)
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], f"{key}.json")
 
-    def _blob_path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], f"{key}.result.json")
-
-    def _load_record(self, key: str) -> dict | None:
-        """The raw record (blob not resolved), or None on miss/corruption."""
+    def get(self, key: str) -> dict | None:
+        """The stored record for ``key``, or None on a miss."""
         try:
             with open(self._path(key)) as fh:
                 record = json.load(fh)
@@ -74,69 +56,9 @@ class ResultCache:
             # A truncated or corrupt record is a miss, not a crash: the
             # caller re-runs the job and the next put() replaces it.
             return None
-        if not isinstance(record, dict):
-            return None
-        if "result" not in record and "result_blob" not in record:
+        if not isinstance(record, dict) or "result" not in record:
             return None
         return record
-
-    def meta(self, key: str) -> dict | None:
-        """The stored record *without* loading a sidecar blob."""
-        return self._load_record(key)
-
-    def get(self, key: str) -> dict | None:
-        """The stored record for ``key``, or None on a miss.
-
-        For blob-backed records the sidecar is read back into
-        ``record["result"]``; a missing or corrupt sidecar is a miss.
-        """
-        record = self._load_record(key)
-        if record is None or "result" in record:
-            return record
-        try:
-            with open(self._blob_path(key), "rb") as fh:
-                record["result"] = json.loads(fh.read().decode("utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        return record
-
-    def result_info(self, key: str) -> dict | None:
-        """``{"size", "sha256", "inline"}`` for the stored result bytes.
-
-        The size/hash describe the result's canonical JSON encoding --
-        the exact bytes a ranged chunk download serves.  None on a miss.
-        """
-        record = self._load_record(key)
-        if record is None:
-            return None
-        blob = record.get("result_blob")
-        if blob is not None:
-            return {"size": blob["size"], "sha256": blob["sha256"],
-                    "inline": False}
-        encoded = encode_result(record["result"])
-        return {"size": len(encoded),
-                "sha256": hashlib.sha256(encoded).hexdigest(),
-                "inline": True}
-
-    def open_result(self, key: str) -> tuple[BinaryIO, int] | None:
-        """A seekable binary stream of the result's canonical bytes.
-
-        Blob-backed records hand back the sidecar file itself, so ranged
-        reads cost one seek -- the blob is never loaded whole.  Inline
-        records (bounded by ``inline_max``) are re-encoded into memory.
-        """
-        record = self._load_record(key)
-        if record is None:
-            return None
-        blob = record.get("result_blob")
-        if blob is None:
-            encoded = encode_result(record["result"])
-            return io.BytesIO(encoded), len(encoded)
-        try:
-            fh = open(self._blob_path(key), "rb")
-        except OSError:
-            return None
-        return fh, blob["size"]
 
     def __contains__(self, key: str) -> bool:
         return os.path.exists(self._path(key))
@@ -149,22 +71,7 @@ class ResultCache:
         os.replace(tmp, path)
 
     def put(self, key: str, kind: str, payload: dict, result: dict) -> dict:
-        """Store ``result`` under ``key``; returns the full record.
-
-        Results whose canonical encoding exceeds ``inline_max`` bytes go
-        to a sidecar blob; smaller ones keep the inline record format
-        byte-for-byte.
-        """
-        encoded = encode_result(result)
-        if len(encoded) > self.inline_max:
-            tmp = f"{self._blob_path(key)}.tmp-{os.getpid()}"
-            os.makedirs(os.path.dirname(tmp), exist_ok=True)
-            with open(tmp, "wb") as fh:
-                fh.write(encoded)
-            return self.put_file(
-                key, kind, payload, tmp, size=len(encoded),
-                sha256=hashlib.sha256(encoded).hexdigest(),
-            )
+        """Store ``result`` under ``key``; returns the full record."""
         record = {
             "key": key,
             "kind": kind,
@@ -175,37 +82,8 @@ class ResultCache:
         self._write_record(self._path(key), record)
         return record
 
-    def put_file(self, key: str, kind: str, payload: dict, src_path: str,
-                 size: int, sha256: str) -> dict:
-        """Promote an already-spooled result file into the cache.
-
-        ``src_path`` must hold the result's canonical JSON bytes (as
-        assembled from a verified chunk stream).  The file is *moved*
-        into place, then the record is written -- both atomic, and the
-        result is never loaded into memory.  A crash in between leaves
-        an orphan sidecar with no record: still a miss.
-        """
-        blob_path = self._blob_path(key)
-        os.makedirs(os.path.dirname(blob_path), exist_ok=True)
-        try:
-            os.replace(src_path, blob_path)
-        except OSError:
-            # Cross-filesystem staging dir: fall back to a copying move.
-            shutil.move(src_path, blob_path)
-        record = {
-            "key": key,
-            "kind": kind,
-            "payload": payload,
-            "result_blob": {"size": size, "sha256": sha256},
-            "stored_at": time.time(),
-        }
-        self._write_record(self._path(key), record)
-        return record
-
     def __len__(self) -> int:
         total = 0
         for _, _, files in os.walk(self.root):
-            total += sum(1 for f in files
-                         if f.endswith(".json")
-                         and not f.endswith(".result.json"))
+            total += sum(1 for f in files if f.endswith(".json"))
         return total

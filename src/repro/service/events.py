@@ -58,8 +58,8 @@ BEGIN = "begin"
 NOW = "now"
 
 #: Job state implied by an audit event whose record carries no explicit
-#: ``state`` field.  Events absent here (``stream_started``,
-#: ``dag_hook_error``, ...) imply no state at all.
+#: ``state`` field.  Events absent here (``dag_hook_error``, the
+#: ``stream_*`` rows of an earlier release, ...) imply no state at all.
 IMPLIED_STATE = {
     "claimed": JobState.RUNNING.value,
     "launched": JobState.RUNNING.value,

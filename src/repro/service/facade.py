@@ -6,29 +6,24 @@ behind a URL (:class:`~repro.service.http.ServiceClient`).  Both answer
 the *primitive* calls with the same names, signatures and return types:
 
 ``submit``, ``submit_many``, ``submit_sweep``, ``submit_campaign``,
-``status``, ``job``, ``result_view``, ``read_result_chunk``,
-``cancel_job``, ``campaign``, ``campaigns``, ``campaign_dag``,
-``events``, ``healthz`` and the lease calls ``claim_jobs``,
-``heartbeat``, ``complete_job``, ``fail_job`` (plus the ``poll_backoff``
-class constant).
+``status``, ``job``, ``result``, ``cancel_job``, ``campaign``,
+``campaigns``, ``campaign_dag``, ``events``, ``healthz`` and the lease
+calls ``claim_jobs``, ``heartbeat``, ``complete_job``, ``fail_job``
+(plus the ``poll_backoff`` class constant).
 
 :class:`ServiceFacade`, which both inherit, holds what is *derived* from
-those -- ``counts``, ``result``, ``download_result``, ``watch``,
-``wait`` -- written once, against the primitive calls only, so a
-consumer (the CLI, the worker pool, ``status --follow``) is written once
-too and where the service lives is data.
+those -- ``counts``, ``watch``, ``wait`` -- written once, against the
+primitive calls only, so a consumer (the CLI, the worker pool,
+``status --follow``) is written once too and where the service lives is
+data.
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
 import time
-from typing import BinaryIO
 
-from ..errors import ChunkIntegrityError, EventsTruncatedError, ServiceError
+from ..errors import EventsTruncatedError, ServiceError
 from .events import BEGIN
-from .streams import DEFAULT_CHUNK_SIZE, decode_result, encode_result
 from .views import TERMINAL_STATES, EventView, JobView, ResultView
 
 
@@ -51,75 +46,9 @@ class ServiceFacade:
     nothing here touches a store, a cache or a socket directly.
     """
 
-    #: Bytes per :meth:`read_result_chunk` call when resolving a
-    #: streamed result; bounds the memory a download holds.
-    chunk_size = DEFAULT_CHUNK_SIZE
-
     def counts(self) -> dict[str, int]:
         """Whole-queue job count per state (expired leases swept first)."""
         return dict(self.status(limit=0).counts)
-
-    # -- results ---------------------------------------------------------
-
-    def result(self, job_id: str) -> ResultView:
-        """The :class:`ResultView` for one job, its body always resolved.
-
-        A ``stream`` descriptor (the result exceeded the service's
-        inline threshold) is resolved transparently: the chunks are
-        read, verified against the declared size and sha256, and
-        decoded, so the returned view is indistinguishable from an
-        inline one.
-        """
-        view = self.result_view(job_id)
-        if view.stream is None:
-            return view
-        sink = io.BytesIO()
-        self._download_stream(job_id, view.stream, sink)
-        return ResultView(job=view.job, ready=True,
-                          result=decode_result(sink.getvalue()))
-
-    def _download_stream(self, job_id: str, stream: dict,
-                         sink: BinaryIO) -> tuple[int, str]:
-        """Ranged-read a streamed result into ``sink``; verify it."""
-        size = int(stream["size"])
-        expected = stream["sha256"]
-        hasher = hashlib.sha256()
-        offset = 0
-        while offset < size:
-            data = self.read_result_chunk(job_id, offset, self.chunk_size)
-            if not data:
-                raise ChunkIntegrityError(
-                    f"result stream for job {job_id} ended at byte"
-                    f" {offset} of {size}"
-                )
-            sink.write(data)
-            hasher.update(data)
-            offset += len(data)
-        if hasher.hexdigest() != expected:
-            raise ChunkIntegrityError(
-                f"downloaded result for job {job_id} does not match"
-                f" its declared sha256"
-            )
-        return size, expected
-
-    def download_result(self, job_id: str, sink: BinaryIO) -> dict | None:
-        """Stream one job's result bytes (canonical JSON) into ``sink``.
-
-        Large results are fetched chunk by chunk, so memory stays
-        bounded by ``chunk_size``; inline results are encoded and
-        written whole.  Returns ``{"size", "sha256"}`` on success, or
-        ``None`` (nothing written) when the job has no result yet.
-        """
-        view = self.result_view(job_id)
-        if view.stream is not None:
-            size, sha256 = self._download_stream(job_id, view.stream, sink)
-            return {"size": size, "sha256": sha256}
-        if not view.ready:
-            return None
-        encoded = encode_result(view.result)
-        sink.write(encoded)
-        return {"size": len(encoded),
-                "sha256": hashlib.sha256(encoded).hexdigest()}
 
     # -- watch & wait ----------------------------------------------------
 

@@ -6,11 +6,11 @@ keeps one connection open between its calls (and reconnects once,
 transparently, when the server restarted in between) until
 :meth:`ServiceClient.close` or the end of a ``with`` block.  It answers
 the primitive calls listed in :mod:`repro.service.facade` (submission,
-``status`` / ``job`` / ``result_view``, campaigns, ``events``, the
-lease protocol) with one round-trip each, under the same names and
+``status`` / ``job`` / ``result``, campaigns, ``events``, the lease
+protocol) with one round-trip each, under the same names and
 signatures as :class:`~repro.service.api.Service` and returning the
-*same typed objects*; the derived calls (``result``, ``watch``,
-``wait``, ...) are inherited from the shared base, so they exist once.
+*same typed objects*; the derived calls (``watch``, ``wait``, ...) are
+inherited from the shared base, so they exist once.
 
 Errors come back as the library's own exception types: the server puts a
 stable machine-readable ``code`` in every error body
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import hashlib
 import http.client
 import inspect
 import json
@@ -51,8 +50,6 @@ import weakref
 from ...errors import (
     BackpressureError,
     BadCursorError,
-    ChunkIntegrityError,
-    ChunkOffsetError,
     ConfigError,
     CycleError,
     EventsTruncatedError,
@@ -61,6 +58,7 @@ from ...errors import (
     MalformedRequestError,
     OverloadedError,
     RateLimitedError,
+    ResultTooLargeError,
     ServiceError,
     StoreUnavailableError,
     UnknownCampaignError,
@@ -69,15 +67,9 @@ from ...errors import (
     UnknownParentError,
     UnknownRouteError,
 )
-from ..api import SubmitReceipt
+from ..api import MAX_BODY_BYTES, SubmitReceipt
 from ..facade import ServiceFacade, WaitTimeout
 from ..jobs import Job, Lease
-from ..streams import (
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_INLINE_MAX,
-    encode_result,
-    iter_chunks,
-)
 from ..sweep import Sweep
 from ..views import (
     TERMINAL_STATES,
@@ -95,11 +87,10 @@ ERRORS_BY_CODE = {
     for cls in (
         ConfigError, MalformedRequestError, UnknownJobError,
         UnknownRouteError, UnknownJobKindError, LeaseConflictError,
-        LeaseExpiredError, ChunkOffsetError, ChunkIntegrityError,
-        StoreUnavailableError, CycleError, UnknownParentError,
-        UnknownCampaignError, BackpressureError, OverloadedError,
-        RateLimitedError, BadCursorError, EventsTruncatedError,
-        ServiceError,
+        LeaseExpiredError, ResultTooLargeError, StoreUnavailableError,
+        CycleError, UnknownParentError, UnknownCampaignError,
+        BackpressureError, OverloadedError, RateLimitedError,
+        BadCursorError, EventsTruncatedError, ServiceError,
     )
 }
 
@@ -124,24 +115,13 @@ def _query(**params) -> str:
 
 
 class ServiceClient(ServiceFacade):
-    """Blocking JSON-over-HTTP client for one service URL.
-
-    Results whose canonical encoding exceeds ``inline_max`` bytes are
-    streamed transparently: :meth:`complete_job` switches from the
-    inline ``POST .../complete`` body to the chunk-upload endpoints,
-    and the inherited :meth:`result` resolves a ``stream`` descriptor
-    through :meth:`read_result_chunk` -- callers see the same
-    :class:`ResultView` either way.  Smaller results use the historical
-    requests byte-for-byte.
-    """
+    """Blocking JSON-over-HTTP client for one service URL."""
 
     #: Growth factor of a worker pool's idle poll on this backend:
     #: every empty claim is a round-trip, so the poll backs off.
     poll_backoff = 2.0
 
     def __init__(self, url: str, timeout: float = 30.0,
-                 inline_max: int = DEFAULT_INLINE_MAX,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
                  client_id: str | None = None,
                  retry_429: int = 8,
                  retry_429_cap: float = 5.0) -> None:
@@ -149,8 +129,6 @@ class ServiceClient(ServiceFacade):
             url = f"http://{url}"
         self.base_url = url.rstrip("/")
         self.timeout = timeout
-        self.inline_max = inline_max
-        self.chunk_size = chunk_size
         # Every request carries X-Client-Id so the server's per-client
         # rate limiting has an identity to key on; one id per client
         # instance by default.
@@ -303,14 +281,14 @@ class ServiceClient(ServiceFacade):
     def _request(self, method: str, path: str, body: dict | None = None,
                  timeout: float | None = None) -> dict:
         data = json.dumps(body).encode() if body is not None else None
+        if data is not None and len(data) > MAX_BODY_BYTES:
+            # The server would refuse it unread and hang up mid-send.
+            raise ResultTooLargeError(
+                f"request body of {len(data)} bytes exceeds the"
+                f" {MAX_BODY_BYTES}-byte limit")
         return json.loads(self._send(
             (method, data, "application/json"), path, timeout=timeout,
         ) or b"{}")
-
-    def _request_raw(self, method: str, path: str, data: bytes) -> dict:
-        """Send a raw octet-stream body; parse the JSON response."""
-        return json.loads(self._send(
-            (method, data, "application/octet-stream"), path) or b"{}")
 
     # -- the primitive calls ---------------------------------------------
 
@@ -424,22 +402,10 @@ class ServiceClient(ServiceFacade):
             self._request("GET", f"/v1/jobs/{job_id}")["job"]
         )
 
-    def result_view(self, job_id: str) -> ResultView:
-        """The :class:`ResultView` envelope for one job, as served.
-
-        A result over the server's inline threshold comes back with
-        ``result=None`` plus a ``stream`` descriptor; the inherited
-        :meth:`result` / :meth:`download_result` resolve it.
-        """
+    def result(self, job_id: str) -> ResultView:
+        """The :class:`ResultView` for one job: its result once DONE."""
         return ResultView.from_dict(
             self._request("GET", f"/v1/jobs/{job_id}/result"))
-
-    def read_result_chunk(self, job_id: str, offset: int,
-                          length: int) -> bytes:
-        """One ranged read of a DONE job's result bytes."""
-        return self._send(
-            ("GET", None, None), f"/v1/jobs/{job_id}/result/chunks"
-            + _query(offset=offset, length=length))
 
     def cancel_job(self, job_id: str) -> tuple[bool, JobView]:
         """Cancel and return ``(flipped, current JobView)``.
@@ -471,35 +437,10 @@ class ServiceClient(ServiceFacade):
 
     def complete_job(self, job_id: str, lease_id: str,
                      result: dict) -> JobView:
-        """Upload a leased job's result; returns the DONE job view.
-
-        A result whose canonical encoding exceeds ``inline_max`` bytes
-        is uploaded through the chunk endpoints instead of the inline
-        body -- same lease guard, same returned view.
-        """
-        encoded = encode_result(result)
-        if len(encoded) > self.inline_max:
-            return self._complete_streamed(job_id, lease_id, encoded)
+        """Upload a leased job's result; returns the DONE job view."""
         return JobView.from_dict(self._request(
             "POST", f"/v1/jobs/{job_id}/complete",
             {"lease": lease_id, "result": result},
-        )["job"])
-
-    def _complete_streamed(self, job_id: str, lease_id: str,
-                           encoded: bytes) -> JobView:
-        """Chunk-upload an encoded result, then finish the job."""
-        for chunk in iter_chunks(encoded, self.chunk_size):
-            self._request_raw(
-                "POST",
-                f"/v1/jobs/{job_id}/result/chunks"
-                + _query(lease=lease_id, offset=chunk.offset,
-                         sha256=chunk.sha256),
-                chunk.data,
-            )
-        return JobView.from_dict(self._request(
-            "POST", f"/v1/jobs/{job_id}/result/finish",
-            {"lease": lease_id, "size": len(encoded),
-             "sha256": hashlib.sha256(encoded).hexdigest()},
         )["job"])
 
     def fail_job(self, job_id: str, lease_id: str, error: str) -> JobView:

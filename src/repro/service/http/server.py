@@ -10,7 +10,7 @@ pool saturated.  Optionally it also hosts an in-process
 (``repro workers --url``) drain the same queue through the lease
 endpoints.
 
-v1 endpoints (request/response bodies are JSON unless marked *bytes*):
+v1 endpoints (request and response bodies are JSON):
 
 =======  ==================================  ===============================
 method   path                                action
@@ -26,13 +26,8 @@ GET      ``/v1/jobs``                        queue page (filter + paginate)
 GET      ``/v1/jobs/{id}``                   one job -> ``{"job": ...}``
 GET      ``/v1/jobs/{id}/result``            ``{"job":..., "ready", "result"}``
 POST     ``/v1/jobs/{id}/cancel``            cancel (idempotent, 200)
-POST     ``/v1/jobs/{id}/complete``          leased inline result upload
+POST     ``/v1/jobs/{id}/complete``          leased result upload
 POST     ``/v1/jobs/{id}/fail``              leased failure report
-POST     ``/v1/jobs/{id}/result/chunks``     leased chunk upload (*bytes*;
-                                             ``?lease&offset&sha256``)
-POST     ``/v1/jobs/{id}/result/finish``     promote a staged upload
-GET      ``/v1/jobs/{id}/result/chunks``     ranged result read (*bytes*;
-                                             ``?offset&length``)
 POST     ``/v1/leases``                      claim jobs under a TTL lease
 POST     ``/v1/leases/{id}/heartbeat``       extend a live lease
 POST     ``/v1/campaigns``                   staged spec -> ``{"campaign"}``
@@ -51,10 +46,7 @@ GET      ``/v1/healthz``                     liveness + per-state depths +
 
 Every route is a thin shell over the one call of the service facade
 (:mod:`repro.service.facade`) it names, so what ``ServiceClient`` hands
-back over the wire is what :class:`Service` hands back in process.  The
-chunk-upload routes (``stage_result_chunk`` / ``finish_result``) are
-the only ones the client does not mirror: it hides them inside
-``complete_job``.
+back over the wire is what :class:`Service` hands back in process.
 
 Queue pages (``GET /v1/queue`` / ``GET /v1/jobs``) take ``limit`` and
 paginate by the opaque ``cursor`` continuation token the previous page
@@ -83,15 +75,15 @@ stable machine-readable identifier the raised
 :class:`~repro.errors.ReproError` subclass carries (``bad_config`` 400,
 ``malformed`` 400, ``unknown_job`` / ``unknown_route`` /
 ``unknown_parent`` / ``unknown_campaign`` 404, ``unknown_kind`` /
-``cycle_detected`` 422, ``bad_offset`` / ``bad_chunk`` /
-``bad_cursor`` 422, ``events_truncated`` 410,
-``conflict`` / ``lease_expired`` 409, ``overloaded`` /
-``rate_limited`` 429 with a ``Retry-After`` header,
+``cycle_detected`` / ``bad_cursor`` 422, ``events_truncated`` 410,
+``conflict`` / ``lease_expired`` 409, ``too_large`` 413,
+``overloaded`` / ``rate_limited`` 429 with a ``Retry-After`` header,
 ``store_unavailable`` 503); the HTTP status comes from the same class.
-Clients re-raise the matching typed exception by ``code``.  Chunk
-uploads and ranged reads move raw ``application/octet-stream`` bodies,
-bounded by :data:`~repro.service.streams.MAX_CHUNK_BYTES` per request,
-so the coordinator never buffers more than one chunk of a result.
+Clients re-raise the matching typed exception by ``code``.  Every
+result travels inline in its ``complete`` body, so a request body is
+bounded by :data:`~repro.service.api.MAX_BODY_BYTES`: a longer declared
+``Content-Length`` is refused with ``too_large`` before a byte of it is
+read, and the connection is closed.
 
 Connections are HTTP/1.1 keep-alive: one handler thread (and one
 SQLite handle) per *connection*, not per request, parked
@@ -125,12 +117,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from ...errors import (
     MalformedRequestError,
     ReproError,
+    ResultTooLargeError,
     ServiceError,
     UnknownRouteError,
 )
 from ..admission import AdmissionController
-from ..api import Service, SubmitReceipt
-from ..streams import DEFAULT_INLINE_MAX, MAX_CHUNK_BYTES
+from ..api import MAX_BODY_BYTES, Service, SubmitReceipt
 from ..sweep import Sweep
 from ..views import JobView
 from ..workers import WorkerOptions
@@ -141,8 +133,6 @@ _CANCEL_RE = re.compile(r"^/v1/jobs/([A-Za-z0-9_-]+)/cancel$")
 _COMPLETE_RE = re.compile(r"^/v1/jobs/([A-Za-z0-9_-]+)/complete$")
 _FAIL_RE = re.compile(r"^/v1/jobs/([A-Za-z0-9_-]+)/fail$")
 _HEARTBEAT_RE = re.compile(r"^/v1/leases/([A-Za-z0-9_-]+)/heartbeat$")
-_RESULT_CHUNKS_RE = re.compile(r"^/v1/jobs/([A-Za-z0-9_-]+)/result/chunks$")
-_RESULT_FINISH_RE = re.compile(r"^/v1/jobs/([A-Za-z0-9_-]+)/result/finish$")
 _CAMPAIGN_RE = re.compile(r"^/v1/campaigns/([A-Za-z0-9_-]+)$")
 _CAMPAIGN_DAG_RE = re.compile(r"^/v1/campaigns/([A-Za-z0-9_-]+)/dag$")
 
@@ -204,7 +194,7 @@ MAX_DRAIN_BYTES = 64 * 1024
 #: feature detection via ``GET /v1`` -- one probe instead of sniffing
 #: 404s per endpoint.
 CAPABILITIES = ("batch", "campaigns", "cursor_queue", "dag", "events",
-                "leases", "streams")
+                "leases")
 
 #: The endpoint table ``GET /v1`` serves, mirroring the module docstring.
 ENDPOINTS = (
@@ -214,7 +204,6 @@ ENDPOINTS = (
     "GET /v1/jobs",
     "GET /v1/jobs/{id}",
     "GET /v1/jobs/{id}/result",
-    "GET /v1/jobs/{id}/result/chunks",
     "GET /v1/campaigns",
     "GET /v1/campaigns/{id}",
     "GET /v1/campaigns/{id}/dag",
@@ -224,8 +213,6 @@ ENDPOINTS = (
     "POST /v1/jobs/{id}/cancel",
     "POST /v1/jobs/{id}/complete",
     "POST /v1/jobs/{id}/fail",
-    "POST /v1/jobs/{id}/result/chunks",
-    "POST /v1/jobs/{id}/result/finish",
     "POST /v1/leases",
     "POST /v1/leases/{id}/heartbeat",
     "POST /v1/campaigns",
@@ -292,7 +279,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, obj, retry_after)
 
     def _declared_length(self) -> int:
-        """The request's ``Content-Length`` (0 when absent), parsed once."""
+        """The request's ``Content-Length`` (0 when absent), parsed once.
+
+        A body over :data:`MAX_BODY_BYTES` is refused unread, which
+        costs the connection.
+        """
         raw = self.headers.get("Content-Length") or "0"
         if not raw.isdecimal():
             self.close_connection = True  # no way to frame the body
@@ -300,7 +291,14 @@ class _Handler(BaseHTTPRequestHandler):
                 f"Content-Length must be a non-negative integer,"
                 f" got {raw!r}"
             )
-        return int(raw)
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ResultTooLargeError(
+                f"request body of {length} bytes exceeds the"
+                f" {MAX_BODY_BYTES}-byte limit"
+            )
+        return length
 
     def _read_body(self) -> dict:
         length, self._unread = self._unread, 0
@@ -336,10 +334,7 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             if status is None:
                 return  # the route streamed its own response (SSE)
-            if isinstance(obj, (bytes, bytearray)):
-                self._send(status, "application/octet-stream", bytes(obj))
-            else:
-                self._send_json(status, obj)
+            self._send_json(status, obj)
 
     # -- routes ----------------------------------------------------------
 
@@ -539,77 +534,13 @@ class _Handler(BaseHTTPRequestHandler):
         m = _JOB_RE.match(path)
         if m:
             return 200, {"job": self.service.job(m.group(1)).to_dict()}
-        m = _RESULT_CHUNKS_RE.match(path)
-        if m:
-            params = urllib.parse.parse_qs(query)
-            offset = _int_param(params, "offset", 0)
-            length = _int_param(params, "length")
-            if length is None:
-                raise MalformedRequestError(
-                    "query parameter 'length' is required"
-                )
-            return 200, self.service.read_result_chunk(
-                m.group(1), offset, length
-            )
         m = _RESULT_RE.match(path)
         if m:
-            return 200, self.service.result_view(m.group(1)).to_dict()
+            return 200, self.service.result(m.group(1)).to_dict()
         raise UnknownRouteError(f"no such endpoint: GET {path}")
 
-    def _read_chunk_body(self) -> bytes:
-        """The raw octet-stream body of a chunk upload, bounded.
-
-        An oversized declaration is refused *without reading* (and so
-        costs the connection; see :meth:`_send`).
-        """
-        if self._unread > MAX_CHUNK_BYTES:
-            raise MalformedRequestError(
-                f"chunk of {self._unread} bytes exceeds the"
-                f" {MAX_CHUNK_BYTES}-byte cap"
-            )
-        length, self._unread = self._unread, 0
-        return self.rfile.read(length) if length else b""
-
     def _route_post(self) -> tuple[int, dict]:
-        path, _, query = self.path.partition("?")
-        path = path.rstrip("/")
-        m = _RESULT_CHUNKS_RE.match(path)
-        if m:
-            # Drain the body before any validation can raise, so an
-            # error response leaves the connection reusable.
-            data = self._read_chunk_body()
-            params = urllib.parse.parse_qs(query)
-            lease = params.get("lease", [""])[-1]
-            sha256 = params.get("sha256", [""])[-1]
-            offset = _int_param(params, "offset")
-            if not lease or not sha256 or offset is None:
-                raise MalformedRequestError(
-                    "chunk upload requires 'lease', 'offset' and"
-                    " 'sha256' query parameters"
-                )
-            received = self.service.stage_result_chunk(
-                m.group(1), lease, offset, sha256, data
-            )
-            return 200, {"job_id": m.group(1), "received": received}
-        m = _RESULT_FINISH_RE.match(path)
-        if m:
-            body = self._read_body()
-            lease_id = _lease_of(body)
-            try:
-                size = int(body["size"])
-                sha256 = body["sha256"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRequestError(
-                    f"finish requires integer 'size' and 'sha256': {exc}"
-                ) from None
-            if not isinstance(sha256, str) or not sha256:
-                raise MalformedRequestError(
-                    "'sha256' must be a non-empty string"
-                )
-            view = self.service.finish_result(
-                m.group(1), lease_id, size, sha256
-            )
-            return 200, {"job": view.to_dict()}
+        path = self.path.partition("?")[0].rstrip("/")
         if path == "/v1/jobs/batch":
             receipts = self._submit("sweep", "jobs")
             return 200, {
@@ -744,14 +675,12 @@ class ServiceHTTPServer:
                  workers: int = 0, backoff_base: float = 0.5,
                  poll_interval: float = 0.02, quiet: bool = True,
                  busy_timeout: float = 30.0,
-                 inline_max: int = DEFAULT_INLINE_MAX,
                  max_queue_depth: int = 0, rate_limit: float = 0.0,
                  rate_burst: float | None = None) -> None:
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
         self.service = Service(workdir, backoff_base=backoff_base,
-                               busy_timeout=busy_timeout,
-                               inline_max=inline_max)
+                               busy_timeout=busy_timeout)
         self.workers = workers
         self.poll_interval = poll_interval
         # Both gates default off (0); see repro.service.admission.  The

@@ -33,7 +33,6 @@ import time
 
 from ..errors import (
     BadCursorError,
-    ChunkOffsetError,
     EventsTruncatedError,
     LeaseConflictError,
     LeaseExpiredError,
@@ -41,7 +40,6 @@ from ..errors import (
     UnknownJobError,
 )
 from .jobs import COLUMNS, Job, JobState, Lease, new_lease_id
-from .streams import ChunkAssembler
 
 _SCHEMA = f"""
 CREATE TABLE IF NOT EXISTS jobs (
@@ -175,33 +173,6 @@ class _Connection(sqlite3.Connection):
         return _guarded(super().executescript, script)
 
 
-class _StagedUpload:
-    """One in-flight chunked result upload spooled under ``staging/``.
-
-    Holds the open spool file and the running offset/sha256 state, so a
-    chunk costs one verified append -- the upload is never buffered
-    whole.  Lives only in the coordinator process's memory; after a
-    restart the worker's next out-of-order chunk gets ``bad_offset``
-    with ``expected 0`` and the client restarts the upload.
-    """
-
-    def __init__(self, path: str, lease_id: str) -> None:
-        self.path = path
-        self.lease_id = lease_id
-        self.fh = open(path, "wb")
-        self.assembler = ChunkAssembler(self.fh)
-
-    @property
-    def bytes_received(self) -> int:
-        return self.assembler.bytes_received
-
-    def close(self) -> None:
-        try:
-            self.fh.close()
-        except OSError:
-            pass
-
-
 class _Transition:
     """The audit records one write INSERTs on its connection -- a
     transaction's, announced by :meth:`JobStore._transaction` after
@@ -225,11 +196,8 @@ class JobStore:
         self.workdir = os.fspath(workdir)
         os.makedirs(self.workdir, exist_ok=True)
         self.db_path = os.path.join(self.workdir, "jobs.sqlite")
-        self.staging_dir = os.path.join(self.workdir, "staging")
         self.busy_timeout = busy_timeout
         self._local = threading.local()
-        self._staging: dict[str, _StagedUpload] = {}
-        self._staging_lock = threading.Lock()
         #: Callback fired (outside any transaction) after a job commits a
         #: terminal transition.  The DAG resolver hangs off this to
         #: release or cancel dependent jobs event-driven; see
@@ -633,7 +601,6 @@ class JobStore:
                     (lease.id, lease.worker, lease.created, lease.expires),
                 )
         for job in done:
-            self.discard_staged(job.id)
             self._fire_terminal(job)
         return (lease if jobs else None), jobs
 
@@ -717,7 +684,6 @@ class JobStore:
                 (job.state.value, result_key, now, job_id),
             )
             tx.log(job_id, "done", state=job.state.value, lease=lease_id)
-        self.discard_staged(job_id)
         self._fire_terminal(job)
         return job
 
@@ -753,7 +719,6 @@ class JobStore:
                    "requeued" if job.state is JobState.PENDING else "failed",
                    state=job.state.value, lease=lease_id,
                    error=error.splitlines()[-1][:200] if error else "")
-        self.discard_staged(job_id)
         self._fire_terminal(job)
         return job
 
@@ -807,119 +772,10 @@ class JobStore:
             if dead:
                 conn.execute("DELETE FROM leases WHERE expires <= ?", (now,))
         for job in recovered:
-            # A dead worker's half-uploaded result must not outlive its
-            # lease: the requeued job will stream a fresh one.
-            self.discard_staged(job.id)
             # Only jobs FAILED here (retry budget spent) are terminal;
             # requeued ones stay active, so their children stay BLOCKED.
             self._fire_terminal(job)
         return recovered
-
-    # -- staged result uploads (chunk streaming) -------------------------
-
-    def _check_lease_owns(self, job_id: str, lease_id: str) -> Job:
-        """Read-side lease guard for staging calls (no transaction)."""
-        job = self.get(job_id)
-        if job.state is JobState.RUNNING and job.lease_id == lease_id:
-            return job
-        if job.state is JobState.RUNNING and job.lease_id:
-            raise LeaseConflictError(
-                f"job {job_id} is held by lease {job.lease_id},"
-                f" not {lease_id}"
-            )
-        raise LeaseExpiredError(
-            f"lease {lease_id} no longer holds job {job_id}"
-            f" (state {job.state.value})"
-        )
-
-    def staged_path(self, job_id: str) -> str:
-        return os.path.join(self.staging_dir, f"{job_id}.part")
-
-    def stage_chunk(self, job_id: str, lease_id: str, offset: int,
-                    sha256: str, data: bytes,
-                    now: float | None = None) -> int:
-        """Verify and spool one uploaded chunk; returns bytes staged.
-
-        Chunks must arrive in order, each hashing to its declared
-        sha256, under a lease that still owns the job.  ``offset == 0``
-        always (re)starts the upload -- a retrying worker or one talking
-        to a restarted coordinator truncates any stale spool and begins
-        fresh.  Chunks are appended to ``staging/<job_id>.part``; the
-        upload is never held in memory.
-        """
-        now = time.time() if now is None else now
-        self.expire_leases(now=now)
-        self._check_lease_owns(job_id, lease_id)
-        with self._staging_lock:
-            staged = self._staging.get(job_id)
-            if offset == 0:
-                if staged is not None:
-                    staged.close()
-                os.makedirs(self.staging_dir, exist_ok=True)
-                staged = _StagedUpload(self.staged_path(job_id), lease_id)
-                self._staging[job_id] = staged
-                self._event(job_id, "stream_started", lease=lease_id)
-            elif staged is None:
-                raise ChunkOffsetError(
-                    f"no staged upload for job {job_id}"
-                    f" (expected offset 0, got {offset})"
-                )
-            received = staged.assembler.feed(offset, data, sha256)
-            staged.lease_id = lease_id
-            staged.fh.flush()
-            return received
-
-    def finish_staged(self, job_id: str, lease_id: str, size: int,
-                      sha256: str,
-                      now: float | None = None) -> str:
-        """Verify a completed upload; returns the spooled file's path.
-
-        The caller (the service facade) promotes the file into the
-        result cache and then completes the lease.  On any verification
-        failure the spool is discarded -- the worker must restart from
-        offset 0.
-        """
-        now = time.time() if now is None else now
-        self.expire_leases(now=now)
-        self._check_lease_owns(job_id, lease_id)
-        with self._staging_lock:
-            staged = self._staging.pop(job_id, None)
-            if staged is None:
-                raise ChunkOffsetError(
-                    f"no staged upload to finish for job {job_id}"
-                )
-            try:
-                staged.assembler.finish(size, sha256)
-            except BaseException:
-                staged.close()
-                self._unlink_spool(job_id)
-                raise
-            staged.close()
-        self._event(job_id, "stream_finished", lease=lease_id, size=size)
-        return staged.path
-
-    def discard_staged(self, job_id: str) -> bool:
-        """Drop any staged upload for ``job_id`` (registry + spool file).
-
-        Returns True when something was removed.  Called by the
-        lease-expiry sweep (a dead worker's partial upload must not
-        outlive its lease) and by terminal job transitions.
-        """
-        with self._staging_lock:
-            staged = self._staging.pop(job_id, None)
-            if staged is not None:
-                staged.close()
-            removed = self._unlink_spool(job_id)
-        if staged is not None or removed:
-            self._event(job_id, "stream_discarded")
-        return staged is not None or removed
-
-    def _unlink_spool(self, job_id: str) -> bool:
-        try:
-            os.unlink(self.staged_path(job_id))
-            return True
-        except OSError:
-            return False
 
     def get_lease(self, lease_id: str) -> Lease | None:
         """The lease row, if it still exists (expired rows are swept)."""

@@ -187,41 +187,28 @@ class EventView:
 
 @dataclasses.dataclass(frozen=True)
 class ResultView:
-    """One job's result envelope: the job view plus readiness + payload.
-
-    A result larger than the service's inline threshold does not travel
-    in the envelope: ``ready`` is True, ``result`` is None, and
-    ``stream`` carries ``{"size", "sha256"}`` so the client can fetch
-    the bytes through the ranged chunk endpoint.  ``stream`` is omitted
-    from the wire dict entirely for inline results, keeping the
-    historical three-key envelope byte-for-byte.
-    """
+    """One job's result envelope: the job view plus readiness + payload."""
 
     job: JobView
     ready: bool
     result: dict | None
-    stream: dict | None = None
 
     @property
     def state(self) -> str:
         return self.job.state
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "job": self.job.to_dict(),
             "ready": self.ready,
             "result": self.result,
         }
-        if self.stream is not None:
-            out["stream"] = dict(self.stream)
-        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ResultView":
         return cls(
             job=JobView.from_dict(data["job"]),
             ready=data["ready"], result=data["result"],
-            stream=data.get("stream"),
         )
 
 

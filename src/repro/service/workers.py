@@ -90,8 +90,8 @@ from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Callable
 
 from ..config import BcastVariant, PerfConfig, Schedule, SwapVariant
-from ..errors import (ConfigError, LeaseConflictError, ServiceError,
-                      UnknownJobError, UnknownJobKindError)
+from ..errors import (ConfigError, LeaseConflictError, ResultTooLargeError,
+                      ServiceError, UnknownJobError, UnknownJobKindError)
 from .dag import has_placeholders, needs_parent_results, resolve_payload
 from .jobs import Job, JobState
 
@@ -548,15 +548,16 @@ class WorkerPool:
         """Call the coordinator, retrying transient failures.
 
         Lease/job-state rejections (``lease_expired``, ``conflict``,
-        ``unknown_job``) are *not* transient and re-raise immediately;
-        anything else service-shaped (an unreachable server, a wedged
-        store) is retried with exponential backoff and then re-raised.
+        ``unknown_job``) and an oversized result (``too_large``) are
+        *not* transient and re-raise immediately; anything else
+        service-shaped (an unreachable server, a wedged store) is
+        retried with exponential backoff and then re-raised.
         """
         delay = 0.1
         for attempt in range(attempts):
             try:
                 return fn(*args, **kwargs)
-            except (LeaseConflictError, UnknownJobError):
+            except (LeaseConflictError, UnknownJobError, ResultTooLargeError):
                 raise
             except ServiceError:
                 if attempt == attempts - 1:
@@ -606,10 +607,16 @@ class WorkerPool:
                 attempts: int = 4) -> None:
         try:
             if error is None and result is not None:
-                self._with_retries(self.coordinator.complete_job, job.id,
-                                   lease_id, result, attempts=attempts)
-                summary.completed += 1
-                return
+                try:
+                    self._with_retries(self.coordinator.complete_job, job.id,
+                                       lease_id, result, attempts=attempts)
+                except ResultTooLargeError as exc:
+                    # The same result would be refused again: the
+                    # attempt failed, with the refusal as its error.
+                    error = str(exc)
+                else:
+                    summary.completed += 1
+                    return
             view = self._with_retries(
                 self.coordinator.fail_job, job.id, lease_id,
                 error or "worker child died without reporting",
@@ -706,8 +713,7 @@ class WorkerPool:
 
         A leased job's parents are all DONE (the coordinator only
         releases it then), so their results are one ``result`` call
-        each; the facade resolves chunk-streamed results
-        transparently.  A missing result raises :class:`ServiceError`
+        each.  A missing result raises :class:`ServiceError`
         and the attempt is failed back to the coordinator through the
         retry policy.
         """

@@ -109,15 +109,11 @@ def _repro_process(*args) -> subprocess.Popen:
     )
 
 
-def start_serve(workdir, *, workers: int = 0, port: int = 0,
-                inline_max: int | None = None) -> tuple[subprocess.Popen,
-                                                         str]:
+def start_serve(workdir, *, workers: int = 0,
+                port: int = 0) -> tuple[subprocess.Popen, str]:
     """A ``repro serve`` subprocess and its URL (read off its banner)."""
-    args = ["serve", "--workdir", workdir, "--port", port,
-            "--workers", workers, "--backoff", "0.01"]
-    if inline_max is not None:
-        args += ["--inline-max", inline_max]
-    proc = _repro_process(*args)
+    proc = _repro_process("serve", "--workdir", workdir, "--port", port,
+                          "--workers", workers, "--backoff", "0.01")
     line = proc.stdout.readline()
     url = next(tok for tok in line.split() if tok.startswith("http://"))
     return proc, url

@@ -385,10 +385,10 @@ class TestWorkersEndToEnd:
         summary = svc.run_workers(WorkerOptions(n=2, drain=True))
         assert summary.counts["DONE"] == 5
         assert summary.counts["FAILED"] == 0
-        reduced = svc.result_view(pick).result
+        reduced = svc.result(pick).result
         assert reduced["value"] == 5
         assert reduced["winner_payload"]["tag"] == 5
-        assert svc.result_view(study).result == {"tag": 5, "x": 7}
+        assert svc.result(study).result == {"tag": 5, "x": 7}
 
     def test_reduce_with_min_mode(self, tmp_path):
         svc = Service(tmp_path / "svc")
@@ -397,7 +397,7 @@ class TestWorkersEndToEnd:
         pick = svc.submit("reduce", {"metric": "tag", "mode": "min"},
                           depends_on=grid).new[0]
         svc.run_workers(WorkerOptions(n=2, drain=True))
-        assert svc.result_view(pick).result["value"] == 2
+        assert svc.result(pick).result["value"] == 2
 
     def test_reduce_without_parents_fails_cleanly(self, tmp_path):
         svc = Service(tmp_path / "svc")

@@ -18,7 +18,7 @@ import urllib.request
 import pytest
 
 from repro.errors import BadCursorError, EventsTruncatedError
-from repro.service import JobStore
+from repro.service import JobStore, Service
 from repro.service.events import encode_cursor, encode_queue_cursor
 from repro.service.http import (
     AsyncServiceClient,
@@ -336,3 +336,40 @@ class TestWatchAndWait:
             views = await ac.wait([jid], timeout=30.0)
             assert views[jid].state == "DONE"
         asyncio.run(run())
+
+
+class TestEarlierReleaseStreamRows:
+    """An earlier release logged ``stream_started`` / ``stream_finished``
+    around a chunk-uploaded result.  This one never writes them, and
+    reads a log holding them like any other: replayed in id order,
+    implying no state, invisible to ``wait``."""
+
+    def test_stream_rows_replay_and_watch_is_unaffected(self, tmp_path):
+        svc = Service(tmp_path / "svc")
+        jid = svc.submit("probe", {"behavior": "ok"}).new[0]
+        lease, _ = svc.claim_jobs("old-release", n=1)
+        svc.store._event(jid, "stream_started", lease=lease.id)
+        svc.store._event(jid, "stream_finished", lease=lease.id, size=2048)
+        svc.complete_job(jid, lease.id, {"ok": True})
+        svc.store.close()
+        lifecycle = ["submitted", "claimed", "launched", "stream_started",
+                     "stream_finished", "done"]
+        with ServiceHTTPServer(tmp_path / "svc", workers=1,
+                               backoff_base=0.01) as srv:
+            client = ServiceClient(srv.url)
+            begin, _, _ = client.events(cursor="begin")
+            assert [v.kind for v in begin] == lifecycle
+            mine, _, _ = client.events(cursor="begin", job_ids=[jid])
+            assert mine == begin
+            assert [v.state for v in mine[3:5]] == ["", ""]
+            watched = list(client.watch([jid], timeout=30.0))
+            assert [v.kind for v in watched] == lifecycle
+            views = client.wait([jid], timeout=30.0)
+            assert views[jid].result == {"ok": True}
+            # A job run by this release logs no stream rows.
+            fresh = client.submit("probe", {"behavior": "ok", "tag": 1}
+                                  ).new[0]
+            assert client.wait([fresh], timeout=30.0)[fresh].ready
+            kinds = [v.kind for v in
+                     client.events(cursor="begin", job_ids=[fresh])[0]]
+            assert kinds == ["submitted", "claimed", "launched", "done"]

@@ -17,8 +17,6 @@ from __future__ import annotations
 import asyncio
 import http.client
 import inspect
-import hashlib
-import io
 import json
 import random
 import signal
@@ -39,6 +37,7 @@ from repro.errors import (
     LeaseExpiredError,
     MalformedRequestError,
     ReproError,
+    ResultTooLargeError,
     ServiceError,
     UnknownJobError,
     UnknownJobKindError,
@@ -46,6 +45,7 @@ from repro.errors import (
 )
 from repro.service import (JobState, JobView, QueuePage, Service,
                            ServiceFacade, SubmitReceipt, Sweep)
+from repro.service.api import MAX_BODY_BYTES
 from repro.service.http import (
     AsyncServiceClient,
     ServiceClient,
@@ -61,9 +61,9 @@ pytestmark = pytest.mark.dedicated
 #: answers itself (the derived calls are inherited from the base).
 FACADE_CALLS = (
     "submit", "submit_many", "submit_sweep", "submit_campaign", "status",
-    "job", "result_view", "read_result_chunk", "cancel_job", "campaign",
-    "campaigns", "campaign_dag", "events", "healthz", "claim_jobs",
-    "heartbeat", "complete_job", "fail_job",
+    "job", "result", "cancel_job", "campaign", "campaigns",
+    "campaign_dag", "events", "healthz", "claim_jobs", "heartbeat",
+    "complete_job", "fail_job",
 )
 
 SIM_SWEEP = Sweep(
@@ -263,6 +263,12 @@ _BODY_FRAMING = [
      400, "malformed", False),
     (b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: -5\r\n\r\n",
      400, "malformed", False),
+    # A body over the cap is refused unread (declared, never sent).
+    (b"POST /v1/jobs/nosuchjob/complete HTTP/1.1\r\nHost: t\r\n"
+     b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1),
+     413, "too_large", False),
+    (b"GET /v1 HTTP/1.1\r\nHost: t\r\nContent-Length: 99999999999\r\n\r\n",
+     413, "too_large", False),
 ]
 
 
@@ -277,7 +283,8 @@ class TestKeptConnections:
     @pytest.mark.parametrize(
         "request_, status, code, survives", _BODY_FRAMING,
         ids=["unread-no-route", "unread-cancel", "unread-long",
-             "length-junk", "length-negative"])
+             "length-junk", "length-negative", "length-over-cap",
+             "length-huge"])
     def test_a_bad_request_never_poisons_the_next(self, idle, request_,
                                                   status, code, survives):
         with socket.create_connection((idle.host, idle.port),
@@ -292,6 +299,16 @@ class TestKeptConnections:
         with socket.create_connection((idle.host, idle.port),
                                       timeout=10) as sock:
             assert _raw_exchange(sock, _GET_V1)[0] == 200
+
+    def test_the_client_refuses_a_body_over_the_cap_unsent(self, idle):
+        """The server would hang up on it mid-send; the client raises
+        the same typed error instead, before a byte leaves."""
+        client = ServiceClient(idle.url)
+        with pytest.raises(ResultTooLargeError, match="request body"):
+            client.complete_job("nosuchjob", "l-1",
+                                {"blob": "x" * MAX_BODY_BYTES})
+        assert client.healthz()["http"] == {"connections": 1,
+                                            "requests": 1}
 
     def test_one_connection_per_client_thread(self, idle):
         client = ServiceClient(idle.url)
@@ -712,173 +729,6 @@ class TestMalformedLeaseParameters:
         assert service.store.get_lease(held.id).expires == held.expires
 
 
-@pytest.fixture
-def stream_server(tmp_path):
-    """A no-pool server with a tiny inline threshold (512 bytes).
-
-    Any result over ~half a KB crosses the wire as chunks, so the
-    streaming contract is exercised with small payloads.
-    """
-    with ServiceHTTPServer(tmp_path / "svc", workers=0,
-                           inline_max=512) as srv:
-        yield srv
-
-
-def _post_chunk(url: str, jid: str, lease: str, offset: int,
-                data: bytes, sha256: str | None = None):
-    """Raw chunk POST, bypassing the client's own framing."""
-    sha256 = sha256 or hashlib.sha256(data).hexdigest()
-    request = urllib.request.Request(
-        f"{url}/v1/jobs/{jid}/result/chunks"
-        f"?lease={lease}&offset={offset}&sha256={sha256}",
-        data=data, method="POST",
-        headers={"Content-Type": "application/octet-stream"},
-    )
-    return urllib.request.urlopen(request, timeout=10)
-
-
-class TestStreamingWireContract:
-    """The chunk endpoints' v1 contract."""
-
-    BIG = {"tag": "big", "blob": "z" * 4000}      # ~4 KB encoded: streams
-    SMALL = {"tag": "small", "ok": True}          # well under 512: inline
-
-    def _completed(self, server, result, tag) -> tuple[ServiceClient, str]:
-        c = ServiceClient(server.url, inline_max=512, chunk_size=256)
-        jid = c.submit("probe", {"tag": tag}).new[0]
-        lease, jobs = c.claim_jobs("w", n=1, ttl=30.0)
-        assert [j.id for j in jobs] == [jid]
-        c.complete_job(jid, lease.id, result)
-        return c, jid
-
-    def test_inline_result_envelope_is_byte_compatible(self, stream_server):
-        """Sub-threshold results keep the exact pre-streaming envelope:
-        {"job", "ready", "result"} and nothing else -- no ``stream``
-        key ever appears on the inline path.
-        """
-        c, jid = self._completed(stream_server, self.SMALL, "small")
-        with urllib.request.urlopen(
-                stream_server.url + f"/v1/jobs/{jid}/result",
-                timeout=10) as resp:
-            body = json.loads(resp.read())
-        assert set(body) == {"job", "ready", "result"}
-        assert body["ready"] is True
-        assert body["result"] == self.SMALL
-
-    def test_streamed_and_inline_results_are_client_identical(
-            self, stream_server):
-        """Over-threshold results swap the inline body for a ``stream``
-        descriptor on the wire, but the client view is identical in
-        shape to the inline one: parity is the whole point.
-        """
-        c, jid = self._completed(stream_server, self.BIG, "big")
-        with urllib.request.urlopen(
-                stream_server.url + f"/v1/jobs/{jid}/result",
-                timeout=10) as resp:
-            body = json.loads(resp.read())
-        assert set(body) == {"job", "ready", "result", "stream"}
-        assert body["result"] is None
-        encoded = json.dumps(self.BIG, sort_keys=True,
-                             separators=(",", ":")).encode()
-        assert body["stream"] == {
-            "size": len(encoded),
-            "sha256": hashlib.sha256(encoded).hexdigest(),
-        }
-        view = c.result(jid)
-        assert view.stream is None          # resolved transparently
-        assert view.ready is True
-        assert view.result == self.BIG
-        _, jid_small = self._completed(stream_server, self.SMALL, "small")
-        assert set(view.to_dict()) == set(c.result(jid_small).to_dict())
-        # The in-process backend answers the same calls the same way.
-        service = stream_server.service
-        assert service.result_view(jid).to_dict() == body
-        for any_jid in (jid, jid_small):
-            assert service.result(any_jid) == c.result(any_jid)
-            local, remote = io.BytesIO(), io.BytesIO()
-            assert service.download_result(any_jid, local) == \
-                c.download_result(any_jid, remote)
-            assert local.getvalue() == remote.getvalue()
-
-    def test_mid_stream_lease_expiry_is_409_lease_expired(
-            self, stream_server):
-        c = ServiceClient(stream_server.url, inline_max=512)
-        jid = c.submit("probe", {"tag": "expire-mid-stream"}).new[0]
-        lease, jobs = c.claim_jobs("w", n=1, ttl=5.0)
-        assert [j.id for j in jobs] == [jid]
-        _post_chunk(stream_server.url, jid, lease.id, 0, b"x" * 256)
-        # Force the sweep past the TTL: the half-uploaded stream's
-        # lease lapses and the job is requeued under the uploader.
-        stream_server.service.store.expire_leases(now=time.time() + 6.0)
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post_chunk(stream_server.url, jid, lease.id, 256, b"y" * 256)
-        assert excinfo.value.code == 409
-        assert json.loads(excinfo.value.read())["error"]["code"] == \
-            "lease_expired"
-
-    def test_out_of_order_offset_is_422_bad_offset(self, stream_server):
-        c = ServiceClient(stream_server.url, inline_max=512)
-        jid = c.submit("probe", {"tag": "bad-offset"}).new[0]
-        lease, jobs = c.claim_jobs("w", n=1, ttl=30.0)
-        assert [j.id for j in jobs] == [jid]
-        # No upload in flight yet: anything but offset 0 is rejected.
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post_chunk(stream_server.url, jid, lease.id, 512, b"x" * 64)
-        assert excinfo.value.code == 422
-        assert json.loads(excinfo.value.read())["error"]["code"] == \
-            "bad_offset"
-        # Mid-stream: a skipped offset is rejected, the prefix survives.
-        _post_chunk(stream_server.url, jid, lease.id, 0, b"x" * 64)
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post_chunk(stream_server.url, jid, lease.id, 128, b"y" * 64)
-        assert excinfo.value.code == 422
-        assert json.loads(excinfo.value.read())["error"]["code"] == \
-            "bad_offset"
-        body = json.loads(_post_chunk(stream_server.url, jid, lease.id,
-                                      64, b"y" * 64).read())
-        assert body == {"job_id": jid, "received": 128}
-
-    def test_corrupt_chunk_is_422_bad_chunk(self, stream_server):
-        c = ServiceClient(stream_server.url, inline_max=512)
-        jid = c.submit("probe", {"tag": "bad-chunk"}).new[0]
-        lease, jobs = c.claim_jobs("w", n=1, ttl=30.0)
-        assert [j.id for j in jobs] == [jid]
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post_chunk(stream_server.url, jid, lease.id, 0, b"flipped",
-                        sha256=hashlib.sha256(b"original").hexdigest())
-        assert excinfo.value.code == 422
-        assert json.loads(excinfo.value.read())["error"]["code"] == \
-            "bad_chunk"
-
-    def test_chunk_routes_for_unknown_job_are_404(self, stream_server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post_chunk(stream_server.url, "deadbeef0000", "l", 0, b"x")
-        assert excinfo.value.code == 404
-        assert json.loads(excinfo.value.read())["error"]["code"] == \
-            "unknown_job"
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(
-                stream_server.url
-                + "/v1/jobs/deadbeef0000/result/chunks?offset=0&length=64",
-                timeout=10)
-        assert excinfo.value.code == 404
-
-    def test_cli_results_output_streams_both_paths_to_file(
-            self, stream_server, tmp_path):
-        """`repro results --output FILE` writes one JSON object whose
-        values are the exact results, whether they streamed or not.
-        """
-        _, jid_big = self._completed(stream_server, self.BIG, "big")
-        _, jid_small = self._completed(stream_server, self.SMALL, "small")
-        out = tmp_path / "results.json"
-        rc = main(["results", "--url", stream_server.url,
-                   "--output", str(out), jid_big, jid_small])
-        assert rc == 0
-        with open(out, "rb") as fh:
-            written = json.load(fh)
-        assert written == {jid_big: self.BIG, jid_small: self.SMALL}
-
-
 class TestAsyncClient:
     def test_wait_timeout_raises_with_outstanding_ids(self, tmp_path):
         # No pool: the job never finishes, so wait() must time out.
@@ -929,7 +779,7 @@ class TestAsyncClient:
         for name in FACADE_CALLS:
             assert inspect.signature(getattr(Service, name)) == \
                 inspect.signature(getattr(ServiceClient, name)), name
-        for name in ("counts", "result", "download_result", "watch", "wait"):
+        for name in ("counts", "watch", "wait"):
             assert getattr(Service, name) is getattr(ServiceClient, name) \
                 is getattr(ServiceFacade, name), name
 

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 
 from repro.service import JobState, ResultCache, Service, Sweep, payload_key
 
@@ -48,29 +45,6 @@ class TestResultCache:
         assert cache.get(key)["result"] == {"v": 2}
         assert len(cache) == 1
 
-    def test_large_result_spills_to_a_blob_and_round_trips(self, tmp_path):
-        """put() past inline_max writes a sidecar blob; get() is
-        indistinguishable from the inline path, and the record carries
-        a size/sha descriptor instead of the result body.
-        """
-        cache = ResultCache(tmp_path, inline_max=64)
-        key = payload_key("sim", {"n": 1})
-        big = {"blob": "y" * 500}
-        cache.put(key, "sim", {"n": 1}, big)
-        assert cache.get(key)["result"] == big
-        info = cache.result_info(key)
-        assert info["inline"] is False and info["size"] > 64
-        fh, size = cache.open_result(key)
-        try:
-            raw = fh.read()
-        finally:
-            fh.close()
-        assert len(raw) == size == info["size"]
-        assert hashlib.sha256(raw).hexdigest() == info["sha256"]
-        assert json.loads(raw) == big
-        # Blob sidecars are storage detail, not cache entries.
-        assert len(cache) == 1
-
 
 class TestCorruptionRecovery:
     """Regression: a half-written or corrupted cache file is a MISS.
@@ -95,9 +69,6 @@ class TestCorruptionRecovery:
         with open(path, "wb") as fh:
             fh.write(whole[:len(whole) // 2])  # torn write
         assert cache.get(key) is None
-        assert cache.meta(key) is None
-        assert cache.result_info(key) is None
-        assert cache.open_result(key) is None
 
     def test_garbage_record_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -115,14 +86,6 @@ class TestCorruptionRecovery:
         assert cache.get(key) is None
         cache.put(key, "fact", FACT_PAYLOAD, {"score": 2.5})
         assert cache.get(key)["result"] == {"score": 2.5}
-
-    def test_missing_or_corrupt_blob_sidecar_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path, inline_max=16)
-        key = payload_key("sim", {"n": 2})
-        cache.put(key, "sim", {"n": 2}, {"blob": "y" * 200})
-        os.unlink(cache._blob_path(key))
-        assert cache.get(key) is None
-        assert cache.open_result(key) is None
 
 
 class TestSubmitTimeReuse:

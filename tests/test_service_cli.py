@@ -67,7 +67,7 @@ def _read(argv, workdir, server, capsys, header: int = 0):
 
 class TestEndToEnd:
     def test_sweep_submit_workers_results(self, target, workdir, server,
-                                          capsys, tmp_path):
+                                          capsys):
         """Acceptance: an 8-point sweep completes end-to-end."""
         out = _submit(target, capsys)
         assert "submitted 8 new job(s)" in out
@@ -86,22 +86,28 @@ class TestEndToEnd:
                            capsys, header=1)
         assert "showing 3 of 8" in out and "--cursor " in out
 
+        # ``--json`` prints the same bytes on either backend.
         rc, out, _ = _read(["results", "--json"], workdir, server, capsys)
         assert rc == 0
         results = json.loads(out)
         assert len(results) == 8
         assert all(r["score_tflops"] > 0 for r in results.values())
 
-        # ``-o`` streams through download_result on either backend.
-        files = {flag: tmp_path / f"results{flag}.json"
-                 for flag in ("--workdir", "--url")}
-        assert main(["results", "--workdir", workdir,
-                     "-o", str(files["--workdir"])]) == 0
-        assert main(["results", "--url", server.url,
-                     "-o", str(files["--url"])]) == 0
-        assert files["--url"].read_bytes() == \
-            files["--workdir"].read_bytes()
-        assert json.loads(files["--url"].read_bytes()) == results
+        # A job without a result is a null and exit 1, as in the plain
+        # form; the bytes printed are still the same on both backends.
+        assert main(["submit", *target, "--kind", "sim", "-N", "2048",
+                     "-NB", "128", "-P", "2", "-Q", "2"]) == 0
+        pending = capsys.readouterr().out.split("queued")[1].split()[0]
+        done = sorted(results)[0]
+        rc, out, _ = _read(["results", "--json", done, pending], workdir,
+                           server, capsys)
+        assert rc == 1
+        assert out == json.dumps({done: results[done], pending: None},
+                                 indent=2, sort_keys=True) + "\n"
+        rc, out, _ = _read(["results", done, pending], workdir, server,
+                           capsys)
+        assert rc == 1
+        assert f"{pending}: (no result yet)" in out
 
     def test_resubmitted_sweep_is_all_cache_hits(self, target, capsys):
         _submit(target, capsys)
@@ -145,9 +151,9 @@ class TestUnknownJobIds:
         assert rc == 2
         assert captured.err == "error: no such job: nosuchjob\n"
 
-    def test_results_on_unknown_id_exits_2(self, target, tmp_path, capsys):
+    def test_results_on_unknown_id_exits_2(self, target, capsys):
         _submit(target, capsys)
-        for how in ([], ["-o", str(tmp_path / "out.json")]):
+        for how in ([], ["--json"]):
             rc = main(["results", *target, "nosuchjob", *how])
             captured = capsys.readouterr()
             assert rc == 2

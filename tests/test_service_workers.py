@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.config import canonical_json
 from repro.errors import ServiceError
 from repro.service import (
     Job,
@@ -32,6 +33,7 @@ from repro.service import (
     register_runner,
 )
 from repro.service import workers
+from repro.service.api import MAX_RESULT_BYTES
 from repro.service.http import ServiceClient, ServiceHTTPServer
 from repro.service.workers import (
     RUNNERS,
@@ -214,8 +216,10 @@ class TestParentLookup:
 
 
 #: A result larger than the OS pipe buffer: the child blocks in ``send``
-#: until the supervisor drains the ready pipe of a live child.
-_BLOB = "x" * (1 << 20)
+#: until the supervisor drains the ready pipe of a live child.  It is
+#: the largest result the service accepts (``{"blob": _BLOB}`` encodes
+#: to exactly ``MAX_RESULT_BYTES``).
+_BLOB = "x" * (MAX_RESULT_BYTES - len('{"blob":""}'))
 
 
 def _ok(tag: int) -> dict:
@@ -326,6 +330,55 @@ def _resident(pool):
 #: Far longer than any bound below: whatever finishes in time was not
 #: found by the idle tick.
 _SLOW_TICK = {"drain": False, "poll_interval": 5.0}
+
+
+class TestResultSizeLimit:
+    """Every result travels inline: one whose canonical encoding is over
+    ``MAX_RESULT_BYTES`` is a typed, non-transient failure of its
+    attempt -- never a retry loop, a lost report or a cache entry."""
+
+    @staticmethod
+    def _echo(service, size: int, **options) -> tuple[str, dict]:
+        """A probe echo whose result encodes to ``size`` bytes."""
+        result = {"blob": ""}
+        result["blob"] = "x" * (size - len(canonical_json(result)))
+        return service.submit("probe", {"behavior": "echo", **result},
+                              **options).new[0], result
+
+    def test_oversized_result_fails_every_attempt_typed(
+            self, service, drain, monkeypatch):
+        reports = []
+        complete = Service.complete_job
+
+        def counted(self, *args):
+            reports.append(args[0])
+            return complete(self, *args)
+
+        monkeypatch.setattr(Service, "complete_job", counted)
+        jid, _ = self._echo(service, MAX_RESULT_BYTES + 1, max_retries=1)
+        summary = drain(n=1)
+        assert reports == [jid, jid]  # one per attempt, none retried
+        assert summary.lost == 0 and summary.completed == 0
+        assert summary.retried == 1 and summary.failed == 1
+        job = service.store.get(jid)
+        assert job.state is JobState.FAILED and job.attempts == 2
+        assert job.error == (f"result of {MAX_RESULT_BYTES + 1} bytes"
+                             f" exceeds the {MAX_RESULT_BYTES}-byte limit")
+        kinds = [e["event"] for e in service.store.events()
+                 if e["job"] == jid]
+        assert kinds == ["submitted", "claimed", "launched", "requeued",
+                         "claimed", "launched", "failed"]
+        assert job.key not in service.cache
+
+    def test_result_one_byte_under_the_limit_round_trips(
+            self, service, drain, backend):
+        jid, result = self._echo(service, MAX_RESULT_BYTES - 1)
+        summary = drain(n=1)
+        assert summary.completed == 1 and summary.lost == 0
+        view = backend.result(jid)
+        assert view.ready and view.state == "DONE"
+        assert canonical_json(view.result) == canonical_json(result)
+        assert len(canonical_json(view.result)) == MAX_RESULT_BYTES - 1
 
 
 class TestEventDrivenPool:
@@ -473,6 +526,10 @@ class TestParentLookupOverHTTP(TestParentLookup):
 
 
 class TestChildLifecycleOverHTTP(TestChildLifecycle):
+    transport = "http"
+
+
+class TestResultSizeLimitOverHTTP(TestResultSizeLimit):
     transport = "http"
 
 
