@@ -61,7 +61,9 @@ class ResultCache:
         return record
 
     def __contains__(self, key: str) -> bool:
-        return os.path.exists(self._path(key))
+        # A hit is a record get() can serve: submit- and claim-time
+        # reuse trust this, so a torn record must not count.
+        return self.get(key) is not None
 
     def _write_record(self, path: str, record: dict) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -83,7 +85,11 @@ class ResultCache:
         return record
 
     def __len__(self) -> int:
+        # A record is ``<key>.json``: a file with any other dotted name
+        # (an earlier release's ``<key>.result.json`` sidecar) is not
+        # an entry.
         total = 0
         for _, _, files in os.walk(self.root):
-            total += sum(1 for f in files if f.endswith(".json"))
+            total += sum(1 for f in files
+                         if f.endswith(".json") and f.count(".") == 1)
         return total

@@ -45,7 +45,7 @@ from repro.errors import (
 )
 from repro.service import (JobState, JobView, QueuePage, Service,
                            ServiceFacade, SubmitReceipt, Sweep)
-from repro.service.api import MAX_BODY_BYTES
+from repro.service.api import MAX_BODY_BYTES, MAX_RESULT_BYTES
 from repro.service.http import (
     AsyncServiceClient,
     ServiceClient,
@@ -490,6 +490,109 @@ class TestWireErrorContract:
         # The right lease still works afterwards, on every job.
         for jid in ids:
             assert c.complete_job(jid, lease.id, {"ok": True}).state == "DONE"
+
+
+def _get_json(url: str) -> dict:
+    with urllib.request.urlopen(url, timeout=10) as resp:
+        return json.loads(resp.read())
+
+
+class TestResultWireContract:
+    """``GET /v1/jobs/{id}/result`` is one inline envelope, and
+    ``complete`` is the only way a result reaches the coordinator."""
+
+    RESULT = {"tag": "small", "ok": True}
+
+    def _leased(self, server, tag, ttl: float = 30.0):
+        c = ServiceClient(server.url)
+        jid = c.submit("probe", {"tag": tag}).new[0]
+        lease, jobs = c.claim_jobs("w", n=1, ttl=ttl)
+        assert [j.id for j in jobs] == [jid]
+        return c, jid, lease
+
+    def test_a_ready_result_is_job_ready_result(self, idle_server):
+        c, jid, lease = self._leased(idle_server, "ready")
+        c.complete_job(jid, lease.id, self.RESULT)
+        body = _get_json(idle_server.url + f"/v1/jobs/{jid}/result")
+        assert set(body) == {"job", "ready", "result"}
+        assert body["ready"] is True and body["result"] == self.RESULT
+        assert body["job"]["state"] == "DONE"
+
+    def test_a_pending_result_has_the_same_keys(self, idle_server):
+        jid = ServiceClient(idle_server.url).submit(
+            "probe", {"tag": "pending"}).new[0]
+        body = _get_json(idle_server.url + f"/v1/jobs/{jid}/result")
+        assert set(body) == {"job", "ready", "result"}
+        assert body["ready"] is False and body["result"] is None
+        assert body["job"]["state"] == "PENDING"
+
+    def test_both_backends_answer_result_identically(self, idle_server):
+        c, done, lease = self._leased(idle_server, "done")
+        c.complete_job(done, lease.id, self.RESULT)
+        pending = c.submit("probe", {"tag": "still-pending"}).new[0]
+        service = idle_server.service
+        for jid in (done, pending):
+            wire = _get_json(idle_server.url + f"/v1/jobs/{jid}/result")
+            assert service.result(jid).to_dict() == wire
+            assert c.result(jid) == service.result(jid)
+
+    def test_complete_after_lease_expiry_is_409_lease_expired(
+            self, idle_server):
+        c, jid, lease = self._leased(idle_server, "expires", ttl=5.0)
+        # Force the sweep past the TTL: the job is requeued under the
+        # worker, whose late report must not land.
+        idle_server.service.store.expire_leases(now=time.time() + 6.0)
+        with pytest.raises(LeaseExpiredError):
+            c.complete_job(jid, lease.id, self.RESULT)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post_json(idle_server.url + f"/v1/jobs/{jid}/complete",
+                       {"lease": lease.id, "result": self.RESULT})
+        assert excinfo.value.code == 409
+        assert json.loads(excinfo.value.read())["error"]["code"] == \
+            "lease_expired"
+        assert c.job(jid).state == "PENDING"
+
+    def test_an_oversized_complete_is_413_and_keeps_the_lease(
+            self, idle_server):
+        c, jid, lease = self._leased(idle_server, "oversized")
+        big = {"blob": "x" * MAX_RESULT_BYTES}
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post_json(idle_server.url + f"/v1/jobs/{jid}/complete",
+                       {"lease": lease.id, "result": big})
+        assert excinfo.value.code == 413
+        error = json.loads(excinfo.value.read())["error"]
+        assert error["code"] == "too_large"
+        assert error["message"] == (
+            f"result of {MAX_RESULT_BYTES + 11} bytes exceeds the"
+            f" {MAX_RESULT_BYTES}-byte limit")
+        # Nothing was stored: the job is still leased, and a result
+        # that fits completes it under the same lease.
+        assert c.job(jid).state == "RUNNING"
+        assert c.result(jid).ready is False
+        assert c.complete_job(jid, lease.id, self.RESULT).state == "DONE"
+        assert c.result(jid).result == self.RESULT
+
+    @pytest.mark.parametrize("method, route", [
+        ("POST", "/v1/jobs/{jid}/result/chunks?lease=l&offset=0"),
+        ("POST", "/v1/jobs/{jid}/result/finish?lease=l"),
+        ("GET", "/v1/jobs/{jid}/result/chunks?offset=0&length=64"),
+    ], ids=["upload-chunk", "finish", "read-chunk"])
+    def test_a_result_chunk_route_is_404_unknown_route(
+            self, idle_server, method, route):
+        """An earlier release's chunked upload or ranged read gets a
+        typed 404, not a hang or a 500, and the job is untouched."""
+        c = ServiceClient(idle_server.url)
+        jid = c.submit("probe", {"tag": method + route}).new[0]
+        request = urllib.request.Request(
+            idle_server.url + route.format(jid=jid), method=method,
+            data=b"x" * 64 if method == "POST" else None,
+            headers={"Content-Type": "application/octet-stream"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 404
+        assert json.loads(excinfo.value.read())["error"]["code"] == \
+            "unknown_route"
+        assert c.job(jid).state == "PENDING"
 
 
 _OK_ITEM = {"kind": "probe", "payload": {"behavior": "ok"}}

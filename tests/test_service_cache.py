@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
 
+from repro.config import canonical_json
 from repro.service import JobState, ResultCache, Service, Sweep, payload_key
+from repro.service.api import MAX_RESULT_BYTES
 
 FACT_PAYLOAD = {"nb": 32, "thread_counts": [1, 2], "m_multiples": [1, 2]}
 
@@ -46,6 +50,68 @@ class TestResultCache:
         assert len(cache) == 1
 
 
+    def test_a_result_at_the_limit_is_one_inline_record(self, tmp_path):
+        """The largest accepted result round-trips through the record
+        itself: no second file is written beside it."""
+        cache = ResultCache(tmp_path)
+        key = payload_key("probe", {"n": 1})
+        big = {"blob": ""}
+        big["blob"] = "y" * (MAX_RESULT_BYTES - len(canonical_json(big)))
+        cache.put(key, "probe", {"n": 1}, big)
+        assert cache.get(key)["result"] == big
+        assert os.listdir(os.path.join(tmp_path, key[:2])) == \
+            [f"{key}.json"]
+        assert len(cache) == 1
+
+
+def _earlier_release_blob_record(cache, key: str, payload: dict,
+                                 kind: str = "probe") -> None:
+    """What an earlier release left for a result it streamed: a record
+    naming a ``<key>.result.json`` sidecar instead of the result."""
+    blob = json.dumps({"blob": "z" * 64}).encode()
+    shard = os.path.join(cache.root, key[:2])
+    os.makedirs(shard, exist_ok=True)
+    with open(os.path.join(shard, f"{key}.result.json"), "wb") as fh:
+        fh.write(blob)
+    with open(os.path.join(shard, f"{key}.json"), "w") as fh:
+        json.dump({"key": key, "kind": kind, "payload": payload,
+                   "result_blob": {"size": len(blob), "sha256": "0" * 64},
+                   "stored_at": 0.0}, fh)
+
+
+class TestEarlierReleaseFiles:
+    """A workdir written by a release that streamed large results is
+    left unread: its blob-backed records are misses, never half-hits."""
+
+    PAYLOAD = {"behavior": "ok", "tag": "streamed-once"}
+
+    def test_a_blob_backed_record_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = payload_key("probe", self.PAYLOAD)
+        _earlier_release_blob_record(cache, key, self.PAYLOAD)
+        assert cache.get(key) is None
+        assert key not in cache
+
+    def test_a_sidecar_is_not_a_cache_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = payload_key("probe", self.PAYLOAD)
+        _earlier_release_blob_record(cache, key, self.PAYLOAD)
+        assert len(cache) == 1
+        cache.put(key, "probe", self.PAYLOAD, {"ok": True})
+        assert len(cache) == 1
+
+    def test_a_blob_backed_job_is_rerun_not_served(self, tmp_path):
+        service = Service(tmp_path / "svc")
+        key = payload_key("fact", FACT_PAYLOAD)
+        _earlier_release_blob_record(service.cache, key, FACT_PAYLOAD,
+                                     kind="fact")
+        receipt = service.submit("fact", FACT_PAYLOAD)
+        assert receipt.new and not receipt.cached
+        assert service.run_workers(n=1, max_seconds=60).completed == 1
+        view = service.result(receipt.new[0])
+        assert view.ready and view.result == service.cache.get(key)["result"]
+
+
 class TestCorruptionRecovery:
     """Regression: a half-written or corrupted cache file is a MISS.
 
@@ -69,6 +135,19 @@ class TestCorruptionRecovery:
         with open(path, "wb") as fh:
             fh.write(whole[:len(whole) // 2])  # torn write
         assert cache.get(key) is None
+
+    def test_a_torn_record_is_rerun_not_served(self, tmp_path):
+        """Submit-time reuse must not serve a record get() cannot read:
+        that job would be DONE with a result never ready."""
+        service = Service(tmp_path / "svc")
+        key = self._put_one(service.cache)
+        with open(service.cache._path(key), "w") as fh:
+            fh.write("{torn")
+        assert key not in service.cache
+        receipt = service.submit("fact", FACT_PAYLOAD)
+        assert receipt.new and not receipt.cached
+        assert service.run_workers(n=1, max_seconds=60).completed == 1
+        assert service.result(receipt.new[0]).ready
 
     def test_garbage_record_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -170,6 +170,28 @@ class TestUnknownJobIds:
         assert some_id in out and "PENDING" in out
 
 
+class TestResultsExitCode:
+    """``results`` exits 1 while a requested job has no result, in the
+    plain form and under ``--json`` alike; stdout is unchanged."""
+
+    def test_json_on_pending_jobs_prints_nulls_and_exits_1(
+            self, target, capsys):
+        ids = [line.split()[1] for line in
+               _submit(target, capsys).splitlines()[1:]]
+        assert len(ids) == 8
+        rc = main(["results", *target, "--json", *ids])
+        assert rc == 1
+        assert capsys.readouterr().out == json.dumps(
+            dict.fromkeys(ids), indent=2, sort_keys=True) + "\n"
+
+    def test_json_with_no_done_jobs_is_empty_and_exits_0(
+            self, target, capsys):
+        """Without ids it reports DONE jobs only: none is not a miss."""
+        _submit(target, capsys)
+        assert main(["results", *target, "--json"]) == 0
+        assert capsys.readouterr().out == "{}\n"
+
+
 class TestSubmitValidation:
     def test_multi_value_axis_without_sweep_flag_is_rejected(
             self, workdir, capsys):

@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.config import canonical_json
-from repro.errors import ServiceError
+from repro.errors import ResultTooLargeError, ServiceError
 from repro.service import (
     Job,
     JobState,
@@ -379,6 +379,48 @@ class TestResultSizeLimit:
         assert view.ready and view.state == "DONE"
         assert canonical_json(view.result) == canonical_json(result)
         assert len(canonical_json(view.result)) == MAX_RESULT_BYTES - 1
+
+    def test_a_refused_result_stores_nothing_and_keeps_the_lease(
+            self, service, backend):
+        jid = backend.submit("probe", {"behavior": "ok"}).new[0]
+        lease, jobs = backend.claim_jobs("w", n=1, ttl=30.0)
+        assert [j.id for j in jobs] == [jid]
+        with pytest.raises(ResultTooLargeError, match="exceeds"):
+            backend.complete_job(jid, lease.id,
+                                 {"blob": "x" * MAX_RESULT_BYTES})
+        job = service.store.get(jid)
+        assert job.state is JobState.RUNNING and job.key not in service.cache
+        assert backend.heartbeat(lease.id).id == lease.id
+        assert backend.complete_job(jid, lease.id, {"ok": 1}).state == "DONE"
+        assert backend.result(jid).result == {"ok": 1}
+
+    def test_the_limit_counts_encoded_bytes_not_characters(
+            self, service, backend):
+        """A non-ASCII character is six bytes (``\\u00e9``) of the
+        canonical encoding the limit is measured on."""
+        jid = backend.submit("probe", {"behavior": "ok"}).new[0]
+        lease, _ = backend.claim_jobs("w", n=1, ttl=30.0)
+        wide = {"s": "\u00e9" * (MAX_RESULT_BYTES // 6)}
+        size = len(canonical_json(wide))
+        assert len(wide["s"]) < MAX_RESULT_BYTES < size
+        with pytest.raises(ResultTooLargeError) as excinfo:
+            backend.complete_job(jid, lease.id, wide)
+        assert str(excinfo.value) == (
+            f"result of {size} bytes exceeds the"
+            f" {MAX_RESULT_BYTES}-byte limit")
+        assert service.store.get(jid).state is JobState.RUNNING
+
+    def test_a_result_at_the_limit_completes_whatever_its_shape(
+            self, service, backend):
+        """Half a million list items: the request body re-encodes each
+        separator with a space, and must still fit the body cap."""
+        jid = backend.submit("probe", {"behavior": "ok"}).new[0]
+        lease, _ = backend.claim_jobs("w", n=1, ttl=30.0)
+        dense = {"pad": "", "v": [0] * (MAX_RESULT_BYTES // 2 - 64)}
+        dense["pad"] = "p" * (MAX_RESULT_BYTES - len(canonical_json(dense)))
+        assert len(canonical_json(dense)) == MAX_RESULT_BYTES
+        assert backend.complete_job(jid, lease.id, dense).state == "DONE"
+        assert backend.result(jid).result == dense
 
 
 class TestEventDrivenPool:
