@@ -254,7 +254,7 @@ class Service(ServiceFacade):
         self.store.set_terminal_hook(self.dag.on_terminal)
         self.dag.sweep()
         # The event feed: tails the audit log with resumable cursors
-        # and wakes long-poll/SSE subscribers on each event.  Holds no
+        # and wakes long-poll subscribers on each event.  Holds no
         # subscriber state, so constructing it is cheap even for
         # one-shot CLI calls.
         self.broker = EventBroker(self.store)
@@ -500,11 +500,13 @@ class Service(ServiceFacade):
         on job kind; ``limit`` caps the page, oldest match first, and
         ``cursor`` -- the opaque continuation token the previous page
         returned (its ``.cursor``; ``None`` on the last page) -- says
-        where it starts.  ``counts`` and ``outstanding`` on the page
-        always cover the whole queue.  Expired leases are swept first so
-        the page never shows a dead worker's jobs as RUNNING.
+        where it starts: past that page's last ``(created, id)``, so a
+        job that leaves the filter between pages moves no other.
+        ``counts`` and ``outstanding`` on the page always cover the
+        whole queue.  Expired leases are swept first so the page never
+        shows a dead worker's jobs as RUNNING.
         """
-        offset = 0 if cursor is None else decode_queue_cursor(cursor)
+        after = None if cursor is None else decode_queue_cursor(cursor)
         if state is not None:
             try:
                 state = JobState(state).value
@@ -516,12 +518,15 @@ class Service(ServiceFacade):
         if limit is not None and limit < 0:
             raise MalformedRequestError(f"limit must be >= 0, got {limit}")
         self.store.expire_leases()
-        jobs = self.store.list(state=state, kind=kind, limit=limit,
-                               offset=offset)
+        paged = limit is not None and limit > 0
+        # One row past the page says whether another page follows.
+        jobs = self.store.list(state=state, kind=kind, after=after,
+                               limit=limit + 1 if paged else limit)
         total = self.store.count_matching(state=state, kind=kind)
         next_cursor = None
-        if limit is not None and limit > 0 and offset + limit < total:
-            next_cursor = encode_queue_cursor(offset + limit)
+        if paged and len(jobs) > limit:
+            jobs = jobs[:limit]
+            next_cursor = encode_queue_cursor(jobs[-1].created, jobs[-1].id)
         return QueuePage(
             jobs=tuple(JobView.from_job(j) for j in jobs),
             counts=self.store.counts(),

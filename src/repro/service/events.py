@@ -12,12 +12,12 @@ The pieces:
 * **Cursors** -- a cursor is one event id, encoded as an opaque base64
   token (:func:`encode_cursor` / :func:`decode_cursor`).  Ids follow
   commit order and are never reused, so a cursor is stable across
-  coordinator restarts *and* log compactions, which is what makes
-  ``Last-Event-ID`` resume exactly-once.  The sentinels ``begin`` and
-  ``now`` stand for "everything the log still holds" and "only what
-  happens from here on"; under a job-id filter ``begin`` is where the
-  earliest of those jobs was submitted, so waiting on a job never
-  replays the log that precedes it.  A token minted before the log was
+  coordinator restarts *and* log compactions, which is what makes a
+  feed resumed from its last cursor exactly-once.  The sentinels
+  ``begin`` and ``now`` stand for "everything the log still holds" and
+  "only what happens from here on"; under a job-id filter ``begin`` is
+  where the earliest of those jobs was submitted, so waiting on a job
+  never replays the log that precedes it.  A token minted before the log was
   a table (a byte offset into a JSONL file) is a ``bad_cursor``.
 
 * **Filters** -- :class:`EventFilter` narrows a feed server-side by job
@@ -29,7 +29,7 @@ The pieces:
 
 * **:class:`EventBroker`** -- the coordinator-side fan-out.  It tails
   the log with cursor reads in id order, and wakes blocked
-  long-poll/SSE subscribers from the store's event hook, falling back
+  long-poll subscribers from the store's event hook, falling back
   to a short re-check interval for events committed by *other*
   processes sharing the workdir.
 
@@ -45,6 +45,7 @@ import base64
 import binascii
 import dataclasses
 import json
+import math
 import threading
 import time
 
@@ -120,20 +121,27 @@ def decode_cursor(token: str) -> int:
     return event_id
 
 
-def encode_queue_cursor(offset: int) -> str:
-    """Pack a queue-page continuation offset into an opaque token.
+def encode_queue_cursor(created: float, job_id: str) -> str:
+    """Pack a queue page's last row, ``(created, id)``, into a token.
 
+    The next page is the rows after that key in the page order, so a
+    row that leaves a ``state=`` filter between pages shifts nothing.
     Queue pages and event feeds share one continuation idiom (an opaque
     ``cursor`` string), but their tokens are distinct shapes -- a queue
     token on the event feed (or vice versa) gets ``bad_cursor``.
     """
-    payload = json.dumps({"v": 1, "q": int(offset)}, separators=(",", ":"))
+    payload = json.dumps({"v": 2, "c": created, "i": job_id},
+                         separators=(",", ":"))
     return base64.urlsafe_b64encode(payload.encode("ascii")) \
         .decode("ascii").rstrip("=")
 
 
-def decode_queue_cursor(token: str) -> int:
-    """Unpack a queue-page token; :class:`BadCursorError` on junk."""
+def decode_queue_cursor(token: str) -> tuple[float, str]:
+    """Unpack a queue-page token to ``(created, id)``.
+
+    Raises :class:`BadCursorError` on junk and on version 1 (a row
+    offset from an earlier release).
+    """
     try:
         padded = token + "=" * (-len(token) % 4)
         payload = json.loads(base64.urlsafe_b64decode(padded.encode("ascii")))
@@ -141,12 +149,18 @@ def decode_queue_cursor(token: str) -> int:
         raise BadCursorError(
             f"undecodable queue cursor token: {token!r}"
         ) from None
-    if not _version(payload, 1):
+    if _version(payload, 1):
+        raise BadCursorError(
+            f"queue cursor {token!r} is a row offset from an earlier"
+            f" release; restart from the first page"
+        )
+    if not _version(payload, 2):
         raise BadCursorError(f"unsupported queue cursor version in {token!r}")
-    offset = payload.get("q")
-    if not _nonneg_int(offset):
-        raise BadCursorError(f"malformed queue cursor offset in {token!r}")
-    return offset
+    created, job_id = payload.get("c"), payload.get("i")
+    if type(created) not in (int, float) or not math.isfinite(created) \
+            or not isinstance(job_id, str) or not job_id:
+        raise BadCursorError(f"malformed queue cursor key in {token!r}")
+    return float(created), job_id
 
 
 def event_state(record: dict) -> str:

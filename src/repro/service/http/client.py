@@ -199,7 +199,7 @@ class ServiceClient(ServiceFacade):
         return ServiceError(
             f"cannot reach service at {self.base_url}: {exc}")
 
-    def _start(self, conn, request, path: str, headers=()):
+    def _start(self, conn, request, path: str):
         """Send ``request`` on ``conn``; the response, status line read.
 
         ``request`` is ``(method, body bytes or None, content type or
@@ -207,7 +207,7 @@ class ServiceClient(ServiceFacade):
         and raised as the exception its error body names.
         """
         method, data, content_type = request
-        send = {"X-Client-Id": self.client_id, **dict(headers)}
+        send = {"X-Client-Id": self.client_id}
         if content_type:
             send["Content-Type"] = content_type
         conn.request(method, self._root + path, body=data, headers=send)
@@ -486,83 +486,13 @@ class ServiceClient(ServiceFacade):
         views = [EventView.from_dict(e) for e in body.get("events", ())]
         return views, body.get("cursor", ""), bool(body.get("timed_out"))
 
-    def events_stream(self, cursor: str | None = None, job_ids=None,
-                      kinds=None, states=None,
-                      campaign: str | None = None,
-                      heartbeat: float = 15.0, reconnect: bool = True,
-                      reconnect_delay: float = 0.2):
-        """Generator over the SSE feed, resuming across disconnects.
-
-        Yields :class:`EventView`\\ s as the server pushes them.  Each
-        event's cursor is remembered; when the connection drops (server
-        restart, network blip) and ``reconnect`` is true, the stream
-        reconnects with ``Last-Event-ID`` set to the last delivered
-        cursor, so every event is observed exactly once across the gap.
-        Infinite by design -- the consumer decides when to stop.
-        """
-        token = cursor
-        path = "/v1/events" + _query(job_id=job_ids, kind=kinds,
-                                     state=states, campaign=campaign,
-                                     heartbeat=heartbeat)
-        while True:
-            headers = {"Accept": "text/event-stream"}
-            if token:
-                headers["Last-Event-ID"] = token
-            # The server frames the stream by closing it, so it gets a
-            # connection of its own, not the thread's kept one.
-            conn = self._connect(timeout=self.timeout + heartbeat)
-            try:
-                try:
-                    resp = self._start(conn, ("GET", None, None), path,
-                                       headers)
-                except (OSError, http.client.HTTPException) as exc:
-                    if not reconnect:
-                        raise self._unreachable(exc) from None
-                else:
-                    try:
-                        for view in self._parse_sse(resp):
-                            token = view.cursor
-                            yield view
-                    except OSError:
-                        pass  # the stream broke: reconnect (or stop)
-            finally:
-                conn.close()
-            if not reconnect:
-                return
-            time.sleep(reconnect_delay)
-
-    @staticmethod
-    def _parse_sse(resp):
-        """Yield :class:`EventView`\\ s from one SSE response body."""
-        data_lines: list[str] = []
-        while True:
-            raw = resp.readline()
-            if not raw:  # EOF: server closed the stream
-                return
-            line = raw.decode("utf-8", "replace").rstrip("\r\n")
-            if not line:  # blank line dispatches the pending frame
-                if data_lines:
-                    record = json.loads("\n".join(data_lines))
-                    data_lines = []
-                    yield EventView.from_dict(record)
-                continue
-            if line.startswith(":"):  # heartbeat comment
-                continue
-            field, _, value = line.partition(":")
-            if value.startswith(" "):
-                value = value[1:]
-            if field == "data":
-                data_lines.append(value)
-            # ``event:`` and ``id:`` duplicate fields already inside
-            # the data JSON (kind, cursor); nothing else to track.
-
 
 def _awaitable_twin(method):
     """The :class:`AsyncServiceClient` twin of one blocking method.
 
-    Plain methods run on the event loop's default executor; generator
-    methods (``watch``, ``events_stream``) become async generators that
-    advance the blocking generator on the executor one step at a time,
+    Plain methods run on the event loop's default executor; a generator
+    method (``watch``) becomes an async generator that advances the
+    blocking generator on the executor one step at a time,
     so long-poll blocking happens off-loop and many can share one loop.
     """
     if inspect.isgeneratorfunction(method):

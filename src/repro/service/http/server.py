@@ -35,10 +35,8 @@ GET      ``/v1/campaigns``                   ``{"campaigns": [...]}``
 GET      ``/v1/campaigns/{id}``              progress -> ``{"campaign"}``
 GET      ``/v1/campaigns/{id}/dag``          node graph -> ``{"dag": ...}``
 GET      ``/v1/queue``                       queue page (same as GET jobs)
-GET      ``/v1/events``                      audit-event feed:
-                                             long-poll (``?cursor&timeout``)
-                                             or SSE (``Accept:
-                                             text/event-stream``)
+GET      ``/v1/events``                      audit-event feed, long-poll
+                                             (``?cursor&timeout``)
 GET      ``/v1/healthz``                     liveness + per-state depths +
                                              ``"http": {"connections",
                                              "requests"}`` since start
@@ -54,7 +52,7 @@ returned -- the same continuation idiom the event feed uses, and the
 only pagination scheme.  The event feed is documented in
 ``docs/service.md`` ("Events & watch"): resumable cursors over the
 audit log, server-side ``job_id``/``campaign``/``state``/
-``kind`` filters, SSE heartbeat comments and ``Last-Event-ID`` resume.
+``kind`` filters, and a long-poll that resumes from the last cursor.
 
 The three submit routes read the body, pass admission and hand the
 submissions to :meth:`Service.submit_many` (campaigns: one call per
@@ -178,9 +176,9 @@ def _lease_of(body: dict) -> str:
     return lease_id
 
 
-#: Long-poll waits and SSE heartbeat intervals are clamped to this many
-#: seconds so one subscriber can never park a handler thread for long
-#: without the server getting a say (clients simply re-poll).
+#: Long-poll waits are clamped to this many seconds so one subscriber
+#: can never park a handler thread for long without the server getting
+#: a say (clients simply re-poll).
 MAX_EVENT_WAIT = 60.0
 
 #: Per-response cap on the event batch size (and the log scan window).
@@ -239,20 +237,21 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing --------------------------------------------------------
 
-    def _send(self, status: int, content_type: str, data: bytes,
+    def _send(self, status: int, obj: dict,
               retry_after: int | None = None) -> None:
-        """Write one framed response (all of them but the SSE stream).
+        """Write one JSON response, framed by its ``Content-Length``.
 
         A request body the route never read would be parsed as the next
         request of a kept connection: drain it, or close after this.
         """
+        data = json.dumps(obj, sort_keys=True).encode()
         if self._unread > MAX_DRAIN_BYTES:
             self.close_connection = True
         elif self._unread:
             self.rfile.read(self._unread)
         self._unread = 0
         self.send_response(status)
-        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Type", "application/json")
         if retry_after is not None:
             self.send_header("Retry-After", str(retry_after))
         if self.close_connection:
@@ -260,11 +259,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
-
-    def _send_json(self, status: int, obj: dict,
-                   retry_after: int | None = None) -> None:
-        self._send(status, "application/json",
-                   json.dumps(obj, sort_keys=True).encode(), retry_after)
 
     def _send_error_json(self, status: int, code: str, message: str,
                          retry_after: float | None = None) -> None:
@@ -276,7 +270,7 @@ class _Handler(BaseHTTPRequestHandler):
             # never retry before the hinted window has actually passed.
             retry_after = max(1, math.ceil(retry_after))
             obj["error"]["retry_after"] = retry_after
-        self._send_json(status, obj, retry_after)
+        self._send(status, obj, retry_after)
 
     def _declared_length(self) -> int:
         """The request's ``Content-Length`` (0 when absent), parsed once.
@@ -332,9 +326,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(500, "internal",
                                   f"{type(exc).__name__}: {exc}")
         else:
-            if status is None:
-                return  # the route streamed its own response (SSE)
-            self._send_json(status, obj)
+            self._send(status, obj)
 
     # -- routes ----------------------------------------------------------
 
@@ -407,88 +399,30 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- the event feed --------------------------------------------------
 
-    def _parse_event_query(self, query: str) -> dict:
-        """Shared long-poll/SSE parameter parsing -> ``events`` kwargs.
-
-        SSE resume prefers an explicit ``cursor`` param, falling back to
-        the standard ``Last-Event-ID`` header an EventSource reconnect
-        sends.
-        """
+    def _events_route(self, query: str) -> tuple[int, dict]:
+        """One long-poll page of the feed, whatever the ``Accept``
+        header says; the ``cursor`` parameter is the only resume token."""
         params = urllib.parse.parse_qs(query)
-        cursor = params.get("cursor", [None])[-1]
-        if cursor is None:
-            cursor = self.headers.get("Last-Event-ID") or None
         limit = _int_param(params, "limit", 500)
         if limit < 1 or limit > MAX_EVENT_LIMIT:
             raise MalformedRequestError(
                 f"limit must be 1..{MAX_EVENT_LIMIT}, got {limit}"
             )
         timeout = _float_param(params, "timeout", 0.0)
-        timeout = min(max(0.0, timeout), MAX_EVENT_WAIT)
-        return {
-            "cursor": cursor,
-            "limit": limit,
-            "timeout": timeout,
-            "job_ids": params.get("job_id") or None,
-            "kinds": params.get("kind") or None,
-            "states": params.get("state") or None,
-            "campaign": params.get("campaign", [None])[-1] or None,
-        }
-
-    def _events_route(self, query: str) -> tuple:
-        kwargs = self._parse_event_query(query)
-        accept = self.headers.get("Accept", "")
-        if "text/event-stream" in accept:
-            params = urllib.parse.parse_qs(query)
-            heartbeat = _float_param(params, "heartbeat", 15.0)
-            heartbeat = min(max(0.2, heartbeat), MAX_EVENT_WAIT)
-            self._serve_sse(kwargs, heartbeat)
-            return None, None
-        views, cursor, timed_out = self.service.events(**kwargs)
+        views, cursor, timed_out = self.service.events(
+            cursor=params.get("cursor", [None])[-1],
+            limit=limit,
+            timeout=min(max(0.0, timeout), MAX_EVENT_WAIT),
+            job_ids=params.get("job_id") or None,
+            kinds=params.get("kind") or None,
+            states=params.get("state") or None,
+            campaign=params.get("campaign", [None])[-1] or None,
+        )
         return 200, {
             "events": [v.to_dict() for v in views],
             "cursor": cursor,
             "timed_out": timed_out,
         }
-
-    def _serve_sse(self, kwargs: dict, heartbeat: float) -> None:
-        """Stream the feed as Server-Sent Events until the client leaves.
-
-        Every event frame carries ``id:`` -- the cursor just past that
-        event -- so a reconnecting client resumes exactly-once via
-        ``Last-Event-ID``.  Comment frames (``: heartbeat``) flow every
-        ``heartbeat`` seconds of silence to keep intermediaries from
-        reaping the idle connection.  This is the one response the
-        server frames by connection close instead of Content-Length.
-        """
-        # Resolve the cursor *before* streaming starts so a bad token
-        # still gets its proper 422/410 JSON error.
-        self.service.broker.resolve(kwargs["cursor"])
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.send_header("Connection", "close")
-        self.close_connection = True
-        self.end_headers()
-        kwargs = dict(kwargs)
-        try:
-            while True:
-                kwargs["timeout"] = heartbeat
-                views, cursor, timed_out = self.service.events(**kwargs)
-                kwargs["cursor"] = cursor
-                if timed_out:
-                    self.wfile.write(b": heartbeat\n\n")
-                for view in views:
-                    frame = (
-                        f"event: {view.kind}\n"
-                        f"id: {view.cursor}\n"
-                        f"data: {json.dumps(view.to_dict(), sort_keys=True)}"
-                        f"\n\n"
-                    )
-                    self.wfile.write(frame.encode("utf-8"))
-                self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            return  # the client went away; the cursor it holds resumes
 
     def _route_get(self) -> tuple[int, dict]:
         path, _, query = self.path.partition("?")

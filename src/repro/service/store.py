@@ -204,7 +204,7 @@ class JobStore:
         #: :meth:`set_terminal_hook`.
         self.on_terminal = None
         #: Callback fired after every committed audit event; the event
-        #: broker hangs off this to wake long-poll/SSE subscribers
+        #: broker hangs off this to wake long-poll subscribers
         #: without busy-polling the log.  See :meth:`set_event_hook`.
         self.on_event = None
         # Create or migrate the schema once per store; every later
@@ -819,7 +819,7 @@ class JobStore:
         return out
 
     @staticmethod
-    def _filters(state, kind) -> tuple[str, list]:
+    def _filters(state, kind, after=None) -> tuple[str, list]:
         clauses, params = [], []
         if state is not None:
             value = state.value if isinstance(state, JobState) \
@@ -829,24 +829,28 @@ class JobStore:
         if kind is not None:
             clauses.append("kind = ?")
             params.append(kind)
+        if after is not None:
+            clauses.append("(created, id) > (?, ?)")
+            params.extend(after)
         where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
         return where, params
 
     def list(self, state: JobState | str | None = None,
              kind: str | None = None, limit: int | None = None,
-             offset: int = 0) -> list[Job]:
-        """Jobs matching the filters, oldest first, windowed.
+             after: tuple[float, str] | None = None) -> list[Job]:
+        """Jobs matching the filters in ``(created, id)`` order, windowed.
 
-        ``limit=None`` returns every match from ``offset`` on; a string
-        ``state`` is validated against :class:`JobState` (raising
-        ``ValueError`` on junk, which callers surface as bad input).
+        ``after`` is the key of the last row already seen: the window
+        starts past it (a keyset continuation).  ``limit=None`` returns
+        every match; a string ``state`` is validated against
+        :class:`JobState` (raising ``ValueError`` on junk, which callers
+        surface as bad input).
         """
-        where, params = self._filters(state, kind)
+        where, params = self._filters(state, kind, after)
         sql = f"SELECT {_COLS} FROM jobs{where} ORDER BY created, id"
-        if limit is not None or offset:
-            sql += " LIMIT ? OFFSET ?"
-            params += [-1 if limit is None else max(0, int(limit)),
-                       max(0, int(offset))]
+        if limit is not None:
+            sql += " LIMIT ?"
+            params.append(max(0, int(limit)))
         rows = self._connection().execute(sql, params).fetchall()
         return [Job.from_row(r) for r in rows]
 

@@ -144,12 +144,12 @@ class EventView:
     """One audit-log event as it crosses the v1 event feed.
 
     ``cursor`` is the opaque continuation token positioned *just past*
-    this event -- resuming a feed from it (long-poll ``?cursor=`` or SSE
-    ``Last-Event-ID``) never replays the event, which is what makes the
-    feed exactly-once.  ``kind`` is the audit event name (``submitted``,
-    ``claimed``, ``done``, ...); ``state`` is the job state the event
-    implies (explicit in the record, or derived from the event name),
-    empty for events that carry none.  ``data`` holds every extra field
+    this event -- resuming a feed from it (``?cursor=``) never replays
+    the event, which is what makes the feed exactly-once.  ``kind`` is
+    the audit event name (``submitted``, ``claimed``, ``done``, ...);
+    ``state`` is the job state the event implies (explicit in the
+    record, or derived from the event name), empty for events that
+    carry none.  ``data`` holds every extra field
     of the raw record (``worker``, ``lease``, ``error``, the job's own
     ``kind`` for submissions, ...).
     """

@@ -62,7 +62,7 @@ class TestCursorTokens:
                 {"v": 2, "e": event_id}
 
     @pytest.mark.parametrize("token", [
-        "not-base64!!", "", "AAAA", encode_queue_cursor(5),
+        "not-base64!!", "", "AAAA", encode_queue_cursor(5.0, "j"),
         _token({"v": 1, "o": [-1]}),
         _token({"v": 2, "o": [0]}), _token({"o": [0]}),
         _token({"v": "1", "o": [0]}), _token({"v": 1}),
@@ -92,16 +92,24 @@ class TestCursorTokens:
                 decode_cursor(_token({"v": 1, "o": offsets}))
 
     def test_queue_cursor_roundtrip_and_cross_rejection(self):
-        token = encode_queue_cursor(40)
-        assert decode_queue_cursor(token) == 40
+        token = encode_queue_cursor(1700000000.123456, "abc123")
+        assert decode_queue_cursor(token) == (1700000000.123456, "abc123")
+        assert "=" not in token
         with pytest.raises(BadCursorError):
             decode_queue_cursor(encode_cursor(0))  # event token on queue
         with pytest.raises(BadCursorError):
             decode_queue_cursor("garbage")
+        # An earlier release's row-offset token.
+        with pytest.raises(BadCursorError, match="earlier release"):
+            decode_queue_cursor(_token({"v": 1, "q": 40}))
 
     @pytest.mark.parametrize("payload", [
         {"v": 1, "q": -1}, {"v": 1, "q": "3"}, {"v": 1, "q": 2.0},
         {"v": 1, "q": True}, {"v": True, "q": 0}, {"v": 2, "q": 0},
+        {"v": 2, "c": 1.5}, {"v": 2, "i": "j"}, {"v": 2, "c": "1", "i": "j"},
+        {"v": 2, "c": True, "i": "j"}, {"v": 2, "c": 1.5, "i": ""},
+        {"v": 2, "c": 1.5, "i": 7}, {"v": 3, "c": 1.5, "i": "j"},
+        {"v": 2.0, "c": 1.5, "i": "j"},
     ])
     def test_junk_is_bad_queue_cursor(self, payload):
         with pytest.raises(BadCursorError):

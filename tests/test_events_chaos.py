@@ -1,13 +1,14 @@
-"""Event-feed chaos: SIGKILL the coordinator mid-SSE, resume, lose nothing.
+"""Event-feed chaos: SIGKILL the coordinator mid long-poll, resume, lose
+nothing.
 
-The resumability claim under real process death: a client streaming
-``GET /v1/events`` over SSE holds only its last delivered cursor; the
-coordinator is SIGKILLed mid-stream (mid-drain, possibly mid-frame and
-mid-append), a new coordinator starts over the same workdirs and port,
-and the client's automatic ``Last-Event-ID`` reconnect must deliver
-**every durably-logged event exactly once** -- the stream the client
-saw, concatenated across the kill, equals a post-hoc replay of the full
-log, cursor for cursor.
+The resumability claim under real process death: a client following
+``GET /v1/events`` with ``watch()`` holds only the cursor of the last
+view it received; the coordinator is SIGKILLed mid-feed (mid-drain,
+possibly mid-response and mid-append), a new coordinator starts over
+the same workdir and port, and a ``watch()`` restarted from that
+cursor must deliver **every durably-logged event exactly once** -- the
+feed the client saw, concatenated across the kill, equals a post-hoc
+replay of the full log, cursor for cursor.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import time
 
 import pytest
 
+from repro.errors import ServiceError
 from repro.service.http import ServiceClient
 
 from .conftest import start_serve, stop
@@ -39,9 +41,9 @@ def _wait_healthy(url: str, timeout: float = 30.0) -> None:
     raise AssertionError(f"no healthy server at {url}")
 
 
-def test_sigkill_mid_sse_resumes_exactly_once(tmp_path):
-    """Kill the coordinator under a live SSE consumer; nothing is lost
-    or repeated across the ``Last-Event-ID`` reconnect.
+def test_sigkill_mid_long_poll_resumes_exactly_once(tmp_path):
+    """Kill the coordinator under a live ``watch()`` consumer; nothing is
+    lost or repeated when it restarts ``watch`` from its last cursor.
     """
     workdir = tmp_path / "svc"
     proc, url = start_serve(workdir, workers=2)
@@ -50,16 +52,22 @@ def test_sigkill_mid_sse_resumes_exactly_once(tmp_path):
     finished = threading.Event()
 
     def consume() -> None:
-        # reconnect=True is the contract under test: on a dead socket
-        # the client reconnects with Last-Event-ID = the cursor of the
-        # last event it actually received.
+        # The contract under test: while the coordinator is unreachable
+        # ``watch`` raises, and restarting it from the cursor of the
+        # last view actually received misses and repeats nothing.
         client = ServiceClient(url, timeout=5.0)
-        for view in client.events_stream(cursor="begin", heartbeat=0.3,
-                                         reconnect=True,
-                                         reconnect_delay=0.1):
-            streamed.append(view)
-            if finished.is_set():
-                return
+        last = "begin"
+        while not finished.is_set():
+            try:
+                for view in client.watch(cursor=last, poll=0.3):
+                    streamed.append(view)
+                    last = view.cursor
+                    if finished.is_set():
+                        return
+            except ServiceError as exc:
+                if type(exc) is not ServiceError:
+                    raise  # a typed answer from a live server
+                time.sleep(0.1)  # unreachable: resume from ``last``
 
     consumer = threading.Thread(target=consume, daemon=True)
     try:

@@ -1,19 +1,20 @@
 """``GET /v1`` + ``GET /v1/events`` over HTTP, and the watch clients.
 
 Covers the API-redesign surface end to end: the discovery document,
-long-poll batches with resumable cursors, SSE framing with
-``Last-Event-ID`` resume, server-side filters (job/kind/state/
-campaign), the typed 422 ``bad_cursor`` / 410 ``events_truncated``
-errors, the opaque queue-page cursor, and ``watch()``/``wait()`` riding
-the feed on both clients.
+long-poll batches with resumable cursors (the feed's one wire form: a
+request that asks for a stream gets the same JSON page), server-side
+filters (job/kind/state/campaign), the typed 422 ``bad_cursor`` / 410
+``events_truncated`` errors, the opaque keyset queue-page cursor, and
+``watch()``/``wait()`` riding the feed on both clients.
 """
 
 from __future__ import annotations
 
 import asyncio
 import base64
+import http.client
+import json
 import time
-import urllib.request
 
 import pytest
 
@@ -25,7 +26,6 @@ from repro.service.http import (
     ServiceClient,
     ServiceHTTPServer,
 )
-from repro.service.views import EventView
 
 pytestmark = pytest.mark.dedicated
 
@@ -216,7 +216,7 @@ class TestErrorContract:
 
     def test_queue_token_on_event_feed_is_422(self, server, client):
         with pytest.raises(BadCursorError):
-            client.events(cursor=encode_queue_cursor(0))
+            client.events(cursor=encode_queue_cursor(0.0, "j"))
 
 
 class TestQueueCursor:
@@ -231,6 +231,36 @@ class TestQueueCursor:
             pages += 1
         assert seen >= ids and pages == 3
 
+    @pytest.mark.parametrize("backend", ["in_process", "http"])
+    def test_jobs_leaving_the_filter_do_not_skip_the_next_page(
+            self, tmp_path, backend):
+        """Claiming page 1's PENDING jobs must not move page 2 past the
+        jobs that were third and fourth: the cursor is the last row's
+        key, not a row count."""
+        svc = Service(tmp_path / "svc")
+        srv = None
+        if backend == "http":
+            srv = ServiceHTTPServer(tmp_path / "svc", workers=0).start()
+            svc = ServiceClient(srv.url)
+        try:
+            for i in range(6):
+                svc.submit("probe", {"behavior": "ok", "tag": i})
+            order = [j.id for j in svc.status(state="PENDING").jobs]
+            first = svc.status(state="PENDING", limit=2)
+            assert [j.id for j in first.jobs] == order[:2]
+            _, claimed = svc.claim_jobs("w", n=2)
+            assert [j.id for j in claimed] == order[:2]
+            second = svc.status(state="PENDING", limit=2,
+                                cursor=first.cursor)
+            assert [j.id for j in second.jobs] == order[2:4]
+            third = svc.status(state="PENDING", limit=2,
+                               cursor=second.cursor)
+            assert [j.id for j in third.jobs] == order[4:]
+            assert third.cursor is None
+        finally:
+            if srv is not None:
+                srv.shutdown()
+
     def test_bad_queue_cursor_is_422(self, server, client):
         with pytest.raises(BadCursorError):
             client.status(cursor="junk")
@@ -238,55 +268,36 @@ class TestQueueCursor:
             client.status(cursor=encode_cursor(0))  # event token
 
 
-@both_logs
-class TestSSE:
-    def test_stream_frames_and_heartbeat(self, server, client):
+class TestOneWireForm:
+    def test_stream_headers_get_the_long_poll_page(self, server, client):
+        """No content negotiation: a request asking for an event stream
+        and naming a resume header gets the ordinary JSON page, from
+        ``begin`` (``cursor=`` is the only resume token), and leaves
+        its connection kept for the next request."""
         jid = client.submit("probe", {"behavior": "ok"}).new[0]
         _drain(client, jid)
-        request = urllib.request.Request(
-            server.url + "/v1/events?heartbeat=0.2",
-            headers={"Accept": "text/event-stream"})
-        with urllib.request.urlopen(request, timeout=10.0) as resp:
-            assert resp.headers["Content-Type"] == "text/event-stream"
-            lines, heartbeats, frames = [], 0, []
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline and heartbeats < 1:
-                line = resp.readline().decode().rstrip("\n")
-                if line.startswith(":"):
-                    heartbeats += 1
-                lines.append(line)
-            text = "\n".join(lines)
-        assert "event: submitted" in text and "event: done" in text
-        assert "id: " in text and heartbeats >= 1
-
-    def test_last_event_id_resumes(self, server, client):
-        jid = client.submit("probe", {"behavior": "ok"}).new[0]
-        _drain(client, jid)
-        full, _, _ = client.events(cursor="begin", job_ids=[jid])
-        anchor = full[1]  # resume after "claimed"
-        stream = client.events_stream(cursor=anchor.cursor,
-                                      job_ids=[jid], reconnect=False,
-                                      heartbeat=0.2)
-        resumed = []
-        for view in stream:
-            resumed.append(view)
-            if view.terminal:
-                break
-        assert [v.cursor for v in resumed] == \
-            [v.cursor for v in full[2:]]
-
-    def test_events_stream_client_yields_views(self, server, client):
-        jid = client.submit("probe", {"behavior": "ok"}).new[0]
-        seen = []
-        for view in client.events_stream(cursor="begin", job_ids=[jid],
-                                         heartbeat=0.2,
-                                         reconnect=False):
-            seen.append(view)
-            if view.terminal:
-                break
-        assert isinstance(seen[0], EventView)
-        assert [v.kind for v in seen] == \
-            ["submitted", "claimed", "launched", "done"]
+        begin, _, _ = client.events(cursor="begin")
+        headers = {"Accept": "text/event-stream",
+                   "Last-Event-ID": begin[-1].cursor}
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10.0)
+        try:
+            socks = []
+            for _ in range(2):
+                conn.request("GET", "/v1/events", headers=headers)
+                resp = conn.getresponse()
+                body = resp.read()
+                socks.append(conn.sock)
+                assert resp.status == 200
+                assert resp.headers["Content-Type"] == "application/json"
+                assert int(resp.headers["Content-Length"]) == len(body)
+                assert not resp.will_close
+                page = json.loads(body)
+                assert [e["cursor"] for e in page["events"]] == \
+                    [v.cursor for v in begin]
+            assert socks[0] is not None and socks[1] is socks[0]
+        finally:
+            conn.close()
 
 
 @both_logs
