@@ -5,7 +5,8 @@ blocks are dealt round-robin to ``nprocs`` processes, block ``b`` going to
 process ``b % nprocs`` (ScaLAPACK conventions with source process 0, which
 is what HPL uses).  These helpers answer the ownership and translation
 questions the solver and the performance ledger both need, and are the
-authoritative definition both must agree on.
+authoritative definition both must agree on; :func:`section_extents`
+builds every rank's per-iteration column sections from them for both.
 
 All functions are pure and are exercised by hypothesis property tests
 (partition, round-trip, and monotonicity laws).
@@ -13,7 +14,15 @@ All functions are pure and are exercised by hypothesis property tests
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from ..config import Schedule
+
+#: Iteration DAG shapes, as int8 codes (:attr:`SectionExtents.mode`).
+MODE_CLASSIC, MODE_LOOKAHEAD, MODE_SPLIT = 0, 1, 2
+MODE_NAMES = {MODE_CLASSIC: "classic", MODE_LOOKAHEAD: "lookahead", MODE_SPLIT: "split"}
 
 
 def _check(nb: int, nprocs: int) -> None:
@@ -91,6 +100,58 @@ def numroc_array(n, nb: int, iproc, nprocs: int) -> np.ndarray:
     if n.size and n.min() < 0:
         raise ValueError("n must be >= 0")
     return num_local_before_array(n, nb, iproc, nprocs)
+
+
+@dataclass(frozen=True)
+class SectionExtents:
+    """Local column sections of iteration ``k`` on process ``(row, col)``.
+
+    The look-ahead section is ``[lo, la_hi)``, panel ``k+1``'s local
+    columns (empty under classic and off panel ``k+1``'s grid column).
+    The left section is ``[la_hi, sp)`` in split mode and ``[la_hi,
+    nloc_aug)`` otherwise; the right one is ``[sp, nloc_aug)`` in split
+    mode and empty otherwise.
+    """
+
+    lo: np.ndarray  # first local column right of panel k
+    la_hi: np.ndarray  # end of panel k+1's local columns
+    sp: np.ndarray  # split's block-aligned left/right boundary (0 unless split)
+    nloc_aug: np.ndarray  # local columns of [A | b]
+    m_update: np.ndarray  # local rows below panel k (the update's height)
+    mode: np.ndarray  # int8 MODE_* codes
+
+
+def section_extents(
+    n: int, nb: int, p: int, q: int, schedule: Schedule, split_fraction: float,
+    k, row, col,
+) -> SectionExtents:
+    """Section bounds of iterations ``k`` on grid processes ``(row, col)``.
+
+    ``k``, ``row`` and ``col`` broadcast against each other, and only the
+    requested (iteration, process) pairs are computed.  ``k = -1`` places
+    panel 0: iteration ``k - 1``'s ``lo`` and ``m_update`` are panel
+    ``k``'s first local column and local height.  Split mode lasts while
+    the shrinking left section is non-empty (``lo < sp``); the right
+    section keeps ``split_fraction`` of the local columns, rounded, its
+    boundary aligned down to a block.
+    """
+    k, row, col = np.broadcast_arrays(*(np.asarray(a, np.int64) for a in (k, row, col)))
+    j1 = np.minimum(n, (k + 1) * nb)  # end of panel k
+    lo = num_local_before_array(j1, nb, col, q)
+    nloc_aug = numroc_array(n + 1, nb, np.arange(q), q)[col]
+    m_update = numroc_array(n, nb, np.arange(p), p)[row]
+    m_update = m_update - num_local_before_array(j1, nb, row, p)
+    sp = np.zeros_like(lo)
+    if schedule is Schedule.CLASSIC:
+        mode = np.full(lo.shape, MODE_CLASSIC, dtype=np.int8)
+        return SectionExtents(lo, lo, sp, nloc_aug, m_update, mode)
+    # Panel k+1's columns lie in block k+1, all on one grid column.
+    la_hi = lo + np.where((k + 1) % q == col, np.minimum(n, j1 + nb) - j1, 0)
+    if schedule is Schedule.SPLIT_UPDATE:
+        n2 = np.rint(split_fraction * nloc_aug).astype(np.int64)
+        sp = np.maximum(0, (nloc_aug - n2) // nb * nb)
+    mode = np.where(lo < sp, MODE_SPLIT, MODE_LOOKAHEAD).astype(np.int8)
+    return SectionExtents(lo, la_hi, sp, nloc_aug, m_update, mode)
 
 
 def global_to_local(g: int, nb: int, nprocs: int) -> tuple[int, int]:

@@ -35,7 +35,10 @@ class HPLResult:
         passed: Whether the residual beat the 16.0 threshold.
         wall_seconds: End-to-end factor+solve wall time (diagnostic only;
             the numeric engine is not the paper's hardware).
-        timers: Per-rank phase ledgers (flop/byte counts are exact).
+        timers: Per-rank read-only views over the executed tasks:
+            ``timers[r].total(label)`` sums rank ``r``'s seconds, flops and
+            transfer bytes under a step label, and iterating
+            ``timers[r]`` yields its tasks (flop/byte counts are exact).
         comm_stats: Per-rank communication statistics by phase.
     """
 

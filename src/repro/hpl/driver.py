@@ -22,14 +22,15 @@ The issue order *is* the task DAG of :mod:`repro.sched.timeline`, where
 the paper's timelines are simulated: :func:`factorize` fills each
 iteration's :class:`~repro.sched.timeline.IterCosts` with numeric
 :class:`~repro.sched.timeline.Step` objects in place of seconds, from this
-rank's own column sections, and executes the list
-:func:`~repro.sched.timeline.build_run` chains from them.  FACT runs on a
-thread team; everything else runs on the rank's own thread in list order,
-so "hiding" is a statement about the DAG, not wall time.  What this module
-guarantees is that the DAG is *numerically valid* -- every value is
-produced before it is consumed -- which is the property the paper's
-Section III.C argues informally and the tests check mechanically, by
-executing the list in random dependency- and FIFO-respecting orders.
+rank's rows of :func:`~repro.grid.block_cyclic.section_extents`, executes
+the list :func:`~repro.sched.timeline.build_run` chains from them, and
+stamps each task with what its step did.  FACT runs on a thread team;
+everything else runs on the rank's own thread in list order, so "hiding"
+is a statement about the DAG, not wall time.  What this module guarantees
+is that the DAG is *numerically valid* -- every value is produced before
+it is consumed -- which is the property the paper's Section III.C argues
+informally and the tests check mechanically, by executing the list in
+random dependency- and FIFO-respecting orders.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..blas.kernels import FLOPS
 from ..blas.threaded import TileWorkerPool
 from ..config import HPLConfig, Schedule, SwapVariant
 from ..errors import ConfigError
-from ..grid.block_cyclic import owning_process
+from ..grid.block_cyclic import MODE_NAMES, owning_process, section_extents
 from ..sched.engine import Task
 from ..sched.timeline import IterCosts, SectionCosts, Step, build_run
 from .lbcast import broadcast_panel
@@ -58,14 +60,18 @@ from .update import solve_u, trailing_dgemm
 class FactorResult:
     """Outcome of the factorization loop on one rank."""
 
-    timers: Timers
     ipiv: list[np.ndarray] = field(default_factory=list)  # per-panel pivots
     modes: list[str] = field(default_factory=list)  # per-iteration DAG shape
     #: The executed task list: wall ``start``/``end`` seconds from the loop's
     #: start, ``duration`` their difference (0 where the rank had no work),
     #: ``cpu`` the rank thread's CPU seconds inside the step (the rest of
-    #: ``duration`` is waiting).
+    #: ``duration`` is waiting), ``flops`` and ``nbytes`` its work, and
+    #: ``phase`` its step's label.
     tasks: list[Task] = field(default_factory=list)
+
+    @property
+    def timers(self) -> Timers:
+        return Timers(self.tasks)
 
 
 def _panel_width(n: int, nb: int, k: int) -> tuple[int, int]:
@@ -153,21 +159,23 @@ class _RS2Section(_Section):
 class _Rank:
     """One rank's factorization, as the steps of :func:`build_run`'s DAG."""
 
-    def __init__(
-        self, mat: DistMatrix, cfg: HPLConfig, pool: TileWorkerPool, timers: Timers
-    ) -> None:
-        self.mat, self.cfg, self.pool, self.timers = mat, cfg, pool, timers
+    def __init__(self, mat: DistMatrix, cfg: HPLConfig, pool: TileWorkerPool) -> None:
+        self.mat, self.cfg, self.pool = mat, cfg, pool
         self.panels: dict[int, Panel] = {}  # by panel index
         self.plans: dict[int, SwapPlan] = {}
         self.rs2: dict[int, RowSwapper] = {}  # right-section swappers
         self.rs2_next = 0  # the panel the next RS2 gather swaps
-        # Split's left/right boundary (block-aligned): the right section's
-        # width is fixed, the left one shrinks.  0 -- no left section --
-        # unless the schedule splits.
-        nloc = mat.nloc_aug
-        n2 = int(round(cfg.split_fraction * nloc))
-        split = cfg.schedule is Schedule.SPLIT_UPDATE
-        self.sp = (nloc - n2) // cfg.nb * cfg.nb if split else 0
+        grid = mat.grid
+        ext = section_extents(
+            mat.n, cfg.nb, grid.p, grid.q, cfg.schedule, cfg.split_fraction,
+            np.arange(-1, cfg.nblocks), grid.myrow, grid.mycol,
+        )
+        # (lo, la_hi, sp, nloc_aug, m_update, mode) of iteration k at entry
+        # k + 1; entry 0, iteration -1, places panel 0.
+        cols = (ext.lo, ext.la_hi, ext.sp, ext.nloc_aug, ext.m_update)
+        self.ext = list(zip(
+            *(a.tolist() for a in cols), map(MODE_NAMES.get, ext.mode.tolist())
+        ))
 
     def swapper(self, k: int, lo: int, hi: int) -> RowSwapper:
         if k not in self.plans:
@@ -186,12 +194,12 @@ class _Rank:
         j0, jb = _panel_width(mat.n, cfg.nb, k)
         pcol = owning_process(j0, cfg.nb, grid.q)
         if grid.mycol == pcol:
-            lr0 = mat.local_rows_from(j0)
-            lc0 = mat.local_cols_from(j0)
+            lc0, _, _, _, rows, _ = self.ext[k]  # iteration k - 1 places panel k
+            lr0 = mat.mloc - rows
             view = mat.a[lr0:, lc0 : lc0 + jb]
             pos = mat.row_pos[lr0:]
             # The D2H/H2D transfers that bracket FACT on the paper's hardware.
-            nbytes = 8.0 * view.shape[0] * jb
+            nbytes = 8.0 * rows * jb
 
             def fact() -> None:
                 self.panels[k] = factor_panel(
@@ -199,9 +207,9 @@ class _Rank:
                     grid.myrow, grid.p,
                 )
 
-            c.d2h = Step("TRANSFER", lambda: self.timers.transfer(d2h_bytes=nbytes))
+            c.d2h = Step("TRANSFER", nbytes=nbytes)
             c.fact = Step("FACT", fact)
-            c.h2d = Step("TRANSFER", lambda: self.timers.transfer(h2d_bytes=nbytes))
+            c.h2d = Step("TRANSFER", nbytes=nbytes)
 
         def lbcast() -> None:
             self.panels[k] = broadcast_panel(
@@ -214,21 +222,13 @@ class _Rank:
     def costs(self) -> list[IterCosts]:
         """The run's :class:`IterCosts`, with numeric steps for seconds.
 
-        Each iteration's mode follows from this rank's own section bounds,
-        as the performance ledger's does from the focal rank's.
+        Each iteration's mode and sections are this rank's rows of
+        :func:`section_extents`.
         """
-        mat, cfg, sp = self.mat, self.cfg, self.sp
-        nloc = mat.nloc_aug
-        classic = cfg.schedule is Schedule.CLASSIC
+        classic = self.cfg.schedule is Schedule.CLASSIC
         out = [] if classic else [self.fact_chain(IterCosts(-1, "preamble"), 0)]
         prev = ""
-        for k in range(cfg.nblocks):
-            j0, jb = _panel_width(mat.n, cfg.nb, k)
-            lo = mat.local_cols_from(j0 + jb)
-            # end of panel k+1's local columns (== lo in the last iteration)
-            end = min(mat.n, j0 + jb + cfg.nb)
-            la_hi = lo if classic else mat.local_cols_from(end)
-            mode = "classic" if classic else "split" if lo < sp else "lookahead"
+        for k, (lo, la_hi, sp, nloc, _, mode) in enumerate(self.ext[1:]):
             c = self.fact_chain(IterCosts(k, mode), k if classic else k + 1)
             if mode == "split":
                 if prev != "split":
@@ -263,12 +263,11 @@ def factorize(
             f"matrix (n={mat.n}, nb={mat.nb}) does not match config "
             f"(n={cfg.n}, nb={cfg.nb})"
         )
-    timers = Timers()
     own_pool = pool is None
     if own_pool:
         pool = TileWorkerPool(cfg.fact_threads)
     try:
-        rank = _Rank(mat, cfg, pool, timers)
+        rank = _Rank(mat, cfg, pool)
         costs = rank.costs()
         tasks = build_run(costs)
         t0 = time.perf_counter()
@@ -276,17 +275,17 @@ def factorize(
             task.start = task.end = time.perf_counter() - t0
             step = task.duration
             if isinstance(step, Step):
-                cpu0 = time.thread_time()
-                with timers.iteration(task.tag), timers.phase(step.label):
-                    step()
+                cpu0, flops0 = time.thread_time(), FLOPS.count
+                step()
                 task.cpu = time.thread_time() - cpu0
+                task.flops = FLOPS.count - flops0
+                task.phase, task.nbytes = step.label, step.nbytes
                 task.end = time.perf_counter() - t0
                 task.duration = task.end - task.start
     finally:
         if own_pool:
             pool.shutdown()
     return FactorResult(
-        timers,
         ipiv=[rank.panels[k].ipiv for k in range(cfg.nblocks)],
         modes=[c.mode for c in costs if c.k >= 0],
         tasks=tasks,

@@ -19,10 +19,10 @@ the costs out.  That is exact because every pricing entry point is
 elementwise: a row prices to the same float wherever it sits in a batch
 (``TestScalarBatchConsistency`` in ``tests/test_machine_models.py``).
 
-The integration tests cross-check the sizes against the flop/byte counts
-*measured* by the instrumented numeric engine at small sizes, so the
-performance simulation provably prices the same algorithm the numeric
-engine executes.
+The section bounds are the focal rank's rows of
+:func:`~repro.grid.block_cyclic.section_extents`, the function the numeric
+driver takes its own rank's bounds from, so the performance simulation
+prices the algorithm the numeric engine executes.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from ..config import PerfConfig, Schedule, SwapVariant
 from ..errors import ConfigError
-from ..grid.block_cyclic import num_local_before_array, numroc, numroc_array
+from ..grid.block_cyclic import MODE_SPLIT, numroc, numroc_array, section_extents
 from ..machine.comm_model import CommModel, GridTopology
 from ..machine.cpu_model import fact_seconds_array
 from ..machine.gemm_model import (
@@ -44,7 +44,7 @@ from ..machine.gemm_model import (
 )
 from ..machine.spec import ClusterSpec
 from ..machine.transfer_model import transfer_seconds_array
-from ..sched.fastpath import MODE_CLASSIC, MODE_LOOKAHEAD, MODE_SPLIT, CostArrays
+from ..sched.fastpath import CostArrays
 from ..sched.timeline import IterCosts
 
 
@@ -74,15 +74,14 @@ class RunSizes:
     w_right: np.ndarray
     jb: np.ndarray  # panel k width
     jb_next: np.ndarray  # panel k+1 width (0 when none)
-    mode: np.ndarray  # int8 MODE_* codes (see repro.sched.fastpath)
+    mode: np.ndarray  # int8 MODE_* codes (see repro.grid.block_cyclic)
     c_f: np.ndarray  # focal grid column
 
 
 def run_sizes(cfg: PerfConfig) -> RunSizes:
     """Every iteration's extents: pure int64 block-cyclic arithmetic."""
     n, nb, p, q = cfg.n, cfg.nb, cfg.p, cfg.q
-    nblocks = cfg.nblocks
-    k = np.arange(nblocks, dtype=np.int64)
+    k = np.arange(cfg.nblocks, dtype=np.int64)
     j0 = k * nb
     jb = np.minimum(nb, n - j0)
     j0n = j0 + jb
@@ -94,41 +93,19 @@ def run_sizes(cfg: PerfConfig) -> RunSizes:
     blk = np.where(has_next, k + 1, k)
     r_f = blk % p
     c_f = np.where(has_next, blk % q, (n // nb) % q)
-    numroc_rf = numroc_array(n, nb, np.arange(p), p)[r_f]
-    m_update = numroc_rf - num_local_before_array(j0n, nb, r_f, p)
-    j1 = np.minimum(n, j0n + jb_next)
-    m_l2 = numroc_rf - num_local_before_array(j1, nb, r_f, p)
+    ext = section_extents(n, nb, p, q, cfg.schedule, cfg.split_fraction, k, r_f, c_f)
+    m_l2 = ext.m_update - jb_next  # the focal row owns panel k+1's rows
     # Tallest per-process trailing share: with j0n block-aligned this is
     # the shifted-frame proc-0 share (equals max over r of the trailing
     # numroc; property-tested equivalence).
     m_fact = numroc_array(n - j0n, nb, 0, p)
-    nloc_aug = numroc_array(n + 1, nb, np.arange(q), q)[c_f]
-    lo = num_local_before_array(j0n, nb, c_f, q)
-    w_trail = nloc_aug - lo
-
-    zeros = np.zeros(nblocks, dtype=np.int64)
-    if cfg.schedule is Schedule.SPLIT_UPDATE:
-        n2 = np.rint(cfg.split_fraction * nloc_aug).astype(np.int64)
-        sp = np.maximum(0, (nloc_aug - n2) // nb * nb)
-        is_split = lo < sp
-        mode = np.where(is_split, MODE_SPLIT, MODE_LOOKAHEAD).astype(np.int8)
-        w_la = jb_next  # the focal column owns panel k+1's columns
-        w_left = np.where(is_split, sp - lo - w_la, w_trail - w_la)
-        w_right = np.where(is_split, nloc_aug - sp, zeros)
-    elif cfg.schedule is Schedule.LOOKAHEAD:
-        mode = np.full(nblocks, MODE_LOOKAHEAD, dtype=np.int8)
-        w_la = jb_next
-        w_left = w_trail - w_la
-        w_right = zeros
-    else:  # CLASSIC
-        mode = np.full(nblocks, MODE_CLASSIC, dtype=np.int8)
-        w_la = zeros
-        w_left = w_trail
-        w_right = zeros
+    split = ext.mode == MODE_SPLIT
     return RunSizes(
-        k=k, m_update=m_update, m_l2=m_l2, m_fact=m_fact,
-        w_la=w_la, w_left=w_left, w_right=w_right,
-        jb=jb, jb_next=jb_next, mode=mode, c_f=c_f,
+        k=k, m_update=ext.m_update, m_l2=m_l2, m_fact=m_fact,
+        w_la=ext.la_hi - ext.lo,
+        w_left=np.where(split, ext.sp, ext.nloc_aug) - ext.la_hi,
+        w_right=np.where(split, ext.nloc_aug - ext.sp, 0),
+        jb=jb, jb_next=jb_next, mode=ext.mode, c_f=c_f,
     )
 
 

@@ -1,9 +1,7 @@
-"""Fig. 7 from the *numeric* engine's own instrumentation.
+"""Fig. 7 from the *numeric* engine: its executed tasks, by iteration.
 
-The performance simulator produces modeled per-iteration breakdowns; this
-module produces the measured twin from a real `run_hpl` run's phase
-timers.  The wall times are host times of the Python engine (diagnostic,
-not the paper's hardware), but the *flop series* is exact and its shape —
+The wall times are host times of the Python engine (diagnostic, not the
+paper's hardware), but the *flop series* is exact and its shape —
 cubic-decay UPDATE work against linearly-decaying FACT work — is the
 arithmetic skeleton underneath the paper's two regimes.
 """
@@ -11,8 +9,9 @@ arithmetic skeleton underneath the paper's two regimes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from ..hpl.timers import Timers
+from ..sched.engine import Task
 
 #: Phases reported per iteration, in display order.
 PHASES = ("FACT", "LBCAST", "RS", "UPDATE")
@@ -35,25 +34,25 @@ class MeasuredIteration:
         return self.flops.get("UPDATE", 0.0) / total if total else 0.0
 
 
-def measured_breakdown(all_timers: list[Timers]) -> list[MeasuredIteration]:
-    """Aggregate every rank's per-iteration ledgers into one series.
+def measured_breakdown(ranks: Iterable[Iterable[Task]]) -> list[MeasuredIteration]:
+    """Group each rank's tasks (e.g. ``HPLResult.timers``) by tag and label.
 
     Seconds and flops are summed across ranks (ranks execute phases
     concurrently in the real system, so sums are *work*, not critical
-    path); the preamble iteration (k = -1) is folded into iteration 0.
+    path); the preamble iteration (tag -1) is folded into iteration 0.
     """
     by_k: dict[int, MeasuredIteration] = {}
-    for timers in all_timers:
-        for ledger in timers.iters:
-            k = max(ledger.k, 0)
+    for tasks in ranks:
+        for t in tasks:
+            k = max(t.tag, 0)
             row = by_k.setdefault(k, MeasuredIteration(k))
-            for label, rec in ledger.phases.items():
-                if label == "TRANSFER":
-                    row.d2h_bytes += rec.d2h_bytes
-                    row.h2d_bytes += rec.h2d_bytes
-                    continue
-                row.seconds[label] = row.seconds.get(label, 0.0) + rec.seconds
-                row.flops[label] = row.flops.get(label, 0.0) + rec.flops
+            if t.phase in PHASES:
+                row.seconds[t.phase] = row.seconds.get(t.phase, 0.0) + t.duration
+                row.flops[t.phase] = row.flops.get(t.phase, 0.0) + t.flops
+            elif t.name.startswith("d2h."):
+                row.d2h_bytes += t.nbytes
+            elif t.name.startswith("h2d."):
+                row.h2d_bytes += t.nbytes
     return [by_k[k] for k in sorted(by_k)]
 
 

@@ -33,13 +33,19 @@ class Task:
         duration: Seconds of busy time on ``resource``.
         resource: The in-order resource this task occupies, or ``None``.
         deps: Tasks that must finish first (must be submitted earlier).
-        phase: Accounting label (``FACT`` / ``MPI`` / ``TRANSFER`` /
-            ``GPU`` ...), used for the Fig. 7 breakdown.
+        phase: Accounting label for the Fig. 7 breakdown: the simulator's
+            ``FACT`` / ``MPI`` / ``TRANSFER`` / ``GPU``; a task a numeric
+            run executed carries its step's label instead (``FACT`` /
+            ``LBCAST`` / ``RS`` / ``UPDATE`` / ``TRANSFER``).
         tag: Free-form grouping key (we use the iteration index).
         start, end: Seconds from the run's origin, set by :func:`simulate`
             (or, for a numeric run, by the wall clock around its step).
         cpu: Thread CPU seconds a numeric run's step burned; ``end -
             start - cpu`` is its waiting.  The simulator leaves it 0.
+        flops: Flops a numeric run's step executed (the rank's ``FLOPS``
+            count across it); the simulator leaves it 0.
+        nbytes: Host-device bytes a numeric run's ``d2h.*`` / ``h2d.*``
+            step stands for (the name gives the direction); 0 otherwise.
     """
 
     name: str
@@ -51,6 +57,8 @@ class Task:
     start: float = -1.0
     end: float = -1.0
     cpu: float = 0.0
+    flops: float = 0.0
+    nbytes: float = 0.0
 
     def __repr__(self) -> str:
         return (

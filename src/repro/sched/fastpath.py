@@ -89,11 +89,8 @@ from operator import add
 import numpy as np
 
 from ..errors import ScheduleError
+from ..grid.block_cyclic import MODE_CLASSIC, MODE_LOOKAHEAD, MODE_NAMES, MODE_SPLIT
 from .timeline import IterCosts, SectionCosts
-
-#: Iteration-mode codes used by :class:`CostArrays.mode`.
-MODE_CLASSIC, MODE_LOOKAHEAD, MODE_SPLIT = 0, 1, 2
-MODE_NAMES = {MODE_CLASSIC: "classic", MODE_LOOKAHEAD: "lookahead", MODE_SPLIT: "split"}
 
 
 @dataclass

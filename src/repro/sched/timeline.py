@@ -39,16 +39,21 @@ GPU, HD, CPU, MPI = "gpu", "hd", "cpu", "mpi"
 class Step:
     """Numeric work in place of a duration, timed under ``label``.
 
-    ``a + b`` runs ``a`` then ``b``, so a task summing two sections' costs
-    runs both sections' steps; a float operand (no work) adds nothing.
+    ``nbytes`` is the host-device traffic a transfer step stands for (the
+    numeric engine moves nothing).  ``a + b`` runs ``a`` then ``b``, so a
+    task summing two sections' costs runs both sections' steps; a float
+    operand (no work) adds nothing.
     """
 
-    def __init__(self, label: str, *fns: Callable[[], None]) -> None:
-        self.label, self.fns = label, fns
+    def __init__(
+        self, label: str, *fns: Callable[[], None], nbytes: float = 0.0
+    ) -> None:
+        self.label, self.fns, self.nbytes = label, fns, nbytes
 
     def __add__(self, other: "Step | float") -> "Step":
         if isinstance(other, Step):
-            return Step(self.label, *self.fns, *other.fns)
+            return Step(self.label, *self.fns, *other.fns,
+                        nbytes=self.nbytes + other.nbytes)
         return self
 
     __radd__ = __add__

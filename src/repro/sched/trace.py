@@ -17,12 +17,16 @@ from .engine import TimelineResult
 #: resource gets the next row in first-seen order.
 _FIXED_ROWS = ("gpu", "hd", "cpu", "mpi")
 
-#: Colors by accounting phase (Chrome trace color names).
+#: Colors by accounting phase (Chrome trace color names); a numeric run's
+#: tasks carry their step labels, colored as the simulator's phases.
 _PHASE_COLORS = {
     "GPU": "thread_state_running",
     "FACT": "thread_state_iowait",
     "MPI": "rail_load",
     "TRANSFER": "rail_animation",
+    "UPDATE": "thread_state_running",
+    "RS": "rail_load",
+    "LBCAST": "rail_load",
 }
 
 

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.config import Schedule
 from repro.grid.block_cyclic import (
+    MODE_NAMES,
     global_to_local,
     local_indices,
     local_to_global,
@@ -21,6 +23,7 @@ from repro.grid.block_cyclic import (
     numroc,
     numroc_array,
     owning_process,
+    section_extents,
 )
 
 dims = st.integers(0, 500)
@@ -133,6 +136,36 @@ class TestArrayTwins:
                 numroc_array(5, nb, wrap(ip), nprocs)
         with pytest.raises(ValueError, match="n must be >= 0"):
             numroc_array(wrap(-bad), nb, 0, nprocs)
+
+
+class TestSectionExtents:
+    @given(st.integers(1, 300), blocks, st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from(list(Schedule)), st.floats(0.0, 1.0))
+    def test_every_rank_matches_the_scalar_bounds(self, n, nb, p, q, sched, frac):
+        """One broadcast call over (iteration, row, col) gives every
+        process's sections at every iteration, panel 0's placement
+        (k = -1) and the ragged last block included, as the scalar
+        helpers define them."""
+        nblocks = -(-n // nb)
+        ext = section_extents(n, nb, p, q, sched, frac,
+                              np.arange(-1, nblocks)[:, None, None],
+                              np.arange(p)[None, :, None], np.arange(q)[None, None, :])
+        classic = sched is Schedule.CLASSIC
+        for col in range(q):
+            nloc = numroc(n + 1, nb, col, q)
+            split = sched is Schedule.SPLIT_UPDATE
+            sp = (nloc - round(frac * nloc)) // nb * nb if split else 0
+            for i, k in enumerate(range(-1, nblocks)):
+                j1 = min(n, (k + 1) * nb)
+                lo = num_local_before(j1, nb, col, q)
+                la_hi = lo if classic else num_local_before(min(n, j1 + nb), nb, col, q)
+                mode = "classic" if classic else "split" if lo < sp else "lookahead"
+                for row in range(p):
+                    m_update = numroc(n, nb, row, p) - num_local_before(j1, nb, row, p)
+                    got = [int(a[i, row, col]) for a in
+                           (ext.lo, ext.la_hi, ext.sp, ext.nloc_aug, ext.m_update)]
+                    assert got == [lo, la_hi, sp, nloc, m_update], (k, row, col)
+                    assert MODE_NAMES[ext.mode[i, row, col]] == mode
 
 
 class TestValidation:

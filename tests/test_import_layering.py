@@ -1,10 +1,11 @@
-"""The simulator stack never imports scipy.
+"""The simulator stack never imports scipy or the numeric engine.
 
 scipy's BLAS belongs to the numeric solves only (``repro.blas.kernels``
 loads ``scipy.linalg`` on the first triangular solve).  Every pricing
 path -- the figures, the CLI's model commands, a ``sim`` job's runner --
-must run in an interpreter where importing scipy raises, and the index
-math of ``repro.grid`` must not pull in the simulated MPI runtime.
+must run in an interpreter where importing scipy raises, and must load
+neither the numeric engine (``repro.hpl``) nor, through the index math
+of ``repro.grid``, the simulated MPI runtime.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["scale", "-N", "16384", "--max-doublings", "1"]) == 0
     assert cli.main(["fact"]) == 0
 loaded = sorted(m for m in sys.modules
-                if m.startswith(("scipy.", "repro.simmpi")))
+                if m.startswith(("scipy.", "repro.simmpi", "repro.hpl")))
 assert not loaded, loaded
 """
 

@@ -1,95 +1,24 @@
-"""Phase timers and iteration ledgers."""
+"""``Timers``: a read-only view over one rank's executed tasks."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.blas.kernels import FLOPS, dscal_inplace
-from repro.hpl.timers import IterLedger, PhaseRecord, Timers
-
-import numpy as np
+from repro.config import HPLConfig
+from repro.hpl.api import run_hpl
 
 
-@pytest.fixture(autouse=True)
-def reset_flops():
-    FLOPS.take()
-    yield
-    FLOPS.take()
-
-
-class TestTimers:
-    def test_phase_captures_flops(self):
-        timers = Timers()
-        with timers.iteration(0):
-            with timers.phase("UPDATE"):
-                dscal_inplace(np.ones(100), 2.0)
-        assert timers.iters[0].phases["UPDATE"].flops == 100
-
-    def test_phase_captures_wall_time(self):
-        timers = Timers()
-        with timers.iteration(0):
-            with timers.phase("FACT"):
-                sum(range(10_000))
-        assert timers.iters[0].phases["FACT"].seconds > 0
-
-    def test_nested_phases_attribute_inner_flops_inward_only(self):
-        timers = Timers()
-        with timers.iteration(0):
-            with timers.phase("OUTER"):
-                dscal_inplace(np.ones(10), 2.0)
-                with timers.phase("INNER"):
-                    dscal_inplace(np.ones(30), 2.0)
-        ledger = timers.iters[0]
-        assert ledger.phases["INNER"].flops == 30
-        # the outer phase measured everything inside its span
-        assert ledger.phases["OUTER"].flops == 40
-
-    def test_phase_outside_iteration_is_noop(self):
-        timers = Timers()
-        with timers.phase("X"):
-            dscal_inplace(np.ones(5), 2.0)
-        assert timers.iters == []
-
-    def test_repeated_phase_accumulates(self):
-        timers = Timers()
-        with timers.iteration(3):
-            for _ in range(4):
-                with timers.phase("RS"):
-                    dscal_inplace(np.ones(10), 2.0)
-        assert timers.iters[0].phases["RS"].flops == 40
-        assert timers.iters[0].k == 3
-
-    def test_transfer_recording(self):
-        timers = Timers()
-        with timers.iteration(0):
-            timers.transfer(d2h_bytes=100)
-            timers.transfer(h2d_bytes=50)
-        rec = timers.iters[0].phases["TRANSFER"]
-        assert rec.d2h_bytes == 100 and rec.h2d_bytes == 50
-
-    def test_transfer_outside_iteration_ignored(self):
-        timers = Timers()
-        timers.transfer(d2h_bytes=100)
-        assert timers.iters == []
-
-    def test_total_aggregates_over_iterations(self):
-        timers = Timers()
-        for k in range(3):
-            with timers.iteration(k):
-                with timers.phase("UPDATE"):
-                    dscal_inplace(np.ones(10), 2.0)
-        assert timers.total("UPDATE").flops == 30
-        assert timers.total("MISSING").flops == 0
-
-
-class TestRecords:
-    def test_phase_record_iadd(self):
-        a = PhaseRecord(seconds=1.0, flops=10, d2h_bytes=5, h2d_bytes=2)
-        a += PhaseRecord(seconds=0.5, flops=30, d2h_bytes=1, h2d_bytes=1)
-        assert (a.seconds, a.flops, a.d2h_bytes, a.h2d_bytes) == (1.5, 40, 6, 3)
-
-    def test_ledger_get_creates_once(self):
-        ledger = IterLedger(0)
-        rec = ledger.get("X")
-        rec.flops = 5
-        assert ledger.get("X").flops == 5
+def test_total_is_the_sum_over_the_ranks_tasks():
+    """On a 2x2 run, every rank's ``total(label)`` is its tasks' seconds,
+    flops and d2h / h2d bytes summed under that label."""
+    result = run_hpl(HPLConfig(n=48, nb=8, p=2, q=2))
+    for timers in result.timers:
+        sums: dict[str, list[float]] = {}
+        for t in timers:
+            row = sums.setdefault(t.phase, [0.0, 0.0, 0.0, 0.0])
+            row[0] += t.duration
+            row[1] += t.flops
+            row[2 if t.name.startswith("d2h.") else 3] += t.nbytes
+        assert {"FACT", "LBCAST", "RS", "UPDATE", "TRANSFER"} <= set(sums)
+        for label, (seconds, flops, d2h, h2d) in sums.items():
+            total = timers.total(label)
+            assert (total.seconds, total.flops, total.d2h_bytes,
+                    total.h2d_bytes) == (seconds, flops, d2h, h2d), label
