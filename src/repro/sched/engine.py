@@ -19,12 +19,12 @@ single pass, deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ScheduleError
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Task:
     """One unit of work in the timeline DAG.
 
@@ -51,7 +51,7 @@ class Task:
     name: str
     duration: float
     resource: str | None = None
-    deps: list["Task"] = field(default_factory=list)
+    deps: tuple["Task", ...] = ()
     phase: str = ""
     tag: int = 0
     start: float = -1.0

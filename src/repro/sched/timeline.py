@@ -118,7 +118,7 @@ class _Builder:
             name=name,
             duration=dur if isinstance(dur, Step) else max(0.0, dur),
             resource=res,
-            deps=[d for d in deps if d is not None],
+            deps=tuple([d for d in deps if d is not None]),
             phase=phase,
             tag=tag,
         )
