@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from repro.config import HPLConfig
 from repro.hpl.api import run_hpl
+from repro.hpl.timers import PhaseRecord
 
 
 def test_total_is_the_sum_over_the_ranks_tasks():
     """On a 2x2 run, every rank's ``total(label)`` is its tasks' seconds,
-    flops and d2h / h2d bytes summed under that label."""
+    flops and d2h / h2d bytes summed under that label; a label no task
+    carries totals zero."""
     result = run_hpl(HPLConfig(n=48, nb=8, p=2, q=2))
     for timers in result.timers:
         sums: dict[str, list[float]] = {}
@@ -22,3 +24,4 @@ def test_total_is_the_sum_over_the_ranks_tasks():
             total = timers.total(label)
             assert (total.seconds, total.flops, total.d2h_bytes,
                     total.h2d_bytes) == (seconds, flops, d2h, h2d), label
+        assert timers.total("MISSING") == PhaseRecord()
