@@ -9,13 +9,20 @@ section extents it prices and its schedule structure to what every rank's
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import HPLConfig, Schedule
 from repro.grid import ProcessGrid
-from repro.grid.block_cyclic import MODE_NAMES, section_extents
+from repro.grid.block_cyclic import (
+    MODE_NAMES,
+    num_local_before,
+    numroc,
+    section_extents,
+)
 from repro.hpl.driver import factorize
 from repro.hpl.matrix import DistMatrix
+from repro.perf import PerfConfig, run_sizes
 
 from .conftest import spmd
 
@@ -33,6 +40,79 @@ def _run_numeric(cfg: HPLConfig):
 #: The section each update task covers, by its name's middle part
 #: (``dtrsm.k`` / ``dgemm.k`` is classic's one section, ``left``).
 _SECTION = {"la": "la", "rest": "left", "left": "left", "right": "right", "": "left"}
+
+def _iteration_sum(result, k: int, label: str, field: str) -> float:
+    """Sum ``field`` over the tasks ``result`` executed in iteration ``k``
+    under ``label``."""
+    return sum(getattr(t, field) for t in result.tasks
+               if t.tag == k and t.phase == label)
+
+
+class TestLedgerAgainstMeasurement:
+    """The priced ledger (:func:`run_sizes`, the focal rank's widths) against
+    the focal rank's executed tasks; the per-rank property below holds the
+    driver to ``section_extents``, these hold ``run_sizes``' own columns."""
+
+    @pytest.mark.parametrize(
+        "sched", [Schedule.SPLIT_UPDATE, Schedule.LOOKAHEAD, Schedule.CLASSIC]
+    )
+    def test_update_flops_per_iteration(self, sched):
+        """Measured UPDATE flops at the focal rank == the analytic sizes'
+        ``sum_sections(jb^2 w + 2 m w jb)`` -- the exact quantities the
+        performance model prices."""
+        n, nb, p, q = 64, 8, 2, 2
+        cfg = HPLConfig(n=n, nb=nb, p=p, q=q, schedule=sched)
+        pcfg = PerfConfig(n=n, nb=nb, p=p, q=q, pl=p, ql=q, schedule=sched)
+        by_coords = _run_numeric(cfg)
+
+        sz = run_sizes(pcfg)
+        for k in range(cfg.nblocks):
+            jb = int(sz.jb[k])
+            r_f = ((k + 1) % p) if sz.jb_next[k] else (k % p)
+            focal = by_coords[(r_f, sz.c_f[k])]
+            measured = _iteration_sum(focal, k, "UPDATE", "flops")
+            expected = 0.0
+            for w in (int(sz.w_la[k]), int(sz.w_left[k]), int(sz.w_right[k])):
+                expected += jb * jb * w  # DTRSM on U
+                expected += 2.0 * int(sz.m_update[k]) * w * jb  # DGEMM
+            assert measured == pytest.approx(expected, rel=1e-12), (sched, k)
+
+    def test_split_mode_sequence_matches_ledger(self):
+        """The numeric driver transitions split -> lookahead on exactly the
+        iteration the performance ledger predicts, per process column."""
+        n, nb, p, q = 96, 8, 2, 2
+        cfg = HPLConfig(n=n, nb=nb, p=p, q=q)
+        pcfg = PerfConfig(n=n, nb=nb, p=p, q=q, pl=p, ql=q)
+        by_coords = _run_numeric(cfg)
+        sz = run_sizes(pcfg)
+        for k in range(cfg.nblocks):
+            r_f = ((k + 1) % p) if sz.jb_next[k] else (k % p)
+            numeric_mode = by_coords[(r_f, sz.c_f[k])].modes[k]
+            assert numeric_mode == MODE_NAMES[sz.mode[k]], k
+
+    def test_transfer_bytes_match_ledger_m_fact(self):
+        """The driver's synthetic D2H bytes equal the ledger's panel-move
+        size for the same iteration and rank."""
+        n, nb, p, q = 48, 8, 2, 2
+        cfg = HPLConfig(n=n, nb=nb, p=p, q=q, schedule=Schedule.CLASSIC)
+        by_coords = _run_numeric(cfg)
+        for k in range(cfg.nblocks):
+            pcol = k % q
+            jb = min(nb, n - k * nb)
+            for row in range(p):
+                d2h = sum(t.nbytes for t in by_coords[(row, pcol)].tasks
+                          if t.tag == k and t.name.startswith("d2h."))
+                rows = numroc(n, nb, row, p) - num_local_before(k * nb, nb, row, p)
+                assert d2h == 8.0 * rows * jb
+
+    def test_fact_flops_concentrated_in_owner_column(self):
+        """Only ranks in the factoring column burn FACT flops."""
+        cfg = HPLConfig(n=32, nb=8, p=2, q=2, schedule=Schedule.CLASSIC)
+        by_coords = _run_numeric(cfg)
+        for (row, col), result in by_coords.items():
+            for k in range(cfg.nblocks):
+                if _iteration_sum(result, k, "FACT", "flops") > 0:
+                    assert col == k % 2
 
 
 class TestEveryRankAgainstItsExtents:
