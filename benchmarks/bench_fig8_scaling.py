@@ -8,7 +8,7 @@ the neighborhood of the measured 17.75 PFLOPS.
 This benchmark is submitted *through the batch service over HTTP*
 (:mod:`repro.service.http`): a ``ServiceHTTPServer`` hosts the queue
 with a resident two-slot worker pool, each node count becomes one
-``scale`` job submitted by an :class:`AsyncServiceClient`, and the
+``scale`` job submitted by a :class:`ServiceClient`, and the
 points are gathered back over the socket from the content-addressed
 result cache -- so resubmitting the sweep (the final test) costs
 nothing and proves networked result reuse end-to-end.
@@ -16,7 +16,6 @@ nothing and proves networked result reuse end-to-end.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 
 import pytest
@@ -24,7 +23,7 @@ import pytest
 from repro.perf.report import format_scaling_table
 from repro.perf.scaling import weak_scaling_efficiency
 from repro.service import Sweep
-from repro.service.http import AsyncServiceClient, ServiceHTTPServer
+from repro.service.http import ServiceClient, ServiceHTTPServer
 
 from .conftest import write_artifact
 
@@ -49,24 +48,18 @@ class _Point:
 
 
 def _run_sweep(url: str) -> list[_Point]:
-    async def gather() -> list[dict]:
-        client = AsyncServiceClient(url)
-        receipt = await client.submit_sweep(SWEEP)
-        views = await client.wait(receipt.job_ids, timeout=1800)
-        results = []
-        for jid in receipt.job_ids:
-            assert views[jid].state == "DONE", \
-                f"scale job {jid} ended {views[jid].state}"
-            results.append(views[jid].result)
-        return results
-
-    points = [
-        _Point(
+    with ServiceClient(url) as client:
+        receipt = client.submit_sweep(SWEEP)
+        views = client.wait(receipt.job_ids, timeout=1800)
+    points = []
+    for jid in receipt.job_ids:
+        assert views[jid].state == "DONE", \
+            f"scale job {jid} ended {views[jid].state}"
+        result = views[jid].result
+        points.append(_Point(
             nnodes=result["nnodes"], n=result["n"], p=result["p"],
             q=result["q"], tflops=result["tflops"],
-        )
-        for result in asyncio.run(gather())
-    ]
+        ))
     return sorted(points, key=lambda pt: pt.nnodes)
 
 
@@ -125,9 +118,8 @@ def test_fig8_resubmission_served_from_cache(server, points):
     launched_before = sum(
         1 for e in store.events() if e["event"] == "launched"
     )
-    async def resubmit():
-        return await AsyncServiceClient(server.url).submit_sweep(SWEEP)
-    receipt = asyncio.run(resubmit())
+    with ServiceClient(server.url) as client:
+        receipt = client.submit_sweep(SWEEP)
     assert len(receipt.cached) == len(NODE_COUNTS)
     assert not receipt.new
     launched_after = sum(

@@ -13,10 +13,9 @@ Run with:  PYTHONPATH=src python examples/service_campaign.py
 
 from __future__ import annotations
 
-import asyncio
 import tempfile
 
-from repro.service.http import AsyncServiceClient, ServiceHTTPServer
+from repro.service.http import ServiceClient, ServiceHTTPServer
 
 CAMPAIGN = {
     "name": "tune-then-scale",
@@ -40,10 +39,8 @@ CAMPAIGN = {
 }
 
 
-async def run_example(url: str) -> None:
-    client = AsyncServiceClient(url)
-
-    view = await client.submit_campaign(CAMPAIGN)
+def run_example(client: ServiceClient) -> None:
+    view = client.submit_campaign(CAMPAIGN)
     print(f"campaign {view.id} ({view.name}): {view.njobs} jobs")
     for stage in view.stages:
         print(f"  stage {stage.name:<6} {stage.kind:<7}"
@@ -52,12 +49,12 @@ async def run_example(url: str) -> None:
     # One wait over every job id; the server releases each stage as its
     # parents finish.
     all_ids = [jid for s in view.stages for jid in s.job_ids]
-    await client.wait(all_ids, timeout=600)
+    client.wait(all_ids, timeout=600)
 
-    final = await client.campaign(view.id)
+    final = client.campaign(view.id)
     print(f"\ncampaign state: {final.state}")
     pick = next(s for s in final.stages if s.name == "pick")
-    winner = (await client.result(pick.job_ids[0])).result
+    winner = client.result(pick.job_ids[0]).result
     print(f"winning NB: {winner['winner_payload']['nb']}"
           f" ({winner['value']:.1f} TFLOPS single-node)")
 
@@ -65,13 +62,13 @@ async def run_example(url: str) -> None:
     print(f"\n{'nodes':>6} {'N':>9} {'TFLOPS':>9} {'hidden%':>8}")
     rows = []
     for jid in scale.job_ids:
-        r = (await client.result(jid)).result
+        r = client.result(jid).result
         rows.append((r["nnodes"], r["n"], r["tflops"],
                      r["hidden_time_fraction"]))
     for nnodes, n, tflops, hidden in sorted(rows):
         print(f"{nnodes:>6} {n:>9} {tflops:>9.1f} {100 * hidden:>7.1f}%")
 
-    dag = await client.campaign_dag(view.id)
+    dag = client.campaign_dag(view.id)
     edges = sum(len(n["depends_on"]) for n in dag.nodes)
     print(f"\nDAG: {len(dag.nodes)} nodes, {edges} dependency edges")
 
@@ -80,8 +77,9 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         # In production this is a long-lived `repro serve`; here the
         # coordinator and the client share one process.
-        with ServiceHTTPServer(workdir, port=0, workers=2) as server:
-            asyncio.run(run_example(server.url))
+        with ServiceHTTPServer(workdir, port=0, workers=2) as server, \
+                ServiceClient(server.url) as client:
+            run_example(client)
 
 
 if __name__ == "__main__":

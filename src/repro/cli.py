@@ -491,15 +491,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--max-queue-depth must be >= 0, got {args.max_queue_depth}"
         )
-    if args.rate_limit < 0:
-        raise ConfigError(
-            f"--rate-limit must be >= 0, got {args.rate_limit}"
-        )
     server = ServiceHTTPServer(
         args.workdir, host=args.host, port=args.port,
         workers=args.workers, backoff_base=args.backoff, quiet=args.quiet,
         max_queue_depth=args.max_queue_depth,
-        rate_limit=args.rate_limit, rate_burst=args.rate_burst,
     )
     print(f"serving {server.service.workdir} on {server.url} "
           f"with {args.workers} worker slot(s)", flush=True)
@@ -663,12 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="refuse submissions (429 overloaded) while "
                               "this many jobs are outstanding "
                               "(0 = no watermark)")
-    p_serve.add_argument("--rate-limit", type=float, default=0.0,
-                         help="per-client submit requests per second, "
-                              "keyed on X-Client-Id (0 = unlimited)")
-    p_serve.add_argument("--rate-burst", type=float, default=None,
-                         help="token-bucket burst size "
-                              "(default: one second of --rate-limit)")
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_stat = sub.add_parser("status", help="job counts and per-job states")

@@ -151,18 +151,6 @@ class BadCursorError(ServiceError):
     http_status = 422
 
 
-class EventsTruncatedError(ServiceError):
-    """An event cursor points before a rotated/compacted audit log.
-
-    The events the cursor refers to no longer exist, so resuming from
-    it cannot be exactly-once.  The client must accept the gap: restart
-    from ``begin`` (replays what survived compaction) or ``now``.
-    """
-
-    code = "events_truncated"
-    http_status = 410
-
-
 class CycleError(ServiceError):
     """A submission's dependency edges form a cycle.
 
@@ -213,13 +201,6 @@ class OverloadedError(BackpressureError):
     """
 
     code = "overloaded"
-    http_status = 429
-
-
-class RateLimitedError(BackpressureError):
-    """One client (by ``X-Client-Id``) exceeded its token-bucket rate."""
-
-    code = "rate_limited"
     http_status = 429
 
 

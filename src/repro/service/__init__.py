@@ -24,7 +24,7 @@ pick-winner -> dependent study) into such a DAG in one request.
 
 from __future__ import annotations
 
-from .admission import AdmissionController, TokenBucket
+from .admission import AdmissionController
 from .api import Service, SubmitReceipt
 from .cache import ResultCache, payload_key
 from .campaign import CampaignStage, CampaignStore, parse_campaign_spec
@@ -78,7 +78,6 @@ __all__ = [
     "StageView",
     "SubmitReceipt",
     "Sweep",
-    "TokenBucket",
     "WaitTimeout",
     "WorkerOptions",
     "WorkerPool",

@@ -11,11 +11,11 @@ The pieces:
 
 * **Cursors** -- a cursor is one event id, encoded as an opaque base64
   token (:func:`encode_cursor` / :func:`decode_cursor`).  Ids follow
-  commit order and are never reused, so a cursor is stable across
-  coordinator restarts *and* log compactions, which is what makes a
-  feed resumed from its last cursor exactly-once.  The sentinels
-  ``begin`` and ``now`` stand for "everything the log still holds" and
-  "only what happens from here on"; under a job-id filter ``begin`` is
+  commit order, nothing deletes from the log and ids are never reused,
+  so a cursor is stable across coordinator restarts, which is what
+  makes a feed resumed from its last cursor exactly-once.  The
+  sentinels ``begin`` and ``now`` stand for "the whole log" (cursor 0)
+  and "only what happens from here on"; under a job-id filter ``begin`` is
   where the earliest of those jobs was submitted, so waiting on a job
   never replays the log that precedes it.  A token minted before the log was
   a table (a byte offset into a JSONL file) is a ``bad_cursor``.
@@ -53,8 +53,8 @@ from ..errors import BadCursorError
 from .jobs import JobState
 from .views import EventView
 
-#: Cursor sentinels accepted wherever a token is: the start of what the
-#: log still holds, and the position past everything already logged.
+#: Cursor sentinels accepted wherever a token is: the start of the log,
+#: and the position past everything already logged.
 BEGIN = "begin"
 NOW = "now"
 
@@ -250,8 +250,8 @@ class EventBroker:
     # -- cursor resolution ----------------------------------------------
 
     def begin_offset(self, job_ids=None) -> int:
-        """The cursor before the oldest event the log holds -- or, for a
-        feed filtered to ``job_ids``, where those jobs' histories start.
+        """The cursor before the first event (0) -- or, for a feed
+        filtered to ``job_ids``, where those jobs' histories start.
 
         A job's row records the log position it was submitted at
         (:meth:`JobStore.events_start`), so a watch of named jobs reads
@@ -263,7 +263,7 @@ class EventBroker:
             held, start = self.store.events_start(job_ids)
             if held == len(job_ids):
                 return start
-        return self.store.events_base()
+        return 0
 
     def resolve(self, token: str | None, job_ids=None) -> int:
         """The event id for a wire token (sentinels included); ``job_ids``

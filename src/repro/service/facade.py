@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import time
 
-from ..errors import EventsTruncatedError, ServiceError
-from .events import BEGIN
+from ..errors import ServiceError
 from .views import TERMINAL_STATES, EventView, JobView, ResultView
 
 
@@ -62,8 +61,11 @@ class ServiceFacade:
         matching events until ``timeout`` (forever when ``None``).
         Starts from ``cursor`` (default ``"begin"``: full replay, so a
         job that finished before the watch began is still seen
-        finishing).  Raises :class:`WaitTimeout` when a deadline passes
-        with watched jobs outstanding, and
+        finishing).  Once caught up with the log, it checks each
+        watched job's state once and yields a synthesized view
+        (:meth:`_synthesize`) for one already terminal -- a job whose
+        events predate the events table.  Raises :class:`WaitTimeout`
+        when a deadline passes with watched jobs outstanding, and
         :class:`~repro.errors.UnknownJobError` for a watched id the
         service has never held.
         """
@@ -80,17 +82,9 @@ class ServiceFacade:
             budget = poll
             if deadline is not None:
                 budget = min(budget, max(0.0, deadline - time.monotonic()))
-            try:
-                batch, token, timed_out = self.events(
-                    cursor=token, timeout=budget, job_ids=watched,
-                    kinds=kinds, states=states, campaign=campaign)
-            except EventsTruncatedError:
-                # The log was compacted past our offset; restart from
-                # the new beginning and let the state check below cover
-                # any transitions that fell off the log.
-                token = BEGIN
-                checked_current = False
-                continue
+            batch, token, timed_out = self.events(
+                cursor=token, timeout=budget, job_ids=watched,
+                kinds=kinds, states=states, campaign=campaign)
             for view in batch:
                 if pending is not None and view.job_id not in pending:
                     continue  # late event for an already-finished job
@@ -102,8 +96,9 @@ class ServiceFacade:
             if pending is not None and not batch and not checked_current:
                 # Caught up with nothing pending resolved: guard the
                 # one hole event replay cannot cover -- a watched job
-                # whose terminal event predates a compacted log.  One
-                # state check per watched job, once per watch.
+                # from a workdir older than the events table, whose
+                # terminal event was only ever in ``events.jsonl``.
+                # One state check per watched job, once per watch.
                 checked_current = True
                 for jid in sorted(pending):
                     view = self._synthesize(self.job(jid))
@@ -121,9 +116,11 @@ class ServiceFacade:
     def _synthesize(job: JobView) -> EventView:
         """An :class:`EventView` standing in for an unobserved event.
 
-        Used where the real audit record is unavailable (a compacted
-        log): the view carries the job's current state with ``kind``
-        lowered from it and ``data["synthesized"]`` marking it.
+        Used where the real audit record is unavailable -- a job from a
+        workdir written before the events table, whose events are only
+        in the old ``events.jsonl``: the view carries the job's current
+        state with ``kind`` lowered from it and ``data["synthesized"]``
+        marking it.
         """
         return EventView(
             cursor="", t=job.updated, job_id=job.id,

@@ -1,4 +1,4 @@
-"""Clients for the HTTP front-end: blocking and asyncio.
+"""The client for the HTTP front-end.
 
 :class:`ServiceClient` is a thin blocking wrapper over ``http.client``:
 the HTTP backend of the service facade.  Each thread that uses a client
@@ -19,29 +19,18 @@ matching :class:`~repro.errors.ReproError` subclass -- ``bad_config`` ->
 :class:`ConfigError`, ``unknown_job`` -> :class:`UnknownJobError`,
 ``lease_expired`` -> :class:`LeaseExpiredError`, and so on -- falling
 back to the HTTP status class when a body carries no code.  Admission
-rejections (429 ``overloaded`` / ``rate_limited``) are retried
-transparently up to ``retry_429`` times, sleeping the server's
-``Retry-After`` hint between attempts; every request carries an
-``X-Client-Id`` header (one identity per client instance unless
-``client_id`` is given) so per-client rate limits have a key.
-
-:class:`AsyncServiceClient` layers asyncio on top for the batch shape
-the paper's experiments have (submit a grid, gather the points): it is
-*generated* from :class:`ServiceClient` -- every public method,
-inherited ones included, gets an awaitable twin with the identical
-signature that runs the blocking call on the event loop's executor --
-so the two clients cannot drift apart.  ``watch``/``wait`` ride the
-``/v1/events`` long-poll feed on both.
+rejections (429 ``overloaded``) are retried transparently up to
+``retry_429`` times, sleeping the server's ``Retry-After`` hint between
+attempts.  ``watch``/``wait`` ride the ``/v1/events`` long-poll feed,
+so one ``wait(ids)`` gathers a whole grid; threads may share one client,
+each on its own connection.
 """
 
 from __future__ import annotations
 
-import asyncio
 import functools
 import http.client
-import inspect
 import json
-import random
 import threading
 import time
 import urllib.parse
@@ -52,12 +41,10 @@ from ...errors import (
     BadCursorError,
     ConfigError,
     CycleError,
-    EventsTruncatedError,
     LeaseConflictError,
     LeaseExpiredError,
     MalformedRequestError,
     OverloadedError,
-    RateLimitedError,
     ResultTooLargeError,
     ServiceError,
     StoreUnavailableError,
@@ -68,11 +55,10 @@ from ...errors import (
     UnknownRouteError,
 )
 from ..api import MAX_BODY_BYTES, SubmitReceipt
-from ..facade import ServiceFacade, WaitTimeout
+from ..facade import ServiceFacade
 from ..jobs import Job, Lease
 from ..sweep import Sweep
 from ..views import (
-    TERMINAL_STATES,
     CampaignView,
     DagView,
     EventView,
@@ -89,8 +75,7 @@ ERRORS_BY_CODE = {
         UnknownRouteError, UnknownJobKindError, LeaseConflictError,
         LeaseExpiredError, ResultTooLargeError, StoreUnavailableError,
         CycleError, UnknownParentError, UnknownCampaignError,
-        BackpressureError, OverloadedError, RateLimitedError,
-        BadCursorError, EventsTruncatedError, ServiceError,
+        BackpressureError, OverloadedError, BadCursorError, ServiceError,
     )
 }
 
@@ -122,18 +107,12 @@ class ServiceClient(ServiceFacade):
     poll_backoff = 2.0
 
     def __init__(self, url: str, timeout: float = 30.0,
-                 client_id: str | None = None,
                  retry_429: int = 8,
                  retry_429_cap: float = 5.0) -> None:
         if "://" not in url:
             url = f"http://{url}"
         self.base_url = url.rstrip("/")
         self.timeout = timeout
-        # Every request carries X-Client-Id so the server's per-client
-        # rate limiting has an identity to key on; one id per client
-        # instance by default.
-        self.client_id = client_id or \
-            f"client-{random.getrandbits(48):012x}"
         self.retry_429 = int(retry_429)
         self.retry_429_cap = float(retry_429_cap)
         # GET /v1 capability probe result; None until first asked.
@@ -207,9 +186,7 @@ class ServiceClient(ServiceFacade):
         and raised as the exception its error body names.
         """
         method, data, content_type = request
-        send = {"X-Client-Id": self.client_id}
-        if content_type:
-            send["Content-Type"] = content_type
+        send = {"Content-Type": content_type} if content_type else {}
         conn.request(method, self._root + path, body=data, headers=send)
         resp = conn.getresponse()
         if resp.status >= 400:
@@ -260,7 +237,7 @@ class ServiceClient(ServiceFacade):
               timeout: float | None = None) -> bytes:
         """``_open`` with transparent 429 retry honoring Retry-After.
 
-        Admission rejections (``overloaded``, ``rate_limited``) mean
+        Admission rejections (``overloaded``) mean
         "the request is fine, just not now"; submissions are dedup-safe,
         so replaying one can never enqueue twice.  Up to ``retry_429``
         retries, each sleeping the server's hint capped at
@@ -485,77 +462,3 @@ class ServiceClient(ServiceFacade):
         )
         views = [EventView.from_dict(e) for e in body.get("events", ())]
         return views, body.get("cursor", ""), bool(body.get("timed_out"))
-
-
-def _awaitable_twin(method):
-    """The :class:`AsyncServiceClient` twin of one blocking method.
-
-    Plain methods run on the event loop's default executor; a generator
-    method (``watch``) becomes an async generator that advances the
-    blocking generator on the executor one step at a time,
-    so long-poll blocking happens off-loop and many can share one loop.
-    """
-    if inspect.isgeneratorfunction(method):
-        @functools.wraps(method)
-        async def twin(self, *args, **kwargs):
-            iterator = method(self._client, *args, **kwargs)
-            loop = asyncio.get_running_loop()
-            sentinel = object()
-            while True:
-                item = await loop.run_in_executor(None, next, iterator,
-                                                  sentinel)
-                if item is sentinel:
-                    return
-                yield item
-    else:
-        @functools.wraps(method)
-        async def twin(self, *args, **kwargs):
-            return await asyncio.get_running_loop().run_in_executor(
-                None, functools.partial(method, self._client, *args,
-                                        **kwargs))
-    return twin
-
-
-class AsyncServiceClient:
-    """Asyncio twin of :class:`ServiceClient`, generated from it.
-
-    Takes the same constructor arguments and has the same public
-    methods with the same signatures, each awaitable (generators become
-    async generators), returning the same typed objects.  Blocking HTTP
-    calls run on the event loop's default executor, so many clients (or
-    many concurrent ``wait`` gathers) can share one loop.
-    """
-
-    def __init__(self, url: str, **client_options) -> None:
-        self._client = ServiceClient(url, **client_options)
-
-    @property
-    def base_url(self) -> str:
-        return self._client.base_url
-
-    async def wait(self, job_ids,
-                   timeout: float | None = None) -> dict[str, ResultView]:
-        """Async twin of :meth:`ServiceClient.wait`, same contract.
-
-        Hand-written rather than generated: it awaits the async
-        ``watch``/``result`` twins, so the loop regains control (and
-        cancellation lands) between events.
-        """
-        outstanding = list(dict.fromkeys(job_ids))
-        views: dict[str, ResultView] = {}
-        try:
-            async for view in self.watch(job_ids=outstanding,
-                                         states=TERMINAL_STATES,
-                                         timeout=timeout):
-                if view.terminal and view.job_id not in views:
-                    views[view.job_id] = await self.result(view.job_id)
-        except WaitTimeout:
-            raise WaitTimeout(
-                [jid for jid in outstanding if jid not in views], timeout
-            ) from None
-        return views
-
-
-for _name, _method in inspect.getmembers(ServiceClient, inspect.isfunction):
-    if not _name.startswith("_") and _name not in vars(AsyncServiceClient):
-        setattr(AsyncServiceClient, _name, _awaitable_twin(_method))

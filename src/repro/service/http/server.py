@@ -73,9 +73,9 @@ stable machine-readable identifier the raised
 :class:`~repro.errors.ReproError` subclass carries (``bad_config`` 400,
 ``malformed`` 400, ``unknown_job`` / ``unknown_route`` /
 ``unknown_parent`` / ``unknown_campaign`` 404, ``unknown_kind`` /
-``cycle_detected`` / ``bad_cursor`` 422, ``events_truncated`` 410,
+``cycle_detected`` / ``bad_cursor`` 422,
 ``conflict`` / ``lease_expired`` 409, ``too_large`` 413,
-``overloaded`` / ``rate_limited`` 429 with a ``Retry-After`` header,
+``overloaded`` 429 with a ``Retry-After`` header,
 ``store_unavailable`` 503); the HTTP status comes from the same class.
 Clients re-raise the matching typed exception by ``code``.  Every
 result travels inline in its ``complete`` body, so a request body is
@@ -92,8 +92,8 @@ drained (or the connection closed) before the next request is parsed;
 
 Admission control (off by default) guards the three submit routes --
 ``POST /v1/jobs``, ``/v1/jobs/batch``, ``/v1/campaigns`` -- with a
-queue-depth watermark and per-client token buckets keyed on the
-``X-Client-Id`` header; see :mod:`repro.service.admission`.  Reads,
+queue-depth watermark that every accepted submission nudges forward;
+see :mod:`repro.service.admission`.  Reads,
 cancels, and the lease protocol are never gated, so workers can always
 drain and clients can always observe a saturated queue.  ``GET
 /v1/events`` is read-class by the same rule: a watcher is never 429'd,
@@ -336,21 +336,19 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         self._dispatch(self._route_post)
 
-    def _admit_submit(self) -> None:
-        """Run the admission gate for one submit-path request.
-
-        The client identity is the ``X-Client-Id`` header when present
-        (what well-behaved clients send; both bundled clients do), else
-        the peer address -- so an anonymous storm from one host is still
-        one bucket.
-        """
-        admission: AdmissionController | None = getattr(
-            self.server, "admission", None)
-        if admission is None:
-            return
-        client_id = self.headers.get("X-Client-Id") or \
-            f"ip:{self.client_address[0]}"
-        admission.check_submit(client_id, self.service.store.outstanding)
+    def _admitted(self, submit, njobs):
+        """Run one submit-path request's ``submit()`` behind the
+        admission gate, then nudge the gate's cached depth forward by
+        ``njobs(result)``, the jobs it made outstanding.  Every submit
+        route goes through here, so none can sail past the watermark
+        unmetered."""
+        admission: AdmissionController | None = self.server.admission
+        if admission is not None:
+            admission.check_submit(self.service.store.outstanding)
+        result = submit()
+        if admission is not None:
+            admission.note_enqueued(njobs(result))
+        return result
 
     def _submit(self, *forms: str) -> list[SubmitReceipt]:
         """Read a submit body, pass admission, hand it to the service.
@@ -364,27 +362,26 @@ class _Handler(BaseHTTPRequestHandler):
         submission is validated.
         """
         body = self._read_body()
-        self._admit_submit()
-        form = next((f for f in forms if body.get(f)), None)
-        if form == "sweep":
-            jobs = Sweep.from_spec(body["sweep"]).submissions()
-        elif form == "jobs":
-            jobs = body["jobs"]
-        elif form == "kind":
-            jobs = [{"kind": body["kind"],
-                     "payload": body.get("payload", {})}]
-        else:
-            raise MalformedRequestError(
-                "submission body must carry a non-empty "
-                + " or ".join(repr(f) for f in forms)
-            )
-        receipts = self.service.submit_many(
-            jobs, **_given(body, "timeout", "max_retries", "depends_on"))
-        admission: AdmissionController | None = getattr(
-            self.server, "admission", None)
-        if admission is not None:
-            admission.note_enqueued(sum(len(r.new) for r in receipts))
-        return receipts
+
+        def submit() -> list[SubmitReceipt]:
+            form = next((f for f in forms if body.get(f)), None)
+            if form == "sweep":
+                jobs = Sweep.from_spec(body["sweep"]).submissions()
+            elif form == "jobs":
+                jobs = body["jobs"]
+            elif form == "kind":
+                jobs = [{"kind": body["kind"],
+                         "payload": body.get("payload", {})}]
+            else:
+                raise MalformedRequestError(
+                    "submission body must carry a non-empty "
+                    + " or ".join(repr(f) for f in forms)
+                )
+            return self.service.submit_many(
+                jobs, **_given(body, "timeout", "max_retries", "depends_on"))
+
+        return self._admitted(
+            submit, lambda receipts: sum(len(r.new) for r in receipts))
 
     def _queue_page(self, query: str) -> dict:
         params = urllib.parse.parse_qs(query)
@@ -488,10 +485,12 @@ class _Handler(BaseHTTPRequestHandler):
             }
         if path == "/v1/campaigns":
             body = self._read_body()
-            self._admit_submit()
             options = {k: body.pop(k) for k in ("timeout", "max_retries")
                        if k in body}
-            view = self.service.submit_campaign(body, **options)
+            # Every job of the campaign is outstanding, BLOCKED included.
+            view = self._admitted(
+                lambda: self.service.submit_campaign(body, **options),
+                lambda view: view.njobs)
             return 200, {"campaign": view.to_dict()}
         if path == "/v1/leases":
             # ``worker`` / ``n`` / ``ttl`` go through as sent:
@@ -609,23 +608,18 @@ class ServiceHTTPServer:
                  workers: int = 0, backoff_base: float = 0.5,
                  poll_interval: float = 0.02, quiet: bool = True,
                  busy_timeout: float = 30.0,
-                 max_queue_depth: int = 0, rate_limit: float = 0.0,
-                 rate_burst: float | None = None) -> None:
+                 max_queue_depth: int = 0) -> None:
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
         self.service = Service(workdir, backoff_base=backoff_base,
                                busy_timeout=busy_timeout)
         self.workers = workers
         self.poll_interval = poll_interval
-        # Both gates default off (0); see repro.service.admission.  The
-        # controller is exposed as ``.admission`` so tests can shrink
-        # depth_ttl or read rejection tallies directly.
-        self.admission = (
-            AdmissionController(max_queue_depth=max_queue_depth,
-                                rate_limit=rate_limit,
-                                rate_burst=rate_burst)
-            if max_queue_depth > 0 or rate_limit > 0 else None
-        )
+        # The watermark defaults off (0); see repro.service.admission.
+        # The controller is exposed as ``.admission`` so tests can
+        # shrink depth_ttl or read the rejection tally directly.
+        self.admission = (AdmissionController(max_queue_depth)
+                          if max_queue_depth > 0 else None)
         self._httpd = _Server((host, port), _Handler)
         self._httpd.service = self.service
         self._httpd.quiet = quiet

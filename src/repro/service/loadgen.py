@@ -91,12 +91,11 @@ class MiniClient:
     Broken connections reconnect transparently on the next request.
     """
 
-    def __init__(self, url: str, client_id: str = "loadgen") -> None:
+    def __init__(self, url: str) -> None:
         parsed = urllib.parse.urlsplit(
             url if "://" in url else f"http://{url}")
         self.host = parsed.hostname or "127.0.0.1"
         self.port = parsed.port or 80
-        self.client_id = client_id
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
 
@@ -125,7 +124,6 @@ class MiniClient:
         head = (
             f"{method} {path} HTTP/1.1\r\n"
             f"Host: {self.host}:{self.port}\r\n"
-            f"X-Client-Id: {self.client_id}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(payload)}\r\n"
             f"\r\n"
@@ -186,7 +184,7 @@ async def _one_worker(url: str, worker_id: str, deadline: float,
                       submitted_ids: list[str],
                       errors: list[str]) -> None:
     """One coroutine's request loop until the deadline."""
-    client = MiniClient(url, client_id=worker_id)
+    client = MiniClient(url)
     ops = [op for op in OPERATIONS if mix.get(op, 0) > 0]
     weights = [mix[op] for op in ops]
     seq = 0

@@ -8,7 +8,8 @@ exactly what ran -- e.g. "how many jobs entered RUNNING during this
 resubmission?" is one ``SELECT COUNT(*)``.  A transition INSERTs its
 events inside the transaction that changes the rows, so a row and its
 event commit together or not at all, and an event's ``id`` is its
-position in commit order (the feed's cursor, :mod:`.events`).
+position in commit order (the feed's cursor, :mod:`.events`).  Nothing
+deletes from the log: it starts at cursor 0 and only grows.
 
 Connections are opened lazily *per process and per thread*: a
 :class:`JobStore` handle may be created in a supervisor and used after
@@ -33,7 +34,6 @@ import time
 
 from ..errors import (
     BadCursorError,
-    EventsTruncatedError,
     LeaseConflictError,
     LeaseExpiredError,
     StoreUnavailableError,
@@ -118,14 +118,9 @@ _PLACEHOLDERS = ", ".join("?" for _ in COLUMNS)
 
 _INSERT_EVENT = "INSERT INTO events (t, job, event, body) VALUES (?, ?, ?, ?)"
 _SELECT_EVENTS = "SELECT id, t, job, event, body FROM events"
-#: The highest event id ever allocated (AUTOINCREMENT never reuses one,
-#: so a compaction leaves it in place).
+#: The highest event id ever allocated (AUTOINCREMENT never reuses one).
 _LAST_ID = ("SELECT COALESCE((SELECT seq FROM sqlite_sequence"
             " WHERE name = 'events'), 0)")
-#: ``(base, end)``: the cursor before the oldest event the log holds
-#: (the last id when it holds none) and the one past the newest.
-_BOUNDS = (f"SELECT COALESCE(MIN(id) - 1, ({_LAST_ID})), ({_LAST_ID})"
-           " FROM events")
 
 
 def _guarded(fn, *args, **kwargs):
@@ -281,8 +276,9 @@ class JobStore:
     # A cursor is an event id: "every event after this one".  SQLite
     # serialises write transactions and allocates ids inside them, so id
     # order is commit order and a reader never passes an id that commits
-    # later.  Ids are never reused, so a cursor held across a restart --
-    # or a compaction -- still means the same position in the log.
+    # later.  Nothing deletes from the log and ids are never reused, so
+    # the log starts at cursor 0 and a cursor held across a restart
+    # still means the same position in it.
 
     def set_event_hook(self, callback) -> None:
         """Install ``callback(record)``, fired after every logged event.
@@ -294,10 +290,6 @@ class JobStore:
         """
         self.on_event = callback
 
-    def events_base(self) -> int:
-        """The cursor before the oldest event the log still holds."""
-        return self._connection().execute(_BOUNDS).fetchone()[0]
-
     def events_end(self) -> int:
         """The cursor past the newest event: the highest id allocated."""
         return self._connection().execute(_LAST_ID).fetchone()[0]
@@ -307,8 +299,8 @@ class JobStore:
 
         Returns ``(held, cursor)``: how many of the ids are rows here,
         and the earliest submit position recorded on them
-        (:meth:`add_batch`), never before the compaction base (a
-        pre-migration row's 0 means "all the log holds").
+        (:meth:`add_batch`); a pre-migration row's 0 is the start of
+        the log.
         """
         conn = self._connection()
         held, first = 0, None
@@ -320,7 +312,7 @@ class JobStore:
             if count:
                 held += count
                 first = least if first is None else min(first, least)
-        return held, max(self.events_base(), first or 0)
+        return held, first or 0
 
     def read_events(self, cursor: int, limit: int | None = None,
                     ) -> tuple[list[tuple[dict, int]], int]:
@@ -330,40 +322,25 @@ class JobStore:
         record with its id -- resuming from that id never re-reads the
         record, so a cursor-driven reader sees every event exactly once.
 
-        Raises :class:`EventsTruncatedError` when ``cursor`` precedes a
-        compaction and :class:`BadCursorError` when it lies beyond the
+        Raises :class:`BadCursorError` when ``cursor`` lies beyond the
         end of the log.
         """
-        with self._transaction("BEGIN") as tx:
-            base, end = tx.conn.execute(_BOUNDS).fetchone()
-            if cursor < base:
-                raise EventsTruncatedError(
-                    f"cursor {cursor} precedes the compacted log"
-                    f" (events up to id {base} are gone)"
-                )
+        conn = self._connection()
+        rows = conn.execute(
+            f"{_SELECT_EVENTS} WHERE id > ? ORDER BY id LIMIT ?",
+            (cursor, -1 if limit is None else limit)).fetchall()
+        if not rows:
+            # Only a cursor nothing follows can lie past the end; the
+            # end only grows, so checking it after the read is safe.
+            end = conn.execute(_LAST_ID).fetchone()[0]
             if cursor > end:
                 raise BadCursorError(
                     f"cursor {cursor} is beyond the end of the log ({end})"
                 )
-            rows = tx.conn.execute(
-                f"{_SELECT_EVENTS} WHERE id > ? ORDER BY id LIMIT ?",
-                (cursor, -1 if limit is None else limit)).fetchall()
-        # Decoded after COMMIT, so a writer's COMMIT (which waits for
+        # Decoded after the read, so a writer's COMMIT (which waits for
         # readers to let go) never waits on the JSON parsing.
         batch = _records(rows)
         return batch, batch[-1][1] if batch else cursor
-
-    def truncate_events(self) -> int:
-        """Compact the audit log by discarding every event in it.
-
-        Ids are never reused, so cursors keep their meaning: one minted
-        before the compaction either still points at the end or gets
-        :class:`EventsTruncatedError` on its next read.  Returns the
-        new base.
-        """
-        with self._transaction() as tx:
-            tx.conn.execute("DELETE FROM events")
-            return self.events_end()
 
     # -- DAG hook --------------------------------------------------------
 

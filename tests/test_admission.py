@@ -2,37 +2,32 @@
 
 Four claims pinned here:
 
-* **Token bucket / controller units** -- refill math, burst caps,
-  per-client isolation, idle eviction bounding memory, depth-cache TTL.
+* **Controller units** -- the watermark, the depth-cache TTL and the
+  post-submit nudge that walks the cached depth forward.
 * **The 429 wire contract** -- past the watermark submits fail with
   ``overloaded`` + a ``Retry-After`` header while reads, cancels, and
-  leases keep working; per-client buckets reject with ``rate_limited``;
-  clients retry transparently and a storm never turns into a 500.
+  leases keep working; every submit route (single, batch, campaign)
+  nudges the cached depth; clients retry transparently and a storm
+  never turns into a 500.
 * **healthz queue depths under concurrent submits** -- each figure is
   one consistent ``GROUP BY state`` snapshot, so depths are never
   negative, never double-count, and the total is monotone under a
   submit-only workload, ending exactly at the number submitted.
 * **``wait()`` deadline** -- the long-poll budget is clamped to the
   time remaining, so a short timeout cannot overshoot by a full
-  long-poll step (both the sync and asyncio clients).
+  long-poll step (on the submitting thread and on another one).
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 
 import pytest
 
-from repro.errors import (
-    BackpressureError,
-    OverloadedError,
-    RateLimitedError,
-)
-from repro.service.admission import AdmissionController, TokenBucket
+from repro.errors import BackpressureError, OverloadedError
+from repro.service.admission import AdmissionController
 from repro.service.http import (
-    AsyncServiceClient,
     ServiceClient,
     ServiceHTTPServer,
     WaitTimeout,
@@ -45,50 +40,18 @@ def _probe(i, tag="t"):
     return {"behavior": "ok", "tag": f"{tag}{i}"}
 
 
-class TestTokenBucket:
-    def test_burst_then_refill(self):
-        bucket = TokenBucket(rate=10.0, burst=3.0, now=0.0)
-        assert bucket.take(now=0.0) == 0.0
-        assert bucket.take(now=0.0) == 0.0
-        assert bucket.take(now=0.0) == 0.0
-        wait = bucket.take(now=0.0)
-        assert wait == pytest.approx(0.1)
-        # After the hinted wait, exactly one token is available again.
-        assert bucket.take(now=0.11) == 0.0
-        assert bucket.take(now=0.11) > 0.0
-
-    def test_refill_caps_at_burst(self):
-        bucket = TokenBucket(rate=100.0, burst=2.0, now=0.0)
-        assert bucket.take(now=1000.0) == 0.0
-        assert bucket.take(now=1000.0) == 0.0
-        assert bucket.take(now=1000.0) > 0.0
-
-    def test_refusal_spends_nothing(self):
-        bucket = TokenBucket(rate=1.0, burst=1.0, now=0.0)
-        assert bucket.take(now=0.0) == 0.0
-        w1 = bucket.take(now=0.0)
-        w2 = bucket.take(now=0.0)
-        assert w1 == pytest.approx(1.0)
-        assert w2 == pytest.approx(1.0)
-
-    def test_zero_rate_never_refills(self):
-        bucket = TokenBucket(rate=0.0, burst=1.0, now=0.0)
-        assert bucket.take(now=0.0) == 0.0
-        assert bucket.take(now=1e9) == float("inf")
-
-
 class TestAdmissionController:
     def test_disabled_gates_admit_everything(self):
         ctl = AdmissionController()
         for i in range(1000):
-            ctl.check_submit("c", lambda: 10**9)
+            ctl.check_submit(lambda: 10**9)
 
     def test_watermark_rejects_with_retry_after(self):
         ctl = AdmissionController(max_queue_depth=5, depth_ttl=0.0,
                                   retry_after=2.5)
-        ctl.check_submit("c", lambda: 4)
+        ctl.check_submit(lambda: 4)
         with pytest.raises(OverloadedError) as err:
-            ctl.check_submit("c", lambda: 5)
+            ctl.check_submit(lambda: 5)
         assert err.value.retry_after == 2.5
         assert err.value.code == "overloaded"
         assert err.value.http_status == 429
@@ -103,49 +66,19 @@ class TestAdmissionController:
 
         ctl = AdmissionController(max_queue_depth=10, depth_ttl=60.0)
         for _ in range(50):
-            ctl.check_submit("c", outstanding)
+            ctl.check_submit(outstanding)
         assert len(reads) == 1  # one scan per TTL window, not per request
 
     def test_note_enqueued_advances_cached_depth(self):
         ctl = AdmissionController(max_queue_depth=5, depth_ttl=60.0)
-        ctl.check_submit("c", lambda: 0)
+        ctl.check_submit(lambda: 0)
         ctl.note_enqueued(5)  # cached figure now at the watermark
         with pytest.raises(OverloadedError):
-            ctl.check_submit("c", lambda: 0)
-
-    def test_per_client_buckets_are_independent(self):
-        ctl = AdmissionController(rate_limit=1.0, rate_burst=1.0)
-        ctl.check_submit("a", lambda: 0)
-        with pytest.raises(RateLimitedError) as err:
-            ctl.check_submit("a", lambda: 0)
-        assert err.value.code == "rate_limited"
-        assert err.value.retry_after > 0
-        ctl.check_submit("b", lambda: 0)  # other client unaffected
-        assert ctl.stats()["rejected_rate_limited"] == 1
-
-    def test_rate_check_runs_before_depth_scan(self):
-        # A hammering client must not trigger depth reads.
-        ctl = AdmissionController(max_queue_depth=10, rate_limit=1.0,
-                                  rate_burst=1.0, depth_ttl=0.0)
-        ctl.check_submit("a", lambda: 0)
-        with pytest.raises(RateLimitedError):
-            ctl.check_submit("a", lambda: (_ for _ in ()).throw(
-                AssertionError("depth scanned for a rate-limited client")))
-
-    def test_bucket_eviction_bounds_memory(self):
-        from repro.service import admission
-
-        ctl = AdmissionController(rate_limit=100.0)
-        cap = admission._MAX_CLIENTS
-        for i in range(cap + 50):
-            ctl.check_submit(f"c{i}", lambda: 0)
-        assert len(ctl._buckets) <= cap
+            ctl.check_submit(lambda: 0)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             AdmissionController(max_queue_depth=-1)
-        with pytest.raises(ValueError):
-            AdmissionController(rate_limit=-0.5)
 
 
 @pytest.fixture()
@@ -220,39 +153,49 @@ class TestOverloadedWire:
             with pytest.raises(OverloadedError):
                 client.submit("probe", _probe(99))
         stats = client.healthz()["admission"]
-        assert stats["max_queue_depth"] == 5
-        assert stats["rejected_overloaded"] == 3
+        assert stats == {"max_queue_depth": 5, "rejected_overloaded": 3}
 
-
-class TestRateLimitedWire:
-    def test_per_client_429_and_other_clients_unaffected(self, tmp_path):
+    @pytest.mark.parametrize("route", ["jobs", "batch", "campaign"])
+    def test_every_submit_route_advances_cached_depth(self, tmp_path,
+                                                      route):
+        """Five accepted jobs walk the cached depth past a watermark of
+        3 inside one TTL window, whichever route brought them -- a
+        campaign's BLOCKED stages count as outstanding too."""
         with ServiceHTTPServer(tmp_path / "svc", workers=0,
-                               rate_limit=0.5, rate_burst=2) as srv:
-            fast = ServiceClient(srv.url, retry_429=0)
-            fast.submit("probe", _probe(1))
-            fast.submit("probe", _probe(2))
-            with pytest.raises(RateLimitedError) as err:
-                fast.submit("probe", _probe(3))
-            assert err.value.retry_after >= 1.0
-            # A different X-Client-Id has its own bucket.
-            other = ServiceClient(srv.url, retry_429=0)
-            assert other.client_id != fast.client_id
-            assert len(other.submit("probe", _probe(4)).new) == 1
-            # Reads are never rate limited.
-            for _ in range(10):
-                srv_stats = fast.healthz()
-            assert srv_stats["admission"]["rate_limit"] == 0.5
+                               max_queue_depth=3) as srv:
+            srv.admission.depth_ttl = 60.0  # no rescan inside the test
+            client = ServiceClient(srv.url, retry_429=0)
+            points = {"kind": "probe", "axes": {"tag": [1, 2, 3, 4, 5]},
+                      "base": {"behavior": "ok"}}
+            if route == "jobs":
+                assert len(client.submit_sweep(points).new) == 5
+            elif route == "batch":
+                assert len(client.submit_many(
+                    [{"kind": "probe", "payload": _probe(i)}
+                     for i in range(5)])) == 5
+            else:
+                view = client.submit_campaign({
+                    "name": "nudge",
+                    "stages": [
+                        {"name": "grid", "sweep": {
+                            "kind": "probe", "axes": {"tag": [1, 2, 3, 4]},
+                            "base": {"behavior": "ok"}}},
+                        {"name": "pick", "after": ["grid"], "kind": "reduce",
+                         "payload": {"metric": "tag", "mode": "max"}},
+                    ]})
+                assert view.njobs == 5
+            with pytest.raises(OverloadedError):
+                client.submit("probe", _probe(99))
+            assert client.healthz()["admission"]["rejected_overloaded"] == 1
 
     def test_storm_never_500s(self, tmp_path):
-        """A storm well past both gates yields only 200s and 429s."""
+        """A storm well past the watermark yields only 200s and 429s."""
         with ServiceHTTPServer(tmp_path / "svc", workers=0,
-                               max_queue_depth=10, rate_limit=20.0,
-                               rate_burst=5) as srv:
+                               max_queue_depth=10) as srv:
             codes: list[int] = []
 
             def slam(worker: int) -> None:
-                client = ServiceClient(srv.url, retry_429=0,
-                                       client_id=f"w{worker}")
+                client = ServiceClient(srv.url, retry_429=0)
                 for i in range(40):
                     try:
                         client.submit("probe", _probe(i, tag=f"w{worker}-"))
@@ -267,7 +210,7 @@ class TestRateLimitedWire:
             for t in threads:
                 t.join()
             assert len(codes) == 160
-            assert codes.count(429) > 0  # the gates actually fired
+            assert codes.count(429) > 0  # the gate actually fired
             assert codes.count(200) + codes.count(429) == 160
 
 
@@ -342,15 +285,25 @@ class TestWaitDeadlineClamp:
             assert err.value.outstanding == [jid]
             assert elapsed < 1.5, f"overshot the deadline: {elapsed:.2f}s"
 
-    def test_async_wait_does_not_overshoot_deadline(self, tmp_path):
+    def test_wait_on_another_thread_does_not_overshoot_deadline(
+            self, tmp_path):
+        """The same deadline from a thread that shares the client (and
+        so opens its own connection)."""
         with ServiceHTTPServer(tmp_path / "svc", workers=0) as srv:
-            async def scenario() -> float:
-                client = AsyncServiceClient(srv.url)
-                receipt = await client.submit("probe", _probe(0))
+            client = ServiceClient(srv.url)
+            receipt = client.submit("probe", _probe(0))
+            elapsed: list[float] = []
+
+            def scenario() -> None:
                 t0 = time.monotonic()
                 with pytest.raises(WaitTimeout):
-                    await client.wait(receipt.new, timeout=self.TIMEOUT)
-                return time.monotonic() - t0
+                    client.wait(receipt.new, timeout=self.TIMEOUT)
+                elapsed.append(time.monotonic() - t0)
 
-            elapsed = asyncio.run(scenario())
-            assert elapsed < 1.5, f"overshot the deadline: {elapsed:.2f}s"
+            waiter = threading.Thread(target=scenario)
+            waiter.start()
+            waiter.join(timeout=30)
+            assert not waiter.is_alive()
+            assert len(elapsed) == 1, "the waiter raised something else"
+            assert elapsed[0] < 1.5, \
+                f"overshot the deadline: {elapsed[0]:.2f}s"

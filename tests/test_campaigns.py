@@ -10,7 +10,6 @@ descendants while the unrelated branch completes.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import time
 
@@ -25,11 +24,7 @@ from repro.service import (
     WorkerOptions,
     WorkerPool,
 )
-from repro.service.http import (
-    AsyncServiceClient,
-    ServiceClient,
-    ServiceHTTPServer,
-)
+from repro.service.http import ServiceClient, ServiceHTTPServer
 
 pytestmark = pytest.mark.dedicated
 
@@ -180,26 +175,19 @@ class TestIdempotentCancelHTTP:
             assert flipped is False
             assert isinstance(view, JobView) and view.state == "DONE"
 
-    def test_async_client_cancel_job_on_terminal(self, tmp_path):
+    def test_sync_client_cancel_job_flips_a_live_blocked_child(
+            self, tmp_path):
         with ServiceHTTPServer(tmp_path / "svc", workers=2) as srv:
-            async def go():
-                ac = AsyncServiceClient(srv.url)
-                jid = (await ac.submit("probe", {"behavior": "ok"})).new[0]
-                await ac.wait([jid], timeout=60)
-                flipped, view = await ac.cancel_job(jid)
-                assert flipped is False and view.state == "DONE"
-                # A live job still flips: a child of a long-running
-                # parent is reliably BLOCKED when the cancel arrives.
-                slow = (await ac.submit(
-                    "probe", {"behavior": "sleep", "seconds": 120.0}
-                )).new[0]
-                blocked = (await ac.submit(
-                    "probe", {"behavior": "ok", "tag": 9},
-                    depends_on=[slow])).new[0]
-                flipped2, view2 = await ac.cancel_job(blocked)
-                assert flipped2 is True and view2.state == "CANCELLED"
-                return True
-            assert asyncio.run(go()) is True
+            client = ServiceClient(srv.url)
+            # A child of a long-running parent is reliably BLOCKED when
+            # the cancel arrives.
+            slow = client.submit(
+                "probe", {"behavior": "sleep", "seconds": 120.0}).new[0]
+            blocked = client.submit(
+                "probe", {"behavior": "ok", "tag": 9},
+                depends_on=[slow]).new[0]
+            flipped, view = client.cancel_job(blocked)
+            assert flipped is True and view.state == "CANCELLED"
 
 
 class TestCampaignCLI:

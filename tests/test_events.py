@@ -2,14 +2,15 @@
 
 The feed's contract is *exactly-once resumability over the store's
 ``events`` table*: every event carries a cursor (its id) that resumes
-just past it, ids survive restarts and compactions (they are never
-reused), and the broker reads in id order, which is commit order.  A
-workdir an older release left -- an ``events.jsonl`` log, an
-``events.base`` sidecar, byte offsets in ``jobs.events_from`` -- opens,
-leaves both files alone, and refuses the byte-offset tokens of that
-release.  The Hypothesis property at the bottom pins the core invariant
-under a live writer: a reader tailing the log concurrently with appends
-sees every record exactly once, whole, in write order.
+just past it, ids survive restarts (nothing deletes from the log and
+ids are never reused), and the broker reads in id order, which is
+commit order.  A workdir an older release left -- an ``events.jsonl``
+log, an ``events.base`` sidecar, byte offsets in ``jobs.events_from``
+-- opens, leaves both files alone, refuses the byte-offset tokens of
+that release, and still lets a watch see its finished jobs finish.
+The Hypothesis property at the bottom pins the core invariant under a
+live writer: a reader tailing the log concurrently with appends sees
+every record exactly once, whole, in write order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BadCursorError, EventsTruncatedError
+from repro.errors import BadCursorError
 from repro.service import Job, JobStore, Service, payload_key
 from repro.service import store as store_module
 from repro.service.events import (
@@ -39,7 +40,7 @@ from repro.service.events import (
     encode_queue_cursor,
 )
 from repro.service.http import ServiceClient, ServiceHTTPServer
-from repro.service.jobs import COLUMNS
+from repro.service.jobs import COLUMNS, JobState
 from repro.service.views import EventView
 
 pytestmark = pytest.mark.dedicated
@@ -136,22 +137,6 @@ class TestStoreLog:
         with pytest.raises(BadCursorError):
             store.read_events(store.events_end() + 1)
 
-    def test_truncation_folds_into_base(self, tmp_path):
-        store = JobStore(tmp_path)
-        store._event("j1", "submitted")
-        store._event("j1", "done")
-        end = store.events_end()
-        base = store.truncate_events()
-        assert base == end == store.events_base() == store.events_end()
-        # Offsets from before the compaction are truncated, not bad.
-        with pytest.raises(EventsTruncatedError):
-            store.read_events(0)
-        # The log keeps working and offsets stay monotonic.
-        store._event("j2", "submitted")
-        batch, new_end = store.read_events(base)
-        assert [r["job"] for r, _ in batch] == ["j2"]
-        assert new_end > base
-
 
 def _broker(tmp_path):
     """``(store, broker)`` over a fresh store."""
@@ -246,7 +231,7 @@ class TestJobFilteredBegin:
     """``begin`` + a job filter starts where the jobs were submitted."""
 
     @pytest.mark.parametrize(
-        "case", ["plain", "compacted", "premigration", "unknown_id"])
+        "case", ["plain", "premigration", "unknown_id"])
     def test_equals_the_filtered_replay_without_replaying(
             self, tmp_path, monkeypatch, case):
         service = Service(tmp_path / "svc")
@@ -261,26 +246,23 @@ class TestJobFilteredBegin:
         conn.close()
         held: dict[str, int] = {}  # id -> last event id at submit
         for tag in range(6):
-            if case == "compacted" and tag == 3:
-                store.truncate_events()
             before = store.events_end()
             held[service.submit("probe", {"behavior": "echo",
                                           "tag": tag}).new[0]] = before
         service.run_workers(n=2, max_seconds=60)
         watched = list(held)[1::2]  # some, not all
-        base = store.events_base()
-        expected_start = max(base, min(held[j] for j in watched))
+        expected_start = min(held[j] for j in watched)
         if case == "premigration":  # a row older than the column
             with sqlite3.connect(store.db_path) as conn:
                 conn.execute("UPDATE jobs SET events_from = 0"
                              " WHERE id = ?", (watched[0],))
-            expected_start = base
+            expected_start = 0
         ids = list(watched)
         if case == "unknown_id":
             ids.append("nosuchjob000")
-            expected_start = base
+            expected_start = 0
 
-        replay = _pages(service, encode_cursor(base), job_ids=ids)
+        replay = _pages(service, encode_cursor(0), job_ids=ids)
         first_reads: list[int] = []
         read_events = JobStore.read_events
         monkeypatch.setattr(
@@ -296,27 +278,33 @@ class TestJobFilteredBegin:
         assert [(v.job_id, v.kind, v.t) for v in fast] == [
             (v.job_id, v.kind, v.t) for v in _pages(service, "begin")
             if v.job_id in watched]
-        # ... read from the jobs' submit positions, not from the base.
+        # ... read from the jobs' submit positions, not from the start.
         assert first_reads[0] == expected_start
         if case == "plain":  # and that skipped the 3 000
-            assert expected_start > base
+            assert expected_start > 0
 
 
 class TestOldWorkdir:
     """A workdir left by the release that logged to ``events.jsonl``."""
 
-    @pytest.fixture
-    def old(self, tmp_path):
+    @staticmethod
+    def _build(tmp_path, state: JobState):
         """Its layout, built by hand: the ``jobs`` table (whose schema
-        this release keeps) holding a row whose ``events_from`` is a
-        byte offset, the JSONL log, and the compaction base sidecar."""
+        this release keeps) holding a row in ``state`` whose
+        ``events_from`` is a byte offset, the JSONL log holding that
+        row's events up to ``state``, and the compaction base sidecar.
+        Yields ``(root, job id)`` and checks both files are untouched."""
         root = tmp_path / "svc"
         root.mkdir()
         payload = {"behavior": "ok"}
         job = Job(id="old000000001", kind="probe", payload=payload,
-                  key=payload_key("probe", payload))
-        line = json.dumps({"event": "submitted", "job": job.id, "pid": 1,
-                           "state": "PENDING", "t": 1.0})
+                  key=payload_key("probe", payload), state=state)
+        history = ["submitted"] if state is JobState.PENDING \
+            else ["submitted", "claimed", "launched", "done"]
+        log = "".join(
+            json.dumps({"event": event, "job": job.id, "pid": 1,
+                        "t": 1.0 + i}) + "\n"
+            for i, event in enumerate(history))
         with sqlite3.connect(root / "jobs.sqlite") as conn:
             conn.executescript(store_module._SCHEMA)
             conn.execute(
@@ -324,25 +312,49 @@ class TestOldWorkdir:
                 f" VALUES ({', '.join('?' * len(COLUMNS))}, ?)",
                 job.to_row() + (123 + 4096,))
         conn.close()
-        (root / "events.jsonl").write_text(line + "\n")
+        (root / "events.jsonl").write_text(log)
         (root / "events.base").write_text("123\n")
         files = {name: (root / name).read_bytes()
                  for name in ("events.jsonl", "events.base")}
         yield root, job.id
         assert {name: (root / name).read_bytes() for name in files} == files
 
+    @pytest.fixture
+    def old(self, tmp_path):
+        """A PENDING job left by that release."""
+        yield from self._build(tmp_path, JobState.PENDING)
+
+    @pytest.fixture
+    def old_done(self, tmp_path):
+        """A DONE job left by that release: its events are only in
+        ``events.jsonl``, none in the table."""
+        yield from self._build(tmp_path, JobState.DONE)
+
     def test_opens_and_begin_resolves_to_the_base(self, old):
         root, job_id = old
         service = Service(root)
         store = service.store
         assert store.events() == []  # the old log is not read
-        assert service.broker.resolve("begin", [job_id]) == \
-            store.events_base() == 0
+        assert service.broker.resolve("begin", [job_id]) == 0
         # The old job runs on, logging into the table.
         lease, (job,) = service.claim_jobs("w", n=1)
         service.complete_job(job.id, lease.id, {"ok": True})
         views, _, _ = service.events(cursor="begin", job_ids=[job_id])
         assert [v.kind for v in views] == ["claimed", "launched", "done"]
+
+    def test_finished_job_is_seen_finishing(self, old_done):
+        """The table holds nothing for the job, so only ``watch``'s
+        one-time state check can end a wait on it."""
+        root, job_id = old_done
+        service = Service(root)
+        assert service.store.events() == []
+        (view,) = service.watch(job_ids=[job_id], timeout=1.0, poll=0.1)
+        assert (view.job_id, view.state, view.kind) == \
+            (job_id, "DONE", "done")
+        assert view.data == {"synthesized": True}
+        # wait() long-polls its whole budget before the state check.
+        views = service.wait([job_id], timeout=1.0)  # no WaitTimeout
+        assert views[job_id].state == "DONE"
 
     def test_byte_offset_token_is_bad_cursor(self, old):
         root, _ = old
@@ -401,7 +413,7 @@ def test_concurrent_tail_sees_every_line_whole_and_once(tmp_path_factory,
 
     writer = threading.Thread(target=write)
     collected: list[tuple[dict, int]] = []
-    offset = store.events_base()
+    offset = 0
     writer.start()
     try:
         while True:

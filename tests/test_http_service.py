@@ -2,7 +2,7 @@
 
 The acceptance scenario lives in :class:`TestEndToEnd`: a real
 ``repro serve`` process (subprocess, own worker pool), a 4-point sweep
-submitted through :class:`AsyncServiceClient`, cached/deduped
+submitted through :class:`ServiceClient`, cached/deduped
 dispositions on resubmission, a cancellation, and results fetched for
 the rest -- all over the socket, with a clean shutdown at the end.
 
@@ -14,7 +14,6 @@ round-trips are asserted here.
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import inspect
 import json
@@ -47,7 +46,6 @@ from repro.service import (JobState, JobView, QueuePage, Service,
                            ServiceFacade, SubmitReceipt, Sweep)
 from repro.service.api import MAX_BODY_BYTES, MAX_RESULT_BYTES
 from repro.service.http import (
-    AsyncServiceClient,
     ServiceClient,
     ServiceHTTPServer,
     WaitTimeout,
@@ -832,16 +830,63 @@ class TestMalformedLeaseParameters:
         assert service.store.get_lease(held.id).expires == held.expires
 
 
-class TestAsyncClient:
+class TestClient:
     def test_wait_timeout_raises_with_outstanding_ids(self, tmp_path):
         # No pool: the job never finishes, so wait() must time out.
         with ServiceHTTPServer(tmp_path / "idle", workers=0) as srv:
-            async def go():
-                ac = AsyncServiceClient(srv.url)
-                receipt = await ac.submit("probe", {"behavior": "ok"})
-                await ac.wait(receipt.new, timeout=0.3)
+            client = ServiceClient(srv.url)
+            receipt = client.submit("probe", {"behavior": "ok"})
             with pytest.raises(WaitTimeout, match="1 job"):
-                asyncio.run(go())
+                client.wait(receipt.new, timeout=0.3)
+
+    def test_service_and_client_share_one_signature_per_call(self):
+        """Both backends answer the facade's calls with one signature
+        each, so a consumer written against one serves the other."""
+        assert Service.poll_backoff == 1.0
+        assert ServiceClient.poll_backoff == 2.0
+        for name in FACADE_CALLS:
+            assert inspect.signature(getattr(Service, name)) == \
+                inspect.signature(getattr(ServiceClient, name)), name
+        for name in ("counts", "watch", "wait"):
+            assert getattr(Service, name) is getattr(ServiceClient, name) \
+                is getattr(ServiceFacade, name), name
+
+    def test_envelopes_roundtrip(self, tmp_path):
+        """The client returns the same typed objects local callers get."""
+        with ServiceHTTPServer(tmp_path / "idle", workers=0) as srv:
+            client = ServiceClient(srv.url)
+            receipt = client.submit("probe", {"behavior": "ok"})
+            assert isinstance(receipt, SubmitReceipt)
+            view = client.job(receipt.new[0])
+            assert isinstance(view, JobView)
+            page = client.status(kind="probe", limit=1)
+            assert isinstance(page, QueuePage)
+            assert [j.id for j in page.jobs] == receipt.new
+
+    def test_gather_many_jobs_concurrently(self, server):
+        """Threads sharing one client submit at once, each on its own
+        connection, and one wait gathers every job."""
+        client = ServiceClient(server.url)
+        receipts = [None] * 6
+
+        def submit(i):
+            receipts[i] = client.submit("probe", {"behavior": "ok", "tag": i})
+
+        threads = [threading.Thread(target=submit, args=(i,))
+                   for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        ids = [r.new[0] for r in receipts]
+        views = client.wait(ids, timeout=60)
+        assert len(views) == 6
+        assert all(v.state == "DONE" for v in views.values())
+
+
+class TestBackoff:
+    """The worker pool's idle-poll backoff (``workers._Backoff``)."""
 
     def test_backoff_grows_and_resets_on_progress(self):
         from repro.service.workers import _Backoff
@@ -859,101 +904,41 @@ class TestAsyncClient:
         assert all(0.5 <= d <= 1.5 for d in delays)
         assert max(delays) > 1.25 and min(delays) < 0.75  # actually jittered
 
-    def test_every_public_method_has_an_async_twin_with_the_same_signature(
-            self):
-        """The async client is generated from the sync one, so the two
-        cannot drift (``status`` once lost its ``cursor`` that way)."""
-        public = [name for name, _ in inspect.getmembers(
-                      ServiceClient, inspect.isfunction)
-                  if not name.startswith("_")]
-        assert {"status", "wait", "watch", "claim_jobs"} <= set(public)
-        for name in public:
-            twin = getattr(AsyncServiceClient, name)
-            assert inspect.signature(twin) == \
-                inspect.signature(getattr(ServiceClient, name)), name
-            assert inspect.iscoroutinefunction(twin) \
-                or inspect.isasyncgenfunction(twin), name
-
-    def test_service_and_client_share_one_signature_per_call(self):
-        """Both backends answer the facade's calls with one signature
-        each, so a consumer written against one serves the other."""
-        assert Service.poll_backoff == 1.0
-        assert ServiceClient.poll_backoff == 2.0
-        for name in FACADE_CALLS:
-            assert inspect.signature(getattr(Service, name)) == \
-                inspect.signature(getattr(ServiceClient, name)), name
-        for name in ("counts", "watch", "wait"):
-            assert getattr(Service, name) is getattr(ServiceClient, name) \
-                is getattr(ServiceFacade, name), name
-
-    def test_async_envelopes_roundtrip(self, tmp_path):
-        """Async client returns the same typed objects as the sync one."""
-        with ServiceHTTPServer(tmp_path / "idle", workers=0) as srv:
-            async def go():
-                ac = AsyncServiceClient(srv.url)
-                receipt = await ac.submit("probe", {"behavior": "ok"})
-                assert isinstance(receipt, SubmitReceipt)
-                view = await ac.job(receipt.new[0])
-                assert isinstance(view, JobView)
-                page = await ac.status(kind="probe", limit=1)
-                assert isinstance(page, QueuePage)
-                assert [j.id for j in page.jobs] == receipt.new
-                return True
-            assert asyncio.run(go()) is True
-
-    def test_gather_many_jobs_concurrently(self, server):
-        async def go():
-            ac = AsyncServiceClient(server.url)
-            receipts = await asyncio.gather(*[
-                ac.submit("probe", {"behavior": "ok", "tag": i})
-                for i in range(6)
-            ])
-            ids = [r.new[0] for r in receipts]
-            views = await ac.wait(ids, timeout=60)
-            return views
-        views = asyncio.run(go())
-        assert len(views) == 6
-        assert all(v.state == "DONE" for v in views.values())
-
 
 class TestEndToEnd:
     def test_serve_submit_wait_cancel_shutdown(self, tmp_path):
         """The acceptance path, over a real socket to a real process."""
         proc, url = start_serve(tmp_path / "svc", workers=2)
         try:
-            async def scenario():
-                ac = AsyncServiceClient(url)
-                assert (await ac.healthz())["ok"] is True
+            with ServiceClient(url) as client:
+                assert client.healthz()["ok"] is True
 
-                # 1. a 4-point sweep, gathered asynchronously
-                receipt = await ac.submit_sweep(SIM_SWEEP)
+                # 1. a 4-point sweep, gathered by one wait
+                receipt = client.submit_sweep(SIM_SWEEP)
                 assert len(receipt.new) == 4
-                views = await ac.wait(receipt.job_ids, timeout=120)
+                views = client.wait(receipt.job_ids, timeout=120)
                 assert all(v.state == "DONE" for v in views.values())
                 assert all(v.result["score_tflops"] > 0
                            for v in views.values())
 
                 # 2. resubmission: every point served from cache
-                again = await ac.submit_sweep(SIM_SWEEP)
+                again = client.submit_sweep(SIM_SWEEP)
                 assert len(again.cached) == 4
                 assert not again.new and not again.deduped
 
                 # 3. cancel one fresh pending job, keep another
-                held = await ac.submit("probe", {"behavior": "sleep",
-                                                 "seconds": 30.0})
-                kept = await ac.submit("probe", {"behavior": "ok"})
+                held = client.submit("probe", {"behavior": "sleep",
+                                               "seconds": 30.0})
+                kept = client.submit("probe", {"behavior": "ok"})
                 # Cancel can race the resident pool's claim; accept
                 # either outcome but the state must be terminal or
                 # observable.
-                await ac.cancel_job(held.new[0])
-                kept_views = await ac.wait(kept.new, timeout=60)
+                client.cancel_job(held.new[0])
+                kept_views = client.wait(kept.new, timeout=60)
                 assert kept_views[kept.new[0]].state == "DONE"
 
-                counts = (await ac.status()).counts
+                counts = client.status().counts
                 assert counts["DONE"] >= 9  # 4 ran + 4 cached + 1 kept
-                return True
-
-            assert asyncio.run(scenario()) is True
         finally:
             proc.send_signal(signal.SIGINT)
             out, _ = proc.communicate(timeout=30)
