@@ -131,6 +131,21 @@ class TestStoreLog:
         assert [r["job"] for r, _ in tail] == ["j2"]
         assert store.read_events(end)[0] == []
 
+    def test_reopened_log_keeps_every_event_from_zero(self, tmp_path):
+        """Nothing deletes from the log, so a store reopened on it
+        replays every event from cursor 0 and appends after them."""
+        store = JobStore(tmp_path)
+        store._event("j1", "submitted")
+        store._event("j2", "submitted")
+        first, end = store.read_events(0)
+        store.close()
+        store = JobStore(tmp_path)
+        assert EventBroker(store).resolve(BEGIN) == 0
+        assert store.read_events(0) == (first, end)
+        store._event("j3", "submitted")
+        tail, _ = store.read_events(end)
+        assert [r["job"] for r, _ in tail] == ["j3"]
+
     def test_offset_past_end_is_bad_cursor(self, tmp_path):
         store = JobStore(tmp_path)
         store._event("j1", "submitted")
@@ -231,7 +246,7 @@ class TestJobFilteredBegin:
     """``begin`` + a job filter starts where the jobs were submitted."""
 
     @pytest.mark.parametrize(
-        "case", ["plain", "premigration", "unknown_id"])
+        "case", ["plain", "premigration", "unknown_id", "reopened"])
     def test_equals_the_filtered_replay_without_replaying(
             self, tmp_path, monkeypatch, case):
         service = Service(tmp_path / "svc")
@@ -250,6 +265,10 @@ class TestJobFilteredBegin:
             held[service.submit("probe", {"behavior": "echo",
                                           "tag": tag}).new[0]] = before
         service.run_workers(n=2, max_seconds=60)
+        if case == "reopened":  # the submit positions outlive a restart
+            store.close()
+            service = Service(tmp_path / "svc")
+            store = service.store
         watched = list(held)[1::2]  # some, not all
         expected_start = min(held[j] for j in watched)
         if case == "premigration":  # a row older than the column
@@ -280,7 +299,7 @@ class TestJobFilteredBegin:
             if v.job_id in watched]
         # ... read from the jobs' submit positions, not from the start.
         assert first_reads[0] == expected_start
-        if case == "plain":  # and that skipped the 3 000
+        if case in ("plain", "reopened"):  # and that skipped the 3 000
             assert expected_start > 0
 
 
@@ -299,8 +318,13 @@ class TestOldWorkdir:
         payload = {"behavior": "ok"}
         job = Job(id="old000000001", kind="probe", payload=payload,
                   key=payload_key("probe", payload), state=state)
-        history = ["submitted"] if state is JobState.PENDING \
-            else ["submitted", "claimed", "launched", "done"]
+        history = {
+            JobState.PENDING: ["submitted"],
+            JobState.DONE: ["submitted", "claimed", "launched", "done"],
+            JobState.FAILED: ["submitted", "claimed", "launched",
+                              "failed"],
+            JobState.CANCELLED: ["submitted", "cancelled"],
+        }[state]
         log = "".join(
             json.dumps({"event": event, "job": job.id, "pid": 1,
                         "t": 1.0 + i}) + "\n"
@@ -324,11 +348,12 @@ class TestOldWorkdir:
         """A PENDING job left by that release."""
         yield from self._build(tmp_path, JobState.PENDING)
 
-    @pytest.fixture
-    def old_done(self, tmp_path):
-        """A DONE job left by that release: its events are only in
-        ``events.jsonl``, none in the table."""
-        yield from self._build(tmp_path, JobState.DONE)
+    @pytest.fixture(params=[JobState.DONE, JobState.FAILED,
+                            JobState.CANCELLED], ids=lambda s: s.value)
+    def old_done(self, request, tmp_path):
+        """A finished job left by that release, in each terminal state:
+        its events are only in ``events.jsonl``, none in the table."""
+        yield from self._build(tmp_path, request.param)
 
     def test_opens_and_begin_resolves_to_the_base(self, old):
         root, job_id = old
@@ -342,19 +367,32 @@ class TestOldWorkdir:
         views, _, _ = service.events(cursor="begin", job_ids=[job_id])
         assert [v.kind for v in views] == ["claimed", "launched", "done"]
 
-    def test_finished_job_is_seen_finishing(self, old_done):
+    @pytest.mark.parametrize("backend", ["in_process", "http"])
+    def test_finished_job_is_seen_finishing(self, old_done, backend):
         """The table holds nothing for the job, so only ``watch``'s
-        one-time state check can end a wait on it."""
+        one-time state check can end a wait on it -- on either backend,
+        since both ride the same facade."""
         root, job_id = old_done
         service = Service(root)
         assert service.store.events() == []
-        (view,) = service.watch(job_ids=[job_id], timeout=1.0, poll=0.1)
-        assert (view.job_id, view.state, view.kind) == \
-            (job_id, "DONE", "done")
-        assert view.data == {"synthesized": True}
-        # wait() long-polls its whole budget before the state check.
-        views = service.wait([job_id], timeout=1.0)  # no WaitTimeout
-        assert views[job_id].state == "DONE"
+        state = service.job(job_id).state
+        srv = None
+        if backend == "http":
+            srv = ServiceHTTPServer(root, workers=0).start()
+            service = ServiceClient(srv.url)
+        try:
+            (view,) = service.watch(job_ids=[job_id], timeout=1.0,
+                                    poll=0.1)
+            assert (view.job_id, view.state, view.kind) == \
+                (job_id, state, state.lower())
+            assert view.terminal
+            assert view.data == {"synthesized": True}
+            # wait() long-polls its whole budget before the state check.
+            views = service.wait([job_id], timeout=1.0)  # no WaitTimeout
+            assert views[job_id].state == state
+        finally:
+            if srv is not None:
+                srv.shutdown()
 
     def test_byte_offset_token_is_bad_cursor(self, old):
         root, _ = old

@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.errors import BadCursorError
-from repro.service import Service
+from repro.service import JobStore, Service
 from repro.service.events import encode_cursor, encode_queue_cursor
 from repro.service.http import ServiceClient, ServiceHTTPServer
 
@@ -27,10 +27,25 @@ pytestmark = pytest.mark.dedicated
 
 
 @pytest.fixture
-def server(tmp_path):
+def server(request, tmp_path):
+    """A served workdir; ``"reopened"`` (indirect parameter) starts it
+    on a log an earlier server life filled, so the log does not start
+    with the test's own events and every id the feed hands out lies
+    past that history."""
+    if getattr(request, "param", "fresh") == "reopened":
+        store = JobStore(tmp_path / "svc")
+        for i in range(5):
+            store._event(f"gone-{i}", "submitted")
+        assert store.events_end() == 5
+        store.close()
     with ServiceHTTPServer(tmp_path / "svc", port=0, workers=2,
                            backoff_base=0.01) as srv:
         yield srv
+
+
+#: The feed's contracts hold on a fresh log and on a reopened one.
+both_logs = pytest.mark.parametrize("server", ["fresh", "reopened"],
+                                    indirect=True)
 
 
 @pytest.fixture
@@ -67,6 +82,7 @@ class TestDiscovery:
         assert calls == []
 
 
+@both_logs
 class TestLongPoll:
     def test_full_lifecycle_from_begin(self, server, client):
         jid = client.submit("probe", {"behavior": "ok"}).new[0]
@@ -157,6 +173,7 @@ class TestLongPoll:
             time.monotonic() - t0 >= 0.15
 
 
+@both_logs
 class TestErrorContract:
     def test_undecodable_cursor_is_422(self, server, client):
         with pytest.raises(BadCursorError):
@@ -183,6 +200,18 @@ class TestErrorContract:
     def test_queue_token_on_event_feed_is_422(self, server, client):
         with pytest.raises(BadCursorError):
             client.events(cursor=encode_queue_cursor(0.0, "j"))
+
+    def test_cursor_past_the_end_is_422(self, server, client):
+        """A well-formed token naming an id the log has not reached is
+        outside input the server rejects, not a wait for the future."""
+        jid = client.submit("probe", {"behavior": "ok"}).new[0]
+        _drain(client, jid)
+        end = server.service.store.events_end()
+        views, cursor, _ = client.events(cursor=encode_cursor(end),
+                                         timeout=0.05)
+        assert views == [] and cursor == encode_cursor(end)
+        with pytest.raises(BadCursorError, match="beyond the end"):
+            client.events(cursor=encode_cursor(end + 1), timeout=0.05)
 
 
 class TestQueueCursor:
@@ -266,6 +295,7 @@ class TestOneWireForm:
             conn.close()
 
 
+@both_logs
 class TestWatchAndWait:
     def test_watch_yields_lifecycle_then_ends(self, server, client):
         jid = client.submit("probe", {"behavior": "ok"}).new[0]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import http.client
 import inspect
 import json
+import os
 import random
 import signal
 import socket
@@ -998,3 +999,25 @@ class TestEndToEnd:
             view = ServiceClient(srv.url).wait([jid], timeout=120)[jid]
         assert view.state == "DONE"
         assert view.result["n"] == 512
+
+
+class TestServiceExamples:
+    """The two service examples run start to finish on the client."""
+
+    @pytest.mark.parametrize("example, lines", [
+        ("service_sweep", ["gathered 8 completed point(s)",
+                           "resubmitted: 8 of 8 points served from cache"]),
+        ("service_campaign", ["campaign state: done",
+                              "DAG: 7 nodes, 6 dependency edges"]),
+    ])
+    def test_example_exits_cleanly(self, example, lines):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, os.path.join("examples", f"{example}.py")],
+            capture_output=True, text=True, env=env, cwd=root,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout.splitlines()
+        assert all(line in out for line in lines), proc.stdout
