@@ -22,14 +22,13 @@ it is where result reuse happens:
 
 from __future__ import annotations
 
-import glob
 import math
 import os
 import threading
 import weakref
 from dataclasses import dataclass, field
 
-from ..config import HPLConfig, canonical_json
+from ..config import canonical_json
 from ..errors import (
     ConfigError,
     MalformedRequestError,
@@ -51,8 +50,8 @@ from .store import JobStore
 from .sweep import MAX_BATCH_JOBS, Sweep
 from .views import (CampaignView, DagView, EventView, JobView, QueuePage,
                     ResultView)
-from .workers import (RUNNERS, PoolSummary, WorkerOptions, WorkerPool,
-                      sim_config)
+from .workers import (PARSERS, RUNNERS, PoolSummary, WorkerOptions,
+                      WorkerPool)
 
 DEFAULT_WORKDIR = ".repro-service"
 
@@ -158,15 +157,13 @@ def _validated(submissions, timeout, max_retries, depends_on,
                 f"{at}'payload' must be an object,"
                 f" got {type(payload).__name__}"
             )
-        if kind in ("run", "sim") and not has_placeholders(payload):
-            # Construct the config the payload describes now, so a bad
-            # grid corner fails the submission and not a worker.
-            # ($winner placeholders only get their values at launch.)
+        parse = PARSERS.get(kind)
+        if parse is not None and not has_placeholders(payload):
+            # Parse the payload now, so a bad value fails the submission
+            # and not a worker.  ($winner placeholders only get their
+            # values at launch.)
             try:
-                if kind == "sim":
-                    sim_config(payload)
-                else:
-                    HPLConfig.from_dict(payload)
+                parse(payload)
             except ConfigError as exc:
                 raise ConfigError(f"{at}{exc}") from None
         try:
@@ -189,6 +186,11 @@ def _validated(submissions, timeout, max_retries, depends_on,
                 isinstance(p, str) and p for p in parents):
             raise MalformedRequestError(
                 f"{at}'depends_on' must be a list of job id strings"
+            )
+        if kind == "reduce" and not parents:
+            raise ConfigError(
+                f"{at}a reduce job ranks its parents' results, so it needs"
+                f" depends_on"
             )
         out.append((kind, payload, item_timeout, item_retries,
                     list(dict.fromkeys(parents))))
@@ -219,9 +221,9 @@ class Service(ServiceFacade):
     """One service instance rooted at a workdir (queue + cache on disk).
 
     The queue is one :class:`~repro.service.store.JobStore` in the
-    workdir itself, beside the content-addressed result cache.  A
-    workdir still laid out as ``shards/NN/`` is refused with a
-    :class:`ConfigError` rather than served as an empty queue.
+    workdir itself, beside the content-addressed result cache; one in an
+    earlier release's layout is a :class:`ConfigError` (see
+    :mod:`~repro.service.store`).
     ``shards``: ignored; goes with the benchmark harness's next change.
     """
 
@@ -233,13 +235,6 @@ class Service(ServiceFacade):
                  backoff_base: float = 0.5, shards=None,
                  busy_timeout: float = 30.0) -> None:
         self.workdir = os.fspath(workdir)
-        if glob.glob(os.path.join(glob.escape(self.workdir), "shards", "*",
-                                  "jobs.sqlite")):
-            raise ConfigError(
-                f"{self.workdir} holds a sharded queue (shards/NN/"
-                f"jobs.sqlite), which this release cannot serve; drain it"
-                f" with the previous release"
-            )
         self.store = JobStore(self.workdir, busy_timeout=busy_timeout)
         self.cache = ResultCache(os.path.join(self.workdir, "cache"))
         self.backoff_base = backoff_base
@@ -412,7 +407,9 @@ class Service(ServiceFacade):
         """
         name, stages, order = parse_campaign_spec(spec)
         for stage in stages:
-            _validated(stage.submissions, timeout, max_retries, (),
+            # The parent stages' names stand in for their job ids,
+            # which exist only once those stages are submitted.
+            _validated(stage.submissions, timeout, max_retries, stage.after,
                        where=f"stage {stage.name!r}: ")
         by_name = {s.name: s for s in stages}
         stage_jobs: dict[str, list[str]] = {}

@@ -17,8 +17,8 @@ The pieces:
   sentinels ``begin`` and ``now`` stand for "the whole log" (cursor 0)
   and "only what happens from here on"; under a job-id filter ``begin`` is
   where the earliest of those jobs was submitted, so waiting on a job
-  never replays the log that precedes it.  A token minted before the log was
-  a table (a byte offset into a JSONL file) is a ``bad_cursor``.
+  never replays the log that precedes it.  A token of any other version
+  than this release's is a ``bad_cursor``.
 
 * **Filters** -- :class:`EventFilter` narrows a feed server-side by job
   id, audit event name (``kind``), and implied job state; filtered-out
@@ -60,7 +60,7 @@ NOW = "now"
 
 #: Job state implied by an audit event whose record carries no explicit
 #: ``state`` field.  Events absent here (``dag_hook_error``, the
-#: ``stream_*`` rows of an earlier release, ...) imply no state at all.
+#: ``stream_*`` rows a workdir may still hold, ...) imply no state at all.
 IMPLIED_STATE = {
     "claimed": JobState.RUNNING.value,
     "launched": JobState.RUNNING.value,
@@ -72,23 +72,30 @@ IMPLIED_STATE = {
 }
 
 
-def encode_cursor(event_id: int) -> str:
-    """Pack an event id into an opaque token.
-
-    The wire shape is ``{"v": 2, "e": id}``.  Version 1 tokens held byte
-    offsets into the log file of an earlier release and are refused.
-    """
-    payload = json.dumps({"v": 2, "e": int(event_id)},
-                         separators=(",", ":"))
-    return base64.urlsafe_b64encode(payload.encode("ascii")) \
+def _encode(payload: dict) -> str:
+    """A version-2 token: ``payload`` as compact JSON, base64url."""
+    raw = json.dumps({"v": 2, **payload}, separators=(",", ":"))
+    return base64.urlsafe_b64encode(raw.encode("ascii")) \
         .decode("ascii").rstrip("=")
 
 
-def _version(payload, version: int) -> bool:
-    """Whether a decoded token is an object of ``version`` (``true`` and
-    ``1.0`` compare equal to 1 but were never minted)."""
-    return (isinstance(payload, dict) and payload.get("v") == version
-            and type(payload["v"]) is int)
+def _decode(token: str, what: str) -> dict:
+    """The object a version-2 token encodes; :class:`BadCursorError` on
+    anything else (``2.0`` compares equal to 2 but was never minted)."""
+    try:
+        padded = token + "=" * (-len(token) % 4)
+        payload = json.loads(base64.urlsafe_b64decode(padded.encode("ascii")))
+    except (ValueError, binascii.Error, UnicodeEncodeError):
+        raise BadCursorError(f"undecodable {what} token: {token!r}") from None
+    if not (isinstance(payload, dict) and payload.get("v") == 2
+            and type(payload["v"]) is int):
+        raise BadCursorError(f"unsupported {what} version in {token!r}")
+    return payload
+
+
+def encode_cursor(event_id: int) -> str:
+    """Pack an event id into an opaque token, ``{"v": 2, "e": id}``."""
+    return _encode({"e": int(event_id)})
 
 
 def _nonneg_int(value) -> bool:
@@ -99,23 +106,10 @@ def _nonneg_int(value) -> bool:
 def decode_cursor(token: str) -> int:
     """Unpack a cursor token; reject anything that cannot be one.
 
-    Raises :class:`BadCursorError` on undecodable tokens, unknown
-    versions (version 1 included: a byte offset from an earlier
-    release), and ids that are not integers >= 0.
+    Raises :class:`BadCursorError` on undecodable tokens, unsupported
+    versions, and ids that are not integers >= 0.
     """
-    try:
-        padded = token + "=" * (-len(token) % 4)
-        payload = json.loads(base64.urlsafe_b64decode(padded.encode("ascii")))
-    except (ValueError, binascii.Error, UnicodeEncodeError):
-        raise BadCursorError(f"undecodable cursor token: {token!r}") from None
-    if _version(payload, 1):
-        raise BadCursorError(
-            f"cursor {token!r} is a byte offset from an earlier release;"
-            f" restart from 'begin'"
-        )
-    if not _version(payload, 2):
-        raise BadCursorError(f"unsupported cursor version in {token!r}")
-    event_id = payload.get("e")
+    event_id = _decode(token, "cursor").get("e")
     if not _nonneg_int(event_id):
         raise BadCursorError(f"malformed cursor id in {token!r}")
     return event_id
@@ -130,32 +124,16 @@ def encode_queue_cursor(created: float, job_id: str) -> str:
     ``cursor`` string), but their tokens are distinct shapes -- a queue
     token on the event feed (or vice versa) gets ``bad_cursor``.
     """
-    payload = json.dumps({"v": 2, "c": created, "i": job_id},
-                         separators=(",", ":"))
-    return base64.urlsafe_b64encode(payload.encode("ascii")) \
-        .decode("ascii").rstrip("=")
+    return _encode({"c": created, "i": job_id})
 
 
 def decode_queue_cursor(token: str) -> tuple[float, str]:
     """Unpack a queue-page token to ``(created, id)``.
 
-    Raises :class:`BadCursorError` on junk and on version 1 (a row
-    offset from an earlier release).
+    Raises :class:`BadCursorError` on junk, unsupported versions
+    included.
     """
-    try:
-        padded = token + "=" * (-len(token) % 4)
-        payload = json.loads(base64.urlsafe_b64decode(padded.encode("ascii")))
-    except (ValueError, binascii.Error, UnicodeEncodeError):
-        raise BadCursorError(
-            f"undecodable queue cursor token: {token!r}"
-        ) from None
-    if _version(payload, 1):
-        raise BadCursorError(
-            f"queue cursor {token!r} is a row offset from an earlier"
-            f" release; restart from the first page"
-        )
-    if not _version(payload, 2):
-        raise BadCursorError(f"unsupported queue cursor version in {token!r}")
+    payload = _decode(token, "queue cursor")
     created, job_id = payload.get("c"), payload.get("i")
     if type(created) not in (int, float) or not math.isfinite(created) \
             or not isinstance(job_id, str) or not job_id:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 
 from ..errors import ServiceError
-from .views import TERMINAL_STATES, EventView, JobView, ResultView
+from .views import TERMINAL_STATES, ResultView
 
 
 class WaitTimeout(ServiceError, TimeoutError):
@@ -61,13 +61,11 @@ class ServiceFacade:
         matching events until ``timeout`` (forever when ``None``).
         Starts from ``cursor`` (default ``"begin"``: full replay, so a
         job that finished before the watch began is still seen
-        finishing).  Once caught up with the log, it checks each
-        watched job's state once and yields a synthesized view
-        (:meth:`_synthesize`) for one already terminal -- a job whose
-        events predate the events table.  Raises :class:`WaitTimeout`
-        when a deadline passes with watched jobs outstanding, and
-        :class:`~repro.errors.UnknownJobError` for a watched id the
-        service has never held.
+        finishing).  Every view is an event of the log.  Raises
+        :class:`WaitTimeout` when a deadline passes with watched jobs
+        outstanding, and :class:`~repro.errors.UnknownJobError` after
+        the first empty long-poll step for a watched id the service has
+        never held.
         """
         watched = list(dict.fromkeys(job_ids)) if job_ids is not None \
             else None
@@ -77,7 +75,7 @@ class ServiceFacade:
         deadline = None if timeout is None \
             else time.monotonic() + timeout
         token = cursor
-        checked_current = False
+        ids_checked = False
         while True:
             budget = poll
             if deadline is not None:
@@ -93,40 +91,16 @@ class ServiceFacade:
                     pending.discard(view.job_id)
                     if not pending:
                         return
-            if pending is not None and not batch and not checked_current:
-                # Caught up with nothing pending resolved: guard the
-                # one hole event replay cannot cover -- a watched job
-                # from a workdir older than the events table, whose
-                # terminal event was only ever in ``events.jsonl``.
-                # One state check per watched job, once per watch.
-                checked_current = True
+            if pending is not None and not batch and not ids_checked:
+                # Caught up with no watched event: an id the service
+                # never held would wait forever (UnknownJobError).
+                ids_checked = True
                 for jid in sorted(pending):
-                    view = self._synthesize(self.job(jid))
-                    if view.terminal:
-                        yield view
-                        pending.discard(jid)
-                if not pending:
-                    return
+                    self.job(jid)
             if deadline is not None and time.monotonic() >= deadline:
                 if pending is not None:
                     raise WaitTimeout(sorted(pending), timeout)
                 return
-
-    @staticmethod
-    def _synthesize(job: JobView) -> EventView:
-        """An :class:`EventView` standing in for an unobserved event.
-
-        Used where the real audit record is unavailable -- a job from a
-        workdir written before the events table, whose events are only
-        in the old ``events.jsonl``: the view carries the job's current
-        state with ``kind`` lowered from it and ``data["synthesized"]``
-        marking it.
-        """
-        return EventView(
-            cursor="", t=job.updated, job_id=job.id,
-            kind=job.state.lower(), state=job.state,
-            data={"synthesized": True},
-        )
 
     def wait(self, job_ids,
              timeout: float | None = None) -> dict[str, ResultView]:

@@ -11,6 +11,11 @@ event commit together or not at all, and an event's ``id`` is its
 position in commit order (the feed's cursor, :mod:`.events`).  Nothing
 deletes from the log: it starts at cursor 0 and only grows.
 
+A workdir has one layout, :data:`_SCHEMA`'s, and nothing migrates to it:
+a store creates it on a database with no ``jobs`` table and refuses the
+rest (a ``shards/NN/`` tree, no ``events`` table, other ``jobs`` columns)
+before writing a byte, so an earlier release's workdir is drained by it.
+
 Connections are opened lazily *per process and per thread*: a
 :class:`JobStore` handle may be created in a supervisor and used after
 ``fork`` in a worker child, or shared by the threads of an HTTP
@@ -26,6 +31,7 @@ so no caller ever mistakes a wedged store for an empty queue.
 from __future__ import annotations
 
 import contextlib
+import glob
 import json
 import os
 import sqlite3
@@ -34,6 +40,7 @@ import time
 
 from ..errors import (
     BadCursorError,
+    ConfigError,
     LeaseConflictError,
     LeaseExpiredError,
     StoreUnavailableError,
@@ -41,8 +48,10 @@ from ..errors import (
 )
 from .jobs import COLUMNS, Job, JobState, Lease, new_lease_id
 
-_SCHEMA = f"""
-CREATE TABLE IF NOT EXISTS jobs (
+#: ``events_from`` is the highest event id when the row was inserted;
+#: only the feed reads it, so it is not a Job field.
+_SCHEMA = """
+CREATE TABLE jobs (
     id TEXT PRIMARY KEY,
     kind TEXT NOT NULL,
     payload TEXT NOT NULL,
@@ -63,55 +72,42 @@ CREATE TABLE IF NOT EXISTS jobs (
     depends_on TEXT NOT NULL DEFAULT '[]',
     events_from INTEGER NOT NULL DEFAULT 0
 );
-CREATE TABLE IF NOT EXISTS leases (
+CREATE TABLE leases (
     id TEXT PRIMARY KEY,
     worker TEXT NOT NULL,
     created REAL NOT NULL,
     expires REAL NOT NULL
 );
-CREATE TABLE IF NOT EXISTS deps (
+CREATE TABLE deps (
     child TEXT NOT NULL,
     parent TEXT NOT NULL,
     PRIMARY KEY (child, parent)
 );
-CREATE INDEX IF NOT EXISTS jobs_state ON jobs (state, not_before, created);
-CREATE INDEX IF NOT EXISTS jobs_key ON jobs (key);
-CREATE INDEX IF NOT EXISTS deps_parent ON deps (parent);
-"""
-
-#: Columns an older database is missing; added in place on open so a
-#: workdir created by an older service keeps working under this one.
-_MIGRATIONS = (
-    ("lease_id", "ALTER TABLE jobs ADD COLUMN lease_id"
-                 " TEXT NOT NULL DEFAULT ''"),
-    ("lease_expires", "ALTER TABLE jobs ADD COLUMN lease_expires"
-                      " REAL NOT NULL DEFAULT 0"),
-    ("depends_on", "ALTER TABLE jobs ADD COLUMN depends_on"
-                   " TEXT NOT NULL DEFAULT '[]'"),
-    # The highest event id when the row was inserted: every event of
-    # the job lies past it (0 = unknown).  Only the feed reads it, so
-    # it is not a Job field.
-    ("events_from", "ALTER TABLE jobs ADD COLUMN events_from"
-                    " INTEGER NOT NULL DEFAULT 0"),
-)
-
-#: The audit log, created after the column migrations.  An older
-#: release kept its log in a JSONL file beside the database and its
-#: rows' ``events_from`` are byte offsets into that file, which is left
-#: on disk unread: the transaction that creates the table sets them to 0.
-_EVENTS_SCHEMA = """
-BEGIN IMMEDIATE;
-UPDATE jobs SET events_from = 0 WHERE NOT EXISTS (
-    SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'events');
-CREATE TABLE IF NOT EXISTS events (
+CREATE TABLE events (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     t REAL NOT NULL,
     job TEXT NOT NULL,
     event TEXT NOT NULL,
     body TEXT NOT NULL
 );
-COMMIT;
+CREATE INDEX jobs_state ON jobs (state, not_before, created);
+CREATE INDEX jobs_key ON jobs (key);
+CREATE INDEX deps_parent ON deps (parent)
 """
+
+
+def _layout(conn) -> tuple[frozenset, bool]:
+    """``({jobs column names}, whether an events table exists)``."""
+    tables = {name for name, in conn.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table'")}
+    return (frozenset(row[1] for row in conn.execute(
+        "PRAGMA table_info(jobs)")), "events" in tables)
+
+
+#: The layout this release serves, read off :data:`_SCHEMA` itself.
+with contextlib.closing(sqlite3.connect(":memory:")) as _conn:
+    _LAYOUT = _layout(_conn.executescript(_SCHEMA))
+
 
 _COLS = ", ".join(COLUMNS)
 _PLACEHOLDERS = ", ".join("?" for _ in COLUMNS)
@@ -164,9 +160,6 @@ class _Connection(sqlite3.Connection):
     def execute(self, *args):
         return _guarded(super().execute, *args)
 
-    def executescript(self, script):
-        return _guarded(super().executescript, script)
-
 
 class _Transition:
     """The audit records one write INSERTs on its connection -- a
@@ -202,15 +195,28 @@ class JobStore:
         #: broker hangs off this to wake long-poll subscribers
         #: without busy-polling the log.  See :meth:`set_event_hook`.
         self.on_event = None
-        # Create or migrate the schema once per store; every later
-        # handle, on whichever thread, only opens the file.
-        conn = self._connection()
-        conn.executescript(_SCHEMA)
-        have = {row[1] for row in conn.execute("PRAGMA table_info(jobs)")}
-        for column, ddl in _MIGRATIONS:
-            if column not in have:
-                conn.execute(ddl)
-        conn.executescript(_EVENTS_SCHEMA)
+        self._open()
+
+    def _open(self) -> None:
+        """Create the schema or refuse the workdir; one ``BEGIN IMMEDIATE``
+        serializes processes opening one fresh workdir at once."""
+        if glob.glob(os.path.join(glob.escape(self.workdir), "shards", "*",
+                                  "jobs.sqlite")):
+            why = "a sharded queue in shards/NN/"
+        else:
+            with self._transaction() as tx:
+                columns, events = _layout(tx.conn)
+                if not columns:
+                    for statement in _SCHEMA.split(";"):
+                        tx.conn.execute(statement)
+                    return
+            if (columns, events) == _LAYOUT:
+                return
+            why = ("no events table" if not events else "jobs columns "
+                   + ", ".join(sorted(columns ^ _LAYOUT[0])))
+        raise ConfigError(
+            f"{self.workdir} is not in this release's layout ({why}); drain"
+            f" it with the release that wrote it, or start a new workdir")
 
     # -- connection management -------------------------------------------
 
@@ -299,8 +305,7 @@ class JobStore:
 
         Returns ``(held, cursor)``: how many of the ids are rows here,
         and the earliest submit position recorded on them
-        (:meth:`add_batch`); a pre-migration row's 0 is the start of
-        the log.
+        (:meth:`add_batch`), 0 being the start of the log.
         """
         conn = self._connection()
         held, first = 0, None
@@ -707,9 +712,8 @@ class JobStore:
         runs one) serialize and each orphaned job is requeued **exactly
         once** -- the second sweep finds no matching rows.  Jobs whose
         retry budget is already spent are FAILED instead of requeued.
-        A RUNNING row without a lease (claimed by a pre-lease version of
-        the service; its ``lease_expires`` is 0) is an orphan by the
-        same rule.
+        A RUNNING row without a lease (its ``lease_expires`` is 0) is an
+        orphan by the same rule.
         """
         now = time.time() if now is None else now
         recovered = []

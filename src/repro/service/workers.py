@@ -69,9 +69,10 @@ are looked up by job kind in :data:`RUNNERS`.  The built-in kinds map
 onto the existing entry points (``run`` -> :func:`repro.hpl.api.run_hpl`,
 ``sim`` -> :func:`repro.perf.hplsim.simulate_run`, ``scale`` ->
 :func:`repro.perf.scaling.weak_scaling`, ``fact`` ->
-:func:`repro.perf.factsim.fact_sweep`); ``probe`` jobs exercise the pool
-itself (ok / sleep / crash / exit / flaky behaviours) and are used by the test
-suite and as operational smoke tests.
+:func:`repro.perf.factsim.fact_sweep`), each reading its payload
+through its one parser in :data:`PARSERS`; ``probe`` jobs exercise the
+pool itself (ok / sleep / crash / exit / flaky behaviours) and are used
+by the test suite and as operational smoke tests.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ import traceback
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Callable
 
-from ..config import BcastVariant, PerfConfig, Schedule, SwapVariant
+from ..config import (BcastVariant, HPLConfig, PerfConfig, Schedule,
+                      SwapVariant)
 from ..errors import (ConfigError, LeaseConflictError, ResultTooLargeError,
                       ServiceError, UnknownJobError, UnknownJobKindError)
 from .dag import has_placeholders, needs_parent_results, resolve_payload
@@ -155,7 +157,6 @@ def runner_for(kind: str) -> Runner:
 
 def _run_runner(payload: dict, job: Job) -> dict:
     """Numeric HPL run on the simulated-MPI runtime."""
-    from ..config import HPLConfig
     from ..hpl.api import run_hpl
 
     cfg = HPLConfig.from_dict(payload)
@@ -169,13 +170,15 @@ def _run_runner(payload: dict, job: Job) -> dict:
     }
 
 
+# Each built-in kind has one payload parser (:data:`PARSERS`), called by
+# its runner and by the server at submit, so none may import numpy
+# (``repro.config`` does not).  Keys a parser does not name are ignored.
+
 def sim_config(payload: dict) -> PerfConfig:
     """The :class:`PerfConfig` a ``sim`` payload describes.
 
-    Keys it does not name are ignored.  A missing field, a wrongly typed
-    value or an unknown variant name is a :class:`ConfigError`, like any
-    value the config itself rejects.  Also called by the server at
-    submit, so it must not import numpy (``repro.config`` does not).
+    A missing field, a wrongly typed value or an unknown variant name is
+    a :class:`ConfigError`, like any value the config itself rejects.
     """
     try:
         return PerfConfig(
@@ -195,6 +198,50 @@ def sim_config(payload: dict) -> PerfConfig:
         raise ConfigError(
             f"invalid sim payload: {type(exc).__name__}: {exc}"
         ) from None
+
+
+def _count(name: str, value) -> int:
+    if type(value) is not int or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def scale_args(payload: dict) -> dict:
+    """The :func:`~repro.perf.scaling.weak_scaling` arguments of a
+    ``scale`` payload: one node count, ``nnodes``."""
+    try:
+        schedule = Schedule(payload.get("schedule", "split"))
+    except ValueError as exc:
+        raise ConfigError(f"invalid scale payload: {exc}") from None
+    return {"node_counts": [_count("nnodes", payload.get("nnodes"))],
+            "n_single": _count("n_single", payload.get("n_single", 256_000)),
+            "nb": _count("nb", payload.get("nb", 512)), "schedule": schedule}
+
+
+def fact_args(payload: dict) -> dict:
+    """The :func:`~repro.perf.factsim.fact_sweep` arguments of a
+    ``fact`` payload; an absent list means the sweep's default."""
+    args = {"nb": _count("nb", payload.get("nb", 512))}
+    for key in ("m_multiples", "thread_counts"):
+        values = args[key] = payload.get(key)
+        if values is None:
+            continue
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"{key} must be a non-empty list, got {values!r}")
+        for value in values:
+            _count(key, value)
+    return args
+
+
+def reduce_args(payload: dict) -> tuple[str, str]:
+    """``(metric, mode)`` of a ``reduce`` payload: the parent result
+    field to rank by, and ``max`` (the default) or ``min``."""
+    metric, mode = payload.get("metric"), payload.get("mode", "max")
+    if not isinstance(metric, str) or not metric:
+        raise ConfigError(f"reduce needs a 'metric' to rank by, got {metric!r}")
+    if mode not in ("max", "min"):
+        raise ConfigError(f"reduce mode must be 'max' or 'min', got {mode!r}")
+    return metric, mode
 
 
 def _sim_runner(payload: dict, job: Job) -> dict:
@@ -219,12 +266,7 @@ def _scale_runner(payload: dict, job: Job) -> dict:
     """One node count of the Fig. 8 weak-scaling sweep."""
     from ..perf.scaling import weak_scaling
 
-    point = weak_scaling(
-        [payload["nnodes"]],
-        n_single=payload.get("n_single", 256_000),
-        nb=payload.get("nb", 512),
-        schedule=Schedule(payload.get("schedule", "split")),
-    )[0]
+    point = weak_scaling(**scale_args(payload))[0]
     return {
         "nnodes": point.nnodes, "n": point.n, "p": point.p, "q": point.q,
         "tflops": point.tflops,
@@ -237,13 +279,10 @@ def _fact_runner(payload: dict, job: Job) -> dict:
     """The Fig. 5 FACT multi-threading sweep on the CPU panel model."""
     from ..perf.factsim import fact_sweep
 
-    curves = fact_sweep(
-        nb=payload.get("nb", 512),
-        m_multiples=payload.get("m_multiples"),
-        thread_counts=payload.get("thread_counts"),
-    )
+    args = fact_args(payload)
+    curves = fact_sweep(**args)
     return {
-        "nb": payload.get("nb", 512),
+        "nb": args["nb"],
         "curves": [
             {"threads": c.threads, "m_values": c.m_values,
              "gflops": c.gflops}
@@ -257,22 +296,17 @@ def _reduce_runner(payload: dict, job: Job) -> dict:
 
     The pool injects ``job.parent_results`` before launch (a reduce job
     only ever runs after all its parents are DONE).  The payload names
-    the ``metric`` to rank by and the ``mode`` (``max``, the default,
-    or ``min``); the result carries the winning parent's id and payload
-    so downstream ``$winner`` placeholders can be resolved from it.
+    the ``metric`` to rank by and the ``mode`` (:func:`reduce_args`);
+    the result carries the winning parent's id and payload so
+    downstream ``$winner`` placeholders can be resolved from it.
     """
+    metric, mode = reduce_args(payload)
     parents = job.parent_results or {}
     if not parents:
         raise ServiceError(
             "reduce job has no parent results (was it submitted with"
             " depends_on?)"
         )
-    metric = payload.get("metric")
-    if not metric:
-        raise ServiceError("reduce payload needs a 'metric' to rank by")
-    mode = payload.get("mode", "max")
-    if mode not in ("max", "min"):
-        raise ServiceError(f"reduce mode must be 'max' or 'min', got {mode!r}")
     ranked = [
         (pid, info) for pid, info in sorted(parents.items())
         if isinstance(info.get("result"), dict)
@@ -337,6 +371,15 @@ RUNNERS.update({
     "reduce": _reduce_runner,
     "probe": _probe_runner,
 })
+
+#: The payload parser of each built-in kind that has one.
+PARSERS: dict[str, Callable[[dict], object]] = {
+    "run": HPLConfig.from_dict,
+    "sim": sim_config,
+    "scale": scale_args,
+    "fact": fact_args,
+    "reduce": reduce_args,
+}
 
 
 # ---------------------------------------------------------------------------

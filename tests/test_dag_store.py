@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import (
+    ConfigError,
     CycleError,
     ServiceError,
     UnknownJobError,
@@ -400,12 +401,11 @@ class TestWorkersEndToEnd:
         assert svc.result(pick).result["value"] == 2
 
     def test_reduce_without_parents_fails_cleanly(self, tmp_path):
+        """Refused at submit: it would have nothing to rank."""
         svc = Service(tmp_path / "svc")
-        jid = svc.submit("reduce", {"metric": "x"}, max_retries=0).new[0]
-        svc.run_workers(WorkerOptions(n=1, drain=True))
-        job = svc.store.get(jid)
-        assert job.state is JobState.FAILED
-        assert "parent" in job.error
+        with pytest.raises(ConfigError, match="needs depends_on"):
+            svc.submit("reduce", {"metric": "x"}, max_retries=0)
+        assert not svc.store.events()
 
 
 class TestDagHelpers:

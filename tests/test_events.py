@@ -4,11 +4,8 @@ The feed's contract is *exactly-once resumability over the store's
 ``events`` table*: every event carries a cursor (its id) that resumes
 just past it, ids survive restarts (nothing deletes from the log and
 ids are never reused), and the broker reads in id order, which is
-commit order.  A workdir an older release left -- an ``events.jsonl``
-log, an ``events.base`` sidecar, byte offsets in ``jobs.events_from``
--- opens, leaves both files alone, refuses the byte-offset tokens of
-that release, and still lets a watch see its finished jobs finish.
-The Hypothesis property at the bottom pins the core invariant under a
+commit order.  A token of any other version than this release's is a
+``bad_cursor``.  The Hypothesis property at the bottom pins the core invariant under a
 live writer: a reader tailing the log concurrently with appends sees
 every record exactly once, whole, in write order.
 """
@@ -19,16 +16,13 @@ import base64
 import json
 import sqlite3
 import threading
-import urllib.error
-import urllib.request
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BadCursorError
-from repro.service import Job, JobStore, Service, payload_key
-from repro.service import store as store_module
+from repro.service import JobStore, Service
 from repro.service.events import (
     BEGIN,
     NOW,
@@ -39,8 +33,6 @@ from repro.service.events import (
     encode_cursor,
     encode_queue_cursor,
 )
-from repro.service.http import ServiceClient, ServiceHTTPServer
-from repro.service.jobs import COLUMNS, JobState
 from repro.service.views import EventView
 
 pytestmark = pytest.mark.dedicated
@@ -87,9 +79,9 @@ class TestCursorTokens:
     def test_multi_offset_token_is_bad_cursor(self):
         with pytest.raises(BadCursorError, match="malformed"):
             decode_cursor(_token({"v": 2, "e": [0, 0, 0]}))
-        # A byte-offset token of an earlier release, one offset or many.
+        # A version-1 token, one offset or many.
         for offsets in ([0], [0, 0, 0]):
-            with pytest.raises(BadCursorError, match="earlier release"):
+            with pytest.raises(BadCursorError, match="unsupported"):
                 decode_cursor(_token({"v": 1, "o": offsets}))
 
     def test_queue_cursor_roundtrip_and_cross_rejection(self):
@@ -100,8 +92,8 @@ class TestCursorTokens:
             decode_queue_cursor(encode_cursor(0))  # event token on queue
         with pytest.raises(BadCursorError):
             decode_queue_cursor("garbage")
-        # An earlier release's row-offset token.
-        with pytest.raises(BadCursorError, match="earlier release"):
+        # A version-1 row-offset token.
+        with pytest.raises(BadCursorError, match="unsupported"):
             decode_queue_cursor(_token({"v": 1, "q": 40}))
 
     @pytest.mark.parametrize("payload", [
@@ -246,7 +238,7 @@ class TestJobFilteredBegin:
     """``begin`` + a job filter starts where the jobs were submitted."""
 
     @pytest.mark.parametrize(
-        "case", ["plain", "premigration", "unknown_id", "reopened"])
+        "case", ["plain", "position_zero", "unknown_id", "reopened"])
     def test_equals_the_filtered_replay_without_replaying(
             self, tmp_path, monkeypatch, case):
         service = Service(tmp_path / "svc")
@@ -271,7 +263,7 @@ class TestJobFilteredBegin:
             store = service.store
         watched = list(held)[1::2]  # some, not all
         expected_start = min(held[j] for j in watched)
-        if case == "premigration":  # a row older than the column
+        if case == "position_zero":  # a row inserted on an empty log
             with sqlite3.connect(store.db_path) as conn:
                 conn.execute("UPDATE jobs SET events_from = 0"
                              " WHERE id = ?", (watched[0],))
@@ -301,114 +293,6 @@ class TestJobFilteredBegin:
         assert first_reads[0] == expected_start
         if case in ("plain", "reopened"):  # and that skipped the 3 000
             assert expected_start > 0
-
-
-class TestOldWorkdir:
-    """A workdir left by the release that logged to ``events.jsonl``."""
-
-    @staticmethod
-    def _build(tmp_path, state: JobState):
-        """Its layout, built by hand: the ``jobs`` table (whose schema
-        this release keeps) holding a row in ``state`` whose
-        ``events_from`` is a byte offset, the JSONL log holding that
-        row's events up to ``state``, and the compaction base sidecar.
-        Yields ``(root, job id)`` and checks both files are untouched."""
-        root = tmp_path / "svc"
-        root.mkdir()
-        payload = {"behavior": "ok"}
-        job = Job(id="old000000001", kind="probe", payload=payload,
-                  key=payload_key("probe", payload), state=state)
-        history = {
-            JobState.PENDING: ["submitted"],
-            JobState.DONE: ["submitted", "claimed", "launched", "done"],
-            JobState.FAILED: ["submitted", "claimed", "launched",
-                              "failed"],
-            JobState.CANCELLED: ["submitted", "cancelled"],
-        }[state]
-        log = "".join(
-            json.dumps({"event": event, "job": job.id, "pid": 1,
-                        "t": 1.0 + i}) + "\n"
-            for i, event in enumerate(history))
-        with sqlite3.connect(root / "jobs.sqlite") as conn:
-            conn.executescript(store_module._SCHEMA)
-            conn.execute(
-                f"INSERT INTO jobs ({', '.join(COLUMNS)}, events_from)"
-                f" VALUES ({', '.join('?' * len(COLUMNS))}, ?)",
-                job.to_row() + (123 + 4096,))
-        conn.close()
-        (root / "events.jsonl").write_text(log)
-        (root / "events.base").write_text("123\n")
-        files = {name: (root / name).read_bytes()
-                 for name in ("events.jsonl", "events.base")}
-        yield root, job.id
-        assert {name: (root / name).read_bytes() for name in files} == files
-
-    @pytest.fixture
-    def old(self, tmp_path):
-        """A PENDING job left by that release."""
-        yield from self._build(tmp_path, JobState.PENDING)
-
-    @pytest.fixture(params=[JobState.DONE, JobState.FAILED,
-                            JobState.CANCELLED], ids=lambda s: s.value)
-    def old_done(self, request, tmp_path):
-        """A finished job left by that release, in each terminal state:
-        its events are only in ``events.jsonl``, none in the table."""
-        yield from self._build(tmp_path, request.param)
-
-    def test_opens_and_begin_resolves_to_the_base(self, old):
-        root, job_id = old
-        service = Service(root)
-        store = service.store
-        assert store.events() == []  # the old log is not read
-        assert service.broker.resolve("begin", [job_id]) == 0
-        # The old job runs on, logging into the table.
-        lease, (job,) = service.claim_jobs("w", n=1)
-        service.complete_job(job.id, lease.id, {"ok": True})
-        views, _, _ = service.events(cursor="begin", job_ids=[job_id])
-        assert [v.kind for v in views] == ["claimed", "launched", "done"]
-
-    @pytest.mark.parametrize("backend", ["in_process", "http"])
-    def test_finished_job_is_seen_finishing(self, old_done, backend):
-        """The table holds nothing for the job, so only ``watch``'s
-        one-time state check can end a wait on it -- on either backend,
-        since both ride the same facade."""
-        root, job_id = old_done
-        service = Service(root)
-        assert service.store.events() == []
-        state = service.job(job_id).state
-        srv = None
-        if backend == "http":
-            srv = ServiceHTTPServer(root, workers=0).start()
-            service = ServiceClient(srv.url)
-        try:
-            (view,) = service.watch(job_ids=[job_id], timeout=1.0,
-                                    poll=0.1)
-            assert (view.job_id, view.state, view.kind) == \
-                (job_id, state, state.lower())
-            assert view.terminal
-            assert view.data == {"synthesized": True}
-            # wait() long-polls its whole budget before the state check.
-            views = service.wait([job_id], timeout=1.0)  # no WaitTimeout
-            assert views[job_id].state == state
-        finally:
-            if srv is not None:
-                srv.shutdown()
-
-    def test_byte_offset_token_is_bad_cursor(self, old):
-        root, _ = old
-        stale = _token({"v": 1, "o": [123]})  # the old log's base
-        with pytest.raises(BadCursorError, match="earlier release"):
-            Service(root).events(cursor=stale)
-        with ServiceHTTPServer(root, workers=0) as srv:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(
-                    f"{srv.url}/v1/events?cursor={stale}", timeout=30)
-            assert excinfo.value.code == 422
-            assert json.loads(excinfo.value.read())["error"]["code"] == \
-                "bad_cursor"
-            with ServiceClient(srv.url) as client, \
-                    pytest.raises(BadCursorError):
-                client.events(cursor=stale)
 
 
 class TestEventView:

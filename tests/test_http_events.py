@@ -190,11 +190,10 @@ class TestErrorContract:
         # The one-id shape this server mints resumes ...
         views, _, _ = client.events(cursor=token(b'{"v":2,"e":0}'))
         assert jid in {v.job_id for v in views}
-        # ... and neither a list of ids nor an earlier release's byte
-        # offset does.
+        # ... and neither a list of ids nor a version-1 byte offset does.
         with pytest.raises(BadCursorError):
             client.events(cursor=token(b'{"v":2,"e":[0,0,0]}'))
-        with pytest.raises(BadCursorError):
+        with pytest.raises(BadCursorError, match="unsupported"):
             client.events(cursor=token(b'{"v":1,"o":[0]}'))
 
     def test_queue_token_on_event_feed_is_422(self, server, client):

@@ -655,6 +655,15 @@ _BAD_ITEMS = {
         **_SIM_GRID, "q": 0}}),
     "sim-nb-a-string": ("bad_config", {"kind": "sim", "payload": {
         **_SIM_GRID, "nb": "256"}}),
+    "scale-no-nnodes": ("bad_config", {"kind": "scale", "payload": {}}),
+    "scale-nnodes-a-word": ("bad_config", {"kind": "scale",
+                                           "payload": {"nnodes": "x"}}),
+    "fact-nb-a-word": ("bad_config", {"kind": "fact",
+                                      "payload": {"nb": "big"}}),
+    "reduce-mode-median": ("bad_config", {"kind": "reduce",
+                                          "payload": {"mode": "median"}}),
+    "reduce-no-parents": ("bad_config", {
+        "kind": "reduce", "payload": {"metric": "tag"}, "depends_on": []}),
 }
 _BAD_SWEEPS = {
     "sweep-axes-a-list": ("malformed", {"kind": "probe", "axes": [1, 2]}),

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
+import multiprocessing
 import sqlite3
 import time
 import urllib.request
@@ -317,12 +320,54 @@ class TestWedgedStore:
         assert health["ok"] is True and health["queue"]["PENDING"] == 3
 
 
-def test_sharded_workdir_is_refused_not_served_empty(tmp_path, capsys):
-    root = tmp_path / "svc"
+def _sharded(root):
     JobStore(root / "shards" / "00").add(_job(1))
-    with pytest.raises(ConfigError, match="previous release"):
-        Service(root)
-    assert main(["serve", "--workdir", str(root), "--port", "0"]) == 2
+
+
+def _jsonl_era(root):
+    """A ``jobs`` table without the ``events`` table, its log beside it."""
+    JobStore(root).add(_job(1))
+    with sqlite3.connect(root / "jobs.sqlite") as conn:
+        conn.execute("DROP TABLE events")
+    conn.close()
+    (root / "events.jsonl").write_text(
+        '{"event": "submitted", "job": "job-0001", "pid": 1, "t": 1.0}\n')
+
+
+def _no_events_from(root):
+    JobStore(root).add(_job(1))
+    with sqlite3.connect(root / "jobs.sqlite") as conn:
+        conn.execute("ALTER TABLE jobs DROP COLUMN events_from")
+    conn.close()
+
+
+#: Workdirs an earlier release wrote, which this one refuses.
+EARLIER_LAYOUTS = {"sharded": _sharded, "jsonl_era": _jsonl_era,
+                   "no_events_from": _no_events_from}
+
+
+def _digests(root) -> dict:
+    return {str(path.relative_to(root)): hashlib.sha256(
+                path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.fixture(params=sorted(EARLIER_LAYOUTS))
+def earlier(request, tmp_path):
+    """A workdir in an earlier layout; checks it is left byte for byte
+    as it was, with no file added."""
+    root = tmp_path / "svc"
+    root.mkdir()
+    EARLIER_LAYOUTS[request.param](root)
+    before = _digests(root)
+    yield root
+    assert _digests(root) == before
+
+
+def test_earlier_workdir_is_refused_not_served(earlier, capsys):
+    with pytest.raises(ConfigError, match="release that wrote it"):
+        Service(earlier)
+    assert main(["serve", "--workdir", str(earlier), "--port", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -332,19 +377,81 @@ def test_sharded_workdir_is_refused_not_served_empty(tmp_path, capsys):
     ["results"], ["cancel", "--all"], ["campaign", "list"],
     ["campaign", "status", "abc123"],
 ], ids=" ".join)
-def test_every_local_command_refuses_a_sharded_workdir(tmp_path, capsys,
-                                                       argv):
+def test_every_local_command_refuses_an_earlier_workdir(earlier, capsys,
+                                                        argv):
     """Each command that opens the workdir itself says why, in one
-    line, and leaves the old shard untouched."""
-    root = tmp_path / "svc"
-    JobStore(root / "shards" / "00").add(_job(1))
-    assert main([*argv, "--workdir", str(root)]) == 2
+    line, and exits 2."""
+    assert main([*argv, "--workdir", str(earlier)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "sharded queue" in err
+    assert err.startswith("error: ") and "release that wrote it" in err
     assert err.count("\n") == 1
-    assert not (root / "jobs.sqlite").exists()
-    assert JobStore(root / "shards" / "00").get("job-0001").state is \
-        JobState.PENDING
+
+
+def test_alter_ordered_columns_are_this_layout(tmp_path):
+    """Columns an ALTER appended sit last in ``PRAGMA table_info``; the
+    layout compares names, so such a workdir opens and drains."""
+    root = tmp_path / "svc"
+    JobStore(root).add(_job(1))
+    with sqlite3.connect(root / "jobs.sqlite") as conn:
+        for column, ddl in [("lease_id", "TEXT NOT NULL DEFAULT ''"),
+                            ("lease_expires", "REAL NOT NULL DEFAULT 0"),
+                            ("depends_on", "TEXT NOT NULL DEFAULT '[]'")]:
+            conn.execute(f"ALTER TABLE jobs DROP COLUMN {column}")
+            conn.execute(f"ALTER TABLE jobs ADD COLUMN {column} {ddl}")
+        columns = [row[1] for row in conn.execute("PRAGMA table_info(jobs)")]
+    conn.close()
+    assert columns[-3:] == ["lease_id", "lease_expires", "depends_on"]
+    service = Service(root)
+    jid = service.submit("probe", {"behavior": "ok", "i": 2}).new[0]
+    assert service.run_workers(n=1, max_seconds=60).completed == 2
+    assert {service.job(j).state for j in ("job-0001", jid)} == {"DONE"}
+
+
+def _open_with_pauses(root, start) -> None:
+    """Open ``root`` once ``start`` releases, pausing after every commit
+    as a preempted process would."""
+    transaction = JobStore._transaction
+
+    @contextlib.contextmanager
+    def paused(self, *args):
+        with transaction(self, *args) as tx:
+            yield tx
+        time.sleep(0.05)
+
+    JobStore._transaction = paused
+    start.wait()
+    JobStore(root)
+
+
+def _schema(root) -> list:
+    conn = sqlite3.connect(root / "jobs.sqlite")
+    try:
+        return conn.execute("SELECT type, name, sql FROM sqlite_master"
+                            " ORDER BY name").fetchall()
+    finally:
+        conn.close()
+
+
+def test_processes_opening_one_fresh_workdir_at_once_all_succeed(tmp_path):
+    """The layout check and the CREATEs share one transaction: were they
+    two, another process could check between them -- see no ``jobs``
+    table and fail creating it, or see ``jobs`` without ``events`` and
+    be refused."""
+    ctx = multiprocessing.get_context("fork")
+    reference = tmp_path / "reference"
+    JobStore(reference)
+    for attempt in range(3):
+        root = tmp_path / f"svc{attempt}"
+        root.mkdir()
+        start = ctx.Barrier(4)
+        children = [ctx.Process(target=_open_with_pauses, args=(root, start))
+                    for _ in range(4)]
+        for child in children:
+            child.start()
+        for child in children:
+            child.join(60)
+        assert [child.exitcode for child in children] == [0] * 4
+        assert _schema(root) == _schema(reference)
 
 
 def test_an_unopenable_store_is_a_one_line_cli_error(tmp_path, capsys):

@@ -589,10 +589,9 @@ class TestSupervision:
         assert job.state is JobState.DONE
         assert job.attempts == 2  # the orphaned claim plus the real one
 
-    def test_leaseless_running_row_of_an_old_workdir_is_requeued(
-            self, service):
-        """Pre-lease versions left RUNNING rows with no lease at all;
-        the expiry sweep treats them as orphans too."""
+    def test_running_row_with_no_lease_is_an_orphan(self, service):
+        """A RUNNING row whose ``lease_expires`` is 0 holds no lease; the
+        expiry sweep requeues it like any lapsed one."""
         jid = service.submit("probe", {"behavior": "ok"}).new[0]
         conn = sqlite3.connect(service.store.db_path)
         with conn:
