@@ -5,15 +5,17 @@ For each Fig. 8 sweep point this benchmark times the whole
 includes pricing every cost array) and *warm* (arrays cached, the
 realistic service-tier steady state) -- plus the closed-form timeline
 (``sched.fastpath.evaluate``) alone, the share of a cold run that is not
-pricing.
+pricing.  It also records how many bytes the memoized cost arrays of
+each point hold (``memo_bytes``).
 
 The committed trajectory (``BENCH_sim_speed.json`` at the repo root)
 records every entry so a regression is a diff, not an anecdote; entries
 from before the object engine left the pricing path also carry its
 timings (``full_s``, ``engine_s``, ``timeline_speedup``).  The gates: a
 cold run must cost no more than 1.25x the last committed entry's, a
-warm run must not be slower than a cold one, and the timeline must cost
-at most 0.75x as much per iteration at 128 nodes as at 1 node.
+warm run must not be slower than a cold one, the timeline must cost at
+most 0.75x as much per iteration at 128 nodes as at 1 node, and the
+128-node memo entry must hold at most 1/8 of its per-iteration size.
 
 Run directly for more repeats::
 
@@ -27,6 +29,7 @@ or through pytest (the CI smoke step)::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import pathlib
@@ -37,7 +40,7 @@ from repro.machine.frontier import crusher_cluster
 from repro.perf.hplsim import simulate_run
 from repro.perf.ledger import run_cost_arrays
 from repro.perf.scaling import weak_scaling
-from repro.sched.fastpath import evaluate
+from repro.sched.fastpath import CostArrays, evaluate
 
 try:
     from .conftest import write_artifact
@@ -60,6 +63,14 @@ COLD_REGRESSION_CEILING = 1.25
 #: resolved regime by regime, so the cost per iteration falls with run
 #: length; both sides come from one run, so the speed of the box cancels.
 EVALUATE_SCALING_CEILING = 0.75
+
+#: The 128-node memo entry may hold at most this fraction of the bytes of
+#: its cost columns stored once per iteration (float64 each).  Block-cyclic
+#: ownership repeats sizes over runs of iterations, and the memo keeps one
+#: row per run; bytes are exact, so the speed of the box does not enter.
+MEMO_CEILING = 1 / 8
+COST_COLUMNS = sum(f.name not in ("runs", "mode", "preamble")
+                   for f in dataclasses.fields(CostArrays))
 
 #: Fig. 8 sweep points (node counts); 128 nodes is the paper's headline
 #: scale and this simulator's largest iteration count (5657 blocks).
@@ -98,6 +109,7 @@ def run_point(nnodes: int, repeats: int = 3) -> dict:
         "fast_cold_s": round(cold_s, 6),
         "fast_warm_s": round(warm_s, 6),
         "evaluate_s": round(evaluate_s, 6),
+        "memo_bytes": arrays.nbytes,
     }
 
 
@@ -156,6 +168,11 @@ def check_entry(entry: dict, previous: dict | None = None) -> None:
     assert ratio <= EVALUATE_SCALING_CEILING, \
         f"timeline per iteration: 128 nodes cost {ratio:.2f}x 1 node's," \
         f" more than {EVALUATE_SCALING_CEILING} -- speculation off?"
+    (last,) = [pt for pt in points if pt["nnodes"] == 128]
+    expanded = last["iterations"] * COST_COLUMNS * 8
+    assert last["memo_bytes"] <= MEMO_CEILING * expanded, \
+        f"128-node memo entry holds {last['memo_bytes']} bytes, more than" \
+        f" {MEMO_CEILING} of {expanded} -- repeats stored again?"
 
 
 def test_sim_speed_trajectory():
@@ -188,7 +205,8 @@ def main() -> int:
               f" ({pt['iterations']} iters):"
               f" cold {pt['fast_cold_s']*1e3:7.2f} ms,"
               f" warm {pt['fast_warm_s']*1e3:7.2f} ms,"
-              f" of which timeline {pt['evaluate_s']*1e3:6.2f} ms")
+              f" of which timeline {pt['evaluate_s']*1e3:6.2f} ms,"
+              f" memo {pt['memo_bytes'] / 1e3:6.1f} KB")
     return 0
 
 

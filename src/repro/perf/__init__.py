@@ -3,7 +3,8 @@
 * :mod:`repro.perf.ledger` -- exact per-iteration work/volume formulas from
   the block-cyclic distribution (``run_sizes``), priced by
   :mod:`repro.machine` once per distinct iteration, in one call per model,
-  into :class:`~repro.sched.fastpath.CostArrays` (``run_cost_arrays``).
+  into run-length encoded :class:`~repro.sched.fastpath.CostArrays`
+  (``run_cost_arrays``): one row per run of identical iterations.
 * :mod:`repro.perf.hplsim` -- runs the timeline simulation for a whole
   benchmark and produces the per-iteration breakdown of Fig. 7 plus the
   headline score.

@@ -14,10 +14,13 @@ numpy column per phase, producing the
 
 Block-cyclic ownership makes every size a step function of ``k``, so
 :func:`run_cost_arrays` prices each distinct iteration once -- the first
-of every run of equal sizes, in one call per machine model -- and repeats
-the costs out.  That is exact because every pricing entry point is
-elementwise: a row prices to the same float wherever it sits in a batch
-(``TestScalarBatchConsistency`` in ``tests/test_machine_models.py``).
+of every run of equal sizes and mode, in one call per machine model --
+and keeps one row per run with its iteration count (442 rows for the
+5657 iterations of the 128-node Fig. 8 point).  That is exact because
+every pricing entry point is elementwise: a row prices to the same float
+wherever it sits in a batch (``TestScalarBatchConsistency`` in
+``tests/test_machine_models.py``), so the row stands for every iteration
+of its run.
 
 The section bounds are the focal rank's rows of
 :func:`~repro.grid.block_cyclic.section_extents`, the function the numeric
@@ -185,19 +188,21 @@ def _price_sections(
 def run_cost_arrays(cfg: PerfConfig, cluster: ClusterSpec) -> CostArrays:
     """Phase costs of the whole run, one aligned numpy column per phase.
 
-    Memoized on the (frozen, hashable) config and cluster specs, so
-    repeated simulations of the same point -- scaling sweeps, service job
-    retries, benchmark loops -- price the run exactly once.  The cached
-    columns are shared by every caller and therefore read-only.
+    One row per run of iterations with equal sizes and mode, priced once;
+    ``runs`` holds each row's iteration count.  Memoized on the (frozen,
+    hashable) config and cluster specs, so repeated simulations of the
+    same point -- scaling sweeps, service job retries, benchmark loops --
+    price the run exactly once and keep only its distinct rows.  The
+    cached columns are shared by every caller and therefore read-only.
     """
     cm = CommModel(cluster, GridTopology(cfg.p, cfg.q, cfg.pl, cfg.ql))
     sz = run_sizes(cfg)
 
-    # Price the first iteration of each run of equal sizes, then repeat.
+    # Price the first iteration of each run of equal sizes and mode.
     changed = np.zeros(cfg.nblocks, dtype=bool)
     changed[0] = True
     for col in (sz.m_update, sz.m_l2, sz.m_fact, sz.w_la, sz.w_left,
-                sz.w_right, sz.jb, sz.jb_next):
+                sz.w_right, sz.jb, sz.jb_next, sz.mode):
         changed[1:] |= col[1:] != col[:-1]
     first = np.flatnonzero(changed)
     runs = np.diff(first, append=cfg.nblocks)
@@ -213,11 +218,11 @@ def run_cost_arrays(cfg: PerfConfig, cluster: ClusterSpec) -> CostArrays:
         np.concatenate(([m0], sz.m_l2[nxt])),
         np.concatenate(([min(cfg.nb, cfg.n)], sz.jb_next[nxt])),
     )
-    fact, lbcast, d2h, h2d = (np.repeat(np.append(c[1:], 0.0), runs) for c in panel)
+    fact, lbcast, d2h, h2d = (np.append(c[1:], 0.0) for c in panel)
 
     # The la / left / right sections stacked into one batch.
     gather, comm, dtrsm, dgemm = (
-        np.repeat(c.reshape(3, -1), runs, axis=1)
+        c.reshape(3, -1)
         for c in _price_sections(
             cfg, cm, np.tile(sz.jb[first], 3), np.tile(sz.m_update[first], 3),
             np.concatenate((sz.w_la[first], sz.w_left[first], sz.w_right[first])),
@@ -231,8 +236,8 @@ def run_cost_arrays(cfg: PerfConfig, cluster: ClusterSpec) -> CostArrays:
         })
 
     arrays = CostArrays(
-        k=sz.k,
-        mode=sz.mode,
+        runs=runs,
+        mode=sz.mode[first],
         fact=fact,
         lbcast=lbcast,
         d2h=d2h,

@@ -20,6 +20,16 @@ segment clamps and reads only the columns its shape uses and runs that
 shape's own loop, the carried scalars flowing from one segment into the
 next.
 
+The cost arrays are run-length encoded: one row per run of identical
+iterations, with its iteration count.  Everything before the loops --
+the clamps, the merged RS durations, the per-iteration busy sums -- is
+elementwise, so it runs once per row, and repeating a row's result over
+its iterations gives each the float a per-iteration row would.  Only
+what a segment's loop reads is expanded to iterations, with the
+segment's first and last runs clipped to it (the fallback iteration and
+the segment edges may cut a run); a loop that stays on floats takes one
+tuple per row and repeats it.
+
 A segment is resolved *regime by regime*.  A regime is a stretch of
 iterations in which the winner of every ``max`` stays the same, so each
 carried scalar follows one fixed chain of additions back to the scalars
@@ -84,7 +94,9 @@ from __future__ import annotations
 from copy import deepcopy
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, repeat
 from operator import add
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -95,15 +107,18 @@ from .timeline import IterCosts, SectionCosts
 
 @dataclass
 class CostArrays:
-    """All per-iteration phase costs of a run as aligned numpy arrays.
+    """All phase costs of a run as aligned numpy columns, run-length encoded.
 
-    One row per iteration ``k`` (the preamble, when the schedule needs
-    one, rides along as a scalar :class:`IterCosts`).  Produced in one
-    shot by :func:`repro.perf.ledger.run_cost_arrays`, whose memoized
-    instances are shared and have read-only columns.
+    One row per run of consecutive iterations with identical costs and
+    mode; ``runs`` gives each row's iteration count, so ``nblocks ==
+    runs.sum()``.  A per-iteration form is the case where every run is 1
+    (:meth:`per_iteration`).  The preamble, when the schedule needs one,
+    rides along as a scalar :class:`IterCosts`.  Produced in one shot by
+    :func:`repro.perf.ledger.run_cost_arrays`, whose memoized instances are
+    shared, have read-only columns and maximal runs.
     """
 
-    k: np.ndarray  # int64 iteration indices [0, nblocks)
+    runs: np.ndarray  # int64 iterations per row, each >= 1
     mode: np.ndarray  # int8 MODE_* codes
     fact: np.ndarray
     lbcast: np.ndarray
@@ -128,7 +143,28 @@ class CostArrays:
 
     @property
     def nblocks(self) -> int:
-        return len(self.k)
+        return int(self.runs.sum())
+
+    @property
+    def k(self) -> np.ndarray:
+        """Iteration indices ``[0, nblocks)``, one per iteration."""
+        return np.arange(self.nblocks, dtype=np.int64)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the columns (a shared column counts each time)."""
+        return sum(column.nbytes for column in self._columns().values())
+
+    def _columns(self) -> dict[str, np.ndarray]:
+        return {name: column for name, column in vars(self).items()
+                if isinstance(column, np.ndarray)}
+
+    def per_iteration(self) -> CostArrays:
+        """The same costs with one row per iteration (every run 1)."""
+        rows = {name: np.repeat(column, self.runs)
+                for name, column in self._columns().items()}
+        rows["runs"] = np.ones(self.nblocks, dtype=np.int64)
+        return CostArrays(**rows, preamble=self.preamble)
 
     def to_iter_costs(self) -> list[IterCosts]:
         """Expand into one fresh :class:`IterCosts` per iteration."""
@@ -138,8 +174,7 @@ class CostArrays:
         # Python lists beat numpy scalar indexing for per-row reads.
         col = {
             name: column.tolist()
-            for name, column in vars(self).items()
-            if isinstance(column, np.ndarray)
+            for name, column in self.per_iteration()._columns().items()
         }
 
         def sections(name: str) -> list[SectionCosts]:
@@ -158,7 +193,7 @@ class CostArrays:
         for i in range(self.nblocks):
             out.append(
                 IterCosts(
-                    k=col["k"][i],
+                    k=i,
                     mode=MODE_NAMES[col["mode"][i]],
                     fact=col["fact"][i],
                     lbcast=col["lbcast"][i],
@@ -194,24 +229,26 @@ _CLASSIC, _LOOKAHEAD, _SPLIT, _S2L = 0, 1, 2, 3
 
 
 def _resolve_shapes(
-    mode: np.ndarray, has_preamble: bool
+    mode: np.ndarray, starts: np.ndarray, has_preamble: bool
 ) -> list[tuple[int, int, int, bool]]:
     """Replay ``build_run``'s mode dispatch over runs of equal mode.
 
-    Returns run-length segments ``(shape, lo, hi, first_split)``: the
-    iterations ``[lo, hi)`` share one DAG shape, and ``first_split`` marks
-    a split segment whose first iteration must communicate its right
-    section inline (no pending RS2 from an earlier split iteration).
+    ``mode`` holds one code per row and row ``r`` covers the iterations
+    ``[starts[r], starts[r + 1])``.  Returns segments ``(shape, lo, hi,
+    first_split)`` in iteration space: the iterations ``[lo, hi)`` share
+    one DAG shape, and ``first_split`` marks a split segment whose first
+    iteration must communicate its right section inline (no pending RS2
+    from an earlier split iteration).
     """
     if not len(mode):
         return []
-    cuts = [0, *(np.flatnonzero(np.diff(mode)) + 1).tolist(), len(mode)]
+    rows = [0, *(np.flatnonzero(np.diff(mode)) + 1).tolist(), len(mode)]
     segments: list[tuple[int, int, int, bool]] = []
     was_split = False
     pending = False
     panel_live = has_preamble
-    for lo, hi in zip(cuts, cuts[1:]):
-        m = int(mode[lo])
+    for row, lo, hi in zip(rows, starts[rows].tolist(), starts[rows[1:]].tolist()):
+        m = int(mode[row])
         if m == MODE_CLASSIC:
             segments.append((_CLASSIC, lo, hi, False))
         elif m == MODE_LOOKAHEAD:
@@ -401,12 +438,17 @@ class _Check:
         return self.want[self.n - 1]
 
 
-def _step(loop, cols: list[np.ndarray], a: int, b: int, state: tuple,
-          end: np.ndarray) -> tuple:
-    """Run ``loop`` on floats over iterations ``[a, b)``."""
-    ends: list[float] = []
+def _rows(cols: list[np.ndarray], a: int, b: int) -> Iterator[tuple]:
+    """Rows ``[a, b)`` of ``cols`` as tuples of floats."""
     # Python lists beat numpy scalar indexing for per-row reads.
-    state = loop(zip(*[c[a:b].tolist() for c in cols]), *state, ends.append)
+    return zip(*[c[a:b].tolist() for c in cols])
+
+
+def _step(loop, rows: Iterable[tuple], a: int, b: int, state: tuple,
+          end: np.ndarray) -> tuple:
+    """Run ``loop`` on floats over ``rows``, iterations ``[a, b)``."""
+    ends: list[float] = []
+    state = loop(rows, *state, ends.append)
     end[a:b] = ends
     return state
 
@@ -517,21 +559,32 @@ def _verify(loop, window: dict[str, np.ndarray], w: int,
         ends[0].values
 
 
-def _resolve(loop, cols: dict[str, np.ndarray], state: tuple,
-             end: np.ndarray) -> tuple:
-    """Run ``loop`` over every row of ``cols`` regime by regime.
+def _resolve(loop, cols: dict[str, np.ndarray], reps: np.ndarray | None,
+             state: tuple, end: np.ndarray) -> tuple:
+    """Run ``loop`` over the iterations of ``cols`` regime by regime.
 
-    A trace of one iteration names the chain each carried value follows;
-    :func:`_guess` extends those chains over a window, :func:`_verify`
-    proves the leading iterations that follow them, and the rest is
-    stepped on floats.  Every float equals the plain loop's.
+    Row ``i`` of ``cols`` stands for ``reps[i]`` consecutive iterations
+    (``None``: one each).  A trace of one iteration names the chain each
+    carried value follows; :func:`_guess` extends those chains over a
+    window, :func:`_verify` proves the leading iterations that follow
+    them, and the rest is stepped on floats.  Every float equals the
+    plain loop's.
     """
+    n = len(end)
+    if n < _MIN_RANGE:
+        # Floats throughout: one tuple per row serves all its iterations.
+        rows = zip(*[c.tolist() for c in cols.values()])
+        if reps is not None:
+            rows = chain.from_iterable(map(repeat, rows, reps.tolist()))
+        return _step(loop, rows, 0, n, state, end)
+    if reps is not None:
+        cols = {name: np.repeat(c, reps) for name, c in cols.items()}
     arrays = list(cols.values())
-    n = len(arrays[0])
     k = 0
     chunk = _SCALAR_CHUNK
-    while n >= _MIN_RANGE and n - k >= chunk + _FIRST_WINDOW:
-        state = _step(loop, arrays, k, k + chunk, state, end)
+    while n - k >= chunk + _FIRST_WINDOW:
+        state = _step(loop, _rows(arrays, k, k + chunk), k, k + chunk, state,
+                      end)
         k += chunk
         state, traced, decisions = _trace(loop, cols, k, state, end)
         k += 1
@@ -556,7 +609,7 @@ def _resolve(loop, cols: dict[str, np.ndarray], state: tuple,
         # A regime shorter than its lead-in doubles the next lead-in, so a
         # run whose winners keep changing pays for O(log n) traces only.
         chunk = _SCALAR_CHUNK if verified >= chunk else 2 * chunk
-    return _step(loop, arrays, k, n, state, end)
+    return _step(loop, _rows(arrays, k, n), k, n, state, end)
 
 
 def evaluate(ca: CostArrays) -> FastTimeline:
@@ -569,15 +622,22 @@ def evaluate(ca: CostArrays) -> FastTimeline:
     # is clamped at zero (Task construction applies max(0.0, dur)), and
     # merged RS tasks sum the la + left components before the clamp.
     # The d2h -> FACT -> h2d -> LBCAST chain is part of every shape.
+    # Every operation up to the loops is elementwise, so it runs once per
+    # row and a row's result is repeated over its iterations: the float
+    # each iteration of a per-iteration CostArrays would get.
     z = 0.0
     d2h_a = np.maximum(ca.d2h, z)
     fact_a = np.maximum(ca.fact, z)
     h2d_a = np.maximum(ca.h2d, z)
     lb_a = np.maximum(ca.lbcast, z)
+    # starts[r]: the first iteration of row r; starts[-1]: nblocks.
+    starts = np.zeros(len(ca.runs) + 1, dtype=np.int64)
+    np.cumsum(ca.runs, out=starts[1:])
+    nblocks = int(starts[-1])
     # Per-iteration busy/phase sums: the engine adds task durations in
     # submission order, so each shape gets its literal left-to-right sum.
-    gpu_busy = np.empty(ca.nblocks)
-    mpi_busy = np.empty(ca.nblocks)
+    gpu_busy = np.empty(nblocks)
+    mpi_busy = np.empty(nblocks)
 
     # State carried across iterations and segments: resource frees G/H/C/M
     # (gpu, hd, cpu, mpi), the live panel's LBCAST end P and the pending
@@ -600,9 +660,23 @@ def evaluate(ca: CostArrays) -> FastTimeline:
         P = e4
         preamble_end = e4
 
-    end = np.empty(ca.nblocks)
-    for shape, lo, hi, first in _resolve_shapes(ca.mode, ca.preamble is not None):
-        seg = slice(lo, hi)
+    end = np.empty(nblocks)
+    for shape, lo, hi, first in _resolve_shapes(ca.mode, starts,
+                                                ca.preamble is not None):
+        # The rows covering [lo, hi), their runs clipped to it: the
+        # fallback iteration and the segment edges may cut a run.
+        r0 = int(np.searchsorted(starts, lo, "right")) - 1
+        r1 = int(np.searchsorted(starts, hi, "left"))
+        seg = slice(r0, r1)
+        reps = None
+        if r1 - r0 < hi - lo:
+            reps = ca.runs[seg].copy()
+            reps[0] -= lo - starts[r0]
+            reps[-1] -= starts[r1] - hi
+
+        def expand(rows: np.ndarray) -> np.ndarray:
+            """Per-row values, one per iteration of the segment."""
+            return rows if reps is None else np.repeat(rows, reps)
 
         def dur(*columns: np.ndarray) -> np.ndarray:
             """One task's clamped durations: the sum of its columns."""
@@ -613,7 +687,7 @@ def evaluate(ca: CostArrays) -> FastTimeline:
                 "lb": lb_a[seg]}
 
         def total(*names: str) -> np.ndarray:
-            return reduce(add, [cols[name] for name in names])
+            return expand(reduce(add, [cols[name] for name in names]))
 
         if shape == _CLASSIC:
             loop = _classic
@@ -622,8 +696,8 @@ def evaluate(ca: CostArrays) -> FastTimeline:
                 left_sc=dur(ca.left_scatter), left_t=dur(ca.left_dtrsm),
                 left_u=dur(ca.left_dgemm),
             )
-            gpu_busy[seg] = total("left_g", "left_sc", "left_t", "left_u")
-            mpi_busy[seg] = total("lb", "left_c")
+            gpu_busy[lo:hi] = total("left_g", "left_sc", "left_t", "left_u")
+            mpi_busy[lo:hi] = total("lb", "left_c")
         elif shape == _LOOKAHEAD:
             loop = _lookahead
             cols.update(
@@ -633,8 +707,9 @@ def evaluate(ca: CostArrays) -> FastTimeline:
                 la_t=dur(ca.la_dtrsm), la_u=dur(ca.la_dgemm),
                 left_t=dur(ca.left_dtrsm), left_u=dur(ca.left_dgemm),
             )
-            gpu_busy[seg] = total("rs_g", "rs_sc", "la_t", "la_u", "left_t", "left_u")
-            mpi_busy[seg] = total("rs_c", "lb")
+            gpu_busy[lo:hi] = total("rs_g", "rs_sc", "la_t", "la_u", "left_t",
+                                    "left_u")
+            mpi_busy[lo:hi] = total("rs_c", "lb")
         elif shape == _SPLIT:
             loop = _split
             cols.update(
@@ -650,8 +725,8 @@ def evaluate(ca: CostArrays) -> FastTimeline:
             gpu = ("rs_g", "right_sc", "la_sc", "la_t", "la_u", "right_t",
                    "right_u", "right_g", "left_sc", "left_t", "left_u")
             mpi = ("la_c", "lb", "left_c", "right_c")
-            gpu_busy[seg] = total(*gpu)
-            mpi_busy[seg] = total(*mpi)
+            gpu_busy[lo:hi] = total(*gpu)
+            mpi_busy[lo:hi] = total(*mpi)
             if first:
                 # No RS2 pending: communicate the right section inline,
                 # ahead of the first iteration's own tasks.
@@ -666,9 +741,10 @@ def evaluate(ca: CostArrays) -> FastTimeline:
                 la_t=dur(ca.la_dtrsm), la_u=dur(ca.la_dgemm),
                 left_t=dur(ca.left_dtrsm), left_u=dur(ca.left_dgemm),
             )
-            gpu_busy[seg] = total("rs_sc", "la_t", "la_u", "left_t", "left_u")
-            mpi_busy[seg] = cols["lb"]
-        G, H, C, M, P, R = _resolve(loop, cols, (G, H, C, M, P, R), end[seg])
+            gpu_busy[lo:hi] = total("rs_sc", "la_t", "la_u", "left_t", "left_u")
+            mpi_busy[lo:hi] = expand(cols["lb"])
+        G, H, C, M, P, R = _resolve(loop, cols, reps, (G, H, C, M, P, R),
+                                    end[lo:hi])
 
     return FastTimeline(
         # Every end is a sum of non-negative floats from +0.0, so the
@@ -677,7 +753,7 @@ def evaluate(ca: CostArrays) -> FastTimeline:
         preamble_end=preamble_end,
         end=end,
         gpu_busy=gpu_busy,
-        fact_busy=fact_a,
+        fact_busy=np.repeat(fact_a, ca.runs),
         mpi_busy=mpi_busy,
-        transfer_busy=d2h_a + h2d_a,
+        transfer_busy=np.repeat(d2h_a + h2d_a, ca.runs),
     )

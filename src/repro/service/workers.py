@@ -442,9 +442,10 @@ def _child_main(conn) -> None:
     # A forked child inherits every other thread's objects but not the
     # threads.  Their sqlite connections are garbage here, and closing
     # one waits forever on any mutex its thread held at the instant of
-    # the fork.  Park everything inherited in the permanent generation
-    # so no collection in this process ever finalizes it; each job's own
-    # garbage is still collected.
+    # the fork.  The supervisor forks with everything frozen
+    # (WorkerPool._spawn); freezing again here parks what the start-up
+    # made too, so no collection in this process ever finalizes
+    # inherited objects; each job's own garbage is still collected.
     gc.freeze()
     _close_inherited_sockets(keep=conn.fileno())
     # Should the supervisor die before this line, the pipe's EOF ends
@@ -616,7 +617,16 @@ class WorkerPool:
             target=_child_main, args=(child_conn,),
             name=f"{self.worker}-runner", daemon=True,
         )
-        proc.start()
+        # Everything alive at the fork is frozen in the child from its
+        # first instruction: no collection in it, automatic ones during
+        # the start-up before _child_main included, can finalize what
+        # another thread owned (see _child_main).  Only this fork is
+        # affected, and the parent gets its generations back at once.
+        gc.freeze()
+        try:
+            proc.start()
+        finally:
+            gc.unfreeze()
         child_conn.close()
         summary.spawned += 1
         return _Child(proc, parent_conn, _registry_version)

@@ -154,6 +154,15 @@ class TestHypothesisEquivalence:
     def test_fast_matches_full_everywhere(self, speculation, cfg):
         assert_timelines_identical(cost_arrays(cfg))
 
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=perf_configs())
+    def test_runs_evaluate_as_their_iterations(self, speculation, cfg):
+        """A row repeated over its run is the float each of its
+        iterations gets on its own."""
+        arrays = cost_arrays(cfg)
+        assert_same_bits(evaluate(arrays), evaluate(arrays.per_iteration()))
+
 
 # A deterministic matrix of the same property, holding the cases a random
 # draw rarely lands on: every schedule, swap and broadcast variant, and
@@ -202,7 +211,7 @@ class TestBitExactMatrix:
     @pytest.mark.parametrize("pattern", ["SCSL", "SLSSL", "CSSCLLS", "LLSC"])
     def test_mode_sequences_the_ledger_never_emits(self, speculation, pattern):
         """``build_run`` accepts any mode order; so do the segments."""
-        base = cost_arrays(EXACT_MATRIX[0])
+        base = cost_arrays(EXACT_MATRIX[0]).per_iteration()
         codes = {"C": MODE_CLASSIC, "L": MODE_LOOKAHEAD, "S": MODE_SPLIT}
         mode = np.resize([codes[c] for c in pattern], base.nblocks)
         assert_timelines_identical(
@@ -271,7 +280,8 @@ class TestSpeculation:
     @pytest.fixture(scope="class")
     def base(self):
         """2000 iterations, long enough to speculate on by default."""
-        return cost_arrays(PerfConfig(n=256_000, nb=128, p=4, q=2, pl=4, ql=2))
+        return cost_arrays(
+            PerfConfig(n=256_000, nb=128, p=4, q=2, pl=4, ql=2)).per_iteration()
 
     @staticmethod
     def one_shape(base, mode, **columns):
@@ -281,7 +291,7 @@ class TestSpeculation:
     @staticmethod
     def cost_columns(base):
         return [f.name for f in dataclasses.fields(base)
-                if f.name not in ("k", "mode", "preamble")]
+                if f.name not in ("runs", "mode", "preamble")]
 
     def assert_float_bits(self, monkeypatch, arrays):
         want = evaluate_as(monkeypatch, arrays, "float")

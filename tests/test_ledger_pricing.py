@@ -1,10 +1,12 @@
-"""``run_cost_arrays`` prices each distinct iteration once.
+"""``run_cost_arrays`` prices and keeps each distinct iteration once.
 
 A per-iteration reference prices every row of ``run_sizes`` through the
 ledger's own model calls -- no deduplication, one call per section, the
-preamble as a one-row batch -- and the memoized columns must equal it
-byte for byte.  Counters on the models pin the structure: one call per
-model per run, and far fewer rows than iterations on a long run.
+preamble as a one-row batch -- and the memoized columns, each row
+repeated over its run, must equal it byte for byte, with every run
+maximal.  Counters on the models pin the structure: one call per model
+per run, and far fewer rows than iterations on a long run, in the memo
+too.
 """
 
 from __future__ import annotations
@@ -74,11 +76,20 @@ def assert_matches_reference(cfg):
     cluster = cluster_of(cfg)
     arrays = run_cost_arrays(cfg, cluster)
     want, preamble = reference(cfg, cluster)
-    got = {name: v for name, v in vars(arrays).items() if isinstance(v, np.ndarray)}
+    rows = {name: v for name, v in vars(arrays).items() if isinstance(v, np.ndarray)}
+    runs = rows.pop("runs")
+    assert runs.dtype == np.int64 and (runs >= 1).all()
+    got = {"k": arrays.k, **{name: np.repeat(v, runs) for name, v in rows.items()}}
     assert got.keys() == want.keys()
     for name, column in want.items():
         assert got[name].dtype == column.dtype, name
         assert got[name].tobytes() == column.tobytes(), name
+    # Maximal runs: adjacent rows differ in some column's bytes.
+    same = np.ones(len(runs) - 1, dtype=bool)
+    for column in rows.values():
+        raw = column.view(np.uint8).reshape(len(runs), -1)
+        same &= (raw[1:] == raw[:-1]).all(axis=1)
+    assert not same.any()
     # repr round-trips every float, sign of zero included
     assert repr(arrays.preamble) == repr(preamble)
 
@@ -192,3 +203,10 @@ class TestStructure:
             assert seen[name] == [3 * distinct], name
         for name in SECTIONS:
             assert getattr(arrays, f"{name}_gather") is getattr(arrays, f"{name}_scatter")
+
+    def test_memo_keeps_only_distinct_rows(self):
+        """The 128-node paper point's memo entry holds its 442 distinct
+        rows, not its 5657 iterations."""
+        arrays = run_cost_arrays(weak_point(128), crusher_cluster(128))
+        assert len(arrays.runs) == 442 and arrays.nblocks == 5657
+        assert arrays.nbytes <= arrays.per_iteration().nbytes / 8
