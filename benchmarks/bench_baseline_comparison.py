@@ -3,59 +3,39 @@
 The paper's Sections I-III argue that the classic pipelined host-resident
 design (Fatica 2009 and successors) became impractical on MI250X-class
 accelerators, forcing the all-in-HBM layout.  This bench quantifies the
-claim on the calibrated models and writes the comparison artifact.
+claim on the calibrated models, writes the comparison artifact and
+checks the claims registry's ``sec1.*`` host-resident entries.
 """
 
 from __future__ import annotations
 
 import io
 
-import pytest
+from repro.perf.claims import FIG7, NODE
+from repro.perf.hostresident import required_nb_for_device, simulate_host_resident
 
-from repro.machine.frontier import crusher_cluster
-from repro.machine.spec import LinkSpec
-from repro.perf.hostresident import (
-    crossover_sweep,
-    required_nb_for_device,
-    simulate_host_resident,
-)
-from repro.perf.hplsim import simulate_run
-from repro.perf.ledger import PerfConfig
-
-from .conftest import write_artifact
-
-CLUSTER = crusher_cluster(1)
-FULL = PerfConfig(n=256_000, nb=512, p=4, q=2, pl=4, ql=2)
+from .conftest import assert_claims, write_artifact
 
 
-def test_design_comparison(benchmark, artifact_dir):
-    resident = benchmark.pedantic(
-        simulate_run, args=(FULL, CLUSTER), rounds=1, iterations=1
-    )
-    baseline = simulate_host_resident(FULL, CLUSTER)
+def test_design_comparison(benchmark, bundle, artifact_dir):
+    benchmark.pedantic(simulate_host_resident, args=(FIG7, NODE),
+                       rounds=1, iterations=1)
+    resident, baseline = bundle.fig7, bundle.host_resident
     out = io.StringIO()
     out.write("Single Crusher node, N=256000, NB=512:\n")
     out.write(f"  HBM-resident (paper)  : {resident.score_tflops:8.1f} TFLOPS\n")
     out.write(f"  host-resident pipeline: {baseline.score_tflops:8.1f} TFLOPS "
               f"({baseline.device_utilization * 100:.1f}% device utilization)\n")
-    nb_needed = required_nb_for_device(CLUSTER.node.h2d, baseline.device_tflops)
+    nb_needed = required_nb_for_device(NODE.node.h2d, baseline.device_tflops)
     out.write(f"  NB needed to feed the device over the host link: {nb_needed}\n")
     write_artifact("baseline_comparison.txt", out.getvalue())
-
-    assert resident.score_tflops > 10 * baseline.score_tflops
-    assert nb_needed > 4_000  # "unreasonably large blocking parameters"
+    assert_claims(bundle, "sec1.resident_vs_host", "sec1.nb_to_feed_device")
 
 
-def test_crossover_history(benchmark, artifact_dir):
+def test_crossover_history(benchmark, bundle, artifact_dir):
     """Pipelining was fine for ~1-TFLOPS GPUs over PCIe gen3; it starves
     an MI250X even over Infinity Fabric."""
-    pcie3 = LinkSpec(12.0, 5e-6)
-    scales = [1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0]
-    sweep = benchmark.pedantic(
-        crossover_sweep, args=(CLUSTER,),
-        kwargs={"pcie": pcie3, "scales": scales},
-        rounds=1, iterations=1,
-    )
+    sweep = benchmark.pedantic(lambda: bundle.crossover, rounds=1, iterations=1)
     out = io.StringIO()
     out.write(f"{'device TFLOPS':>14s}{'streamed':>10s}{'util %':>8s}{'bound':>9s}\n")
     for _, pt in sweep:
@@ -65,8 +45,4 @@ def test_crossover_history(benchmark, artifact_dir):
             f"{'compute' if pt.compute_bound else 'link':>9s}\n"
         )
     write_artifact("baseline_crossover.txt", out.getvalue())
-
-    assert sweep[0][1].compute_bound  # sub-TFLOPS era: link kept up
-    assert not sweep[-1][1].compute_bound  # MI250X era: starved
-    utils = [pt.device_utilization for _, pt in sweep]
-    assert utils[-1] < 0.1
+    assert_claims(bundle, "sec1.crossover")

@@ -11,16 +11,13 @@ from __future__ import annotations
 import io
 
 from repro.binding import compute_bindings, crusher_topology, validate_bindings
-from repro.machine.frontier import crusher_cluster
-from repro.perf.hplsim import simulate_run
-from repro.perf.ledger import PerfConfig, time_sharing_threads
 
-from .conftest import write_artifact
+from .conftest import assert_claims, write_artifact
 
 LOCAL_GRIDS = [(8, 1), (4, 2), (2, 4), (1, 8)]
 
 
-def test_binding_table(benchmark, artifact_dir):
+def test_binding_table(benchmark, bundle, artifact_dir):
     """T = 1 + Cbar/pl for every node-local grid; all invariants hold."""
     topo = crusher_topology()
 
@@ -41,51 +38,18 @@ def test_binding_table(benchmark, artifact_dir):
         out.write(f"{pl}x{ql:<5d}{t:>5d}{fact_cores:>12d}{idle:>14d}\n")
     write_artifact("binding_table.txt", out.getvalue())
 
-    # the paper's 2x4 example: naive partition would idle 42 cores...
-    naive_used = 2 * 8 + 6  # two factoring ranks x one CCD + six roots
-    assert topo.cores - naive_used == 42
-    # ...while time-sharing idles none.
-    t = bindings[(2, 4)][0].nthreads
-    assert 2 * t + 6 == 64
+    assert_claims(bundle, "sec3b.two_by_four")
 
 
-def test_time_sharing_improves_score(benchmark, artifact_dir):
+def test_time_sharing_improves_score(benchmark, bundle, artifact_dir):
     """More node-local columns => more FACT threads => shorter tail, until
     the grid shape itself (row count) hurts other phases -- matching the
-    paper's choice of 4x2 on a single node."""
-
-    def sweep():
-        rows = {}
-        for pl, ql in LOCAL_GRIDS:
-            cfg = PerfConfig(n=256_000, nb=512, p=pl, q=ql, pl=pl, ql=ql)
-            rows[(pl, ql)] = (
-                time_sharing_threads(64, pl, ql),
-                simulate_run(cfg, crusher_cluster(1)).score_tflops,
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    paper's choice of 4x2 on a single node; and disabling time-sharing
+    (T=8, plain partition) costs score at that configuration."""
+    rows = benchmark.pedantic(lambda: bundle.local_grids, rounds=1, iterations=1)
     out = io.StringIO()
     out.write(f"{'grid':>6s}{'T':>5s}{'TFLOPS':>10s}\n")
     for (pl, ql), (t, score) in rows.items():
         out.write(f"{pl}x{ql:<5d}{t:>5d}{score:>10.1f}\n")
     write_artifact("local_grid_sweep.txt", out.getvalue())
-
-    # 4x2 (the paper's single-node grid) beats the no-sharing extreme 8x1
-    assert rows[(4, 2)][1] > rows[(8, 1)][1]
-
-
-def test_fact_threads_ablation(benchmark):
-    """Disabling time-sharing (T=8, plain partition) costs score at the
-    paper's single-node configuration."""
-
-    def score(threads: int) -> float:
-        cfg = PerfConfig(
-            n=256_000, nb=512, p=4, q=2, pl=4, ql=2, fact_threads=threads
-        )
-        return simulate_run(cfg, crusher_cluster(1)).score_tflops
-
-    shared = benchmark.pedantic(score, args=(15,), rounds=1, iterations=1)
-    partitioned = score(8)
-    single = score(1)
-    assert shared > partitioned > single
+    assert_claims(bundle, "sec3b.local_grid", "sec3b.time_sharing_payoff")

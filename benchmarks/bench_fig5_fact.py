@@ -1,9 +1,9 @@
 """Figure 5: FACT GFLOPS vs panel height, per thread count.
 
 Regenerates the sweep (NB = 512, M in multiples of NB, threads 1..64 in
-powers of two) on the calibrated CPU model, asserts the paper's stated
-takeaways, and benchmarks both the model sweep and the *real* tiled
-multi-threaded factorization kernel.
+powers of two) on the calibrated CPU model, checks the paper's stated
+takeaways through the claims registry, and benchmarks both the model
+sweep and the *real* tiled multi-threaded factorization kernel.
 """
 
 from __future__ import annotations
@@ -14,29 +14,23 @@ from repro.blas.threaded import TileWorkerPool
 from repro.config import HPLConfig, Schedule
 from repro.grid.block_cyclic import local_indices
 from repro.hpl.pfact import factor_panel
+from repro.perf.claims import Bundle
 from repro.perf.factsim import fact_sweep
 from repro.perf.report import format_fact_table
 from repro.simmpi import run_spmd
 
-from .conftest import write_artifact
+from .conftest import assert_claims, write_artifact
 
 
 def test_fig5_series(benchmark, artifact_dir):
     """The Fig. 5 table: rates rise with threads and with M."""
-    curves = benchmark(fact_sweep)
-    table = format_fact_table(curves)
-    write_artifact("fig5_fact_gflops.txt", table)
-
-    by_threads = {c.threads: c for c in curves}
-    big = -1
-    # "performance ... considerably improved through multi-threading"
-    assert by_threads[64].gflops[big] > 5 * by_threads[1].gflops[big]
-    # "large numbers of CPU cores benefit ... even relatively small sizes"
-    mid = by_threads[1].m_values.index(16 * 512)
-    assert by_threads[16].gflops[mid] > 2 * by_threads[2].gflops[mid]
-    # every doubling of threads helps at the largest M (up to tile limit)
-    rates = [by_threads[t].gflops[big] for t in (1, 2, 4, 8, 16, 32, 64)]
-    assert all(b > a for a, b in zip(rates, rates[1:]))
+    written = Bundle()
+    written.fact = benchmark(fact_sweep)
+    write_artifact("fig5_fact_gflops.txt", format_fact_table(written.fact))
+    assert_claims(
+        written, "fig5.threading_gain", "fig5.small_m_gain",
+        "fig5.thread_doubling", "fig5.rises_with_m",
+    )
 
 
 def test_fig5_real_threaded_kernel(benchmark):

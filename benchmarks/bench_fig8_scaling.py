@@ -1,9 +1,10 @@
 """Figure 8: weak scaling of the HPL score from 1 to 128 Crusher nodes.
 
 Regenerates the paper's sweep (square-or-2:1 grids, 1x8 node-local grids
-once Q >= 8, N scaled to fill HBM, NB = 512, 50-50 split) and asserts its
-claims: >90 % weak-scaling efficiency at 128 nodes and a final score in
-the neighborhood of the measured 17.75 PFLOPS.
+once Q >= 8, N scaled to fill HBM, NB = 512, 50-50 split) and checks its
+registry claims on the points it gathers: >90 % weak-scaling efficiency
+out to 128 nodes and a final score in the neighborhood of the measured
+17.75 PFLOPS.
 
 This benchmark is submitted *through the batch service over HTTP*
 (:mod:`repro.service.http`): a ``ServiceHTTPServer`` hosts the queue
@@ -20,12 +21,12 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.perf.claims import BY_ID, Bundle
 from repro.perf.report import format_scaling_table
-from repro.perf.scaling import weak_scaling_efficiency
 from repro.service import Sweep
 from repro.service.http import ServiceClient, ServiceHTTPServer
 
-from .conftest import write_artifact
+from .conftest import assert_claims, write_artifact
 
 NODE_COUNTS = [1, 2, 4, 8, 16, 32, 64, 128]
 
@@ -83,33 +84,17 @@ def test_fig8_series(benchmark, server, points, artifact_dir):
     assert [p.nnodes for p in fresh] == NODE_COUNTS
 
 
-def test_fig8_efficiency_above_ninety_percent(points):
-    """'over 90% weak-scaling efficiency from the single node score ...
-    to the score on 128 nodes.'"""
-    effs = weak_scaling_efficiency(points)
-    assert all(e > 0.90 for e in effs)
-
-
-def test_fig8_final_score_near_paper(points):
-    """Paper: 17.75 PFLOPS at 128 nodes (from a 153 TFLOPS single node)."""
-    final = points[-1]
-    assert final.nnodes == 128
-    assert 14_000 <= final.tflops <= 22_000
-
-    single = points[0]
-    assert 140 <= single.tflops <= 170  # paper: 153
-
-
-def test_fig8_score_monotone_in_nodes(points):
-    scores = [p.tflops for p in points]
-    assert scores == sorted(scores)
-
-
-def test_fig8_grid_policy_matches_paper(points):
-    """Square or 2:1 grids; 1x8 node-local once Q >= 8."""
-    for pt in points:
-        assert pt.p == pt.q or pt.p == 2 * pt.q
-    assert (points[-1].p, points[-1].q) == (32, 32)
+def test_fig8_claims(points):
+    """The registry's Fig. 8 claims, on the points served over HTTP; the
+    1-node point is the Fig. 7 run, so it carries ``fig7.score``."""
+    served = Bundle()
+    served.fig8 = points
+    assert_claims(
+        served, "fig8.scores", "fig8.efficiency", "fig8.efficiency_128",
+        "fig8.efficiency_declines", "fig8.final_score", "fig8.grid_policy",
+    )
+    single = BY_ID["fig7.score"]
+    assert single.failure(points[0].tflops) is None
 
 
 def test_fig8_resubmission_served_from_cache(server, points):

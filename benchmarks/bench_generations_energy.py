@@ -5,52 +5,44 @@
   argument;
 * the energy accounting: HPL holds the node near peak draw, at a
   GFLOPS/W figure consistent with Frontier's Green500 entry.
+
+Both check their claims (``sec5.*``, ``energy.*``) through the registry.
 """
 
 from __future__ import annotations
 
 import io
 
-import pytest
-
-from repro.machine.frontier import crusher_cluster, crusher_node
-from repro.machine.power_model import PowerSpec, energy_of_run
+from repro.machine.power_model import energy_of_run
+from repro.perf.claims import NODE, Bundle
 from repro.perf.generations import generational_sweep
-from repro.perf.hplsim import simulate_run
-from repro.perf.ledger import PerfConfig
 
-from .conftest import write_artifact
+from .conftest import assert_claims, write_artifact
 
 
 def test_generational_sweep(benchmark, artifact_dir):
-    points = benchmark.pedantic(generational_sweep, rounds=1, iterations=1)
+    written = Bundle()
+    written.generations = benchmark.pedantic(generational_sweep, rounds=1,
+                                             iterations=1)
     out = io.StringIO()
     out.write(
         f"{'scale':>7s}{'score TF':>10s}{'ceiling':>9s}{'eff %':>7s}"
         f"{'hidden %':>10s}\n"
     )
-    for pt in points:
+    for pt in written.generations:
         out.write(
             f"{pt.compute_scale:>7.1f}{pt.score_tflops:>10.1f}"
             f"{pt.ceiling_tflops:>9.1f}{pt.efficiency * 100:>7.1f}"
             f"{pt.hidden_time_fraction * 100:>10.1f}\n"
         )
     write_artifact("generational_sweep.txt", out.getvalue())
-
-    effs = [pt.efficiency for pt in points]
-    assert all(b < a for a, b in zip(effs, effs[1:]))  # strictly decaying
-    # the 2x generation already loses the hidden window entirely
-    by_scale = {pt.compute_scale: pt for pt in points}
-    assert by_scale[2.0].hidden_time_fraction == 0.0
-    assert by_scale[1.0].hidden_time_fraction > 0.7
+    assert_claims(written, "sec5.efficiency_falls_with_compute",
+                  "sec5.hidden_window_closes", "sec5.score_rises_with_compute")
 
 
 def test_energy_accounting(benchmark, artifact_dir):
-    cfg = PerfConfig(n=256_000, nb=512, p=4, q=2, pl=4, ql=2)
-    report = simulate_run(cfg, crusher_cluster(1))
-    node = crusher_node()
-    spec = PowerSpec()
-    energy = benchmark(energy_of_run, report, node, spec)
+    written = Bundle()
+    written.energy = energy = benchmark(energy_of_run, written.fig7, NODE.node)
     out = io.StringIO()
     out.write("Single-node N=256000 run:\n")
     out.write(f"  runtime        : {energy.seconds:10.1f} s\n")
@@ -62,7 +54,5 @@ def test_energy_accounting(benchmark, artifact_dir):
     for part, joules in energy.components.items():
         out.write(f"    {part:<9s}: {joules / energy.joules * 100:5.1f} %\n")
     write_artifact("energy_accounting.txt", out.getvalue())
-
-    assert energy.mean_node_w > 0.85 * energy.peak_node_w
-    assert 40 <= energy.gflops_per_w <= 70
-    assert energy.components["gpu"] > energy.components["cpu"]
+    assert_claims(written, "energy.near_peak_draw", "energy.gflops_per_w",
+                  "energy.gpu_dominates")

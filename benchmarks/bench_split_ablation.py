@@ -2,75 +2,44 @@
 
 The paper leaves the split fraction as a tuning input and reports that a
 50-50 left-right split is optimal on a single Frontier/Crusher node; this
-bench sweeps the fraction and the schedule on the calibrated model and
-writes the resulting curves.
+bench writes the fraction and schedule sweeps of the claims registry's
+bundle and checks their claims.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 
-import pytest
-
 from repro.config import Schedule
-from repro.machine.frontier import crusher_cluster
+from repro.perf.claims import FIG7, NODE
 from repro.perf.hplsim import simulate_run
-from repro.perf.ledger import PerfConfig
 
-from .conftest import write_artifact
-
-CLUSTER = crusher_cluster(1)
-FRACTIONS = [0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9]
+from .conftest import assert_claims, write_artifact
 
 
-def _score(frac: float) -> tuple[float, float]:
-    cfg = PerfConfig(n=256_000, nb=512, p=4, q=2, pl=4, ql=2, split_fraction=frac)
-    rep = simulate_run(cfg, CLUSTER)
-    return rep.score_tflops, rep.hidden_time_fraction
+def _time_one(benchmark, **change) -> None:
+    cfg = dataclasses.replace(FIG7, **change)
+    benchmark.pedantic(simulate_run, args=(cfg, NODE), rounds=1, iterations=1)
 
 
-def test_split_fraction_sweep(benchmark, artifact_dir):
+def test_split_fraction_sweep(benchmark, bundle, artifact_dir):
     """'splitting the local A matrix in half ... works optimally.'"""
-    results = {frac: _score(frac) for frac in FRACTIONS[:-1]}
-    results[FRACTIONS[-1]] = benchmark.pedantic(
-        _score, args=(FRACTIONS[-1],), rounds=1, iterations=1
-    )
+    _time_one(benchmark, split_fraction=0.9)
     out = io.StringIO()
     out.write(f"{'fraction':>10s}{'TFLOPS':>10s}{'hidden%':>10s}\n")
-    for frac in FRACTIONS:
-        score, hidden = results[frac]
-        out.write(f"{frac:>10.2f}{score:>10.1f}{hidden * 100:>10.1f}\n")
+    for frac, rep in bundle.split_sweep.items():
+        out.write(f"{frac:>10.2f}{rep.score_tflops:>10.1f}"
+                  f"{rep.hidden_time_fraction * 100:>10.1f}\n")
     write_artifact("split_fraction_sweep.txt", out.getvalue())
+    assert_claims(bundle, "sec3c.split_fraction_optimum",
+                  "sec3c.hidden_needs_half", "fig7.hidden_time_fraction")
 
-    best = max(results, key=lambda f: results[f][0])
-    assert abs(best - 0.5) <= 0.1
 
-
-def test_schedule_ladder(benchmark, artifact_dir):
+def test_schedule_ladder(benchmark, bundle, artifact_dir):
     """Each optimization layer helps at the full problem size."""
-
-    def ladder():
-        scores = {}
-        for sched in Schedule:
-            cfg = PerfConfig(
-                n=256_000, nb=512, p=4, q=2, pl=4, ql=2, schedule=sched
-            )
-            scores[sched] = simulate_run(cfg, CLUSTER).score_tflops
-        return scores
-
-    scores = benchmark.pedantic(ladder, rounds=1, iterations=1)
-    out = "\n".join(f"{s.value:>12s}: {v:8.1f} TFLOPS" for s, v in scores.items())
+    _time_one(benchmark, schedule=Schedule.CLASSIC)
+    out = "\n".join(f"{s.value:>12s}: {bundle.schedules[FIG7.n, s]:8.1f} TFLOPS"
+                    for s in Schedule)
     write_artifact("schedule_ladder.txt", out + "\n")
-    assert (
-        scores[Schedule.SPLIT_UPDATE]
-        > scores[Schedule.LOOKAHEAD]
-        > scores[Schedule.CLASSIC]
-    )
-
-
-def test_hidden_fraction_peaks_at_half(benchmark):
-    """The ~75% hidden-time figure specifically needs the 50-50 split."""
-    _, hidden50 = benchmark.pedantic(_score, args=(0.5,), rounds=1, iterations=1)
-    _, hidden10 = _score(0.1)
-    assert hidden50 > 0.65
-    assert hidden50 > hidden10
+    assert_claims(bundle, "sec3c.schedule_ladder", "sec3c.split_gain_grows_with_n")

@@ -2,7 +2,8 @@
 
 The paper's timeline diagrams make structural claims about what overlaps
 what; these benches build the corresponding DAGs with realistic costs from
-the ledger, execute them on the event engine, and assert the claims:
+the ledger, execute them on the event engine, and check the registry's
+claims (``fig3.*``, ``fig6.*``):
 
 * Fig. 3 (look-ahead): transfers, FACT and LBCAST hide behind the trailing
   update; the RS communication does not.
@@ -14,17 +15,14 @@ Also benchmarks the raw event-engine throughput.
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
 
 from repro.config import Schedule
-from repro.machine.frontier import crusher_cluster
-from repro.perf.ledger import PerfConfig, run_costs
+from repro.perf.claims import FIG7, NODE, Bundle
+from repro.perf.hplsim import simulate_timeline
 from repro.sched.engine import Task, simulate
-from repro.sched.timeline import build_run
 
-from .conftest import write_artifact
-
-CLUSTER = crusher_cluster(1)
+from .conftest import assert_claims, write_artifact
 
 
 def _gantt(result, tag: int) -> str:
@@ -37,48 +35,28 @@ def _gantt(result, tag: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _timeline(benchmark, schedule: Schedule, name: str) -> Bundle:
+    """Time and write one schedule's Fig. 7-run timeline (its iteration 5,
+    an early steady-state one); a bundle holding it for the claims."""
+    cfg = dataclasses.replace(FIG7, schedule=schedule)
+    result = benchmark.pedantic(simulate_timeline, args=(cfg, NODE),
+                                rounds=1, iterations=1)
+    write_artifact(name, _gantt(result, 5))
+    written = Bundle()
+    written.timelines = {schedule: result}
+    return written
+
+
 def test_fig3_lookahead_timeline(benchmark, artifact_dir):
     """An early look-ahead iteration: only RS comm extends past GPU work."""
-    cfg = PerfConfig(
-        n=256_000, nb=512, p=4, q=2, pl=4, ql=2, schedule=Schedule.LOOKAHEAD
-    )
-    costs = run_costs(cfg, CLUSTER)
-    result = benchmark.pedantic(
-        lambda: simulate(build_run(costs)), rounds=1, iterations=1
-    )
-    k = 5  # steady-state early iteration
-    write_artifact("fig3_lookahead_gantt.txt", _gantt(result, k))
-    start, end = result.span_of_tag(k)
-    gpu_busy = result.busy_in_tag(k, "gpu")
-    fact = result.phase_in_tag(k, "FACT")
-    by_name = {t.name: t for t in result.tasks_tagged(k)}
-    rs_comm = by_name[f"rs.comm.{k}"].duration
-    # FACT is fully overlapped by the trailing update...
-    assert end - start < gpu_busy + fact
-    # ...but the RS communication is exposed (the Fig. 3 idle gap).
-    assert end - start >= gpu_busy + rs_comm * 0.9
+    written = _timeline(benchmark, Schedule.LOOKAHEAD, "fig3_lookahead_gantt.txt")
+    assert_claims(written, "fig3.fact_hidden", "fig3.rs_exposed")
 
 
 def test_fig6_split_timeline(benchmark, artifact_dir):
     """An early split-update iteration: everything hides behind the GPU."""
-    cfg = PerfConfig(n=256_000, nb=512, p=4, q=2, pl=4, ql=2)
-    costs = run_costs(cfg, CLUSTER)
-    result = benchmark.pedantic(
-        lambda: simulate(build_run(costs)), rounds=1, iterations=1
-    )
-    k = 5
-    write_artifact("fig6_split_gantt.txt", _gantt(result, k))
-    start, end = result.span_of_tag(k)
-    gpu_busy = result.busy_in_tag(k, "gpu")
-    assert end - start == pytest.approx(gpu_busy, rel=0.02)
-    # RS1 ran inside the UPDATE2 window; RS2 inside UPDATE1's.
-    by_name = {t.name: t for t in result.tasks_tagged(k)}
-    u2 = by_name[f"dgemm.right.{k}"]
-    rs1 = by_name[f"rs1.comm.{k}"]
-    assert rs1.end <= u2.end + 1e-9
-    u1 = by_name[f"dgemm.left.{k}"]
-    rs2 = by_name[f"rs2.comm.{k}"]
-    assert rs2.end <= u1.end + 1e-9
+    written = _timeline(benchmark, Schedule.SPLIT_UPDATE, "fig6_split_gantt.txt")
+    assert_claims(written, "fig6.iteration_is_gpu_busy", "fig6.rs_inside_updates")
 
 
 def test_engine_throughput(benchmark):

@@ -68,24 +68,6 @@ class ScalePoint:
         return self.report.score_tflops
 
 
-def _scale_points(node_counts, n_of, nb, schedule, cluster_factory):
-    """One :class:`ScalePoint` per node count, sized by ``n_of(nnodes)``."""
-    points: list[ScalePoint] = []
-    for nnodes in node_counts:
-        cluster: ClusterSpec = cluster_factory(nnodes)
-        gpus = cluster.node.gpus
-        p, q = choose_grid(nnodes * gpus)
-        # single node: the whole grid is node-local
-        pl, ql = (p, q) if nnodes == 1 else node_local_grid(p, q, gpus)
-        n = n_of(nnodes)
-        cfg = PerfConfig(n=n, nb=nb, p=p, q=q, pl=pl, ql=ql, schedule=schedule)
-        points.append(
-            ScalePoint(nnodes=nnodes, n=n, p=p, q=q,
-                       report=simulate_run(cfg, cluster))
-        )
-    return points
-
-
 def weak_scaling(
     node_counts: list[int] | None = None,
     n_single: int = 256_000,
@@ -100,41 +82,20 @@ def weak_scaling(
     """
     if node_counts is None:
         node_counts = [2**i for i in range(8)]
-    return _scale_points(
-        node_counts, lambda nnodes: scaled_n(nnodes, n_single, nb),
-        nb, schedule, cluster_factory,
-    )
-
-
-def strong_scaling(
-    n: int,
-    node_counts: list[int] | None = None,
-    nb: int = 512,
-    schedule: Schedule = Schedule.SPLIT_UPDATE,
-    cluster_factory=crusher_cluster,
-) -> list[ScalePoint]:
-    """Fixed-N scaling (an extension beyond the paper's weak-scaling study).
-
-    Strong scaling is HPL's hard mode: per-rank work shrinks as nodes are
-    added while the latency-bound tail does not, so efficiency decays much
-    faster than in Fig. 8 -- a useful contrast the paper implies but does
-    not plot.
-    """
-    if node_counts is None:
-        node_counts = [1, 2, 4, 8]
-    return _scale_points(
-        node_counts, lambda nnodes: n, nb, schedule, cluster_factory
-    )
-
-
-def strong_scaling_efficiency(points: list[ScalePoint]) -> list[float]:
-    """Speedup over the first point, normalized by the node ratio."""
-    if not points:
-        return []
-    base = points[0]
-    return [
-        (pt.tflops / base.tflops) / (pt.nnodes / base.nnodes) for pt in points
-    ]
+    points: list[ScalePoint] = []
+    for nnodes in node_counts:
+        cluster: ClusterSpec = cluster_factory(nnodes)
+        gpus = cluster.node.gpus
+        p, q = choose_grid(nnodes * gpus)
+        # single node: the whole grid is node-local
+        pl, ql = (p, q) if nnodes == 1 else node_local_grid(p, q, gpus)
+        n = scaled_n(nnodes, n_single, nb)
+        cfg = PerfConfig(n=n, nb=nb, p=p, q=q, pl=pl, ql=ql, schedule=schedule)
+        points.append(
+            ScalePoint(nnodes=nnodes, n=n, p=p, q=q,
+                       report=simulate_run(cfg, cluster))
+        )
+    return points
 
 
 def weak_scaling_efficiency(points: list[ScalePoint]) -> list[float]:

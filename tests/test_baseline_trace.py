@@ -31,15 +31,6 @@ class TestHostResidentBaseline:
         assert not pt.compute_bound
         assert pt.device_utilization < 0.10
 
-    def test_resident_design_beats_baseline_by_an_order_of_magnitude(self):
-        from repro.perf.hplsim import simulate_run
-
-        cluster = crusher_cluster(1)
-        full = PerfConfig(n=256_000, nb=512, p=4, q=2, pl=4, ql=2)
-        resident = simulate_run(full, cluster).score_tflops
-        baseline = simulate_host_resident(full, cluster).score_tflops
-        assert resident > 10 * baseline
-
     def test_old_gpus_were_compute_bound(self):
         """At early-2010s FP64 rates (~1 TFLOPS) pipelining kept up --
         which is why the Fatica-era design worked then."""

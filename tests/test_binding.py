@@ -63,15 +63,6 @@ class TestBindings:
             fact_cores.update(b.cores)
         assert len(fact_cores) == pl + cbar
 
-    def test_paper_2x4_example(self):
-        """Sec III.B: 2x4 grid; naive partition leaves 42 idle cores, the
-        time-shared binding uses 58 in FACT + 6 waiting roots = all 64."""
-        bindings = compute_bindings(2, 4)
-        assert bindings[0].nthreads == 29
-        used_in_fact = 2 * 29
-        waiting_roots = 8 - 2
-        assert used_in_fact + waiting_roots == 64
-
     def test_p_by_one_reduces_to_partition(self):
         """8x1: no sharing possible; every rank gets its own 8 cores."""
         bindings = compute_bindings(8, 1)

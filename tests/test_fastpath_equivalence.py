@@ -168,6 +168,8 @@ class TestHypothesisEquivalence:
 # draw rarely lands on: every schedule, swap and broadcast variant, and
 # the edges of the fast path's per-segment loops.
 EXACT_MATRIX = [
+    # the paper's Fig. 7 run, as simulate_run and simulate_timeline price it
+    PerfConfig(n=256_000, nb=512, p=4, q=2, pl=4, ql=2),
     PerfConfig(n=40960, nb=512, p=4, q=2, pl=4, ql=2),
     PerfConfig(n=40960, nb=512, p=4, q=2, pl=4, ql=2,
                schedule=Schedule.LOOKAHEAD),
@@ -223,7 +225,7 @@ class TestBitExactMatrix:
         cfg = PerfConfig(n=256_000, nb=512, p=4, q=2, pl=4, ql=2)
         report = simulate_run(cfg, crusher_cluster(1))
         its = report.iterations
-        assert its is report.iterations
+        assert its is report.iterations and len(its) == 500
         for name in COLUMNS + ("hidden",):
             assert [getattr(it, name) for it in its] == getattr(report, name).tolist()
         hidden = [it for it in its if it.hidden]

@@ -5,7 +5,9 @@ loads ``scipy.linalg`` on the first triangular solve).  Every pricing
 path -- the figures, the CLI's model commands, a ``sim`` job's runner --
 must run in an interpreter where importing scipy raises, and must load
 neither the numeric engine (``repro.hpl``) nor, through the index math
-of ``repro.grid``, the simulated MPI runtime.
+of ``repro.grid``, the simulated MPI runtime.  Nor does any of them
+load the claims registry (``repro.perf.claims``): a ``sim`` runner's
+cold import and every pricing call stay free of it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["scale", "-N", "16384", "--max-doublings", "1"]) == 0
     assert cli.main(["fact"]) == 0
 loaded = sorted(m for m in sys.modules
-                if m.startswith(("scipy.", "repro.simmpi", "repro.hpl")))
+                if m.startswith(("scipy.", "repro.simmpi", "repro.hpl",
+                                 "repro.perf.claims")))
 assert not loaded, loaded
 """
 

@@ -1,4 +1,5 @@
-"""Hardware model laws and the paper's calibration anchors."""
+"""Hardware model laws.  The paper's calibration anchors are claims
+(``test_claims.py``: ``sec4a.dgemm_per_mi250x``)."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from repro.machine import (
     fact_seconds,
 )
 from repro.machine.comm_model import GridTopology
+from repro.machine.frontier import FRONTIER_NODES, frontier_cluster
 from repro.machine.cpu_model import fact_seconds_array
 from repro.machine.gemm_model import (
     dgemm_seconds_array,
@@ -54,6 +56,11 @@ class TestSpecs:
         c1, c4 = crusher_cluster(1), crusher_cluster(4)
         assert c4.max_n() == pytest.approx(2 * c1.max_n(), rel=0.01)
 
+    def test_frontier_cluster_defaults(self):
+        cluster = frontier_cluster()
+        assert cluster.nnodes == FRONTIER_NODES
+        assert cluster.max_n() > 20_000_000
+
     def test_link_alpha_beta(self):
         link = LinkSpec(bandwidth_gbs=10.0, latency_s=1e-6)
         assert link.seconds(0) == 1e-6
@@ -71,12 +78,6 @@ class TestSpecs:
 
 
 class TestGemmModel:
-    def test_paper_calibration_anchor(self):
-        """NB=512 trailing DGEMMs reach ~24.5 TFLOPS per GCD (49/MI250X)."""
-        gpu = crusher_node().gpu
-        rate = dgemm_tflops(gpu, 60_000, 120_000, 512)
-        assert rate == pytest.approx(24.5, abs=0.3)
-
     def test_small_nb_degrades(self):
         """The NB trade-off the paper describes: small k loses efficiency."""
         gpu = crusher_node().gpu
