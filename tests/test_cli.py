@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.smoke import COMMANDS, argv
 from repro.cli import build_parser, main
+
+SMOKE_STEPS = [(smoke, step) for smoke in COMMANDS for step in COMMANDS[smoke]]
 
 
 class TestRun:
@@ -68,6 +71,15 @@ class TestOtherCommands:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    @pytest.mark.parametrize("smoke,step", SMOKE_STEPS,
+                             ids=[".".join(case) for case in SMOKE_STEPS])
+    def test_smoke_command_parses(self, smoke, step):
+        """Every command ``benchmarks/smoke.py`` runs parses here, so a
+        deleted flag fails tier-1 and the case id names the smoke."""
+        build_parser().parse_args(argv(
+            smoke, step, url="http://127.0.0.1:8400", workdir="svc",
+            port="8400", spec="spec.json", cid="c0", ids=["j0", "j1"]))
 
 
 class TestConfigErrorHandling:
